@@ -12,7 +12,7 @@
 use crate::chip::{AtomCoefficients, MdgChip, PIPELINES_PER_CHIP};
 use crate::ftz::FtzGuard;
 use crate::jstore::JStore;
-use crate::pipeline::{PairAccum, PipelineMode};
+use crate::pipeline::{CellPass, PairAccum, PipelineMode};
 use mdm_funceval::FunctionEvaluator;
 
 /// Chips per board (Fig. 8b).
@@ -130,20 +130,22 @@ impl std::fmt::Display for MdgBoardError {
 
 impl std::error::Error for MdgBoardError {}
 
-/// Per-i-type coefficient columns, parallel to the j-store slot order:
-/// `a[ti][slot] = a(ti, types[slot])` (and likewise `b`). Rebuilt at the
-/// top of every batched pass — O(n_types·N) gathers, negligible next to
-/// the O(N·27·occupancy) pair work they free from per-pair type lookups.
-/// The gathered values are the exact `f32`s of the coefficient RAM, so
-/// the columns change nothing numerically.
+/// Per-i-type coefficient columns of one table pass, parallel to the
+/// j-store slot order: `a[ti][slot] = a(ti, types[slot])` (and likewise
+/// `b`). Rebuilt at the top of every batched sweep — O(n_types·N)
+/// gathers, negligible next to the O(N·27·occupancy) pair work they free
+/// from per-pair type lookups. The gathered values are the exact `f32`s
+/// of the coefficient RAM, so the columns change nothing numerically.
 #[derive(Clone, Debug, Default)]
-struct CoeffCols {
+pub struct CoeffCols {
     a: Vec<Vec<f32>>,
     b: Vec<Vec<f32>>,
 }
 
 impl CoeffCols {
-    fn build(&mut self, coeffs: &AtomCoefficients, types: &[u8]) {
+    /// Regather the columns for `coeffs` over the slot-ordered species
+    /// column `types`, reusing the buffers.
+    pub fn build(&mut self, coeffs: &AtomCoefficients, types: &[u8]) {
         let n_types = coeffs.n_types();
         self.a.resize_with(n_types, Vec::new);
         self.b.resize_with(n_types, Vec::new);
@@ -158,11 +160,24 @@ impl CoeffCols {
     }
 }
 
+/// One table pass of a board sweep: the `MR1SetTable` image and the
+/// coefficient RAM contents that go with it, the latter already
+/// gathered into columns over the resident j-store (built once per
+/// sweep and shared by every board — they all hold the same j-set).
+#[derive(Clone, Copy, Debug)]
+pub struct ColumnPass<'a> {
+    /// The g(x) function table.
+    pub table: &'a FunctionEvaluator,
+    /// The `aᵢⱼ`, `bᵢⱼ` columns.
+    pub columns: &'a CoeffCols,
+}
+
 /// One MDGRAPE-2 board.
 #[derive(Clone, Debug)]
 pub struct MdgBoard {
     chips: Vec<MdgChip>,
     bus_bytes: u64,
+    /// Columns for the entry points that run the resident pass.
     coeff_cols: CoeffCols,
 }
 
@@ -210,12 +225,10 @@ impl MdgBoard {
         Ok(())
     }
 
-    /// Run a block-2 pass (eqs. 7–8) for the i-particles
-    /// `batch[range]` against the resident j-store, one whole j-cell per
-    /// pipeline dispatch. Returns one accumulator per i-particle in
-    /// range order. i-particles are dealt round-robin to the 8
-    /// pipelines; the board result does not depend on the dealing
-    /// because each i has its own accumulator.
+    /// Run a block-2 pass (eqs. 7–8) with the resident table and
+    /// coefficients: the single-pass instance of
+    /// [`Self::calc_block2_passes`]. Returns one accumulator per
+    /// i-particle in range order.
     ///
     /// Bitwise identical to [`Self::calc_block2_per_pair`] over the same
     /// particles: the batch kernel preserves the per-pair f32 operation
@@ -228,18 +241,46 @@ impl MdgBoard {
         range: std::ops::Range<usize>,
         jstore: &JStore,
     ) -> Vec<PairAccum> {
+        let table = self.chips[0].evaluator().clone();
+        let mut columns = std::mem::take(&mut self.coeff_cols);
+        columns.build(self.chips[0].coefficients(), jstore.types());
+        let pass = ColumnPass {
+            table: &table,
+            columns: &columns,
+        };
+        let out = self.calc_block2_passes(mode, &[pass], batch, range, jstore);
+        self.coeff_cols = columns;
+        out.into_iter().map(|[acc]| acc).collect()
+    }
+
+    /// Run `P` block-2 passes (eqs. 7–8) in **one sweep** for the
+    /// i-particles `batch[range]` against the resident j-store, one
+    /// whole j-cell per pipeline dispatch: what the host gets from `P`
+    /// rounds of `MR1SetTable` + `MR1calcvdw_block2` over the same
+    /// particles, computed side by side because every round walks the
+    /// same pairs. Returns the `P` accumulators of each i-particle in
+    /// range order. i-particles are dealt round-robin to the chips; the
+    /// board result does not depend on the dealing because each i has
+    /// its own accumulators.
+    ///
+    /// Pass `p` of the result is bitwise identical to
+    /// [`Self::calc_block2`] with `passes[p]` resident. The modeled
+    /// board is billed for `P` passes: `P` pair ops per pair and `P`
+    /// force read-backs.
+    pub fn calc_block2_passes<const P: usize>(
+        &mut self,
+        mode: PipelineMode,
+        passes: &[ColumnPass<'_>; P],
+        batch: &IBatch,
+        range: std::ops::Range<usize>,
+        jstore: &JStore,
+    ) -> Vec<[PairAccum; P]> {
         let _ftz = FtzGuard::new();
-        self.coeff_cols
-            .build(self.chips[0].coefficients(), jstore.types());
-        let cols = &self.coeff_cols;
-        let chips = &mut self.chips;
-        let mut out = vec![PairAccum::default(); range.len()];
-        for (idx, (i, acc)) in range.clone().zip(out.iter_mut()).enumerate() {
-            let chip = idx % CHIPS_PER_BOARD;
-            let pipe = (idx / CHIPS_PER_BOARD) % PIPELINES_PER_CHIP;
+        let mut out = vec![[PairAccum::default(); P]; range.len()];
+        for (idx, (i, accs)) in range.clone().zip(out.iter_mut()).enumerate() {
+            let chip = &mut self.chips[idx % CHIPS_PER_BOARD];
             let xi = [batch.xs[i], batch.ys[i], batch.zs[i]];
             let ti = batch.types[i] as usize;
-            let (acol, bcol) = (&cols.a[ti], &cols.b[ti]);
             let self_slot = batch.self_slots[i] as usize;
             for &(nc, shift) in jstore.neighbors27(batch.cells[i] as usize) {
                 let cell_range = jstore.cell_range(nc as usize);
@@ -252,21 +293,24 @@ impl MdgBoard {
                 } else {
                     None
                 };
-                chips[chip].stream_cell(
-                    pipe,
+                let cell_passes: [CellPass<'_>; P] = std::array::from_fn(|p| CellPass {
+                    evaluator: passes[p].table,
+                    acol: &passes[p].columns.a[ti][cell_range.clone()],
+                    bcol: &passes[p].columns.b[ti][cell_range.clone()],
+                });
+                chip.stream_cell_passes(
+                    &cell_passes,
                     mode,
                     xi,
                     shift,
                     jstore.cell_columns(nc as usize),
-                    &acol[cell_range.clone()],
-                    &bcol[cell_range],
                     skip,
-                    acc,
+                    accs,
                 );
             }
         }
-        // Force read-back: 24 B per i-particle (3 × f64).
-        self.bus_bytes += (range.len() * 24) as u64;
+        // Force read-back: 24 B per i-particle (3 × f64), once per pass.
+        self.bus_bytes += (P * range.len() * 24) as u64;
         out
     }
 
@@ -375,6 +419,11 @@ impl MdgBoard {
             }
         }
         self.bus_bytes += (i_count * 24) as u64;
+    }
+
+    /// The chips.
+    pub fn chips(&self) -> &[MdgChip] {
+        &self.chips
     }
 
     /// Pair operations executed across both chips.

@@ -4,7 +4,9 @@
 //! for completeness, likewise unused by the driver).
 
 use crate::jstore::JCellColumns;
-use crate::pipeline::{BatchScratch, MdgPipeline, PairAccum, PipelineMode};
+use crate::pipeline::{
+    interact_cell_passes, BatchScratch, CellPass, MdgPipeline, PairAccum, PipelineMode,
+};
 use mdm_funceval::FunctionEvaluator;
 
 /// Pipelines per chip (§3.5.3).
@@ -155,34 +157,39 @@ impl MdgChip {
         self.ops += acc.ops - before;
     }
 
-    /// Evaluate one i-particle against a whole j-cell batch on pipeline
-    /// `pipe` — the batched counterpart of [`Self::stream`], bitwise
-    /// identical to it (see [`MdgPipeline::interact_cell`]).
-    /// `acol`/`bcol` are the board's pre-gathered per-i-type coefficient
-    /// columns for this cell's slot range (the same `f32` values the
-    /// chip's coefficient RAM holds).
+    /// The table image resident on the pipelines (all four hold the same
+    /// one).
+    pub fn evaluator(&self) -> &FunctionEvaluator {
+        self.pipelines[0].evaluator()
+    }
+
+    /// Evaluate one i-particle against a whole j-cell batch for `P`
+    /// table passes in one sweep — the batched counterpart of `P`
+    /// [`Self::stream`] rounds with a table swap in between, bitwise
+    /// identical to them per pass (see [`interact_cell_passes`]). The
+    /// tables and coefficient columns travel in `passes`, since the
+    /// chip's own RAM holds one image at a time; each pass is billed
+    /// its own pair ops.
     #[allow(clippy::too_many_arguments)]
     #[inline]
-    pub fn stream_cell(
+    pub fn stream_cell_passes<const P: usize>(
         &mut self,
-        pipe: usize,
+        passes: &[CellPass<'_>; P],
         mode: PipelineMode,
         xi: [f32; 3],
         shift: [f32; 3],
         cell: JCellColumns<'_>,
-        acol: &[f32],
-        bcol: &[f32],
         skip: Option<usize>,
-        acc: &mut PairAccum,
+        accs: &mut [PairAccum; P],
     ) {
-        let pipeline = &self.pipelines[pipe % PIPELINES_PER_CHIP];
-        let before = acc.ops;
-        pipeline.interact_cell(xi, shift, cell, acol, bcol, skip, mode, acc, &mut self.scratch);
-        self.ops += acc.ops - before;
+        let before = accs[0].ops;
+        interact_cell_passes(passes, xi, shift, cell, skip, mode, accs, &mut self.scratch);
+        self.ops += P as u64 * (accs[0].ops - before);
     }
 
-    /// The Newton's-third-law batch (software fast path): as
-    /// [`Self::stream_cell`] but each pair also deposits its reaction
+    /// The Newton's-third-law batch (software fast path): as a
+    /// single-pass [`Self::stream_cell_passes`] with the resident table,
+    /// but each pair also deposits its reaction
     /// into `back` (see [`MdgPipeline::interact_cell_n3l`]).
     #[allow(clippy::too_many_arguments)]
     #[inline]

@@ -42,6 +42,20 @@
 //! and pay a microcode assist on nearly every tail pair. All pipeline
 //! paths (batched, per-pair reference, N3L) run under the same flush
 //! mode, so their mutual bitwise/tolerance contracts are unchanged.
+//!
+//! ## One sweep for the passes of a composed force field
+//!
+//! The real host ran the §4 NaCl force field as four passes over the
+//! same j-store with a table swap in between. Every pass walks the same
+//! 27-cell pair set, so the emulator evaluates them side by side
+//! ([`Mdgrape2System::calc_passes_with_jstore`] →
+//! [`pipeline::interact_cell_passes`]): the geometry once per pair, then
+//! each pass's own `a·r²` → g(x) → `b·g·r⃗ᵢⱼ` into its own f64
+//! accumulators, on AVX-512 lanes where the CPU has them. Per pass the
+//! result is bitwise what the pass alone produces, and the counters
+//! ([`timing::MdgCounters`]) still bill every pass in full — the model
+//! of the machine does not change, only the time the host takes to
+//! emulate it.
 
 pub mod api;
 pub mod board;
@@ -50,6 +64,7 @@ pub mod cluster;
 pub mod ftz;
 pub mod jstore;
 pub mod pipeline;
+mod simd;
 pub mod system;
 pub mod tables;
 pub mod timing;

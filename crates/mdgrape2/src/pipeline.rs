@@ -17,10 +17,12 @@
 use crate::jstore::JCellColumns;
 use mdm_funceval::FunctionEvaluator;
 
-/// Reusable per-chip buffers for whole-cell batch evaluation: the
-/// displacement columns, the `x = a·r²` evaluator inputs and the `g(x)`
+/// Reusable per-chip buffers for whole-cell batch evaluation on the
+/// scalar paths: the displacement columns, the `x = a·r²` evaluator
+/// inputs (one column per table pass of the sweep) and the `g(x)`
 /// outputs for one j-cell. Sized lazily to the largest cell seen;
-/// allocation never happens in the steady state.
+/// allocation never happens in the steady state. (The AVX-512 sweep
+/// keeps all of this in registers.)
 #[derive(Clone, Debug, Default)]
 pub struct BatchScratch {
     dx: Vec<f32>,
@@ -31,14 +33,17 @@ pub struct BatchScratch {
 }
 
 impl BatchScratch {
+    /// Room for `n` slots and `passes` evaluator-input columns.
     #[inline]
-    fn ensure(&mut self, n: usize) {
+    fn ensure(&mut self, n: usize, passes: usize) {
         if self.dx.len() < n {
             self.dx.resize(n, 0.0);
             self.dy.resize(n, 0.0);
             self.dz.resize(n, 0.0);
-            self.x.resize(n, 0.0);
             self.g.resize(n, 0.0);
+        }
+        if self.x.len() < n * passes {
+            self.x.resize(n * passes, 0.0);
         }
     }
 }
@@ -61,6 +66,160 @@ pub struct PairAccum {
     pub acc: [f64; 3],
     /// Pair operations accumulated.
     pub ops: u64,
+}
+
+/// One table pass of a multi-table cell sweep, as the pipeline sees it
+/// for one i-particle against one j-cell: the function-table image and
+/// the **pre-gathered coefficient columns** for this i-type, parallel to
+/// the cell's slots (`acol[k] = a[ti][tⱼₖ]`). The columns are built
+/// once per sweep (O(n_types·N)), which removes the per-pair
+/// type gather from the hot loop; the gathered values are the exact
+/// same `f32`s the coefficient RAM would supply.
+#[derive(Clone, Copy, Debug)]
+pub struct CellPass<'a> {
+    /// The pass's g(x) table.
+    pub evaluator: &'a FunctionEvaluator,
+    /// `aᵢⱼ` per in-cell slot.
+    pub acol: &'a [f32],
+    /// `bᵢⱼ` per in-cell slot.
+    pub bcol: &'a [f32],
+}
+
+/// Fewest table evaluations (slots × passes) a j-cell must bring for
+/// the AVX-512 lanes to take it. A 16-lane block costs the same however
+/// few of its lanes hold a slot, so a short cell is quicker through the
+/// scalar column sweeps — unless four passes share the block. Measured
+/// break-even: 3 slots for the four-table force sweep (1.6× ahead at 4),
+/// 9–10 slots for a single potential table; one register's worth of
+/// evaluations is on the safe side of both.
+const SIMD_MIN_EVALS: usize = 16;
+
+/// Most tables one sweep carries: the four §4 passes (Ewald-real,
+/// Born–Mayer, `r⁻⁶`, `r⁻⁸`).
+pub const MAX_CELL_PASSES: usize = 4;
+
+/// One i-particle against a **whole j-cell**, for `P` table passes in
+/// one sweep — the batch-dispatch granularity of the real board, where
+/// the particle index counter streams `jstart..jend` without per-pair
+/// host involvement, with the emulator running the passes the hardware
+/// would run back to back (a table swap in between) side by side over
+/// the geometry they share.
+///
+/// Per slot: the displacement `r⃗ᵢⱼ = x⃗ᵢ − (x⃗ⱼ + shift)` and `r²` once;
+/// then per pass `x = aᵢⱼ·r²`, `g(x)`, `bᵢⱼ·g` and the f64 accumulation
+/// of `bᵢⱼ·g·r⃗` (or the scalar `bᵢⱼ·g` in potential mode) into that
+/// pass's own `accs[p]`.
+///
+/// Every f32 operation and each accumulator's f64 add order (slots in
+/// cell order) are those of calling [`MdgPipeline::interact`] per slot
+/// per pass, so `accs[p]` is **bitwise identical** to pass `p` run
+/// alone through the per-pair path — the passes share inputs, never
+/// arithmetic. `skip` excludes one in-cell slot (the self pair) from
+/// both the accumulation and the op count, exactly as the per-pair
+/// driver skipped it: the slot is passed over, no zero is added.
+///
+/// On a CPU with AVX-512 F, cells bringing at least `SIMD_MIN_EVALS`
+/// table evaluations (`cell.len() · P`) run the 16-lane kernel of the
+/// `simd` module; shorter cells, other
+/// CPUs — and the oracle the lanes are tested against — take the scalar
+/// column sweeps of `interact_cell_scalar`.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+pub fn interact_cell_passes<const P: usize>(
+    passes: &[CellPass<'_>; P],
+    xi: [f32; 3],
+    shift: [f32; 3],
+    cell: JCellColumns<'_>,
+    skip: Option<usize>,
+    mode: PipelineMode,
+    accs: &mut [PairAccum; P],
+    scratch: &mut BatchScratch,
+) {
+    const { assert!(P >= 1 && P <= MAX_CELL_PASSES) };
+    let n = cell.len();
+    if n == 0 {
+        return;
+    }
+    let skip = skip.unwrap_or(n).min(n);
+    #[cfg(target_arch = "x86_64")]
+    if n * P >= SIMD_MIN_EVALS && crate::simd::available() {
+        // SAFETY: AVX-512 F was just detected.
+        unsafe { crate::simd::interact_cell_lanes(passes, xi, shift, cell, skip, mode, accs) };
+        return;
+    }
+    interact_cell_scalar(passes, xi, shift, cell, skip, mode, accs, scratch);
+}
+
+/// The portable body of [`interact_cell_passes`], in column sweeps over
+/// exact-length SoA slices: one geometry sweep that also forms every
+/// pass's evaluator input `x = a·r²`, then per pass one
+/// [`FunctionEvaluator::eval_batch`] and the slot-order accumulation with
+/// the self slot (`skip`; `cell.len()` for none) excised as two
+/// sub-ranges.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn interact_cell_scalar<const P: usize>(
+    passes: &[CellPass<'_>; P],
+    xi: [f32; 3],
+    shift: [f32; 3],
+    cell: JCellColumns<'_>,
+    skip: usize,
+    mode: PipelineMode,
+    accs: &mut [PairAccum; P],
+    scratch: &mut BatchScratch,
+) {
+    let n = cell.len();
+    scratch.ensure(n, P);
+    let BatchScratch { dx, dy, dz, x, g } = scratch;
+    let (dx, dy, dz, x, gv) = (
+        &mut dx[..n],
+        &mut dy[..n],
+        &mut dz[..n],
+        &mut x[..n * P],
+        &mut g[..n],
+    );
+    let (xs, ys, zs) = (&cell.xs[..n], &cell.ys[..n], &cell.zs[..n]);
+    let acols: [&[f32]; P] = std::array::from_fn(|p| &passes[p].acol[..n]);
+    for k in 0..n {
+        let ddx = xi[0] - (xs[k] + shift[0]);
+        let ddy = xi[1] - (ys[k] + shift[1]);
+        let ddz = xi[2] - (zs[k] + shift[2]);
+        let r_sq = ddx * ddx + ddy * ddy + ddz * ddz;
+        dx[k] = ddx;
+        dy[k] = ddy;
+        dz[k] = ddz;
+        for (p, acol) in acols.iter().enumerate() {
+            x[p * n + k] = acol[k] * r_sq;
+        }
+    }
+    let ops = (n - usize::from(skip < n)) as u64;
+    for (p, (pass, acc)) in passes.iter().zip(accs.iter_mut()).enumerate() {
+        let (xv, bc) = (&x[p * n..(p + 1) * n], &pass.bcol[..n]);
+        pass.evaluator.eval_batch(xv, gv);
+        // A local copy keeps the chains in registers: adding through
+        // `acc` puts a store and a reload between dependent adds.
+        let mut sum = acc.acc;
+        match mode {
+            PipelineMode::Force => {
+                for range in [0..skip, (skip + 1).min(n)..n] {
+                    for k in range {
+                        let bg = bc[k] * gv[k];
+                        sum[0] += (bg * dx[k]) as f64;
+                        sum[1] += (bg * dy[k]) as f64;
+                        sum[2] += (bg * dz[k]) as f64;
+                    }
+                }
+            }
+            PipelineMode::Potential => {
+                for range in [0..skip, (skip + 1).min(n)..n] {
+                    for k in range {
+                        sum[0] += (bc[k] * gv[k]) as f64;
+                    }
+                }
+            }
+        }
+        acc.acc = sum;
+        acc.ops += ops;
+    }
 }
 
 /// One MDGRAPE-2 pipeline: the function evaluator plus op counting.
@@ -119,35 +278,13 @@ impl MdgPipeline {
         acc.ops += 1;
     }
 
-    /// One i-particle against a **whole j-cell** in one call — the
-    /// batch-dispatch granularity of the real board, where the particle
-    /// index counter streams `jstart..jend` without per-pair host
-    /// involvement.
-    ///
-    /// `acol`/`bcol` are the **pre-gathered coefficient columns** for
-    /// this i-type, parallel to the cell's slots: `acol[k] = a[ti][tⱼₖ]`.
-    /// The board builds them once per pass (O(n_types·N)), which removes
-    /// the per-pair type gather from the hot sweeps; the gathered values
-    /// are the exact same `f32`s the coefficient RAM would supply, so
-    /// nothing changes numerically.
-    ///
-    /// The datapath runs in three column sweeps over the cell:
-    ///
-    /// 1. displacements `r⃗ᵢⱼ = x⃗ᵢ − (x⃗ⱼ + shift)` and `x = aᵢⱼ·r²` into
-    ///    `scratch` — a pure f32 loop over exact-length SoA slices that
-    ///    the compiler vectorizes;
-    /// 2. one [`FunctionEvaluator::eval_batch`] sweep for `g(x)`;
-    /// 3. the f64 accumulation of `bᵢⱼ·g·r⃗` (or the scalar `bᵢⱼ·g` in
-    ///    potential mode) in slot order.
-    ///
-    /// Every f32 operation and the f64 accumulation order are identical
-    /// to calling [`Self::interact`] per slot in order, so the result is
-    /// **bitwise identical** to the per-pair path (pinned by the
-    /// `batch_equivalence` test suite). `skip` excludes one in-cell slot
-    /// (the self pair) from both the accumulation and the op count,
-    /// exactly as the per-pair driver skipped it; the accumulation
-    /// visits `0..skip` then `skip+1..n` — the same slot order.
+    /// One i-particle against a whole j-cell with the loaded table: the
+    /// single-pass instance of [`interact_cell_passes`] (see there for
+    /// the datapath and the bitwise contract, pinned by
+    /// `tests/realspace_equivalence.rs`). Inlined into its callers, so
+    /// sharing the kernel costs short cells no extra call level.
     #[allow(clippy::too_many_arguments)]
+    #[inline]
     pub fn interact_cell(
         &self,
         xi: [f32; 3],
@@ -160,60 +297,21 @@ impl MdgPipeline {
         acc: &mut PairAccum,
         scratch: &mut BatchScratch,
     ) {
-        let n = cell.len();
-        if n == 0 {
-            return;
-        }
-        scratch.ensure(n);
-        let BatchScratch { dx, dy, dz, x, g } = scratch;
-        let (dx, dy, dz, xv, gv) = (
-            &mut dx[..n],
-            &mut dy[..n],
-            &mut dz[..n],
-            &mut x[..n],
-            &mut g[..n],
+        let pass = CellPass {
+            evaluator: &self.evaluator,
+            acol,
+            bcol,
+        };
+        interact_cell_passes(
+            &[pass],
+            xi,
+            shift,
+            cell,
+            skip,
+            mode,
+            std::array::from_mut(acc),
+            scratch,
         );
-        let (xs, ys, zs, ac, bc) = (
-            &cell.xs[..n],
-            &cell.ys[..n],
-            &cell.zs[..n],
-            &acol[..n],
-            &bcol[..n],
-        );
-        for k in 0..n {
-            let ddx = xi[0] - (xs[k] + shift[0]);
-            let ddy = xi[1] - (ys[k] + shift[1]);
-            let ddz = xi[2] - (zs[k] + shift[2]);
-            let r_sq = ddx * ddx + ddy * ddy + ddz * ddz;
-            dx[k] = ddx;
-            dy[k] = ddy;
-            dz[k] = ddz;
-            xv[k] = ac[k] * r_sq;
-        }
-        self.evaluator.eval_batch(xv, gv);
-        // Accumulation in slot order, with the self slot excised as two
-        // sub-ranges instead of a per-element compare.
-        let s = skip.unwrap_or(n).min(n);
-        match mode {
-            PipelineMode::Force => {
-                for range in [0..s, (s + 1).min(n)..n] {
-                    for k in range {
-                        let bg = bc[k] * gv[k];
-                        acc.acc[0] += (bg * dx[k]) as f64;
-                        acc.acc[1] += (bg * dy[k]) as f64;
-                        acc.acc[2] += (bg * dz[k]) as f64;
-                    }
-                }
-            }
-            PipelineMode::Potential => {
-                for range in [0..s, (s + 1).min(n)..n] {
-                    for k in range {
-                        acc.acc[0] += (bc[k] * gv[k]) as f64;
-                    }
-                }
-            }
-        }
-        acc.ops += (n - usize::from(skip.is_some())) as u64;
     }
 
     /// The Newton's-third-law variant of [`Self::interact_cell`]: each
@@ -246,7 +344,7 @@ impl MdgPipeline {
         if lo >= n {
             return;
         }
-        scratch.ensure(n);
+        scratch.ensure(n, 1);
         let BatchScratch { dx, dy, dz, x, g } = scratch;
         let (dx, dy, dz, xv, gv) = (
             &mut dx[lo..n],
@@ -385,6 +483,74 @@ mod tests {
             acc.acc[0]
         );
         assert_eq!(acc.ops, 1_000_000);
+    }
+
+    /// The multi-table sweep against the per-pair datapath it stands
+    /// for, through whichever body the dispatcher picks: cells below
+    /// and above the vector threshold, with and without a self slot.
+    #[test]
+    fn cell_passes_bitwise_match_per_pair_interact_per_pass() {
+        use crate::tables::GFunction;
+        let pipes: Vec<MdgPipeline> = [
+            GFunction::CoulombRealForce,
+            GFunction::BornMayerForce,
+            GFunction::Dispersion6Force,
+            GFunction::Dispersion8Force,
+        ]
+        .iter()
+        .map(|g| MdgPipeline::new(g.build_evaluator().unwrap()))
+        .collect();
+        let _ftz = crate::ftz::FtzGuard::new();
+        for n in [1usize, 3, 4, 21, 40] {
+            let col = |scale: f32, phase: f32| -> Vec<f32> {
+                (0..n).map(|k| (k as f32 * phase).sin().abs() * scale).collect()
+            };
+            let (xs, ys, zs) = (col(5.0, 0.37), col(5.0, 0.91), col(5.0, 1.73));
+            let types = vec![0u8; n];
+            let cols: Vec<(Vec<f32>, Vec<f32>)> = (0..4)
+                .map(|p| (col(0.8, 0.2 + p as f32), col(3.0, 0.6 + p as f32)))
+                .collect();
+            let cell = JCellColumns {
+                xs: &xs,
+                ys: &ys,
+                zs: &zs,
+                types: &types,
+            };
+            let (xi, shift) = ([2.5f32, 2.4, 2.6], [5.0f32, 0.0, -5.0]);
+            for skip in [None, Some(n / 2)] {
+                for mode in [PipelineMode::Force, PipelineMode::Potential] {
+                    let passes: [CellPass<'_>; 4] = std::array::from_fn(|p| CellPass {
+                        evaluator: pipes[p].evaluator(),
+                        acol: &cols[p].0,
+                        bcol: &cols[p].1,
+                    });
+                    let mut swept = [PairAccum::default(); 4];
+                    interact_cell_passes(
+                        &passes,
+                        xi,
+                        shift,
+                        cell,
+                        skip,
+                        mode,
+                        &mut swept,
+                        &mut BatchScratch::default(),
+                    );
+                    for (p, pipe) in pipes.iter().enumerate() {
+                        let mut per_pair = PairAccum::default();
+                        for k in (0..n).filter(|&k| Some(k) != skip) {
+                            let xj = [xs[k] + shift[0], ys[k] + shift[1], zs[k] + shift[2]];
+                            pipe.interact(xi, xj, cols[p].0[k], cols[p].1[k], mode, &mut per_pair);
+                        }
+                        assert_eq!(
+                            swept[p].acc.map(f64::to_bits),
+                            per_pair.acc.map(f64::to_bits),
+                            "n {n} skip {skip:?} {mode:?} pass {p}"
+                        );
+                        assert_eq!(swept[p].ops, per_pair.ops);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! distribution across boards, and the Rayon-parallel execution that
 //! stands in for the boards' physical concurrency.
 
-use crate::board::{IBatch, MdgBoard, MdgBoardError, PIPELINES_PER_BOARD};
+use crate::board::{
+    CoeffCols, ColumnPass, IBatch, MdgBoard, MdgBoardError, PIPELINES_PER_BOARD,
+};
 use crate::chip::AtomCoefficients;
 use crate::cluster::{MdgCluster, BOARDS_PER_CLUSTER};
 use crate::jstore::JStore;
@@ -56,6 +58,16 @@ pub enum RealSpaceMode {
     SoftwareN3l,
 }
 
+/// One table pass as the host programs it: the `MR1SetTable` image and
+/// the coefficient RAM contents that go with it.
+#[derive(Clone, Copy, Debug)]
+pub struct TablePass<'a> {
+    /// The g(x) function table.
+    pub table: &'a FunctionEvaluator,
+    /// The `aᵢⱼ`, `bᵢⱼ` matrices.
+    pub coefficients: &'a AtomCoefficients,
+}
+
 /// Result of one real-space pass.
 #[derive(Clone, Debug)]
 pub struct MdgPassResult {
@@ -71,6 +83,9 @@ pub struct Mdgrape2System {
     config: Mdgrape2Config,
     clusters: Vec<MdgCluster>,
     mode: RealSpaceMode,
+    /// Per-pass coefficient columns of the sweep in flight (buffers
+    /// kept across steps).
+    coeff_cols: Vec<CoeffCols>,
 }
 
 impl Mdgrape2System {
@@ -88,6 +103,7 @@ impl Mdgrape2System {
                 .map(|_| MdgCluster::new(evaluator.clone(), coefficients.clone()))
                 .collect(),
             mode: RealSpaceMode::default(),
+            coeff_cols: Vec::new(),
         }
     }
 
@@ -146,7 +162,8 @@ impl Mdgrape2System {
     /// As [`Self::calc_pass`] with a prebuilt j-store (lets the driver
     /// reuse one store across the several passes of a composed force
     /// field — exactly what the real host did between `MR1SetTable`
-    /// swaps).
+    /// swaps). Runs the table and coefficients last loaded: the
+    /// single-pass instance of [`Self::calc_passes_with_jstore`].
     pub fn calc_pass_with_jstore(
         &mut self,
         mode: PipelineMode,
@@ -154,25 +171,86 @@ impl Mdgrape2System {
         types: &[u8],
         jstore: &JStore,
     ) -> Result<MdgPassResult, MdgBoardError> {
+        let chip = &self.clusters[0].boards()[0].chips()[0];
+        let (table, coefficients) = (chip.evaluator().clone(), chip.coefficients().clone());
+        let pass = TablePass {
+            table: &table,
+            coefficients: &coefficients,
+        };
+        let [result] = self.calc_passes_with_jstore(mode, &[pass], positions, types, jstore)?;
+        Ok(result)
+    }
+
+    /// `P` passes over the same particles and j-store — the four
+    /// `MR1SetTable` + `MR1calcvdw_block2` rounds of the §4 force field —
+    /// in one call. Pass `p` of the result is **bitwise identical**,
+    /// values and counters, to loading `passes[p]` and calling
+    /// [`Self::calc_pass_with_jstore`].
+    ///
+    /// In [`RealSpaceMode::HardwareFaithful`] the passes run as one
+    /// fused sweep: the i-side is staged once, each board walks its
+    /// 27-cell pair set once and evaluates all `P` tables per pair (see
+    /// [`crate::pipeline::interact_cell_passes`]), one fork-join for the
+    /// lot. The modeled machine still ran `P` passes: every board is
+    /// billed `P` j-store uploads, `P` read-backs and `P` pair ops per
+    /// pair, and each returned [`MdgCounters`] is that of one pass.
+    ///
+    /// The uploads (`load_table`, `load_coefficients`) stay with the
+    /// caller, which times them as bus traffic; the sweep reads the
+    /// images from `passes`, since the emulated chips hold one table at
+    /// a time. [`RealSpaceMode::SoftwareN3l`] has no fused form (a
+    /// pair's reaction lands in another particle's accumulator): there
+    /// the passes run one after another, each on its own images.
+    pub fn calc_passes_with_jstore<const P: usize>(
+        &mut self,
+        mode: PipelineMode,
+        passes: &[TablePass<'_>; P],
+        positions: &[Vec3],
+        types: &[u8],
+        jstore: &JStore,
+    ) -> Result<[MdgPassResult; P], MdgBoardError> {
         assert_eq!(positions.len(), types.len());
         let _span = mdm_profile::span("mdg_pass");
+        match self.mode {
+            RealSpaceMode::HardwareFaithful => {
+                self.reset_counters();
+                let values = self.hardware_passes(mode, passes, positions, types, jstore)?;
+                // Every pass walked the same pairs on the same boards.
+                let counters = self.pass_counters(P as u64, positions.len());
+                Ok(values.map(|values| MdgPassResult { values, counters }))
+            }
+            RealSpaceMode::SoftwareN3l => {
+                let mut results = Vec::with_capacity(P);
+                for pass in passes {
+                    self.load_table(pass.table);
+                    self.load_coefficients(pass.coefficients);
+                    self.reset_counters();
+                    let values = self.n3l_pass(mode, positions, jstore)?;
+                    let counters = self.pass_counters(1, positions.len());
+                    results.push(MdgPassResult { values, counters });
+                }
+                Ok(results
+                    .try_into()
+                    .unwrap_or_else(|_| unreachable!("one result per pass")))
+            }
+        }
+    }
+
+    fn reset_counters(&mut self) {
         for c in &mut self.clusters {
             c.reset_counters();
         }
+    }
 
-        let values = match self.mode {
-            RealSpaceMode::HardwareFaithful => {
-                self.hardware_pass(mode, positions, types, jstore)?
-            }
-            RealSpaceMode::SoftwareN3l => self.n3l_pass(mode, positions, jstore)?,
-        };
-
+    /// The counters of one pass, read off the boards after `passes`
+    /// identical passes ran since the last reset.
+    fn pass_counters(&self, passes: u64, particles: usize) -> MdgCounters {
         let board_ops: Vec<u64> = self
             .clusters
             .iter()
-            .flat_map(|c| c.boards().iter().map(MdgBoard::ops))
+            .flat_map(|c| c.boards().iter().map(|b| b.ops() / passes))
             .collect();
-        let counters = MdgCounters {
+        MdgCounters {
             pair_ops: board_ops.iter().sum(),
             // Within a board the 8 pipelines share the i-stream; the
             // board's time is its ops divided by its pipelines, and the
@@ -185,24 +263,35 @@ impl Mdgrape2System {
             bus_bytes_per_cluster: self
                 .clusters
                 .iter()
-                .map(MdgCluster::bus_bytes)
+                .map(|c| c.bus_bytes() / passes)
                 .max()
                 .unwrap_or(0),
-            particles: positions.len() as u64,
-        };
-        Ok(MdgPassResult { values, counters })
+            particles: particles as u64,
+        }
     }
 
-    /// The hardware-faithful pass: stage the i-side as an [`IBatch`] and
-    /// deal contiguous ranges to boards, run concurrently.
-    fn hardware_pass(
+    /// The hardware-faithful sweep: stage the i-side as an [`IBatch`]
+    /// and deal contiguous ranges to boards, run concurrently; every
+    /// board evaluates all `P` passes over its range.
+    fn hardware_passes<const P: usize>(
         &mut self,
         mode: PipelineMode,
+        passes: &[TablePass<'_>; P],
         positions: &[Vec3],
         types: &[u8],
         jstore: &JStore,
-    ) -> Result<Vec<[f64; 3]>, MdgBoardError> {
+    ) -> Result<[Vec<[f64; 3]>; P], MdgBoardError> {
         let batch = IBatch::stage(positions, types, jstore);
+        if self.coeff_cols.len() < P {
+            self.coeff_cols.resize_with(P, CoeffCols::default);
+        }
+        for (cols, pass) in self.coeff_cols.iter_mut().zip(passes) {
+            cols.build(pass.coefficients, jstore.types());
+        }
+        let passes: [ColumnPass<'_>; P] = std::array::from_fn(|p| ColumnPass {
+            table: passes[p].table,
+            columns: &self.coeff_cols[p],
+        });
         let n = batch.len();
         let n_boards = self.config.boards();
         let per_board = n.div_ceil(n_boards).max(1);
@@ -215,24 +304,28 @@ impl Mdgrape2System {
             .map(|b| (b * per_board).min(n)..((b + 1) * per_board).min(n))
             .collect();
         let pipeline_span = mdm_profile::span("pipelines");
-        let results: Vec<Vec<PairAccum>> = boards
+        let results: Vec<Vec<[PairAccum; P]>> = boards
             .into_par_iter()
             .zip(ranges)
             .map(|(board, range)| {
                 if range.is_empty() {
                     return Ok(Vec::new());
                 }
-                board.accept_jstore(jstore)?;
-                Ok(board.calc_block2(mode, &batch, range, jstore))
+                // The j-store goes up once per pass on the real bus.
+                for _ in 0..P {
+                    board.accept_jstore(jstore)?;
+                }
+                Ok(board.calc_block2_passes(mode, &passes, &batch, range, jstore))
             })
             .collect::<Result<_, MdgBoardError>>()?;
         drop(pipeline_span);
 
-        let mut values = Vec::with_capacity(n);
-        for r in &results {
-            values.extend(r.iter().map(|a| a.acc));
-        }
-        Ok(values)
+        Ok(std::array::from_fn(|p| {
+            results
+                .iter()
+                .flat_map(|board| board.iter().map(|accs| accs[p].acc))
+                .collect()
+        }))
     }
 
     /// The Newton's-third-law software pass: boards own contiguous

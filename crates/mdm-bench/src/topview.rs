@@ -156,9 +156,7 @@ pub fn follow<R: BufRead>(
     mut on_step: impl FnMut(&View) -> ControlFlow<()>,
 ) -> Result<View, StreamError> {
     let mut view = View::default();
-    let mut lineno = 0u64;
-    for line in reader.lines() {
-        lineno += 1;
+    for (lineno, line) in (1u64..).zip(reader.lines()) {
         let line = line.map_err(StreamError::Io)?;
         if line.trim().is_empty() {
             continue;

@@ -138,12 +138,6 @@ impl FunctionEvaluator {
             }
         }
     }
-
-    /// Alias of [`Self::eval_batch`], kept for callers predating the
-    /// batched pipeline rework.
-    pub fn eval_slice(&self, xs: &[f32], out: &mut [f32]) {
-        self.eval_batch(xs, out);
-    }
 }
 
 #[cfg(test)]
@@ -187,13 +181,32 @@ mod tests {
     }
 
     #[test]
-    fn eval_slice_matches_scalar() {
+    fn eval_batch_matches_scalar_for_every_input_class() {
         let ev = evaluator_for(|x| x.sqrt());
-        let xs = [0.25f32, 1.0, 4.0, 16.0];
-        let mut out = [0.0f32; 4];
-        ev.eval_slice(&xs, &mut out);
+        let seg = ev.table().segmentation();
+        let mut xs = vec![
+            0.25f32,
+            1.0,
+            4.0,
+            16.0,
+            0.0,
+            -0.0,
+            -1.0,
+            f32::from_bits(1), // subnormal
+            (seg.x_min() * 0.75) as f32,
+            seg.x_min() as f32,
+            seg.x_max() as f32,
+            f32::from_bits((seg.x_max() as f32).to_bits() - 1),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        // Longer than one decode chunk, so the chunk seam is crossed.
+        xs.extend((0..100).map(|k| 1.0e-3 * 1.37f32.powi(k)));
+        let mut out = vec![0.0f32; xs.len()];
+        ev.eval_batch(&xs, &mut out);
         for (x, o) in xs.iter().zip(out) {
-            assert_eq!(ev.eval(*x), o);
+            assert_eq!(ev.eval(*x).to_bits(), o.to_bits(), "x = {x:e}");
         }
     }
 

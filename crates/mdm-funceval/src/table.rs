@@ -3,6 +3,7 @@
 use crate::fit::{chebyshev_nodes5, polyfit5};
 use crate::segments::Segmentation;
 use crate::POLY_COEFFS;
+use std::sync::Arc;
 
 /// Errors from table generation.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,14 +47,19 @@ impl std::error::Error for TableBuildError {}
 /// * above range the answer is `0` — by construction the covered range
 ///   extends far past the cutoff where every force kernel has decayed
 ///   to a negligible value.
+///
+/// The image is immutable once generated and held behind `Arc`s, so a
+/// clone — what every `MR1SetTable` fan-out to the emulated pipelines
+/// does — is two reference-count bumps, not a copy of the RAM.
 #[derive(Clone, Debug)]
 pub struct FunctionTable {
     seg: Segmentation,
-    /// `segment_count()` rows of 5 coefficients, `c0..c4` of the quartic
-    /// in the normalised coordinate `t`.
-    coeffs: Vec<[f32; POLY_COEFFS]>,
+    /// Exactly `seg.segment_count()` rows of 5 coefficients, `c0..c4` of
+    /// the quartic in the normalised coordinate `t` (the vector lookup
+    /// in `mdgrape2` relies on the row count matching the segmentation).
+    coeffs: Arc<[[f32; POLY_COEFFS]]>,
     /// Human-readable label (shows up in diagnostics / topology dumps).
-    name: String,
+    name: Arc<str>,
     /// Worst per-segment fit residual observed at generation time (see
     /// [`FunctionTable::fit_residual_max`]).
     fit_residual_max: f64,
@@ -137,8 +143,8 @@ impl FunctionTable {
         mdm_profile::histogram_merge("funceval_fit_residual", &residual_hist);
         Ok(Self {
             seg,
-            coeffs,
-            name: name.to_owned(),
+            coeffs: coeffs.into(),
+            name: name.into(),
             fit_residual_max,
         })
     }

@@ -11,8 +11,11 @@
 //! 1. build the cell-sorted j-store and upload it (`MR1calcvdw_block2`'s
 //!    block structure);
 //! 2. four MDGRAPE-2 force passes — Ewald-real Coulomb, Born–Mayer,
-//!    `r⁻⁶`, `r⁻⁸` — swapping `MR1SetTable` + coefficients between
-//!    passes;
+//!    `r⁻⁶`, `r⁻⁸` — each with its own `MR1SetTable` + coefficient
+//!    upload. The emulator evaluates the four in one sweep of the pair
+//!    set they share (bit-identical per pass; see
+//!    `Mdgrape2System::calc_passes_with_jstore`) while the modeled
+//!    machine is billed four passes, as the real one ran them;
 //! 3. one WINE-2 evaluation (`calculate_force_and_pot_wavepart_nooffset`)
 //!    for the wavenumber part;
 //! 4. host adds the Ewald self-energy;
@@ -24,7 +27,9 @@
 use mdgrape2::chip::AtomCoefficients;
 use mdgrape2::jstore::JStore;
 use mdgrape2::pipeline::PipelineMode;
-use mdgrape2::system::{Mdgrape2Config, Mdgrape2System, RealSpaceMode};
+use mdgrape2::system::{
+    MdgPassResult, Mdgrape2Config, Mdgrape2System, RealSpaceMode, TablePass,
+};
 use mdgrape2::tables::GFunction;
 use mdgrape2::timing::MdgCounters;
 use mdm_core::boxsim::SimBox;
@@ -497,15 +502,8 @@ impl MdmForceField {
     }
 
     /// The per-pass `(aᵢⱼ, bᵢⱼ)` coefficient matrices for the NaCl
-    /// species table, force mode. `kappa = α/L`.
-    fn force_coefficients(&self, system: &System, kappa: f64) -> [AtomCoefficients; 4] {
-        self.coefficients(system, kappa, false)
-    }
-
-    fn energy_coefficients(&self, system: &System, kappa: f64) -> [AtomCoefficients; 4] {
-        self.coefficients(system, kappa, true)
-    }
-
+    /// species table — force kernels, or their energy counterparts.
+    /// `kappa = α/L`.
     fn coefficients(&self, system: &System, kappa: f64, energy: bool) -> [AtomCoefficients; 4] {
         let species = system.species();
         let nt = species.len();
@@ -556,33 +554,57 @@ impl MdmForceField {
         ]
     }
 
+    /// The four §4 passes (Ewald-real, Born–Mayer, `r⁻⁶`, `r⁻⁸`) in
+    /// `mode` over one j-store. The host uploads each pass's table and
+    /// coefficient images — modeled bus traffic, timed as `comm` — and
+    /// the boards then evaluate the four passes in one sweep of the pair
+    /// set they share (see [`Mdgrape2System::calc_passes_with_jstore`]);
+    /// every pass still returns, and is billed, its own counters.
+    fn real_space_passes(
+        &mut self,
+        mode: PipelineMode,
+        system: &System,
+        jstore: &JStore,
+        kappa: f64,
+    ) -> [MdgPassResult; 4] {
+        let energy = mode == PipelineMode::Potential;
+        let coeffs = self.coefficients(system, kappa, energy);
+        let tables = if energy {
+            &self.energy_tables
+        } else {
+            &self.force_tables
+        };
+        let passes: [TablePass<'_>; 4] = std::array::from_fn(|p| TablePass {
+            table: &tables[p],
+            coefficients: &coeffs[p],
+        });
+        {
+            let _comm = mdm_profile::span(mdm_profile::phase::COMM);
+            let _upload = mdm_profile::span("upload");
+            for pass in &passes {
+                self.mdg.load_table(pass.table);
+                self.mdg.load_coefficients(pass.coefficients);
+            }
+        }
+        let _real = mdm_profile::span(mdm_profile::phase::REAL);
+        let _pot = energy.then(|| mdm_profile::span("potential"));
+        let results = self
+            .mdg
+            .calc_passes_with_jstore(mode, &passes, system.positions(), system.types(), jstore)
+            .expect("real-space passes");
+        for pass in &results {
+            self.last_counters.mdg.merge(&pass.counters);
+        }
+        results
+    }
+
     /// Run the four energy-mode passes; returns (coulomb_real, short).
     fn potential_passes(&mut self, system: &System, jstore: &JStore, kappa: f64) -> (f64, f64) {
-        let coeffs = self.energy_coefficients(system, kappa);
-        let mut totals = [0.0f64; 4];
-        for (pass, (table, coeff)) in self.energy_tables.clone().iter().zip(&coeffs).enumerate() {
-            {
-                let _comm = mdm_profile::span(mdm_profile::phase::COMM);
-                let _upload = mdm_profile::span("upload");
-                self.mdg.load_table(table);
-                self.mdg.load_coefficients(coeff);
-            }
-            let _real = mdm_profile::span(mdm_profile::phase::REAL);
-            let _pot = mdm_profile::span("potential");
-            let out = self
-                .mdg
-                .calc_pass_with_jstore(
-                    PipelineMode::Potential,
-                    system.positions(),
-                    system.types(),
-                    jstore,
-                )
-                .expect("potential pass");
-            // Ordered pairs double-count: halve.
-            totals[pass] = 0.5 * out.values.iter().map(|v| v[0]).sum::<f64>();
-            self.last_counters.mdg.merge(&out.counters);
-        }
-        (totals[0], totals[1] + totals[2] + totals[3])
+        // Ordered pairs double-count: halve.
+        let [e_real, bm, d6, d8] = self
+            .real_space_passes(PipelineMode::Potential, system, jstore, kappa)
+            .map(|pass| 0.5 * pass.values.iter().map(|v| v[0]).sum::<f64>());
+        (e_real, bm + d6 + d8)
     }
 }
 
@@ -619,34 +641,14 @@ impl ForceField for MdmForceField {
         // potential passes, table/coefficient uploads) — the window the
         // j-store upload-bandwidth gauge is measured over.
         let mdg_section_start = std::time::Instant::now();
-        let coeffs = self.force_coefficients(system, kappa);
+        let passes = self.real_space_passes(PipelineMode::Force, system, &jstore, kappa);
         let mut forces = vec![Vec3::ZERO; n];
-        for (pass, (table, coeff)) in self.force_tables.clone().iter().zip(&coeffs).enumerate() {
-            {
-                let _comm = mdm_profile::span(mdm_profile::phase::COMM);
-                let _upload = mdm_profile::span("upload");
-                self.mdg.load_table(table);
-                self.mdg.load_coefficients(coeff);
-            }
-            let out = {
-                let _real = mdm_profile::span(mdm_profile::phase::REAL);
-                self.mdg
-                    .calc_pass_with_jstore(
-                        PipelineMode::Force,
-                        system.positions(),
-                        system.types(),
-                        &jstore,
-                    )
-                    .expect("force pass")
-            };
-            for (f, v) in forces.iter_mut().zip(&out.values) {
+        for pass in &passes {
+            for (f, v) in forces.iter_mut().zip(&pass.values) {
                 *f += Vec3::new(v[0], v[1], v[2]);
             }
-            if pass == 0 {
-                self.coulomb_pass_ops = out.counters.pair_ops;
-            }
-            self.last_counters.mdg.merge(&out.counters);
         }
+        self.coulomb_pass_ops = passes[0].counters.pair_ops;
 
         // --- Wavenumber part (WINE-2 by default, any backend by name). ---
         let wave = {

@@ -23,6 +23,9 @@ impl Client {
     /// server answers every request line promptly).
     pub fn connect(addr: &str) -> io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
+        // One short line each way per request: with Nagle on, the
+        // line's tail waits out the peer's delayed ACK (~40 ms).
+        stream.set_nodelay(true)?;
         Ok(Client {
             reader: BufReader::new(stream.try_clone()?),
             writer: stream,

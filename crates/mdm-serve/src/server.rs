@@ -374,6 +374,10 @@ fn accept_loop(inner: Arc<Inner>, listener: TcpListener) {
 }
 
 fn handle_client(inner: Arc<Inner>, stream: TcpStream) -> io::Result<()> {
+    // Responses and `watch` events are short lines the client waits on;
+    // never hold one back for the peer's delayed ACK. (`writer`, and the
+    // stream `watch` takes over, are this same socket.)
+    stream.set_nodelay(true)?;
     let mut writer = stream.try_clone()?;
     let reader = BufReader::new(stream);
     for line in reader.lines() {

@@ -304,3 +304,33 @@ fn mini_soak_mixed_priorities_all_jobs_finish_clean() {
     server.stop();
     let _ = std::fs::remove_dir_all(&spool);
 }
+
+/// Request/response round trips on loopback must not wait out a
+/// delayed ACK: with Nagle on either side each `list` took ≈ 88 ms
+/// (two 40 ms stalls), i.e. ≈ 1.8 s for twenty.
+#[test]
+fn twenty_list_round_trips_take_under_200_ms() {
+    let spool = temp_spool("nodelay");
+    let mut cfg = ServerConfig::new(&spool);
+    cfg.boards = 0; // accept, never run: the listing stays put
+    let server = Server::start(cfg).unwrap();
+    let mut client = Client::connect(&server.local_addr().to_string()).unwrap();
+    client
+        .submit(&JobSpec {
+            name: "parked".into(),
+            ..JobSpec::default()
+        })
+        .unwrap();
+    client.list().unwrap(); // first exchange warms the connection
+    let start = std::time::Instant::now();
+    for _ in 0..20 {
+        assert_eq!(client.list().unwrap().len(), 1);
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(200),
+        "20 list round trips took {elapsed:?}"
+    );
+    server.stop();
+    let _ = std::fs::remove_dir_all(&spool);
+}
