@@ -229,6 +229,13 @@ impl JStore {
         self.cells.n_cells()
     }
 
+    /// The embedded cell list — the grid, sort order and cell ranges the
+    /// board's index counters walk, for host-side reductions over the
+    /// same block-pair set.
+    pub fn cells(&self) -> &CellList {
+        &self.cells
+    }
+
     /// The cell edge (Å).
     pub fn cell_size(&self) -> f64 {
         self.cells.cell_size()

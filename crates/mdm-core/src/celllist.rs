@@ -358,14 +358,9 @@ impl CellList {
     /// Newton's-third-law fast path over the *same* 27-cell blocks as
     /// [`Self::for_each_block_pair`] (still no cutoff filtering: cell
     /// membership, not distance, defines the interaction set, exactly as
-    /// on the hardware). `f(i, j, r⃗ᵢⱼ, r²)` fires once per pair with `i`
-    /// taken from the lower-indexed cell; the caller applies `±f⃗`.
-    ///
-    /// Each unordered pair is visited because every cross-cell pair
-    /// `{c, nc}` appears in `c`'s 27-entry table exactly once (for
-    /// `m ≥ 3` the 27 offsets map to 27 distinct cells), and is taken
-    /// only from the side with the smaller cell index; same-cell pairs
-    /// are enumerated triangularly.
+    /// on the hardware). `f(i, j, r⃗ᵢⱼ, r²)` fires once per pair; the
+    /// caller applies `±f⃗`. Cells are walked in index order, each through
+    /// [`Self::for_each_block_pair_n3l_in_cell`].
     ///
     /// # Panics
     /// Panics with fewer than 3 cells per side, where neighbour cells
@@ -374,39 +369,54 @@ impl CellList {
     where
         F: FnMut(usize, usize, Vec3, f64),
     {
+        let _span = mdm_profile::span("celllist_traverse");
+        for c in 0..self.n_cells() {
+            self.for_each_block_pair_n3l_in_cell(c, positions, &mut f);
+        }
+    }
+
+    /// Cell `c`'s share of [`Self::for_each_block_pair_n3l`]: its
+    /// same-cell pairs, enumerated triangularly, then every pair with
+    /// `i` in `c` and `j` in one of the 13 neighbour cells at a
+    /// lexicographically positive offset (the upper half of
+    /// [`Self::neighbors27`]). For `m ≥ 3` the 27 offsets reach 27
+    /// distinct cells, so a cross-cell pair `{c, nc}` sits at offset `o`
+    /// in `c`'s table and `−o` in `nc`'s and is taken from exactly one
+    /// side. Every cell does the same amount of neighbour work and
+    /// touches no state but its own pairs, so cells can run in parallel
+    /// with the order of the pairs *within* a cell fixed.
+    ///
+    /// # Panics
+    /// Panics with fewer than 3 cells per side.
+    pub fn for_each_block_pair_n3l_in_cell<F>(&self, c: usize, positions: &[Vec3], mut f: F)
+    where
+        F: FnMut(usize, usize, Vec3, f64),
+    {
         assert!(
             self.m >= 3,
             "N3L block traversal needs >= 3 cells per side (have {})",
             self.m
         );
-        let _span = mdm_profile::span("celllist_traverse");
-        for c in 0..self.n_cells() {
-            let center = self.particles_in(c);
-            for (neighbor, shift) in self.neighbors27(c) {
-                if neighbor < c {
-                    continue;
-                }
-                if neighbor == c {
-                    debug_assert_eq!(shift, Vec3::ZERO);
-                    for (a, &iu) in center.iter().enumerate() {
-                        let i = iu as usize;
-                        let ri = positions[i];
-                        for &ju in &center[a + 1..] {
-                            let j = ju as usize;
-                            let d = ri - positions[j];
-                            f(i, j, d, d.norm_sq());
-                        }
-                    }
-                } else {
-                    for &iu in center {
-                        let i = iu as usize;
-                        let ri = positions[i];
-                        for &ju in self.particles_in(neighbor) {
-                            let j = ju as usize;
-                            let d = ri - (positions[j] + shift);
-                            f(i, j, d, d.norm_sq());
-                        }
-                    }
+        let center = self.particles_in(c);
+        for (a, &iu) in center.iter().enumerate() {
+            let i = iu as usize;
+            let ri = positions[i];
+            for &ju in &center[a + 1..] {
+                let j = ju as usize;
+                let d = ri - positions[j];
+                f(i, j, d, d.norm_sq());
+            }
+        }
+        // neighbors27 runs dz, dy, dx from −1 to 1: entry 13 is `c`
+        // itself and entry 26 − w is the opposite of entry w.
+        for &(neighbor, shift) in &self.neighbors27(c)[14..] {
+            for &iu in center {
+                let i = iu as usize;
+                let ri = positions[i];
+                for &ju in self.particles_in(neighbor) {
+                    let j = ju as usize;
+                    let d = ri - (positions[j] + shift);
+                    f(i, j, d, d.norm_sq());
                 }
             }
         }

@@ -42,6 +42,7 @@ use mdm_core::system::System;
 use mdm_core::units::COULOMB_EV_A;
 use mdm_core::vec3::Vec3;
 use mdm_funceval::FunctionEvaluator;
+use rayon::prelude::*;
 use wine2::system::{Wine2Config, Wine2System};
 use wine2::timing::WineCounters;
 
@@ -454,42 +455,54 @@ impl MdmForceField {
         self.steps_since_potential = carry.steps_since;
     }
 
-    /// Host-side real-space virial `½ Σ f⃗·d⃗` over the hardware's
-    /// block-pair set, in f64. The MDGRAPE-2 pipelines accumulate
-    /// forces only, so the driver reduces the virial itself — at the
-    /// potential cadence, carried stale between energy passes exactly
-    /// like the potential.
-    fn real_virial(&self, system: &System, kappa: f64) -> f64 {
+    /// Host-side real-space virial `Σ f⃗·d⃗` over the unordered pairs of
+    /// the hardware's block-pair set, in f64. The MDGRAPE-2 pipelines
+    /// accumulate forces only, so the driver reduces the virial itself —
+    /// at the potential cadence, carried stale between energy passes
+    /// exactly like the potential.
+    ///
+    /// Summation order: cells run in parallel, each adding its
+    /// half-shell pairs in the cell list's fixed order into its own
+    /// partial; the partials are collected in cell order and added
+    /// serially. The value is therefore the same bit pattern for every
+    /// thread count. The j-store's cell list is the walk's grid, and
+    /// `JStore::build` has already refused fewer than 3 cells per side,
+    /// so the half shell never meets an aliased neighbour cell.
+    fn real_virial(&self, system: &System, jstore: &JStore, kappa: f64) -> f64 {
         use mdm_core::potentials::ShortRangePotential;
         let _host = mdm_profile::span(mdm_profile::phase::HOST);
-        let r_cut = self.params.r_cut.min(system.simbox().max_cutoff());
-        let r_cut_sq = r_cut * r_cut;
-        let cl =
-            mdm_core::celllist::CellList::build(system.simbox(), system.positions(), r_cut);
+        let r_cut_sq = self.params.r_cut * self.params.r_cut;
+        let cells = jstore.cells();
+        let short = &self.short;
+        let positions = system.positions();
         let charges = system.charges();
         let types = system.types();
-        let mut virial = 0.0;
-        cl.for_each_block_pair(system.positions(), |i, j, _d, r_sq| {
-            // The boards evaluate every block pair (no cutoff), but the
-            // pressure observable is defined against the truncated
-            // interaction — the same r_cut the f64 reference applies.
-            // The dispersion virial tail beyond r_cut is ~6x its energy
-            // tail, so keeping it here would put the reported pressure
-            // >1% away from the reference's.
-            if r_sq > r_cut_sq {
-                return;
-            }
-            let r = r_sq.sqrt();
-            let (_e, f_over_r) = mdm_core::ewald::real::real_kernel(kappa, r_sq);
-            let qq = COULOMB_EV_A * charges[i] * charges[j];
-            let fs = self
-                .short
-                .force_over_r(types[i] as usize, types[j] as usize, r);
-            // f⃗ = d⃗·(qq·f_over_r + fs), so f⃗·d⃗ = (qq·f_over_r + fs)·r²;
-            // ordered pairs double-count, hence the ½.
-            virial += 0.5 * (qq * f_over_r + fs) * r_sq;
-        });
-        virial
+        let per_cell: Vec<f64> = (0..cells.n_cells())
+            .into_par_iter()
+            .map(|c| {
+                let mut virial = 0.0;
+                cells.for_each_block_pair_n3l_in_cell(c, positions, |i, j, _d, r_sq| {
+                    // The boards evaluate every block pair (no cutoff),
+                    // but the pressure observable is defined against the
+                    // truncated interaction — the same r_cut the f64
+                    // reference applies. The dispersion virial tail
+                    // beyond r_cut is ~6x its energy tail, so keeping it
+                    // here would put the reported pressure >1% away from
+                    // the reference's.
+                    if r_sq > r_cut_sq {
+                        return;
+                    }
+                    let r = r_sq.sqrt();
+                    let (_e, f_over_r) = mdm_core::ewald::real::real_kernel(kappa, r_sq);
+                    let qq = COULOMB_EV_A * charges[i] * charges[j];
+                    let fs = short.force_over_r(types[i] as usize, types[j] as usize, r);
+                    // f⃗ = d⃗·(qq·f_over_r + fs), so f⃗·d⃗ = (qq·f_over_r + fs)·r².
+                    virial += (qq * f_over_r + fs) * r_sq;
+                });
+                virial
+            })
+            .collect();
+        per_cell.iter().sum()
     }
 
     /// Real-space pair interactions of the last Coulomb force pass —
@@ -682,7 +695,7 @@ impl ForceField for MdmForceField {
             self.last_potential.is_none() || self.steps_since_potential + 1 >= self.potential_interval;
         if need_potential {
             let (e_real, e_short) = self.potential_passes(system, &jstore, kappa);
-            let virial_real = self.real_virial(system, kappa);
+            let virial_real = self.real_virial(system, &jstore, kappa);
             self.last_potential = Some((e_real, e_short, virial_real));
             self.steps_since_potential = 0;
         } else {
@@ -809,6 +822,7 @@ mod tests {
 
     #[test]
     fn forces_match_f64_block_reference() {
+        let _registry = crate::test_registry::recording();
         let s = perturbed(3);
         let mut hw = MdmForceField::nacl_default(s.simbox().l()).unwrap();
         let fr_hw = hw.compute(&s);
@@ -824,6 +838,7 @@ mod tests {
 
     #[test]
     fn energy_matches_f64_block_reference() {
+        let _registry = crate::test_registry::recording();
         let s = perturbed(3);
         let mut hw = MdmForceField::nacl_default(s.simbox().l()).unwrap();
         let e_hw = hw.compute(&s).potential;
@@ -836,6 +851,7 @@ mod tests {
 
     #[test]
     fn close_to_conventional_reference_at_the_percent_level() {
+        let _registry = crate::test_registry::recording();
         // Against the *conventional* cutoff-skipping software field the
         // remaining difference is cutoff physics (the hardware keeps
         // the r > r_cut tails of every kernel): small but nonzero.
@@ -850,6 +866,7 @@ mod tests {
 
     #[test]
     fn virial_is_finite_and_close_to_f64_reference() {
+        let _registry = crate::test_registry::recording();
         // The driver's virial (host-side real reduction + WINE-2
         // structure-factor reduction) against the software reference
         // field at the same parameters. Both truncate the real sum at
@@ -866,8 +883,187 @@ mod tests {
         assert!(rel < 1e-2, "hw {w_hw} vs sw {w_sw} (rel {rel})");
     }
 
+    /// The real-space virial as `real_virial` reduced it before the
+    /// half-shell walk: every ordered block pair, `× 0.5`, one serial
+    /// sum — the formula the new sum must equal to reassociation.
+    fn ordered_pair_virial(ff: &MdmForceField, system: &System) -> f64 {
+        use mdm_core::potentials::ShortRangePotential;
+        let kappa = ff.params.kappa(system.simbox().l());
+        let r_cut = ff.params.r_cut.min(system.simbox().max_cutoff());
+        let r_cut_sq = r_cut * r_cut;
+        let cl =
+            mdm_core::celllist::CellList::build(system.simbox(), system.positions(), r_cut);
+        let charges = system.charges();
+        let types = system.types();
+        let mut virial = 0.0;
+        cl.for_each_block_pair(system.positions(), |i, j, _d, r_sq| {
+            if r_sq > r_cut_sq {
+                return;
+            }
+            let r = r_sq.sqrt();
+            let (_e, f_over_r) = mdm_core::ewald::real::real_kernel(kappa, r_sq);
+            let qq = COULOMB_EV_A * charges[i] * charges[j];
+            let fs = ff
+                .short
+                .force_over_r(types[i] as usize, types[j] as usize, r);
+            virial += 0.5 * (qq * f_over_r + fs) * r_sq;
+        });
+        virial
+    }
+
+    fn half_shell_virial(ff: &MdmForceField, system: &System) -> f64 {
+        let jstore = JStore::build(
+            system.simbox(),
+            system.positions(),
+            system.types(),
+            ff.params.r_cut,
+        );
+        ff.real_virial(system, &jstore, ff.params.kappa(system.simbox().l()))
+    }
+
+    /// A hot N = 8·cells³ melt a few steps off the lattice.
+    fn molten(cells: usize) -> System {
+        use mdm_core::integrate::Simulation;
+        let mut s = rocksalt_nacl(cells, NACL_LATTICE_A);
+        mdm_core::velocities::maxwell_boltzmann(&mut s, 1500.0, 31);
+        let ff = MdmForceField::nacl_default(s.simbox().l()).unwrap();
+        let mut sim = Simulation::new(s, ff, 2.0);
+        sim.run(3);
+        sim.system().clone()
+    }
+
+    /// `stress_config` of `tests/realspace_equivalence.rs` as a
+    /// `System`: a generic cloud, a pair 1e-3 Å apart (its `r⁻⁸` term
+    /// dwarfs everything else in the sum) and a lone corner particle.
+    fn clustered() -> System {
+        let l = 24.0;
+        let mut s = System::new(SimBox::cubic(l), mdm_core::lattice::nacl_species());
+        let mut pos: Vec<Vec3> = (0..96u32)
+            .map(|i| {
+                let t = i as f64;
+                Vec3::new(
+                    (t * 0.754_877_666).fract() * l,
+                    (t * 0.569_840_291).fract() * l,
+                    (t * 0.362_912_223).fract() * l,
+                )
+            })
+            .collect();
+        pos.push(Vec3::new(3.0, 3.0, 3.0));
+        pos.push(Vec3::new(3.0 + 1e-3, 3.0, 3.0));
+        pos.push(Vec3::new(l - 0.1, l - 0.1, l - 0.1));
+        for (i, p) in pos.into_iter().enumerate() {
+            s.push_particle(i % 2, p);
+        }
+        s
+    }
+
+    fn assert_virials_agree(ff: &MdmForceField, system: &System, what: &str) {
+        let new = half_shell_virial(ff, system);
+        let old = ordered_pair_virial(ff, system);
+        assert!(new.is_finite() && new != 0.0, "{what}: virial {new}");
+        let rel = ((new - old) / old).abs();
+        assert!(rel <= 1e-12, "{what}: half-shell {new} vs ordered {old} (rel {rel:e})");
+    }
+
+    #[test]
+    fn real_virial_is_bitwise_independent_of_the_thread_count() {
+        let _registry = crate::test_registry::recording();
+        for (what, s) in [("molten N = 512", molten(4)), ("clustered", clustered())] {
+            let ff = MdmForceField::nacl_default(s.simbox().l()).unwrap();
+            let [one, two, four] =
+                [1, 2, 4].map(|n| rayon::with_num_threads(n, || half_shell_virial(&ff, &s)));
+            assert_eq!(one.to_bits(), two.to_bits(), "{what}: 1 vs 2 threads");
+            assert_eq!(one.to_bits(), four.to_bits(), "{what}: 1 vs 4 threads");
+        }
+    }
+
+    #[test]
+    fn real_virial_matches_the_ordered_pair_sum() {
+        let _registry = crate::test_registry::recording();
+        for (what, s) in [("molten N = 512", molten(4)), ("clustered", clustered())] {
+            let ff = MdmForceField::nacl_default(s.simbox().l()).unwrap();
+            assert_virials_agree(&ff, &s, what);
+        }
+    }
+
+    #[test]
+    fn real_virial_matches_the_ordered_pair_sum_in_the_smallest_box() {
+        let _registry = crate::test_registry::recording();
+        // r_cut capped at exactly L/3 gives the coarsest grid the machine
+        // takes: 3 cells per side, where every cell's 27 neighbours are
+        // the 27 cells of the box, each once. That is still enough for
+        // the half shell (offset o from c and −o from its partner are
+        // distinct entries), so it needs no special case; a coarser grid
+        // never gets this far because `JStore::build` panics on it. (The
+        // 1-cell box, N = 8, has no pair within L/3 = 1.9 Å; N = 64 is
+        // the smallest with a virial to compare.)
+        for cells in [2, 3] {
+            let mut s = rocksalt_nacl(cells, NACL_LATTICE_A);
+            s.displace_all(|i| {
+                let t = i as f64;
+                Vec3::new((0.7 * t).sin(), (1.3 * t).cos(), (2.1 * t).sin()) * 0.4
+            });
+            let l = s.simbox().l();
+            let params = EwaldParams::new(9.0, l / 3.0, 3.0);
+            let ff = MdmForceField::new(params, 1, 1).unwrap();
+            assert_eq!(
+                JStore::build(s.simbox(), s.positions(), s.types(), params.r_cut)
+                    .cells()
+                    .cells_per_side(),
+                3
+            );
+            assert_virials_agree(&ff, &s, &format!("{cells}-cell box at r_cut = L/3"));
+        }
+    }
+
+    /// The driver with its real-space virial swapped for the
+    /// ordered-pair formula.
+    struct OrderedPairVirial(MdmForceField);
+
+    impl ForceField for OrderedPairVirial {
+        fn compute(&mut self, system: &System) -> ForceResult {
+            let mut result = self.0.compute(system);
+            let (_, _, half_shell) = self.0.last_potential.expect("energy pass every step");
+            let wave = result.virial - half_shell;
+            result.virial = ordered_pair_virial(&self.0, system) + wave;
+            result
+        }
+    }
+
+    #[test]
+    fn trajectory_does_not_depend_on_which_virial_formula_runs() {
+        let _registry = crate::test_registry::recording();
+        use mdm_core::integrate::Simulation;
+        use mdm_core::observables::pressure_gpa;
+        let start = molten(4);
+        let l = start.simbox().l();
+        let field = || MdmForceField::nacl_default(l).unwrap();
+        let mut new = Simulation::new(start.clone(), field(), 2.0);
+        let mut old = Simulation::new(start, OrderedPairVirial(field()), 2.0);
+        for step in 0..=20 {
+            if step > 0 {
+                new.step();
+                old.step();
+            }
+            assert_eq!(new.system().positions(), old.system().positions(), "step {step}");
+            assert_eq!(new.system().velocities(), old.system().velocities(), "step {step}");
+            let (a, b) = (new.current_forces(), old.current_forces());
+            assert_eq!(a.forces, b.forces, "step {step}");
+            assert_eq!(a.potential.to_bits(), b.potential.to_bits(), "step {step}");
+            let (pa, pb) = (
+                pressure_gpa(new.system(), a.virial),
+                pressure_gpa(old.system(), b.virial),
+            );
+            assert!(
+                ((pa - pb) / pb).abs() <= 1e-12,
+                "step {step}: pressure {pa} vs {pb} GPa"
+            );
+        }
+    }
+
     #[test]
     fn potential_carry_round_trips() {
+        let _registry = crate::test_registry::recording();
         // Export-then-restore reproduces the exact stale state: a fresh
         // field with the carry restored computes the same result as the
         // original field would on its next step.
@@ -892,6 +1088,7 @@ mod tests {
 
     #[test]
     fn counters_match_paper_accounting() {
+        let _registry = crate::test_registry::recording();
         let s = perturbed(3);
         let mut hw = MdmForceField::nacl_default(s.simbox().l()).unwrap();
         hw.set_potential_interval(100);
@@ -909,6 +1106,7 @@ mod tests {
 
     #[test]
     fn stale_potential_between_interval_steps() {
+        let _registry = crate::test_registry::recording();
         // With interval > 1 the MDGRAPE-2 energy passes are skipped: the
         // short-range/real potential goes stale, while the WINE-2 energy
         // (a by-product of the force DFT, free every step) stays fresh.
@@ -930,6 +1128,7 @@ mod tests {
 
     #[test]
     fn nve_energy_conservation_on_hardware() {
+        let _registry = crate::test_registry::recording();
         // The paper's NVE phase conserved energy to < 5e-5 % — run a
         // short NVE on the emulated machine and check the same bound
         // scale (the emulator's f32 forces make it slightly worse than

@@ -349,6 +349,7 @@ mod tests {
 
     #[test]
     fn matches_serial_reference() {
+        let _registry = crate::test_registry::recording();
         let s = perturbed();
         let params = params_for(s.simbox().l());
         let parallel = parallel_forces(&s, &params, ParallelConfig::small());
@@ -376,6 +377,7 @@ mod tests {
 
     #[test]
     fn process_count_invariance() {
+        let _registry = crate::test_registry::recording();
         let s = perturbed();
         let params = params_for(s.simbox().l());
         let a = parallel_forces(&s, &params, ParallelConfig::small());
@@ -395,6 +397,7 @@ mod tests {
 
     #[test]
     fn paper_layout_runs() {
+        let _registry = crate::test_registry::recording();
         let s = perturbed();
         let params = params_for(s.simbox().l());
         let out = parallel_forces(&s, &params, ParallelConfig::paper());

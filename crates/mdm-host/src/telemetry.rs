@@ -774,6 +774,7 @@ mod tests {
 
     #[test]
     fn recorded_run_streams_manifest_steps_and_observables() {
+        let _registry = crate::test_registry::draining();
         let mut sim = software_sim(1.0);
         let manifest = software_manifest(&sim);
         let mut recorder = FlightRecorder::new(Vec::new(), &manifest).unwrap();
@@ -803,6 +804,7 @@ mod tests {
 
     #[test]
     fn watchdog_violations_land_on_the_offending_step() {
+        let _registry = crate::test_registry::draining();
         // Unstable timestep (see mdm-core observables tests): the
         // energy-drift violations must appear in the JSONL stream.
         let mut sim = software_sim(40.0);
@@ -879,6 +881,7 @@ mod tests {
 
     #[test]
     fn instrumented_run_streams_accuracy_observables() {
+        let _registry = crate::test_registry::draining();
         let mut sim = mdm_sim();
         let l = sim.system().simbox().l();
         let n = sim.system().len() as u64;
@@ -937,6 +940,7 @@ mod tests {
 
     #[test]
     fn degraded_run_trips_the_force_error_watchdog() {
+        let _registry = crate::test_registry::draining();
         use mdm_core::ewald::EwaldParams;
         let s = perturbed_nacl();
         let l = s.simbox().l();
@@ -973,6 +977,7 @@ mod tests {
 
     #[test]
     fn mdm_manifest_carries_the_ewald_parameters() {
+        let _registry = crate::test_registry::recording();
         let s = rocksalt_nacl(2, NACL_LATTICE_A);
         let l = s.simbox().l();
         let ff = MdmForceField::nacl_default(l).unwrap();
@@ -989,6 +994,7 @@ mod tests {
 
     #[test]
     fn mdm_manifest_is_environment_stamped() {
+        let _registry = crate::test_registry::recording();
         let s = rocksalt_nacl(2, NACL_LATTICE_A);
         let ff = MdmForceField::nacl_default(s.simbox().l()).unwrap();
         let sim = Simulation::new(s, ff, 2.0);
@@ -1011,6 +1017,7 @@ mod tests {
 
     #[test]
     fn pressure_streams_on_software_and_emulated_runs() {
+        let _registry = crate::test_registry::draining();
         // Software Ewald reports a virial → pressure_gpa is streamed.
         let mut sim = software_sim(1.0);
         let manifest = software_manifest(&sim);
@@ -1043,6 +1050,7 @@ mod tests {
 
     #[test]
     fn instrumented_run_collects_the_utilization_timeseries() {
+        let _registry = crate::test_registry::draining();
         let mut sim = mdm_sim();
         let manifest = mdm_manifest("ts-test", "cargo test", &sim, 11);
         let mut recorder = FlightRecorder::new(Vec::new(), &manifest).unwrap();
@@ -1082,6 +1090,7 @@ mod tests {
 
     #[test]
     fn ledger_sink_appends_one_summary_row() {
+        let _registry = crate::test_registry::draining();
         let path = std::env::temp_dir().join(format!(
             "mdm_telemetry_ledger_{}.jsonl",
             std::process::id()
@@ -1131,6 +1140,7 @@ mod tests {
 
     #[test]
     fn instrumented_run_publishes_every_step_on_the_bus() {
+        let _registry = crate::test_registry::draining();
         let mut sim = software_sim(1.0);
         let manifest = software_manifest(&sim);
         let mut recorder = FlightRecorder::new(Vec::new(), &manifest).unwrap();

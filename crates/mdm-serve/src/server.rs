@@ -712,6 +712,12 @@ fn finalize(inner: &Arc<Inner>, job: &str, slot: &JobSlot, suffix: &str) {
     }
 }
 
+fn board_lease() -> MutexGuard<'static, ()> {
+    // The guarded data is `()`: a slice that panicked under the lease
+    // left nothing half-updated behind.
+    STEP_REGISTRY.lock().unwrap_or_else(|p| p.into_inner())
+}
+
 /// One scheduling slice: materialise from the spool, step under the
 /// board lease, checkpoint, free.
 fn run_slice(inner: &Arc<Inner>, job: &str) -> Result<SliceOutcome, String> {
@@ -723,6 +729,13 @@ fn run_slice(inner: &Arc<Inner>, job: &str) -> Result<SliceOutcome, String> {
     let ckpt_path = inner.spool_file(job, "ckpt");
     let trace_path = inner.spool_file(job, "trace.jsonl");
 
+    // The board lease: whatever records into the profiling registry
+    // (and with it the j-store upload meter) runs under it, because the
+    // registry is shared across the pool. A resumed slice takes it at
+    // the stepping section; a job's first slice takes it here already —
+    // `Simulation::new` runs the initial force and energy evaluation,
+    // which would otherwise land in whichever job is stepping.
+    let mut lease = None;
     let mut sim = if ckpt_path.exists() {
         let cp = Checkpoint::load(&ckpt_path).map_err(|e| format!("checkpoint load: {e}"))?;
         let mut ff = MdmForceField::nacl_default_with_tables(cp.l, inner.tables.clone());
@@ -737,6 +750,7 @@ fn run_slice(inner: &Arc<Inner>, job: &str) -> Result<SliceOutcome, String> {
         let mut ff =
             MdmForceField::nacl_default_with_tables(system.simbox().l(), inner.tables.clone());
         ff.set_potential_interval(spec.potential_interval);
+        lease = Some(board_lease());
         Simulation::new(system, ff, spec.dt)
     };
     if spec.thermostat {
@@ -773,10 +787,7 @@ fn run_slice(inner: &Arc<Inner>, job: &str) -> Result<SliceOutcome, String> {
     };
 
     let run = {
-        // Board lease: the stepping section is exclusive because the
-        // profiling registry (and with it the j-store upload meter) is
-        // shared across the pool.
-        let _board = STEP_REGISTRY.lock().unwrap_or_else(|p| p.into_inner());
+        let _board = lease.unwrap_or_else(board_lease);
         mdm_profile::reset();
         run_instrumented(
             &mut sim,

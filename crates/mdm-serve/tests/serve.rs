@@ -305,6 +305,66 @@ fn mini_soak_mixed_priorities_all_jobs_finish_clean() {
     let _ = std::fs::remove_dir_all(&spool);
 }
 
+/// Run `jobs` copies of one spec on a `boards`-board daemon and return
+/// each job's `jstore_upload_bytes_per_step` ledger gauge. The daemon is
+/// a subprocess: the meter reads a process-global registry, and the
+/// other tests of this binary run emulator work in-process.
+fn upload_bytes_per_step(tag: &str, boards: usize, jobs: usize) -> Vec<f64> {
+    let spool = temp_spool(tag);
+    let ledger = spool.join("ledger.jsonl");
+    let (mut child, addr) = spawn_server(
+        &spool,
+        2,
+        &[
+            "--boards",
+            &boards.to_string(),
+            "--ledger",
+            ledger.to_str().unwrap(),
+        ],
+    );
+    let mut client = Client::connect(&addr).unwrap();
+    let names: Vec<String> = (0..jobs).map(|i| format!("{tag}-{i}")).collect();
+    for name in &names {
+        let spec = JobSpec {
+            name: name.clone(),
+            steps: 6,
+            seed: 7,
+            ..JobSpec::default()
+        };
+        client
+            .submit_with_retry(&spec, Duration::from_secs(300))
+            .unwrap();
+    }
+    for name in &names {
+        let report = client.wait(name, Duration::from_secs(300)).unwrap();
+        assert_eq!(report.state, JobState::Done, "{name}: {:?}", report.detail);
+    }
+    client.shutdown().unwrap();
+    child.wait().expect("daemon exits on shutdown");
+    let (records, bad) = mdm_profile::ledger::read_ledger(&ledger).expect("ledger written");
+    assert_eq!((records.len(), bad), (jobs, 0));
+    let _ = std::fs::remove_dir_all(&spool);
+    records
+        .iter()
+        .map(|r| r.gauges["jstore_upload_bytes_per_step"])
+        .collect()
+}
+
+/// A job's counters are its own: the first slice's initial force and
+/// energy evaluation runs under the board lease like every step, so
+/// identical jobs sharing a 2-board pool meter identical uploads — the
+/// same as one job alone on the server. (Outside the lease it recorded
+/// into whichever job was stepping on the other board.)
+#[test]
+fn identical_jobs_meter_identical_uploads_on_a_shared_pool() {
+    let solo = upload_bytes_per_step("meter-solo", 1, 1);
+    assert!(solo[0] > 0.0, "j-store meter never moved");
+    let batch = upload_bytes_per_step("meter-batch", 2, 12);
+    for (i, per_step) in batch.iter().enumerate() {
+        assert_eq!(*per_step, solo[0], "job {i} of the batch vs the solo run");
+    }
+}
+
 /// Request/response round trips on loopback must not wait out a
 /// delayed ACK: with Nagle on either side each `list` took ≈ 88 ms
 /// (two 40 ms stalls), i.e. ≈ 1.8 s for twenty.

@@ -88,6 +88,12 @@ impl WineBoard {
         Ok(())
     }
 
+    /// The chips (the ROM-sharing tests walk them).
+    #[cfg(test)]
+    pub(crate) fn chips(&self) -> &[WineChip] {
+        &self.chips
+    }
+
     /// Number of particles resident.
     pub fn particle_count(&self) -> usize {
         self.particles.len()

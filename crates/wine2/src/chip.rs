@@ -3,6 +3,7 @@
 //! — so a chip processes up to 16 waves per particle stream.
 
 use crate::pipeline::{DftAccum, IdftAccum, IdftWave, WineParticle, WinePipeline};
+use mdm_fixed::SinCosTable;
 
 /// Waves resident per pipeline.
 pub const WAVES_PER_PIPELINE: usize = 2;
@@ -45,6 +46,12 @@ impl WineChip {
         self.cycles
     }
 
+    /// The sine/cosine ROM the chip's sweeps read (one host-memory image
+    /// for the whole emulator, see [`WinePipeline`]).
+    pub(crate) fn rom(&self) -> &'static SinCosTable {
+        self.pipelines[0].trig()
+    }
+
     /// Clear counters.
     pub fn reset_counters(&mut self) {
         self.cycles = 0;
@@ -65,7 +72,7 @@ impl WineChip {
     pub fn dft_pass(&mut self, waves: &[[i32; 3]], particles: &[WineParticle]) -> Vec<DftAccum> {
         assert!(waves.len() <= WAVES_PER_CHIP, "chip holds at most 16 waves");
         let mut out = vec![DftAccum::default(); waves.len()];
-        crate::pipeline::dft_interleaved(self.pipelines[0].trig(), waves, particles, &mut out);
+        crate::pipeline::dft_interleaved(self.rom(), waves, particles, &mut out);
         for w in 0..waves.len() {
             self.pipelines[w % PIPELINES_PER_CHIP].add_ops(particles.len() as u64);
         }
@@ -83,7 +90,7 @@ impl WineChip {
         out: &mut [IdftAccum],
     ) {
         assert!(waves.len() <= WAVES_PER_CHIP, "chip holds at most 16 waves");
-        crate::pipeline::idft_interleaved(self.pipelines[0].trig(), waves, particles, out);
+        crate::pipeline::idft_interleaved(self.rom(), waves, particles, out);
         for w in 0..waves.len() {
             self.pipelines[w % PIPELINES_PER_CHIP].add_ops(particles.len() as u64);
         }

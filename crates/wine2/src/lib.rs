@@ -29,6 +29,16 @@
 //! resulting relative force error is ~10⁻⁴·⁵, the figure the paper
 //! quotes (§3.4.4) — validated against the `f64` reference in the
 //! tests.
+//!
+//! ## One ROM image
+//!
+//! The silicon has a sine ROM in every pipeline, and the model counts
+//! it that way (16 KB per pipeline, ops and cycles per pipeline). All
+//! of them hold the same read-only words, so the emulator builds the
+//! table once per process and every [`WinePipeline`] reads that one
+//! image: building a [`Wine2System`] of any size allocates no table,
+//! and the board sweeps keep one 16 KB table hot instead of rotating
+//! 224 copies through the caches.
 
 pub mod api;
 pub mod board;

@@ -22,6 +22,7 @@
 //! fixed-point images of all inputs.
 
 use mdm_fixed::{FixedAccum, Phase32, SinCosTable, Q30};
+use std::sync::OnceLock;
 
 /// A particle as stored in WINE-2 particle memory: fractional position
 /// as three 32-bit turn fractions plus the pre-scaled charge.
@@ -116,12 +117,27 @@ pub struct IdftWave {
     pub v: Q30,
 }
 
-/// The pipeline: a sine/cosine ROM shared by both modes, plus operation
+/// The one sine/cosine ROM image of the emulator process.
+///
+/// On silicon every pipeline has its own 16 KB ROM, and the modeled
+/// inventory still says so ([`SinCosTable::rom_bytes`] per pipeline,
+/// ops and cycles attributed per pipeline). The contents are identical
+/// and never written, so the emulator keeps a single host-memory copy
+/// that every pipeline reads: a 20-cluster machine is 17,920 pipelines,
+/// and a private copy each would be 880 MB and 73 million `f64::sin`
+/// calls per [`crate::Wine2System::new`].
+pub(crate) fn shared_rom() -> &'static SinCosTable {
+    static ROM: OnceLock<SinCosTable> = OnceLock::new();
+    ROM.get_or_init(SinCosTable::default)
+}
+
+/// The pipeline: the sine/cosine ROM both modes read (one host-memory
+/// image for all pipelines, see the crate docs), plus operation
 /// counting (one count per particle–wave evaluation, matching the
 /// hardware's one-op-per-cycle throughput).
 #[derive(Clone, Debug)]
 pub struct WinePipeline {
-    trig: SinCosTable,
+    trig: &'static SinCosTable,
     ops: u64,
 }
 
@@ -132,12 +148,14 @@ impl Default for WinePipeline {
 }
 
 impl WinePipeline {
-    /// A pipeline with the standard 4096-entry ROM.
+    /// A pipeline reading the standard 4096-entry ROM.
     pub fn new() -> Self {
-        Self {
-            trig: SinCosTable::default(),
-            ops: 0,
-        }
+        Self::with_rom(shared_rom())
+    }
+
+    /// A pipeline reading the given ROM image.
+    pub(crate) fn with_rom(trig: &'static SinCosTable) -> Self {
+        Self { trig, ops: 0 }
     }
 
     /// Particle–wave operations executed so far (for cycle accounting).
@@ -166,10 +184,9 @@ impl WinePipeline {
     }
 
     /// The pipeline's sine/cosine ROM — the chip-level interleaved
-    /// sweeps evaluate through it directly (every pipeline's ROM holds
-    /// identical contents, as on silicon).
-    pub(crate) fn trig(&self) -> &SinCosTable {
-        &self.trig
+    /// sweeps evaluate through it directly.
+    pub(crate) fn trig(&self) -> &'static SinCosTable {
+        self.trig
     }
 
     /// Credit `n` particle–wave operations to this pipeline: the

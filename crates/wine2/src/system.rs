@@ -396,6 +396,83 @@ mod tests {
     }
 
     #[test]
+    fn every_chip_reads_one_rom_allocation() {
+        // One process-wide image: every chip of a system — and of the
+        // next system built — reads the same table, so building a
+        // machine constructs no `SinCosTable`.
+        let wine = Wine2System::new(Wine2Config { clusters: 3 });
+        let rom = wine.clusters[0].boards()[0].chips()[0].rom();
+        let other = Wine2System::new(Wine2Config { clusters: 1 });
+        let chips = wine
+            .clusters
+            .iter()
+            .chain(&other.clusters)
+            .flat_map(|c| c.boards())
+            .flat_map(|b| b.chips());
+        let mut seen = 0;
+        for chip in chips {
+            assert!(std::ptr::eq(chip.rom(), rom));
+            seen += 1;
+        }
+        assert_eq!(seen, 4 * BOARDS_PER_CLUSTER * crate::board::CHIPS_PER_BOARD);
+    }
+
+    #[test]
+    fn full_machine_matches_a_lone_pipeline_with_its_own_rom() {
+        // The whole 20-cluster, 2,240-chip MDM (17,920 pipelines) on the
+        // shared ROM against one pipeline holding a freshly built table:
+        // raw DFT and IDFT accumulators, bit for bit.
+        use crate::pipeline::{IdftAccum, WinePipeline};
+        use mdm_fixed::SinCosTable;
+        let mut wine = Wine2System::new(Wine2Config::default());
+        let mut oracle = WinePipeline::with_rom(Box::leak(Box::new(SinCosTable::new(12))));
+        assert!(!std::ptr::eq(oracle.trig(), wine.clusters[0].boards()[0].chips()[0].rom()));
+
+        let particles: Vec<WineParticle> = (0..301)
+            .map(|i| {
+                let x = i as f64;
+                WineParticle::quantize(
+                    [(0.0137 * x) % 1.0, (0.3119 * x) % 1.0, (0.7331 * x) % 1.0],
+                    if i % 2 == 0 { 0.93 } else { -0.71 },
+                )
+            })
+            .collect();
+        let waves: Vec<[i32; 3]> = half_space_vectors(3.0).iter().map(|k| k.n).collect();
+        let idft_waves: Vec<IdftWave> = waves
+            .iter()
+            .enumerate()
+            .map(|(k, &n)| IdftWave {
+                n,
+                u: Q30::from_f64(0.9 * (0.37 * k as f64).sin()),
+                v: Q30::from_f64(0.9 * (0.61 * k as f64).cos()),
+            })
+            .collect();
+
+        let per_cluster = particles.len().div_ceil(wine.clusters.len());
+        let mut dft = vec![DftAccum::default(); waves.len()];
+        let mut idft: Vec<IdftAccum> = Vec::new();
+        for (cluster, chunk) in wine.clusters.iter_mut().zip(particles.chunks(per_cluster)) {
+            cluster.load_particles(chunk).unwrap();
+            for (total, part) in dft.iter_mut().zip(cluster.dft(&waves)) {
+                total.merge(&part);
+            }
+            idft.extend(cluster.idft(&idft_waves));
+        }
+
+        for (n, acc) in waves.iter().zip(&dft) {
+            assert_eq!(acc.resolve(), oracle.dft_wave(*n, &particles).resolve(), "wave {n:?}");
+        }
+        let mut expect = vec![IdftAccum::default(); particles.len()];
+        for wave in &idft_waves {
+            oracle.idft_wave(wave, &particles, &mut expect);
+        }
+        assert_eq!(idft.len(), expect.len());
+        for (i, (a, b)) in idft.iter().zip(&expect).enumerate() {
+            assert_eq!(a.to_f64(), b.to_f64(), "particle {i}");
+        }
+    }
+
+    #[test]
     fn quantization_residuals_land_in_seam_histogram() {
         // Every charge, phase, and IDFT-coefficient quantization
         // residual goes into the `wine_fx_quant_residual` histogram.
