@@ -30,9 +30,9 @@
 //! overrides). Mesh backends (`pme`, `pswf`) run at their own
 //! operating point — a fixed ~9 Å cutoff from
 //! `mdm_core::longrange::default_operating_point` — rather than
-//! inheriting the board's machine-balance α (see `build_sim_lr`).
+//! inheriting the board's machine-balance α (see `build_sim`).
 
-use mdm_bench::stepprof::{build_sim_lr, default_ledger_path};
+use mdm_bench::stepprof::{build_sim, default_ledger_path};
 use mdm_core::accuracy::ForceErrorProbe;
 use mdm_core::forcefield::{EwaldTosiFumi, ForceField};
 use mdm_core::observables::PhysicsWatchdogs;
@@ -47,10 +47,6 @@ use mdm_profile::json::Value;
 /// Paper Figure 5: relative RMS force error at the production accuracy
 /// parameters, ≈ 10⁻⁴·⁵.
 const PAPER_FIGURE5_ERROR: f64 = 3.2e-5;
-
-/// The `--longrange all` roster (ewald-serial is just `ewald` with one
-/// thread — no extra information in a shootout).
-const SHOOTOUT_BACKENDS: &[&str] = &["wine2", "ewald", "pme", "pswf"];
 
 /// Everything one backend's run leaves for the shootout footer.
 struct BackendRun {
@@ -78,7 +74,7 @@ fn run_backend(
     every: u64,
     samples: usize,
 ) -> BackendRun {
-    let mut sim = build_sim_lr(cells, false, backend);
+    let mut sim = build_sim(cells, false, backend);
     // Melt before measuring. The run starts from the perfect rocksalt
     // lattice, where total forces nearly cancel (the crystal is at
     // equilibrium) and the wavenumber forces vanish outright by
@@ -252,7 +248,7 @@ fn main() {
     }
     assert!(steps >= 1, "--steps needs at least one step");
     let backends: Vec<&str> = if longrange == "all" {
-        SHOOTOUT_BACKENDS.to_vec()
+        mdm_host::LONGRANGE_BACKENDS.to_vec()
     } else {
         assert!(
             mdm_host::LONGRANGE_BACKENDS.contains(&longrange.as_str()),

@@ -1,11 +1,10 @@
 //! `mdm_report` — the cross-run regression dashboard.
 //!
 //! Reads the run ledger (`results/ledger.jsonl`, one line per
-//! bench/instrumented invocation) and the committed `BENCH_step.json`
-//! baseline, renders the dashboard, and exits non-zero when the latest
-//! run of any `tool:label` group is slower than its trailing median by
-//! more than the tolerance (see `mdm_bench::dashboard` for the rule
-//! and its minimum-history guard).
+//! bench/instrumented invocation), renders the dashboard, and exits
+//! non-zero when the latest run of any `tool:label` group is slower
+//! than its trailing median by more than the tolerance (see
+//! `mdm_bench::dashboard` for the rule and its minimum-history guard).
 //!
 //! ```text
 //! cargo run --release -p mdm-bench --bin mdm_report                 # markdown to stdout
@@ -17,8 +16,6 @@
 //! * `--ledger PATH` — ledger file (default `results/ledger.jsonl` at
 //!   the repo root; missing file = empty ledger, which renders and
 //!   passes);
-//! * `--bench PATH` — baseline file (default `BENCH_step.json` at the
-//!   repo root; missing file just drops the baseline section);
 //! * `--out PATH` — write the markdown dashboard to a file instead of
 //!   stdout;
 //! * `--html PATH` — also write a standalone HTML rendering;
@@ -27,12 +24,10 @@
 //! * `--window K` — trailing runs the median is taken over (default 10).
 
 use mdm_bench::dashboard::{Dashboard, DEFAULT_TOLERANCE, DEFAULT_WINDOW};
-use mdm_profile::report::BenchFile;
 
 fn main() {
     let repo_root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
     let mut ledger_path = format!("{repo_root}/results/ledger.jsonl");
-    let mut bench_path = format!("{repo_root}/BENCH_step.json");
     let mut out_path: Option<String> = None;
     let mut html_path: Option<String> = None;
     let mut tolerance = DEFAULT_TOLERANCE;
@@ -42,7 +37,6 @@ fn main() {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--ledger" => ledger_path = args.next().expect("--ledger needs a path"),
-            "--bench" => bench_path = args.next().expect("--bench needs a path"),
             "--out" => out_path = Some(args.next().expect("--out needs a path")),
             "--html" => html_path = Some(args.next().expect("--html needs a path")),
             "--tolerance" => {
@@ -60,20 +54,15 @@ fn main() {
                 assert!(window >= 1, "--window needs a positive integer");
             }
             other => panic!(
-                "unknown option {other:?} (try --ledger, --bench, --out, --html, --tolerance, --window)"
+                "unknown option {other:?} (try --ledger, --out, --html, --tolerance, --window)"
             ),
         }
     }
 
     let (records, skipped) = mdm_profile::ledger::read_ledger(ledger_path.as_ref())
         .unwrap_or_else(|e| panic!("read {ledger_path}: {e}"));
-    let bench = std::fs::read_to_string(&bench_path)
-        .ok()
-        .map(|text| {
-            BenchFile::from_json_str(&text).unwrap_or_else(|e| panic!("parse {bench_path}: {e}"))
-        });
 
-    let dash = Dashboard::build(&records, skipped, bench.as_ref(), tolerance, window);
+    let dash = Dashboard::build(&records, skipped, tolerance, window);
     let markdown = dash.to_markdown();
     match &out_path {
         Some(path) => {

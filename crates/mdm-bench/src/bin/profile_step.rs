@@ -9,19 +9,17 @@
 //! is exactly the decomposition behind the paper's 43.8 s/step.
 //!
 //! ```text
-//! cargo run --release -p mdm-bench --bin profile_step             # table
-//! cargo run --release -p mdm-bench --bin profile_step -- --json  # BENCH_step.json
+//! cargo run --release -p mdm-bench --bin profile_step
 //! ```
 //!
+//! This is the explainer, not the gate: the committed baseline and the
+//! regression gate are the repo benchmark (`BENCHMARK.json`,
+//! `benchmark/`); each size profiled here appends one row to the run
+//! ledger that `mdm_report` trends.
+//!
 //! Options:
-//! * `--json` — write the machine-readable baseline to the repo root
-//!   (`BENCH_step.json`, diffed by `bench_compare`);
-//! * `--steps K` — steps averaged per size (default 2);
-//! * `--repeat R` — timed repetitions per size after one untimed
-//!   warmup step; the fastest repetition is reported (default 3).
-//!   Minimum-of-R filters scheduler noise: background load only adds
-//!   time, so the minimum is the least-contaminated estimate. Ignored
-//!   with `--record` (the per-step stream is the output);
+//! * `--steps K` — steps averaged per size (default 2), after one
+//!   untimed warm-up step;
 //! * `--cells A,B,C` — rocksalt cells per side (default `4,8,16` →
 //!   N = 512, 4,096, 32,768);
 //! * `--sizes N1,N2` — same ladder given as particle counts
@@ -29,15 +27,10 @@
 //! * `--n3l` — run the real-space passes through the Newton's-third-law
 //!   software fast path instead of the hardware-faithful no-N3L
 //!   streaming pattern (see `RealSpaceMode`); forces agree to f64
-//!   rounding, not bitwise, so baselines recorded with `--json` should
-//!   note the mode;
+//!   rounding, not bitwise;
 //! * `--longrange B` — wavenumber backend for the profiled steps:
-//!   `wine2` (default, the emulated board), `ewald`, `ewald-serial`,
-//!   `pme`, or `pswf`. Non-default backends append `-lr-B` to the
-//!   report labels. With `--json` at the default backend, the baseline
-//!   additionally gets the informational backend-shootout rows
-//!   (N = 4,096 × {ewald, pme, pswf}; N = 32,768 × {ewald, pswf}) when
-//!   those sizes are in the ladder;
+//!   `wine2` (default, the emulated board), `ewald`, `pme`, or `pswf`.
+//!   Non-default backends append `-lr-B` to the report labels;
 //! * `--trace FILE` — also write a Chrome trace-event file (open in
 //!   Perfetto or `chrome://tracing`) with one track per emulated
 //!   device: MDGRAPE-2, WINE-2, comm, host. With `--world`, one
@@ -47,12 +40,11 @@
 //! * `--record FILE` — also stream a per-step JSONL flight recording
 //!   (manifest + step events with counters, observables, and watchdog
 //!   verdicts);
-//! * `--serve ADDR` — per-step instrumented run (like `--record`)
-//!   that additionally serves the manifest + live step events as JSONL
-//!   over TCP on `ADDR` (e.g. `127.0.0.1:7979`, port `0` for an
-//!   OS-assigned port — the bound address is printed). Watch with
-//!   `mdm_top`; slow viewers lose their oldest queued events, never
-//!   the step loop;
+//! * `--serve ADDR` — additionally serve the manifest + live step
+//!   events as JSONL over TCP on `ADDR` (e.g. `127.0.0.1:7979`, port
+//!   `0` for an OS-assigned port — the bound address is printed). Watch
+//!   with `mdm_top`; slow viewers lose their oldest queued events,
+//!   never the step loop;
 //! * `--world R,W` — profile the §4 simulated-MPI parallel program
 //!   instead of the emulated single-host step: `R` real-space ranks ×
 //!   `W` wavenumber ranks per force evaluation, `--steps` evaluations.
@@ -63,16 +55,16 @@
 //!   ledger row's `critical_path` column.
 
 use mdm_bench::stepprof::{
-    append_to_ledger_annotated, cells_for_particles, modeled_step, profile_size_repeat_lr,
-    profile_size_streamed, profile_world, DEFAULT_REPEAT,
+    append_to_ledger, cells_for_particles, modeled_step, profile_size, profile_world,
 };
 use mdm_host::parallel::ParallelConfig;
 use mdm_host::telemetry::{serve, ServeOptions};
 use mdm_profile::bus::Bus;
 use mdm_profile::critical_path::{critical_path, CriticalPathReport};
 use mdm_profile::events::RunManifest;
-use mdm_profile::report::{BenchFile, StepReport};
+use mdm_profile::report::StepReport;
 use mdm_profile::Timeline;
+use std::io::Write;
 
 /// Format an emulation slowdown factor (`< 1` means the emulated path
 /// is *faster* than the modeled hardware — e.g. memcpy vs a PCI bus).
@@ -225,9 +217,7 @@ fn with_timeline<F: FnOnce() -> StepReport>(
 }
 
 fn main() {
-    let mut json = false;
     let mut steps: u64 = 2;
-    let mut repeat: u64 = DEFAULT_REPEAT;
     let mut cells: Vec<usize> = vec![4, 8, 16];
     let mut n3l = false;
     let mut longrange = "wine2".to_string();
@@ -240,20 +230,12 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--json" => json = true,
             "--steps" => {
                 steps = args
                     .next()
                     .and_then(|v| v.parse().ok())
                     .expect("--steps needs a positive integer");
                 assert!(steps >= 1, "--steps needs a positive integer");
-            }
-            "--repeat" => {
-                repeat = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--repeat needs a positive integer");
-                assert!(repeat >= 1, "--repeat needs a positive integer");
             }
             "--cells" => {
                 cells = args
@@ -308,7 +290,7 @@ fn main() {
             }
             "--critical-path" => want_critical_path = true,
             other => panic!(
-                "unknown option {other:?} (try --json, --steps, --repeat, --cells, --sizes, --n3l, --longrange, --trace, --record, --serve, --world, --critical-path)"
+                "unknown option {other:?} (try --steps, --cells, --sizes, --n3l, --longrange, --trace, --record, --serve, --world, --critical-path)"
             ),
         }
     }
@@ -320,16 +302,10 @@ fn main() {
             .unwrap_or_else(|e| panic!("create {path}: {e}"))
     });
 
-    if recorder_sink.is_some() || serve_addr.is_some() {
-        assert!(
-            longrange == "wine2",
-            "--record/--serve profile the default wine2 backend; drop --longrange"
-        );
-    }
     if world.is_some() {
         assert!(
-            recorder_sink.is_none() && serve_addr.is_none() && !json,
-            "--world profiles the parallel program; it has no per-step stream (--record/--serve) and writes no baseline (--json)"
+            recorder_sink.is_none() && serve_addr.is_none(),
+            "--world profiles the parallel program; it has no per-step stream (--record/--serve)"
         );
     }
 
@@ -362,44 +338,18 @@ fn main() {
             want_timeline,
             want_critical_path,
             &mut timelines,
-            || match (world, recorder_sink.as_mut(), bus.as_ref()) {
-                (Some(config), _, _) => profile_world(c, steps, config),
-                (None, Some(sink), bus) => {
-                    profile_size_streamed(c, steps, sink, bus).expect("write flight recording")
+            || match world {
+                Some(config) => profile_world(c, steps, config),
+                None => {
+                    let sink: Box<dyn Write> = match recorder_sink.as_mut() {
+                        Some(file) => Box::new(file),
+                        None => Box::new(std::io::sink()),
+                    };
+                    profile_size(c, steps, n3l, &longrange, sink, bus.as_ref())
+                        .expect("write flight recording")
                 }
-                (None, None, Some(bus)) => {
-                    profile_size_streamed(c, steps, std::io::sink(), Some(bus))
-                        .expect("infallible sink")
-                }
-                (None, None, None) => profile_size_repeat_lr(c, steps, repeat, n3l, &longrange),
             },
         ));
-    }
-
-    // Baseline shootout rows: at the default backend, `--json` also
-    // measures the software backends at the sizes the acceptance
-    // criteria pin (informational for bench_compare — extra rows never
-    // gate, but once in the baseline they are re-measured and diffed).
-    if json && longrange == "wine2" {
-        let shootout: &[(usize, &[&str])] =
-            &[(8, &["ewald", "pme", "pswf"]), (16, &["ewald", "pswf"])];
-        for &(c, backends) in shootout {
-            if !cells.contains(&c) {
-                continue;
-            }
-            for backend in backends {
-                eprintln!(
-                    "shootout row: {} particles, longrange={backend}...",
-                    8 * c * c * c
-                );
-                results.push(with_timeline(
-                    want_timeline,
-                    want_critical_path,
-                    &mut timelines,
-                    || profile_size_repeat_lr(c, steps, repeat, n3l, backend),
-                ));
-            }
-        }
     }
 
     if let Some(bus) = &bus {
@@ -435,23 +385,11 @@ fn main() {
             }
             println!();
         }
-        append_to_ledger_annotated(
+        append_to_ledger(
             "profile_step",
             report,
             analysis.as_ref().and_then(|a| a.bottleneck.as_deref()),
             bus_dropped,
         );
-    }
-
-    if json {
-        let file = BenchFile {
-            command: "cargo run --release -p mdm-bench --bin profile_step -- --json"
-                .to_string(),
-            version: 1,
-            reports: results.into_iter().map(|(report, _)| report).collect(),
-        };
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_step.json");
-        std::fs::write(path, file.to_json_string()).expect("write BENCH_step.json");
-        println!("wrote {path}");
     }
 }

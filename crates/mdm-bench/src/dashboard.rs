@@ -1,12 +1,11 @@
 //! The cross-run regression dashboard behind the `mdm_report` binary.
 //!
 //! Input: the run ledger (`results/ledger.jsonl`, one [`RunRecord`] per
-//! bench/instrumented invocation — see [`mdm_profile::ledger`]) plus
-//! the committed `BENCH_step.json` baseline. Output: a rendered
-//! dashboard (markdown or HTML) with one trend row per `tool:label`
-//! group, the latest utilization gauges, and the accuracy trajectory —
-//! and a machine verdict: did the *latest* run of any group regress
-//! beyond tolerance against its own trailing history?
+//! bench/instrumented invocation — see [`mdm_profile::ledger`]).
+//! Output: a rendered dashboard (markdown or HTML) with one trend row
+//! per `tool:label` group, the latest utilization gauges, and the
+//! accuracy trajectory — and a machine verdict: did the *latest* run of
+//! any group regress beyond tolerance against its own trailing history?
 //!
 //! The regression rule is deliberately simple and robust to the noise
 //! of shared CI machines: within each group the latest
@@ -17,7 +16,6 @@
 //! not brick the gate).
 
 use mdm_profile::ledger::RunRecord;
-use mdm_profile::report::BenchFile;
 use std::collections::BTreeMap;
 
 /// Prior runs a group needs before its latest run can be judged.
@@ -52,7 +50,7 @@ pub struct GroupSummary {
     pub regressed: bool,
 }
 
-/// The assembled dashboard: group trends plus baseline context.
+/// The assembled dashboard: one trend summary per group.
 #[derive(Clone, Debug)]
 pub struct Dashboard {
     /// One summary per `tool:label` group, in key order.
@@ -63,9 +61,6 @@ pub struct Dashboard {
     pub skipped: usize,
     /// Tolerance the verdicts were judged at.
     pub tolerance: f64,
-    /// `BENCH_step.json` baseline rows (`label`, seconds/step), when
-    /// the file was available.
-    pub bench: Vec<(String, f64)>,
 }
 
 /// Group ledger rows by `"{tool}:{label}"`, preserving append order
@@ -99,14 +94,8 @@ fn median(xs: &[f64]) -> Option<f64> {
 
 impl Dashboard {
     /// Assemble the dashboard from parsed ledger rows (`skipped` from
-    /// the tolerant reader) and the optional bench baseline.
-    pub fn build(
-        records: &[RunRecord],
-        skipped: usize,
-        bench: Option<&BenchFile>,
-        tolerance: f64,
-        window: usize,
-    ) -> Self {
+    /// the tolerant reader).
+    pub fn build(records: &[RunRecord], skipped: usize, tolerance: f64, window: usize) -> Self {
         let window = window.max(1);
         let groups = group_rows(records)
             .into_iter()
@@ -135,20 +124,11 @@ impl Dashboard {
                 }
             })
             .collect();
-        let bench = bench
-            .map(|file| {
-                file.reports
-                    .iter()
-                    .map(|r| (r.label.clone(), r.total_seconds))
-                    .collect()
-            })
-            .unwrap_or_default();
         Dashboard {
             groups,
             total_rows: records.len(),
             skipped,
             tolerance,
-            bench,
         }
     }
 
@@ -254,15 +234,6 @@ impl Dashboard {
                     g.latest.worst_force_error.map(sci).unwrap_or_default(),
                     short_sha(&g.latest.git_sha)
                 ));
-            }
-            out.push('\n');
-        }
-
-        if !self.bench.is_empty() {
-            out.push_str("## Committed baseline (BENCH_step.json)\n\n");
-            out.push_str("| label | seconds/step |\n|---|---|\n");
-            for (label, seconds) in &self.bench {
-                out.push_str(&format!("| {} | {} |\n", label, sci(*seconds)));
             }
             out.push('\n');
         }
@@ -405,7 +376,7 @@ mod tests {
     fn synthetic_2x_regression_is_detected() {
         let mut rows = history(&[0.10, 0.11, 0.09, 0.10]);
         rows.push(row("profile_step", "nacl-4096", 0.20));
-        let dash = Dashboard::build(&rows, 0, None, DEFAULT_TOLERANCE, DEFAULT_WINDOW);
+        let dash = Dashboard::build(&rows, 0, DEFAULT_TOLERANCE, DEFAULT_WINDOW);
         assert!(dash.has_regressions());
         let g = &dash.regressions()[0];
         assert_eq!(g.key, "profile_step:nacl-4096");
@@ -417,7 +388,7 @@ mod tests {
     #[test]
     fn noise_within_tolerance_stays_silent() {
         let rows = history(&[0.10, 0.11, 0.09, 0.10, 0.12]);
-        let dash = Dashboard::build(&rows, 0, None, DEFAULT_TOLERANCE, DEFAULT_WINDOW);
+        let dash = Dashboard::build(&rows, 0, DEFAULT_TOLERANCE, DEFAULT_WINDOW);
         assert!(!dash.has_regressions());
         let g = &dash.groups[0];
         assert!(g.ratio.is_some(), "judged, just not regressed");
@@ -432,7 +403,7 @@ mod tests {
         // One prior run < MIN_HISTORY: a slow second run is not a
         // verdict, however large the jump.
         let rows = history(&[0.10, 10.0]);
-        let dash = Dashboard::build(&rows, 0, None, DEFAULT_TOLERANCE, DEFAULT_WINDOW);
+        let dash = Dashboard::build(&rows, 0, DEFAULT_TOLERANCE, DEFAULT_WINDOW);
         assert!(!dash.has_regressions());
         assert_eq!(dash.groups[0].median_prior, None);
         assert!(dash.to_markdown().contains("(no history)"));
@@ -442,13 +413,13 @@ mod tests {
     fn groups_split_on_tool_and_label() {
         let rows = vec![
             row("profile_step", "nacl-512", 0.07),
-            row("bench_compare", "nacl-512", 0.07),
+            row("accuracy_report", "nacl-512", 0.07),
             row("profile_step", "nacl-4096", 0.9),
         ];
         let groups = group_rows(&rows);
         assert_eq!(groups.len(), 3);
         assert!(groups.contains_key("profile_step:nacl-512"));
-        assert!(groups.contains_key("bench_compare:nacl-512"));
+        assert!(groups.contains_key("accuracy_report:nacl-512"));
     }
 
     #[test]
@@ -467,7 +438,7 @@ mod tests {
         speeds.extend([0.1; 10]);
         let mut rows = history(&speeds);
         rows.push(row("profile_step", "nacl-4096", 0.12));
-        let dash = Dashboard::build(&rows, 0, None, DEFAULT_TOLERANCE, 5);
+        let dash = Dashboard::build(&rows, 0, DEFAULT_TOLERANCE, 5);
         assert!(!dash.has_regressions());
         assert!((dash.groups[0].median_prior.unwrap() - 0.1).abs() < 1e-12);
     }
@@ -478,24 +449,19 @@ mod tests {
         let last = rows.last_mut().unwrap();
         last.bus_dropped_events = 7;
         last.critical_path = Some("rank1/real".into());
-        let dash = Dashboard::build(&rows, 0, None, DEFAULT_TOLERANCE, DEFAULT_WINDOW);
+        let dash = Dashboard::build(&rows, 0, DEFAULT_TOLERANCE, DEFAULT_WINDOW);
         let md = dash.to_markdown();
         assert!(md.contains("| drops | critical path |"));
         assert!(md.contains("| 7 | rank1/real |"));
         // A row without telemetry shows the defaults, not blanks.
-        let plain = Dashboard::build(&history(&[0.1, 0.1]), 0, None, 0.5, DEFAULT_WINDOW);
+        let plain = Dashboard::build(&history(&[0.1, 0.1]), 0, 0.5, DEFAULT_WINDOW);
         assert!(plain.to_markdown().contains("| 0 | - |"));
     }
 
     #[test]
-    fn markdown_renders_utilization_and_baseline() {
-        let bench = BenchFile {
-            command: "profile_step --json".into(),
-            version: 1,
-            reports: vec![],
-        };
+    fn markdown_renders_utilization_and_skipped_count() {
         let rows = history(&[0.1, 0.1, 0.1]);
-        let dash = Dashboard::build(&rows, 1, Some(&bench), 0.5, DEFAULT_WINDOW);
+        let dash = Dashboard::build(&rows, 1, 0.5, DEFAULT_WINDOW);
         let md = dash.to_markdown();
         assert!(md.contains("## Utilization"));
         assert!(md.contains("mdg.occupancy"));
@@ -508,7 +474,7 @@ mod tests {
         let mut rows = history(&[0.1, 0.1, 0.1, 0.1]);
         rows[0].label = "a<b&c".into();
         rows[0].tool = "profile_step".into();
-        let dash = Dashboard::build(&rows, 0, None, 0.5, DEFAULT_WINDOW);
+        let dash = Dashboard::build(&rows, 0, 0.5, DEFAULT_WINDOW);
         let html = dash.to_html();
         assert!(html.starts_with("<!DOCTYPE html>"));
         assert!(html.contains("<table>"));

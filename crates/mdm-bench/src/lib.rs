@@ -12,10 +12,9 @@
 //! | `figure2` | Figure 2 — temperature vs time for a ladder of N, with the 1/√N fluctuation law |
 //! | `figure3` | Figures 1/3–11 — the machine block-diagram hierarchy |
 //! | `ablation` | §6.1's upgrade list quantified factor by factor |
-//! | `profile_step` | Table 4's `t_step = max(t_wine, t_mdg) + t_comm + t_host` measured live on the emulator vs modeled from cycle counters; `--json` writes the `BENCH_step.json` baseline |
+//! | `profile_step` | Table 4's `t_step = max(t_wine, t_mdg) + t_comm + t_host` measured live on the emulator vs modeled from cycle counters — the explainer beside the repo benchmark (`benchmark/`), which is the baseline and the gate |
 //! | `accuracy_report` | §5 accuracy/speed sweep per long-range backend |
-//! | `bench_compare` | re-measures the `BENCH_step.json` labels and gates on slowdown |
-//! | `mdm_report` | cross-run regression dashboard: trends, utilization, and accuracy from `results/ledger.jsonl` + the committed baseline (exits non-zero on regression) |
+//! | `mdm_report` | cross-run regression dashboard: trends, utilization, and accuracy from `results/ledger.jsonl` (exits non-zero on regression) |
 //! | `mdm_top` | live terminal viewer for a `profile_step --serve` telemetry stream (step rate, device occupancy, worst probed force error, watchdog status); `--once` prints a single snapshot for scripts/CI |
 //!
 //! plus Criterion microbenchmarks (`cargo bench`) for the kernel-level

@@ -1,6 +1,6 @@
 //! Shared machinery for the step-profiling binaries (`profile_step`,
-//! `bench_compare`): building the emulated-MDM simulation at a given
-//! size and turning profiled steps into a [`StepReport`].
+//! `accuracy_report`): building the emulated-MDM simulation at a given
+//! size and turning instrumented steps into a [`StepReport`].
 
 use mdm_core::ewald::EwaldParams;
 use mdm_core::integrate::Simulation;
@@ -57,23 +57,15 @@ pub fn cells_for_particles(n: u64) -> Option<usize> {
 
 /// Build the warm emulated-MDM simulation profiled by [`profile_size`]:
 /// `cells` rocksalt cells per side at the paper's density, molten-salt
-/// velocities, balanced α, energy passes pushed out of the window.
-pub fn build_sim(cells: usize) -> Simulation<MdmForceField> {
-    build_sim_mode(cells, false)
-}
-
-/// [`build_sim`] with the real-space mode chosen: `n3l = true` turns on
-/// the Newton's-third-law software fast path (each block pair evaluated
-/// once, action and reaction both applied), `false` keeps the
-/// hardware-faithful no-N3L streaming pattern.
-pub fn build_sim_mode(cells: usize, n3l: bool) -> Simulation<MdmForceField> {
-    build_sim_lr(cells, n3l, "wine2")
-}
-
-/// [`build_sim_mode`] with the wavenumber backend chosen by name —
-/// `"wine2"` (the emulated board, the default everywhere), `"ewald"`,
-/// `"pme"`, `"pswf"`, … (see [`mdm_host::driver::LONGRANGE_BACKENDS`]).
-pub fn build_sim_lr(cells: usize, n3l: bool, longrange: &str) -> Simulation<MdmForceField> {
+/// velocities, energy passes pushed out of the window.
+///
+/// `n3l = true` turns on the Newton's-third-law software fast path
+/// (each block pair evaluated once, action and reaction both applied),
+/// `false` keeps the hardware-faithful no-N3L streaming pattern.
+/// `longrange` names the wavenumber backend — `"wine2"` (the emulated
+/// board, the default everywhere), `"ewald"`, `"pme"`, `"pswf"` (see
+/// [`mdm_host::driver::LONGRANGE_BACKENDS`]).
+pub fn build_sim(cells: usize, n3l: bool, longrange: &str) -> Simulation<MdmForceField> {
     let mut system = rocksalt_nacl_at_density(cells, PAPER_DENSITY);
     let n = system.len();
     let l = system.simbox().l();
@@ -105,14 +97,6 @@ pub fn build_sim_lr(cells: usize, n3l: bool, longrange: &str) -> Simulation<MdmF
     // Warmup: Simulation::new evaluates the initial forces (first-time
     // table uploads, the one potential pass) outside the timed window.
     Simulation::new(system, ff, 2.0)
-}
-
-/// The wavenumber backend a report label encodes: `nacl-4096` ran the
-/// default `wine2`, `nacl-4096-lr-pswf` ran `pswf`. The inverse of the
-/// labelling in [`profile_size_repeat_lr`], used by `bench_compare` to
-/// re-measure a baseline row with the backend that produced it.
-pub fn backend_of_label(label: &str) -> &str {
-    label.split("-lr-").nth(1).unwrap_or("wine2")
 }
 
 /// Stamp the modeled per-step hardware times (from the cycle counters
@@ -169,125 +153,40 @@ fn set_gflops(report: &mut StepReport) {
     }
 }
 
-/// Default repetition count for [`profile_size_repeat`] (what the
-/// `profile_step` / `bench_compare` `--repeat` flag defaults to).
-pub const DEFAULT_REPEAT: u64 = 3;
-
 /// Run `steps` profiled MD steps at `cells` rocksalt cells per side and
-/// assemble the measured-vs-modeled report. Single unwarmed repetition
-/// — kept for callers that want the raw measurement; baselines should
-/// use [`profile_size_repeat`], which is what made the PR 1 → PR 3
-/// numbers shift wholesale under background load.
-pub fn profile_size(cells: usize, steps: u64) -> StepReport {
-    let mut sim = build_sim(cells);
-    measure_best_of(&mut sim, steps, 1, false)
-}
-
-/// [`profile_size`] with a warmup step plus best-of-`repeat`
-/// repetitions: one untimed step absorbs first-touch effects (page
-/// faults, cache warmup, lazily built tables), then the fastest of
-/// `repeat` timed windows is reported. Minimum-of-K is the standard
-/// answer to scheduler noise — background load only ever *adds* time,
-/// so the minimum is the least-contaminated estimate and `bench_compare`
-/// diffs signal instead of machine load.
-pub fn profile_size_repeat(cells: usize, steps: u64, repeat: u64) -> StepReport {
-    profile_size_repeat_mode(cells, steps, repeat, false)
-}
-
-/// [`profile_size_repeat`] with the real-space mode chosen (see
-/// [`build_sim_mode`]); what `profile_step --n3l` runs.
-pub fn profile_size_repeat_mode(cells: usize, steps: u64, repeat: u64, n3l: bool) -> StepReport {
-    profile_size_repeat_lr(cells, steps, repeat, n3l, "wine2")
-}
-
-/// [`profile_size_repeat_mode`] with the wavenumber backend chosen by
-/// name; non-default backends get `-lr-{name}` appended to the report
-/// label so baseline rows stay distinguishable.
-pub fn profile_size_repeat_lr(
+/// assemble the measured-vs-modeled report (see [`build_sim`] for
+/// `n3l` and `longrange`; non-default backends get `-lr-{name}`
+/// appended to the label so ledger rows stay distinguishable).
+///
+/// There is one path, recorded or not: one untimed warm-up step absorbs
+/// first-touch effects (page faults, cache warmup, lazily built
+/// tables), then [`run_instrumented`] drives the window, streaming
+/// every step's phases, counters, observables and watchdog verdicts to
+/// `sink` as JSONL (pass [`io::sink`] when nothing is recorded) and
+/// building the report from the merged per-step profiles. The step
+/// time is the sum of the per-step walls, so recording overhead never
+/// counts against the machine.
+///
+/// With a live telemetry [`Bus`], the size's manifest is published
+/// first (so connected `mdm_top` viewers re-header when a ladder moves
+/// to the next size), then every step event goes to the recorder *and*
+/// the bus — what `profile_step --serve` runs.
+pub fn profile_size<W: Write>(
     cells: usize,
     steps: u64,
-    repeat: u64,
     n3l: bool,
     longrange: &str,
-) -> StepReport {
-    assert!(repeat >= 1, "need at least one repetition");
-    let mut sim = build_sim_lr(cells, n3l, longrange);
-    measure_best_of(&mut sim, steps, repeat, true)
-}
-
-fn measure_best_of(
-    sim: &mut Simulation<MdmForceField>,
-    steps: u64,
-    repeat: u64,
-    warmup: bool,
-) -> StepReport {
-    let n = sim.system().len();
-    if warmup {
-        sim.run(1);
-    }
-    let mut best: Option<(f64, mdm_profile::Profile)> = None;
-    for _ in 0..repeat {
-        mdm_profile::reset();
-        let t0 = Instant::now();
-        sim.run(steps as usize);
-        let total = t0.elapsed().as_secs_f64();
-        let profile = mdm_profile::take();
-        if best.as_ref().is_none_or(|(fastest, _)| total < *fastest) {
-            best = Some((total, profile));
-        }
-    }
-    let (total, profile) = best.expect("repeat >= 1");
-
-    let lr = sim.force_field().longrange().name();
-    let label = if lr == "wine2" {
-        format!("nacl-{n}")
-    } else {
-        format!("nacl-{n}-lr-{lr}")
-    };
-    let mut report = StepReport::from_profile(
-        label,
-        n as u64,
-        steps,
-        total,
-        &profile,
-        &[phase::REAL, phase::WAVE, phase::COMM, phase::HOST],
-    );
-    set_modeled(&mut report, sim);
-    set_gflops(&mut report);
-    report
-}
-
-/// [`profile_size`] with the flight recorder running: every step's
-/// phases, counters, observables, and watchdog verdicts stream to
-/// `sink` as JSONL while the aggregate report is assembled from the
-/// merged per-step profiles. One warmup step runs before the recording
-/// window; repetitions don't apply (the per-step stream *is* the
-/// output, so there is no "best" rep to pick).
-pub fn profile_size_recorded<W: Write>(
-    cells: usize,
-    steps: u64,
-    sink: W,
-) -> io::Result<StepReport> {
-    profile_size_streamed(cells, steps, sink, None)
-}
-
-/// [`profile_size_recorded`] with an optional live telemetry [`Bus`]:
-/// the size's manifest is published first (so connected `mdm_top`
-/// viewers re-header when a ladder moves to the next size), then every
-/// step event goes to the recorder *and* the bus — what
-/// `profile_step --serve` runs. The returned report also carries the
-/// run's final bus drop count via the `bus_dropped_events` counter the
-/// run loop stamps on each event.
-pub fn profile_size_streamed<W: Write>(
-    cells: usize,
-    steps: u64,
     sink: W,
     bus: Option<&Bus>,
 ) -> io::Result<StepReport> {
-    let mut sim = build_sim(cells);
+    let mut sim = build_sim(cells, n3l, longrange);
     sim.run(1);
     let n = sim.system().len();
-    let label = format!("nacl-{n}");
+    let label = if longrange == "wine2" {
+        format!("nacl-{n}")
+    } else {
+        format!("nacl-{n}-lr-{longrange}")
+    };
     let manifest = mdm_manifest(
         &label,
         "cargo run --release -p mdm-bench --bin profile_step -- --record",
@@ -303,7 +202,6 @@ pub fn profile_size_streamed<W: Write>(
     let mut dogs = PhysicsWatchdogs::nve(1e-2, 1e-6);
 
     mdm_profile::reset();
-    let t0 = Instant::now();
     let run = run_instrumented(
         &mut sim,
         steps as usize,
@@ -314,13 +212,12 @@ pub fn profile_size_streamed<W: Write>(
             ..Instruments::default()
         },
     )?;
-    let total = t0.elapsed().as_secs_f64();
 
     let mut report = StepReport::from_profile(
         label,
         n as u64,
         steps,
-        total,
+        run.wall_seconds,
         &run.profile,
         &[phase::REAL, phase::WAVE, phase::COMM, phase::HOST],
     );
@@ -426,18 +323,14 @@ pub fn ledger_row(tool: &str, report: &StepReport) -> RunRecord {
     record
 }
 
-/// Append `report`'s ledger row to [`default_ledger_path`]. An io
-/// failure is reported, not fatal — the measurement the caller just
-/// printed matters more than the bookkeeping.
-pub fn append_to_ledger(tool: &str, report: &StepReport) {
-    append_to_ledger_annotated(tool, report, None, 0);
-}
-
-/// [`append_to_ledger`] with the live-telemetry annotations stamped on
-/// the row: the critical-path bottleneck label (e.g. `rank1/real`) from
-/// a `--critical-path` analysis, and the run's bus drop count from a
-/// `--serve` stream. Both are trended by `mdm_report`.
-pub fn append_to_ledger_annotated(
+/// Append `report`'s ledger row to [`default_ledger_path`], stamped
+/// with the live-telemetry annotations `mdm_report` trends: the
+/// critical-path bottleneck label (e.g. `rank1/real`) from a
+/// `--critical-path` analysis, and the run's bus drop count from a
+/// `--serve` stream. An io failure is reported, not fatal — the
+/// measurement the caller just printed matters more than the
+/// bookkeeping.
+pub fn append_to_ledger(
     tool: &str,
     report: &StepReport,
     critical_path: Option<&str>,
@@ -470,6 +363,14 @@ pub fn modeled_step(report: &StepReport) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// The profile registry is process-global: tests that profile steps
+    /// hold this so their counters don't interleave.
+    fn registry() -> MutexGuard<'static, ()> {
+        static REGISTRY: Mutex<()> = Mutex::new(());
+        REGISTRY.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
 
     #[test]
     fn cells_round_trip_particle_counts() {
@@ -486,8 +387,9 @@ mod tests {
     fn recorded_profile_matches_plain_profile_shape() {
         // One small recorded step: the report has the Table 4 phases
         // and the JSONL stream parses back with matching N.
+        let _registry = registry();
         let mut jsonl = Vec::new();
-        let report = profile_size_recorded(3, 1, &mut jsonl).unwrap();
+        let report = profile_size(3, 1, false, "wine2", &mut jsonl, None).unwrap();
         assert_eq!(report.n_particles, 8 * 27);
         assert_eq!(report.phases.len(), 4);
         assert!(report.phases.iter().any(|p| p.name == "real"));
@@ -505,8 +407,49 @@ mod tests {
     }
 
     #[test]
+    fn recorded_and_unrecorded_profiles_share_one_path() {
+        let _registry = registry();
+        let plain = profile_size(3, 1, false, "wine2", io::sink(), None).unwrap();
+        let recorded = profile_size(3, 1, false, "wine2", Vec::new(), None).unwrap();
+        let names = |r: &StepReport| r.phases.iter().map(|p| p.name.clone()).collect::<Vec<_>>();
+        assert_eq!(names(&plain), names(&recorded));
+        // The emulators' own counts must agree exactly. (Wall-clock
+        // counters like `rayon_busy_ns` differ run to run, and the
+        // `longrange_*` ones are shared with the software force fields
+        // other tests of this binary run concurrently.)
+        let counts = |r: &StepReport| {
+            let mut counters = r.counters.clone();
+            counters.retain(|name, _| {
+                ["mdg_", "wine_", "jstore_"].iter().any(|p| name.starts_with(p))
+            });
+            counters
+        };
+        assert!(counts(&plain).contains_key("mdg_pair_ops"));
+        assert_eq!(counts(&plain), counts(&recorded));
+        assert_eq!(plain.n_particles, recorded.n_particles);
+    }
+
+    #[test]
+    fn recorded_run_honours_the_longrange_backend() {
+        let _registry = registry();
+        let steps = 2;
+        let mut jsonl = Vec::new();
+        let report = profile_size(3, steps, false, "pswf", &mut jsonl, None).unwrap();
+        assert_eq!(report.label, "nacl-216-lr-pswf");
+
+        let text = String::from_utf8(jsonl).unwrap();
+        let (manifest, events) = mdm_profile::events::parse_jsonl(&text).unwrap();
+        assert_eq!(manifest.label, "nacl-216-lr-pswf");
+        assert_eq!(events.len() as u64, steps);
+        for event in &events {
+            assert_eq!(event.counters.get("wine_dft_ops").copied().unwrap_or(0), 0);
+        }
+    }
+
+    #[test]
     fn ledger_row_reduces_a_report() {
-        let report = profile_size(3, 1);
+        let _registry = registry();
+        let report = profile_size(3, 1, false, "wine2", io::sink(), None).unwrap();
         let row = ledger_row("profile_step", &report);
         assert_eq!(row.tool, "profile_step");
         assert_eq!(row.label, report.label);

@@ -1,16 +1,9 @@
-//! Trajectory output and restart checkpoints — the "file I/O" the host
-//! computer performs each step (§3.1).
-//!
-//! * [`write_xyz_frame`] — the ubiquitous XYZ trajectory format, one
-//!   appended frame per call (readable by VMD/OVITO/ASE);
-//! * [`Checkpoint`] — a plain-text restart file with full `f64`
-//!   precision (hex float encoding), so a restarted run is
-//!   bit-identical to an uninterrupted one.
+//! Trajectory output — the "file I/O" the host computer performs each
+//! step (§3.1): [`write_xyz_frame`] appends one frame in the ubiquitous
+//! XYZ format (readable by VMD/OVITO/ASE). Restart checkpoints live in
+//! [`crate::checkpoint`].
 
-use crate::boxsim::SimBox;
-use crate::system::{Species, System};
-use crate::vec3::Vec3;
-use std::fmt::Write as _;
+use crate::system::System;
 
 /// Append one XYZ frame for the current configuration.
 pub fn write_xyz_frame<W: std::io::Write>(
@@ -29,190 +22,10 @@ pub fn write_xyz_frame<W: std::io::Write>(
     Ok(())
 }
 
-/// Errors from checkpoint parsing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CheckpointError(String);
-
-impl std::fmt::Display for CheckpointError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "checkpoint parse error: {}", self.0)
-    }
-}
-
-impl std::error::Error for CheckpointError {}
-
-/// A restart checkpoint: full simulation state with exact `f64`
-/// round-tripping.
-pub struct Checkpoint;
-
-impl Checkpoint {
-    /// Serialise a system (box, species, positions, velocities) to the
-    /// checkpoint text format. Floats are hex-encoded (`f64::to_bits`)
-    /// so the restore is bit-exact.
-    pub fn save(system: &System) -> String {
-        let mut s = String::new();
-        let _ = writeln!(s, "mdm-checkpoint v1");
-        let _ = writeln!(s, "box {}", hexf(system.simbox().l()));
-        let _ = writeln!(s, "species {}", system.species().len());
-        for sp in system.species() {
-            let _ = writeln!(s, "  {} {} {}", sp.name, hexf(sp.mass), hexf(sp.charge));
-        }
-        let _ = writeln!(s, "particles {}", system.len());
-        for i in 0..system.len() {
-            let r = system.positions()[i];
-            let v = system.velocities()[i];
-            let _ = writeln!(
-                s,
-                "  {} {} {} {} {} {} {}",
-                system.types()[i],
-                hexf(r.x),
-                hexf(r.y),
-                hexf(r.z),
-                hexf(v.x),
-                hexf(v.y),
-                hexf(v.z)
-            );
-        }
-        s
-    }
-
-    /// Restore a system from checkpoint text.
-    pub fn load(text: &str) -> Result<System, CheckpointError> {
-        let mut lines = text.lines();
-        let header = lines.next().ok_or_else(|| err("empty file"))?;
-        if header.trim() != "mdm-checkpoint v1" {
-            return Err(err("bad header"));
-        }
-        let l = parse_tagged_f64(lines.next(), "box")?;
-        let n_species = parse_tagged_usize(lines.next(), "species")?;
-        let mut species = Vec::with_capacity(n_species);
-        for _ in 0..n_species {
-            let line = lines.next().ok_or_else(|| err("truncated species"))?;
-            let mut parts = line.split_whitespace();
-            let name = parts.next().ok_or_else(|| err("species name"))?.to_owned();
-            let mass = unhexf(parts.next().ok_or_else(|| err("species mass"))?)?;
-            let charge = unhexf(parts.next().ok_or_else(|| err("species charge"))?)?;
-            species.push(Species { name, mass, charge });
-        }
-        let n = parse_tagged_usize(lines.next(), "particles")?;
-        let mut system = System::new(SimBox::cubic(l), species);
-        let mut velocities = Vec::with_capacity(n);
-        for _ in 0..n {
-            let line = lines.next().ok_or_else(|| err("truncated particles"))?;
-            let mut parts = line.split_whitespace();
-            let ty: usize = parts
-                .next()
-                .ok_or_else(|| err("type"))?
-                .parse()
-                .map_err(|_| err("type parse"))?;
-            let mut f = || -> Result<f64, CheckpointError> {
-                unhexf(parts.next().ok_or_else(|| err("field"))?)
-            };
-            let r = Vec3::new(f()?, f()?, f()?);
-            let v = Vec3::new(f()?, f()?, f()?);
-            system.push_particle(ty, r);
-            velocities.push(v);
-        }
-        for (dst, src) in system.velocities_mut().iter_mut().zip(velocities) {
-            *dst = src;
-        }
-        Ok(system)
-    }
-}
-
-fn err(m: &str) -> CheckpointError {
-    CheckpointError(m.to_owned())
-}
-
-fn hexf(x: f64) -> String {
-    format!("{:016x}", x.to_bits())
-}
-
-fn unhexf(s: &str) -> Result<f64, CheckpointError> {
-    u64::from_str_radix(s, 16)
-        .map(f64::from_bits)
-        .map_err(|_| err("bad hex float"))
-}
-
-fn parse_tagged_f64(line: Option<&str>, tag: &str) -> Result<f64, CheckpointError> {
-    let line = line.ok_or_else(|| err("missing line"))?;
-    let rest = line
-        .trim()
-        .strip_prefix(tag)
-        .ok_or_else(|| err("bad tag"))?;
-    unhexf(rest.trim())
-}
-
-fn parse_tagged_usize(line: Option<&str>, tag: &str) -> Result<usize, CheckpointError> {
-    let line = line.ok_or_else(|| err("missing line"))?;
-    line.trim()
-        .strip_prefix(tag)
-        .ok_or_else(|| err("bad tag"))?
-        .trim()
-        .parse()
-        .map_err(|_| err("bad count"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lattice::{rocksalt_nacl, NACL_LATTICE_A};
-    use crate::velocities::maxwell_boltzmann;
-
-    #[test]
-    fn checkpoint_round_trip_is_bit_exact() {
-        let mut s = rocksalt_nacl(2, NACL_LATTICE_A);
-        maxwell_boltzmann(&mut s, 1200.0, 17);
-        let text = Checkpoint::save(&s);
-        let restored = Checkpoint::load(&text).unwrap();
-        assert_eq!(restored.len(), s.len());
-        assert_eq!(restored.simbox().l().to_bits(), s.simbox().l().to_bits());
-        for i in 0..s.len() {
-            assert_eq!(
-                restored.positions()[i].x.to_bits(),
-                s.positions()[i].x.to_bits()
-            );
-            assert_eq!(
-                restored.velocities()[i].z.to_bits(),
-                s.velocities()[i].z.to_bits()
-            );
-            assert_eq!(restored.types()[i], s.types()[i]);
-        }
-    }
-
-    #[test]
-    fn restart_continues_bitwise_identically() {
-        use crate::forcefield::EwaldTosiFumi;
-        use crate::integrate::Simulation;
-        let mut s = rocksalt_nacl(2, NACL_LATTICE_A);
-        maxwell_boltzmann(&mut s, 600.0, 4);
-        let mut ff = EwaldTosiFumi::nacl_default(s.simbox().l());
-        ff.set_parallel(false);
-        let mut sim = Simulation::new(s, ff, 1.0);
-        sim.run(5);
-        let checkpoint = Checkpoint::save(sim.system());
-        // Continue the original...
-        sim.run(5);
-        // ...and the restarted copy.
-        let restored = Checkpoint::load(&checkpoint).unwrap();
-        let mut ff2 = EwaldTosiFumi::nacl_default(restored.simbox().l());
-        ff2.set_parallel(false);
-        let mut sim2 = Simulation::new(restored, ff2, 1.0);
-        sim2.run(5);
-        for (a, b) in sim.system().positions().iter().zip(sim2.system().positions()) {
-            assert_eq!(a.x.to_bits(), b.x.to_bits(), "restart diverged");
-        }
-    }
-
-    #[test]
-    fn corrupted_checkpoints_are_rejected() {
-        assert!(Checkpoint::load("").is_err());
-        assert!(Checkpoint::load("wrong header\n").is_err());
-        let s = rocksalt_nacl(1, NACL_LATTICE_A);
-        let good = Checkpoint::save(&s);
-        let truncated: String = good.lines().take(5).collect::<Vec<_>>().join("\n");
-        assert!(Checkpoint::load(&truncated).is_err());
-    }
 
     #[test]
     fn xyz_frame_format() {

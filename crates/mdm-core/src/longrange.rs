@@ -10,7 +10,6 @@
 //! | name      | engine                               | scaling      |
 //! |-----------|--------------------------------------|--------------|
 //! | `ewald`   | exact DFT/IDFT ([`crate::ewald::recip`]), Rayon-parallel | O(N·N_wave) |
-//! | `ewald-serial` | same, forced serial             | O(N·N_wave)  |
 //! | `pme`     | smooth particle-mesh Ewald ([`crate::pme`]) | O(N log N) |
 //! | `pswf`    | PSWF fast Ewald ([`crate::pswf`])    | O(N log N)   |
 //! | `wine2`   | WINE-2 board emulator (adapter in `mdm-host`) | O(N·N_wave) |
@@ -324,18 +323,13 @@ impl LongRangeBackend for PswfRecip {
 
 /// The software backends this crate can build by name (the `wine2`
 /// adapter lives in `mdm-host`, which layers its own factory on top).
-pub const SOFTWARE_BACKENDS: &[&str] = &["ewald", "ewald-serial", "pme", "pswf"];
+pub const SOFTWARE_BACKENDS: &[&str] = &["ewald", "pme", "pswf"];
 
 /// Build a software backend by name for the given accuracy
 /// parameterisation; `None` for an unknown name.
 pub fn by_name(name: &str, params: &EwaldParams, l: f64) -> Option<Box<dyn LongRangeBackend>> {
     match name {
         "ewald" => Some(Box::new(ExactEwald::new(params.alpha, params.n_max))),
-        "ewald-serial" => {
-            let mut backend = ExactEwald::new(params.alpha, params.n_max);
-            backend.set_parallel(false);
-            Some(Box::new(backend))
-        }
         "pme" => Some(Box::new(PmeBackend::for_params(params, l))),
         "pswf" => Some(Box::new(PswfRecip::for_params(params, l))),
         _ => None,

@@ -165,7 +165,7 @@ impl LongRangeBackend for Wine2Backend {
 
 /// Every backend the MDM driver can select by name: the emulated board
 /// plus all of [`mdm_core::longrange::SOFTWARE_BACKENDS`].
-pub const LONGRANGE_BACKENDS: &[&str] = &["wine2", "ewald", "ewald-serial", "pme", "pswf"];
+pub const LONGRANGE_BACKENDS: &[&str] = &["wine2", "ewald", "pme", "pswf"];
 
 /// Build a long-range backend by name — `"wine2"` for the emulated
 /// board (sized to `wine_clusters`), else whatever the software

@@ -10,8 +10,7 @@
 //! [`FlightRecorder`] JSONL stream. The per-step profiles are merged
 //! and returned so a caller that also wants an aggregate
 //! [`mdm_profile::report::StepReport`] (e.g. `profile_step`) does not
-//! lose anything by recording. [`run_recorded`] is the watchdogs-only
-//! convenience wrapper.
+//! lose anything by recording.
 //!
 //! On top of the flight recorder, [`Instruments`] carries the two
 //! accuracy-telemetry probes of the paper's §5 evaluation:
@@ -88,7 +87,7 @@ pub fn mdm_manifest(
         command: command.to_string(),
         n_particles: sim.system().len() as u64,
         dt_fs: sim.dt(),
-        forcefield: "MDM emulated Ewald (MDGRAPE-2 real + WINE-2 wave + host)".to_string(),
+        forcefield: sim.force_field().describe(),
         seed,
         git_sha: env.git_sha,
         hostname: env.hostname,
@@ -257,8 +256,7 @@ pub struct LedgerSink<'a> {
 
 /// The optional probes threaded through [`run_instrumented`].
 ///
-/// Everything defaults to off; [`run_recorded`] is the
-/// watchdogs-only shorthand.
+/// Everything defaults to off.
 #[derive(Default)]
 pub struct Instruments<'a> {
     /// Physics watchdogs checked every step (violations land on the
@@ -316,36 +314,15 @@ pub struct RecordedRun {
     pub bus_dropped_events: u64,
 }
 
-/// Advance `steps` steps, writing one flight-recorder line per step.
+/// Advance `steps` steps, writing one flight-recorder line per step,
+/// with the instrument rack of [`Instruments`] (watchdogs, force-error
+/// probe, live speed meter, ledger row, bus — each optional).
 ///
 /// Per step this drains the global profiling registry (`take`), so the
 /// phase durations and counters on each event belong to that step
 /// alone. Any profile accumulated *before* the call is folded into the
 /// first step's event; callers that care should `mdm_profile::reset()`
 /// first.
-///
-/// `watchdogs` is optional; when present, each step's violations are
-/// attached to its event (and counted in the returned
-/// [`RecordedRun::violations`]).
-pub fn run_recorded<F: ForceField, W: Write>(
-    sim: &mut Simulation<F>,
-    steps: usize,
-    recorder: &mut FlightRecorder<W>,
-    watchdogs: Option<&mut PhysicsWatchdogs>,
-) -> io::Result<RecordedRun> {
-    run_instrumented(
-        sim,
-        steps,
-        recorder,
-        Instruments {
-            watchdogs,
-            ..Instruments::default()
-        },
-    )
-}
-
-/// [`run_recorded`] with the full instrument rack: watchdogs, the
-/// force-error probe, and the live speed meter (each optional).
 ///
 /// Per-step ordering, which matters for attribution:
 ///
@@ -779,7 +756,7 @@ mod tests {
         let manifest = software_manifest(&sim);
         let mut recorder = FlightRecorder::new(Vec::new(), &manifest).unwrap();
         mdm_profile::reset();
-        let run = run_recorded(&mut sim, 4, &mut recorder, None).unwrap();
+        let run = run_instrumented(&mut sim, 4, &mut recorder, Instruments::default()).unwrap();
         assert_eq!(run.records.len(), 4);
         assert_eq!(run.violations, 0);
         // The merged profile saw the integrator spans of every step.
@@ -812,7 +789,16 @@ mod tests {
         let mut recorder = FlightRecorder::new(Vec::new(), &manifest).unwrap();
         let mut dogs = PhysicsWatchdogs::nve(1e-3, 1e9);
         mdm_profile::reset();
-        let run = run_recorded(&mut sim, 10, &mut recorder, Some(&mut dogs)).unwrap();
+        let run = run_instrumented(
+            &mut sim,
+            10,
+            &mut recorder,
+            Instruments {
+                watchdogs: Some(&mut dogs),
+                ..Default::default()
+            },
+        )
+        .unwrap();
         assert!(run.violations > 0, "unstable run must trip the watchdog");
 
         let text = String::from_utf8(recorder.into_inner()).unwrap();
@@ -993,6 +979,24 @@ mod tests {
     }
 
     #[test]
+    fn mdm_manifest_names_the_wavenumber_backend_that_ran() {
+        let _registry = crate::test_registry::recording();
+        let s = rocksalt_nacl(2, NACL_LATTICE_A);
+        let l = s.simbox().l();
+        let sim = Simulation::new(s.clone(), MdmForceField::nacl_default(l).unwrap(), 2.0);
+        let manifest = mdm_manifest("nacl-64", "test", &sim, 7);
+        assert!(manifest.forcefield.contains("WINE-2 emulator"), "{}", manifest.forcefield);
+
+        let mut ff = MdmForceField::nacl_default(l).unwrap();
+        let params = *ff.params();
+        ff.set_longrange(crate::driver::longrange_by_name("pswf", &params, l, 2).unwrap());
+        let sim = Simulation::new(s, ff, 2.0);
+        let manifest = mdm_manifest("nacl-64-lr-pswf", "test", &sim, 7);
+        assert!(manifest.forcefield.to_lowercase().contains("pswf"), "{}", manifest.forcefield);
+        assert!(!manifest.forcefield.contains("WINE-2"), "{}", manifest.forcefield);
+    }
+
+    #[test]
     fn mdm_manifest_is_environment_stamped() {
         let _registry = crate::test_registry::recording();
         let s = rocksalt_nacl(2, NACL_LATTICE_A);
@@ -1023,7 +1027,7 @@ mod tests {
         let manifest = software_manifest(&sim);
         let mut recorder = FlightRecorder::new(Vec::new(), &manifest).unwrap();
         mdm_profile::reset();
-        run_recorded(&mut sim, 2, &mut recorder, None).unwrap();
+        run_instrumented(&mut sim, 2, &mut recorder, Instruments::default()).unwrap();
         let text = String::from_utf8(recorder.into_inner()).unwrap();
         let (_, steps) = parse_jsonl(&text).unwrap();
         for event in &steps {
@@ -1038,7 +1042,7 @@ mod tests {
         let manifest = mdm_manifest("with-pressure", "cargo test", &sim, 11);
         let mut recorder = FlightRecorder::new(Vec::new(), &manifest).unwrap();
         mdm_profile::reset();
-        run_recorded(&mut sim, 1, &mut recorder, None).unwrap();
+        run_instrumented(&mut sim, 1, &mut recorder, Instruments::default()).unwrap();
         let text = String::from_utf8(recorder.into_inner()).unwrap();
         let (back, steps) = parse_jsonl(&text).unwrap();
         assert!(back.pressure_supported);
@@ -1055,7 +1059,7 @@ mod tests {
         let manifest = mdm_manifest("ts-test", "cargo test", &sim, 11);
         let mut recorder = FlightRecorder::new(Vec::new(), &manifest).unwrap();
         mdm_profile::reset();
-        let run = run_recorded(&mut sim, 3, &mut recorder, None).unwrap();
+        let run = run_instrumented(&mut sim, 3, &mut recorder, Instruments::default()).unwrap();
         assert!(run.wall_seconds > 0.0);
         // The driver's device gauges and the derived wall fractions
         // both land in the series, one sample per step.

@@ -1,8 +1,8 @@
 //! A minimal JSON value, writer, and parser.
 //!
 //! The build environment has no network access, so `serde`/`serde_json`
-//! are unavailable; `BENCH_step.json` round-trips through this module
-//! instead. It supports exactly the JSON this repo emits: objects,
+//! are unavailable; the flight recorder, the ledger and the serve
+//! protocol round-trip through this module instead. It supports exactly the JSON this repo emits: objects,
 //! arrays, finite numbers, strings (with `\uXXXX` escapes), booleans
 //! and null. Numbers are carried as `f64`; values JSON cannot express
 //! exactly get string spellings via the checked constructors

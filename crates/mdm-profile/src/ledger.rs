@@ -104,7 +104,7 @@ pub struct RunRecord {
     /// Seconds since the Unix epoch when the record was written.
     pub timestamp_s: u64,
     /// Which entry point produced the row (`profile_step`,
-    /// `bench_compare`, `accuracy_report`, `run_instrumented`).
+    /// `accuracy_report`, `run_instrumented`).
     pub tool: String,
     /// Run label (`nacl-4096`, `nacl-512-lr-pswf`, …). Trend grouping
     /// key together with `tool`.

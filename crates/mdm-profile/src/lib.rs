@@ -6,7 +6,7 @@
 //! (`mdm-host::perfmodel`) and in cycle counters (`wine2::timing`,
 //! `mdgrape2::timing`); this crate adds the third leg: **measured
 //! wall-clock**, so modeled and measured decompositions can be printed
-//! side by side (`mdm-bench`'s `profile_step` binary, `BENCH_step.json`).
+//! side by side (`mdm-bench`'s `profile_step` binary).
 //!
 //! Design:
 //!
@@ -22,15 +22,15 @@
 //!   high-water marks survive [`Profile::merge`]).
 //! * [`take`] drains the registry into a [`Profile`] snapshot;
 //!   [`report::StepReport`] turns a profile plus modeled seconds into
-//!   the serializable per-step record.
+//!   the in-memory measured-vs-modeled table `profile_step` prints.
 //! * An optional **timeline** ([`timeline_start`]/[`timeline_stop`])
 //!   additionally records every span occurrence with its wall-clock
 //!   placement, feeding the Chrome-trace exporter in [`trace`].
 //!
 //! The run-telemetry layer builds on these primitives: [`events`] is
 //! the per-step JSONL flight recorder, [`watchdog`] holds the generic
-//! threshold monitors, and [`compare`] diffs two benchmark files for
-//! the perf-regression gate. The accuracy-telemetry layer adds
+//! threshold monitors, and [`ledger`] is the append-only run history
+//! `mdm_report` trends and gates on. The accuracy-telemetry layer adds
 //! [`histogram`] (log-bucketed distributions — [`histogram_record`] /
 //! [`histogram_merge`] put them in the registry next to counters) and
 //! [`accuracy`] (RMS-force-error and effective-speed report types,
@@ -43,7 +43,6 @@
 
 pub mod accuracy;
 pub mod bus;
-pub mod compare;
 pub mod critical_path;
 pub mod events;
 pub mod histogram;

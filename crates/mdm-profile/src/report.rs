@@ -1,14 +1,14 @@
-//! The per-step measured-vs-modeled record behind `BENCH_step.json`.
+//! The per-step measured-vs-modeled table `profile_step` prints.
 //!
 //! One [`StepReport`] captures, for one system size, the paper's
 //! Table 4 decomposition `t_step = max(t_wine, t_mdg) + t_comm +
 //! t_host` three ways at once: measured wall-clock per phase (from the
 //! [`crate::span`] registry), modeled seconds per phase (from the
 //! emulators' cycle counters and/or `mdm-host::perfmodel`), and the raw
-//! hardware counters. [`BenchFile`] is the `BENCH_step.json` document:
-//! a list of reports plus provenance.
+//! hardware counters. It is an in-memory record: what outlives the
+//! process is its one-line reduction in the run ledger
+//! ([`crate::ledger::RunRecord`]).
 
-use crate::json::{obj, Value};
 use crate::Profile;
 use std::collections::BTreeMap;
 
@@ -20,8 +20,6 @@ pub struct PhaseReport {
     pub name: String,
     /// Measured wall-clock seconds per step.
     pub measured_seconds: f64,
-    /// Times the phase ran over the measured window.
-    pub calls: u64,
     /// Modeled seconds per step (emulated hardware cycles / clock, or
     /// the analytic performance model), when available.
     pub modeled_seconds: Option<f64>,
@@ -41,19 +39,16 @@ pub struct StepReport {
     pub total_seconds: f64,
     /// Top-level phase rows (real, wave, comm, host, …).
     pub phases: Vec<PhaseReport>,
-    /// Full span decomposition: dot path → seconds per step.
-    pub spans: BTreeMap<String, f64>,
     /// Hardware/engine counters summed over the window (pair ops,
     /// waves, cycles, …).
     pub counters: BTreeMap<String, u64>,
     /// Per-phase measured flop throughput in Gflops, derived from the
     /// interaction counters and the paper's flop-accounting constants
-    /// (59 flops/pair, 29/35 flops/particle–wave). Absent from
-    /// baselines written before this field existed.
+    /// (59 flops/pair, 29/35 flops/particle–wave).
     pub gflops: BTreeMap<String, f64>,
     /// Gauge name → mean sampled value over the window (device
     /// occupancy, bus bandwidth, rayon utilization — see
-    /// [`crate::gauge`]). Absent from older baselines.
+    /// [`crate::gauge`]).
     pub gauges: BTreeMap<String, f64>,
 }
 
@@ -76,14 +71,8 @@ impl StepReport {
             .map(|&name| PhaseReport {
                 name: name.to_string(),
                 measured_seconds: profile.seconds(name) * per_step,
-                calls: profile.spans.get(name).map_or(0, |stat| stat.calls),
                 modeled_seconds: None,
             })
-            .collect();
-        let spans = profile
-            .spans
-            .iter()
-            .map(|(path, stat)| (path.clone(), stat.total.as_secs_f64() * per_step))
             .collect();
         let counters = profile
             .counters
@@ -101,7 +90,6 @@ impl StepReport {
             steps,
             total_seconds: total_seconds * per_step,
             phases,
-            spans,
             counters,
             gflops: BTreeMap::new(),
             gauges,
@@ -125,239 +113,6 @@ impl StepReport {
     /// remainder being un-instrumented step overhead).
     pub fn phase_sum_seconds(&self) -> f64 {
         self.phases.iter().map(|row| row.measured_seconds).sum()
-    }
-
-    /// Serialize to a JSON value.
-    pub fn to_json(&self) -> Value {
-        obj([
-            ("label", Value::Str(self.label.clone())),
-            ("n_particles", Value::Num(self.n_particles as f64)),
-            ("steps", Value::Num(self.steps as f64)),
-            ("total_seconds", Value::Num(self.total_seconds)),
-            (
-                "phases",
-                Value::Arr(
-                    self.phases
-                        .iter()
-                        .map(|row| {
-                            obj([
-                                ("name", Value::Str(row.name.clone())),
-                                ("measured_seconds", Value::Num(row.measured_seconds)),
-                                ("calls", Value::Num(row.calls as f64)),
-                                (
-                                    "modeled_seconds",
-                                    row.modeled_seconds.map_or(Value::Null, Value::Num),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "spans",
-                Value::Obj(
-                    self.spans
-                        .iter()
-                        .map(|(path, &seconds)| (path.clone(), Value::Num(seconds)))
-                        .collect(),
-                ),
-            ),
-            (
-                "counters",
-                Value::Obj(
-                    self.counters
-                        .iter()
-                        .map(|(name, &value)| (name.clone(), Value::Num(value as f64)))
-                        .collect(),
-                ),
-            ),
-            (
-                "gflops",
-                Value::Obj(
-                    self.gflops
-                        .iter()
-                        .map(|(name, &value)| (name.clone(), Value::Num(value)))
-                        .collect(),
-                ),
-            ),
-            (
-                "gauges",
-                Value::Obj(
-                    self.gauges
-                        .iter()
-                        .map(|(name, &value)| (name.clone(), Value::from_f64(value)))
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Deserialize from [`StepReport::to_json`]'s layout.
-    pub fn from_json(value: &Value) -> Result<Self, String> {
-        let str_field = |key: &str| {
-            value
-                .get(key)
-                .and_then(Value::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("missing string field '{key}'"))
-        };
-        let num_field = |key: &str| {
-            value
-                .get(key)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("missing number field '{key}'"))
-        };
-        let int_field = |key: &str| {
-            value
-                .get(key)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("missing integer field '{key}'"))
-        };
-        let phases = value
-            .get("phases")
-            .and_then(Value::as_arr)
-            .ok_or("missing array field 'phases'")?
-            .iter()
-            .map(|row| {
-                Ok(PhaseReport {
-                    name: row
-                        .get("name")
-                        .and_then(Value::as_str)
-                        .ok_or("phase missing 'name'")?
-                        .to_string(),
-                    measured_seconds: row
-                        .get("measured_seconds")
-                        .and_then(Value::as_f64)
-                        .ok_or("phase missing 'measured_seconds'")?,
-                    calls: row
-                        .get("calls")
-                        .and_then(Value::as_u64)
-                        .ok_or("phase missing 'calls'")?,
-                    modeled_seconds: match row.get("modeled_seconds") {
-                        Some(Value::Null) | None => None,
-                        Some(other) => {
-                            Some(other.as_f64().ok_or("bad 'modeled_seconds'")?)
-                        }
-                    },
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let map_field = |key: &str| -> Result<&BTreeMap<String, Value>, String> {
-            match value.get(key) {
-                Some(Value::Obj(map)) => Ok(map),
-                _ => Err(format!("missing object field '{key}'")),
-            }
-        };
-        let spans = map_field("spans")?
-            .iter()
-            .map(|(path, seconds)| {
-                Ok((
-                    path.clone(),
-                    seconds.as_f64().ok_or("span seconds must be numbers")?,
-                ))
-            })
-            .collect::<Result<_, String>>()?;
-        let counters = map_field("counters")?
-            .iter()
-            .map(|(name, count)| {
-                Ok((
-                    name.clone(),
-                    count.as_u64().ok_or("counters must be integers")?,
-                ))
-            })
-            .collect::<Result<_, String>>()?;
-        // Tolerant: baselines written before the schema grew this key
-        // must keep parsing (the compare gate diffs old vs new files).
-        let gflops = match value.get("gflops") {
-            Some(Value::Obj(map)) => map
-                .iter()
-                .map(|(name, v)| {
-                    Ok((
-                        name.clone(),
-                        v.as_f64().ok_or("gflops must be numbers")?,
-                    ))
-                })
-                .collect::<Result<_, String>>()?,
-            None => BTreeMap::new(),
-            _ => return Err("'gflops' must be an object".into()),
-        };
-        // Same tolerance as gflops: older baselines lack the key.
-        let gauges = match value.get("gauges") {
-            Some(Value::Obj(map)) => map
-                .iter()
-                .map(|(name, v)| {
-                    Ok((
-                        name.clone(),
-                        v.as_f64().ok_or("gauges must be numbers")?,
-                    ))
-                })
-                .collect::<Result<_, String>>()?,
-            None => BTreeMap::new(),
-            _ => return Err("'gauges' must be an object".into()),
-        };
-        Ok(Self {
-            label: str_field("label")?,
-            n_particles: int_field("n_particles")?,
-            steps: int_field("steps")?,
-            total_seconds: num_field("total_seconds")?,
-            phases,
-            spans,
-            counters,
-            gflops,
-            gauges,
-        })
-    }
-}
-
-/// The `BENCH_step.json` document: provenance plus one [`StepReport`]
-/// per system size. Future perf PRs regenerate it with the same command
-/// and diff against the committed baseline.
-#[derive(Clone, Debug, PartialEq)]
-pub struct BenchFile {
-    /// The command that regenerates the file.
-    pub command: String,
-    /// Schema version for forward compatibility.
-    pub version: u64,
-    /// One report per system size, ascending N.
-    pub reports: Vec<StepReport>,
-}
-
-impl BenchFile {
-    /// Serialize the whole document.
-    pub fn to_json_string(&self) -> String {
-        obj([
-            ("command", Value::Str(self.command.clone())),
-            ("version", Value::Num(self.version as f64)),
-            (
-                "reports",
-                Value::Arr(self.reports.iter().map(StepReport::to_json).collect()),
-            ),
-        ])
-        .to_pretty()
-    }
-
-    /// Parse a document produced by [`BenchFile::to_json_string`].
-    pub fn from_json_str(text: &str) -> Result<Self, String> {
-        let value = Value::parse(text).map_err(|e| e.to_string())?;
-        let reports = value
-            .get("reports")
-            .and_then(Value::as_arr)
-            .ok_or("missing array field 'reports'")?
-            .iter()
-            .map(StepReport::from_json)
-            .collect::<Result<_, String>>()?;
-        Ok(Self {
-            command: value
-                .get("command")
-                .and_then(Value::as_str)
-                .ok_or("missing string field 'command'")?
-                .to_string(),
-            version: value
-                .get("version")
-                .and_then(Value::as_u64)
-                .ok_or("missing integer field 'version'")?,
-            reports,
-        })
     }
 }
 
@@ -416,61 +171,7 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip_is_exact() {
-        let report = sample_report();
-        let text = report.to_json().to_pretty();
-        let back = StepReport::from_json(&Value::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, report);
-    }
-
-    #[test]
-    fn bench_file_round_trips() {
-        let file = BenchFile {
-            command: "cargo run --release -p mdm-bench --bin profile_step -- --json".into(),
-            version: 1,
-            reports: vec![sample_report()],
-        };
-        let text = file.to_json_string();
-        let back = BenchFile::from_json_str(&text).unwrap();
-        assert_eq!(back, file);
-    }
-
-    #[test]
-    fn modeled_seconds_survive_none() {
-        let report = StepReport::from_profile("x", 8, 1, 0.1, &sample_profile(), &["comm"]);
-        assert_eq!(report.phases[0].modeled_seconds, None);
-        let text = report.to_json().to_pretty();
-        let back = StepReport::from_json(&Value::parse(&text).unwrap()).unwrap();
-        assert_eq!(back.phases[0].modeled_seconds, None);
-    }
-
-    #[test]
-    fn missing_fields_error() {
-        assert!(StepReport::from_json(&Value::parse("{}").unwrap()).is_err());
-        assert!(BenchFile::from_json_str("{\"version\": 1}").is_err());
-    }
-
-    #[test]
-    fn gflops_round_trip_and_old_baselines_parse() {
-        let mut report = sample_report();
-        report.set_gflops("real", 3.7);
-        report.set_gflops("wave", 1.2);
-        let text = report.to_json().to_pretty();
-        let back = StepReport::from_json(&Value::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, report);
-        assert!((back.gflops["real"] - 3.7).abs() < 1e-12);
-
-        // A pre-gflops baseline (key absent entirely) still parses.
-        let mut value = Value::parse(&text).unwrap();
-        if let Value::Obj(map) = &mut value {
-            map.remove("gflops");
-        }
-        let old = StepReport::from_json(&value).unwrap();
-        assert!(old.gflops.is_empty());
-    }
-
-    #[test]
-    fn gauges_round_trip_and_old_baselines_parse() {
+    fn gauges_are_window_means_and_unmodeled_phases_stay_none() {
         let mut profile = sample_profile();
         profile.gauges.insert(
             "mdg.occupancy".into(),
@@ -482,18 +183,8 @@ mod tests {
                 last: 0.9,
             },
         );
-        let report =
-            StepReport::from_profile("nacl-512", 512, 2, 1.0, &profile, &["real"]);
+        let report = StepReport::from_profile("nacl-512", 512, 2, 1.0, &profile, &["real"]);
         assert!((report.gauges["mdg.occupancy"] - 0.8).abs() < 1e-12);
-        let text = report.to_json().to_pretty();
-        let back = StepReport::from_json(&Value::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, report);
-
-        // A pre-gauges baseline still parses as gauge-less.
-        let mut value = Value::parse(&text).unwrap();
-        if let Value::Obj(map) = &mut value {
-            map.remove("gauges");
-        }
-        assert!(StepReport::from_json(&value).unwrap().gauges.is_empty());
+        assert_eq!(report.phases[0].modeled_seconds, None);
     }
 }
