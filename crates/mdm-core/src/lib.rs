@@ -37,6 +37,7 @@ pub mod io;
 pub mod kvectors;
 pub mod lattice;
 pub mod longrange;
+pub mod mesh;
 pub mod neighbors;
 pub mod observables;
 pub mod pme;

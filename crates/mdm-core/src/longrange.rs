@@ -10,8 +10,8 @@
 //! | name      | engine                               | scaling      |
 //! |-----------|--------------------------------------|--------------|
 //! | `ewald`   | exact DFT/IDFT ([`crate::ewald::recip`]), Rayon-parallel | O(N·N_wave) |
-//! | `pme`     | smooth particle-mesh Ewald ([`crate::pme`]) | O(N log N) |
-//! | `pswf`    | PSWF fast Ewald ([`crate::pswf`])    | O(N log N)   |
+//! | `pme`     | smooth particle-mesh Ewald ([`crate::pme`]), Rayon-parallel | O(N log N) |
+//! | `pswf`    | PSWF fast Ewald ([`crate::pswf`]), Rayon-parallel | O(N log N) |
 //! | `wine2`   | WINE-2 board emulator (adapter in `mdm-host`) | O(N·N_wave) |
 //!
 //! Contract:
@@ -30,14 +30,17 @@
 //!   the telemetry layer can price mesh backends that have no
 //!   paper-credited DFT/IDFT ops.
 //! * Determinism: for a fixed input, results are bitwise identical at
-//!   any Rayon thread count (per-particle and per-wave maps are
-//!   ordered; mesh backends are serial).
+//!   any Rayon thread count and with `set_parallel(false)`
+//!   (per-particle and per-wave maps are ordered; the mesh engine's
+//!   plane and pencil tasks each own their output and reduce in index
+//!   order — see [`crate::mesh`]).
 
 use crate::boxsim::SimBox;
 use crate::ewald::recip::{recip_space_cached, RecipScratch};
 use crate::ewald::EwaldParams;
 use crate::flops::{FLOPS_PER_WAVE_DFT, FLOPS_PER_WAVE_IDFT};
 use crate::kvectors::{half_space_vectors, KVector};
+use crate::mesh::{MeshEngine, Window};
 use crate::pme::SpmeRecip;
 use crate::pswf::PswfRecip;
 use crate::vec3::Vec3;
@@ -90,8 +93,9 @@ pub trait LongRangeBackend: Send + Sync {
     /// for (κ = α/L).
     fn alpha(&self) -> f64;
 
-    /// Toggle Rayon parallelism where the backend supports it (no-op
-    /// for serial mesh engines).
+    /// Toggle Rayon parallelism (every software backend supports it;
+    /// the default no-op is for an engine with nothing to toggle, such
+    /// as the emulated board). Results do not depend on the setting.
     fn set_parallel(&mut self, _parallel: bool) {}
 
     /// Evaluate the reciprocal sum for one configuration.
@@ -207,44 +211,20 @@ impl LongRangeBackend for ExactEwald {
     }
 }
 
-/// Smooth particle-mesh Ewald behind the backend interface.
-pub struct PmeBackend {
-    spme: SpmeRecip,
-    warm: bool,
-}
-
-impl PmeBackend {
-    /// Wrap a configured engine.
-    pub fn new(spme: SpmeRecip) -> Self {
-        Self { spme, warm: false }
-    }
-
-    /// Default sizing for an accuracy parameterisation: mesh
-    /// `2^⌈log₂(3.5·n_max)⌉` (σ ≥ 1.75 oversampling, the same rule as
-    /// [`crate::pswf::PswfRecip::for_params`]) at spline order 6. The
-    /// 3.5 factor keeps the spline-interpolation error under the 10⁻³
-    /// force-error gate when `3.2·n_max` would land exactly on a power
-    /// of two (σ = 1.6).
-    pub fn for_params(params: &EwaldParams, l: f64) -> Self {
-        let mesh = ((3.5 * params.n_max).ceil() as usize)
-            .next_power_of_two()
-            .max(16);
-        Self::new(SpmeRecip::new(l, params.alpha, mesh, 6))
-    }
-
-    /// The wrapped engine.
-    pub fn spme(&self) -> &SpmeRecip {
-        &self.spme
-    }
-}
-
-impl LongRangeBackend for PmeBackend {
+/// Every mesh engine is a backend: `pme` and `pswf` differ only in the
+/// [`Window`] the engine was built on, so name, cost model and summary
+/// come from the window and the accounting below is shared.
+impl<W: Window> LongRangeBackend for MeshEngine<W> {
     fn name(&self) -> &'static str {
-        "pme"
+        W::NAME
     }
 
     fn alpha(&self) -> f64 {
-        self.spme.alpha()
+        MeshEngine::alpha(self)
+    }
+
+    fn set_parallel(&mut self, parallel: bool) {
+        MeshEngine::set_parallel(self, parallel);
     }
 
     fn compute(
@@ -253,50 +233,10 @@ impl LongRangeBackend for PmeBackend {
         positions: &[Vec3],
         charges: &[f64],
     ) -> LongRangeResult {
+        // The engine sizes its grid and stencil scratch on the first
+        // call and reuses it from then on.
         note_scratch_reuse(&mut self.warm);
-        let out = self.spme.compute(simbox, positions, charges);
-        let flops = self.spme.estimated_flops(positions.len());
-        mdm_profile::counter("longrange_flops", flops as u64);
-        LongRangeResult {
-            energy: out.energy,
-            forces: out.forces,
-            virial: out.virial,
-            counters: LongRangeCounters {
-                flops,
-                ..LongRangeCounters::default()
-            },
-        }
-    }
-
-    fn describe(&self) -> String {
-        format!(
-            "SPME (alpha={}, mesh={}, order={})",
-            self.spme.alpha(),
-            self.spme.mesh(),
-            self.spme.order()
-        )
-    }
-}
-
-impl LongRangeBackend for PswfRecip {
-    fn name(&self) -> &'static str {
-        "pswf"
-    }
-
-    fn alpha(&self) -> f64 {
-        PswfRecip::alpha(self)
-    }
-
-    fn compute(
-        &mut self,
-        simbox: SimBox,
-        positions: &[Vec3],
-        charges: &[f64],
-    ) -> LongRangeResult {
-        // First call allocated the grid/tables in the constructor; the
-        // per-step fractional/grid buffers are reused from then on.
-        mdm_profile::counter("longrange_scratch_reuses", 1);
-        let out = PswfRecip::compute(self, simbox, positions, charges);
+        let out = MeshEngine::compute(self, simbox, positions, charges);
         let flops = self.estimated_flops(positions.len());
         mdm_profile::counter("longrange_flops", flops as u64);
         LongRangeResult {
@@ -311,13 +251,7 @@ impl LongRangeBackend for PswfRecip {
     }
 
     fn describe(&self) -> String {
-        format!(
-            "PSWF fast Ewald (alpha={}, mesh={}, width={}, c={:.2})",
-            PswfRecip::alpha(self),
-            self.mesh(),
-            self.width(),
-            self.bandwidth()
-        )
+        self.window().describe(MeshEngine::alpha(self), self.mesh())
     }
 }
 
@@ -330,7 +264,7 @@ pub const SOFTWARE_BACKENDS: &[&str] = &["ewald", "pme", "pswf"];
 pub fn by_name(name: &str, params: &EwaldParams, l: f64) -> Option<Box<dyn LongRangeBackend>> {
     match name {
         "ewald" => Some(Box::new(ExactEwald::new(params.alpha, params.n_max))),
-        "pme" => Some(Box::new(PmeBackend::for_params(params, l))),
+        "pme" => Some(Box::new(SpmeRecip::for_params(params, l))),
         "pswf" => Some(Box::new(PswfRecip::for_params(params, l))),
         _ => None,
     }
@@ -412,7 +346,7 @@ mod tests {
         let l = s.simbox().l();
         let p = params_for(l);
         let mut exact = ExactEwald::new(p.alpha, p.n_max);
-        let mut pme = PmeBackend::for_params(&p, l);
+        let mut pme = SpmeRecip::for_params(&p, l);
         let a = exact.compute(s.simbox(), s.positions(), s.charges());
         let b = pme.compute(s.simbox(), s.positions(), s.charges());
         let rel = ((a.energy - b.energy) / a.energy).abs();
@@ -439,36 +373,6 @@ mod tests {
         for (i, (fa, fb)) in a.forces.iter().zip(&b.forces).enumerate() {
             let rel = (*fa - *fb).norm() / scale;
             assert!(rel < 2e-3, "particle {i}: rel {rel}");
-        }
-    }
-
-    /// Satellite: the scratch-reuse counter proves per-step allocations
-    /// are gone — every steady-state call bumps it exactly once per
-    /// backend.
-    #[test]
-    fn scratch_reuse_counter_counts_steady_state_calls() {
-        let s = perturbed();
-        let l = s.simbox().l();
-        let p = params_for(l);
-        mdm_profile::take(); // drain whatever earlier tests left behind
-        for name in SOFTWARE_BACKENDS {
-            let mut backend = by_name(name, &p, l).unwrap();
-            for _ in 0..4 {
-                backend.compute(s.simbox(), s.positions(), s.charges());
-            }
-            let profile = mdm_profile::take();
-            let reuses = profile
-                .counters
-                .get("longrange_scratch_reuses")
-                .copied()
-                .unwrap_or(0);
-            // ExactEwald/PME warm up on call 1 and reuse on 2–4; the
-            // PSWF engine allocates at construction, so all 4 calls
-            // reuse.
-            assert!(
-                (3..=4).contains(&reuses),
-                "{name}: expected 3–4 scratch reuses over 4 calls, got {reuses}"
-            );
         }
     }
 

@@ -6,53 +6,55 @@
 //! B-spline charge spreading + FFT, with a measurable, mesh-controlled
 //! error against the exact [`crate::ewald::recip`] reference.
 //!
-//! Everything is built here: the FFT ([`fft`]), the cardinal B-splines
-//! ([`bspline`]), and the SPME assembly ([`SpmeRecip`]).
+//! What is SPME-specific lives here — the cardinal B-splines
+//! ([`bspline`]), the window they make ([`BSplineWindow`]) and the
+//! Euler exponential-spline deconvolution; the spread → FFT → gather
+//! pipeline is the shared [`crate::mesh::MeshEngine`].
 
 pub mod bspline;
-pub mod fft;
 
-use crate::boxsim::SimBox;
+use crate::ewald::EwaldParams;
+use crate::mesh::{default_mesh, MeshEngine, Window};
 use crate::units::COULOMB_EV_A;
 use crate::vec3::Vec3;
 use bspline::{b_mod_sq, m_spline, m_spline_deriv};
-use fft::{Complex, Grid3};
 
-/// Result of an SPME reciprocal-space evaluation.
-#[derive(Clone, Debug)]
-pub struct SpmeResult {
-    /// Reciprocal-space energy (eV), tin-foil convention — directly
-    /// comparable to [`crate::ewald::recip::RecipResult::energy`].
-    pub energy: f64,
-    /// Per-particle reciprocal forces (eV/Å).
-    pub forces: Vec<Vec3>,
-    /// Reciprocal-space virial (eV), accumulated in Fourier space as
-    /// `Σₘ Eₘ·(1 − 2π²n²/α²)` — the same per-mode factor the exact
-    /// recip sum uses, so it is comparable to
-    /// [`crate::ewald::recip::RecipResult::virial`] at the mesh's
-    /// accuracy level.
-    pub virial: f64,
-}
-
-/// Largest supported B-spline order (weights live in stack arrays).
+/// Largest supported B-spline order.
 const MAX_ORDER: usize = 8;
 
-/// A configured SPME reciprocal-space engine: mesh size, spline order,
-/// the precomputed spectral influence function, and the charge-grid /
-/// fractional-coordinate scratch reused across steps.
-pub struct SpmeRecip {
-    mesh: usize,
+/// The order-`n` cardinal B-spline as a mesh window: a particle at
+/// mesh coordinate `u` touches the grid points
+/// `p = ⌊u⌋−n+1 ..= ⌊u⌋` with weight `M_n(u − p)`.
+pub struct BSplineWindow {
     order: usize,
-    alpha: f64,
-    /// `θ̂(m) = (C/(πL))·f(m)·B(m)` over the full mesh (zero at m = 0),
-    /// precomputed for a given box side.
-    influence: Vec<f64>,
-    /// Per-mode virial factor `1 − 2π²n²/α²` (zero where θ̂ is zero).
-    virial_factor: Vec<f64>,
-    l: f64,
-    grid: Grid3,
-    fractional: Vec<Vec3>,
 }
+
+impl Window for BSplineWindow {
+    const NAME: &'static str = "pme";
+    const CONVOLVE_FLOPS: f64 = 9.0;
+
+    fn support(&self) -> usize {
+        self.order
+    }
+
+    fn weights(&self, u: f64, w: &mut [f64], dw: &mut [f64]) -> i64 {
+        let first = u.floor() as i64 - self.order as i64 + 1;
+        for (j, (w, dw)) in w.iter_mut().zip(dw).enumerate() {
+            let x = u - (first + j as i64) as f64;
+            *w = m_spline(self.order, x);
+            *dw = m_spline_deriv(self.order, x);
+        }
+        first
+    }
+
+    fn describe(&self, alpha: f64, mesh: usize) -> String {
+        format!("SPME (alpha={alpha}, mesh={mesh}, order={})", self.order)
+    }
+}
+
+/// A configured SPME reciprocal-space engine: the mesh engine on a
+/// B-spline window, summing every mode the mesh resolves.
+pub type SpmeRecip = MeshEngine<BSplineWindow>;
 
 impl SpmeRecip {
     /// Build for a cubic box of side `l`, the paper's dimensionless
@@ -60,196 +62,28 @@ impl SpmeRecip {
     /// `mesh` (power of two) and B-spline `order` (≥ 3; 4 is the
     /// classic choice).
     pub fn new(l: f64, alpha: f64, mesh: usize, order: usize) -> Self {
-        assert!(mesh.is_power_of_two() && mesh >= 4);
         assert!((3..=MAX_ORDER).contains(&order));
         assert!(order < mesh, "spline support must fit the mesh");
-        let pi = std::f64::consts::PI;
-        let mut influence = vec![0.0f64; mesh * mesh * mesh];
-        let mut virial_factor = vec![0.0f64; mesh * mesh * mesh];
-        let half = mesh as i64 / 2;
-        let fold = |m: usize| -> f64 {
-            let m = m as i64;
-            (if m > half { m - mesh as i64 } else { m }) as f64
-        };
-        for mz in 0..mesh {
-            for my in 0..mesh {
-                for mx in 0..mesh {
-                    if mx == 0 && my == 0 && mz == 0 {
-                        continue;
-                    }
-                    let (nx, ny, nz) = (fold(mx), fold(my), fold(mz));
-                    let n_sq = nx * nx + ny * ny + nz * nz;
-                    let f = (-pi * pi * n_sq / (alpha * alpha)).exp() / n_sq;
-                    let b = b_mod_sq(order, mesh, mx)
-                        * b_mod_sq(order, mesh, my)
-                        * b_mod_sq(order, mesh, mz);
-                    let idx = (mz * mesh + my) * mesh + mx;
-                    influence[idx] = COULOMB_EV_A / (pi * l) * f * b;
-                    virial_factor[idx] = 1.0 - 2.0 * pi * pi * n_sq / (alpha * alpha);
-                }
-            }
-        }
-        Self {
-            mesh,
-            order,
-            alpha,
-            influence,
-            virial_factor,
+        let deconvolution: Vec<f64> = (0..=mesh / 2).map(|m| b_mod_sq(order, mesh, m)).collect();
+        Self::with_window(
             l,
-            grid: Grid3::new(mesh),
-            fractional: Vec::new(),
-        }
+            alpha,
+            mesh,
+            BSplineWindow { order },
+            f64::INFINITY,
+            &deconvolution,
+        )
     }
 
-    /// Mesh points per side.
-    pub fn mesh(&self) -> usize {
-        self.mesh
+    /// Default sizing for an accuracy parameterisation:
+    /// [`default_mesh`] at spline order 6.
+    pub fn for_params(params: &EwaldParams, l: f64) -> Self {
+        Self::new(l, params.alpha, default_mesh(params.n_max), 6)
     }
 
     /// Spline order.
     pub fn order(&self) -> usize {
-        self.order
-    }
-
-    /// The α this engine was built for.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
-    /// Evaluate reciprocal energy, forces, and virial. `&mut self`
-    /// because the charge grid and fractional-coordinate scratch are
-    /// cached in the engine and reused across steps.
-    ///
-    /// # Panics
-    /// Panics if the box side differs from the constructed one (the
-    /// influence function is box-specific).
-    pub fn compute(&mut self, simbox: SimBox, positions: &[Vec3], charges: &[f64]) -> SpmeResult {
-        assert_eq!(positions.len(), charges.len());
-        assert!(
-            (simbox.l() - self.l).abs() < 1e-9,
-            "box changed; rebuild SpmeRecip"
-        );
-        let _span = mdm_profile::span("pme");
-        let k = self.mesh;
-        let n = self.order;
-        let kf = k as f64;
-
-        // --- Spread charges with order-n B-splines. ---
-        // Per particle per axis: grid points p = floor(u)-n+1 ..= floor(u),
-        // weight M_n(u - p).
-        self.grid.clear();
-        let grid = &mut self.grid;
-        let weights_of = |u: f64, w: &mut [f64; MAX_ORDER], dw: &mut [f64; MAX_ORDER]| -> i64 {
-            let base = u.floor() as i64;
-            for j in 0..n {
-                let p = base - j as i64;
-                w[j] = m_spline(n, u - p as f64);
-                dw[j] = m_spline_deriv(n, u - p as f64);
-            }
-            base
-        };
-        self.fractional.clear();
-        self.fractional
-            .extend(positions.iter().map(|&r| simbox.fractional(r)));
-        let fractional = &self.fractional;
-        let (mut wx, mut wy, mut wz) = ([0.0; MAX_ORDER], [0.0; MAX_ORDER], [0.0; MAX_ORDER]);
-        let (mut dwx, mut dwy, mut dwz) = (wx, wy, wz);
-        let spread_span = mdm_profile::span("spread");
-        for (f, &q) in fractional.iter().zip(charges) {
-            let bx = weights_of(f.x * kf, &mut wx, &mut dwx);
-            let by = weights_of(f.y * kf, &mut wy, &mut dwy);
-            let bz = weights_of(f.z * kf, &mut wz, &mut dwz);
-            for (jz, wz_j) in wz[..n].iter().enumerate() {
-                let pz = (bz - jz as i64).rem_euclid(k as i64) as usize;
-                for (jy, wy_j) in wy[..n].iter().enumerate() {
-                    let py = (by - jy as i64).rem_euclid(k as i64) as usize;
-                    let row = q * wz_j * wy_j;
-                    for (jx, wx_j) in wx[..n].iter().enumerate() {
-                        let px = (bx - jx as i64).rem_euclid(k as i64) as usize;
-                        grid.get_mut(px, py, pz).re += row * wx_j;
-                    }
-                }
-            }
-        }
-
-        drop(spread_span);
-
-        // --- Convolve with the influence function in Fourier space,
-        //     accumulating the virial from |Q̂|² before the multiply
-        //     (E = ½ Σₘ θ̂|Q̂|² equals the gather energy identically, so
-        //     the per-mode virial factors compose the same way as in
-        //     the exact recip sum). ---
-        let mut virial = 0.0;
-        {
-            let _span = mdm_profile::span("fft");
-            grid.fft3(false);
-            for ((c, &theta), &vf) in grid
-                .data_mut()
-                .iter_mut()
-                .zip(&self.influence)
-                .zip(&self.virial_factor)
-            {
-                virial += 0.5 * theta * c.norm_sq() * vf;
-                *c = Complex::new(c.re * theta, c.im * theta);
-            }
-            grid.fft3(true); // unnormalised inverse: matches E = ½ Σ Q·φ
-        }
-
-        // --- Energy and forces from the convolved potential grid. ---
-        let _gather_span = mdm_profile::span("gather");
-        let mut energy = 0.0;
-        let mut forces = vec![Vec3::ZERO; positions.len()];
-        let du_dr = kf / self.l;
-        for (i, (f, &q)) in fractional.iter().zip(charges).enumerate() {
-            let bx = weights_of(f.x * kf, &mut wx, &mut dwx);
-            let by = weights_of(f.y * kf, &mut wy, &mut dwy);
-            let bz = weights_of(f.z * kf, &mut wz, &mut dwz);
-            let mut force = Vec3::ZERO;
-            for jz in 0..n {
-                let pz = (bz - jz as i64).rem_euclid(k as i64) as usize;
-                for jy in 0..n {
-                    let py = (by - jy as i64).rem_euclid(k as i64) as usize;
-                    for jx in 0..n {
-                        let px = (bx - jx as i64).rem_euclid(k as i64) as usize;
-                        let phi = grid.get(px, py, pz).re;
-                        let w = wx[jx] * wy[jy] * wz[jz];
-                        energy += 0.5 * q * w * phi;
-                        // F = −q ∇W φ; du/dr = K/L per axis.
-                        force.x -= q * dwx[jx] * wy[jy] * wz[jz] * phi * du_dr;
-                        force.y -= q * wx[jx] * dwy[jy] * wz[jz] * phi * du_dr;
-                        force.z -= q * wx[jx] * wy[jy] * dwz[jz] * phi * du_dr;
-                    }
-                }
-            }
-            forces[i] = force;
-        }
-        // B-spline interpolation breaks Newton's third law at the
-        // interpolation-error level (a classic PME artifact); subtract
-        // the mean force so the integrator conserves momentum exactly,
-        // as production PME codes do.
-        let net: Vec3 = forces.iter().copied().sum();
-        let correction = net / positions.len().max(1) as f64;
-        for f in &mut forces {
-            *f -= correction;
-        }
-        SpmeResult {
-            energy,
-            forces,
-            virial,
-        }
-    }
-
-    /// Estimated floating-point work of one [`Self::compute`] call for
-    /// `n_particles`: two K³ FFTs at `5·K³·log₂K³`, the convolve pass,
-    /// and the O(N·order³) spread/gather stencils. Used by the
-    /// long-range backend's flop counters (the mesh path has no
-    /// paper-credited DFT/IDFT ops to price).
-    pub fn estimated_flops(&self, n_particles: usize) -> f64 {
-        let k3 = (self.mesh * self.mesh * self.mesh) as f64;
-        let fft = 2.0 * 5.0 * k3 * k3.log2();
-        let convolve = 9.0 * k3;
-        let stencil = (n_particles * self.order * self.order * self.order) as f64 * 20.0;
-        fft + convolve + stencil
+        self.window().order
     }
 }
 
@@ -258,7 +92,7 @@ impl SpmeRecip {
 /// the NaCl system — the force field a GROMACS-lineage code would use
 /// where the MDM used brute force.
 pub struct PmeTosiFumi {
-    params: crate::ewald::EwaldParams,
+    params: EwaldParams,
     short: crate::potentials::TosiFumi,
     spme: SpmeRecip,
 }
@@ -266,7 +100,7 @@ pub struct PmeTosiFumi {
 impl PmeTosiFumi {
     /// Build for a box of side `l` with the given Ewald parameters and
     /// SPME discretisation.
-    pub fn new(params: crate::ewald::EwaldParams, l: f64, mesh: usize, order: usize) -> Self {
+    pub fn new(params: EwaldParams, l: f64, mesh: usize, order: usize) -> Self {
         Self {
             params,
             short: crate::potentials::TosiFumi::nacl(),
@@ -285,7 +119,7 @@ impl PmeTosiFumi {
     }
 
     /// The Ewald parameters in use.
-    pub fn params(&self) -> &crate::ewald::EwaldParams {
+    pub fn params(&self) -> &EwaldParams {
         &self.params
     }
 

@@ -1,6 +1,6 @@
 //! PSWF-accelerated Ewald reciprocal space — the "fast Ewald summation
 //! based on prolate spheroidal wave functions" of Liang, Shi & Xu
-//! (arXiv:2505.09727), built on the same mesh/FFT machinery as
+//! (arXiv:2505.09727), on the same [`crate::mesh::MeshEngine`] as
 //! [`crate::pme`].
 //!
 //! The algorithm is structurally SPME: spread charges onto a uniform
@@ -11,8 +11,9 @@
 //! function ψ₀(c; ·) ([`prolate`]), the *optimally* band-concentrated
 //! function on a finite support. At matched aliasing error the PSWF
 //! window needs a smaller support width `w` than a B-spline needs
-//! order, and the O(N·w³) spread/gather stencils are where mesh-Ewald
-//! time goes — that is the whole speedup.
+//! order, which shrinks the O(N·w³) spread/gather stencils; and because
+//! the window is chosen so that only the modes inside the sphere
+//! `n ≤ n_max` matter, the engine prunes its transform to that band.
 //!
 //! Deconvolution uses the continuous Fourier transform of the window
 //! (the gridding/NUFFT convention, computed once by quadrature), and
@@ -23,23 +24,9 @@
 
 pub mod prolate;
 
-use crate::boxsim::SimBox;
 use crate::ewald::EwaldParams;
-use crate::pme::fft::{Complex, Grid3};
-use crate::units::COULOMB_EV_A;
-use crate::vec3::Vec3;
+use crate::mesh::{default_mesh, MeshEngine, Window};
 use prolate::Prolate;
-
-/// Result of a PSWF reciprocal-space evaluation.
-#[derive(Clone, Debug)]
-pub struct PswfResult {
-    /// Reciprocal-space energy (eV), tin-foil convention.
-    pub energy: f64,
-    /// Per-particle reciprocal forces (eV/Å).
-    pub forces: Vec<Vec3>,
-    /// Reciprocal-space virial (eV), `Σₘ Eₘ·(1 − 2π²n²/α²)`.
-    pub virial: f64,
-}
 
 /// Samples of ψ₀ and ψ₀′ on [0, 1] (even/odd symmetry covers [−1, 0]).
 const TABLE: usize = 8192;
@@ -50,29 +37,70 @@ const MAX_WIDTH: usize = 16;
 /// Simpson intervals for the window-transform quadrature (built once).
 const QUAD: usize = 2048;
 
-/// A configured PSWF fast-Ewald reciprocal engine: mesh, window tables,
-/// spectral influence function, and the charge-grid scratch reused
-/// across steps.
-pub struct PswfRecip {
-    mesh: usize,
+/// The zeroth prolate spheroidal wave function ψ₀(c; ·) as a mesh
+/// window of `width` grid points: a particle at mesh coordinate `u`
+/// touches `p = i0..i0+w−1` with `i0 = ⌈u − w/2⌉`, so the normalised
+/// offset `t = 2(u − p)/w` spans (−1, 1].
+pub struct PswfWindow {
     width: usize,
-    alpha: f64,
     n_max: f64,
-    l: f64,
     c: f64,
-    /// `θ̂(m) = (C/(πL))·f(n)/φ̂(m)²` over the full mesh; zero at m = 0
-    /// and outside the sphere `n² ≤ n_max²` (the same truncation as the
-    /// exact half-space wave table, so accuracy parameters map 1:1).
-    influence: Vec<f64>,
-    /// Per-mode virial factor `1 − 2π²n²/α²` (zero where θ̂ is zero).
-    virial_factor: Vec<f64>,
     /// ψ₀ sampled on t ∈ [0, 1] (TABLE+1 points, linear interpolation).
     win: Vec<f64>,
     /// dψ₀/dt on the same nodes.
     dwin: Vec<f64>,
-    grid: Grid3,
-    fractional: Vec<Vec3>,
 }
+
+impl PswfWindow {
+    /// ψ₀(t) and ψ₀′(t) by table lookup with linear interpolation
+    /// (odd-extended derivative), `t` in window-normalised units.
+    #[inline]
+    fn eval(&self, t: f64) -> (f64, f64) {
+        let a = t.abs();
+        if a >= 1.0 {
+            return (0.0, 0.0);
+        }
+        let x = a * TABLE as f64;
+        let i = x as usize; // < TABLE since a < 1
+        let frac = x - i as f64;
+        let v = self.win[i] + (self.win[i + 1] - self.win[i]) * frac;
+        let d = self.dwin[i] + (self.dwin[i + 1] - self.dwin[i]) * frac;
+        (v, if t < 0.0 { -d } else { d })
+    }
+}
+
+impl Window for PswfWindow {
+    const NAME: &'static str = "pswf";
+    const CONVOLVE_FLOPS: f64 = 11.0;
+
+    fn support(&self) -> usize {
+        self.width
+    }
+
+    fn weights(&self, u: f64, w: &mut [f64], dw: &mut [f64]) -> i64 {
+        let wf = self.width as f64;
+        let first = (u - 0.5 * wf).ceil() as i64;
+        for (j, (w, dw)) in w.iter_mut().zip(dw).enumerate() {
+            let (v, d) = self.eval(2.0 * (u - (first + j as i64) as f64) / wf);
+            *w = v;
+            *dw = d * (2.0 / wf); // dψ/du = ψ′·dt/du
+        }
+        first
+    }
+
+    fn describe(&self, alpha: f64, mesh: usize) -> String {
+        format!(
+            "PSWF fast Ewald (alpha={alpha}, mesh={mesh}, width={}, c={:.2})",
+            self.width, self.c
+        )
+    }
+}
+
+/// A configured PSWF fast-Ewald reciprocal engine: the mesh engine on
+/// a prolate window, summing the modes inside the sphere `n² ≤ n_max²`
+/// (the same truncation as the exact half-space wave table, so accuracy
+/// parameters map 1:1).
+pub type PswfRecip = MeshEngine<PswfWindow>;
 
 impl PswfRecip {
     /// Build for a cubic box of side `l`, dimensionless splitting
@@ -93,20 +121,16 @@ impl PswfRecip {
         let psi = Prolate::new(c);
 
         // Window + derivative lookup tables.
-        let mut win = Vec::with_capacity(TABLE + 1);
-        let mut dwin = Vec::with_capacity(TABLE + 1);
-        for i in 0..=TABLE {
-            let (v, d) = psi.eval_both(i as f64 / TABLE as f64);
-            win.push(v);
-            dwin.push(d);
-        }
+        let (win, dwin) = (0..=TABLE)
+            .map(|i| psi.eval_both(i as f64 / TABLE as f64))
+            .unzip();
 
         // Continuous window transform per axis mode, by Simpson
         // quadrature: φ̂(m) = w·∫₀¹ ψ₀(t)·cos(π·m·w·t/K) dt (the
-        // even-symmetry halved form; `w` grid units of support).
-        let half = mesh / 2;
+        // even-symmetry halved form; `w` grid units of support). The
+        // gridding/NUFFT convention deconvolves by 1/φ̂² per axis.
         let wf = width as f64;
-        let phi_hat: Vec<f64> = (0..=half)
+        let deconvolution: Vec<f64> = (0..=mesh / 2)
             .map(|m| {
                 let omega = pi * m as f64 * wf / kf;
                 let h = 1.0 / QUAD as f64;
@@ -115,283 +139,46 @@ impl PswfRecip {
                 for j in 1..QUAD {
                     sum += f(j as f64 * h) * if j % 2 == 1 { 4.0 } else { 2.0 };
                 }
-                wf * sum * h / 3.0
+                let phi_hat = wf * sum * h / 3.0;
+                // A sign change or collapse in band would mean the
+                // band edge rule and n_max < K/2 were violated upstream.
+                assert!(
+                    phi_hat > 0.0 || m as f64 > n_max,
+                    "window transform collapsed at mode {m}"
+                );
+                1.0 / (phi_hat * phi_hat)
             })
             .collect();
-        for (m, &p) in phi_hat.iter().enumerate() {
-            // In-band modes divide by φ̂²; a sign change or collapse
-            // would mean the band edge rule and n_max < K/2 were
-            // violated upstream.
-            if m as f64 <= n_max {
-                assert!(p > 0.0, "window transform collapsed at mode {m}");
-            }
-        }
 
-        let mut influence = vec![0.0f64; mesh * mesh * mesh];
-        let mut virial_factor = vec![0.0f64; mesh * mesh * mesh];
-        let fold = |m: usize| -> i64 {
-            let m = m as i64;
-            if m > half as i64 {
-                m - mesh as i64
-            } else {
-                m
-            }
-        };
-        for mz in 0..mesh {
-            for my in 0..mesh {
-                for mx in 0..mesh {
-                    if mx == 0 && my == 0 && mz == 0 {
-                        continue;
-                    }
-                    let (nx, ny, nz) = (fold(mx), fold(my), fold(mz));
-                    let n_sq = (nx * nx + ny * ny + nz * nz) as f64;
-                    if n_sq > n_max * n_max {
-                        continue;
-                    }
-                    let f = (-pi * pi * n_sq / (alpha * alpha)).exp() / n_sq;
-                    let denom = phi_hat[nx.unsigned_abs() as usize]
-                        * phi_hat[ny.unsigned_abs() as usize]
-                        * phi_hat[nz.unsigned_abs() as usize];
-                    let idx = (mz * mesh + my) * mesh + mx;
-                    influence[idx] = COULOMB_EV_A / (pi * l) * f / (denom * denom);
-                    virial_factor[idx] = 1.0 - 2.0 * pi * pi * n_sq / (alpha * alpha);
-                }
-            }
-        }
-
-        Self {
-            mesh,
+        let window = PswfWindow {
             width,
-            alpha,
             n_max,
-            l,
             c,
-            influence,
-            virial_factor,
             win,
             dwin,
-            grid: Grid3::new(mesh),
-            fractional: Vec::new(),
-        }
+        };
+        Self::with_window(l, alpha, mesh, window, n_max, &deconvolution)
     }
 
     /// Build with the crate's default sizing for a given accuracy
-    /// parameterisation: mesh `K = 2^⌈log₂(3.5·n_max)⌉` (oversampling
-    /// σ = K/(2·n_max) ≥ 1.75) and support width 6. The 3.5 factor
-    /// keeps σ off the 1.6 floor that `3.2·n_max` lands on exactly
-    /// when it is itself a power of two — at σ = 1.6, width 6 aliasing
-    /// is ~10⁻³ and fails the 10⁻³ force-error gate; at σ ≥ 1.75 it is
-    /// comfortably below 10⁻⁴.
+    /// parameterisation: [`default_mesh`] and support width 6.
     pub fn for_params(params: &EwaldParams, l: f64) -> Self {
-        let mesh = ((3.5 * params.n_max).ceil() as usize)
-            .next_power_of_two()
-            .max(16);
-        Self::new(l, params.alpha, params.n_max, mesh, 6)
-    }
-
-    /// Mesh points per side.
-    pub fn mesh(&self) -> usize {
-        self.mesh
+        Self::new(l, params.alpha, params.n_max, default_mesh(params.n_max), 6)
     }
 
     /// Window support width in grid points.
     pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// The α this engine was built for.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
+        self.window().width
     }
 
     /// The wavenumber cutoff (sphere radius in integer wavenumbers).
     pub fn n_max(&self) -> f64 {
-        self.n_max
+        self.window().n_max
     }
 
     /// The prolate bandwidth parameter in use.
     pub fn bandwidth(&self) -> f64 {
-        self.c
-    }
-
-    /// ψ₀(t) and ψ₀′(t) by table lookup with linear interpolation
-    /// (odd-extended derivative), `t` in window-normalised units.
-    #[inline]
-    fn window(&self, t: f64) -> (f64, f64) {
-        let a = t.abs();
-        if a >= 1.0 {
-            return (0.0, 0.0);
-        }
-        let x = a * TABLE as f64;
-        let i = x as usize; // < TABLE since a < 1
-        let frac = x - i as f64;
-        let v = self.win[i] + (self.win[i + 1] - self.win[i]) * frac;
-        let d = self.dwin[i] + (self.dwin[i + 1] - self.dwin[i]) * frac;
-        (v, if t < 0.0 { -d } else { d })
-    }
-
-    /// Evaluate reciprocal energy, forces, and virial. `&mut self`
-    /// because the charge grid and fractional-coordinate scratch are
-    /// cached in the engine and reused across steps.
-    ///
-    /// # Panics
-    /// Panics if the box side differs from the constructed one.
-    pub fn compute(&mut self, simbox: SimBox, positions: &[Vec3], charges: &[f64]) -> PswfResult {
-        assert_eq!(positions.len(), charges.len());
-        assert!(
-            (simbox.l() - self.l).abs() < 1e-9,
-            "box changed; rebuild PswfRecip"
-        );
-        let _span = mdm_profile::span("pswf");
-        let k = self.mesh;
-        let w = self.width;
-        let kf = k as f64;
-        let wf = w as f64;
-        // t = 2(u − p)/w per axis; chain rule for the gather force:
-        // dψ/du = ψ′·(2/w), du/dr = K/L.
-        let dt_du = 2.0 / wf;
-        let du_dr = kf / self.l;
-
-        self.fractional.clear();
-        self.fractional
-            .extend(positions.iter().map(|&r| simbox.fractional(r)));
-        let fractional = &self.fractional;
-        self.grid.clear();
-
-        // --- Spread charges through the PSWF window. ---
-        // Support: the w grid points p = i0..i0+w−1 with i0 = ⌈u − w/2⌉,
-        // so the normalised offset t = 2(u − p)/w spans (−1, 1].
-        let mut wx = [0.0f64; MAX_WIDTH];
-        let mut wy = wx;
-        let mut wz = wx;
-        let mut dwx = wx;
-        let mut dwy = wx;
-        let mut dwz = wx;
-        let spread_span = mdm_profile::span("spread");
-        for (f, &q) in fractional.iter().zip(charges) {
-            let (bx, by, bz) = self.spread_weights(
-                f,
-                kf,
-                (&mut wx, &mut wy, &mut wz),
-                (&mut dwx, &mut dwy, &mut dwz),
-            );
-            for (jz, wz_j) in wz[..w].iter().enumerate() {
-                let pz = (bz + jz as i64).rem_euclid(k as i64) as usize;
-                for (jy, wy_j) in wy[..w].iter().enumerate() {
-                    let py = (by + jy as i64).rem_euclid(k as i64) as usize;
-                    let row = q * wz_j * wy_j;
-                    for (jx, wx_j) in wx[..w].iter().enumerate() {
-                        let px = (bx + jx as i64).rem_euclid(k as i64) as usize;
-                        self.grid.get_mut(px, py, pz).re += row * wx_j;
-                    }
-                }
-            }
-        }
-        drop(spread_span);
-
-        // --- Convolve; energy and virial accumulate in Fourier space
-        //     (E = ½ Σₘ θ̂|Q̂|², identical to the gather energy). ---
-        let mut energy = 0.0;
-        let mut virial = 0.0;
-        {
-            let _span = mdm_profile::span("fft");
-            self.grid.fft3(false);
-            for ((c, &theta), &vf) in self
-                .grid
-                .data_mut()
-                .iter_mut()
-                .zip(&self.influence)
-                .zip(&self.virial_factor)
-            {
-                let e_m = 0.5 * theta * c.norm_sq();
-                energy += e_m;
-                virial += e_m * vf;
-                *c = Complex::new(c.re * theta, c.im * theta);
-            }
-            self.grid.fft3(true); // unnormalised inverse: E = ½ Σ Q·φ
-        }
-
-        // --- Gather forces through the window derivative. ---
-        let _gather_span = mdm_profile::span("gather");
-        let mut forces = vec![Vec3::ZERO; positions.len()];
-        let f_scale = dt_du * du_dr;
-        for (i, (f, &q)) in fractional.iter().zip(charges).enumerate() {
-            let (bx, by, bz) = self.spread_weights(
-                f,
-                kf,
-                (&mut wx, &mut wy, &mut wz),
-                (&mut dwx, &mut dwy, &mut dwz),
-            );
-            let mut force = Vec3::ZERO;
-            for jz in 0..w {
-                let pz = (bz + jz as i64).rem_euclid(k as i64) as usize;
-                for jy in 0..w {
-                    let py = (by + jy as i64).rem_euclid(k as i64) as usize;
-                    for jx in 0..w {
-                        let px = (bx + jx as i64).rem_euclid(k as i64) as usize;
-                        let phi = self.grid.get(px, py, pz).re;
-                        // F = −q·∇W·φ.
-                        force.x -= q * dwx[jx] * wy[jy] * wz[jz] * phi * f_scale;
-                        force.y -= q * wx[jx] * dwy[jy] * wz[jz] * phi * f_scale;
-                        force.z -= q * wx[jx] * wy[jy] * dwz[jz] * phi * f_scale;
-                    }
-                }
-            }
-            forces[i] = force;
-        }
-        // Same momentum fix as SPME: window interpolation breaks
-        // Newton's third law at the interpolation-error level.
-        let net: Vec3 = forces.iter().copied().sum();
-        let correction = net / positions.len().max(1) as f64;
-        for f in &mut forces {
-            *f -= correction;
-        }
-
-        PswfResult {
-            energy,
-            forces,
-            virial,
-        }
-    }
-
-    /// Fill per-axis window weights/derivatives for a fractional
-    /// coordinate; returns the base grid index per axis.
-    #[allow(clippy::type_complexity)]
-    #[inline]
-    fn spread_weights(
-        &self,
-        f: &Vec3,
-        kf: f64,
-        w_out: (&mut [f64; MAX_WIDTH], &mut [f64; MAX_WIDTH], &mut [f64; MAX_WIDTH]),
-        dw_out: (&mut [f64; MAX_WIDTH], &mut [f64; MAX_WIDTH], &mut [f64; MAX_WIDTH]),
-    ) -> (i64, i64, i64) {
-        let w = self.width;
-        let wf = w as f64;
-        let axis = |u: f64, wv: &mut [f64; MAX_WIDTH], dv: &mut [f64; MAX_WIDTH]| -> i64 {
-            let i0 = (u - 0.5 * wf).ceil() as i64;
-            for j in 0..w {
-                let t = 2.0 * (u - (i0 + j as i64) as f64) / wf;
-                let (v, d) = self.window(t);
-                wv[j] = v;
-                dv[j] = d;
-            }
-            i0
-        };
-        (
-            axis(f.x * kf, w_out.0, dw_out.0),
-            axis(f.y * kf, w_out.1, dw_out.1),
-            axis(f.z * kf, w_out.2, dw_out.2),
-        )
-    }
-
-    /// Estimated floating-point work of one [`Self::compute`] call,
-    /// mirroring [`crate::pme::SpmeRecip::estimated_flops`].
-    pub fn estimated_flops(&self, n_particles: usize) -> f64 {
-        let k3 = (self.mesh * self.mesh * self.mesh) as f64;
-        let fft = 2.0 * 5.0 * k3 * k3.log2();
-        let convolve = 11.0 * k3;
-        let stencil = (n_particles * self.width * self.width * self.width) as f64 * 20.0;
-        fft + convolve + stencil
+        self.window().c
     }
 }
 
@@ -401,6 +188,7 @@ mod tests {
     use crate::ewald::recip::recip_space;
     use crate::kvectors::half_space_vectors;
     use crate::lattice::{rocksalt_nacl, NACL_LATTICE_A};
+    use crate::vec3::Vec3;
 
     fn perturbed() -> crate::system::System {
         let mut s = rocksalt_nacl(2, NACL_LATTICE_A);

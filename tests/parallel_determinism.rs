@@ -153,7 +153,10 @@ fn parallel_sum_reduction_agrees_to_tolerance() {
 /// exact software recip (parallel and serial), SPME, and the PSWF fast
 /// Ewald — through the full `MdmForceField` step. The wine2/ewald paths
 /// have their own `par_iter` kernels (ordered maps → bitwise); the mesh
-/// backends are serial by design, so this also pins that the shared
+/// backends run every stage of the shared mesh engine as plane, pencil
+/// and particle tasks that each own their output and reduce in index
+/// order (→ bitwise; `tests/mesh_engine.rs` repeats this at N = 512,
+/// K = 64 and at 2 and 3 threads). This also pins that the shared
 /// real-space pass around them stays bitwise under threading.
 #[test]
 fn every_longrange_backend_identical_across_thread_counts() {
