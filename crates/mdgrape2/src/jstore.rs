@@ -492,26 +492,21 @@ mod tests {
     fn refresh_counters_distinguish_paths() {
         let (b, mut pos, ty) = setup(100, 15.0);
         let mut js = JStore::build(b, &pos, &ty, 5.0);
-        let before = mdm_profile::snapshot();
+        let _scope = mdm_profile::scope();
         for p in &mut pos {
             p.x += 1e-9;
         }
         js.refresh(b, &pos, &ty, 5.0);
-        let after = mdm_profile::snapshot();
+        let profile = mdm_profile::take();
         // An in-place refresh counts as a refresh, not a build.
-        assert_eq!(
-            after.counters.get("jstore_refreshes").copied().unwrap_or(0),
-            before.counters.get("jstore_refreshes").copied().unwrap_or(0) + 1
-        );
-        assert_eq!(
-            after.counters.get("jstore_builds").copied().unwrap_or(0),
-            before.counters.get("jstore_builds").copied().unwrap_or(0)
-        );
+        assert_eq!(profile.counters["jstore_refreshes"], 1);
+        assert!(!profile.counters.contains_key("jstore_builds"));
     }
 
     #[test]
     fn occupancy_statistics() {
         let (b, pos, ty) = setup(300, 20.0);
+        let _scope = mdm_profile::scope();
         let js = JStore::build(b, &pos, &ty, 5.0);
         let max = js.max_cell_occupancy();
         assert!(max >= 1);
@@ -520,9 +515,9 @@ mod tests {
         assert_eq!(max, *sizes.iter().max().unwrap());
         assert!((js.mean_cell_occupancy() - 300.0 / js.n_cells() as f64).abs() < 1e-12);
         // Build telemetry landed in the registry.
-        let profile = mdm_profile::snapshot();
-        assert!(profile.counters["jstore_cell_occupancy_max"] >= max as u64);
-        assert!(profile.counters["jstore_upload_bytes"] >= js.upload_bytes());
-        assert!(profile.counters["jstore_builds"] >= 1);
+        let profile = mdm_profile::take();
+        assert_eq!(profile.counters["jstore_cell_occupancy_max"], max as u64);
+        assert_eq!(profile.counters["jstore_upload_bytes"], js.upload_bytes());
+        assert_eq!(profile.counters["jstore_builds"], 1);
     }
 }

@@ -137,8 +137,7 @@ fn run_backend(
 
     // Drain whatever build_sim accumulated — notably the funceval
     // table-fit residual histograms, recorded at generation time —
-    // so the recorded steps start from a clean registry but the seam
-    // summary below still sees it.
+    // for the seam summary below; the recorded steps never see it.
     let generation_profile = mdm_profile::take();
     let ledger_path = default_ledger_path();
     let run = run_instrumented(

@@ -201,7 +201,6 @@ pub fn profile_size<W: Write>(
     // a healthy melt, so anything they catch is a genuine emulator bug.
     let mut dogs = PhysicsWatchdogs::nve(1e-2, 1e-6);
 
-    mdm_profile::reset();
     let run = run_instrumented(
         &mut sim,
         steps as usize,
@@ -228,8 +227,8 @@ pub fn profile_size<W: Write>(
 
 /// Profile the §4 simulated-MPI parallel program: `steps` repetitions
 /// of [`parallel_forces`] at `cells` rocksalt cells per side under the
-/// given process layout. Every rank's spans land in the global
-/// registry (and, when a timeline session is open, on the timeline
+/// given process layout. Every rank's spans land in this run's own
+/// scope (and, when a timeline session is open, on the timeline
 /// stamped with that rank plus the send/recv flow endpoints), so the
 /// report's phase decomposition is the *sum over ranks* — pair it with
 /// `--critical-path` to see which rank chain actually bounds the step.
@@ -246,7 +245,7 @@ pub fn profile_world(cells: usize, steps: u64, config: ParallelConfig) -> StepRe
 
     // Warmup once (thread spawn paths, allocator), then measure.
     parallel_forces(&system, &params, config);
-    mdm_profile::reset();
+    let _scope = mdm_profile::scope();
     let t0 = Instant::now();
     for _ in 0..steps {
         parallel_forces(&system, &params, config);
@@ -363,14 +362,6 @@ pub fn modeled_step(report: &StepReport) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Mutex, MutexGuard};
-
-    /// The profile registry is process-global: tests that profile steps
-    /// hold this so their counters don't interleave.
-    fn registry() -> MutexGuard<'static, ()> {
-        static REGISTRY: Mutex<()> = Mutex::new(());
-        REGISTRY.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
 
     #[test]
     fn cells_round_trip_particle_counts() {
@@ -387,7 +378,6 @@ mod tests {
     fn recorded_profile_matches_plain_profile_shape() {
         // One small recorded step: the report has the Table 4 phases
         // and the JSONL stream parses back with matching N.
-        let _registry = registry();
         let mut jsonl = Vec::new();
         let report = profile_size(3, 1, false, "wine2", &mut jsonl, None).unwrap();
         assert_eq!(report.n_particles, 8 * 27);
@@ -408,20 +398,16 @@ mod tests {
 
     #[test]
     fn recorded_and_unrecorded_profiles_share_one_path() {
-        let _registry = registry();
         let plain = profile_size(3, 1, false, "wine2", io::sink(), None).unwrap();
         let recorded = profile_size(3, 1, false, "wine2", Vec::new(), None).unwrap();
         let names = |r: &StepReport| r.phases.iter().map(|p| p.name.clone()).collect::<Vec<_>>();
         assert_eq!(names(&plain), names(&recorded));
-        // The emulators' own counts must agree exactly. (Wall-clock
-        // counters like `rayon_busy_ns` differ run to run, and the
-        // `longrange_*` ones are shared with the software force fields
-        // other tests of this binary run concurrently.)
+        // Every count must agree exactly; only the wall-clock
+        // counters (`rayon_busy_ns`, `rayon_capacity_ns`) differ run
+        // to run.
         let counts = |r: &StepReport| {
             let mut counters = r.counters.clone();
-            counters.retain(|name, _| {
-                ["mdg_", "wine_", "jstore_"].iter().any(|p| name.starts_with(p))
-            });
+            counters.retain(|name, _| !name.ends_with("_ns"));
             counters
         };
         assert!(counts(&plain).contains_key("mdg_pair_ops"));
@@ -431,7 +417,6 @@ mod tests {
 
     #[test]
     fn recorded_run_honours_the_longrange_backend() {
-        let _registry = registry();
         let steps = 2;
         let mut jsonl = Vec::new();
         let report = profile_size(3, steps, false, "pswf", &mut jsonl, None).unwrap();
@@ -448,7 +433,6 @@ mod tests {
 
     #[test]
     fn ledger_row_reduces_a_report() {
-        let _registry = registry();
         let report = profile_size(3, 1, false, "wine2", io::sink(), None).unwrap();
         let row = ledger_row("profile_step", &report);
         assert_eq!(row.tool, "profile_step");

@@ -240,6 +240,7 @@ mod tests {
 
     #[test]
     fn fit_residual_tracks_approximation_quality() {
+        let _scope = mdm_profile::scope();
         // A quartic fits a line exactly: residual at f32 rounding level.
         let seg = Segmentation::new(-4, 4, 2);
         let line = FunctionTable::generate("lin", seg, |x| 3.0 * x - 1.0).unwrap();
@@ -261,12 +262,12 @@ mod tests {
         );
         // And it lands in the telemetry registry as a `_max` counter
         // plus the full residual distribution.
-        let profile = mdm_profile::snapshot();
+        let profile = mdm_profile::take();
         assert!(profile.counters.contains_key("funceval_fit_residual_p12_max"));
         let hist = &profile.histograms["funceval_fit_residual"];
         // 4 midpoints per segment: 32 segments for the line table,
-        // 12 for the rough one (concurrent tests can only add more).
-        assert!(hist.count() >= 4 * (32 + 12), "count {}", hist.count());
+        // 12 for the rough one.
+        assert_eq!(hist.count(), 4 * (32 + 12));
         assert!(hist.p99().is_some());
     }
 

@@ -822,7 +822,6 @@ mod tests {
 
     #[test]
     fn forces_match_f64_block_reference() {
-        let _registry = crate::test_registry::recording();
         let s = perturbed(3);
         let mut hw = MdmForceField::nacl_default(s.simbox().l()).unwrap();
         let fr_hw = hw.compute(&s);
@@ -838,7 +837,6 @@ mod tests {
 
     #[test]
     fn energy_matches_f64_block_reference() {
-        let _registry = crate::test_registry::recording();
         let s = perturbed(3);
         let mut hw = MdmForceField::nacl_default(s.simbox().l()).unwrap();
         let e_hw = hw.compute(&s).potential;
@@ -851,7 +849,6 @@ mod tests {
 
     #[test]
     fn close_to_conventional_reference_at_the_percent_level() {
-        let _registry = crate::test_registry::recording();
         // Against the *conventional* cutoff-skipping software field the
         // remaining difference is cutoff physics (the hardware keeps
         // the r > r_cut tails of every kernel): small but nonzero.
@@ -866,7 +863,6 @@ mod tests {
 
     #[test]
     fn virial_is_finite_and_close_to_f64_reference() {
-        let _registry = crate::test_registry::recording();
         // The driver's virial (host-side real reduction + WINE-2
         // structure-factor reduction) against the software reference
         // field at the same parameters. Both truncate the real sum at
@@ -967,7 +963,6 @@ mod tests {
 
     #[test]
     fn real_virial_is_bitwise_independent_of_the_thread_count() {
-        let _registry = crate::test_registry::recording();
         for (what, s) in [("molten N = 512", molten(4)), ("clustered", clustered())] {
             let ff = MdmForceField::nacl_default(s.simbox().l()).unwrap();
             let [one, two, four] =
@@ -979,7 +974,6 @@ mod tests {
 
     #[test]
     fn real_virial_matches_the_ordered_pair_sum() {
-        let _registry = crate::test_registry::recording();
         for (what, s) in [("molten N = 512", molten(4)), ("clustered", clustered())] {
             let ff = MdmForceField::nacl_default(s.simbox().l()).unwrap();
             assert_virials_agree(&ff, &s, what);
@@ -988,7 +982,6 @@ mod tests {
 
     #[test]
     fn real_virial_matches_the_ordered_pair_sum_in_the_smallest_box() {
-        let _registry = crate::test_registry::recording();
         // r_cut capped at exactly L/3 gives the coarsest grid the machine
         // takes: 3 cells per side, where every cell's 27 neighbours are
         // the 27 cells of the box, each once. That is still enough for
@@ -1032,7 +1025,6 @@ mod tests {
 
     #[test]
     fn trajectory_does_not_depend_on_which_virial_formula_runs() {
-        let _registry = crate::test_registry::recording();
         use mdm_core::integrate::Simulation;
         use mdm_core::observables::pressure_gpa;
         let start = molten(4);
@@ -1063,7 +1055,6 @@ mod tests {
 
     #[test]
     fn potential_carry_round_trips() {
-        let _registry = crate::test_registry::recording();
         // Export-then-restore reproduces the exact stale state: a fresh
         // field with the carry restored computes the same result as the
         // original field would on its next step.
@@ -1088,7 +1079,6 @@ mod tests {
 
     #[test]
     fn counters_match_paper_accounting() {
-        let _registry = crate::test_registry::recording();
         let s = perturbed(3);
         let mut hw = MdmForceField::nacl_default(s.simbox().l()).unwrap();
         hw.set_potential_interval(100);
@@ -1106,7 +1096,6 @@ mod tests {
 
     #[test]
     fn stale_potential_between_interval_steps() {
-        let _registry = crate::test_registry::recording();
         // With interval > 1 the MDGRAPE-2 energy passes are skipped: the
         // short-range/real potential goes stale, while the WINE-2 energy
         // (a by-product of the force DFT, free every step) stays fresh.
@@ -1128,7 +1117,6 @@ mod tests {
 
     #[test]
     fn nve_energy_conservation_on_hardware() {
-        let _registry = crate::test_registry::recording();
         // The paper's NVE phase conserved energy to < 5e-5 % — run a
         // short NVE on the emulated machine and check the same bound
         // scale (the emulator's f32 forces make it slightly worse than

@@ -36,27 +36,3 @@ pub mod topology;
 pub use driver::{longrange_by_name, MdmForceField, Wine2Backend, LONGRANGE_BACKENDS};
 pub use machines::MachineModel;
 pub use perfmodel::{PerformanceModel, Table4Column};
-
-/// Arbitration of the process-global `mdm_profile` registry among this
-/// crate's unit tests, which cargo runs on parallel threads of one
-/// process (the registry going per-run is ROADMAP item 1). A test that
-/// resets or drains the registry and asserts on what it drained must
-/// see its own run only: another test's `take()` mid-step steals its
-/// counters, and another test's emulator work lands in its phases.
-#[cfg(test)]
-pub(crate) mod test_registry {
-    use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
-
-    static LOCK: RwLock<()> = RwLock::new(());
-
-    /// Shared: held by a test that runs emulator work (which records
-    /// spans and counters) but never reads the registry back.
-    pub(crate) fn recording() -> RwLockReadGuard<'static, ()> {
-        LOCK.read().unwrap_or_else(|p| p.into_inner())
-    }
-
-    /// Exclusive: held by a test that resets or drains the registry.
-    pub(crate) fn draining() -> RwLockWriteGuard<'static, ()> {
-        LOCK.write().unwrap_or_else(|p| p.into_inner())
-    }
-}

@@ -8,14 +8,14 @@
 //! module writes against this exactly as the paper's code wrote against
 //! MPI.
 //!
-//! **Tracing**: every rank thread runs inside an
-//! [`mdm_profile::rank_scope`], so spans and watchdog violations it
-//! records carry the rank, and [`Comm::send`] / [`Comm::recv`] mark
-//! each message's endpoints as timeline flows
-//! ([`mdm_profile::timeline_flow_send`]) — in a `--trace` run the
-//! merged Perfetto trace shows one process-track family per rank with
-//! send→recv arrows between them. All of it is a no-op (one relaxed
-//! atomic load) when no timeline is recording.
+//! **Tracing**: every rank thread records into its caller's profile
+//! scope and runs inside an [`mdm_profile::rank_scope`], so the spans
+//! and watchdog violations it records carry the rank, and
+//! [`Comm::send`] / [`Comm::recv`] mark each message's endpoints as
+//! timeline flows ([`mdm_profile::timeline_flow_send`]) — in a `--trace`
+//! run the merged Perfetto trace shows one process-track family per
+//! rank with send→recv arrows between them. The timeline part is a
+//! no-op (one relaxed atomic load) when no timeline is recording.
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::collections::HashMap;
@@ -207,6 +207,7 @@ where
         })
         .collect();
     let f = &f;
+    let parent = &mdm_profile::context_snapshot();
     let results = std::thread::scope(|scope| {
         let handles: Vec<_> = comms
             .into_iter()
@@ -221,6 +222,7 @@ where
                     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         // Everything the rank records — spans, flows,
                         // watchdog violations — carries its identity.
+                        let _context = mdm_profile::adopt_context(parent);
                         let _identity = mdm_profile::rank_scope(rank as u64);
                         f(comm)
                     })) {

@@ -349,7 +349,6 @@ mod tests {
 
     #[test]
     fn matches_serial_reference() {
-        let _registry = crate::test_registry::recording();
         let s = perturbed();
         let params = params_for(s.simbox().l());
         let parallel = parallel_forces(&s, &params, ParallelConfig::small());
@@ -377,7 +376,6 @@ mod tests {
 
     #[test]
     fn process_count_invariance() {
-        let _registry = crate::test_registry::recording();
         let s = perturbed();
         let params = params_for(s.simbox().l());
         let a = parallel_forces(&s, &params, ParallelConfig::small());
@@ -397,11 +395,20 @@ mod tests {
 
     #[test]
     fn paper_layout_runs() {
-        let _registry = crate::test_registry::recording();
         let s = perturbed();
         let params = params_for(s.simbox().l());
+        let _scope = mdm_profile::scope();
+        parallel_forces(&s, &params, ParallelConfig::paper());
         let out = parallel_forces(&s, &params, ParallelConfig::paper());
         assert_eq!(out.forces.len(), s.len());
         assert!(out.potential.is_finite());
+        // Every rank recorded into the scope of the thread that called
+        // `run_world`, twice: the 16 real-space ranks open `real` once
+        // per evaluation, the 8 wavenumber ranks `wave` twice (DFT,
+        // IDFT), and all 24 open two `comm` sections, the last a gather.
+        let profile = mdm_profile::take();
+        let calls = |path: &str| profile.spans[path].calls;
+        assert_eq!((calls("real"), calls("wave")), (2 * 16, 2 * 2 * 8));
+        assert_eq!((calls("comm"), calls("comm.gather")), (2 * 2 * 24, 2 * 24));
     }
 }

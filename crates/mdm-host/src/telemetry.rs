@@ -3,7 +3,7 @@
 //!
 //! [`run_instrumented`] is the instrumented twin of
 //! [`Simulation::run`]: it advances the simulation step by step, and
-//! for each step drains the profiling registry into a
+//! for each step drains the run's own profile scope into a
 //! [`StepEvent`] (phase durations + hardware/numeric counters), stamps
 //! the physical observables from the [`StepRecord`], feeds the step
 //! through the [`PhysicsWatchdogs`], and appends the event to a
@@ -318,11 +318,10 @@ pub struct RecordedRun {
 /// with the instrument rack of [`Instruments`] (watchdogs, force-error
 /// probe, live speed meter, ledger row, bus — each optional).
 ///
-/// Per step this drains the global profiling registry (`take`), so the
-/// phase durations and counters on each event belong to that step
-/// alone. Any profile accumulated *before* the call is folded into the
-/// first step's event; callers that care should `mdm_profile::reset()`
-/// first.
+/// The run records into an [`mdm_profile::scope`] of its own, drained
+/// (`take`) once per step: the phase durations and counters on each
+/// event belong to that step of *this* run alone — nothing recorded
+/// before the call or by another run stepping in the same process.
 ///
 /// Per-step ordering, which matters for attribution:
 ///
@@ -349,6 +348,7 @@ pub fn run_instrumented<F: ForceField, W: Write>(
     let mut wall_total = 0.0;
     let mut timeseries = TimeSeries::default();
     let mut last_error: Option<f64> = None;
+    let _scope = mdm_profile::scope();
     for _ in 0..steps {
         let wall_start = Instant::now();
         let record = sim.step();
@@ -723,11 +723,13 @@ pub fn pump_subscription<W: Write>(sub: &Subscription, mut writer: W) -> io::Res
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::MdmTables;
     use mdm_core::forcefield::EwaldTosiFumi;
     use mdm_core::lattice::{rocksalt_nacl, NACL_LATTICE_A};
     use mdm_core::velocities::maxwell_boltzmann;
     use mdm_profile::events::parse_jsonl;
     use mdm_profile::json::Value;
+    use std::collections::BTreeMap;
 
     fn software_sim(dt: f64) -> Simulation<EwaldTosiFumi> {
         let mut s = rocksalt_nacl(2, NACL_LATTICE_A);
@@ -751,11 +753,9 @@ mod tests {
 
     #[test]
     fn recorded_run_streams_manifest_steps_and_observables() {
-        let _registry = crate::test_registry::draining();
         let mut sim = software_sim(1.0);
         let manifest = software_manifest(&sim);
         let mut recorder = FlightRecorder::new(Vec::new(), &manifest).unwrap();
-        mdm_profile::reset();
         let run = run_instrumented(&mut sim, 4, &mut recorder, Instruments::default()).unwrap();
         assert_eq!(run.records.len(), 4);
         assert_eq!(run.violations, 0);
@@ -781,14 +781,12 @@ mod tests {
 
     #[test]
     fn watchdog_violations_land_on_the_offending_step() {
-        let _registry = crate::test_registry::draining();
         // Unstable timestep (see mdm-core observables tests): the
         // energy-drift violations must appear in the JSONL stream.
         let mut sim = software_sim(40.0);
         let manifest = software_manifest(&sim);
         let mut recorder = FlightRecorder::new(Vec::new(), &manifest).unwrap();
         let mut dogs = PhysicsWatchdogs::nve(1e-3, 1e9);
-        mdm_profile::reset();
         let run = run_instrumented(
             &mut sim,
             10,
@@ -867,7 +865,6 @@ mod tests {
 
     #[test]
     fn instrumented_run_streams_accuracy_observables() {
-        let _registry = crate::test_registry::draining();
         let mut sim = mdm_sim();
         let l = sim.system().simbox().l();
         let n = sim.system().len() as u64;
@@ -877,7 +874,6 @@ mod tests {
         let probe = mdm_core::accuracy::ForceErrorProbe::converged_for_mdm(&params, l, 2, 8);
         let meter = SpeedMeter::for_run(&params, n, l);
         let mut dogs = PhysicsWatchdogs::nve(1e-2, 1e-6).with_force_error_band(1e-3);
-        mdm_profile::reset();
         let run = run_instrumented(
             &mut sim,
             3,
@@ -924,9 +920,75 @@ mod tests {
         assert!(!steps[0].phases.contains_key("probe"));
     }
 
+    /// The emulated machine, plus one record per rayon worker item and
+    /// per `run_world` rank on every force evaluation.
+    struct RecordsOffThread(MdmForceField);
+
+    impl ForceField for RecordsOffThread {
+        fn compute(&mut self, system: &mdm_core::System) -> mdm_core::forcefield::ForceResult {
+            use rayon::prelude::*;
+            rayon::with_num_threads(4, || {
+                (0..32usize).into_par_iter().for_each(|_| {
+                    let _leaf = mdm_profile::span("worker_leaf");
+                    mdm_profile::counter("worker_hits", 1);
+                })
+            });
+            crate::mpi::run_world(3, |_comm| mdm_profile::counter("rank_hits", 1));
+            self.0.compute(system)
+        }
+    }
+
+    /// One 5-step `cells = 2` run; returns every counter of every step
+    /// event (`mdg_pair_ops`, `mdg_cycles`, `wine_*_ops`, `jstore_*`, …
+    /// — all but the wall-clock `*_ns` ones) and every span's calls.
+    fn metered_run(
+        tables: &MdmTables,
+        start: &std::sync::Barrier,
+    ) -> impl PartialEq + std::fmt::Debug + Send {
+        let s = perturbed_nacl();
+        let ff = MdmForceField::nacl_default_with_tables(s.simbox().l(), tables.clone());
+        let mut sim = Simulation::new(s, RecordsOffThread(ff), 1.0);
+        let mut recorder = FlightRecorder::new(Vec::new(), &RunManifest::default()).unwrap();
+        start.wait();
+        let _outer = mdm_profile::scope();
+        let run = run_instrumented(&mut sim, 5, &mut recorder, Instruments::default()).unwrap();
+        // The run's own scope took everything its caller, its rayon
+        // workers and its ranks recorded; the one around it, nothing.
+        assert_eq!(mdm_profile::take(), mdm_profile::Profile::default());
+        let text = String::from_utf8(recorder.into_inner()).unwrap();
+        let (_, mut steps) = parse_jsonl(&text).unwrap();
+        assert_eq!(steps.len(), 5);
+        for event in &mut steps {
+            assert!(event.counters["mdg_pair_ops"] > 0);
+            assert_eq!((event.counters["worker_hits"], event.counters["rank_hits"]), (32, 3));
+            event.counters.retain(|name, _| !name.ends_with("_ns"));
+        }
+        let spans = run.profile.spans.iter();
+        let calls: BTreeMap<_, _> = spans.map(|(path, stat)| (path.clone(), stat.calls)).collect();
+        assert_eq!((calls["wave"], calls["worker_leaf"]), (5, 5 * 32), "{calls:?}");
+        (steps.into_iter().map(|event| event.counters).collect::<Vec<_>>(), calls)
+    }
+
+    #[test]
+    fn concurrent_runs_meter_exactly_what_a_solo_run_meters() {
+        use std::sync::Barrier;
+        let tables = MdmTables::build().unwrap();
+        let solo = metered_run(&tables, &Barrier::new(1));
+        // Two plain threads, no lock: each run's scope keeps the other
+        // run's spans and counters out of its per-step drains.
+        for rep in 0..20 {
+            let start = Barrier::new(2);
+            let (a, b) = std::thread::scope(|threads| {
+                let a = threads.spawn(|| metered_run(&tables, &start));
+                let b = threads.spawn(|| metered_run(&tables, &start));
+                (a.join().unwrap(), b.join().unwrap())
+            });
+            assert_eq!((&a, &b), (&solo, &solo), "repetition {rep}");
+        }
+    }
+
     #[test]
     fn degraded_run_trips_the_force_error_watchdog() {
-        let _registry = crate::test_registry::draining();
         use mdm_core::ewald::EwaldParams;
         let s = perturbed_nacl();
         let l = s.simbox().l();
@@ -940,7 +1002,6 @@ mod tests {
         let mut recorder = FlightRecorder::new(Vec::new(), &manifest).unwrap();
         let probe = mdm_core::accuracy::ForceErrorProbe::converged_for_mdm(&bad, l, 1, 8);
         let mut dogs = PhysicsWatchdogs::nve(1e9, 1e-6).with_force_error_band(1e-3);
-        mdm_profile::reset();
         let run = run_instrumented(
             &mut sim,
             2,
@@ -963,7 +1024,6 @@ mod tests {
 
     #[test]
     fn mdm_manifest_carries_the_ewald_parameters() {
-        let _registry = crate::test_registry::recording();
         let s = rocksalt_nacl(2, NACL_LATTICE_A);
         let l = s.simbox().l();
         let ff = MdmForceField::nacl_default(l).unwrap();
@@ -980,7 +1040,6 @@ mod tests {
 
     #[test]
     fn mdm_manifest_names_the_wavenumber_backend_that_ran() {
-        let _registry = crate::test_registry::recording();
         let s = rocksalt_nacl(2, NACL_LATTICE_A);
         let l = s.simbox().l();
         let sim = Simulation::new(s.clone(), MdmForceField::nacl_default(l).unwrap(), 2.0);
@@ -998,7 +1057,6 @@ mod tests {
 
     #[test]
     fn mdm_manifest_is_environment_stamped() {
-        let _registry = crate::test_registry::recording();
         let s = rocksalt_nacl(2, NACL_LATTICE_A);
         let ff = MdmForceField::nacl_default(s.simbox().l()).unwrap();
         let sim = Simulation::new(s, ff, 2.0);
@@ -1021,12 +1079,10 @@ mod tests {
 
     #[test]
     fn pressure_streams_on_software_and_emulated_runs() {
-        let _registry = crate::test_registry::draining();
         // Software Ewald reports a virial → pressure_gpa is streamed.
         let mut sim = software_sim(1.0);
         let manifest = software_manifest(&sim);
         let mut recorder = FlightRecorder::new(Vec::new(), &manifest).unwrap();
-        mdm_profile::reset();
         run_instrumented(&mut sim, 2, &mut recorder, Instruments::default()).unwrap();
         let text = String::from_utf8(recorder.into_inner()).unwrap();
         let (_, steps) = parse_jsonl(&text).unwrap();
@@ -1041,7 +1097,6 @@ mod tests {
         let mut sim = mdm_sim();
         let manifest = mdm_manifest("with-pressure", "cargo test", &sim, 11);
         let mut recorder = FlightRecorder::new(Vec::new(), &manifest).unwrap();
-        mdm_profile::reset();
         run_instrumented(&mut sim, 1, &mut recorder, Instruments::default()).unwrap();
         let text = String::from_utf8(recorder.into_inner()).unwrap();
         let (back, steps) = parse_jsonl(&text).unwrap();
@@ -1054,11 +1109,9 @@ mod tests {
 
     #[test]
     fn instrumented_run_collects_the_utilization_timeseries() {
-        let _registry = crate::test_registry::draining();
         let mut sim = mdm_sim();
         let manifest = mdm_manifest("ts-test", "cargo test", &sim, 11);
         let mut recorder = FlightRecorder::new(Vec::new(), &manifest).unwrap();
-        mdm_profile::reset();
         let run = run_instrumented(&mut sim, 3, &mut recorder, Instruments::default()).unwrap();
         assert!(run.wall_seconds > 0.0);
         // The driver's device gauges and the derived wall fractions
@@ -1094,7 +1147,6 @@ mod tests {
 
     #[test]
     fn ledger_sink_appends_one_summary_row() {
-        let _registry = crate::test_registry::draining();
         let path = std::env::temp_dir().join(format!(
             "mdm_telemetry_ledger_{}.jsonl",
             std::process::id()
@@ -1106,7 +1158,6 @@ mod tests {
         let meter = SpeedMeter::for_run(&params, n, sim.system().simbox().l());
         let manifest = mdm_manifest("ledger-test", "cargo test", &sim, 11);
         let mut recorder = FlightRecorder::new(Vec::new(), &manifest).unwrap();
-        mdm_profile::reset();
         let run = run_instrumented(
             &mut sim,
             2,
@@ -1144,13 +1195,11 @@ mod tests {
 
     #[test]
     fn instrumented_run_publishes_every_step_on_the_bus() {
-        let _registry = crate::test_registry::draining();
         let mut sim = software_sim(1.0);
         let manifest = software_manifest(&sim);
         let mut recorder = FlightRecorder::new(Vec::new(), &manifest).unwrap();
         let bus = Bus::new();
         let sub = bus.subscribe(64);
-        mdm_profile::reset();
         let run = run_instrumented(
             &mut sim,
             3,

@@ -8,7 +8,7 @@
 //! `10^hi_exp` — so a fixed, small amount of state captures the whole
 //! distribution and percentile queries stay meaningful at any scale.
 //!
-//! Histograms live in the global [`crate::Profile`] registry next to
+//! Histograms live in the [`crate::Profile`] registry next to
 //! counters (see [`crate::histogram_record`] /
 //! [`crate::histogram_merge`]) and serialize through the flight
 //! recorder as a sparse JSON object. Hot loops should accumulate into

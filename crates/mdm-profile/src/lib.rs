@@ -13,14 +13,16 @@
 //! * [`span`] returns an RAII guard; spans on the same thread nest, and
 //!   the accumulated time is keyed by the dot-joined path (a `"dft"`
 //!   span inside a `"wave"` span accumulates under `"wave.dft"`).
-//! * Accumulation is global (a `Mutex` touched once per span *end*, not
-//!   per sample), so spans recorded on the simulated-MPI worker threads
-//!   of `mdm-host::mpi` aggregate into the same profile.
+//! * Accumulation belongs to a *run*: records go to the innermost
+//!   [`scope`] open on the thread — worker threads inherit it through
+//!   [`context_snapshot`] / [`adopt_context`] — else to one
+//!   process-wide sink; either is a `Mutex` touched once per span
+//!   *end*, not per sample. Concurrent runs never see each other.
 //! * [`counter`] accumulates named integer totals (pairs visited, waves
 //!   processed, …) next to the timings; [`counter_max`] keeps a running
 //!   maximum instead (names ending in `_max` merge by maximum too, so
 //!   high-water marks survive [`Profile::merge`]).
-//! * [`take`] drains the registry into a [`Profile`] snapshot;
+//! * [`take`] drains the current sink into a [`Profile`] snapshot;
 //!   [`report::StepReport`] turns a profile plus modeled seconds into
 //!   the in-memory measured-vs-modeled table `profile_step` prints.
 //! * An optional **timeline** ([`timeline_start`]/[`timeline_stop`])
@@ -57,7 +59,7 @@ use histogram::LogHistogram;
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Canonical top-level phase names, mirroring the paper's Table 4
@@ -221,21 +223,70 @@ impl Profile {
     }
 }
 
-/// Global accumulation: one lock per span *end*, far off any inner loop.
-static REGISTRY: Mutex<Option<Profile>> = Mutex::new(None);
+/// One accumulation target: a lock per span *end*, off any inner loop.
+type Sink = Mutex<Option<Profile>>;
+
+/// The process-wide sink: where a thread with no [`scope`] records.
+static REGISTRY: Sink = Mutex::new(None);
+
+/// A thread's recording context: its open span names, outermost first
+/// (for path nesting), and the innermost [`scope`] it records into.
+#[derive(Clone)]
+pub struct Context {
+    stack: Vec<&'static str>,
+    sink: Option<Arc<Sink>>,
+}
 
 thread_local! {
-    /// This thread's active span stack (for path nesting).
-    static STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
+    static CONTEXT: RefCell<Context> = const {
+        RefCell::new(Context { stack: Vec::new(), sink: None })
+    };
 }
 
 fn with_registry<R>(f: impl FnOnce(&mut Profile) -> R) -> R {
-    let mut guard = REGISTRY.lock().unwrap_or_else(|poisoned| {
-        // A panic inside the short record section cannot leave the map
-        // half-updated in a way we care about; keep profiling.
-        poisoned.into_inner()
-    });
-    f(guard.get_or_insert_with(Profile::default))
+    CONTEXT.with(|context| {
+        let context = context.borrow();
+        let sink = context.sink.as_deref().unwrap_or(&REGISTRY);
+        let mut guard = sink.lock().unwrap_or_else(|poisoned| {
+            // A panic inside the short record section cannot leave the map
+            // half-updated in a way we care about; keep profiling.
+            poisoned.into_inner()
+        });
+        f(guard.get_or_insert_with(Profile::default))
+    })
+}
+
+/// Guard returned by [`scope`] and [`adopt_context`]: on drop (also on
+/// unwind) the thread's span stack and recording target are what they
+/// were before; what nobody drained from a scope is discarded with it.
+#[must_use = "the scope lasts until the guard is dropped"]
+pub struct Scope {
+    /// Stack depth and sink of this thread before the guard.
+    depth: usize,
+    outer: Option<Arc<Sink>>,
+    /// The context is thread-local: drop on the thread that opened it.
+    _not_send: std::marker::PhantomData<*const ()>,
+}
+
+impl Drop for Scope {
+    fn drop(&mut self) {
+        CONTEXT.with(|context| {
+            let mut context = context.borrow_mut();
+            context.stack.truncate(self.depth);
+            context.sink = self.outer.take();
+        });
+    }
+}
+
+/// Open a run-scoped recording target: until the guard drops, records
+/// made on this thread — and on every worker that adopts its context —
+/// accumulate in a fresh sink, and [`take`]/[`reset`] drain that sink
+/// only. Scopes nest; `run_instrumented` opens one per call.
+pub fn scope() -> Scope {
+    adopt_context(&Context {
+        stack: Vec::new(),
+        sink: Some(Arc::new(Mutex::new(None))),
+    })
 }
 
 /// RAII guard: records the elapsed time under the span's path on drop.
@@ -258,10 +309,10 @@ pub struct SpanGuard {
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         let elapsed = self.start.elapsed();
-        STACK.with(|stack| {
+        CONTEXT.with(|context| {
             // Truncate, don't pop: rebalances even when inner guards
             // were leaked or the stack was disturbed by a panic.
-            stack.borrow_mut().truncate(self.depth);
+            context.borrow_mut().stack.truncate(self.depth);
         });
         if TIMELINE_ENABLED.load(Ordering::Relaxed) {
             record_timeline_event(&self.path, self.start, elapsed);
@@ -282,8 +333,8 @@ pub fn span(name: &'static str) -> SpanGuard {
         !name.contains('.'),
         "span names must be single segments; nesting builds the path"
     );
-    let (path, depth) = STACK.with(|stack| {
-        let mut stack = stack.borrow_mut();
+    let (path, depth) = CONTEXT.with(|context| {
+        let stack = &mut context.borrow_mut().stack;
         let depth = stack.len();
         let path = match stack.last() {
             // Reconstruct the parent path from the stack.
@@ -306,48 +357,31 @@ pub fn span(name: &'static str) -> SpanGuard {
     }
 }
 
-/// Snapshot of the current thread's open span names, outermost first.
-/// Hand it to worker threads (via [`adopt_stack`]) so spans they open
-/// nest under the phase that spawned them instead of starting fresh
-/// top-level paths. The vendored rayon backend does this for every
-/// parallel region.
-pub fn stack_snapshot() -> Vec<&'static str> {
-    STACK.with(|stack| stack.borrow().clone())
+/// Snapshot of the current thread's recording context. Hand it to
+/// worker threads (via [`adopt_context`]) so spans they open nest under
+/// the phase that spawned them, in the spawning run's [`scope`]. The
+/// vendored rayon backend does this for every parallel region,
+/// `mpi::run_world` for every rank thread.
+pub fn context_snapshot() -> Context {
+    CONTEXT.with(|context| context.borrow().clone())
 }
 
-/// Guard returned by [`adopt_stack`]: on drop the thread's span stack
-/// is truncated back to where it was before adoption.
-#[must_use = "adoption lasts until the guard is dropped"]
-pub struct AdoptedStack {
-    /// Stack depth before the adopted names were pushed.
-    depth: usize,
-    /// Stack operations are thread-local; the guard must drop on the
-    /// adopting thread.
-    _not_send: std::marker::PhantomData<*const ()>,
-}
-
-impl Drop for AdoptedStack {
-    fn drop(&mut self) {
-        STACK.with(|stack| stack.borrow_mut().truncate(self.depth));
-    }
-}
-
-/// Push `names` (a [`stack_snapshot`] from the spawning thread) onto
-/// this thread's span stack, so subsequent spans here record dotted
-/// paths under the spawning phase. The adopted names themselves are
-/// *context only* — no time accumulates under them from this thread;
-/// the spawning thread's own guards measure the phase.
-pub fn adopt_stack(names: &[&'static str]) -> AdoptedStack {
-    let depth = STACK.with(|stack| {
-        let mut stack = stack.borrow_mut();
-        let depth = stack.len();
-        stack.extend_from_slice(names);
-        depth
-    });
-    AdoptedStack {
-        depth,
-        _not_send: std::marker::PhantomData,
-    }
+/// Adopt `context` (a [`context_snapshot`] from the spawning thread)
+/// until the guard drops: this thread records into its scope, under its
+/// span names. The adopted names themselves are *context only* — no
+/// time accumulates under them from this thread; the spawning thread's
+/// own guards measure the phase.
+pub fn adopt_context(context: &Context) -> Scope {
+    CONTEXT.with(|mine| {
+        let mut mine = mine.borrow_mut();
+        let depth = mine.stack.len();
+        mine.stack.extend_from_slice(&context.stack);
+        Scope {
+            depth,
+            outer: std::mem::replace(&mut mine.sink, context.sink.clone()),
+            _not_send: std::marker::PhantomData,
+        }
+    })
 }
 
 /// Add `value` to the named counter.
@@ -434,20 +468,15 @@ pub fn histogram_merge(name: &'static str, hist: &LogHistogram) {
     });
 }
 
-/// Drain the registry: returns everything accumulated since the last
-/// `take`/`reset` and leaves it empty.
+/// Drain the current sink (innermost open [`scope`], else process-wide):
+/// everything accumulated there since the last `take`/`reset`.
 pub fn take() -> Profile {
     with_registry(std::mem::take)
 }
 
-/// Clear the registry without reading it.
+/// Clear the current sink without reading it.
 pub fn reset() {
     let _ = take();
-}
-
-/// Copy the registry without clearing it.
-pub fn snapshot() -> Profile {
-    with_registry(|profile| profile.clone())
 }
 
 // ---------------------------------------------------------------------
@@ -462,7 +491,7 @@ thread_local! {
 /// The rank identity of the current thread ([`rank_scope`]), or `None`
 /// outside any rank context (single-process runs, the main thread).
 /// Timeline events and watchdog [`watchdog::Violation`]s stamp this at
-/// creation, which is what turns the process-global registry into a
+/// creation, which is what turns one shared profile into a
 /// *distributed* trace: same span paths, per-rank attribution.
 pub fn current_rank() -> Option<u64> {
     CURRENT_RANK.with(|cell| cell.get())
@@ -733,8 +762,13 @@ mod tests {
         }
     }
 
-    // The registry is global and cargo runs tests concurrently, so each
-    // test uses its own unique span names and asserts only on those.
+    // The tests without a `scope()` share the process-wide sink and run
+    // concurrently, so each uses unique span names and asserts on those.
+
+    /// Copy the current sink without clearing it.
+    fn snapshot() -> Profile {
+        with_registry(|profile| profile.clone())
+    }
 
     #[test]
     fn nesting_builds_dotted_paths() {
@@ -870,14 +904,14 @@ mod tests {
     fn adopted_stack_attributes_worker_spans_under_parent() {
         let parent = {
             let _phase = span("t15_phase");
-            stack_snapshot()
+            context_snapshot()
         };
-        assert_eq!(parent, vec!["t15_phase"]);
+        assert_eq!(parent.stack, vec!["t15_phase"]);
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 let parent = parent.clone();
                 scope.spawn(move || {
-                    let _adopted = adopt_stack(&parent);
+                    let _adopted = adopt_context(&parent);
                     let _leaf = span("t15_leaf");
                     spin(Duration::from_micros(100));
                 });
@@ -893,6 +927,57 @@ mod tests {
         // Adoption is context only: the phase accumulated exactly its
         // own one call on the spawning thread.
         assert_eq!(profile.spans["t15_phase"].calls, 1);
+    }
+
+    #[test]
+    fn scope_takes_exactly_its_own_records() {
+        counter("t17_outside", 1);
+        {
+            let _scope = scope();
+            drop(span("t17_span"));
+            counter("t17_inside", 5);
+            gauge("t17_gauge", 0.5);
+            histogram_record("t17_hist", 1e-6);
+            // Nothing another test put in the process-wide sink, nothing
+            // recorded before the scope opened.
+            let mine = take();
+            assert_eq!(mine.spans.len(), 1);
+            assert_eq!(mine.spans["t17_span"].calls, 1);
+            assert_eq!(mine.counters, HashMap::from([("t17_inside".to_string(), 5)]));
+            assert_eq!(mine.gauges["t17_gauge"].count, 1);
+            assert_eq!(mine.histograms["t17_hist"].count(), 1);
+            counter("t17_inside", 1);
+            reset();
+            assert_eq!(take(), Profile::default());
+            counter("t17_inside", 1);
+        }
+        // Closed: this thread records process-wide again, and what the
+        // scope held — drained or not — never reached that sink.
+        counter("t17_outside", 1);
+        let global = snapshot();
+        assert_eq!(global.counters["t17_outside"], 2);
+        assert!(!global.counters.contains_key("t17_inside"));
+        assert!(!global.spans.contains_key("t17_span"));
+    }
+
+    #[test]
+    fn nested_scope_restores_the_outer_one_on_drop_and_on_unwind() {
+        let _outer = scope();
+        counter("t18_outer", 1);
+        {
+            let _inner = scope();
+            counter("t18_inner", 1);
+            assert_eq!(take().counters, HashMap::from([("t18_inner".to_string(), 1)]));
+        }
+        counter("t18_outer", 1);
+        let unwound = std::panic::catch_unwind(|| {
+            let _inner = scope();
+            counter("t18_unwound", 1);
+            panic!("boom inside a scope");
+        });
+        assert!(unwound.is_err());
+        counter("t18_outer", 1);
+        assert_eq!(take().counters, HashMap::from([("t18_outer".to_string(), 3)]));
     }
 
     #[test]

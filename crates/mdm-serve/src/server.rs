@@ -14,12 +14,12 @@
 //! checkpoint restores are bit-exact the observable stream continues
 //! exactly as the uninterrupted run would have.
 //!
-//! The profiling registry ([`mdm_profile`]) is process-global, so the
-//! *stepping* section of a slice is serialised across workers by a
-//! global lock: per-slice counters (the j-store upload meter the pool
-//! arbitrates on) attribute to exactly one job. With several boards,
-//! checkpoint IO, force-field assembly, and client streaming still
-//! overlap stepping.
+//! Every slice records into its own [`mdm_profile::scope`], so
+//! per-slice counters (the j-store upload meter the pool arbitrates
+//! on) attribute to exactly one job. The *stepping* section of a slice
+//! is still serialised across workers — one step's rayon regions
+//! already fill the host's cores — while checkpoint IO, force-field
+//! assembly, and client streaming overlap stepping.
 //!
 //! ## Spool layout
 //!
@@ -59,10 +59,12 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// The emulated boards share one process-global profiling registry, so
-/// only one slice may *step* at a time — this is the register file of
-/// the shared facility, not a convenience lock.
-static STEP_REGISTRY: Mutex<()> = Mutex::new(());
+/// The emulated boards share the host's cores, so only one slice may
+/// *step* at a time. The profiling registry no longer needs this lock
+/// (a run's profile is its own); the cores do: one step is ≈ 1.8 cores
+/// wide on the committed 2-vCPU host, so a second stepper would nearly
+/// double every step's wall for ≈ 14 % more throughput (DESIGN.md §15).
+static HOST_CORES: Mutex<()> = Mutex::new(());
 
 /// Everything [`Server::start`] needs.
 #[derive(Clone, Debug)]
@@ -712,14 +714,14 @@ fn finalize(inner: &Arc<Inner>, job: &str, slot: &JobSlot, suffix: &str) {
     }
 }
 
-fn board_lease() -> MutexGuard<'static, ()> {
+fn cpu_lease() -> MutexGuard<'static, ()> {
     // The guarded data is `()`: a slice that panicked under the lease
     // left nothing half-updated behind.
-    STEP_REGISTRY.lock().unwrap_or_else(|p| p.into_inner())
+    HOST_CORES.lock().unwrap_or_else(|p| p.into_inner())
 }
 
 /// One scheduling slice: materialise from the spool, step under the
-/// board lease, checkpoint, free.
+/// CPU lease, checkpoint, free.
 fn run_slice(inner: &Arc<Inner>, job: &str) -> Result<SliceOutcome, String> {
     let (spec, bus) = {
         let st = inner.lock();
@@ -729,12 +731,10 @@ fn run_slice(inner: &Arc<Inner>, job: &str) -> Result<SliceOutcome, String> {
     let ckpt_path = inner.spool_file(job, "ckpt");
     let trace_path = inner.spool_file(job, "trace.jsonl");
 
-    // The board lease: whatever records into the profiling registry
-    // (and with it the j-store upload meter) runs under it, because the
-    // registry is shared across the pool. A resumed slice takes it at
-    // the stepping section; a job's first slice takes it here already —
-    // `Simulation::new` runs the initial force and energy evaluation,
-    // which would otherwise land in whichever job is stepping.
+    // The CPU lease: whatever runs the emulators' parallel regions runs
+    // under it. A resumed slice takes it at the stepping section; a
+    // job's first slice takes it here already — `Simulation::new` runs
+    // the initial force and energy evaluation, a step's worth of work.
     let mut lease = None;
     let mut sim = if ckpt_path.exists() {
         let cp = Checkpoint::load(&ckpt_path).map_err(|e| format!("checkpoint load: {e}"))?;
@@ -750,7 +750,7 @@ fn run_slice(inner: &Arc<Inner>, job: &str) -> Result<SliceOutcome, String> {
         let mut ff =
             MdmForceField::nacl_default_with_tables(system.simbox().l(), inner.tables.clone());
         ff.set_potential_interval(spec.potential_interval);
-        lease = Some(board_lease());
+        lease = Some(cpu_lease());
         Simulation::new(system, ff, spec.dt)
     };
     if spec.thermostat {
@@ -787,8 +787,7 @@ fn run_slice(inner: &Arc<Inner>, job: &str) -> Result<SliceOutcome, String> {
     };
 
     let run = {
-        let _board = lease.unwrap_or_else(board_lease);
-        mdm_profile::reset();
+        let _cores = lease.unwrap_or_else(cpu_lease);
         run_instrumented(
             &mut sim,
             n,

@@ -25,7 +25,7 @@ fn temp_spool(tag: &str) -> PathBuf {
 
 /// Spawn the real daemon on an ephemeral port; returns the child and
 /// the address parsed from its banner line.
-fn spawn_server(spool: &Path, slice: u64, extra: &[&str]) -> (Child, String) {
+fn spawn_server(spool: &Path, slice: u64) -> (Child, String) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_mdm_serve"))
         .args([
             "--addr",
@@ -35,7 +35,6 @@ fn spawn_server(spool: &Path, slice: u64, extra: &[&str]) -> (Child, String) {
             "--slice",
             &slice.to_string(),
         ])
-        .args(extra)
         .stdout(Stdio::piped())
         .stderr(Stdio::inherit())
         .spawn()
@@ -98,7 +97,7 @@ fn killed_server_resumes_jobs_bit_for_bit() {
         ..JobSpec::default()
     };
 
-    let (mut child, addr) = spawn_server(&spool, 4, &[]);
+    let (mut child, addr) = spawn_server(&spool, 4);
     let mut client = Client::connect_with_retry(&addr, Duration::from_secs(10)).unwrap();
     assert!(matches!(
         client.submit(&spec).unwrap(),
@@ -123,7 +122,7 @@ fn killed_server_resumes_jobs_bit_for_bit() {
     child.wait().unwrap();
 
     // Restart on the same spool: the job must resume and finish.
-    let (mut child2, addr2) = spawn_server(&spool, 4, &[]);
+    let (mut child2, addr2) = spawn_server(&spool, 4);
     let mut client2 = Client::connect_with_retry(&addr2, Duration::from_secs(10)).unwrap();
     let report = client2.wait("kr", Duration::from_secs(120)).unwrap();
     assert_eq!(report.state, JobState::Done, "detail: {:?}", report.detail);
@@ -305,24 +304,19 @@ fn mini_soak_mixed_priorities_all_jobs_finish_clean() {
     let _ = std::fs::remove_dir_all(&spool);
 }
 
-/// Run `jobs` copies of one spec on a `boards`-board daemon and return
-/// each job's `jstore_upload_bytes_per_step` ledger gauge. The daemon is
-/// a subprocess: the meter reads a process-global registry, and the
-/// other tests of this binary run emulator work in-process.
+/// Run `jobs` copies of one spec on a `boards`-board in-process daemon
+/// — beside whatever emulator work the other tests of this binary are
+/// recording — and return each job's `jstore_upload_bytes_per_step`
+/// ledger gauge.
 fn upload_bytes_per_step(tag: &str, boards: usize, jobs: usize) -> Vec<f64> {
     let spool = temp_spool(tag);
     let ledger = spool.join("ledger.jsonl");
-    let (mut child, addr) = spawn_server(
-        &spool,
-        2,
-        &[
-            "--boards",
-            &boards.to_string(),
-            "--ledger",
-            ledger.to_str().unwrap(),
-        ],
-    );
-    let mut client = Client::connect(&addr).unwrap();
+    let mut cfg = ServerConfig::new(&spool);
+    cfg.slice_steps = 2;
+    cfg.boards = boards;
+    cfg.ledger = Some(ledger.clone());
+    let server = Server::start(cfg).unwrap();
+    let mut client = Client::connect(&server.local_addr().to_string()).unwrap();
     let names: Vec<String> = (0..jobs).map(|i| format!("{tag}-{i}")).collect();
     for name in &names {
         let spec = JobSpec {
@@ -339,8 +333,7 @@ fn upload_bytes_per_step(tag: &str, boards: usize, jobs: usize) -> Vec<f64> {
         let report = client.wait(name, Duration::from_secs(300)).unwrap();
         assert_eq!(report.state, JobState::Done, "{name}: {:?}", report.detail);
     }
-    client.shutdown().unwrap();
-    child.wait().expect("daemon exits on shutdown");
+    server.stop();
     let (records, bad) = mdm_profile::ledger::read_ledger(&ledger).expect("ledger written");
     assert_eq!((records.len(), bad), (jobs, 0));
     let _ = std::fs::remove_dir_all(&spool);
@@ -350,11 +343,10 @@ fn upload_bytes_per_step(tag: &str, boards: usize, jobs: usize) -> Vec<f64> {
         .collect()
 }
 
-/// A job's counters are its own: the first slice's initial force and
-/// energy evaluation runs under the board lease like every step, so
-/// identical jobs sharing a 2-board pool meter identical uploads — the
-/// same as one job alone on the server. (Outside the lease it recorded
-/// into whichever job was stepping on the other board.)
+/// A job's counters are its own: every slice records into its own
+/// profile scope, so identical jobs sharing a 2-board pool — and a
+/// process with the rest of this binary's tests — meter identical
+/// uploads, the same as one job alone on the server.
 #[test]
 fn identical_jobs_meter_identical_uploads_on_a_shared_pool() {
     let solo = upload_bytes_per_step("meter-solo", 1, 1);

@@ -52,9 +52,3 @@ pub mod timing;
 pub use api::Wine2Library;
 pub use pipeline::{WineParticle, WinePipeline};
 pub use system::{Wine2Config, Wine2System};
-
-/// Serialises tests that assert on the global `wine_q30_saturations`
-/// telemetry counter (the profile registry is process-wide and cargo
-/// runs tests concurrently).
-#[cfg(test)]
-pub(crate) static SATURATION_COUNTER_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());

@@ -428,34 +428,11 @@ mod tests {
     }
 
     #[test]
-    fn quantized_charge_saturates_not_wraps() {
-        let _lock = crate::SATURATION_COUNTER_LOCK
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
-        let p = WineParticle::quantize([0.0, 0.0, 0.0], 5.0);
-        assert_eq!(p.q, Q30::max_value());
-    }
-
-    #[test]
     fn overdriven_charges_bump_saturation_counter() {
         // Deliberately break the host's `q/q_scale ∈ [-1, 1]` contract:
         // every out-of-range charge must surface in the telemetry
-        // counter, not just clamp silently. The registry is process-
-        // global and other tests run concurrently in this binary, so
-        // assert on a snapshot *delta* rather than draining it (which
-        // would silently discard their span/counter data); the lock
-        // serializes the tests that bump this counter on purpose.
-        let _lock = crate::SATURATION_COUNTER_LOCK
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
-        let saturations = || {
-            mdm_profile::snapshot()
-                .counters
-                .get("wine_q30_saturations")
-                .copied()
-                .unwrap_or(0)
-        };
-        let before = saturations();
+        // counter, not just clamp silently.
+        let _scope = mdm_profile::scope();
         let hot = WineParticle::quantize([0.1, 0.2, 0.3], 5.0);
         let cold = WineParticle::quantize([0.4, 0.5, 0.6], -3.0);
         let fine = WineParticle::quantize([0.7, 0.8, 0.9], 0.99);
@@ -463,7 +440,7 @@ mod tests {
         assert_eq!(cold.q, Q30::min_value());
         assert_eq!(fine.q, Q30::from_f64_saturating(0.99));
         assert_eq!(
-            saturations() - before,
+            mdm_profile::take().counters["wine_q30_saturations"],
             2,
             "exactly the two overdriven charges count"
         );

@@ -476,62 +476,25 @@ mod tests {
     fn quantization_residuals_land_in_seam_histogram() {
         // Every charge, phase, and IDFT-coefficient quantization
         // residual goes into the `wine_fx_quant_residual` histogram.
-        // Snapshot deltas: other tests in this binary can only *add*
-        // samples, and a normalised run's residuals are bounded by the
-        // Q30/Phase32 resolution, so min() stays tiny.
-        let count = || {
-            mdm_profile::snapshot()
-                .histograms
-                .get("wine_fx_quant_residual")
-                .map_or(0, |h| h.count())
-        };
-        let before = count();
+        let _scope = mdm_profile::scope();
         let s = perturbed_crystal();
         let n = s.len() as u64;
         let mut wine = Wine2System::new(Wine2Config { clusters: 2 });
         let hw = wine
-            .compute_wavepart(s.simbox(), s.positions(), s.charges(), 7.0, 6.0)
+            .compute_wavepart(s.simbox(), s.positions(), s.charges(), 7.0, 8.0)
             .unwrap();
+        let profile = mdm_profile::take();
         // 4 residuals per particle (charge + 3 phases) + 2 per wave.
-        let expected = 4 * n + 2 * hw.counters.waves;
-        assert!(
-            count() >= before + expected,
-            "histogram grew by {} (expected ≥ {expected})",
-            count() - before
-        );
-        let hist = mdm_profile::snapshot().histograms["wine_fx_quant_residual"].clone();
+        let hist = &profile.histograms["wine_fx_quant_residual"];
+        assert_eq!(hist.count(), 4 * n + 2 * hw.counters.waves);
         // Q30 resolution is 2⁻³¹ ≈ 4.7e-10; Phase32 is finer still.
         let min = hist.min().expect("non-empty");
         assert!(min < 1e-8, "smallest residual suspiciously large: {min}");
-    }
-
-    #[test]
-    fn standard_nacl_run_has_zero_q30_saturations() {
         // The host normalises charges by `q_scale = max|q|` and
         // coefficients by `c_scale`, so a standard NaCl evaluation must
         // never saturate the Q30 datapath inputs.
-        // Snapshot delta, not a drain: `take()` would throw away the
-        // span/counter data of tests running concurrently in this
-        // binary. The lock serializes the tests that bump this counter
-        // on purpose.
-        let _lock = crate::SATURATION_COUNTER_LOCK
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
-        let saturations = || {
-            mdm_profile::snapshot()
-                .counters
-                .get("wine_q30_saturations")
-                .copied()
-                .unwrap_or(0)
-        };
-        let before = saturations();
-        let s = perturbed_crystal();
-        let mut wine = Wine2System::new(Wine2Config { clusters: 2 });
-        wine.compute_wavepart(s.simbox(), s.positions(), s.charges(), 7.0, 8.0)
-            .unwrap();
-        assert_eq!(
-            saturations() - before,
-            0,
+        assert!(
+            !profile.counters.contains_key("wine_q30_saturations"),
             "saturation events in a normalised run"
         );
     }

@@ -184,7 +184,6 @@ fn instrumented_run_streams_live_over_tcp() {
     }
 
     let mut recorder = FlightRecorder::new(Vec::new(), &manifest).unwrap();
-    mdm::profile::reset();
     let run = run_instrumented(
         &mut sim,
         3,

@@ -2,20 +2,18 @@
 //! from the outside: thread-count and `set_parallel` invariance at a
 //! size where every plane and pencil task has real work, stencils that
 //! wrap or sit exactly on the slab boundaries the spread partitions by,
-//! scratch reuse across calls, and non-neutral input.
+//! scratch reuse and its accounting, and non-neutral input.
 //!
 //! The transform-versus-oracle and spectral-versus-gather-energy checks
 //! need the engine's internals and live beside it as unit tests
 //! (`mesh::fft::tests`, `mesh::tests`).
-//!
-//! Everything here calls the engines' inherent `compute`, which does
-//! not touch the `longrange_scratch_reuses` counter — that accounting
-//! has a test binary of its own (`tests/scratch_reuse.rs`).
 
 use mdm::core::boxsim::SimBox;
 use mdm::core::ewald::recip::recip_space;
+use mdm::core::ewald::EwaldParams;
 use mdm::core::kvectors::half_space_vectors;
 use mdm::core::lattice::{rocksalt_nacl, NACL_LATTICE_A};
+use mdm::core::longrange::{by_name, SOFTWARE_BACKENDS};
 use mdm::core::mesh::{MeshEngine, MeshResult, Window};
 use mdm::core::pme::SpmeRecip;
 use mdm::core::pswf::PswfRecip;
@@ -121,6 +119,31 @@ fn reused_scratch_does_not_leak_between_calls() {
     spme.compute(s.simbox(), &moved[..fewer], &s.charges()[..fewer]);
     let again = spme.compute(s.simbox(), s.positions(), s.charges());
     assert_bitwise(&first, &again, "pme, third call");
+}
+
+/// `longrange_scratch_reuses` accounting, one rule for every software
+/// backend: the first `compute` sizes the scratch (wave buffers, mesh
+/// grid, stencils), each later call reuses it, so N calls report N − 1.
+#[test]
+fn n_calls_report_n_minus_one_scratch_reuses_for_every_software_backend() {
+    let s = rocksalt_nacl(2, NACL_LATTICE_A);
+    let l = s.simbox().l();
+    let params = EwaldParams::from_alpha_accuracy(7.0, 3.2, 3.2, l);
+    let _scope = mdm::profile::scope();
+    for name in SOFTWARE_BACKENDS {
+        for calls in [1u64, 4] {
+            let mut backend = by_name(name, &params, l).expect("software backend");
+            for _ in 0..calls {
+                backend.compute(s.simbox(), s.positions(), s.charges());
+            }
+            let reuses = mdm::profile::take()
+                .counters
+                .get("longrange_scratch_reuses")
+                .copied()
+                .unwrap_or(0);
+            assert_eq!(reuses, calls - 1, "{name}: {calls} calls");
+        }
+    }
 }
 
 /// Particles exactly on grid planes — the boundaries the spread buckets
