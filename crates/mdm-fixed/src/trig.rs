@@ -25,9 +25,7 @@ pub struct SinCosTable {
     /// entry at the end so interpolation never branches.
     table: Vec<Q30>,
     /// The same ROM as packed 32-bit words (every Q30 entry fits an
-    /// `i32`): the contiguous layout a vectorised sweep gathers its
-    /// interpolation pairs `(table[i], table[i+1])` from in one 64-bit
-    /// load per lane.
+    /// `i32`): what a vectorised sweep builds its own lookup image from.
     words: Vec<i32>,
     index_bits: u32,
 }
@@ -72,10 +70,9 @@ impl SinCosTable {
     }
 
     /// The ROM contents as raw Q30 words, wrap-around entry included —
-    /// `words()[i]` is `sin(2π·i/len)` as its 32-bit register value.
-    /// Adjacent entries are adjacent words, so a 64-bit read at word `i`
-    /// yields both interpolation endpoints (little-endian: low word
-    /// `table[i]`, high word `table[i+1]`).
+    /// `words()[i]` is `sin(2π·i/len)` as its 32-bit register value, so
+    /// `words()[i]` and `words()[i + 1]` are the interpolation endpoints
+    /// of index `i`.
     pub fn words(&self) -> &[i32] {
         &self.words
     }

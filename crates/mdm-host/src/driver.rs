@@ -120,6 +120,9 @@ impl LongRangeBackend for Wine2Backend {
         positions: &[Vec3],
         charges: &[f64],
     ) -> LongRangeResult {
+        // The board emulator owns its scratch (`Wine2System`: row plan,
+        // particle columns, coefficient and result registers) and a
+        // warm call reuses all of it for this fixed table and α.
         if self.warm {
             mdm_profile::counter("longrange_scratch_reuses", 1);
         } else {

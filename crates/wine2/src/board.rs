@@ -6,9 +6,15 @@
 //! step and streams wave batches (≤ 256 waves, 16 per chip) past them —
 //! the dataflow that keeps the bus traffic linear in `N` while the
 //! compute is `N·N_wv`.
+//!
+//! That dataflow is what the board *bills* (ops per pipeline, cycles per
+//! chip, bytes per bus). What the host *executes* is the wavenumber
+//! sweep (the `sweep` module) over the particle memory, which is held in
+//! the sweep's one-lane-per-particle column layout.
 
 use crate::chip::{WineChip, WAVES_PER_CHIP};
 use crate::pipeline::{DftAccum, IdftAccum, IdftWave, WineParticle};
+use crate::sweep::{DftScratch, Kernel, Lanes, WavePlan};
 
 /// Chips per board (Fig. 4b).
 pub const CHIPS_PER_BOARD: usize = 16;
@@ -51,7 +57,7 @@ impl std::error::Error for BoardError {}
 #[derive(Clone, Debug)]
 pub struct WineBoard {
     chips: Vec<WineChip>,
-    particles: Vec<WineParticle>,
+    particles: Lanes,
     /// Bytes moved over the board's bus interface (loads + read-backs).
     bus_bytes: u64,
 }
@@ -67,7 +73,7 @@ impl WineBoard {
     pub fn new() -> Self {
         Self {
             chips: (0..CHIPS_PER_BOARD).map(|_| WineChip::new()).collect(),
-            particles: Vec::new(),
+            particles: Lanes::default(),
             bus_bytes: 0,
         }
     }
@@ -83,7 +89,7 @@ impl WineBoard {
                 capacity: PARTICLE_CAPACITY,
             });
         }
-        self.particles = particles.to_vec();
+        self.particles.load(particles);
         self.bus_bytes += (particles.len() * BYTES_PER_PARTICLE) as u64;
         Ok(())
     }
@@ -92,6 +98,13 @@ impl WineBoard {
     #[cfg(test)]
     pub(crate) fn chips(&self) -> &[WineChip] {
         &self.chips
+    }
+
+    /// Address and capacity of the particle memory's columns (the
+    /// scratch-reuse test).
+    #[cfg(test)]
+    pub(crate) fn buffers(&self) -> Vec<(usize, usize)> {
+        self.particles.buffers()
     }
 
     /// Number of particles resident.
@@ -126,20 +139,52 @@ impl WineBoard {
         }
     }
 
+    /// The particle memory, in the sweep's column layout.
+    pub(crate) fn lanes(&self) -> &Lanes {
+        &self.particles
+    }
+
+    /// Bill the chip passes of `waves` waves streamed past the resident
+    /// particles — batches of ≤ 256 waves per board pass, ≤ 16 per chip —
+    /// and `bus_bytes_per_wave` of bus traffic for each wave.
+    fn credit_passes(&mut self, waves: usize, bus_bytes_per_wave: usize) {
+        let particles = self.particles.len() as u64;
+        for batch in (0..waves).step_by(WAVES_PER_BOARD) {
+            let batch_len = WAVES_PER_BOARD.min(waves - batch);
+            for (chip, first) in self.chips.iter_mut().zip((0..batch_len).step_by(WAVES_PER_CHIP)) {
+                chip.credit_pass(WAVES_PER_CHIP.min(batch_len - first), particles);
+            }
+        }
+        self.bus_bytes += (waves * bus_bytes_per_wave) as u64;
+    }
+
+    /// Bill a DFT over `waves` waves: the chip passes, plus 16 B per wave
+    /// up and 16 B per accumulator pair down on the bus.
+    pub(crate) fn credit_dft(&mut self, waves: usize) {
+        self.credit_passes(waves, 16 + 16);
+    }
+
+    /// Bill an IDFT over `waves` waves: the chip passes, plus 24 B of
+    /// coefficients per wave up and 12 B of force per particle down.
+    pub(crate) fn credit_idft(&mut self, waves: usize) {
+        self.credit_passes(waves, 24);
+        self.bus_bytes += (self.particles.len() * 12) as u64;
+    }
+
     /// DFT over an arbitrarily long wave list: batches of ≤ 256 waves
     /// stream through the 16 chips. Returns one accumulator per wave.
     /// Wave uploads and accumulator read-backs are counted as bus bytes
     /// (16 B per wave up, 16 B per accumulator pair down).
     pub fn dft(&mut self, waves: &[[i32; 3]]) -> Vec<DftAccum> {
-        let mut out = Vec::with_capacity(waves.len());
-        for batch in waves.chunks(WAVES_PER_BOARD) {
-            self.bus_bytes += (batch.len() * 16) as u64;
-            for (chip_idx, chip_waves) in batch.chunks(WAVES_PER_CHIP).enumerate() {
-                out.extend(self.chips[chip_idx].dft_pass(chip_waves, &self.particles));
-            }
-            self.bus_bytes += (batch.len() * 16) as u64;
-        }
-        out
+        let plan = WavePlan::new(waves);
+        let mut sums = Vec::new();
+        let scratch = &mut DftScratch::default();
+        Kernel::detect().dft(&plan, std::iter::once(&self.particles), scratch, &mut sums);
+        self.credit_dft(waves.len());
+        let terms = self.particles.len() as u64;
+        (0..waves.len())
+            .map(|w| DftAccum::from_partial(sums[plan.slot_of(w)], terms))
+            .collect()
     }
 
     /// IDFT over an arbitrarily long wave list; returns per-particle
@@ -147,19 +192,23 @@ impl WineBoard {
     /// uploads (24 B per wave) and final force read-backs (12 B per
     /// particle) are counted as bus traffic.
     pub fn idft(&mut self, waves: &[IdftWave]) -> Vec<IdftAccum> {
+        let (plan, uv) = crate::sweep::plan_idft(waves);
         let mut acc = vec![IdftAccum::default(); self.particles.len()];
-        for batch in waves.chunks(WAVES_PER_BOARD) {
-            self.bus_bytes += (batch.len() * 24) as u64;
-            // Chips share the per-particle accumulators: on silicon each
-            // chip accumulates its own partial and the FPGA sums them;
-            // accumulating serially into one buffer is bit-identical
-            // because fixed-point addition is exact and associative.
-            for (chip_idx, chip_waves) in batch.chunks(WAVES_PER_CHIP).enumerate() {
-                self.chips[chip_idx].idft_pass(chip_waves, &self.particles, &mut acc);
-            }
-        }
-        self.bus_bytes += (self.particles.len() * 12) as u64;
+        self.idft_planned(Kernel::detect(), &plan, &uv, &mut acc);
         acc
+    }
+
+    /// [`Self::idft`] with the plan and the slot-ordered `[u, v]`
+    /// registers prepared by the caller, added into `out`.
+    pub(crate) fn idft_planned(
+        &mut self,
+        kernel: Kernel,
+        plan: &WavePlan,
+        uv: &[[i64; 2]],
+        out: &mut [IdftAccum],
+    ) {
+        kernel.idft_board(plan, uv, &self.particles, out);
+        self.credit_idft(plan.waves());
     }
 }
 

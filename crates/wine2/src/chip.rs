@@ -3,6 +3,7 @@
 //! — so a chip processes up to 16 waves per particle stream.
 
 use crate::pipeline::{DftAccum, IdftAccum, IdftWave, WineParticle, WinePipeline};
+#[cfg(test)]
 use mdm_fixed::SinCosTable;
 
 /// Waves resident per pipeline.
@@ -11,6 +12,13 @@ pub const WAVES_PER_PIPELINE: usize = 2;
 pub const PIPELINES_PER_CHIP: usize = 8;
 /// Waves a chip can hold per pass.
 pub const WAVES_PER_CHIP: usize = WAVES_PER_PIPELINE * PIPELINES_PER_CHIP;
+
+/// Cycles of one pass: `P` particles against `w ≤ 16` resident waves
+/// take `P·⌈w/8⌉` (each pipeline serves its two waves on alternate
+/// cycles).
+fn pass_cycles(waves: usize, particles: u64) -> u64 {
+    particles * waves.div_ceil(PIPELINES_PER_CHIP) as u64
+}
 
 /// One WINE-2 chip: 8 pipelines plus cycle accounting.
 #[derive(Clone, Debug)]
@@ -46,8 +54,10 @@ impl WineChip {
         self.cycles
     }
 
-    /// The sine/cosine ROM the chip's sweeps read (one host-memory image
-    /// for the whole emulator, see [`WinePipeline`]).
+    /// The sine/cosine ROM the chip's pipelines read (one host-memory
+    /// image for the whole emulator, see [`WinePipeline`]; the
+    /// ROM-sharing tests compare addresses).
+    #[cfg(test)]
     pub(crate) fn rom(&self) -> &'static SinCosTable {
         self.pipelines[0].trig()
     }
@@ -60,29 +70,37 @@ impl WineChip {
         }
     }
 
-    /// DFT pass: up to [`WAVES_PER_CHIP`] waves over one particle stream.
-    /// Returns one accumulator per wave, in input order.
-    ///
-    /// The sweep is interleaved — each particle streams past every
-    /// resident wave before the next is fetched, as on silicon — which
-    /// is bitwise identical to per-wave sweeps because fixed-point
-    /// accumulation is exact. Ops are still attributed to the pipeline
-    /// holding each wave (round-robin), so cycle accounting is
-    /// unchanged.
+    /// Bill one pass of `waves ≤ 16` resident waves over a stream of
+    /// `particles`: one op per particle to the pipeline holding each
+    /// wave (dealt round-robin), `P·⌈w/8⌉` cycles to the chip. The
+    /// wavenumber sweep ([`crate::sweep`]) computes a board's results in
+    /// its own order and bills every chip pass through here, exactly as
+    /// [`Self::dft_pass`] and [`Self::idft_pass`] bill themselves.
+    pub(crate) fn credit_pass(&mut self, waves: usize, particles: u64) {
+        assert!(waves <= WAVES_PER_CHIP, "chip holds at most 16 waves");
+        for w in 0..waves {
+            self.pipelines[w % PIPELINES_PER_CHIP].add_ops(particles);
+        }
+        self.cycles += pass_cycles(waves, particles);
+    }
+
+    /// DFT pass: up to [`WAVES_PER_CHIP`] waves over one particle stream,
+    /// each on the pipeline that holds it (dealt round-robin). Returns
+    /// one accumulator per wave, in input order.
     pub fn dft_pass(&mut self, waves: &[[i32; 3]], particles: &[WineParticle]) -> Vec<DftAccum> {
         assert!(waves.len() <= WAVES_PER_CHIP, "chip holds at most 16 waves");
-        let mut out = vec![DftAccum::default(); waves.len()];
-        crate::pipeline::dft_interleaved(self.rom(), waves, particles, &mut out);
-        for w in 0..waves.len() {
-            self.pipelines[w % PIPELINES_PER_CHIP].add_ops(particles.len() as u64);
-        }
-        self.cycles += particles.len() as u64 * waves.len().div_ceil(PIPELINES_PER_CHIP) as u64;
+        let out = waves
+            .iter()
+            .enumerate()
+            .map(|(w, &n)| self.pipelines[w % PIPELINES_PER_CHIP].dft_wave(n, particles))
+            .collect();
+        self.cycles += pass_cycles(waves.len(), particles.len() as u64);
         out
     }
 
     /// IDFT pass: up to 16 resident waves accumulated into the shared
-    /// per-particle force accumulators (interleaved like
-    /// [`Self::dft_pass`], with identical op/cycle attribution).
+    /// per-particle force accumulators (op and cycle attribution as in
+    /// [`Self::dft_pass`]).
     pub fn idft_pass(
         &mut self,
         waves: &[IdftWave],
@@ -90,11 +108,10 @@ impl WineChip {
         out: &mut [IdftAccum],
     ) {
         assert!(waves.len() <= WAVES_PER_CHIP, "chip holds at most 16 waves");
-        crate::pipeline::idft_interleaved(self.rom(), waves, particles, out);
-        for w in 0..waves.len() {
-            self.pipelines[w % PIPELINES_PER_CHIP].add_ops(particles.len() as u64);
+        for (w, wave) in waves.iter().enumerate() {
+            self.pipelines[w % PIPELINES_PER_CHIP].idft_wave(wave, particles, out);
         }
-        self.cycles += particles.len() as u64 * waves.len().div_ceil(PIPELINES_PER_CHIP) as u64;
+        self.cycles += pass_cycles(waves.len(), particles.len() as u64);
     }
 }
 

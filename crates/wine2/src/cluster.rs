@@ -6,6 +6,7 @@
 
 use crate::board::{BoardError, WineBoard};
 use crate::pipeline::{DftAccum, IdftAccum, IdftWave, WineParticle};
+use crate::sweep::{DftScratch, Kernel, WavePlan};
 
 /// Boards per cluster (Fig. 3).
 pub const BOARDS_PER_CLUSTER: usize = 7;
@@ -14,6 +15,15 @@ pub const BOARDS_PER_CLUSTER: usize = 7;
 #[derive(Clone, Debug)]
 pub struct WineCluster {
     boards: Vec<WineBoard>,
+    /// Sweep scratch and results, kept across calls so that a
+    /// steady-state evaluation allocates nothing: the DFT's working
+    /// columns, its per-slot sums, and the IDFT's per-particle registers.
+    dft_scratch: DftScratch,
+    /// `[Σ q(sin+cos), Σ q(sin−cos)]` per slot of the last DFT's plan,
+    /// and the number of particles each was summed over.
+    dft_sums: Vec<[i64; 2]>,
+    dft_terms: u64,
+    idft_acc: Vec<IdftAccum>,
 }
 
 impl Default for WineCluster {
@@ -27,6 +37,10 @@ impl WineCluster {
     pub fn new() -> Self {
         Self {
             boards: (0..BOARDS_PER_CLUSTER).map(|_| WineBoard::new()).collect(),
+            dft_scratch: DftScratch::default(),
+            dft_sums: Vec::new(),
+            dft_terms: 0,
+            idft_acc: Vec::new(),
         }
     }
 
@@ -54,32 +68,75 @@ impl WineCluster {
         Ok(())
     }
 
-    /// DFT over the whole wave list: each board computes the partial sum
-    /// over its resident particles; partials merge exactly (fixed-point
-    /// addition is associative).
+    /// Particles resident across the boards.
+    pub fn particle_count(&self) -> usize {
+        self.boards.iter().map(WineBoard::particle_count).sum()
+    }
+
+    /// DFT over the whole wave list: the sum over every board's resident
+    /// particles (fixed-point addition is associative, so the boards'
+    /// partial sums merge exactly).
     pub fn dft(&mut self, waves: &[[i32; 3]]) -> Vec<DftAccum> {
-        let mut total: Vec<DftAccum> = vec![DftAccum::default(); waves.len()];
-        for b in &mut self.boards {
-            if b.particle_count() == 0 {
-                continue;
-            }
-            let part = b.dft(waves);
-            for (t, p) in total.iter_mut().zip(&part) {
-                t.merge(p);
-            }
+        let plan = WavePlan::new(waves);
+        self.dft_planned(Kernel::detect(), &plan);
+        (0..waves.len()).map(|w| self.dft_accum(plan.slot_of(w))).collect()
+    }
+
+    /// [`Self::dft`] with the caller's plan; the results stay in the
+    /// cluster, one [`Self::dft_accum`] per slot of the plan.
+    pub(crate) fn dft_planned(&mut self, kernel: Kernel, plan: &WavePlan) {
+        kernel.dft(
+            plan,
+            self.boards.iter().map(WineBoard::lanes),
+            &mut self.dft_scratch,
+            &mut self.dft_sums,
+        );
+        self.dft_terms = self.particle_count() as u64;
+        for b in self.boards.iter_mut().filter(|b| b.particle_count() > 0) {
+            b.credit_dft(plan.waves());
         }
-        total
+    }
+
+    /// The accumulator pair of slot `slot` after [`Self::dft_planned`].
+    pub(crate) fn dft_accum(&self, slot: usize) -> DftAccum {
+        DftAccum::from_partial(self.dft_sums[slot], self.dft_terms)
     }
 
     /// IDFT: per-board forces for disjoint particle subsets, returned
     /// concatenated in load order.
     pub fn idft(&mut self, waves: &[IdftWave]) -> Vec<IdftAccum> {
-        let mut out = Vec::new();
-        for b in &mut self.boards {
-            if b.particle_count() > 0 {
-                out.extend(b.idft(waves));
-            }
+        let (plan, uv) = crate::sweep::plan_idft(waves);
+        self.idft_planned(Kernel::detect(), &plan, &uv);
+        self.idft_acc.clone()
+    }
+
+    /// [`Self::idft`] with the caller's plan and slot-ordered `[u, v]`
+    /// registers; the results stay in the cluster ([`Self::idft_acc`]).
+    pub(crate) fn idft_planned(&mut self, kernel: Kernel, plan: &WavePlan, uv: &[[i64; 2]]) {
+        self.idft_acc.clear();
+        self.idft_acc.resize(self.particle_count(), IdftAccum::default());
+        let mut rest = self.idft_acc.as_mut_slice();
+        for b in self.boards.iter_mut().filter(|b| b.particle_count() > 0) {
+            let (out, tail) = rest.split_at_mut(b.particle_count());
+            b.idft_planned(kernel, plan, uv, out);
+            rest = tail;
         }
+    }
+
+    /// The per-particle registers of the last [`Self::idft_planned`], in
+    /// load order.
+    pub(crate) fn idft_acc(&self) -> &[IdftAccum] {
+        &self.idft_acc
+    }
+
+    /// Address and capacity of every buffer a call reuses (the
+    /// scratch-reuse test).
+    #[cfg(test)]
+    pub(crate) fn buffers(&self) -> Vec<(usize, usize)> {
+        let mut out = self.dft_scratch.buffers();
+        out.push((self.dft_sums.as_ptr() as usize, self.dft_sums.capacity()));
+        out.push((self.idft_acc.as_ptr() as usize, self.idft_acc.capacity()));
+        out.extend(self.boards.iter().flat_map(WineBoard::buffers));
         out
     }
 

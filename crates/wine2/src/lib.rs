@@ -19,6 +19,22 @@
 //! `calculate_force_and_pot_wavepart_nooffset`, …), and [`timing`], the
 //! cycle/bus accounting used by the performance model.
 //!
+//! ## Billed per pipeline, executed as one sweep
+//!
+//! The hierarchy is the accounting truth: every particle–wave operation
+//! is credited to the pipeline that holds the wave, every chip pass
+//! costs `P·⌈w/8⌉` cycles, every board pass moves its bytes over the
+//! cluster's bus. It is not the order in which the host computes. The
+//! datapath is integer arithmetic, so the order is free, and a board or
+//! cluster evaluation runs as one *wavenumber sweep* (`sweep`, with an
+//! AVX-512 form in `simd`): one lane per particle over SoA particle
+//! memory, the wave table regrouped into rows of consecutive `n_x` along
+//! which the phase is walked by a modular add instead of re-multiplied,
+//! sums kept in machine words and folded into the wide registers once.
+//! [`WinePipeline::dft_wave`] and [`WinePipeline::idft_wave`] remain the
+//! per-wave definition of the datapath, and the sweep is asserted
+//! raw-register-equal to them.
+//!
 //! ## Numerics
 //!
 //! All pipeline arithmetic is two's-complement fixed point
@@ -37,8 +53,8 @@
 //! of them hold the same read-only words, so the emulator builds the
 //! table once per process and every [`WinePipeline`] reads that one
 //! image: building a [`Wine2System`] of any size allocates no table,
-//! and the board sweeps keep one 16 KB table hot instead of rotating
-//! 224 copies through the caches.
+//! and the sweep keeps one table hot instead of rotating 224 copies
+//! through the caches.
 
 pub mod api;
 pub mod board;
@@ -46,6 +62,7 @@ pub mod chip;
 pub mod cluster;
 pub mod pipeline;
 mod simd;
+mod sweep;
 pub mod system;
 pub mod timing;
 

@@ -13,6 +13,16 @@
 //! the host after accumulation (numerically equivalent to the in-pipe
 //! multiply, and it keeps the fixed-point scaling in one place).
 //!
+//! ## The per-wave definition
+//!
+//! [`WinePipeline::dft_wave`] and [`WinePipeline::idft_wave`] are the
+//! datapath one wave at a time, in plain `mdm_fixed` operations. A chip
+//! pass ([`crate::chip::WineChip`]) runs them as written; a board or
+//! cluster evaluation runs the reordered wavenumber sweep
+//! (`crate::sweep`), which is tested raw-register-equal to these two
+//! functions and bills each operation to the pipeline that holds the
+//! wave.
+//!
 //! ## Fixed-point contract
 //!
 //! Values streamed into the pipeline must be pre-scaled by the host into
@@ -69,6 +79,16 @@ pub struct DftAccum {
 }
 
 impl DftAccum {
+    /// The registers after `terms` particles whose truncated products
+    /// sum to `[Σ q(sin+cos), Σ q(sin−cos)]` — how the wavenumber sweep
+    /// ([`crate::sweep`]) hands over a wave it summed in machine words.
+    pub(crate) fn from_partial(sums: [i64; 2], terms: u64) -> Self {
+        let mut acc = Self::default();
+        acc.s_plus_c.fold_partial(sums[0], terms);
+        acc.s_minus_c.fold_partial(sums[1], terms);
+        acc
+    }
+
     /// Recover `(S, C)` the way the host computer does (§3.4.4: "The
     /// host computer calculates Sₙ and Cₙ from Sₙ+Cₙ and Sₙ−Cₙ").
     pub fn resolve(&self) -> (f64, f64) {
@@ -183,16 +203,17 @@ impl WinePipeline {
         acc
     }
 
-    /// The pipeline's sine/cosine ROM — the chip-level interleaved
-    /// sweeps evaluate through it directly.
+    /// The pipeline's sine/cosine ROM (the ROM-sharing tests compare
+    /// addresses).
+    #[cfg(test)]
     pub(crate) fn trig(&self) -> &'static SinCosTable {
         self.trig
     }
 
     /// Credit `n` particle–wave operations to this pipeline: the
-    /// chip-level interleaved sweep executes them on the pipeline's
-    /// behalf but the op must still be attributed to the pipeline that
-    /// holds the wave, so cycle accounting is unchanged.
+    /// wavenumber sweep ([`crate::sweep`]) executes them on the
+    /// pipeline's behalf, but each op is still attributed to the
+    /// pipeline that holds the wave, so cycle accounting is unchanged.
     pub(crate) fn add_ops(&mut self, n: u64) {
         self.ops += n;
     }
@@ -220,90 +241,6 @@ impl WinePipeline {
             acc.f[1].mac_int(g, ny);
             acc.f[2].mac_int(g, nz);
             self.ops += 1;
-        }
-    }
-}
-
-/// DFT with all resident waves advancing together down one particle
-/// stream — the dataflow of Fig. 6, where each particle fetched from
-/// SDRAM streams past *every* resident wave before the next one is
-/// read. Bitwise identical to per-wave [`WinePipeline::dft_wave`]
-/// sweeps (fixed-point accumulation is exact integer addition, so the
-/// summation order cannot change the result) but touches the particle
-/// stream once per 16-wave batch instead of once per wave.
-pub(crate) fn dft_interleaved(
-    trig: &SinCosTable,
-    waves: &[[i32; 3]],
-    particles: &[WineParticle],
-    accs: &mut [DftAccum],
-) {
-    assert_eq!(waves.len(), accs.len());
-    #[cfg(target_arch = "x86_64")]
-    if crate::simd::available(trig) {
-        let main = waves.len() - waves.len() % 8;
-        // SAFETY: `available` checked avx512f+avx512dq and the ROM width.
-        unsafe { crate::simd::dft_lanes(trig, &waves[..main], particles, &mut accs[..main]) };
-        dft_scalar(trig, &waves[main..], particles, &mut accs[main..]);
-        return;
-    }
-    dft_scalar(trig, waves, particles, accs);
-}
-
-/// The scalar interleaved DFT sweep — the dispatch fallback, and the
-/// reference the vector lanes are asserted bitwise-equal against.
-fn dft_scalar(
-    trig: &SinCosTable,
-    waves: &[[i32; 3]],
-    particles: &[WineParticle],
-    accs: &mut [DftAccum],
-) {
-    for p in particles {
-        for (n, acc) in waves.iter().zip(accs.iter_mut()) {
-            let theta = Phase32::dot(*n, p.s);
-            let (sin, cos) = trig.sin_cos(theta);
-            acc.s_plus_c.mac(p.q, sin + cos);
-            acc.s_minus_c.mac(p.q, sin - cos);
-        }
-    }
-}
-
-/// IDFT counterpart of [`dft_interleaved`]: one sweep over the particle
-/// stream with every resident wave contributing to the particle's force
-/// accumulator while it is hot, instead of one full sweep per wave.
-pub(crate) fn idft_interleaved(
-    trig: &SinCosTable,
-    waves: &[IdftWave],
-    particles: &[WineParticle],
-    out: &mut [IdftAccum],
-) {
-    assert_eq!(particles.len(), out.len());
-    #[cfg(target_arch = "x86_64")]
-    if crate::simd::available(trig) {
-        let main = waves.len() - waves.len() % 8;
-        // SAFETY: `available` checked avx512f+avx512dq and the ROM width.
-        unsafe { crate::simd::idft_lanes(trig, &waves[..main], particles, out) };
-        idft_scalar(trig, &waves[main..], particles, out);
-        return;
-    }
-    idft_scalar(trig, waves, particles, out);
-}
-
-/// The scalar interleaved IDFT sweep — the dispatch fallback, and the
-/// reference the vector lanes are asserted bitwise-equal against.
-fn idft_scalar(
-    trig: &SinCosTable,
-    waves: &[IdftWave],
-    particles: &[WineParticle],
-    out: &mut [IdftAccum],
-) {
-    for (p, acc) in particles.iter().zip(out.iter_mut()) {
-        for wave in waves {
-            let theta = Phase32::dot(wave.n, p.s);
-            let (sin, cos) = trig.sin_cos(theta);
-            let g = wave.v.mul_trunc(sin) - wave.u.mul_trunc(cos);
-            acc.f[0].mac_int(g, wave.n[0] as i64);
-            acc.f[1].mac_int(g, wave.n[1] as i64);
-            acc.f[2].mac_int(g, wave.n[2] as i64);
         }
     }
 }

@@ -1,312 +1,256 @@
-//! AVX-512 lanes for the interleaved DFT/IDFT sweeps.
+//! AVX-512 form of the wavenumber sweep ([`crate::sweep`]).
 //!
-//! The fixed-point datapath is exactly reproducible in SIMD because
-//! every operation is integer arithmetic with defined wrap semantics:
-//! phase accumulation wraps modulo 2³², Q30 datapath values wrap modulo
-//! 2³² (reproduced by a shift-pair sign extension in each 64-bit lane),
-//! and the truncating multiplies fit one 64-bit word (operands are
-//! 32-bit registers, so the full product needs at most 63 bits). Each
-//! kernel therefore produces **bitwise identical** accumulator contents
-//! to the scalar sweeps in [`crate::pipeline`] — the equivalence is
-//! asserted by the `scalar_simd_equivalence` tests below on any machine
-//! that runs the SIMD path.
+//! Same order as the portable form — one 64-bit lane per particle, rows
+//! of the wave table innermost, the phase walked by `θ ← θ + s_x` — and
+//! **bitwise identical** accumulator contents, because every operation
+//! is integer arithmetic with defined wrap semantics. The
+//! `scalar_simd_equivalence` tests assert that, raw register for raw
+//! register, against the portable form and the per-wave pipeline on any
+//! host that can run this path (and skip loudly elsewhere).
 //!
-//! Lane layout: one lane per resident wave (8 waves per 512-bit
-//! register at 64 bits each), the particle stream in the outer loop —
-//! the same interleaved dataflow as the scalar sweep. Per particle the
-//! sine/cosine ROM is read with one 64-bit gather per evaluation: the
-//! ROM stores adjacent Q30 words, so the gather returns both linear
-//! interpolation endpoints `(table[i], table[i+1])` in one lane.
+//! ## Why it is laid out this way
 //!
-//! Partial sums stay in i64 lanes across the particle loop: a DFT term
-//! `(q·(sin±cos)) >> 30` is below 2³³ and a board holds at most 2²⁰
-//! particles, so the running sum is below 2⁵³ — folded exactly into the
-//! wide accumulators afterwards ([`mdm_fixed::FixedAccum::fold_partial`]).
+//! The bound of an integer kernel on a 512-bit Intel core is port 0:
+//! every 512-bit shift and every multiply issues there, and a
+//! `vpmullq` costs three of its µops. The two ROM gathers per 8
+//! operations are not the bound. So the inner loop is built to need
+//! only single-µop `vpmuldq` multiplies (every operand is a 32-bit
+//! register), and to let 32-bit lane adds do the Q30 register wraps
+//! that a 64-bit lane would need a shift pair for:
 //!
-//! The kernels require AVX-512 F + DQ (`vpmullq`, `vpsraq`) and the
-//! default 12-bit ROM (shift counts are const generics); anything else
-//! falls back to the scalar sweeps.
+//! * **The ROM is read through a re-laid image**, built once per
+//!   process from the one shared ROM: per index one aligned 64-bit
+//!   word, low dword `(table[i+1] − table[i]) << 2`, high dword
+//!   `table[i]`. One 64-bit gather fetches both; `vpmuldq` of that word
+//!   with the fraction `low << 10` (a dword, zero above) leaves the
+//!   interpolation step `(Δ·frac) >> 30` in the *high* dword of the
+//!   product, and a 32-bit lane add of word and product leaves
+//!   `sin = table[i] + step` there, wrapped to the Q30 register — no
+//!   shift at all.
+//! * **Values travel in high dwords** through the 32-bit adds
+//!   (`sin ± cos`), and are moved to the low dword — where `vpmuldq`
+//!   reads — by a port-5 shuffle, not a port-0 shift.
+//! * **Nothing is reduced inside the loops**: see the three reorderings
+//!   in [`crate::sweep`]. The 64-bit multiplies left (`vpmullq`, three
+//!   per row and block) are outside the per-wave loop.
+//!
+//! The kernels require AVX-512 F + DQ and the default 12-bit ROM (shift
+//! counts are constants); anything else runs the portable form.
 
 #![cfg(target_arch = "x86_64")]
 
-use crate::pipeline::{DftAccum, IdftAccum, IdftWave, WineParticle};
-use mdm_fixed::SinCosTable;
+use crate::pipeline::{shared_rom, IdftAccum};
+use crate::sweep::{DftLanes, Lanes, Row, WavePlan, LANES};
 use std::arch::x86_64::*;
+use std::sync::OnceLock;
 
 /// ROM index width the kernels are specialised for (the WINE-2 default).
-pub(crate) const INDEX_BITS: u32 = 12;
+const INDEX_BITS: u32 = 12;
 const IDX_SHIFT: u32 = 32 - INDEX_BITS; // 20: high bits → table index
 const FRAC_SHIFT: u32 = INDEX_BITS - 2; // 10: low bits → Q30 fraction
-const LOW_MASK: i32 = ((1u32 << IDX_SHIFT) - 1) as i32;
+const LOW_MASK: i64 = (1 << IDX_SHIFT) - 1;
+/// Extra left shift of the stored table step, so that
+/// `(Δ << 2)·(low << 10) = (Δ·frac) << 2` carries `(Δ·frac) >> 30` in
+/// its high dword.
+const STEP_SHIFT: u32 = 32 - 30;
 
-/// Runtime gate for the kernels.
+/// Runtime gate for the kernels: CPU features and the shared ROM's width.
 #[inline]
-pub(crate) fn available(trig: &SinCosTable) -> bool {
-    trig.index_bits() == INDEX_BITS
+pub(crate) fn available() -> bool {
+    shared_rom().index_bits() == INDEX_BITS
         && is_x86_feature_detected!("avx512f")
         && is_x86_feature_detected!("avx512dq")
 }
 
-/// Wrap each 64-bit lane to its low 32 bits, sign-extended — the Q30
-/// register wrap (`Fx::<32, 30>::wrap`).
-#[inline]
-#[target_feature(enable = "avx512f")]
-unsafe fn wrap32(x: __m512i) -> __m512i {
-    _mm512_srai_epi64::<32>(_mm512_slli_epi64::<32>(x))
+/// The re-laid image of the shared ROM (see the module docs): exactly
+/// `2^INDEX_BITS` words, so every 12-bit index is in bounds.
+fn rom_image() -> &'static [i64] {
+    static IMAGE: OnceLock<Box<[i64]>> = OnceLock::new();
+    IMAGE.get_or_init(|| {
+        let words = shared_rom().words();
+        assert_eq!(words.len(), (1 << INDEX_BITS) + 1, "kernels need the 12-bit ROM");
+        words
+            .windows(2)
+            .map(|w| {
+                let step = w[1].wrapping_sub(w[0]); // the Q30 register `b − a`
+                let shifted = step << STEP_SHIFT;
+                assert_eq!(shifted >> STEP_SHIFT, step, "table step outgrew its dword");
+                (i64::from(w[0]) << 32) | i64::from(shifted as u32)
+            })
+            .collect()
+    })
 }
 
-/// `sin(2π·phase)` for 8 phases (u32 turn fractions in i32 lanes):
-/// table lookup on the high bits, linear interpolation on the low bits,
-/// bit-exact against [`SinCosTable::sin`]. Returns sign-extended Q30
-/// values in i64 lanes.
-#[inline]
-#[target_feature(enable = "avx512f,avx512dq")]
-unsafe fn sin_lanes(words: *const i64, phase: __m256i) -> __m512i {
-    // split_index: top 12 bits → index, low 20 bits << 10 → Q30 fraction.
-    let idx = _mm256_srli_epi32::<{ IDX_SHIFT as i32 }>(phase);
-    let low = _mm256_and_si256(phase, _mm256_set1_epi32(LOW_MASK));
-    let frac = _mm512_cvtepi32_epi64(_mm256_slli_epi32::<{ FRAC_SHIFT as i32 }>(low));
-    // One 64-bit gather per lane picks up both interpolation endpoints
-    // (idx ≤ 2¹² − 1 and the ROM has 2¹² + 1 entries, so the high word
-    // `table[idx + 1]` is always in bounds).
-    let pair = _mm512_i32gather_epi64::<4>(idx, words);
-    let a = _mm512_srai_epi64::<32>(_mm512_slli_epi64::<32>(pair));
-    let b = _mm512_srai_epi64::<32>(pair);
-    // a + (b − a)·frac with the datapath's truncating multiply; the Q30
-    // wraps after the shift and after the add mirror `mul_trunc`/`Add`.
-    let interp = wrap32(_mm512_srai_epi64::<30>(_mm512_mullo_epi64(
-        _mm512_sub_epi64(b, a),
-        frac,
-    )));
-    wrap32(_mm512_add_epi64(a, interp))
-}
-
-/// Phase vector `θ = n⃗·s⃗` for 8 waves against one particle (wrapping
-/// 32-bit multiplies and adds — the hardware inner-product stage).
-#[inline]
-#[target_feature(enable = "avx512f")]
-unsafe fn theta_lanes(
-    nx: __m256i,
-    ny: __m256i,
-    nz: __m256i,
-    p: &WineParticle,
-) -> __m256i {
-    let sx = _mm256_set1_epi32(p.s[0].raw() as i32);
-    let sy = _mm256_set1_epi32(p.s[1].raw() as i32);
-    let sz = _mm256_set1_epi32(p.s[2].raw() as i32);
-    _mm256_add_epi32(
-        _mm256_add_epi32(_mm256_mullo_epi32(nx, sx), _mm256_mullo_epi32(ny, sy)),
-        _mm256_mullo_epi32(nz, sz),
-    )
-}
-
-/// Load one wave-vector component for 8 waves into i32 lanes.
-#[inline]
-unsafe fn component(waves: &[[i32; 3]], axis: usize) -> __m256i {
-    let v = [
-        waves[0][axis],
-        waves[1][axis],
-        waves[2][axis],
-        waves[3][axis],
-        waves[4][axis],
-        waves[5][axis],
-        waves[6][axis],
-        waves[7][axis],
-    ];
-    _mm256_loadu_si256(v.as_ptr().cast())
-}
-
-/// The vector body of [`crate::pipeline::dft_interleaved`]: 8 waves per
-/// register, remainder waves delegated back to the scalar sweep by the
-/// caller.
+/// `(sin θ, cos θ)` for 8 phases (zero-extended `u32` turn fractions in
+/// 64-bit lanes), bit-exact against [`SinCosTable::sin_cos`]. The Q30
+/// results are in the **high dword** of each lane; low dwords are
+/// scratch.
 ///
 /// # Safety
-/// Requires AVX-512 F + DQ (checked by [`available`]) and a 12-bit ROM.
+/// `image` must point at the `2^12` words of [`rom_image`] and every
+/// lane of `theta` must be below 2³².
+#[inline]
 #[target_feature(enable = "avx512f,avx512dq")]
-pub(crate) unsafe fn dft_lanes(
-    trig: &SinCosTable,
-    waves: &[[i32; 3]],
-    particles: &[WineParticle],
-    accs: &mut [DftAccum],
-) {
-    debug_assert_eq!(waves.len() % 8, 0);
-    debug_assert_eq!(waves.len(), accs.len());
-    let words = trig.words().as_ptr().cast::<i64>();
-    let quarter = _mm256_set1_epi32(1i32 << 30);
-    for (wchunk, achunk) in waves.chunks_exact(8).zip(accs.chunks_exact_mut(8)) {
-        let nx = component(wchunk, 0);
-        let ny = component(wchunk, 1);
-        let nz = component(wchunk, 2);
-        let mut acc_plus = _mm512_setzero_si512();
-        let mut acc_minus = _mm512_setzero_si512();
-        for p in particles {
-            let theta = theta_lanes(nx, ny, nz, p);
-            let sin = sin_lanes(words, theta);
-            let cos = sin_lanes(words, _mm256_add_epi32(theta, quarter));
-            // The paired accumulation: q·(sinθ ± cosθ), truncated to
-            // Q30 fraction bits, summed exactly in the i64 lane.
-            let sp = wrap32(_mm512_add_epi64(sin, cos));
-            let sm = wrap32(_mm512_sub_epi64(sin, cos));
-            let q = _mm512_set1_epi64(p.q.raw());
-            acc_plus = _mm512_add_epi64(
-                acc_plus,
-                _mm512_srai_epi64::<30>(_mm512_mullo_epi64(q, sp)),
-            );
-            acc_minus = _mm512_add_epi64(
-                acc_minus,
-                _mm512_srai_epi64::<30>(_mm512_mullo_epi64(q, sm)),
-            );
+unsafe fn sin_cos_high(image: *const i64, theta: __m512i) -> (__m512i, __m512i) {
+    // split_index: top 12 bits → index, low 20 bits << 10 → Q30
+    // fraction. A quarter turn has no low bits, so sine and cosine
+    // share the fraction.
+    let frac = _mm512_slli_epi32::<{ FRAC_SHIFT }>(_mm512_and_si512(
+        theta,
+        _mm512_set1_epi64(LOW_MASK),
+    ));
+    let theta_cos = _mm512_add_epi32(theta, _mm512_set1_epi64(1 << 30));
+    // SAFETY: lanes are below 2³², so both indices are below 2¹².
+    let sin_word = _mm512_i64gather_epi64::<8>(_mm512_srli_epi64::<{ IDX_SHIFT }>(theta), image);
+    let cos_word =
+        _mm512_i64gather_epi64::<8>(_mm512_srli_epi64::<{ IDX_SHIFT }>(theta_cos), image);
+    // High dword: table[i] + ((Δ·frac) >> 30), wrapped by the lane add.
+    let sin = _mm512_add_epi32(sin_word, _mm512_mul_epi32(sin_word, frac));
+    let cos = _mm512_add_epi32(cos_word, _mm512_mul_epi32(cos_word, frac));
+    (sin, cos)
+}
+
+/// Copy each lane's high dword over its low dword (port 5), putting a
+/// value where `vpmuldq` reads it.
+#[inline]
+#[target_feature(enable = "avx512f")]
+unsafe fn high_to_low(x: __m512i) -> __m512i {
+    _mm512_shuffle_epi32::<0b11_11_01_01>(x)
+}
+
+/// A wave-vector component as the 64-bit lane constant the phase
+/// products take: its 32-bit register, zero-extended.
+#[inline]
+#[target_feature(enable = "avx512f")]
+unsafe fn component(n: i32) -> __m512i {
+    _mm512_set1_epi64(i64::from(n as u32))
+}
+
+/// `θ₀ = n₀·s_x + n_y·s_y + n_z·s_z (mod 2³²)` for one block: the low
+/// 32 bits of a sum of `vpmuludq` products are the wrapping inner
+/// product of [`mdm_fixed::Phase32::dot`].
+#[inline]
+#[target_feature(enable = "avx512f")]
+unsafe fn first_phase(n: [__m512i; 3], s: [__m512i; 3]) -> __m512i {
+    let sum = _mm512_add_epi64(
+        _mm512_add_epi64(_mm512_mul_epu32(n[0], s[0]), _mm512_mul_epu32(n[1], s[1])),
+        _mm512_mul_epu32(n[2], s[2]),
+    );
+    _mm512_and_si512(sum, _mm512_set1_epi64(0xffff_ffff))
+}
+
+/// The AVX-512 body of [`crate::sweep::Kernel::dft_row`].
+///
+/// # Safety
+/// Requires AVX-512 F + DQ and the 12-bit ROM (checked by
+/// [`available`]). `theta` holds one word per lane of `lanes` and
+/// `acc` one entry per wave of `row` (asserted by the caller).
+#[target_feature(enable = "avx512f,avx512dq")]
+pub(crate) unsafe fn dft_row(row: &Row, lanes: &Lanes, theta: &mut [u64], acc: &mut [DftLanes]) {
+    let blocks = lanes.blocks();
+    assert!(theta.len() == blocks * LANES && acc.len() == row.len);
+    let image = rom_image().as_ptr();
+    let columns = [0, 1, 2].map(|axis| lanes.phases(axis).as_ptr());
+    let charges = lanes.charges().as_ptr();
+    let theta = theta.as_mut_ptr();
+    // SAFETY (every load and store below): the `Lanes` invariant gives
+    // each column `blocks * LANES` words, `theta` was just checked to
+    // have as many, and `b < blocks`.
+    let n = [component(row.n0), component(row.ny), component(row.nz)];
+    for b in 0..blocks {
+        let s = columns.map(|c| _mm512_loadu_si512(c.add(b * LANES).cast()));
+        _mm512_storeu_si512(theta.add(b * LANES).cast(), first_phase(n, s));
+    }
+    for wave in acc {
+        let mut plus = _mm512_loadu_si512(wave[0].as_ptr().cast());
+        let mut minus = _mm512_loadu_si512(wave[1].as_ptr().cast());
+        for b in 0..blocks {
+            let t = _mm512_loadu_si512(theta.add(b * LANES).cast());
+            let sx = _mm512_loadu_si512(columns[0].add(b * LANES).cast());
+            let q = _mm512_loadu_si512(charges.add(b * LANES).cast());
+            // SAFETY: `theta` holds masked phases and `Lanes` phase
+            // words are below 2³², so the walked phase stays below 2³².
+            let (sin, cos) = sin_cos_high(image, t);
+            // The paired accumulation: q·(sinθ ± cosθ), the ± wrapped
+            // by the 32-bit lane op, the product truncated to Q30
+            // fraction bits and summed exactly in the i64 lane.
+            let sp = high_to_low(_mm512_add_epi32(sin, cos));
+            let sm = high_to_low(_mm512_sub_epi32(sin, cos));
+            plus = _mm512_add_epi64(plus, _mm512_srai_epi64::<30>(_mm512_mul_epi32(q, sp)));
+            minus = _mm512_add_epi64(minus, _mm512_srai_epi64::<30>(_mm512_mul_epi32(q, sm)));
+            _mm512_storeu_si512(theta.add(b * LANES).cast(), _mm512_add_epi32(t, sx));
         }
-        let mut plus = [0i64; 8];
-        let mut minus = [0i64; 8];
-        _mm512_storeu_si512(plus.as_mut_ptr().cast(), acc_plus);
-        _mm512_storeu_si512(minus.as_mut_ptr().cast(), acc_minus);
-        let terms = particles.len() as u64;
-        for (k, acc) in achunk.iter_mut().enumerate() {
-            acc.s_plus_c.fold_partial(plus[k], terms);
-            acc.s_minus_c.fold_partial(minus[k], terms);
-        }
+        _mm512_storeu_si512(wave[0].as_mut_ptr().cast(), plus);
+        _mm512_storeu_si512(wave[1].as_mut_ptr().cast(), minus);
     }
 }
 
-/// The vector body of [`crate::pipeline::idft_interleaved`]: 8 waves
-/// per register contribute to each particle's force accumulator while
-/// the particle is hot.
+/// The AVX-512 body of [`crate::sweep::Kernel::idft_board`].
 ///
 /// # Safety
-/// Requires AVX-512 F + DQ (checked by [`available`]) and a 12-bit ROM.
+/// Requires AVX-512 F + DQ and the 12-bit ROM (checked by
+/// [`available`]). `uv` holds one pair per wave of `plan` and `out` one
+/// accumulator per resident particle (asserted by the caller).
 #[target_feature(enable = "avx512f,avx512dq")]
-pub(crate) unsafe fn idft_lanes(
-    trig: &SinCosTable,
-    waves: &[IdftWave],
-    particles: &[WineParticle],
+pub(crate) unsafe fn idft_board(
+    plan: &WavePlan,
+    uv: &[[i64; 2]],
+    lanes: &Lanes,
     out: &mut [IdftAccum],
 ) {
-    debug_assert_eq!(waves.len() % 8, 0);
-    debug_assert_eq!(particles.len(), out.len());
-    let words = trig.words().as_ptr().cast::<i64>();
-    let quarter = _mm256_set1_epi32(1i32 << 30);
-    for wchunk in waves.chunks_exact(8) {
-        let ns: Vec<[i32; 3]> = wchunk.iter().map(|w| w.n).collect();
-        let nx32 = component(&ns, 0);
-        let ny32 = component(&ns, 1);
-        let nz32 = component(&ns, 2);
-        let nx = _mm512_cvtepi32_epi64(nx32);
-        let ny = _mm512_cvtepi32_epi64(ny32);
-        let nz = _mm512_cvtepi32_epi64(nz32);
-        let uv: Vec<i64> = wchunk.iter().map(|w| w.u.raw()).collect();
-        let vv: Vec<i64> = wchunk.iter().map(|w| w.v.raw()).collect();
-        let u = _mm512_loadu_si512(uv.as_ptr().cast());
-        let v = _mm512_loadu_si512(vv.as_ptr().cast());
-        for (p, acc) in particles.iter().zip(out.iter_mut()) {
-            let theta = theta_lanes(nx32, ny32, nz32, p);
-            let sin = sin_lanes(words, theta);
-            let cos = sin_lanes(words, _mm256_add_epi32(theta, quarter));
-            // g = v·sinθ − u·cosθ with Q30 truncating multiplies and
-            // register wraps, exactly as the scalar datapath.
-            let vs = wrap32(_mm512_srai_epi64::<30>(_mm512_mullo_epi64(v, sin)));
-            let uc = wrap32(_mm512_srai_epi64::<30>(_mm512_mullo_epi64(u, cos)));
-            let g = wrap32(_mm512_sub_epi64(vs, uc));
-            // g·n per axis, summed across the 8 wave lanes; every term
-            // is far below 2⁶⁰, so the i64 reduction is exact and
-            // matches 8 sequential `mac_int` calls.
-            let f0 = _mm512_reduce_add_epi64(_mm512_mullo_epi64(g, nx));
-            let f1 = _mm512_reduce_add_epi64(_mm512_mullo_epi64(g, ny));
-            let f2 = _mm512_reduce_add_epi64(_mm512_mullo_epi64(g, nz));
-            acc.f[0].fold_partial(f0, 8);
-            acc.f[1].fold_partial(f1, 8);
-            acc.f[2].fold_partial(f2, 8);
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::pipeline::WinePipeline;
-    use mdm_fixed::{Phase32, Q30};
-
-    /// Deterministic pseudo-random particle stream covering the full
-    /// phase range and signed charges (xorshift; no external RNG).
-    fn particles(count: usize) -> Vec<WineParticle> {
-        let mut state = 0x243f_6a88_85a3_08d3u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        (0..count)
-            .map(|i| {
-                let s = [
-                    Phase32::from_raw(next() as u32),
-                    Phase32::from_raw(next() as u32),
-                    Phase32::from_raw(next() as u32),
-                ];
-                let q = Q30::from_f64(if i % 2 == 0 { 0.93 } else { -0.87 });
-                WineParticle { s, q }
-            })
-            .collect()
-    }
-
-    fn wave_vectors(count: usize) -> Vec<[i32; 3]> {
-        (0..count as i32)
-            .map(|k| [k % 7 - 3, (k * 5) % 11 - 5, (k * 3) % 9 - 4])
-            .collect()
-    }
-
-    #[test]
-    fn dft_lanes_bitwise_match_per_wave_sweeps() {
-        let trig = SinCosTable::default();
-        if !available(&trig) {
-            eprintln!("skipping: AVX-512 F/DQ not available on this host");
-            return;
-        }
-        let waves = wave_vectors(16);
-        let ps = particles(257);
-        let mut accs = vec![DftAccum::default(); waves.len()];
-        unsafe { dft_lanes(&trig, &waves, &ps, &mut accs) };
-        let mut pipe = WinePipeline::new();
-        for (n, acc) in waves.iter().zip(&accs) {
-            let reference = pipe.dft_wave(*n, &ps);
-            assert_eq!(acc.s_plus_c.raw(), reference.s_plus_c.raw(), "wave {n:?}");
-            assert_eq!(acc.s_minus_c.raw(), reference.s_minus_c.raw(), "wave {n:?}");
-            assert_eq!(acc.s_plus_c.terms(), ps.len() as u64);
-        }
-    }
-
-    #[test]
-    fn idft_lanes_bitwise_match_per_wave_sweeps() {
-        let trig = SinCosTable::default();
-        if !available(&trig) {
-            eprintln!("skipping: AVX-512 F/DQ not available on this host");
-            return;
-        }
-        let waves: Vec<IdftWave> = wave_vectors(8)
-            .into_iter()
-            .enumerate()
-            .map(|(k, n)| IdftWave {
-                n,
-                u: Q30::from_f64(0.11 * k as f64 - 0.4),
-                v: Q30::from_f64(0.35 - 0.09 * k as f64),
-            })
-            .collect();
-        let ps = particles(131);
-        let mut out = vec![IdftAccum::default(); ps.len()];
-        unsafe { idft_lanes(&trig, &waves, &ps, &mut out) };
-        let mut pipe = WinePipeline::new();
-        let mut reference = vec![IdftAccum::default(); ps.len()];
-        for wave in &waves {
-            pipe.idft_wave(wave, &ps, &mut reference);
-        }
-        for (i, (got, want)) in out.iter().zip(&reference).enumerate() {
-            for axis in 0..3 {
-                assert_eq!(
-                    got.f[axis].raw(),
-                    want.f[axis].raw(),
-                    "particle {i} axis {axis}"
+    assert!(uv.len() == plan.waves() && out.len() == lanes.len());
+    let image = rom_image().as_ptr();
+    let columns = [0, 1, 2].map(|axis| lanes.phases(axis).as_ptr());
+    let one = _mm512_set1_epi64(1);
+    for (b, block_out) in out.chunks_mut(LANES).enumerate() {
+        // SAFETY: `out.len() == lanes.len()`, so `b < lanes.blocks()`
+        // and each column holds `blocks * LANES` words.
+        let s = columns.map(|c| _mm512_loadu_si512(c.add(b * LANES).cast()));
+        for span in plan.spans() {
+            let mut f = [_mm512_setzero_si512(); 3];
+            let mut waves = 0u64;
+            for row in span {
+                let n = [component(row.n0), component(row.ny), component(row.nz)];
+                let mut theta = first_phase(n, s);
+                // Σg and Σₖ Sₖ (the running sum of the prefix sums).
+                let mut sum = _mm512_setzero_si512();
+                let mut prefix_sum = _mm512_setzero_si512();
+                for &[u, v] in &uv[row.start..row.start + row.len] {
+                    // SAFETY: `theta` starts masked and walks by 32-bit
+                    // lane adds of phase words below 2³².
+                    let (sin, cos) = sin_cos_high(image, theta);
+                    // g = v·sinθ − u·cosθ: truncating Q30 multiplies,
+                    // each wrapped with the difference by the 32-bit
+                    // lane subtract (low dwords).
+                    let vs = _mm512_mul_epi32(_mm512_set1_epi64(v), high_to_low(sin));
+                    let uc = _mm512_mul_epi32(_mm512_set1_epi64(u), high_to_low(cos));
+                    let g = _mm512_sub_epi32(
+                        _mm512_srli_epi64::<30>(vs),
+                        _mm512_srli_epi64::<30>(uc),
+                    );
+                    // `vpmuldq` by 1 sign-extends the low dword.
+                    sum = _mm512_add_epi64(sum, _mm512_mul_epi32(g, one));
+                    prefix_sum = _mm512_add_epi64(prefix_sum, sum);
+                    theta = _mm512_add_epi32(theta, s[0]);
+                }
+                let past_end = _mm512_set1_epi64(i64::from(row.n0) + row.len as i64);
+                f[0] = _mm512_add_epi64(
+                    f[0],
+                    _mm512_sub_epi64(_mm512_mullo_epi64(past_end, sum), prefix_sum),
                 );
-                assert_eq!(got.f[axis].terms(), want.f[axis].terms());
+                let ny = _mm512_set1_epi64(i64::from(row.ny));
+                let nz = _mm512_set1_epi64(i64::from(row.nz));
+                f[1] = _mm512_add_epi64(f[1], _mm512_mullo_epi64(ny, sum));
+                f[2] = _mm512_add_epi64(f[2], _mm512_mullo_epi64(nz, sum));
+                waves += row.len as u64;
+            }
+            for (axis, lanes_f) in f.into_iter().enumerate() {
+                let mut partial = [0i64; LANES];
+                _mm512_storeu_si512(partial.as_mut_ptr().cast(), lanes_f);
+                // The ragged block's null lanes are simply not read back.
+                for (acc, p) in block_out.iter_mut().zip(partial) {
+                    acc.f[axis].fold_partial(p, waves);
+                }
             }
         }
     }

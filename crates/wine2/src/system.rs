@@ -5,7 +5,8 @@
 
 use crate::board::BoardError;
 use crate::cluster::{WineCluster, BOARDS_PER_CLUSTER};
-use crate::pipeline::{DftAccum, IdftWave, WineParticle};
+use crate::pipeline::{DftAccum, WineParticle};
+use crate::sweep::{Kernel, WavePlan};
 use crate::timing::WineCounters;
 use mdm_core::boxsim::SimBox;
 use mdm_core::ewald::recip::spectral_coefficient;
@@ -60,9 +61,32 @@ pub struct WineForceResult {
 }
 
 /// The emulated WINE-2 system.
+///
+/// Besides the hardware it owns the host library's working state, built
+/// on the first call and reused by every later one — the row plan and
+/// per-wave spectral coefficients of the caller's wave table, the
+/// quantised particle image and the IDFT coefficient registers (the
+/// boards and clusters keep their particle columns and result registers
+/// the same way) — so a steady-state evaluation allocates only the
+/// vectors it returns. The
+/// table-derived part is rebuilt when a call brings a different table or
+/// α; the particle-sized part follows the particle count.
 pub struct Wine2System {
     config: Wine2Config,
     clusters: Vec<WineCluster>,
+    /// The form of the sweep this CPU and ROM run.
+    kernel: Kernel,
+    /// The wave table `plan` and `spectral` were built for, and its α.
+    waves: Vec<KVector>,
+    alpha: f64,
+    plan: WavePlan,
+    /// `spectral_coefficient(α, n²)` per wave, in table order.
+    spectral: Vec<f64>,
+    /// The IDFT coefficients `(aₙ'·Sₙ, aₙ'·Cₙ)/c_scale` as `[u, v]` Q30
+    /// registers, in slot order.
+    uv: Vec<[i64; 2]>,
+    /// The fixed-point particle image the boards are loaded from.
+    quantized: Vec<WineParticle>,
 }
 
 impl Wine2System {
@@ -72,6 +96,13 @@ impl Wine2System {
         Self {
             config,
             clusters: (0..config.clusters).map(|_| WineCluster::new()).collect(),
+            kernel: Kernel::detect(),
+            waves: Vec::new(),
+            alpha: f64::NAN,
+            plan: WavePlan::default(),
+            spectral: Vec::new(),
+            uv: Vec::new(),
+            quantized: Vec::new(),
         }
     }
 
@@ -98,6 +129,24 @@ impl Wine2System {
         self.compute_wavepart_with_waves(simbox, positions, charges, alpha, &waves)
     }
 
+    /// Rebuild the table-derived state if this call's table or α is not
+    /// the one held.
+    fn prepare(&mut self, alpha: f64, waves: &[KVector]) {
+        if self.waves != waves {
+            let table: Vec<[i32; 3]> = waves.iter().map(|k| k.n).collect();
+            self.plan = WavePlan::new(&table);
+            self.waves.clear();
+            self.waves.extend_from_slice(waves);
+            self.alpha = f64::NAN;
+        }
+        if self.alpha.to_bits() != alpha.to_bits() {
+            self.spectral.clear();
+            self.spectral
+                .extend(waves.iter().map(|k| spectral_coefficient(alpha, k.n_sq as f64)));
+            self.alpha = alpha;
+        }
+    }
+
     /// As [`Self::compute_wavepart`] with a caller-supplied wave table
     /// (lets the host cache the enumeration across steps).
     pub fn compute_wavepart_with_waves(
@@ -121,54 +170,42 @@ impl Wine2System {
         // goes into one local histogram, merged into the registry once
         // per call — never a lock per particle.
         let mut quant_hist = mdm_profile::histogram::LogHistogram::error_default();
-        let quantized: Vec<WineParticle> = positions
-            .iter()
-            .zip(charges)
-            .map(|(&r, &q)| {
-                let f = simbox.fractional(r);
-                let p = WineParticle::quantize([f.x, f.y, f.z], q / q_scale);
-                quant_hist.record(q / q_scale - p.q.to_f64());
-                for (frac, phase) in [f.x, f.y, f.z].into_iter().zip(p.s) {
-                    // Phase residual in turns, wrapped to the nearest
-                    // representative.
-                    let d = (frac - phase.to_turns()).rem_euclid(1.0);
-                    quant_hist.record(d.min(1.0 - d));
-                }
-                p
-            })
-            .collect();
+        self.quantized.clear();
+        self.quantized.extend(positions.iter().zip(charges).map(|(&r, &q)| {
+            let f = simbox.fractional(r);
+            let p = WineParticle::quantize([f.x, f.y, f.z], q / q_scale);
+            quant_hist.record(q / q_scale - p.q.to_f64());
+            for (frac, phase) in [f.x, f.y, f.z].into_iter().zip(p.s) {
+                // Phase residual in turns, wrapped to the nearest
+                // representative.
+                let d = (frac - phase.to_turns()).rem_euclid(1.0);
+                quant_hist.record(d.min(1.0 - d));
+            }
+            p
+        }));
 
         // Distribute across clusters (contiguous chunks).
-        let per_cluster = quantized.len().div_ceil(self.config.clusters).max(1);
-        let chunks: Vec<&[WineParticle]> = {
-            let mut v: Vec<&[WineParticle]> = quantized.chunks(per_cluster).collect();
-            v.resize(self.config.clusters, &[]);
-            v
-        };
-        for (cluster, chunk) in self.clusters.iter_mut().zip(&chunks) {
+        let per_cluster = self.quantized.len().div_ceil(self.config.clusters).max(1);
+        let chunks = self.quantized.chunks(per_cluster).chain(std::iter::repeat(&[][..]));
+        for (cluster, chunk) in self.clusters.iter_mut().zip(chunks) {
             cluster.load_particles(chunk)?;
         }
 
-        let wave_ns: Vec<[i32; 3]> = waves.iter().map(|k| k.n).collect();
+        self.prepare(alpha, waves);
         drop(quantize_span);
+        let (kernel, plan) = (self.kernel, &self.plan);
 
         // --- DFT phase (each cluster sums its own particles). ---
         let dft_span = mdm_profile::span("dft");
-        let partials: Vec<Vec<DftAccum>> = self
-            .clusters
-            .par_iter_mut()
-            .map(|c| c.dft(&wave_ns))
-            .collect();
+        self.clusters.par_iter_mut().for_each(|c| c.dft_planned(kernel, plan));
         let dft_ops: u64 = self.clusters.iter().map(WineCluster::ops).sum();
-        let mut merged: Vec<DftAccum> = vec![DftAccum::default(); waves.len()];
-        for part in &partials {
-            for (m, p) in merged.iter_mut().zip(part) {
-                m.merge(p);
-            }
-        }
-        let structure_factors: Vec<(f64, f64)> = merged
-            .iter()
-            .map(|acc| {
+        let structure_factors: Vec<(f64, f64)> = (0..waves.len())
+            .map(|w| {
+                let slot = plan.slot_of(w);
+                let mut acc = DftAccum::default();
+                for c in &self.clusters {
+                    acc.merge(&c.dft_accum(slot));
+                }
                 let (s, c) = acc.resolve();
                 (s * q_scale, c * q_scale)
             })
@@ -180,35 +217,30 @@ impl Wine2System {
         let pi = std::f64::consts::PI;
         let mut energy = 0.0;
         let mut virial = 0.0;
-        let mut coeffs: Vec<(f64, f64, [i32; 3])> = Vec::with_capacity(waves.len());
         let mut c_scale = 0.0f64;
-        for (k, &(s, c)) in waves.iter().zip(&structure_factors) {
+        for ((k, &a), &(s, c)) in waves.iter().zip(&self.spectral).zip(&structure_factors) {
             let n_sq = k.n_sq as f64;
-            let a = spectral_coefficient(alpha, n_sq);
             let e_k = COULOMB_EV_A / (pi * l) * a * (c * c + s * s);
             energy += e_k;
             virial += e_k * (1.0 - 2.0 * pi * pi * n_sq / (alpha * alpha));
-            let (u, v) = (a * s, a * c);
-            c_scale = c_scale.max(u.abs()).max(v.abs());
-            coeffs.push((u, v, k.n));
+            c_scale = c_scale.max((a * s).abs()).max((a * c).abs());
         }
         c_scale = c_scale.max(1e-300);
         let mut coeff_saturations = 0u64;
-        let idft_waves: Vec<IdftWave> = coeffs
-            .iter()
-            .map(|&(u, v, n)| {
-                coeff_saturations += u64::from(Q30::saturates(u / c_scale))
-                    + u64::from(Q30::saturates(v / c_scale));
-                let wave = IdftWave {
-                    n,
-                    u: Q30::from_f64_saturating(u / c_scale),
-                    v: Q30::from_f64_saturating(v / c_scale),
-                };
-                quant_hist.record(u / c_scale - wave.u.to_f64());
-                quant_hist.record(v / c_scale - wave.v.to_f64());
-                wave
-            })
-            .collect();
+        self.uv.clear();
+        self.uv.resize(waves.len(), [0; 2]);
+        for (w, (&a, &(s, c))) in self.spectral.iter().zip(&structure_factors).enumerate() {
+            let (u, v) = (a * s, a * c);
+            coeff_saturations +=
+                u64::from(Q30::saturates(u / c_scale)) + u64::from(Q30::saturates(v / c_scale));
+            let (u_reg, v_reg) = (
+                Q30::from_f64_saturating(u / c_scale),
+                Q30::from_f64_saturating(v / c_scale),
+            );
+            quant_hist.record(u / c_scale - u_reg.to_f64());
+            quant_hist.record(v / c_scale - v_reg.to_f64());
+            self.uv[plan.slot_of(w)] = [u_reg.raw(), v_reg.raw()];
+        }
         if coeff_saturations > 0 {
             mdm_profile::counter("wine_q30_saturations", coeff_saturations);
         }
@@ -216,11 +248,8 @@ impl Wine2System {
 
         // --- IDFT phase (per-cluster disjoint particles). ---
         let idft_span = mdm_profile::span("idft");
-        let force_chunks: Vec<Vec<crate::pipeline::IdftAccum>> = self
-            .clusters
-            .par_iter_mut()
-            .map(|c| c.idft(&idft_waves))
-            .collect();
+        let uv = &self.uv;
+        self.clusters.par_iter_mut().for_each(|c| c.idft_planned(kernel, plan, uv));
         drop(idft_span);
         let total_ops: u64 = self.clusters.iter().map(WineCluster::ops).sum();
         let idft_ops = total_ops - dft_ops;
@@ -228,11 +257,9 @@ impl Wine2System {
         // --- Host: rescale to physical forces. ---
         let prefactor = 4.0 * COULOMB_EV_A / (l * l) * c_scale;
         let mut forces = Vec::with_capacity(positions.len());
-        for chunk in &force_chunks {
-            for acc in chunk {
-                let g = acc.to_f64();
-                forces.push(Vec3::new(g[0], g[1], g[2]));
-            }
+        for acc in self.clusters.iter().flat_map(WineCluster::idft_acc) {
+            let g = acc.to_f64();
+            forces.push(Vec3::new(g[0], g[1], g[2]));
         }
         for (f, &q) in forces.iter_mut().zip(charges) {
             *f *= prefactor * q;
@@ -265,6 +292,7 @@ impl Wine2System {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::IdftWave;
     use mdm_core::ewald::recip::recip_space;
     use mdm_core::lattice::{rocksalt_nacl, NACL_LATTICE_A};
     use mdm_core::system::System;
@@ -387,6 +415,101 @@ mod tests {
             assert_eq!(fa, fb, "fixed-point results should be exactly equal");
         }
         assert_eq!(a.energy, b.energy);
+    }
+
+    /// Address and capacity of every buffer the system and its hardware
+    /// keep between calls.
+    fn buffers(wine: &Wine2System) -> Vec<(usize, usize)> {
+        let mut out = vec![
+            (wine.waves.as_ptr() as usize, wine.waves.capacity()),
+            (wine.spectral.as_ptr() as usize, wine.spectral.capacity()),
+            (wine.uv.as_ptr() as usize, wine.uv.capacity()),
+            (wine.quantized.as_ptr() as usize, wine.quantized.capacity()),
+        ];
+        out.extend(wine.plan.buffers());
+        out.extend(wine.clusters.iter().flat_map(WineCluster::buffers));
+        out
+    }
+
+    fn assert_same_result(a: &WineForceResult, b: &WineForceResult) {
+        assert_eq!(a.forces, b.forces);
+        assert_eq!(a.structure_factors, b.structure_factors);
+        assert_eq!(a.energy.to_bits(), b.energy.to_bits());
+        assert_eq!(a.virial.to_bits(), b.virial.to_bits());
+        assert_eq!(a.counters, b.counters);
+    }
+
+    #[test]
+    fn steady_state_calls_reuse_every_buffer() {
+        // The `longrange_scratch_reuses` contract: the first call sizes
+        // the scratch and from then on no buffer moves or grows.
+        let mut s = perturbed_crystal();
+        let waves = half_space_vectors(6.0);
+        let mut wine = Wine2System::new(Wine2Config { clusters: 2 });
+        let step = |wine: &mut Wine2System, s: &System| {
+            wine.compute_wavepart_with_waves(s.simbox(), s.positions(), s.charges(), 7.0, &waves)
+                .unwrap()
+        };
+        step(&mut wine, &s);
+        let warm = buffers(&wine);
+        s.displace(3, Vec3::new(0.1, 0.1, -0.2));
+        step(&mut wine, &s);
+        assert_eq!(buffers(&wine), warm, "the second call moved or grew a buffer");
+        s.displace(11, Vec3::new(-0.2, 0.05, 0.1));
+        let third = step(&mut wine, &s);
+        assert_eq!(buffers(&wine), warm, "the third call moved or grew a buffer");
+        assert!(warm.iter().filter(|&&(_, cap)| cap > 0).count() > 20, "{warm:?}");
+        // Reuse changes nothing: a fresh system computes the same bits.
+        let fresh = step(&mut Wine2System::new(Wine2Config { clusters: 2 }), &s);
+        assert_same_result(&third, &fresh);
+    }
+
+    #[test]
+    fn changed_table_alpha_or_particle_count_rebuilds() {
+        let s = perturbed_crystal();
+        let big = rocksalt_nacl(3, NACL_LATTICE_A);
+        let mut wine = Wine2System::new(Wine2Config { clusters: 2 });
+        let fresh = |s: &System, alpha: f64, n_max: f64| {
+            Wine2System::new(Wine2Config { clusters: 2 })
+                .compute_wavepart(s.simbox(), s.positions(), s.charges(), alpha, n_max)
+                .unwrap()
+        };
+        // Same system object throughout: table, α and N each change once
+        // (and back), and every result equals a fresh machine's.
+        for (system, alpha, n_max) in
+            [(&s, 7.0, 6.0), (&s, 7.0, 4.0), (&s, 6.0, 4.0), (&big, 6.0, 4.0), (&s, 7.0, 6.0)]
+        {
+            let got = wine
+                .compute_wavepart(system.simbox(), system.positions(), system.charges(), alpha, n_max)
+                .unwrap();
+            assert_eq!(wine.plan.waves(), half_space_vectors(n_max).len());
+            assert_same_result(&got, &fresh(system, alpha, n_max));
+        }
+    }
+
+    #[test]
+    fn scalar_simd_equivalence_on_a_machine_with_empty_boards() {
+        // 10 particles on 3 clusters: 4 + 4 + 2, one per board, so 11 of
+        // the 21 boards are empty. Every form of the sweep, and every
+        // cluster count, gives the same bits.
+        let mut s = rocksalt_nacl(2, NACL_LATTICE_A);
+        s.displace(1, Vec3::new(0.2, -0.1, 0.3));
+        let (positions, charges) = (&s.positions()[..10], &s.charges()[..10]);
+        let run = |clusters: usize, kernel: Kernel| {
+            let mut wine = Wine2System::new(Wine2Config { clusters });
+            wine.kernel = kernel;
+            let out = wine.compute_wavepart(s.simbox(), positions, charges, 7.0, 5.0).unwrap();
+            let empty = wine.clusters.iter().flat_map(|c| c.boards());
+            (out, empty.filter(|b| b.particle_count() == 0).count())
+        };
+        let (reference, empty) = run(3, Kernel::Portable);
+        assert_eq!(empty, 11);
+        for kernel in crate::sweep::tests::kernels() {
+            assert_same_result(&run(3, kernel).0, &reference);
+            let (one, _) = run(1, kernel);
+            assert_eq!(one.forces, reference.forces);
+            assert_eq!(one.structure_factors, reference.structure_factors);
+        }
     }
 
     #[test]

@@ -217,3 +217,42 @@ fn nve_conserves_with_pswf_backend() {
         sim.system().total_momentum()
     );
 }
+
+/// The WINE-2 sweep at a ragged size: `cells = 3` is 216 particles, 108
+/// per cluster and 16 / 12 per board, so every board ends in a partly
+/// filled 8-lane block. Five steps through `MdmForceField`: the position
+/// digest, the board's counters and the number of quantisation residuals
+/// recorded are the values the per-chip-pass kernels produced before the
+/// row sweep replaced them.
+#[test]
+fn wine2_sweep_pinned_at_ragged_lane_blocks() {
+    let _scope = mdm::profile::scope();
+    let mut system = rocksalt_nacl(3, NACL_LATTICE_A);
+    maxwell_boltzmann(&mut system, 900.0, 31);
+    let hw = MdmForceField::nacl_default(system.simbox().l()).unwrap();
+    let mut sim = Simulation::new(system, hw, 2.0);
+    sim.run(5);
+
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    for p in sim.system().positions() {
+        for byte in [p.x, p.y, p.z].iter().flat_map(|c| c.to_bits().to_le_bytes()) {
+            digest = (digest ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    let wine = sim.force_field().last_counters().wine;
+    let residuals = mdm::profile::take().histograms["wine_fx_quant_residual"].count();
+    assert_eq!(digest, 0x4107_117b_fea9_c474, "position digest {digest:016x}");
+    assert_eq!(
+        wine,
+        mdm::wine2::timing::WineCounters {
+            dft_ops: 446_904,
+            idft_ops: 446_904,
+            cycles: 576,
+            bus_bytes_per_cluster: 814_072,
+            waves: 2069,
+            particles: 216,
+        }
+    );
+    // 4 per particle + 2 per wave, for the initial evaluation and 5 steps.
+    assert_eq!(residuals, 6 * (4 * 216 + 2 * 2069));
+}
