@@ -8,6 +8,14 @@
 //! streams every j in that range — **no distance test, no third-law
 //! skip** ("MDGRAPE-2 does not skip the force calculation even if the
 //! distance between two particles is larger than r_cut", §2.2).
+//!
+//! That dataflow is what the board *bills* (pair ops per chip, bytes on
+//! the bus). On a CPU with AVX-512 the host *executes* the
+//! hardware-faithful pattern above the board level, sixteen i-particles
+//! to a tile (the `simd` module), and bills each board its share through
+//! `MdgBoard::credit_block2`; the entry points here that compute per
+//! i-particle are the portable path and the oracle the tiles are pinned
+//! against.
 
 use crate::chip::{AtomCoefficients, MdgChip, PIPELINES_PER_CHIP};
 use crate::ftz::FtzGuard;
@@ -27,7 +35,7 @@ pub const BYTES_PER_PARTICLE: usize = 16;
 pub const PARTICLE_CAPACITY: usize = PARTICLE_MEMORY_BYTES / BYTES_PER_PARTICLE;
 
 /// An i-particle as dispatched to the pipelines (the per-pair reference
-/// path; the production path stages an [`IBatch`] instead).
+/// path; the batched per-i path stages an [`IBatch`] instead).
 #[derive(Clone, Copy, Debug)]
 pub struct IParticle {
     /// Position (f32, as the pipeline receives it).
@@ -132,7 +140,7 @@ impl std::error::Error for MdgBoardError {}
 
 /// Per-i-type coefficient columns of one table pass, parallel to the
 /// j-store slot order: `a[ti][slot] = a(ti, types[slot])` (and likewise
-/// `b`). Rebuilt at the top of every batched sweep — O(n_types·N)
+/// `b`). Rebuilt at the top of every per-i batched sweep — O(n_types·N)
 /// gathers, negligible next to the O(N·27·occupancy) pair work they free
 /// from per-pair type lookups. The gathered values are the exact `f32`s
 /// of the coefficient RAM, so the columns change nothing numerically.
@@ -312,6 +320,21 @@ impl MdgBoard {
         // Force read-back: 24 B per i-particle (3 × f64), once per pass.
         self.bus_bytes += (P * range.len() * 24) as u64;
         out
+    }
+
+    /// Bill this board `passes` block-2 passes over a chunk of
+    /// i-particles computed elsewhere: `pair_ops` yields, per i-particle
+    /// of the chunk in range order, the pair ops of one pass (its
+    /// 27-cell block minus the self pair). Chips are dealt the particles
+    /// round-robin and the read-back is 24 B per particle per pass,
+    /// exactly as [`Self::calc_block2_passes`] bills itself.
+    pub(crate) fn credit_block2(&mut self, passes: u64, pair_ops: impl Iterator<Item = u64>) {
+        let mut particles = 0u64;
+        for (idx, ops) in pair_ops.enumerate() {
+            self.chips[idx % CHIPS_PER_BOARD].credit_ops(passes * ops);
+            particles += 1;
+        }
+        self.bus_bytes += passes * particles * 24;
     }
 
     /// The pre-batching per-pair reference implementation of

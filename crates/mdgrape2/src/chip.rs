@@ -135,6 +135,14 @@ impl MdgChip {
         self.ops = 0;
     }
 
+    /// Bill `ops` pair operations. The tile sweep of
+    /// [`crate::system::Mdgrape2System`] computes above the board level
+    /// and bills every chip through here what [`Self::stream`] and
+    /// [`Self::stream_cell_passes`] bill themselves.
+    pub(crate) fn credit_ops(&mut self, ops: u64) {
+        self.ops += ops;
+    }
+
     /// Evaluate one i-particle against a stream of j-particles on
     /// pipeline `pipe`, accumulating into `acc`.
     #[allow(clippy::too_many_arguments)]

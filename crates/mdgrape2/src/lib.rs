@@ -48,14 +48,22 @@
 //! The real host ran the §4 NaCl force field as four passes over the
 //! same j-store with a table swap in between. Every pass walks the same
 //! 27-cell pair set, so the emulator evaluates them side by side
-//! ([`Mdgrape2System::calc_passes_with_jstore`] →
-//! [`pipeline::interact_cell_passes`]): the geometry once per pair, then
-//! each pass's own `a·r²` → g(x) → `b·g·r⃗ᵢⱼ` into its own f64
-//! accumulators, on AVX-512 lanes where the CPU has them. Per pass the
-//! result is bitwise what the pass alone produces, and the counters
-//! ([`timing::MdgCounters`]) still bill every pass in full — the model
-//! of the machine does not change, only the time the host takes to
-//! emulate it.
+//! ([`Mdgrape2System::calc_passes_with_jstore`]): the geometry once per
+//! pair, then each pass's own `a·r²` → g(x) → `b·g·r⃗ᵢⱼ` into its own f64
+//! accumulators. Per pass the result is bitwise what the pass alone
+//! produces, and the counters ([`timing::MdgCounters`]) still bill every
+//! pass in full — the model of the machine does not change, only the
+//! time the host takes to emulate it.
+//!
+//! On a CPU with AVX-512 F the sweep runs the silicon's own dataflow:
+//! sixteen resident i-particles of one home cell to a register, each
+//! streamed j-particle broadcast to all of them, every lane adding into
+//! f64 chains of its own (the `simd` module), in one parallel region
+//! over home cells above the board level; the boards are billed their
+//! chunks by arithmetic. On any other CPU each board computes its chunk
+//! one i-particle at a time through [`pipeline::interact_cell_passes`],
+//! the scalar column sweep — which is also the oracle the tiles are
+//! pinned against, bit for bit and counter for counter.
 
 pub mod api;
 pub mod board;

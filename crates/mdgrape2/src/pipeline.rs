@@ -21,8 +21,7 @@ use mdm_funceval::FunctionEvaluator;
 /// scalar paths: the displacement columns, the `x = a·r²` evaluator
 /// inputs (one column per table pass of the sweep) and the `g(x)`
 /// outputs for one j-cell. Sized lazily to the largest cell seen;
-/// allocation never happens in the steady state. (The AVX-512 sweep
-/// keeps all of this in registers.)
+/// allocation never happens in the steady state.
 #[derive(Clone, Debug, Default)]
 pub struct BatchScratch {
     dx: Vec<f32>,
@@ -85,15 +84,6 @@ pub struct CellPass<'a> {
     pub bcol: &'a [f32],
 }
 
-/// Fewest table evaluations (slots × passes) a j-cell must bring for
-/// the AVX-512 lanes to take it. A 16-lane block costs the same however
-/// few of its lanes hold a slot, so a short cell is quicker through the
-/// scalar column sweeps — unless four passes share the block. Measured
-/// break-even: 3 slots for the four-table force sweep (1.6× ahead at 4),
-/// 9–10 slots for a single potential table; one register's worth of
-/// evaluations is on the safe side of both.
-const SIMD_MIN_EVALS: usize = 16;
-
 /// Most tables one sweep carries: the four §4 passes (Ewald-real,
 /// Born–Mayer, `r⁻⁶`, `r⁻⁸`).
 pub const MAX_CELL_PASSES: usize = 4;
@@ -118,11 +108,12 @@ pub const MAX_CELL_PASSES: usize = 4;
 /// both the accumulation and the op count, exactly as the per-pair
 /// driver skipped it: the slot is passed over, no zero is added.
 ///
-/// On a CPU with AVX-512 F, cells bringing at least `SIMD_MIN_EVALS`
-/// table evaluations (`cell.len() · P`) run the 16-lane kernel of the
-/// `simd` module; shorter cells, other
-/// CPUs — and the oracle the lanes are tested against — take the scalar
-/// column sweeps of `interact_cell_scalar`.
+/// This is the per-i entry point: the scalar column sweeps of
+/// `interact_cell_scalar`, on every CPU. The production sweep of
+/// [`crate::system::Mdgrape2System`] runs sixteen i-particles to a tile
+/// on AVX-512 lanes where the CPU has them (the `simd` module) and is
+/// pinned bitwise against this function; elsewhere it runs this
+/// function.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 pub fn interact_cell_passes<const P: usize>(
@@ -141,16 +132,10 @@ pub fn interact_cell_passes<const P: usize>(
         return;
     }
     let skip = skip.unwrap_or(n).min(n);
-    #[cfg(target_arch = "x86_64")]
-    if n * P >= SIMD_MIN_EVALS && crate::simd::available() {
-        // SAFETY: AVX-512 F was just detected.
-        unsafe { crate::simd::interact_cell_lanes(passes, xi, shift, cell, skip, mode, accs) };
-        return;
-    }
     interact_cell_scalar(passes, xi, shift, cell, skip, mode, accs, scratch);
 }
 
-/// The portable body of [`interact_cell_passes`], in column sweeps over
+/// The body of [`interact_cell_passes`], in column sweeps over
 /// exact-length SoA slices: one geometry sweep that also forms every
 /// pass's evaluator input `x = a·r²`, then per pass one
 /// [`FunctionEvaluator::eval_batch`] and the slot-order accumulation with
@@ -486,8 +471,7 @@ mod tests {
     }
 
     /// The multi-table sweep against the per-pair datapath it stands
-    /// for, through whichever body the dispatcher picks: cells below
-    /// and above the vector threshold, with and without a self slot.
+    /// for: short and long cells, with and without a self slot.
     #[test]
     fn cell_passes_bitwise_match_per_pair_interact_per_pass() {
         use crate::tables::GFunction;

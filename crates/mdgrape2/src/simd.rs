@@ -1,41 +1,48 @@
-//! AVX-512 lanes for the multi-table j-cell sweep.
+//! AVX-512 tiles for the hardware-faithful real-space sweep.
 //!
-//! One 16-lane block of a j-cell at a time: the geometry (`r⃗ᵢⱼ`, `r²`)
-//! once, then per table the Fig. 11 datapath `x = a·r²` → address
-//! decode → coefficient fetch → quartic Horner → `b·g`, then **one**
-//! accumulate over every f64 chain of every table at once.
+//! MDGRAPE-2 streams each j-particle once and broadcasts it to pipelines
+//! that each hold their own resident i-particle and their own f64
+//! accumulators (paper Figs. 9–11). The kernel here runs that dataflow
+//! as written: a **tile** is up to sixteen i-particles of one home cell,
+//! one per lane, and every j-particle of the cell's 27-entry stencil is
+//! broadcast to all of them in turn.
+//!
+//! What a tile shares: the j-side — `x⃗ⱼ + shift` is one scalar add per
+//! component instead of sixteen, and the j-species selects one
+//! precomputed `a`/`b` vector per pass — and the table constants. What
+//! each lane owns: its `x⃗ᵢ`, its `r⃗ᵢⱼ`, `r²`, its trip through the
+//! Fig. 11 datapath (`x = a·r²` → address decode → coefficient fetch →
+//! quartic Horner → `b·g` → three products) and, after the widening
+//! `f32 → f64` convert, **its own accumulation chains**. One masked
+//! `add_pd` therefore advances sixteen chains by one term each, and each
+//! chain still receives its terms slot by slot in cell order, cells in
+//! stencil order — the order of [`crate::pipeline::interact_cell_scalar`]
+//! run per i. The self pair is one mask bit cleared for one j: the lane
+//! is passed over, nothing is added, not even a zero. A ragged last
+//! tile's dead lanes are masked the same way, never fetched and never
+//! stored.
 //!
 //! Every lane performs the scalar datapath's IEEE 754 operations in the
 //! scalar datapath's order — separate multiplies and adds, never an FMA;
-//! the integer decode of [`mdm_funceval::Segmentation::locate`]; the
-//! widening `f32 → f64` convert; f64 adds slot by slot — under the same
-//! MXCSR (flush-to-zero governs the 512-bit operations too), so the
-//! accumulators are **bitwise identical** to
-//! [`crate::pipeline::interact_cell_scalar`]. The `scalar_simd_equivalence`
+//! the integer decode of [`mdm_funceval::Segmentation::locate`] — under
+//! the same MXCSR (flush-to-zero governs the 512-bit operations and the
+//! scalar j-side add alike), so the accumulators are **bitwise
+//! identical** to the scalar sweep's. The `scalar_simd_equivalence`
 //! tests assert it on any machine that runs this path.
 //!
-//! Lane layout: one lane per j-slot for the geometry and the evaluator.
-//! The f64 accumulation order is fixed (slots in cell order), so it
-//! cannot run across lanes; instead `b·g` (one register per table) and
-//! `r⃗ᵢⱼ` are transposed to per-slot quads, and each slot broadcasts its
-//! quads into `[t0 t0 t0 · | t1 t1 t1 · | t2 t2 t2 · | t3 t3 t3 ·] ×
-//! [dx dy dz 0 | …]` — one multiply, two widening converts and two f64
-//! adds advance all twelve force chains of the four tables (the fourth
-//! lane of each quad is padding that is never read back). The chains
-//! are independent, so their add latencies overlap; that, and the
-//! vector coefficient fetch, is where the time goes.
-//!
-//! Requires AVX-512 F; anything else — and cells too short to fill a
-//! useful part of a block — runs the scalar multi-table loop.
+//! Requires AVX-512 F only; any other CPU runs the scalar column sweep
+//! through the per-i entry points.
 
 #![cfg(target_arch = "x86_64")]
 
-use crate::jstore::JCellColumns;
-use crate::pipeline::{CellPass, PairAccum, PipelineMode, MAX_CELL_PASSES};
-use mdm_funceval::POLY_COEFFS;
+use crate::chip::MAX_TYPES;
+use crate::jstore::{JCellColumns, JStore};
+use crate::pipeline::PipelineMode;
+use crate::system::TablePass;
+use mdm_funceval::{FunctionEvaluator, POLY_COEFFS};
 use std::arch::x86_64::*;
 
-/// j-slots per block.
+/// i-particles per tile.
 const LANES: usize = 16;
 
 /// Runtime gate for the kernel.
@@ -44,7 +51,7 @@ pub(crate) fn available() -> bool {
     is_x86_feature_detected!("avx512f")
 }
 
-/// One table's address-decode constants, read once per cell.
+/// One table's address-decode constants, read once per home cell.
 #[derive(Clone, Copy)]
 struct TableLanes {
     /// Coefficient RAM base, as `f32` words (`POLY_COEFFS` per row).
@@ -60,8 +67,8 @@ struct TableLanes {
 }
 
 impl TableLanes {
-    fn new(pass: &CellPass<'_>) -> Self {
-        let table = pass.evaluator.table();
+    fn new(evaluator: &FunctionEvaluator) -> Self {
+        let table = evaluator.table();
         let seg = table.segmentation();
         let rows = table.rows();
         // The gathers below index `rows` by decoded segment; that is in
@@ -171,218 +178,224 @@ impl TableLanes {
     }
 }
 
-/// 4×4 transpose inside each 128-bit lane: `out[j]`'s lane `l` is
-/// `(r0, r1, r2, r3)[4l + j]` — the quad of slot `4l + j`.
-#[inline]
-#[target_feature(enable = "avx512f")]
-fn transpose_quads(r: [__m512; 4]) -> [__m512; 4] {
-    let a = _mm512_unpacklo_ps(r[0], r[1]);
-    let b = _mm512_unpackhi_ps(r[0], r[1]);
-    let c = _mm512_unpacklo_ps(r[2], r[3]);
-    let d = _mm512_unpackhi_ps(r[2], r[3]);
-    [
-        _mm512_shuffle_ps::<0x44>(a, c),
-        _mm512_shuffle_ps::<0xEE>(a, c),
-        _mm512_shuffle_ps::<0x44>(b, d),
-        _mm512_shuffle_ps::<0xEE>(b, d),
-    ]
-}
-
-/// The f64 accumulation registers of up to four tables.
+/// One entry of a home cell's stencil as the tiles stream it.
 #[derive(Clone, Copy)]
-struct Chains {
-    /// Force mode: `[t0x t0y t0z · t1x t1y t1z ·]`.
-    force_lo: __m512d,
-    /// Force mode: the same for tables 2 and 3.
-    force_hi: __m512d,
-    /// Potential mode: `[t0 t1 t2 t3]`.
-    potential: __m256d,
+pub(crate) struct JCell<'a> {
+    /// The j-cell's columns.
+    pub cell: JCellColumns<'a>,
+    /// Periodic image shift, added to every streamed position.
+    pub shift: [f32; 3],
+    /// The entry is the home cell itself: slot `k` is the self pair of
+    /// i-slot `k`.
+    pub is_home: bool,
 }
 
-/// Add one block's slots, in slot order, into the chains. `live` has a
-/// bit per slot; a cleared bit (tail padding, the self slot) skips the
-/// slot outright — nothing is added, not even a zero. `CHECK = false`
-/// is the all-live block without the per-slot test.
+/// One pass's coefficients for one j-species across a tile: lane `l`
+/// holds `a[tᵢ(l)][tⱼ]` and `b[tᵢ(l)][tⱼ]`.
+#[derive(Clone, Copy)]
+struct PairCoeffs {
+    a: __m512,
+    b: __m512,
+}
+
+/// Widen one f32 term per lane and add it into the lanes' own f64
+/// chains; a lane whose bit is clear keeps its chain untouched.
 #[inline]
 #[target_feature(enable = "avx512f")]
-fn accumulate<const P: usize, const CHECK: bool>(
-    chains: &mut Chains,
+fn add_term(chain: &mut [__m512d; 2], term: __m512, live: __mmask16) {
+    let upper = _mm512_extractf64x4_pd::<1>(_mm512_castps_pd(term));
+    chain[0] = _mm512_mask_add_pd(
+        chain[0],
+        live as __mmask8,
+        chain[0],
+        _mm512_cvtps_pd(_mm512_castps512_ps256(term)),
+    );
+    chain[1] = _mm512_mask_add_pd(
+        chain[1],
+        (live >> 8) as __mmask8,
+        chain[1],
+        _mm512_cvtps_pd(_mm256_castpd_ps(upper)),
+    );
+}
+
+/// Home cell `home` of `jstore` against its 27-entry stencil, `P` passes
+/// side by side: [`sweep_tiles`] on the store's own columns (the i-side
+/// is the j-store's image of the same particles).
+#[target_feature(enable = "avx512f")]
+pub(crate) fn sweep_home_cell<const P: usize>(
+    passes: &[TablePass<'_>; P],
     mode: PipelineMode,
-    bg: [__m512; 4],
-    d: [__m512; 3],
-    live: __mmask16,
+    jstore: &JStore,
+    home: usize,
+    out: &mut [[f64; 3]],
 ) {
-    let bg_quads = transpose_quads(bg);
-    // Lane `l` of a quad register, repeated across the register.
-    let lane = _mm512_set_epi32(3, 2, 1, 0, 3, 2, 1, 0, 3, 2, 1, 0, 3, 2, 1, 0);
+    let neighbors = jstore.neighbors27(home);
+    let stencil: [JCell<'_>; 27] = std::array::from_fn(|k| {
+        let (nc, shift) = neighbors[k];
+        JCell {
+            cell: jstore.cell_columns(nc as usize),
+            shift,
+            // With ≥ 3 cells per side the home cell appears once in its
+            // own stencil, unshifted: that is where the self pairs live.
+            is_home: nc as usize == home && shift == [0.0f32; 3],
+        }
+    });
+    sweep_tiles(passes, mode, jstore.cell_columns(home), &stencil, out);
+}
+
+/// Every i-particle of `home`, sixteen to a tile, against the j-cells of
+/// `stencil` in order. `out[s·P + p]` is the accumulator of home slot
+/// `s` for pass `p`: read as the chains' starting values, written back
+/// with what [`crate::pipeline::interact_cell_scalar`] would leave
+/// there, bit for bit, after the same j-cells in the same order with the
+/// slot's own species row of the coefficient RAM. Potential mode touches
+/// component 0 only.
+///
+/// Species beyond a pass's coefficient RAM are the caller's to rule out.
+#[target_feature(enable = "avx512f")]
+pub(crate) fn sweep_tiles<const P: usize>(
+    passes: &[TablePass<'_>; P],
+    mode: PipelineMode,
+    home: JCellColumns<'_>,
+    stencil: &[JCell<'_>],
+    out: &mut [[f64; 3]],
+) {
+    assert_eq!(out.len(), home.len() * P, "one accumulator per slot per pass");
     match mode {
-        PipelineMode::Force => {
-            let d_quads = transpose_quads([d[0], d[1], d[2], _mm512_setzero_ps()]);
-            // Element `p` of lane `l`, held four times in quad `p`.
-            let spread = _mm512_set_epi32(3, 3, 3, 3, 2, 2, 2, 2, 1, 1, 1, 1, 0, 0, 0, 0);
-            for l in 0..4 {
-                let first = _mm512_set1_epi32(4 * l as i32);
-                let (spread, lane) = (
-                    _mm512_add_epi32(spread, first),
-                    _mm512_add_epi32(lane, first),
-                );
-                // Slot `4l + j` sits in lane `l` of quad register `j`.
-                for (j, (&bg_quad, &d_quad)) in bg_quads.iter().zip(&d_quads).enumerate() {
-                    if CHECK && live & (1 << (4 * l + j)) == 0 {
-                        continue;
-                    }
-                    let f = _mm512_mul_ps(
-                        _mm512_permutexvar_ps(spread, bg_quad),
-                        _mm512_permutexvar_ps(lane, d_quad),
-                    );
-                    chains.force_lo =
-                        _mm512_add_pd(chains.force_lo, _mm512_cvtps_pd(_mm512_castps512_ps256(f)));
-                    if P > 2 {
-                        let upper = _mm512_extractf64x4_pd::<1>(_mm512_castps_pd(f));
-                        chains.force_hi = _mm512_add_pd(
-                            chains.force_hi,
-                            _mm512_cvtps_pd(_mm256_castpd_ps(upper)),
-                        );
-                    }
-                }
-            }
-        }
-        PipelineMode::Potential => {
-            for l in 0..4 {
-                let lane = _mm512_add_epi32(lane, _mm512_set1_epi32(4 * l as i32));
-                for (j, &bg_quad) in bg_quads.iter().enumerate() {
-                    if CHECK && live & (1 << (4 * l + j)) == 0 {
-                        continue;
-                    }
-                    let quad = _mm512_castps512_ps128(_mm512_permutexvar_ps(lane, bg_quad));
-                    chains.potential = _mm256_add_pd(chains.potential, _mm256_cvtps_pd(quad));
-                }
-            }
-        }
+        PipelineMode::Force => tiles::<P, true>(passes, home, stencil, out),
+        PipelineMode::Potential => tiles::<P, false>(passes, home, stencil, out),
     }
 }
 
-/// The vector body of [`crate::pipeline::interact_cell_passes`]: same
-/// arguments, same accumulator bits. `skip == cell.len()` means no self
-/// slot.
-///
-/// # Safety
-/// Requires AVX-512 F (checked by [`available`]).
+/// [`sweep_tiles`] with the mode as a constant: with both modes' arms in
+/// one body the four-pass sweep keeps fewer of its chains in registers
+/// (5–7 % at 33 particles per cell).
 #[target_feature(enable = "avx512f")]
-pub(crate) unsafe fn interact_cell_lanes<const P: usize>(
-    passes: &[CellPass<'_>; P],
-    xi: [f32; 3],
-    shift: [f32; 3],
-    cell: JCellColumns<'_>,
-    skip: usize,
-    mode: PipelineMode,
-    accs: &mut [PairAccum; P],
+fn tiles<const P: usize, const FORCE: bool>(
+    passes: &[TablePass<'_>; P],
+    home: JCellColumns<'_>,
+    stencil: &[JCell<'_>],
+    out: &mut [[f64; 3]],
 ) {
-    // A per-slot quad holds one lane per table.
-    const { assert!(P >= 1 && P <= MAX_CELL_PASSES && MAX_CELL_PASSES == 4) };
-    let n = cell.len();
+    let m = home.len();
     // Exact-length columns: every masked load below stays inside them.
-    let (xs, ys, zs) = (&cell.xs[..n], &cell.ys[..n], &cell.zs[..n]);
-    let cols: [(&[f32], &[f32]); P] =
-        std::array::from_fn(|p| (&passes[p].acol[..n], &passes[p].bcol[..n]));
-    let tables: [TableLanes; P] = std::array::from_fn(|p| TableLanes::new(&passes[p]));
+    let (hx, hy, hz, ht) = (&home.xs[..m], &home.ys[..m], &home.zs[..m], &home.types[..m]);
+    let tables: [TableLanes; P] = std::array::from_fn(|p| TableLanes::new(passes[p].table));
+    let components = if FORCE { 3 } else { 1 };
 
-    let quad = |p: usize, k: usize| accs.get(p).map_or(0.0, |a| a.acc[k]);
-    let mut chains = Chains {
-        force_lo: _mm512_set_pd(
-            0.0,
-            quad(1, 2),
-            quad(1, 1),
-            quad(1, 0),
-            0.0,
-            quad(0, 2),
-            quad(0, 1),
-            quad(0, 0),
-        ),
-        force_hi: _mm512_set_pd(
-            0.0,
-            quad(3, 2),
-            quad(3, 1),
-            quad(3, 0),
-            0.0,
-            quad(2, 2),
-            quad(2, 1),
-            quad(2, 0),
-        ),
-        potential: _mm256_set_pd(quad(3, 0), quad(2, 0), quad(1, 0), quad(0, 0)),
-    };
-
-    let xi = [
-        _mm512_set1_ps(xi[0]),
-        _mm512_set1_ps(xi[1]),
-        _mm512_set1_ps(xi[2]),
-    ];
-    let shift = [
-        _mm512_set1_ps(shift[0]),
-        _mm512_set1_ps(shift[1]),
-        _mm512_set1_ps(shift[2]),
-    ];
-    for base in (0..n).step_by(LANES) {
-        let width = (n - base).min(LANES);
+    for base in (0..m).step_by(LANES) {
+        let width = (m - base).min(LANES);
         let tail = ((1u32 << width) - 1) as __mmask16;
         // SAFETY: lanes `0..width` of each load are `base..base + width`
-        // of a column of length `n`; the rest are masked off and read 0.
+        // of a column of length `m`; the rest are masked off and read 0.
         let load = |col: &[f32]| unsafe { _mm512_maskz_loadu_ps(tail, col.as_ptr().add(base)) };
-        let d = [
-            _mm512_sub_ps(xi[0], _mm512_add_ps(load(xs), shift[0])),
-            _mm512_sub_ps(xi[1], _mm512_add_ps(load(ys), shift[1])),
-            _mm512_sub_ps(xi[2], _mm512_add_ps(load(zs), shift[2])),
-        ];
-        let r_sq = _mm512_add_ps(
-            _mm512_add_ps(_mm512_mul_ps(d[0], d[0]), _mm512_mul_ps(d[1], d[1])),
-            _mm512_mul_ps(d[2], d[2]),
-        );
-        let mut bg = [_mm512_setzero_ps(); 4];
-        for p in 0..P {
-            let x = _mm512_mul_ps(load(cols[p].0), r_sq);
-            // SAFETY: `tables[p]` was built from `passes[p]`, which
-            // outlives this call.
-            let g = unsafe { tables[p].eval(x, tail) };
-            bg[p] = _mm512_mul_ps(load(cols[p].1), g);
-        }
-        let live = if (base..base + width).contains(&skip) {
-            tail & !(1 << (skip - base))
-        } else {
-            tail
-        };
-        if live == 0xffff {
-            accumulate::<P, false>(&mut chains, mode, bg, d, live);
-        } else {
-            accumulate::<P, true>(&mut chains, mode, bg, d, live);
-        }
-    }
+        let xi = [load(hx), load(hy), load(hz)];
 
-    let mut force = [0.0f64; 16];
-    let mut potential = [0.0f64; 4];
-    // SAFETY: unaligned stores into local arrays of exactly the
-    // registers' widths.
-    unsafe {
-        _mm512_storeu_pd(force.as_mut_ptr(), chains.force_lo);
-        _mm512_storeu_pd(force.as_mut_ptr().add(8), chains.force_hi);
-        _mm256_storeu_pd(potential.as_mut_ptr(), chains.potential);
-    }
-    let ops = (n - usize::from(skip < n)) as u64;
-    for (p, acc) in accs.iter_mut().enumerate() {
-        match mode {
-            PipelineMode::Force => acc.acc.copy_from_slice(&force[4 * p..4 * p + 3]),
-            PipelineMode::Potential => acc.acc[0] = potential[p],
+        // The coefficient RAM as the tile sees it: per j-species, per
+        // pass, the lanes' own rows.
+        let zero = _mm512_setzero_ps();
+        let mut coeffs = [[PairCoeffs { a: zero, b: zero }; P]; MAX_TYPES];
+        for (p, pass) in passes.iter().enumerate() {
+            for (tj, pair) in coeffs.iter_mut().enumerate().take(pass.coefficients.n_types()) {
+                let (mut a, mut b) = ([0f32; LANES], [0f32; LANES]);
+                for (lane, &ti) in ht[base..base + width].iter().enumerate() {
+                    (a[lane], b[lane]) = pass.coefficients.get(ti, tj as u8);
+                }
+                // SAFETY: whole-register loads of 16-element arrays.
+                pair[p] = unsafe {
+                    PairCoeffs {
+                        a: _mm512_loadu_ps(a.as_ptr()),
+                        b: _mm512_loadu_ps(b.as_ptr()),
+                    }
+                };
+            }
         }
-        acc.ops += ops;
+
+        // Lane `l`'s chains start from slot `base + l`'s accumulators.
+        let mut acc = [[[_mm512_setzero_pd(); 2]; 3]; P];
+        for (p, chains) in acc.iter_mut().enumerate() {
+            for (c, chain) in chains.iter_mut().enumerate().take(components) {
+                let mut start = [0f64; LANES];
+                for (lane, value) in start.iter_mut().enumerate().take(width) {
+                    *value = out[(base + lane) * P + p][c];
+                }
+                // SAFETY: two whole-register loads of a 16-element array.
+                *chain = unsafe {
+                    [
+                        _mm512_loadu_pd(start.as_ptr()),
+                        _mm512_loadu_pd(start.as_ptr().add(LANES / 2)),
+                    ]
+                };
+            }
+        }
+
+        for entry in stencil {
+            let n = entry.cell.len();
+            let (xs, ys, zs, ts) = (
+                &entry.cell.xs[..n],
+                &entry.cell.ys[..n],
+                &entry.cell.zs[..n],
+                &entry.cell.types[..n],
+            );
+            for k in 0..n {
+                // The j-side once for the whole tile.
+                let d = [
+                    _mm512_sub_ps(xi[0], _mm512_set1_ps(xs[k] + entry.shift[0])),
+                    _mm512_sub_ps(xi[1], _mm512_set1_ps(ys[k] + entry.shift[1])),
+                    _mm512_sub_ps(xi[2], _mm512_set1_ps(zs[k] + entry.shift[2])),
+                ];
+                let r_sq = _mm512_add_ps(
+                    _mm512_add_ps(_mm512_mul_ps(d[0], d[0]), _mm512_mul_ps(d[1], d[1])),
+                    _mm512_mul_ps(d[2], d[2]),
+                );
+                // Home slot `k` is lane `k − base`'s own particle.
+                let live = if entry.is_home && k.wrapping_sub(base) < width {
+                    tail & !(1 << (k - base))
+                } else {
+                    tail
+                };
+                let pair = &coeffs[ts[k] as usize];
+                for p in 0..P {
+                    let x = _mm512_mul_ps(pair[p].a, r_sq);
+                    // SAFETY: `tables[p]` was built from `passes[p]`,
+                    // which outlives this call.
+                    let g = unsafe { tables[p].eval(x, tail) };
+                    let bg = _mm512_mul_ps(pair[p].b, g);
+                    if FORCE {
+                        for (chain, &dc) in acc[p].iter_mut().zip(&d) {
+                            add_term(chain, _mm512_mul_ps(bg, dc), live);
+                        }
+                    } else {
+                        add_term(&mut acc[p][0], bg, live);
+                    }
+                }
+            }
+        }
+
+        for (p, chains) in acc.iter().enumerate() {
+            for (c, chain) in chains.iter().enumerate().take(components) {
+                let mut end = [0f64; LANES];
+                // SAFETY: two whole-register stores into a 16-element
+                // array.
+                unsafe {
+                    _mm512_storeu_pd(end.as_mut_ptr(), chain[0]);
+                    _mm512_storeu_pd(end.as_mut_ptr().add(LANES / 2), chain[1]);
+                }
+                for (lane, &value) in end.iter().enumerate().take(width) {
+                    out[(base + lane) * P + p][c] = value;
+                }
+            }
+        }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::chip::AtomCoefficients;
     use crate::ftz::FtzGuard;
-    use crate::pipeline::{interact_cell_scalar, BatchScratch};
+    use crate::pipeline::{interact_cell_scalar, BatchScratch, CellPass, PairAccum, MAX_CELL_PASSES};
     use crate::tables::GFunction;
-    use mdm_funceval::FunctionEvaluator;
 
     /// Deterministic pseudo-random stream in `[0, 1)` (xorshift; no
     /// external RNG).
@@ -401,31 +414,17 @@ mod tests {
         ys: Vec<f32>,
         zs: Vec<f32>,
         types: Vec<u8>,
-        /// Per table: `(a, b)` columns.
-        cols: Vec<(Vec<f32>, Vec<f32>)>,
     }
 
     impl Cell {
-        /// `n` slots scattered over a 6 Å cube, with per-table
-        /// coefficients of mixed sign and magnitude.
-        fn random(n: usize, seed: u64) -> Self {
+        /// `n` slots scattered over a 6 Å cube, species drawn from
+        /// `0..n_types`.
+        fn random(n: usize, n_types: usize, seed: u64) -> Self {
             let mut next = stream(seed);
             let mut column = |scale: f32| (0..n).map(|_| next() * scale).collect::<Vec<f32>>();
             let (xs, ys, zs) = (column(6.0), column(6.0), column(6.0));
-            let cols = (0..MAX_CELL_PASSES)
-                .map(|p| {
-                    let a = column(0.9).iter().map(|v| v + 0.1).collect();
-                    let b = column(4.0).iter().map(|v| v - 2.0 - p as f32).collect();
-                    (a, b)
-                })
-                .collect();
-            Self {
-                xs,
-                ys,
-                zs,
-                types: vec![0; n],
-                cols,
-            }
+            let types = column(n_types as f32).iter().map(|&t| t as u8).collect();
+            Self { xs, ys, zs, types }
         }
 
         fn columns(&self) -> JCellColumns<'_> {
@@ -438,62 +437,110 @@ mod tests {
         }
     }
 
-    fn tables(kernels: [GFunction; 4]) -> Vec<FunctionEvaluator> {
+    pub(crate) fn tables(kernels: [GFunction; 4]) -> Vec<FunctionEvaluator> {
         kernels
             .iter()
             .map(|g| g.build_evaluator().unwrap())
             .collect()
     }
 
-    /// Run both bodies on the same inputs from the same non-trivial
-    /// starting accumulators and demand identical bits.
-    fn assert_lanes_match_scalar<const P: usize>(
-        tables: &[FunctionEvaluator],
-        cell: &Cell,
-        xi: [f32; 3],
-        shift: [f32; 3],
-        skip: usize,
-        what: &str,
+    /// Three species, every `a` and `b` of every pass distinct, mixed
+    /// signs and magnitudes.
+    pub(crate) fn three_species_ram() -> Vec<AtomCoefficients> {
+        (0..MAX_CELL_PASSES)
+            .map(|p| {
+                let entry = |scale: f64, offset: f64| -> Vec<Vec<f64>> {
+                    (0..3)
+                        .map(|i| {
+                            (0..3)
+                                .map(|j| offset + scale * (1 + 3 * i + j + 9 * p) as f64)
+                                .collect()
+                        })
+                        .collect()
+                };
+                AtomCoefficients::new(&entry(0.02, 0.1), &entry(-0.11, 2.0))
+            })
+            .collect()
+    }
+
+    /// The oracle: the scalar column sweep, one i-particle at a time,
+    /// with that particle's coefficient columns gathered from the RAM.
+    fn scalar_sweep<const P: usize>(
+        passes: &[TablePass<'_>; P],
+        mode: PipelineMode,
+        home: JCellColumns<'_>,
+        stencil: &[JCell<'_>],
+        out: &mut [[f64; 3]],
     ) {
-        let passes: [CellPass<'_>; P] = std::array::from_fn(|p| CellPass {
-            evaluator: &tables[p],
-            acol: &cell.cols[p].0,
-            bcol: &cell.cols[p].1,
-        });
-        for mode in [PipelineMode::Force, PipelineMode::Potential] {
-            let start: [PairAccum; P] = std::array::from_fn(|p| PairAccum {
-                acc: [0.25 + p as f64, -1.5e-3, 7.0e3],
-                ops: 11 * p as u64,
+        let mut scratch = BatchScratch::default();
+        for i in 0..home.len() {
+            let mut accs: [PairAccum; P] = std::array::from_fn(|p| PairAccum {
+                acc: out[i * P + p],
+                ops: 0,
             });
-            let (mut scalar, mut lanes) = (start, start);
-            interact_cell_scalar(
-                &passes,
-                xi,
-                shift,
-                cell.columns(),
-                skip,
-                mode,
-                &mut scalar,
-                &mut BatchScratch::default(),
-            );
-            // SAFETY: callers checked `available()`.
-            unsafe {
-                interact_cell_lanes(&passes, xi, shift, cell.columns(), skip, mode, &mut lanes)
-            };
-            for (p, (s, l)) in scalar.iter().zip(&lanes).enumerate() {
-                assert_eq!(
-                    s.acc.map(f64::to_bits),
-                    l.acc.map(f64::to_bits),
-                    "{what}: table {p} {mode:?}: scalar {:?} vs lanes {:?}",
-                    s.acc,
-                    l.acc
+            for entry in stencil {
+                let cols: [(Vec<f32>, Vec<f32>); P] = std::array::from_fn(|p| {
+                    let ram = passes[p].coefficients;
+                    entry.cell.types.iter().map(|&tj| ram.get(home.types[i], tj)).unzip()
+                });
+                let cell_passes: [CellPass<'_>; P] = std::array::from_fn(|p| CellPass {
+                    evaluator: passes[p].table,
+                    acol: &cols[p].0,
+                    bcol: &cols[p].1,
+                });
+                let skip = if entry.is_home { i } else { entry.cell.len() };
+                interact_cell_scalar(
+                    &cell_passes,
+                    [home.xs[i], home.ys[i], home.zs[i]],
+                    entry.shift,
+                    entry.cell,
+                    skip,
+                    mode,
+                    &mut accs,
+                    &mut scratch,
                 );
-                assert_eq!(s.ops, l.ops, "{what}: table {p} {mode:?} op count");
+            }
+            for (p, acc) in accs.iter().enumerate() {
+                out[i * P + p] = acc.acc;
             }
         }
     }
 
-    const FORCE_KERNELS: [GFunction; 4] = [
+    /// Run both sweeps on the same inputs from the same starting
+    /// accumulators and demand identical bits.
+    fn assert_tiles_match_scalar<const P: usize>(
+        tables: &[FunctionEvaluator],
+        ram: &[AtomCoefficients],
+        home: JCellColumns<'_>,
+        stencil: &[JCell<'_>],
+        start: [f64; 3],
+        what: &str,
+    ) {
+        let passes: [TablePass<'_>; P] = std::array::from_fn(|p| TablePass {
+            table: &tables[p],
+            coefficients: &ram[p],
+        });
+        for mode in [PipelineMode::Force, PipelineMode::Potential] {
+            let begin: Vec<[f64; 3]> = (0..home.len() * P)
+                .map(|k| start.map(|v| v * (1 + k % 7) as f64))
+                .collect();
+            let (mut scalar, mut tiled) = (begin.clone(), begin);
+            scalar_sweep(&passes, mode, home, stencil, &mut scalar);
+            // SAFETY: callers checked `available()`.
+            unsafe { sweep_tiles(&passes, mode, home, stencil, &mut tiled) };
+            for (k, (s, t)) in scalar.iter().zip(&tiled).enumerate() {
+                assert_eq!(
+                    s.map(f64::to_bits),
+                    t.map(f64::to_bits),
+                    "{what}: slot {} pass {} {mode:?}: scalar {s:?} vs tiles {t:?}",
+                    k / P,
+                    k % P,
+                );
+            }
+        }
+    }
+
+    pub(crate) const FORCE_KERNELS: [GFunction; 4] = [
         GFunction::CoulombRealForce,
         GFunction::BornMayerForce,
         GFunction::Dispersion6Force,
@@ -513,29 +560,57 @@ mod tests {
             return;
         }
         let tables = tables(FORCE_KERNELS);
+        let ram = three_species_ram();
         let _ftz = FtzGuard::new();
-        for n in [0usize, 1, 15, 16, 17, 33, 125] {
-            let cell = Cell::random(n, 0x9e37_79b9 + n as u64);
-            // First / middle / last slot, and `n` = no self slot (the
-            // `NO_SELF_SLOT` case of disjoint i/j sets).
-            let mut skips = vec![n];
-            if n > 0 {
-                skips.extend([0, n / 2, n - 1]);
-            }
-            for skip in skips {
-                // The self pair sits on its own slot; an i-particle
-                // from a disjoint set sits anywhere.
-                let xi = if skip < n {
-                    [cell.xs[skip], cell.ys[skip], cell.zs[skip]]
-                } else {
-                    [2.9, 3.3, 1.7]
-                };
-                for shift in [[0.0f32; 3], [6.0, 0.0, -6.0]] {
-                    let what = format!("n {n} skip {skip} shift {shift:?}");
-                    assert_lanes_match_scalar::<4>(&tables, &cell, xi, shift, skip, &what);
-                    assert_lanes_match_scalar::<1>(&tables, &cell, xi, shift, skip, &what);
-                    assert_lanes_match_scalar::<3>(&tables[1..], &cell, xi, shift, skip, &what);
+        // Full tiles, one-lane tiles, a ragged tail of 1 and of 15: as
+        // the home cell is its own j-cell, the self slot visits every
+        // lane of a full tile and every lane of the tails.
+        for m in [1usize, 15, 16, 17, 33, 125] {
+            let home = Cell::random(m, 3, 0x9e37_79b9 + m as u64);
+            for n in [0usize, 1, 16, 125] {
+                let other = Cell::random(n, 3, 0x5bd1_e995 + n as u64);
+                // The stencil in miniature: a shifted neighbour before
+                // and after the home cell, and an empty one.
+                let empty = Cell::random(0, 3, 1);
+                let stencil = [
+                    JCell { cell: other.columns(), shift: [6.0, 0.0, -6.0], is_home: false },
+                    JCell { cell: empty.columns(), shift: [0.0, 6.0, 0.0], is_home: false },
+                    JCell { cell: home.columns(), shift: [0.0; 3], is_home: true },
+                    JCell { cell: other.columns(), shift: [0.0, -6.0, 0.0], is_home: false },
+                ];
+                for start in [[0.0f64; 3], [0.25, -1.5e-3, 7.0e3]] {
+                    let what = format!("home {m} j-cell {n} start {start:?}");
+                    let home = home.columns();
+                    assert_tiles_match_scalar::<4>(&tables, &ram, home, &stencil, start, &what);
+                    assert_tiles_match_scalar::<1>(&tables, &ram, home, &stencil, start, &what);
+                    assert_tiles_match_scalar::<3>(&tables[1..], &ram[1..], home, &stencil, start, &what);
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn scalar_simd_equivalence_for_a_particle_alone_in_its_stencil() {
+        if !simd_or_loud_skip() {
+            return;
+        }
+        let tables = tables(FORCE_KERNELS);
+        let ram = three_species_ram();
+        let _ftz = FtzGuard::new();
+        let home = Cell::random(1, 3, 5);
+        let stencil = [JCell { cell: home.columns(), shift: [0.0; 3], is_home: true }];
+        let passes: [TablePass<'_>; 4] = std::array::from_fn(|p| TablePass {
+            table: &tables[p],
+            coefficients: &ram[p],
+        });
+        // Its one pair is the self pair: no term at all, so even the
+        // sign of a zero accumulator survives (`−0 + 0` would be `+0`).
+        for mode in [PipelineMode::Force, PipelineMode::Potential] {
+            let mut out = [[-0.0f64; 3]; 4];
+            // SAFETY: `available()` was checked above.
+            unsafe { sweep_tiles(&passes, mode, home.columns(), &stencil, &mut out) };
+            for acc in out {
+                assert_eq!(acc.map(f64::to_bits), [(-0.0f64).to_bits(); 3], "{mode:?}");
             }
         }
     }
@@ -552,8 +627,6 @@ mod tests {
             GFunction::Dispersion8Energy,
         ]);
         let seg = tables[0].table().segmentation();
-        // Every slot at distance 1 along x (r² = 1 exactly), so the
-        // evaluator input is the `a` column itself.
         let specials = [
             0.0f32,
             -0.0,
@@ -572,24 +645,39 @@ mod tests {
             -f32::NAN,
             -3.5,
         ];
-        // 40 slots: the specials land in the first, a middle and the
-        // tail block, at every rotation across the four tables.
+        // One species per special: with every i at one point and every
+        // j at distance 1 from it (r² = 1 exactly) the evaluator input
+        // is the RAM's `a` entry itself, at every rotation across the
+        // i-species, the j-species and the four tables.
+        let s = specials.len();
+        let ram: Vec<AtomCoefficients> = (0..MAX_CELL_PASSES)
+            .map(|p| {
+                let matrix = |f: &dyn Fn(usize, usize) -> f64| -> Vec<Vec<f64>> {
+                    (0..s).map(|i| (0..s).map(|j| f(i, j)).collect()).collect()
+                };
+                AtomCoefficients::new(
+                    &matrix(&|i, j| specials[(i + j + 5 * p) % s] as f64),
+                    &matrix(&|i, j| 1.5 - 0.25 * ((i + 3 * j + p) % 11) as f64),
+                )
+            })
+            .collect();
+        // 40 slots a side: two full tiles and a tail, every species in
+        // each.
         let n = 40;
-        let mut cell = Cell::random(n, 77);
-        cell.xs.iter_mut().for_each(|x| *x = 1.0);
-        cell.ys.iter_mut().for_each(|y| *y = 0.0);
-        cell.zs.iter_mut().for_each(|z| *z = 0.0);
-        for (p, (a, _)) in cell.cols.iter_mut().enumerate() {
-            for (k, a) in a.iter_mut().enumerate() {
-                *a = specials[(k + 5 * p) % specials.len()];
-            }
-        }
-        let xi = [2.0, 0.0, 0.0];
+        let point = |x: f32, first: usize| Cell {
+            xs: vec![x; n],
+            ys: vec![0.0; n],
+            zs: vec![0.0; n],
+            types: (0..n).map(|k| ((k + first) % s) as u8).collect(),
+        };
+        let (home, other) = (point(2.0, 0), point(1.0, 7));
+        let stencil = [JCell { cell: other.columns(), shift: [0.0; 3], is_home: false }];
         for flushed in [true, false] {
             let _ftz = flushed.then(FtzGuard::new);
             let what = format!("flush-to-zero {flushed}");
-            assert_lanes_match_scalar::<4>(&tables, &cell, xi, [0.0; 3], n, &what);
-            assert_lanes_match_scalar::<1>(&tables, &cell, xi, [0.0; 3], 3, &what);
+            let home = home.columns();
+            assert_tiles_match_scalar::<4>(&tables, &ram, home, &stencil, [0.0; 3], &what);
+            assert_tiles_match_scalar::<1>(&tables, &ram, home, &stencil, [0.0; 3], &what);
         }
     }
 }

@@ -2,12 +2,25 @@
 //! clusters (16 in the current MDM = 64 chips), the i-particle
 //! distribution across boards, and the Rayon-parallel execution that
 //! stands in for the boards' physical concurrency.
+//!
+//! The hierarchy is the accounting truth: every board is dealt its
+//! contiguous chunk of i-particles and billed the j-store uploads, pair
+//! ops and read-backs of the passes it ran. What the host *executes* for
+//! the hardware-faithful pattern depends on the CPU. With AVX-512 F it
+//! is the tile sweep of the `simd` module, run above the board level in
+//! one parallel region over home cells — sixteen resident i-particles
+//! per streamed j, as the silicon broadcasts it — with the boards billed
+//! by arithmetic. Elsewhere each board computes its own chunk one
+//! i-particle at a time ([`MdgBoard::calc_block2_passes`]) and bills
+//! itself. The two agree in every value bit and every counter.
 
 use crate::board::{
     CoeffCols, ColumnPass, IBatch, MdgBoard, MdgBoardError, PIPELINES_PER_BOARD,
 };
 use crate::chip::AtomCoefficients;
 use crate::cluster::{MdgCluster, BOARDS_PER_CLUSTER};
+#[cfg(target_arch = "x86_64")]
+use crate::ftz::FtzGuard;
 use crate::jstore::JStore;
 use crate::pipeline::{PairAccum, PipelineMode};
 use crate::timing::MdgCounters;
@@ -78,14 +91,34 @@ pub struct MdgPassResult {
     pub counters: MdgCounters,
 }
 
+/// Working state of the tile sweep, sized by the first call and reused
+/// by every later one: a steady-state call allocates the vectors it
+/// returns and the parallel region's bookkeeping, all on the calling
+/// thread — never on a worker (short-lived workers each grow an
+/// allocator arena of their own).
+#[cfg(target_arch = "x86_64")]
+#[derive(Default)]
+struct TileSweep {
+    /// Whether this CPU runs it.
+    available: bool,
+    /// The accumulators of the sweep in flight in j-store slot order,
+    /// `[slot][pass]`: each home cell's tiles own one contiguous run.
+    slot_values: Vec<[f64; 3]>,
+    /// Per home cell, the population of its 27-cell block: what one pass
+    /// streams past each of its i-particles, self pair included.
+    block_len: Vec<u64>,
+}
+
 /// The emulated MDGRAPE-2 system.
 pub struct Mdgrape2System {
     config: Mdgrape2Config,
     clusters: Vec<MdgCluster>,
     mode: RealSpaceMode,
-    /// Per-pass coefficient columns of the sweep in flight (buffers
-    /// kept across steps).
+    /// Per-pass coefficient columns of the per-i sweep in flight
+    /// (buffers kept across steps).
     coeff_cols: Vec<CoeffCols>,
+    #[cfg(target_arch = "x86_64")]
+    tiles: TileSweep,
 }
 
 impl Mdgrape2System {
@@ -104,6 +137,11 @@ impl Mdgrape2System {
                 .collect(),
             mode: RealSpaceMode::default(),
             coeff_cols: Vec::new(),
+            #[cfg(target_arch = "x86_64")]
+            tiles: TileSweep {
+                available: crate::simd::available(),
+                ..TileSweep::default()
+            },
         }
     }
 
@@ -188,12 +226,13 @@ impl Mdgrape2System {
     /// [`Self::calc_pass_with_jstore`].
     ///
     /// In [`RealSpaceMode::HardwareFaithful`] the passes run as one
-    /// fused sweep: the i-side is staged once, each board walks its
-    /// 27-cell pair set once and evaluates all `P` tables per pair (see
-    /// [`crate::pipeline::interact_cell_passes`]), one fork-join for the
-    /// lot. The modeled machine still ran `P` passes: every board is
-    /// billed `P` j-store uploads, `P` read-backs and `P` pair ops per
-    /// pair, and each returned [`MdgCounters`] is that of one pass.
+    /// fused sweep: the 27-cell pair set is walked once and all `P`
+    /// tables are evaluated per pair, one fork-join for the lot (the
+    /// module docs say which form of the sweep this CPU runs; `positions`
+    /// and `types` must be the configuration `jstore` holds). The modeled
+    /// machine still ran `P` passes: every board is billed `P` j-store
+    /// uploads, `P` read-backs and `P` pair ops per pair, and each
+    /// returned [`MdgCounters`] is that of one pass.
     ///
     /// The uploads (`load_table`, `load_coefficients`) stay with the
     /// caller, which times them as bus traffic; the sweep reads the
@@ -270,10 +309,126 @@ impl Mdgrape2System {
         }
     }
 
-    /// The hardware-faithful sweep: stage the i-side as an [`IBatch`]
-    /// and deal contiguous ranges to boards, run concurrently; every
-    /// board evaluates all `P` passes over its range.
+    /// The hardware-faithful sweep, in the form this CPU runs.
     fn hardware_passes<const P: usize>(
+        &mut self,
+        mode: PipelineMode,
+        passes: &[TablePass<'_>; P],
+        positions: &[Vec3],
+        types: &[u8],
+        jstore: &JStore,
+    ) -> Result<[Vec<[f64; 3]>; P], MdgBoardError> {
+        #[cfg(target_arch = "x86_64")]
+        if self.tiles.available {
+            return self.tile_sweep(mode, passes, positions, types, jstore);
+        }
+        self.board_sweep(mode, passes, positions, types, jstore)
+    }
+
+    /// The contiguous chunk of `n` i-particles dealt to board `b`.
+    fn board_chunk(&self, b: usize, n: usize) -> std::ops::Range<usize> {
+        let per_board = n.div_ceil(self.config.boards()).max(1);
+        (b * per_board).min(n)..((b + 1) * per_board).min(n)
+    }
+
+    /// The sweep on AVX-512 lanes: one parallel region over home cells,
+    /// each cell's tiles (`simd::sweep_home_cell`) writing their own run
+    /// of the slot-ordered buffer, one scatter to original order at the
+    /// end. The i-side is the j-store's own image of the particles — the
+    /// same `p.x as f32` casts [`IBatch::stage`] makes.
+    #[cfg(target_arch = "x86_64")]
+    fn tile_sweep<const P: usize>(
+        &mut self,
+        mode: PipelineMode,
+        passes: &[TablePass<'_>; P],
+        positions: &[Vec3],
+        types: &[u8],
+        jstore: &JStore,
+    ) -> Result<[Vec<[f64; 3]>; P], MdgBoardError> {
+        let n = jstore.len();
+        assert_eq!(
+            positions.len(),
+            n,
+            "the hardware sweep takes identical i- and j-sets"
+        );
+        debug_assert!(
+            (0..n).all(|i| {
+                let (p, s) = (positions[i], jstore.slot_of_original(i));
+                jstore.position(s) == [p.x as f32, p.y as f32, p.z as f32]
+                    && jstore.species(s) == types[i]
+            }),
+            "the j-store does not hold this configuration"
+        );
+        let species = jstore.types().iter().max().map_or(0, |&t| t as usize + 1);
+        for pass in passes {
+            assert!(
+                species <= pass.coefficients.n_types(),
+                "species beyond the coefficient RAM"
+            );
+        }
+        self.bill_tile_sweep(P as u64, jstore)?;
+
+        let values = &mut self.tiles.slot_values;
+        values.clear();
+        values.resize(n * P, [0.0; 3]);
+        let mut cells = Vec::with_capacity(jstore.n_cells());
+        let mut rest = &mut values[..];
+        for c in 0..jstore.n_cells() {
+            let (cell, tail) = rest.split_at_mut(jstore.cell_range(c).len() * P);
+            cells.push(cell);
+            rest = tail;
+        }
+        let pipeline_span = mdm_profile::span("pipelines");
+        cells.par_iter_mut().enumerate().for_each(|(home, out)| {
+            // MXCSR is per thread: a guard opened by the caller would
+            // not reach this worker.
+            let _ftz = FtzGuard::new();
+            // SAFETY: `tiles.available` is AVX-512 F, detected.
+            unsafe { crate::simd::sweep_home_cell(passes, mode, jstore, home, out) };
+        });
+        drop(pipeline_span);
+
+        Ok(std::array::from_fn(|p| {
+            (0..n)
+                .map(|i| values[jstore.slot_of_original(i) * P + p])
+                .collect()
+        }))
+    }
+
+    /// Bill the hierarchy for a tile sweep of `passes` passes, by
+    /// arithmetic: every board with a non-empty chunk accepts the j-store
+    /// once per pass, and is billed each i-particle of its chunk (dealt
+    /// in *original* index order, chips round-robin) at its home cell's
+    /// 27-cell block minus the self pair — what
+    /// [`MdgBoard::calc_block2_passes`] bills as it computes.
+    #[cfg(target_arch = "x86_64")]
+    fn bill_tile_sweep(&mut self, passes: u64, jstore: &JStore) -> Result<(), MdgBoardError> {
+        let block_len = &mut self.tiles.block_len;
+        block_len.clear();
+        block_len.extend((0..jstore.n_cells()).map(|c| {
+            let block = jstore.neighbors27(c).iter();
+            block.map(|&(nc, _)| jstore.cell_range(nc as usize).len() as u64).sum::<u64>()
+        }));
+        for b in 0..self.config.boards() {
+            let chunk = self.board_chunk(b, jstore.len());
+            if chunk.is_empty() {
+                continue;
+            }
+            let board = &mut self.clusters[b / BOARDS_PER_CLUSTER].boards_mut()[b % BOARDS_PER_CLUSTER];
+            for _ in 0..passes {
+                board.accept_jstore(jstore)?;
+            }
+            let block_len = &self.tiles.block_len;
+            board.credit_block2(passes, chunk.map(|i| block_len[jstore.cell_of(i)] - 1));
+        }
+        Ok(())
+    }
+
+    /// The sweep one i-particle at a time: stage the i-side as an
+    /// [`IBatch`] and deal contiguous ranges to boards, run concurrently;
+    /// every board evaluates all `P` passes over its range and bills
+    /// itself.
+    fn board_sweep<const P: usize>(
         &mut self,
         mode: PipelineMode,
         passes: &[TablePass<'_>; P],
@@ -288,20 +443,17 @@ impl Mdgrape2System {
         for (cols, pass) in self.coeff_cols.iter_mut().zip(passes) {
             cols.build(pass.coefficients, jstore.types());
         }
+        let ranges: Vec<std::ops::Range<usize>> = (0..self.config.boards())
+            .map(|b| self.board_chunk(b, batch.len()))
+            .collect();
         let passes: [ColumnPass<'_>; P] = std::array::from_fn(|p| ColumnPass {
             table: passes[p].table,
             columns: &self.coeff_cols[p],
         });
-        let n = batch.len();
-        let n_boards = self.config.boards();
-        let per_board = n.div_ceil(n_boards).max(1);
         let boards: Vec<&mut MdgBoard> = self
             .clusters
             .iter_mut()
             .flat_map(|c| c.boards_mut().iter_mut())
-            .collect();
-        let ranges: Vec<std::ops::Range<usize>> = (0..n_boards)
-            .map(|b| (b * per_board).min(n)..((b + 1) * per_board).min(n))
             .collect();
         let pipeline_span = mdm_profile::span("pipelines");
         let results: Vec<Vec<[PairAccum; P]>> = boards
@@ -472,6 +624,163 @@ mod tests {
         assert_eq!(out.counters.pair_ops, js.block_pair_count());
         assert!(out.counters.cycles > 0);
         assert!(out.counters.bus_bytes_per_cluster > 0);
+    }
+
+    /// `config` with three species, and the four force tables with a
+    /// coefficient RAM each whose every entry is distinct.
+    #[cfg(target_arch = "x86_64")]
+    fn three_species(
+        n: usize,
+        l: f64,
+    ) -> (SimBox, Vec<Vec3>, Vec<u8>, Vec<FunctionEvaluator>, Vec<AtomCoefficients>) {
+        use crate::simd::tests::{tables, three_species_ram, FORCE_KERNELS};
+        let (sb, pos, _) = config(n, l);
+        let ty = (0..n).map(|i| (i * 7 % 3) as u8).collect();
+        (sb, pos, ty, tables(FORCE_KERNELS), three_species_ram())
+    }
+
+    /// A system that runs the tile sweep, or a loud skip where the CPU
+    /// cannot.
+    #[cfg(target_arch = "x86_64")]
+    fn tiled(clusters: usize) -> Option<Mdgrape2System> {
+        let sys = system(clusters);
+        if !sys.tiles.available {
+            eprintln!("AVX-512 absent: SIMD case skipped");
+        }
+        sys.tiles.available.then_some(sys)
+    }
+
+    /// The tile sweep with its billing by arithmetic against the boards
+    /// computing and billing their own chunks: every value bit and all
+    /// four counters, on an uneven box, on a nearly empty one (27 cells,
+    /// 10 particles: most cells empty, and on 3 clusters a board with no
+    /// chunk at all) and on one whose every cell holds a ragged tile.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn scalar_simd_equivalence_of_the_tile_sweep_and_the_boards() {
+        for (n, l, min_cell) in [(150usize, 16.0, 4.0), (10, 12.0, 4.0), (216, 15.0, 5.0)] {
+            let (sb, pos, ty, tables, ram) = three_species(n, l);
+            let js = JStore::build(sb, &pos, &ty, min_cell);
+            let passes: [TablePass<'_>; 4] = std::array::from_fn(|p| TablePass {
+                table: &tables[p],
+                coefficients: &ram[p],
+            });
+            for clusters in [1usize, 2, 3] {
+                let Some(mut tiles) = tiled(clusters) else { return };
+                let mut boards = system(clusters);
+                boards.tiles.available = false;
+                if (n, clusters) == (10, 3) {
+                    assert!(boards.board_chunk(5, n).is_empty(), "no board is idle");
+                }
+                for mode in [PipelineMode::Force, PipelineMode::Potential] {
+                    let reference = rayon::with_num_threads(1, || {
+                        boards.calc_passes_with_jstore(mode, &passes, &pos, &ty, &js).unwrap()
+                    });
+                    for threads in [1usize, 4] {
+                        let swept = rayon::with_num_threads(threads, || {
+                            tiles.calc_passes_with_jstore(mode, &passes, &pos, &ty, &js).unwrap()
+                        });
+                        for (p, (t, b)) in swept.iter().zip(&reference).enumerate() {
+                            let what = format!("N {n} clusters {clusters} {mode:?} pass {p} ({threads} threads)");
+                            assert_eq!(t.counters, b.counters, "{what}");
+                            for (i, (tv, bv)) in t.values.iter().zip(&b.values).enumerate() {
+                                assert_eq!(tv.map(f64::to_bits), bv.map(f64::to_bits), "{what} particle {i}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// MXCSR is per thread: the sweep's flush-to-zero must not depend on
+    /// the caller's, nor on how many workers the region gets. The
+    /// coefficients put most `b·g` products below the smallest normal
+    /// `f32`, so a task that ran with gradual underflow would show.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn worker_threads_flush_to_zero_whatever_the_caller_does() {
+        let (sb, pos, ty) = config(150, 16.0);
+        let js = JStore::build(sb, &pos, &ty, 4.0);
+        let table = GFunction::Dispersion6Force.build_evaluator().unwrap();
+        let ram = AtomCoefficients::new(&[vec![1.0; 2], vec![1.0; 2]], &[vec![1e-34; 2], vec![1e-34; 2]]);
+        let pass = [TablePass { table: &table, coefficients: &ram }];
+        let Some(mut sys) = tiled(2) else { return };
+        let mut run = |flushed: bool, threads: usize| {
+            let _ftz = flushed.then(crate::ftz::FtzGuard::new);
+            let [out] = rayon::with_num_threads(threads, || {
+                sys.calc_passes_with_jstore(PipelineMode::Force, &pass, &pos, &ty, &js).unwrap()
+            });
+            out.values
+        };
+        let reference = run(true, 1);
+        for flushed in [true, false] {
+            for threads in [1usize, 2, 4] {
+                let got = run(flushed, threads);
+                for (i, (g, r)) in got.iter().zip(&reference).enumerate() {
+                    assert_eq!(
+                        g.map(f64::to_bits),
+                        r.map(f64::to_bits),
+                        "particle {i}: caller flushed {flushed}, {threads} threads"
+                    );
+                }
+            }
+        }
+        // The input does tell the two arithmetics apart: particle 0 by
+        // the per-pair datapath on this thread, which does not flush.
+        let pipe = crate::pipeline::MdgPipeline::new(table.clone());
+        let mut gradual = PairAccum::default();
+        let xi = js.position(js.slot_of_original(0));
+        for &(nc, shift) in js.neighbors27(js.cell_of(0)) {
+            for s in js.cell_range(nc as usize).filter(|&s| js.original_index(s) != 0) {
+                let xj = js.position(s);
+                let xj = [xj[0] + shift[0], xj[1] + shift[1], xj[2] + shift[2]];
+                pipe.interact(xi, xj, 1.0, 1e-34, PipelineMode::Force, &mut gradual);
+            }
+        }
+        assert_ne!(gradual.acc, reference[0], "no subnormal product in the input");
+    }
+
+    /// Address and capacity of every buffer the tile sweep keeps between
+    /// calls.
+    #[cfg(target_arch = "x86_64")]
+    fn buffers(sys: &Mdgrape2System) -> [(usize, usize); 2] {
+        let tiles = &sys.tiles;
+        [
+            (tiles.slot_values.as_ptr() as usize, tiles.slot_values.capacity()),
+            (tiles.block_len.as_ptr() as usize, tiles.block_len.capacity()),
+        ]
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn steady_state_calls_reuse_every_buffer() {
+        // The first call sizes the working state and from then on no
+        // buffer moves or grows, whichever pass count or mode follows.
+        let (sb, mut pos, ty, tables, ram) = three_species(150, 16.0);
+        let passes: [TablePass<'_>; 4] = std::array::from_fn(|p| TablePass {
+            table: &tables[p],
+            coefficients: &ram[p],
+        });
+        let Some(mut sys) = tiled(2) else { return };
+        let mut js = JStore::build(sb, &pos, &ty, 4.0);
+        sys.calc_passes_with_jstore(PipelineMode::Force, &passes, &pos, &ty, &js).unwrap();
+        let warm = buffers(&sys);
+        assert!(warm.iter().all(|&(_, capacity)| capacity > 0), "{warm:?}");
+        pos[3] += Vec3::new(0.1, 0.1, -0.2);
+        js.refresh(sb, &pos, &ty, 4.0);
+        sys.calc_passes_with_jstore(PipelineMode::Potential, &passes, &pos, &ty, &js).unwrap();
+        assert_eq!(buffers(&sys), warm, "the second call moved or grew a buffer");
+        pos[11] += Vec3::new(-0.2, 0.05, 0.1);
+        js.refresh(sb, &pos, &ty, 4.0);
+        let third = sys.calc_passes_with_jstore(PipelineMode::Force, &[passes[0]], &pos, &ty, &js).unwrap();
+        assert_eq!(buffers(&sys), warm, "the third call moved or grew a buffer");
+        // Reuse changes nothing: a fresh system computes the same bits.
+        let fresh = system(2)
+            .calc_passes_with_jstore(PipelineMode::Force, &[passes[0]], &pos, &ty, &js)
+            .unwrap();
+        assert_eq!(third[0].values, fresh[0].values);
+        assert_eq!(third[0].counters, fresh[0].counters);
     }
 
     #[test]

@@ -218,6 +218,18 @@ fn nve_conserves_with_pswf_backend() {
     );
 }
 
+/// FNV-1a over the positions' bits: equal digests mean bit-identical
+/// trajectories.
+fn position_digest(positions: &[Vec3]) -> u64 {
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    for p in positions {
+        for byte in [p.x, p.y, p.z].iter().flat_map(|c| c.to_bits().to_le_bytes()) {
+            digest = (digest ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    digest
+}
+
 /// The WINE-2 sweep at a ragged size: `cells = 3` is 216 particles, 108
 /// per cluster and 16 / 12 per board, so every board ends in a partly
 /// filled 8-lane block. Five steps through `MdmForceField`: the position
@@ -233,12 +245,7 @@ fn wine2_sweep_pinned_at_ragged_lane_blocks() {
     let mut sim = Simulation::new(system, hw, 2.0);
     sim.run(5);
 
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
-    for p in sim.system().positions() {
-        for byte in [p.x, p.y, p.z].iter().flat_map(|c| c.to_bits().to_le_bytes()) {
-            digest = (digest ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
+    let digest = position_digest(sim.system().positions());
     let wine = sim.force_field().last_counters().wine;
     let residuals = mdm::profile::take().histograms["wine_fx_quant_residual"].count();
     assert_eq!(digest, 0x4107_117b_fea9_c474, "position digest {digest:016x}");
@@ -255,4 +262,37 @@ fn wine2_sweep_pinned_at_ragged_lane_blocks() {
     );
     // 4 per particle + 2 per wave, for the initial evaluation and 5 steps.
     assert_eq!(residuals, 6 * (4 * 216 + 2 * 2069));
+}
+
+/// The MDGRAPE-2 tile sweep at a size where every tile is ragged:
+/// `cells = 3` is 216 particles in 27 cells, 8 to a cell on the lattice
+/// and unevenly spread once molten, so no tile of sixteen lanes is ever
+/// full. Five hot steps through `MdmForceField`: the position digest,
+/// the step's counters and the Coulomb pass's pair ops are the values
+/// the lane-per-j-slot kernel and the boards' own billing produced before
+/// the tiles and the billing by arithmetic replaced them.
+#[test]
+fn mdgrape2_tile_sweep_pinned_at_ragged_tiles() {
+    let mut system = rocksalt_nacl(3, NACL_LATTICE_A);
+    maxwell_boltzmann(&mut system, 2400.0, 47);
+    let hw = MdmForceField::nacl_default(system.simbox().l()).unwrap();
+    let mut sim = Simulation::new(system, hw, 2.0);
+    sim.run(5);
+
+    let digest = position_digest(sim.system().positions());
+    let mdg = sim.force_field().last_counters().mdg;
+    let coulomb = sim.force_field().coulomb_pair_ops();
+    assert_eq!(digest, 0xe047_07d7_8b97_6679, "position digest {digest:016x}");
+    // Four force and four energy passes; at 3 cells per side a particle's
+    // 27-cell block is the whole box: 216 · 215 pair ops a pass.
+    assert_eq!(
+        mdg,
+        mdm::mdgrape2::timing::MdgCounters {
+            pair_ops: 8 * 46_440,
+            cycles: 11_616,
+            bus_bytes_per_cluster: 79_616,
+            particles: 216,
+        }
+    );
+    assert_eq!(coulomb, 46_440);
 }

@@ -317,6 +317,79 @@ fn fused_four_pass_sweep_bitwise_matches_four_sequential_passes() {
     }
 }
 
+/// The system's sweep (sixteen i-particles to an AVX-512 tile, boards
+/// billed by arithmetic, wherever the CPU has the lanes) against the
+/// hierarchy doing the work itself: every board dealt its chunk of
+/// original indices, accepting the j-store and running
+/// `MdgBoard::calc_block2` one i-particle at a time. Values bit for bit
+/// and all four `MdgCounters` fields read off those boards' own meters,
+/// per pass, force and potential, 1 and 4 threads, on 1 / 2 / 3 clusters.
+#[test]
+fn system_sweep_matches_boards_running_calc_block2_on_their_chunks() {
+    let coeffs = per_pass_coefficients();
+    for (name, sb, pos, ty, min_cell) in fused_sweep_configs() {
+        let js = JStore::build(sb, &pos, &ty, min_cell);
+        let batch = IBatch::stage(&pos, &ty, &js);
+        for mode in [PipelineMode::Force, PipelineMode::Potential] {
+            let tables = kernels_for(mode);
+            for clusters in [1usize, 2, 3] {
+                let n_boards = 2 * clusters;
+                let per_board = pos.len().div_ceil(n_boards);
+                let reference: Vec<MdgPassResult> = (0..4)
+                    .map(|p| {
+                        let mut values = Vec::new();
+                        let boards: Vec<MdgBoard> = (0..n_boards)
+                            .map(|b| {
+                                let mut board = MdgBoard::new(tables[p].clone(), coeffs[p].clone());
+                                let chunk = (b * per_board).min(pos.len())
+                                    ..((b + 1) * per_board).min(pos.len());
+                                // An idle board is not even sent the j-store.
+                                if !chunk.is_empty() {
+                                    board.accept_jstore(&js).unwrap();
+                                    let accs = board.calc_block2(mode, &batch, chunk, &js);
+                                    values.extend(accs.iter().map(|a| a.acc));
+                                }
+                                board
+                            })
+                            .collect();
+                        let counters = MdgCounters {
+                            pair_ops: boards.iter().map(MdgBoard::ops).sum(),
+                            cycles: boards.iter().map(|b| b.ops().div_ceil(8)).max().unwrap(),
+                            bus_bytes_per_cluster: boards
+                                .chunks(2)
+                                .map(|c| c.iter().map(MdgBoard::bus_bytes).sum())
+                                .max()
+                                .unwrap(),
+                            particles: pos.len() as u64,
+                        };
+                        MdgPassResult { values, counters }
+                    })
+                    .collect();
+                for threads in [1usize, 4] {
+                    let swept = with_num_threads(threads, || {
+                        let passes: [TablePass<'_>; 4] = std::array::from_fn(|p| TablePass {
+                            table: &tables[p],
+                            coefficients: &coeffs[p],
+                        });
+                        Mdgrape2System::new(
+                            Mdgrape2Config { clusters },
+                            tables[0].clone(),
+                            coeffs[0].clone(),
+                        )
+                        .calc_passes_with_jstore(mode, &passes, &pos, &ty, &js)
+                        .unwrap()
+                    });
+                    for (p, (s, r)) in swept.iter().zip(&reference).enumerate() {
+                        let what =
+                            format!("{name} {mode:?} pass {p} on {clusters} clusters ({threads} threads)");
+                        assert_pass_bits_eq(s, r, &what);
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// The same equivalence one layer down, where the per-particle op
 /// counts live: a board's fused sweep against four single-pass
 /// `calc_block2` calls with a table swap in between, and the board's
