@@ -32,17 +32,18 @@
 //! `mdm_core::longrange::default_operating_point` — rather than
 //! inheriting the board's machine-balance α (see `build_sim`).
 
-use mdm_bench::stepprof::{build_sim, default_ledger_path};
+use mdm_bench::stepprof::{append_to_ledger, build_sim};
 use mdm_core::accuracy::ForceErrorProbe;
 use mdm_core::forcefield::{EwaldTosiFumi, ForceField};
 use mdm_core::observables::PhysicsWatchdogs;
 use mdm_core::potentials::TosiFumi;
 use mdm_host::machines::MachineModel;
 use mdm_host::perfmodel::{PerformanceModel, SystemSpec};
-use mdm_host::telemetry::{mdm_manifest, run_instrumented, Instruments, LedgerSink, SpeedMeter};
+use mdm_host::telemetry::{mdm_manifest, run_instrumented, Instruments, SpeedMeter};
 use mdm_profile::accuracy::AccuracyReport;
 use mdm_profile::events::FlightRecorder;
 use mdm_profile::json::Value;
+use mdm_profile::ledger::RunRecord;
 
 /// Paper Figure 5: relative RMS force error at the production accuracy
 /// parameters, ≈ 10⁻⁴·⁵.
@@ -52,9 +53,10 @@ const PAPER_FIGURE5_ERROR: f64 = 3.2e-5;
 struct BackendRun {
     name: String,
     describe: String,
+    /// The run's ledger row: every aggregate the footer prints.
+    row: RunRecord,
+    /// The per-step samples, for the `--json` artifact.
     report: AccuracyReport,
-    violations: u64,
-    wave_seconds_per_step: f64,
     /// Backend virial at the post-warmup configuration (eV).
     virial: f64,
     /// Relative error of that virial against the f64 reference Ewald
@@ -139,7 +141,6 @@ fn run_backend(
     // table-fit residual histograms, recorded at generation time —
     // for the seam summary below; the recorded steps never see it.
     let generation_profile = mdm_profile::take();
-    let ledger_path = default_ledger_path();
     let run = run_instrumented(
         &mut sim,
         steps,
@@ -148,19 +149,12 @@ fn run_backend(
             watchdogs: Some(&mut dogs),
             probe: Some(&probe),
             meter: Some(&meter),
-            ledger: Some(LedgerSink {
-                path: &ledger_path,
-                tool: "accuracy_report",
-                label: &label,
-            }),
             ..Instruments::default()
         },
     )
-    .unwrap_or_else(|e| panic!("append ledger row to {}: {e}", ledger_path.display()));
-    eprintln!(
-        "ledger: appended accuracy_report:{label} to {}",
-        ledger_path.display()
-    );
+    .expect("in-memory recorder");
+    let row = run.reduce("accuracy_report", &label, n);
+    append_to_ledger(&row);
 
     println!("== {backend}: {describe} ==");
     println!(
@@ -199,6 +193,7 @@ fn run_backend(
     BackendRun {
         name: backend.to_string(),
         describe,
+        row,
         report: AccuracyReport {
             label,
             n_particles: n,
@@ -206,8 +201,6 @@ fn run_backend(
             force_errors: run.force_errors,
             speeds: run.speeds,
         },
-        violations: run.violations,
-        wave_seconds_per_step: run.profile.seconds(mdm_profile::phase::WAVE) / steps as f64,
         virial: measured_virial,
         virial_rel,
         pressure_gpa: pressure,
@@ -278,19 +271,19 @@ fn main() {
     );
     for run in &runs {
         let worst = run
-            .report
-            .worst_force_error_rel()
+            .row
+            .worst_force_error
             .map_or("-".to_string(), |e| format!("{e:.3e}"));
         println!(
             "  {:<8} {:>14} {:>14.6} {:>16.6} {:>16} {:>13.4} {:>11.3e} {:>11}",
             run.name,
-            mdm_bench::sci(run.wave_seconds_per_step),
-            run.report.mean_raw_flops_per_s().unwrap_or(0.0) / 1e12,
-            run.report.mean_effective_flops_per_s().unwrap_or(0.0) / 1e12,
+            mdm_bench::sci(run.row.phases.get(mdm_profile::phase::WAVE).copied().unwrap_or(0.0)),
+            run.row.raw_tflops.unwrap_or(0.0),
+            run.row.effective_tflops.unwrap_or(0.0),
             worst,
             run.pressure_gpa,
             run.virial_rel,
-            run.violations
+            run.row.violations
         );
     }
     println!();
@@ -300,19 +293,19 @@ fn main() {
     // effective/raw ratio and the measured accuracy. Use the first
     // backend (wine2 in a shootout) for that comparison.
     let lead = &runs[0];
-    let mean_raw = lead.report.mean_raw_flops_per_s().unwrap_or(0.0);
-    let mean_eff = lead.report.mean_effective_flops_per_s().unwrap_or(0.0);
+    let mean_raw = lead.row.raw_tflops.unwrap_or(0.0);
+    let mean_eff = lead.row.effective_tflops.unwrap_or(0.0);
     let paper = PerformanceModel::new(MachineModel::mdm_current());
     let col = paper.evaluate(&SystemSpec::paper(), 85.0);
     println!("vs the paper ({} vs modeled hardware at the paper's spec):", lead.name);
     println!(
         "  raw speed        {:>12} Tflops measured        | paper Table 4: {:.1} Tflops",
-        format!("{:.6}", mean_raw / 1e12),
+        format!("{mean_raw:.6}"),
         col.calc_speed / 1e12
     );
     println!(
         "  effective speed  {:>12} Tflops measured        | paper Table 4: {:.2} Tflops",
-        format!("{:.6}", mean_eff / 1e12),
+        format!("{mean_eff:.6}"),
         col.effective_speed / 1e12
     );
     println!(
@@ -320,7 +313,7 @@ fn main() {
         mean_eff / mean_raw.max(1e-300),
         col.effective_speed / col.calc_speed
     );
-    match lead.report.worst_force_error_rel() {
+    match lead.row.worst_force_error {
         Some(err) => println!(
             "  rms force error  {:>10.3e} worst probed          | paper Figure 5: ~{PAPER_FIGURE5_ERROR:.1e}",
             err
@@ -371,7 +364,7 @@ fn main() {
     let tol = gate;
     let mut failed = false;
     for run in &runs {
-        match run.report.worst_force_error_rel() {
+        match run.row.worst_force_error {
             Some(err) if err <= tol => {
                 println!(
                     "gate[{}]: worst rms force error {err:.3e} <= {tol:.1e} (pass)",

@@ -1,10 +1,12 @@
 //! `mdm_report` — the cross-run regression dashboard.
 //!
 //! Reads the run ledger (`results/ledger.jsonl`, one line per
-//! bench/instrumented invocation), renders the dashboard, and exits
-//! non-zero when the latest run of any `tool:label` group is slower
-//! than its trailing median by more than the tolerance (see
-//! `mdm_bench::dashboard` for the rule and its minimum-history guard).
+//! bench/instrumented invocation *in this checkout* — the file is not
+//! tracked), renders the dashboard, and exits non-zero when the latest
+//! run of any `tool:label` group is slower than its trailing median by
+//! more than the tolerance (see `mdm_bench::dashboard` for the rule
+//! and its minimum-history guard). It explains a trend; it is not a
+//! gate — the repo benchmark's `compare` is the only perf gate.
 //!
 //! ```text
 //! cargo run --release -p mdm-bench --bin mdm_report                 # markdown to stdout
@@ -13,9 +15,9 @@
 //! ```
 //!
 //! Options:
-//! * `--ledger PATH` — ledger file (default `results/ledger.jsonl` at
-//!   the repo root; missing file = empty ledger, which renders and
-//!   passes);
+//! * `--ledger PATH` — ledger file (default: where the bench binaries
+//!   append, `results/ledger.jsonl` at the repo root or `MDM_LEDGER`;
+//!   missing file = empty ledger, which renders and passes);
 //! * `--out PATH` — write the markdown dashboard to a file instead of
 //!   stdout;
 //! * `--html PATH` — also write a standalone HTML rendering;
@@ -26,8 +28,7 @@
 use mdm_bench::dashboard::{Dashboard, DEFAULT_TOLERANCE, DEFAULT_WINDOW};
 
 fn main() {
-    let repo_root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let mut ledger_path = format!("{repo_root}/results/ledger.jsonl");
+    let mut ledger_path = mdm_bench::stepprof::default_ledger_path();
     let mut out_path: Option<String> = None;
     let mut html_path: Option<String> = None;
     let mut tolerance = DEFAULT_TOLERANCE;
@@ -36,7 +37,7 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--ledger" => ledger_path = args.next().expect("--ledger needs a path"),
+            "--ledger" => ledger_path = args.next().expect("--ledger needs a path").into(),
             "--out" => out_path = Some(args.next().expect("--out needs a path")),
             "--html" => html_path = Some(args.next().expect("--html needs a path")),
             "--tolerance" => {
@@ -59,8 +60,8 @@ fn main() {
         }
     }
 
-    let (records, skipped) = mdm_profile::ledger::read_ledger(ledger_path.as_ref())
-        .unwrap_or_else(|e| panic!("read {ledger_path}: {e}"));
+    let (records, skipped) = mdm_profile::ledger::read_ledger(&ledger_path)
+        .unwrap_or_else(|e| panic!("read {}: {e}", ledger_path.display()));
 
     let dash = Dashboard::build(&records, skipped, tolerance, window);
     let markdown = dash.to_markdown();

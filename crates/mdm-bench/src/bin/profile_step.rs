@@ -54,16 +54,14 @@
 //!   bounds the wall-clock; the bottleneck label is recorded in the
 //!   ledger row's `critical_path` column.
 
-use mdm_bench::stepprof::{
-    append_to_ledger, cells_for_particles, modeled_step, profile_size, profile_world,
-};
+use mdm_bench::stepprof::{append_to_ledger, cells_for_particles, profile_size, profile_world};
 use mdm_host::parallel::ParallelConfig;
 use mdm_host::telemetry::{serve, ServeOptions};
 use mdm_profile::bus::Bus;
 use mdm_profile::critical_path::{critical_path, CriticalPathReport};
 use mdm_profile::events::RunManifest;
-use mdm_profile::report::StepReport;
-use mdm_profile::Timeline;
+use mdm_profile::ledger::RunRecord;
+use mdm_profile::{phase, Profile, Timeline};
 use std::io::Write;
 
 /// Format an emulation slowdown factor (`< 1` means the emulated path
@@ -76,64 +74,55 @@ fn slowdown(ratio: f64) -> String {
     }
 }
 
-fn print_report(report: &StepReport) {
+/// The measured / modeled / slowdown table of one size, read from its
+/// ledger row (the counters line from the profile the row reduced).
+fn print_report(row: &RunRecord, profile: &Profile) {
     println!(
         "== {} (N = {}, {} step{} averaged) ==",
-        report.label,
-        report.n_particles,
-        report.steps,
-        if report.steps == 1 { "" } else { "s" }
+        row.label,
+        row.n_particles,
+        row.steps,
+        if row.steps == 1 { "" } else { "s" }
     );
     println!(
         "  {:<12} {:>18} {:>18} {:>12}",
         "phase", "measured [s/step]", "modeled [s/step]", "slowdown"
     );
-    for row in &report.phases {
-        match row.modeled_seconds {
-            Some(modeled) if modeled > 0.0 => println!(
-                "  {:<12} {:>18} {:>18} {:>12}",
-                row.name,
-                mdm_bench::sci(row.measured_seconds),
-                mdm_bench::sci(modeled),
-                slowdown(row.measured_seconds / modeled)
-            ),
-            _ => println!(
-                "  {:<12} {:>18} {:>18} {:>12}",
-                row.name,
-                mdm_bench::sci(row.measured_seconds),
-                "-",
-                "-"
-            ),
-        }
+    let table4 = [phase::REAL, phase::WAVE, phase::COMM, phase::HOST];
+    let measured = |name: &str| row.phases.get(name).copied().unwrap_or(0.0);
+    // No cycle counters to model from (e.g. --world runs the software
+    // kernels): measured column only.
+    let versus = |measured: f64, modeled: Option<f64>| match modeled {
+        Some(modeled) if modeled > 0.0 => (mdm_bench::sci(modeled), slowdown(measured / modeled)),
+        _ => ("-".to_string(), "-".to_string()),
+    };
+    for name in table4 {
+        let (modeled, ratio) = versus(measured(name), row.modeled.get(name).copied());
+        println!(
+            "  {:<12} {:>18} {:>18} {:>12}",
+            name,
+            mdm_bench::sci(measured(name)),
+            modeled,
+            ratio
+        );
     }
+    let phase_sum: f64 = table4.into_iter().map(measured).sum();
     println!(
         "  {:<12} {:>18}   (coverage {:.1}% of wall step)",
         "sum(phases)",
-        mdm_bench::sci(report.phase_sum_seconds()),
-        100.0 * report.phase_sum_seconds() / report.total_seconds
+        mdm_bench::sci(phase_sum),
+        100.0 * phase_sum / row.wall_seconds_per_step
     );
-    let modeled = modeled_step(report);
-    if modeled > 0.0 {
-        println!(
-            "  {:<12} {:>18} {:>18} {:>12}   [t = max(wave, real) + comm + host]",
-            "t_step",
-            mdm_bench::sci(report.total_seconds),
-            mdm_bench::sci(modeled),
-            slowdown(report.total_seconds / modeled)
-        );
-    } else {
-        // No cycle counters to model from (e.g. --world runs the
-        // software kernels): measured column only.
-        println!(
-            "  {:<12} {:>18} {:>18} {:>12}   [t = max(wave, real) + comm + host]",
-            "t_step",
-            mdm_bench::sci(report.total_seconds),
-            "-",
-            "-"
-        );
-    }
-    if !report.counters.is_empty() {
-        let c = |k: &str| report.counters.get(k).copied().unwrap_or(0);
+    let (modeled, ratio) = versus(row.wall_seconds_per_step, row.modeled_step_seconds());
+    println!(
+        "  {:<12} {:>18} {:>18} {:>12}   [t = max(wave, real) + comm + host]",
+        "t_step",
+        mdm_bench::sci(row.wall_seconds_per_step),
+        modeled,
+        ratio
+    );
+    if !profile.counters.is_empty() {
+        let c = |k: &str| profile.counters.get(k).copied().unwrap_or(0);
         println!(
             "  counters: {} pair ops, {} DFT + {} IDFT ops, {} MDG / {} WINE cycles",
             c("mdg_pair_ops"),
@@ -143,8 +132,8 @@ fn print_report(report: &StepReport) {
             c("wine_cycles")
         );
     }
-    if !report.gflops.is_empty() {
-        let parts: Vec<String> = report
+    if !row.gflops.is_empty() {
+        let parts: Vec<String> = row
             .gflops
             .iter()
             .map(|(phase, g)| format!("{phase} {g:.3}"))
@@ -195,12 +184,12 @@ fn merge_timelines(timelines: Vec<Timeline>) -> Timeline {
 
 /// Run one measurement inside its own timeline session (when wanted),
 /// banking the timeline and optionally its critical-path analysis.
-fn with_timeline<F: FnOnce() -> StepReport>(
+fn with_timeline<R, F: FnOnce() -> R>(
     want_timeline: bool,
     want_critical_path: bool,
     timelines: &mut Vec<Timeline>,
     measure: F,
-) -> (StepReport, Option<CriticalPathReport>) {
+) -> (R, Option<CriticalPathReport>) {
     if want_timeline {
         mdm_profile::timeline_start();
     }
@@ -328,7 +317,7 @@ fn main() {
 
     let want_timeline = trace_path.is_some() || want_critical_path;
     let mut timelines: Vec<Timeline> = Vec::new();
-    let mut results: Vec<(StepReport, Option<CriticalPathReport>)> = Vec::new();
+    let mut results = Vec::new();
     for &c in &cells {
         eprintln!(
             "profiling {} particles ({c} cells per side, longrange={longrange})...",
@@ -376,20 +365,16 @@ fn main() {
     println!("MDM emulated step: measured wall-clock vs modeled hardware time");
     println!("(Table 4 decomposition; the slowdown column is the emulation cost)");
     println!();
-    let bus_dropped = bus.as_ref().map_or(0, Bus::dropped_events);
-    for (report, analysis) in &results {
-        print_report(report);
-        if let Some(analysis) = analysis {
+    for ((mut row, profile), analysis) in results {
+        print_report(&row, &profile);
+        if let Some(analysis) = &analysis {
             for line in analysis.to_lines() {
                 println!("  {line}");
             }
             println!();
         }
-        append_to_ledger(
-            "profile_step",
-            report,
-            analysis.as_ref().and_then(|a| a.bottleneck.as_deref()),
-            bus_dropped,
-        );
+        // The bottleneck label (e.g. `rank1/real`) `mdm_report` trends.
+        row.critical_path = analysis.and_then(|a| a.bottleneck);
+        append_to_ledger(&row);
     }
 }

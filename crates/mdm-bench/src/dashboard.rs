@@ -459,6 +459,19 @@ mod tests {
     }
 
     #[test]
+    fn an_absent_ledger_renders_an_empty_dashboard_and_passes() {
+        // What `mdm_report` does in a checkout that has profiled
+        // nothing yet: the ledger is untracked, so it may not exist.
+        let absent = std::env::temp_dir().join("mdm_dashboard_no_such_ledger.jsonl");
+        let (rows, skipped) = mdm_profile::ledger::read_ledger(&absent).unwrap();
+        let dash = Dashboard::build(&rows, skipped, DEFAULT_TOLERANCE, DEFAULT_WINDOW);
+        assert!(!dash.has_regressions());
+        assert_eq!((dash.groups.len(), dash.total_rows), (0, 0));
+        assert!(dash.to_markdown().starts_with("# MDM run dashboard"));
+        assert!(dash.to_html().ends_with("</body></html>\n"));
+    }
+
+    #[test]
     fn markdown_renders_utilization_and_skipped_count() {
         let rows = history(&[0.1, 0.1, 0.1]);
         let dash = Dashboard::build(&rows, 1, 0.5, DEFAULT_WINDOW);

@@ -1,6 +1,7 @@
 //! Shared machinery for the step-profiling binaries (`profile_step`,
 //! `accuracy_report`): building the emulated-MDM simulation at a given
-//! size and turning instrumented steps into a [`StepReport`].
+//! size and running the profiled window that is reduced to its ledger
+//! row ([`RunRecord`]).
 
 use mdm_core::ewald::EwaldParams;
 use mdm_core::integrate::Simulation;
@@ -10,12 +11,14 @@ use mdm_core::velocities::maxwell_boltzmann;
 use mdm_host::driver::MdmForceField;
 use mdm_host::machines::MachineModel;
 use mdm_host::parallel::{parallel_forces, ParallelConfig};
-use mdm_host::telemetry::{env_stamp, mdm_manifest, run_instrumented, Instruments};
+use mdm_host::telemetry::{
+    mdm_manifest, run_instrumented, Instruments, RecordedRun, SpeedMeter,
+};
 use mdm_profile::bus::Bus;
 use mdm_profile::events::FlightRecorder;
 use mdm_profile::ledger::RunRecord;
-use mdm_profile::phase;
-use mdm_profile::report::StepReport;
+use mdm_profile::{phase, Profile};
+use std::collections::BTreeMap;
 use std::io::{self, Write};
 use std::path::PathBuf;
 use std::time::Instant;
@@ -99,73 +102,36 @@ pub fn build_sim(cells: usize, n3l: bool, longrange: &str) -> Simulation<MdmForc
     Simulation::new(system, ff, 2.0)
 }
 
-/// Stamp the modeled per-step hardware times (from the cycle counters
-/// of the last, steady-state step) onto the report's phases.
-fn set_modeled(report: &mut StepReport, sim: &Simulation<MdmForceField>) {
+/// Modeled per-step hardware times, phase by phase, from the cycle
+/// counters of the last (steady-state) step — the `modeled` column.
+fn modeled_phases(sim: &Simulation<MdmForceField>) -> BTreeMap<String, f64> {
     let counters = sim.force_field().last_counters();
-    let machine = MachineModel::mdm_current();
-    report.set_modeled(phase::REAL, counters.mdg.compute_seconds());
-    report.set_modeled(phase::WAVE, counters.wine.compute_seconds());
-    report.set_modeled(
-        phase::COMM,
-        counters.mdg.bus_seconds() + counters.wine.bus_seconds(),
-    );
-    report.set_modeled(
-        phase::HOST,
-        200.0 * report.n_particles as f64 / machine.host_flops,
-    );
-}
-
-/// Stamp the measured per-phase flop throughput (Gflops) onto the
-/// report: the paper's §2 flop credits (59 per Coulomb pair, 29/35 per
-/// particle–wave) priced against each phase's *measured* wall-clock.
-/// This is the emulator's own "calculation speed" column — tiny next to
-/// the real hardware's, but the same arithmetic.
-fn set_gflops(report: &mut StepReport) {
-    let counter = |r: &StepReport, name: &str| r.counters.get(name).copied().unwrap_or(0) as f64;
-    let phase_total = |r: &StepReport, name: &str| {
-        r.phases
-            .iter()
-            .find(|p| p.name == name)
-            .map_or(0.0, |p| p.measured_seconds * r.steps as f64)
-    };
-    let real_seconds = phase_total(report, phase::REAL);
-    if real_seconds > 0.0 {
-        let flops =
-            mdm_core::flops::FLOPS_PER_REAL_PAIR * counter(report, "mdg_coulomb_pair_ops");
-        report.set_gflops(phase::REAL, flops / real_seconds / 1e9);
-    }
-    let wave_seconds = phase_total(report, phase::WAVE);
-    if wave_seconds > 0.0 {
-        let (dft, idft) = (
-            counter(report, "wine_dft_ops"),
-            counter(report, "wine_idft_ops"),
-        );
-        // Paper-credited DFT/IDFT pricing when the wave engine counts
-        // particle–wave ops; mesh backends (PME, PSWF) stamp their
-        // estimated cost on `longrange_flops` instead.
-        let flops = if dft + idft > 0.0 {
-            mdm_core::flops::FLOPS_PER_WAVE_DFT * dft + mdm_core::flops::FLOPS_PER_WAVE_IDFT * idft
-        } else {
-            counter(report, "longrange_flops")
-        };
-        report.set_gflops(phase::WAVE, flops / wave_seconds / 1e9);
-    }
+    let host = 200.0 * sim.system().len() as f64 / MachineModel::mdm_current().host_flops;
+    [
+        (phase::REAL, counters.mdg.compute_seconds()),
+        (phase::WAVE, counters.wine.compute_seconds()),
+        (phase::COMM, counters.mdg.bus_seconds() + counters.wine.bus_seconds()),
+        (phase::HOST, host),
+    ]
+    .into_iter()
+    .map(|(name, seconds)| (name.to_string(), seconds))
+    .collect()
 }
 
 /// Run `steps` profiled MD steps at `cells` rocksalt cells per side and
-/// assemble the measured-vs-modeled report (see [`build_sim`] for
-/// `n3l` and `longrange`; non-default backends get `-lr-{name}`
-/// appended to the label so ledger rows stay distinguishable).
+/// return the run's `profile_step` ledger row — measured phases, metered
+/// Gflops / Tflops, gauge means and the `modeled` column — with the
+/// merged profile it was reduced from (see [`build_sim`] for `n3l` and
+/// `longrange`; non-default backends get `-lr-{name}` appended to the
+/// label so ledger rows stay distinguishable).
 ///
 /// There is one path, recorded or not: one untimed warm-up step absorbs
 /// first-touch effects (page faults, cache warmup, lazily built
 /// tables), then [`run_instrumented`] drives the window, streaming
 /// every step's phases, counters, observables and watchdog verdicts to
-/// `sink` as JSONL (pass [`io::sink`] when nothing is recorded) and
-/// building the report from the merged per-step profiles. The step
-/// time is the sum of the per-step walls, so recording overhead never
-/// counts against the machine.
+/// `sink` as JSONL (pass [`io::sink`] when nothing is recorded). The
+/// step time is the sum of the per-step walls, so recording overhead
+/// never counts against the machine.
 ///
 /// With a live telemetry [`Bus`], the size's manifest is published
 /// first (so connected `mdm_top` viewers re-header when a ladder moves
@@ -178,10 +144,11 @@ pub fn profile_size<W: Write>(
     longrange: &str,
     sink: W,
     bus: Option<&Bus>,
-) -> io::Result<StepReport> {
+) -> io::Result<(RunRecord, Profile)> {
     let mut sim = build_sim(cells, n3l, longrange);
     sim.run(1);
     let n = sim.system().len();
+    let meter = SpeedMeter::for_run(sim.force_field().params(), n as u64, sim.system().simbox().l());
     let label = if longrange == "wine2" {
         format!("nacl-{n}")
     } else {
@@ -207,22 +174,14 @@ pub fn profile_size<W: Write>(
         &mut recorder,
         Instruments {
             watchdogs: Some(&mut dogs),
+            meter: Some(&meter),
             bus,
             ..Instruments::default()
         },
     )?;
-
-    let mut report = StepReport::from_profile(
-        label,
-        n as u64,
-        steps,
-        run.wall_seconds,
-        &run.profile,
-        &[phase::REAL, phase::WAVE, phase::COMM, phase::HOST],
-    );
-    set_modeled(&mut report, &sim);
-    set_gflops(&mut report);
-    Ok(report)
+    let mut row = run.reduce("profile_step", &label, n as u64);
+    row.modeled = modeled_phases(&sim);
+    Ok((row, run.profile))
 }
 
 /// Profile the §4 simulated-MPI parallel program: `steps` repetitions
@@ -230,11 +189,12 @@ pub fn profile_size<W: Write>(
 /// given process layout. Every rank's spans land in this run's own
 /// scope (and, when a timeline session is open, on the timeline
 /// stamped with that rank plus the send/recv flow endpoints), so the
-/// report's phase decomposition is the *sum over ranks* — pair it with
+/// row's phase decomposition is the *sum over ranks* — pair it with
 /// `--critical-path` to see which rank chain actually bounds the step.
 /// What `profile_step --world R,W` runs; labeled
-/// `nacl-{n}-world-{R}x{W}`.
-pub fn profile_world(cells: usize, steps: u64, config: ParallelConfig) -> StepReport {
+/// `nacl-{n}-world-{R}x{W}`. The software kernels it runs count no
+/// cycles and meter no flops, so the row has phases only.
+pub fn profile_world(cells: usize, steps: u64, config: ParallelConfig) -> (RunRecord, Profile) {
     let mut system = rocksalt_nacl_at_density(cells, PAPER_DENSITY);
     let n = system.len();
     let l = system.simbox().l();
@@ -250,16 +210,13 @@ pub fn profile_world(cells: usize, steps: u64, config: ParallelConfig) -> StepRe
     for _ in 0..steps {
         parallel_forces(&system, &params, config);
     }
-    let total = t0.elapsed().as_secs_f64();
-    let profile = mdm_profile::take();
-    StepReport::from_profile(
-        label,
-        n as u64,
+    let run = RecordedRun {
         steps,
-        total,
-        &profile,
-        &[phase::REAL, phase::WAVE, phase::COMM, phase::HOST],
-    )
+        wall_seconds: t0.elapsed().as_secs_f64(),
+        profile: mdm_profile::take(),
+        ..RecordedRun::default()
+    };
+    (run.reduce("profile_step", &label, n as u64), run.profile)
 }
 
 /// The run ledger every bench binary appends to: one row per
@@ -275,88 +232,16 @@ pub fn default_ledger_path() -> PathBuf {
         })
 }
 
-/// Reduce an aggregate [`StepReport`] to its one-line ledger row.
-///
-/// Speed/accuracy aggregates stay `None` — they belong to the metered
-/// entry points (`accuracy_report`, `run_instrumented`); a step profile
-/// contributes the regression metric, the Table 4 phase decomposition,
-/// throughput, and utilization gauges. Every backend (including the
-/// emulated MDM) reports a virial now, so `pressure_supported` is true.
-pub fn ledger_row(tool: &str, report: &StepReport) -> RunRecord {
-    let mut record = RunRecord {
-        tool: tool.to_string(),
-        label: report.label.clone(),
-        threads: rayon::current_num_threads() as u64,
-        n_particles: report.n_particles,
-        steps: report.steps,
-        wall_seconds_per_step: report.total_seconds,
-        phases: report
-            .phases
-            .iter()
-            .map(|p| (p.name.clone(), p.measured_seconds))
-            .collect(),
-        gflops: report.gflops.clone(),
-        gauges: report.gauges.clone(),
-        pressure_supported: true,
-        ..RunRecord::default()
-    };
-    // Reconstruct the raw step throughput from the per-phase rates:
-    // each Gflops entry is flops over that phase's wall, so
-    // rate x phase seconds recovers the flops, and the sum over the
-    // step wall is the Table 4 "calculation speed" for this run.
-    if !report.gflops.is_empty() && report.total_seconds > 0.0 {
-        let flops: f64 = report
-            .gflops
-            .iter()
-            .filter_map(|(phase, g)| {
-                let seconds = record.phases.get(phase)?;
-                Some(g * 1e9 * seconds)
-            })
-            .sum();
-        if flops > 0.0 {
-            record.raw_tflops = Some(flops / report.total_seconds / 1e12);
-        }
-    }
-    record.stamp_now();
-    record.stamp_env(&env_stamp());
-    record
-}
-
-/// Append `report`'s ledger row to [`default_ledger_path`], stamped
-/// with the live-telemetry annotations `mdm_report` trends: the
-/// critical-path bottleneck label (e.g. `rank1/real`) from a
-/// `--critical-path` analysis, and the run's bus drop count from a
-/// `--serve` stream. An io failure is reported, not fatal — the
-/// measurement the caller just printed matters more than the
-/// bookkeeping.
-pub fn append_to_ledger(
-    tool: &str,
-    report: &StepReport,
-    critical_path: Option<&str>,
-    bus_dropped_events: u64,
-) {
-    let mut row = ledger_row(tool, report);
-    row.critical_path = critical_path.map(str::to_string);
-    row.bus_dropped_events = bus_dropped_events;
+/// Append `row` to [`default_ledger_path`]. An io failure is reported,
+/// not fatal — the measurement the caller just printed matters more
+/// than the bookkeeping.
+pub fn append_to_ledger(row: &RunRecord) {
     let path = default_ledger_path();
-    match mdm_profile::ledger::append_record(&path, &row) {
-        Ok(()) => eprintln!("ledger: appended {tool}:{} to {}", report.label, path.display()),
-        Err(e) => eprintln!("ledger: SKIPPED {tool}:{} ({}: {e})", report.label, path.display()),
+    let (tool, label) = (&row.tool, &row.label);
+    match mdm_profile::ledger::append_record(&path, row) {
+        Ok(()) => eprintln!("ledger: appended {tool}:{label} to {}", path.display()),
+        Err(e) => eprintln!("ledger: SKIPPED {tool}:{label} ({}: {e})", path.display()),
     }
-}
-
-/// Modeled step time by the Table 4 rule:
-/// `max(t_wine, t_mdg) + t_comm + t_host`.
-pub fn modeled_step(report: &StepReport) -> f64 {
-    let get = |name: &str| {
-        report
-            .phases
-            .iter()
-            .find(|p| p.name == name)
-            .and_then(|p| p.modeled_seconds)
-            .unwrap_or(0.0)
-    };
-    get(phase::REAL).max(get(phase::WAVE)) + get(phase::COMM) + get(phase::HOST)
 }
 
 #[cfg(test)]
@@ -376,16 +261,18 @@ mod tests {
 
     #[test]
     fn recorded_profile_matches_plain_profile_shape() {
-        // One small recorded step: the report has the Table 4 phases
-        // and the JSONL stream parses back with matching N.
+        // One small recorded step: the row has the Table 4 phases and
+        // the JSONL stream parses back with matching N.
         let mut jsonl = Vec::new();
-        let report = profile_size(3, 1, false, "wine2", &mut jsonl, None).unwrap();
-        assert_eq!(report.n_particles, 8 * 27);
-        assert_eq!(report.phases.len(), 4);
-        assert!(report.phases.iter().any(|p| p.name == "real"));
+        let (row, _) = profile_size(3, 1, false, "wine2", &mut jsonl, None).unwrap();
+        assert_eq!(row.n_particles, 8 * 27);
+        for name in [phase::REAL, phase::WAVE, phase::COMM, phase::HOST] {
+            assert!(row.phases.contains_key(name), "{name}");
+            assert!(row.modeled[name] > 0.0, "{name}");
+        }
         // The paper-flop-credit throughput is derived for both engines.
-        assert!(report.gflops["real"] > 0.0);
-        assert!(report.gflops["wave"] > 0.0);
+        assert!(row.gflops["real"] > 0.0);
+        assert!(row.gflops["wave"] > 0.0);
 
         let text = String::from_utf8(jsonl).unwrap();
         let (manifest, steps) = mdm_profile::events::parse_jsonl(&text).unwrap();
@@ -398,29 +285,31 @@ mod tests {
 
     #[test]
     fn recorded_and_unrecorded_profiles_share_one_path() {
-        let plain = profile_size(3, 1, false, "wine2", io::sink(), None).unwrap();
-        let recorded = profile_size(3, 1, false, "wine2", Vec::new(), None).unwrap();
-        let names = |r: &StepReport| r.phases.iter().map(|p| p.name.clone()).collect::<Vec<_>>();
+        let (plain, plain_profile) = profile_size(3, 1, false, "wine2", io::sink(), None).unwrap();
+        let (recorded, recorded_profile) =
+            profile_size(3, 1, false, "wine2", Vec::new(), None).unwrap();
+        let names = |r: &RunRecord| r.phases.keys().cloned().collect::<Vec<_>>();
         assert_eq!(names(&plain), names(&recorded));
         // Every count must agree exactly; only the wall-clock
         // counters (`rayon_busy_ns`, `rayon_capacity_ns`) differ run
         // to run.
-        let counts = |r: &StepReport| {
-            let mut counters = r.counters.clone();
+        let counts = |p: &Profile| {
+            let mut counters: BTreeMap<_, _> = p.counters.clone().into_iter().collect();
             counters.retain(|name, _| !name.ends_with("_ns"));
             counters
         };
-        assert!(counts(&plain).contains_key("mdg_pair_ops"));
-        assert_eq!(counts(&plain), counts(&recorded));
+        assert!(counts(&plain_profile).contains_key("mdg_pair_ops"));
+        assert_eq!(counts(&plain_profile), counts(&recorded_profile));
         assert_eq!(plain.n_particles, recorded.n_particles);
+        assert_eq!(plain.modeled, recorded.modeled);
     }
 
     #[test]
     fn recorded_run_honours_the_longrange_backend() {
         let steps = 2;
         let mut jsonl = Vec::new();
-        let report = profile_size(3, steps, false, "pswf", &mut jsonl, None).unwrap();
-        assert_eq!(report.label, "nacl-216-lr-pswf");
+        let (row, _) = profile_size(3, steps, false, "pswf", &mut jsonl, None).unwrap();
+        assert_eq!(row.label, "nacl-216-lr-pswf");
 
         let text = String::from_utf8(jsonl).unwrap();
         let (manifest, events) = mdm_profile::events::parse_jsonl(&text).unwrap();
@@ -432,33 +321,59 @@ mod tests {
     }
 
     #[test]
-    fn ledger_row_reduces_a_report() {
-        let report = profile_size(3, 1, false, "wine2", io::sink(), None).unwrap();
-        let row = ledger_row("profile_step", &report);
+    fn a_profiled_size_is_reduced_to_one_complete_row() {
+        let (row, profile) = profile_size(3, 2, false, "wine2", io::sink(), None).unwrap();
         assert_eq!(row.tool, "profile_step");
-        assert_eq!(row.label, report.label);
-        assert_eq!(row.n_particles, 8 * 27);
-        assert!((row.wall_seconds_per_step - report.total_seconds).abs() < 1e-12);
-        assert!(row.phases.contains_key("real"));
-        assert!(row.phases.contains_key("wave"));
+        assert_eq!(row.label, "nacl-216");
+        assert_eq!((row.n_particles, row.steps), (8 * 27, 2));
+        // Phases are per step and fit in the step wall.
+        assert!((row.phases["real"] - profile.seconds("real") / 2.0).abs() < 1e-15);
+        assert!(row.phases.values().sum::<f64>() <= row.wall_seconds_per_step);
         // The driver's per-device gauges flow through to the row.
         assert!(row.gauges.contains_key("mdg.occupancy"));
         assert!(row.gauges.contains_key("wine.occupancy"));
         assert!(row.pressure_supported);
-        // Raw throughput is rebuilt from the per-phase Gflops rates and
-        // must stay below the sum of the rates (phases share the wall).
-        let rate_sum_tflops: f64 = report.gflops.values().sum::<f64>() / 1e3;
-        let raw = row.raw_tflops.expect("report with gflops gets a raw rate");
-        assert!(raw > 0.0);
-        assert!(raw <= rate_sum_tflops + 1e-12);
+        // Metered like every other row: per-phase rates and the step
+        // rates price the same flops, and the phases share the wall,
+        // so the step rate stays below the sum of the phase rates.
+        let raw = row.raw_tflops.expect("profile_size meters its run");
+        assert!(row.effective_tflops.expect("effective speed from the same meter") > 0.0);
+        let by_phase: f64 = row.gflops.iter().map(|(p, g)| g * 1e9 * row.phases[p]).sum();
+        let by_wall = raw * 1e12 * row.wall_seconds_per_step;
+        assert!(by_phase > 0.0);
+        assert!((by_phase - by_wall).abs() <= 1e-12 * by_wall, "{by_phase} vs {by_wall}");
+        assert!(raw <= row.gflops.values().sum::<f64>() / 1e3 + 1e-12);
         assert!(row.threads >= 1);
         assert!(row.timestamp_s > 0);
         // The row round-trips through the ledger line format.
         let line = row.to_json().to_compact();
-        let back = RunRecord::from_json(
-            &mdm_profile::json::Value::parse(&line).unwrap(),
-        )
-        .unwrap();
+        let back = RunRecord::from_json(&mdm_profile::json::Value::parse(&line).unwrap()).unwrap();
         assert_eq!(back, row);
+    }
+
+    #[test]
+    fn modeled_column_reproduces_the_table4_step_time() {
+        // `profile_step --cells 4 --steps 2` has printed this modeled
+        // t_step since the cycle counters were last touched (PR 19):
+        // max(real 3.27e-4, wave 2.00e-5) + comm 6.89e-3 + host 4.27e-5.
+        let (row, _) = profile_size(4, 2, false, "wine2", io::sink(), None).unwrap();
+        let m = &row.modeled;
+        let t_step = m["real"].max(m["wave"]) + m["comm"] + m["host"];
+        assert_eq!(row.modeled_step_seconds(), Some(t_step));
+        assert_eq!(crate::sci(t_step), "7.26e-3");
+    }
+
+    #[test]
+    fn the_parallel_program_reduces_to_a_phases_only_row() {
+        let config = ParallelConfig {
+            real_dims: [2, 1, 1],
+            wave_processes: 2,
+        };
+        let (row, profile) = profile_world(3, 1, config);
+        assert_eq!(row.label, "nacl-216-world-2x2");
+        assert!(row.phases["real"] > 0.0 && row.phases["wave"] > 0.0);
+        assert!(profile.spans.contains_key("real"));
+        assert!(row.gflops.is_empty() && row.modeled.is_empty() && row.gauges.is_empty());
+        assert_eq!((row.raw_tflops, row.modeled_step_seconds()), (None, None));
     }
 }

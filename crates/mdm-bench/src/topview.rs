@@ -165,7 +165,7 @@ pub fn follow<R: BufRead>(
             let snippet: String = line.chars().take(80).collect();
             return Err(StreamError::Malformed { lineno, snippet });
         };
-        match value.get("type").and_then(Value::as_str) {
+        match value.opt_str("type") {
             Some("manifest") => {
                 if let Ok(m) = RunManifest::from_json(&value) {
                     view.absorb_manifest(m);

@@ -155,12 +155,6 @@ fn want<'v>(v: &'v Value, key: &str) -> Result<&'v Value, String> {
         .ok_or_else(|| format!("checkpoint is missing field {key:?}"))
 }
 
-fn want_u64(v: &Value, key: &str) -> Result<u64, String> {
-    want(v, key)?
-        .as_u64()
-        .ok_or_else(|| format!("checkpoint field {key:?} is not an integer"))
-}
-
 fn want_bits(v: &Value, key: &str) -> Result<f64, String> {
     from_bits(want(v, key)?)
         .ok_or_else(|| format!("checkpoint field {key:?} is not an f64 bit pattern"))
@@ -275,7 +269,7 @@ impl Checkpoint {
 
     /// Decode from a JSON value, rejecting unknown schema versions.
     pub fn from_json(v: &Value) -> Result<Self, String> {
-        let version = want_u64(v, "version")?;
+        let version = v.req_u64("version")?;
         if version != CHECKPOINT_VERSION {
             return Err(format!(
                 "checkpoint schema version {version} is not supported (this build reads \
@@ -288,11 +282,7 @@ impl Checkpoint {
                 .iter()
                 .map(|s| {
                     Ok(Species {
-                        name: s
-                            .get("name")
-                            .and_then(Value::as_str)
-                            .ok_or("species entry is missing \"name\"")?
-                            .to_string(),
+                        name: s.req_str("name")?.to_string(),
                         mass: want_bits(s, "mass")?,
                         charge: want_bits(s, "charge")?,
                     })
@@ -328,13 +318,10 @@ impl Checkpoint {
             ));
         }
         Ok(Checkpoint {
-            job: want(v, "job")?
-                .as_str()
-                .ok_or("checkpoint field \"job\" is not a string")?
-                .to_string(),
-            step: want_u64(v, "step")?,
+            job: v.req_str("job")?.to_string(),
+            step: v.req_u64("step")?,
             dt: want_bits(v, "dt")?,
-            seed: want_u64(v, "seed")?,
+            seed: v.req_u64("seed")?,
             l: want_bits(v, "l")?,
             species,
             types,

@@ -7,10 +7,10 @@
 //! [`StepEvent`] (phase durations + hardware/numeric counters), stamps
 //! the physical observables from the [`StepRecord`], feeds the step
 //! through the [`PhysicsWatchdogs`], and appends the event to a
-//! [`FlightRecorder`] JSONL stream. The per-step profiles are merged
-//! and returned so a caller that also wants an aggregate
-//! [`mdm_profile::report::StepReport`] (e.g. `profile_step`) does not
-//! lose anything by recording.
+//! [`FlightRecorder`] JSONL stream. What the run leaves in memory is
+//! a [`RecordedRun`]; [`RecordedRun::reduce`] is the one reduction from
+//! it to the run's ledger row ([`RunRecord`]) — every tool's row goes
+//! through it, so every column has one definition.
 //!
 //! On top of the flight recorder, [`Instruments`] carries the two
 //! accuracy-telemetry probes of the paper's §5 evaluation:
@@ -35,8 +35,9 @@ use mdm_core::special::erfc;
 use mdm_profile::accuracy::{ForceErrorSample, SpeedSample};
 use mdm_profile::bus::{Bus, BusEvent, Subscription};
 use mdm_profile::events::{FlightRecorder, RunManifest, StepEvent};
-use mdm_profile::ledger::{self, EnvStamp, RunRecord};
-use mdm_profile::timeseries::TimeSeries;
+use mdm_profile::ledger::{EnvStamp, RunRecord};
+use mdm_profile::phase;
+use std::collections::BTreeMap;
 use std::io::{self, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::Path;
@@ -239,21 +240,6 @@ impl SpeedMeter {
     }
 }
 
-/// Where [`run_instrumented`] should append its one-line run summary.
-///
-/// `tool` and `label` are the trend-grouping key the dashboard uses;
-/// the rest of the [`RunRecord`] is derived from the run itself.
-#[derive(Clone, Copy, Debug)]
-pub struct LedgerSink<'a> {
-    /// Ledger file (JSONL, crash-safe append — see
-    /// [`mdm_profile::ledger::append_record`]).
-    pub path: &'a Path,
-    /// `tool` column of the record (e.g. `"run_instrumented"`).
-    pub tool: &'a str,
-    /// `label` column (e.g. `"nacl-4096"`).
-    pub label: &'a str,
-}
-
 /// The optional probes threaded through [`run_instrumented`].
 ///
 /// Everything defaults to off.
@@ -269,10 +255,6 @@ pub struct Instruments<'a> {
     /// Live flop meter; emits `raw_tflops` / `effective_tflops`
     /// observables from the step's drained interaction counters.
     pub meter: Option<&'a SpeedMeter>,
-    /// When set, one [`RunRecord`] summarizing the run is appended to
-    /// this ledger on completion. `None` (the default) writes nothing,
-    /// so library and test callers never touch `results/ledger.jsonl`.
-    pub ledger: Option<LedgerSink<'a>>,
     /// Live telemetry bus: each step's event is published *after* it
     /// lands in the flight recorder (so the stream and the JSONL file
     /// agree line for line), with the cumulative
@@ -283,8 +265,12 @@ pub struct Instruments<'a> {
 }
 
 /// What an instrumented run leaves behind in memory (the JSONL stream
-/// went to the recorder's sink).
-#[derive(Debug)]
+/// went to the recorder's sink), and the input of the one reduction to
+/// a ledger row ([`RecordedRun::reduce`]). A caller whose run had no
+/// step loop of this module's (the §4 parallel program, a serve job
+/// summed over its slices) fills in the totals it has and defaults the
+/// rest.
+#[derive(Debug, Default)]
 pub struct RecordedRun {
     /// One thermodynamic record per step, as [`Simulation::run`] would
     /// have returned.
@@ -292,8 +278,7 @@ pub struct RecordedRun {
     /// [`Simulation::run`]: mdm_core::integrate::Simulation::run
     pub records: Vec<StepRecord>,
     /// All per-step profiles merged (span times summed, `_max`
-    /// counters maxed) — feed to `StepReport::from_profile` for an
-    /// aggregate view.
+    /// counters maxed).
     pub profile: mdm_profile::Profile,
     /// Total watchdog violations across the run.
     pub violations: u64,
@@ -301,22 +286,84 @@ pub struct RecordedRun {
     pub force_errors: Vec<ForceErrorSample>,
     /// One speed sample per step (empty without a meter).
     pub speeds: Vec<SpeedSample>,
+    /// Steps the totals below cover.
+    pub steps: u64,
     /// Wall-clock seconds summed over the measured steps (probe and
     /// recording overhead excluded, matching each event's
     /// `wall_seconds`).
     pub wall_seconds: f64,
-    /// Per-step utilization samples: every gauge of every step event
-    /// (device occupancy from the drained profile plus the derived
-    /// wall-fraction gauges), keyed by gauge name.
-    pub timeseries: TimeSeries,
+    /// Gauge name → running (sum, count) of the gauge's finite values
+    /// over the step events (device occupancy from the drained profile
+    /// plus the derived wall-fraction gauges).
+    pub gauges: BTreeMap<String, (f64, u64)>,
     /// Final [`Bus::dropped_events`] reading — total events lost to
     /// slow subscribers across the run (0 without a bus).
     pub bus_dropped_events: u64,
 }
 
+impl RecordedRun {
+    /// The one reduction from a finished run to its ledger row:
+    /// `phases[p]` = the top-level span's seconds per step; `gflops[p]`
+    /// = the phase's credited flops ÷ that phase's measured seconds;
+    /// `raw_tflops` / `effective_tflops` = Σ credited / Σ
+    /// conventional-minimum flops ÷ Σ step wall (flops as the
+    /// [`SpeedMeter`] priced them — a run without one has neither);
+    /// `gauges` = mean over steps of each step event's gauge. Stamped
+    /// with the time, the environment and the worker-thread count.
+    pub fn reduce(&self, tool: &str, label: &str, n_particles: u64) -> RunRecord {
+        let per_step = 1.0 / self.steps.max(1) as f64;
+        let phases = self.profile.phases().map(|(name, s)| (name.to_string(), s * per_step));
+        let mut gflops = BTreeMap::new();
+        let (mut raw_tflops, mut effective_tflops) = (None, None);
+        if !self.speeds.is_empty() && self.wall_seconds > 0.0 {
+            let sum = |f: fn(&SpeedSample) -> f64| self.speeds.iter().map(f).sum::<f64>();
+            let (real, wave) = (sum(|s| s.real_flops), sum(|s| s.wave_flops));
+            for (name, flops) in [(phase::REAL, real), (phase::WAVE, wave)] {
+                let seconds = self.profile.seconds(name);
+                if seconds > 0.0 {
+                    gflops.insert(name.to_string(), flops / seconds / 1e9);
+                }
+            }
+            raw_tflops = Some((real + wave) / self.wall_seconds / 1e12);
+            let conventional =
+                sum(|s| s.conventional_flops_measured.unwrap_or(s.conventional_flops));
+            effective_tflops = Some(conventional / self.wall_seconds / 1e12);
+        }
+        let mut record = RunRecord {
+            tool: tool.to_string(),
+            label: label.to_string(),
+            threads: rayon::current_num_threads() as u64,
+            n_particles,
+            steps: self.steps,
+            wall_seconds_per_step: self.wall_seconds * per_step,
+            phases: phases.collect(),
+            gflops,
+            raw_tflops,
+            effective_tflops,
+            worst_force_error: self
+                .force_errors
+                .iter()
+                .map(ForceErrorSample::relative)
+                .reduce(f64::max),
+            violations: self.violations,
+            pressure_supported: true,
+            gauges: self
+                .gauges
+                .iter()
+                .map(|(name, (sum, count))| (name.clone(), sum / *count as f64))
+                .collect(),
+            bus_dropped_events: self.bus_dropped_events,
+            ..RunRecord::default()
+        };
+        record.stamp_now();
+        record.stamp_env(&env_stamp());
+        record
+    }
+}
+
 /// Advance `steps` steps, writing one flight-recorder line per step,
 /// with the instrument rack of [`Instruments`] (watchdogs, force-error
-/// probe, live speed meter, ledger row, bus — each optional).
+/// probe, live speed meter, bus — each optional).
 ///
 /// The run records into an [`mdm_profile::scope`] of its own, drained
 /// (`take`) once per step: the phase durations and counters on each
@@ -346,7 +393,7 @@ pub fn run_instrumented<F: ForceField, W: Write>(
     let mut force_errors = Vec::new();
     let mut speeds = Vec::new();
     let mut wall_total = 0.0;
-    let mut timeseries = TimeSeries::default();
+    let mut gauges: BTreeMap<String, (f64, u64)> = BTreeMap::new();
     let mut last_error: Option<f64> = None;
     let _scope = mdm_profile::scope();
     for _ in 0..steps {
@@ -367,8 +414,13 @@ pub fn run_instrumented<F: ForceField, W: Write>(
         let profile = mdm_profile::take();
         let mut event = StepEvent::from_profile(record.step, wall, &profile);
         stamp_wall_fraction_gauges(&mut event, &profile, wall);
-        for (name, value) in &event.gauges {
-            timeseries.record(name, record.step, *value);
+        for (name, &value) in event.gauges.iter().filter(|(_, v)| v.is_finite()) {
+            if let Some((sum, count)) = gauges.get_mut(name) {
+                *sum += value;
+                *count += 1;
+            } else {
+                gauges.insert(name.clone(), (value, 1));
+            }
         }
         event.observables.extend([
             ("time_fs".to_string(), record.time),
@@ -452,20 +504,17 @@ pub fn run_instrumented<F: ForceField, W: Write>(
         merged.merge(&profile);
         records.push(record);
     }
-    let run = RecordedRun {
+    Ok(RecordedRun {
         records,
         profile: merged,
         violations,
         force_errors,
         speeds,
+        steps: steps as u64,
         wall_seconds: wall_total,
-        timeseries,
+        gauges,
         bus_dropped_events: inst.bus.map_or(0, Bus::dropped_events),
-    };
-    if let Some(sink) = inst.ledger {
-        ledger::append_record(sink.path, &ledger_record(sink.tool, sink.label, sim, &run))?;
-    }
-    Ok(run)
+    })
 }
 
 /// Derived per-step utilization gauges. These are computed *after* the
@@ -499,75 +548,6 @@ fn stamp_wall_fraction_gauges(event: &mut StepEvent, profile: &mdm_profile::Prof
         event.gauges.insert("host.rayon_util".to_string(), util);
         mdm_profile::timeline_counter("host.rayon_util", util);
     }
-}
-
-/// Reduce a recorded run to its one-line ledger summary: per-step phase
-/// seconds, measured Gflops, speed/accuracy aggregates, mean gauges,
-/// and the environment stamp.
-pub fn ledger_record<F: ForceField>(
-    tool: &str,
-    label: &str,
-    sim: &Simulation<F>,
-    run: &RecordedRun,
-) -> RunRecord {
-    let steps = run.records.len().max(1) as f64;
-    // The merged profile reduced exactly as one step event would be:
-    // top-level spans become phases (here run totals, so ÷ steps).
-    let aggregate = StepEvent::from_profile(0, run.wall_seconds, &run.profile);
-    let speed_wall: f64 = run.speeds.iter().map(|s| s.wall_seconds).sum();
-    let mut gflops = std::collections::BTreeMap::new();
-    let mut raw_tflops = None;
-    let mut effective_tflops = None;
-    if speed_wall > 0.0 {
-        let real: f64 = run.speeds.iter().map(|s| s.real_flops).sum();
-        let wave: f64 = run.speeds.iter().map(|s| s.wave_flops).sum();
-        gflops.insert("real".to_string(), real / speed_wall / 1e9);
-        gflops.insert("wave".to_string(), wave / speed_wall / 1e9);
-        raw_tflops = Some((real + wave) / speed_wall / 1e12);
-        // Wall-weighted mean of the per-step effective speeds.
-        let effective: f64 = run
-            .speeds
-            .iter()
-            .map(|s| s.effective_flops_per_s() * s.wall_seconds)
-            .sum();
-        effective_tflops = Some(effective / speed_wall / 1e12);
-    }
-    let mut record = RunRecord {
-        tool: tool.to_string(),
-        label: label.to_string(),
-        threads: rayon::current_num_threads() as u64,
-        n_particles: sim.system().len() as u64,
-        steps: run.records.len() as u64,
-        wall_seconds_per_step: run.wall_seconds / steps,
-        phases: aggregate
-            .phases
-            .iter()
-            .map(|(name, total)| (name.clone(), total / steps))
-            .collect(),
-        gflops,
-        raw_tflops,
-        effective_tflops,
-        worst_force_error: run
-            .force_errors
-            .iter()
-            .map(ForceErrorSample::relative)
-            .fold(None, |worst: Option<f64>, e| {
-                Some(worst.map_or(e, |w| w.max(e)))
-            }),
-        violations: run.violations,
-        pressure_supported: true,
-        gauges: run
-            .timeseries
-            .series
-            .iter()
-            .filter_map(|(name, series)| Some((name.clone(), series.mean()?)))
-            .collect(),
-        bus_dropped_events: run.bus_dropped_events,
-        ..RunRecord::default()
-    };
-    record.stamp_now();
-    record.stamp_env(&env_stamp());
-    record
 }
 
 /// Environment variable naming the telemetry endpoint
@@ -1110,12 +1090,18 @@ mod tests {
     #[test]
     fn instrumented_run_collects_the_utilization_timeseries() {
         let mut sim = mdm_sim();
-        let manifest = mdm_manifest("ts-test", "cargo test", &sim, 11);
+        let n = sim.system().len() as u64;
+        let manifest = mdm_manifest("gauge-test", "cargo test", &sim, 11);
         let mut recorder = FlightRecorder::new(Vec::new(), &manifest).unwrap();
         let run = run_instrumented(&mut sim, 3, &mut recorder, Instruments::default()).unwrap();
         assert!(run.wall_seconds > 0.0);
+        let row = run.reduce("run_instrumented", "gauge-test", n);
+
         // The driver's device gauges and the derived wall fractions
-        // both land in the series, one sample per step.
+        // both land on every step line; the row's gauge is their mean.
+        let text = String::from_utf8(recorder.into_inner()).unwrap();
+        let (_, steps) = parse_jsonl(&text).unwrap();
+        assert_eq!(steps.len(), 3);
         for name in [
             "mdg.occupancy",
             "wine.occupancy",
@@ -1123,63 +1109,68 @@ mod tests {
             "mdg.util_wall",
             "wine.util_wall",
         ] {
-            let series = run
-                .timeseries
-                .get(name)
-                .unwrap_or_else(|| panic!("missing series {name}"));
-            assert_eq!(series.len(), 3, "{name}");
+            let per_step: Vec<f64> = steps.iter().map(|event| event.gauges[name]).collect();
+            let mean = per_step.iter().sum::<f64>() / 3.0;
+            assert!((row.gauges[name] - mean).abs() <= 1e-12 * mean.abs(), "{name}");
         }
-        let occupancy = run.timeseries.get("mdg.occupancy").unwrap();
-        assert!(occupancy.min().unwrap() > 0.0);
-        assert!(occupancy.max().unwrap() <= 1.0);
-        // Wall fractions are fractions of the measured step.
-        let util = run.timeseries.get("mdg.util_wall").unwrap();
-        assert!(util.max().unwrap() <= 1.0 + 1e-9);
-
-        // The same gauges appear on each streamed step event.
-        let text = String::from_utf8(recorder.into_inner()).unwrap();
-        let (_, steps) = parse_jsonl(&text).unwrap();
         for event in &steps {
-            assert!(event.gauges.contains_key("mdg.occupancy"));
-            assert!(event.gauges.contains_key("wine.occupancy"));
+            let occupancy = event.gauges["mdg.occupancy"];
+            assert!(occupancy > 0.0 && occupancy <= 1.0);
+            // Wall fractions are fractions of the measured step.
+            assert!(event.gauges["mdg.util_wall"] <= 1.0 + 1e-9);
         }
     }
 
-    #[test]
-    fn ledger_sink_appends_one_summary_row() {
-        let path = std::env::temp_dir().join(format!(
-            "mdm_telemetry_ledger_{}.jsonl",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&path);
+    /// A metered `cells = 2` emulated run and the row it reduces to.
+    fn metered_row(steps: usize) -> (RecordedRun, RunRecord, RunManifest) {
         let mut sim = mdm_sim();
         let n = sim.system().len() as u64;
         let params = *sim.force_field().params();
         let meter = SpeedMeter::for_run(&params, n, sim.system().simbox().l());
         let manifest = mdm_manifest("ledger-test", "cargo test", &sim, 11);
         let mut recorder = FlightRecorder::new(Vec::new(), &manifest).unwrap();
-        let run = run_instrumented(
-            &mut sim,
-            2,
-            &mut recorder,
-            Instruments {
-                meter: Some(&meter),
-                ledger: Some(LedgerSink {
-                    path: &path,
-                    tool: "run_instrumented",
-                    label: "ledger-test",
-                }),
-                ..Instruments::default()
-            },
-        )
-        .unwrap();
+        let instruments = Instruments {
+            meter: Some(&meter),
+            ..Instruments::default()
+        };
+        let run = run_instrumented(&mut sim, steps, &mut recorder, instruments).unwrap();
+        let row = run.reduce("run_instrumented", "ledger-test", n);
+        (run, row, manifest)
+    }
+
+    #[test]
+    fn per_phase_gflops_and_raw_tflops_price_the_same_flops() {
+        let (run, row, _) = metered_row(3);
+        // Σ_p gflops[p]·phases[p] and raw_tflops·wall are the same
+        // credited flops per step, read from the same speed samples.
+        let by_phase: f64 = row.gflops.iter().map(|(p, g)| g * 1e9 * row.phases[p]).sum();
+        let by_wall = row.raw_tflops.unwrap() * 1e12 * row.wall_seconds_per_step;
+        assert!(by_phase > 0.0);
+        assert!((by_phase - by_wall).abs() <= 1e-12 * by_wall, "{by_phase} vs {by_wall}");
+        let credited: f64 = run.speeds.iter().map(SpeedSample::raw_flops).sum();
+        assert!((by_wall - credited / 3.0).abs() <= 1e-12 * by_wall);
+        // Phases are per step, and the top-level ones fit in the wall.
+        assert!((row.phases["real"] - run.profile.seconds("real") / 3.0).abs() < 1e-15);
+        assert!(row.phases.values().sum::<f64>() <= row.wall_seconds_per_step);
+        assert!(row.effective_tflops.unwrap() > 0.0);
+    }
+
+    #[test]
+    fn the_reductions_row_appends_and_reads_back() {
+        let path = std::env::temp_dir().join(format!(
+            "mdm_telemetry_ledger_{}.jsonl",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        let (run, row, manifest) = metered_row(2);
+        mdm_profile::ledger::append_record(&path, &row).unwrap();
         let (rows, skipped) = mdm_profile::ledger::read_ledger(&path).unwrap();
         assert_eq!(skipped, 0);
-        assert_eq!(rows.len(), 1);
+        assert_eq!(rows, [row]);
         let row = &rows[0];
         assert_eq!(row.tool, "run_instrumented");
         assert_eq!(row.label, "ledger-test");
-        assert_eq!(row.n_particles, n);
+        assert_eq!(row.n_particles, manifest.n_particles);
         assert_eq!(row.steps, 2);
         assert!((row.wall_seconds_per_step - run.wall_seconds / 2.0).abs() < 1e-12);
         assert!(row.phases.contains_key("real"));

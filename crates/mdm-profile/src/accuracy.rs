@@ -54,12 +54,12 @@ impl ForceErrorSample {
     }
 
     /// Parse the [`Self::to_json`] form back.
-    pub fn from_json(v: &Value) -> Option<Self> {
-        Some(Self {
-            step: v.get("step")?.as_u64()?,
-            sampled: v.get("sampled")?.as_u64()?,
-            rms_force: v.get("rms_force")?.as_f64()?,
-            rms_error: v.get("rms_error")?.as_f64()?,
+    pub fn from_json(v: &Value) -> Result<Self, String> {
+        Ok(Self {
+            step: v.req_u64("step")?,
+            sampled: v.req_u64("sampled")?,
+            rms_force: v.req_f64("rms_force")?,
+            rms_error: v.req_f64("rms_error")?,
         })
     }
 }
@@ -129,23 +129,22 @@ impl SpeedSample {
     }
 
     /// Parse the [`Self::to_json`] form back.
-    pub fn from_json(v: &Value) -> Option<Self> {
-        Some(Self {
-            step: v.get("step")?.as_u64()?,
-            wall_seconds: v.get("wall_seconds")?.as_f64()?,
-            real_flops: v.get("real_flops")?.as_f64()?,
-            wave_flops: v.get("wave_flops")?.as_f64()?,
-            conventional_flops: v.get("conventional_flops")?.as_f64()?,
-            conventional_flops_measured: v
-                .get("conventional_flops_measured")
-                .and_then(Value::as_f64),
+    pub fn from_json(v: &Value) -> Result<Self, String> {
+        Ok(Self {
+            step: v.req_u64("step")?,
+            wall_seconds: v.req_f64("wall_seconds")?,
+            real_flops: v.req_f64("real_flops")?,
+            wave_flops: v.req_f64("wave_flops")?,
+            conventional_flops: v.req_f64("conventional_flops")?,
+            conventional_flops_measured: v.opt_f64("conventional_flops_measured"),
         })
     }
 }
 
-/// The `accuracy_report` artifact: the accuracy/throughput
-/// decomposition of a recorded run, next to which the binary prints
-/// the paper's Table 4 / Figure 5 values.
+/// The `accuracy_report.json` artifact: the per-step probe and speed
+/// samples of one recorded run. A container only — the run's
+/// aggregates (raw / effective Tflops, worst force error) are columns
+/// of its [`crate::ledger::RunRecord`].
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct AccuracyReport {
     /// Run label (e.g. `nacl_cells3`).
@@ -161,40 +160,6 @@ pub struct AccuracyReport {
 }
 
 impl AccuracyReport {
-    /// Worst (largest) relative RMS force error across probe samples —
-    /// the value the CI gate compares against `10⁻³`.
-    pub fn worst_force_error_rel(&self) -> Option<f64> {
-        self.force_errors
-            .iter()
-            .map(ForceErrorSample::relative)
-            .fold(None, |acc, e| Some(acc.map_or(e, |a: f64| a.max(e))))
-    }
-
-    /// Mean raw speed over the run, flops/s (total flops / total wall).
-    pub fn mean_raw_flops_per_s(&self) -> Option<f64> {
-        let wall: f64 = self.speeds.iter().map(|s| s.wall_seconds).sum();
-        if wall > 0.0 {
-            Some(self.speeds.iter().map(SpeedSample::raw_flops).sum::<f64>() / wall)
-        } else {
-            None
-        }
-    }
-
-    /// Mean effective speed over the run, flops/s.
-    pub fn mean_effective_flops_per_s(&self) -> Option<f64> {
-        let wall: f64 = self.speeds.iter().map(|s| s.wall_seconds).sum();
-        if wall > 0.0 {
-            let flops: f64 = self
-                .speeds
-                .iter()
-                .map(|s| s.conventional_flops_measured.unwrap_or(s.conventional_flops))
-                .sum();
-            Some(flops / wall)
-        } else {
-            None
-        }
-    }
-
     /// Serialize the report (the CI artifact format).
     pub fn to_json(&self) -> Value {
         obj([
@@ -212,26 +177,16 @@ impl AccuracyReport {
         ])
     }
 
-    /// Pretty-printed JSON string of [`Self::to_json`].
-    pub fn to_json_string(&self) -> String {
-        self.to_json().to_pretty()
-    }
-
     /// Parse the [`Self::to_json`] form back.
-    pub fn from_json(v: &Value) -> Option<Self> {
-        let arr = |key: &str| -> Option<&[Value]> { v.get(key)?.as_arr() };
-        Some(Self {
-            label: v.get("label")?.as_str()?.to_string(),
-            n_particles: v.get("n_particles")?.as_u64()?,
-            steps: v.get("steps")?.as_u64()?,
-            force_errors: arr("force_errors")?
-                .iter()
-                .map(ForceErrorSample::from_json)
-                .collect::<Option<Vec<_>>>()?,
-            speeds: arr("speeds")?
-                .iter()
-                .map(SpeedSample::from_json)
-                .collect::<Option<Vec<_>>>()?,
+    pub fn from_json(v: &Value) -> Result<Self, String> {
+        let force_errors = v.arr("force_errors")?.iter().map(ForceErrorSample::from_json);
+        let speeds = v.arr("speeds")?.iter().map(SpeedSample::from_json);
+        Ok(Self {
+            label: v.req_str("label")?.to_string(),
+            n_particles: v.req_u64("n_particles")?,
+            steps: v.req_u64("steps")?,
+            force_errors: force_errors.collect::<Result<_, _>>()?,
+            speeds: speeds.collect::<Result<_, _>>()?,
         })
     }
 }
@@ -298,17 +253,10 @@ mod tests {
     }
 
     #[test]
-    fn report_aggregates_and_round_trip() {
+    fn report_round_trips() {
         let r = sample_report();
-        assert!((r.worst_force_error_rel().unwrap() - 3e-5).abs() < 1e-18);
-        assert!((r.mean_raw_flops_per_s().unwrap() - 1e10).abs() < 1.0);
-        assert!((r.mean_effective_flops_per_s().unwrap() - 3.5e9).abs() < 1.0);
-
-        let text = r.to_json_string();
+        let text = r.to_json().to_pretty();
         let back = AccuracyReport::from_json(&Value::parse(&text).unwrap()).unwrap();
         assert_eq!(r, back);
-
-        assert_eq!(AccuracyReport::default().worst_force_error_rel(), None);
-        assert_eq!(AccuracyReport::default().mean_raw_flops_per_s(), None);
     }
 }

@@ -17,7 +17,7 @@
 //! splitting on the manifest lines.
 
 use crate::histogram::LogHistogram;
-use crate::json::{obj, Value};
+use crate::json::{malformed, obj, Value};
 use crate::watchdog::Violation;
 use crate::Profile;
 use std::collections::BTreeMap;
@@ -84,12 +84,6 @@ impl Default for RunManifest {
 impl RunManifest {
     /// Serialize as one manifest line value.
     pub fn to_json(&self) -> Value {
-        let params = Value::Obj(
-            self.params
-                .iter()
-                .map(|(k, v)| (k.clone(), Value::from_f64(*v)))
-                .collect(),
-        );
         obj([
             ("type", Value::Str("manifest".into())),
             ("version", Value::from_u64(FLIGHT_RECORDER_VERSION)),
@@ -101,7 +95,7 @@ impl RunManifest {
             // `from_u64`: a full-range 64-bit seed must survive the
             // f64-backed number representation exactly.
             ("seed", Value::from_u64(self.seed)),
-            ("params", params),
+            ("params", Value::from_f64_map(&self.params)),
             ("git_sha", Value::Str(self.git_sha.clone())),
             ("hostname", Value::Str(self.hostname.clone())),
             ("nproc", Value::from_u64(self.nproc)),
@@ -112,59 +106,28 @@ impl RunManifest {
 
     /// Parse a manifest line written by [`RunManifest::to_json`].
     pub fn from_json(value: &Value) -> Result<Self, String> {
-        if value.get("type").and_then(Value::as_str) != Some("manifest") {
+        if value.opt_str("type") != Some("manifest") {
             return Err("not a manifest line".into());
         }
-        let version = value
-            .get("version")
-            .and_then(Value::as_u64)
-            .ok_or("manifest missing `version`")?;
+        let version = value.req_u64("version")?;
         if version != FLIGHT_RECORDER_VERSION {
             return Err(format!("unsupported flight-recorder version {version}"));
         }
-        let str_field = |key: &str| {
-            value
-                .get(key)
-                .and_then(Value::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("manifest missing string `{key}`"))
-        };
-        let mut params = BTreeMap::new();
-        if let Some(Value::Obj(map)) = value.get("params") {
-            for (k, v) in map {
-                params.insert(
-                    k.clone(),
-                    v.as_f64().ok_or_else(|| format!("param `{k}` not a number"))?,
-                );
-            }
-        }
         Ok(Self {
-            label: str_field("label")?,
-            command: str_field("command")?,
-            n_particles: value
-                .get("n_particles")
-                .and_then(Value::as_u64)
-                .ok_or("manifest missing `n_particles`")?,
-            dt_fs: value
-                .get("dt_fs")
-                .and_then(Value::as_f64)
-                .ok_or("manifest missing `dt_fs`")?,
-            forcefield: str_field("forcefield")?,
-            seed: value
-                .get("seed")
-                .and_then(Value::as_u64)
-                .ok_or("manifest missing `seed`")?,
-            params,
+            label: value.req_str("label")?.to_string(),
+            command: value.req_str("command")?.to_string(),
+            n_particles: value.req_u64("n_particles")?,
+            dt_fs: value.req_f64("dt_fs")?,
+            forcefield: value.req_str("forcefield")?.to_string(),
+            seed: value.req_u64("seed")?,
+            params: value.f64_map("params")?,
             // Environment-stamp fields arrived after version 1 shipped;
             // recordings made before them parse with the defaults.
-            git_sha: str_field("git_sha").unwrap_or_else(|_| "unknown".into()),
-            hostname: str_field("hostname").unwrap_or_else(|_| "unknown".into()),
-            nproc: value.get("nproc").and_then(Value::as_u64).unwrap_or(0),
-            threads: value.get("threads").and_then(Value::as_u64).unwrap_or(0),
-            pressure_supported: matches!(
-                value.get("pressure_supported"),
-                Some(Value::Bool(true))
-            ),
+            git_sha: value.str_or("git_sha", "unknown"),
+            hostname: value.str_or("hostname", "unknown"),
+            nproc: value.opt_u64("nproc").unwrap_or(0),
+            threads: value.opt_u64("threads").unwrap_or(0),
+            pressure_supported: value.opt_bool("pressure_supported").unwrap_or(false),
         })
     }
 }
@@ -202,12 +165,7 @@ impl StepEvent {
     /// Build an event from a drained per-step [`Profile`]: top-level
     /// span paths (no dot) become phases, all counters are copied.
     pub fn from_profile(step: u64, wall_seconds: f64, profile: &Profile) -> Self {
-        let phases = profile
-            .spans
-            .iter()
-            .filter(|(path, _)| !path.contains('.'))
-            .map(|(path, stat)| (path.clone(), stat.total.as_secs_f64()))
-            .collect();
+        let phases = profile.phases().map(|(name, s)| (name.to_string(), s)).collect();
         let counters = profile
             .counters
             .iter()
@@ -240,44 +198,25 @@ impl StepEvent {
         // `from_f64`/`from_u64`: observables from a diverging run can
         // be NaN/inf and counters can exceed 2⁵³; both must be
         // *recorded*, never panic the serializer or lose precision.
-        let num_map = |map: &BTreeMap<String, f64>| {
-            Value::Obj(map.iter().map(|(k, v)| (k.clone(), Value::from_f64(*v))).collect())
-        };
-        let counters = Value::Obj(
-            self.counters
-                .iter()
-                .map(|(k, v)| (k.clone(), Value::from_u64(*v)))
-                .collect(),
-        );
         let violations = Value::Arr(self.violations.iter().map(Violation::to_json).collect());
         let mut value = obj([
             ("type", Value::Str("step".into())),
             ("step", Value::from_u64(self.step)),
             ("wall_seconds", Value::from_f64(self.wall_seconds)),
-            ("phases", num_map(&self.phases)),
-            ("counters", counters),
-            ("observables", num_map(&self.observables)),
+            ("phases", Value::from_f64_map(&self.phases)),
+            ("counters", Value::from_u64_map(&self.counters)),
+            ("observables", Value::from_f64_map(&self.observables)),
             ("violations", violations),
         ]);
-        if !self.gauges.is_empty() {
-            // Like histograms below: only pay the key when non-empty.
-            if let Value::Obj(map) = &mut value {
-                map.insert("gauges".into(), num_map(&self.gauges));
+        // Only pay these keys when there is something to say; readers
+        // treat a missing key as "no gauges" / "no histograms".
+        if let Value::Obj(map) = &mut value {
+            if !self.gauges.is_empty() {
+                map.insert("gauges".into(), Value::from_f64_map(&self.gauges));
             }
-        }
-        if !self.histograms.is_empty() {
-            // Only pay the key when there is something to say; readers
-            // treat a missing key as "no histograms".
-            if let Value::Obj(map) = &mut value {
-                map.insert(
-                    "histograms".into(),
-                    Value::Obj(
-                        self.histograms
-                            .iter()
-                            .map(|(k, h)| (k.clone(), h.to_json()))
-                            .collect(),
-                    ),
-                );
+            if !self.histograms.is_empty() {
+                let histograms = self.histograms.iter().map(|(k, h)| (k.clone(), h.to_json()));
+                map.insert("histograms".into(), Value::Obj(histograms.collect()));
             }
         }
         value
@@ -285,69 +224,26 @@ impl StepEvent {
 
     /// Parse a step line written by [`StepEvent::to_json`].
     pub fn from_json(value: &Value) -> Result<Self, String> {
-        if value.get("type").and_then(Value::as_str) != Some("step") {
+        if value.opt_str("type") != Some("step") {
             return Err("not a step line".into());
         }
-        let num_map = |key: &str| -> Result<BTreeMap<String, f64>, String> {
-            match value.get(key) {
-                Some(Value::Obj(map)) => map
-                    .iter()
-                    .map(|(k, v)| {
-                        v.as_f64()
-                            .map(|x| (k.clone(), x))
-                            .ok_or_else(|| format!("`{key}.{k}` not a number"))
-                    })
-                    .collect(),
-                None => Ok(BTreeMap::new()),
-                _ => Err(format!("`{key}` must be an object")),
-            }
-        };
-        let counters = match value.get("counters") {
-            Some(Value::Obj(map)) => map
-                .iter()
-                .map(|(k, v)| {
-                    v.as_u64()
-                        .map(|x| (k.clone(), x))
-                        .ok_or_else(|| format!("counter `{k}` not an integer"))
-                })
-                .collect::<Result<_, _>>()?,
-            None => BTreeMap::new(),
-            _ => return Err("`counters` must be an object".into()),
-        };
-        let violations = match value.get("violations") {
-            Some(Value::Arr(items)) => items
-                .iter()
-                .map(Violation::from_json)
-                .collect::<Result<_, _>>()?,
-            None => Vec::new(),
-            _ => return Err("`violations` must be an array".into()),
-        };
+        let violations = value.arr("violations")?.iter().map(Violation::from_json);
         let histograms = match value.get("histograms") {
             Some(Value::Obj(map)) => map
                 .iter()
-                .map(|(k, v)| {
-                    LogHistogram::from_json(v)
-                        .map(|h| (k.clone(), h))
-                        .ok_or_else(|| format!("histogram `{k}` malformed"))
-                })
-                .collect::<Result<_, _>>()?,
+                .map(|(k, v)| Ok((k.clone(), LogHistogram::from_json(v)?)))
+                .collect::<Result<_, String>>()?,
             None => BTreeMap::new(),
-            _ => return Err("`histograms` must be an object".into()),
+            _ => return Err(malformed("histograms")),
         };
         Ok(Self {
-            step: value
-                .get("step")
-                .and_then(Value::as_u64)
-                .ok_or("step line missing `step`")?,
-            wall_seconds: value
-                .get("wall_seconds")
-                .and_then(Value::as_f64)
-                .ok_or("step line missing `wall_seconds`")?,
-            phases: num_map("phases")?,
-            counters,
-            observables: num_map("observables")?,
-            violations,
-            gauges: num_map("gauges")?,
+            step: value.req_u64("step")?,
+            wall_seconds: value.req_f64("wall_seconds")?,
+            phases: value.f64_map("phases")?,
+            counters: value.u64_map("counters")?,
+            observables: value.f64_map("observables")?,
+            violations: violations.collect::<Result<_, _>>()?,
+            gauges: value.f64_map("gauges")?,
             histograms,
         })
     }
@@ -419,7 +315,7 @@ pub fn parse_jsonl_multi(text: &str) -> Result<Vec<(RunManifest, Vec<StepEvent>)
         }
         let lineno = index + 1;
         let value = Value::parse(line).map_err(|e| format!("line {lineno}: {e}"))?;
-        match value.get("type").and_then(Value::as_str) {
+        match value.opt_str("type") {
             Some("manifest") => {
                 let manifest =
                     RunManifest::from_json(&value).map_err(|e| format!("line {lineno}: {e}"))?;

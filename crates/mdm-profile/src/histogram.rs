@@ -15,7 +15,7 @@
 //! a local `LogHistogram` and merge once per step — the registry takes
 //! a mutex per call.
 
-use crate::json::{obj, Value};
+use crate::json::{malformed, obj, Value};
 
 /// A histogram over `|value|` with logarithmically spaced buckets.
 ///
@@ -230,30 +230,28 @@ impl LogHistogram {
         ])
     }
 
-    /// Parse the [`Self::to_json`] form back. Returns `None` on a
-    /// malformed or geometry-less object.
-    pub fn from_json(v: &Value) -> Option<Self> {
-        let lo_exp = v.get("lo_exp")?.as_f64()? as i32;
-        let hi_exp = v.get("hi_exp")?.as_f64()? as i32;
-        let bpd = v.get("buckets_per_decade")?.as_f64()? as u32;
+    /// Parse the [`Self::to_json`] form back; a malformed or
+    /// geometry-less object is an error.
+    pub fn from_json(v: &Value) -> Result<Self, String> {
+        let lo_exp = v.req_f64("lo_exp")? as i32;
+        let hi_exp = v.req_f64("hi_exp")? as i32;
+        let bpd = v.req_f64("buckets_per_decade")? as u32;
         if lo_exp >= hi_exp || bpd == 0 {
-            return None;
+            return Err(malformed("lo_exp"));
         }
         let mut h = Self::new(lo_exp, hi_exp, bpd);
-        h.underflow = v.get("underflow")?.as_u64()?;
-        h.overflow = v.get("overflow")?.as_u64()?;
-        h.min = v.get("min")?.as_f64()?;
-        h.max = v.get("max")?.as_f64()?;
+        h.underflow = v.req_u64("underflow")?;
+        h.overflow = v.req_u64("overflow")?;
+        h.min = v.req_f64("min")?;
+        h.max = v.req_f64("max")?;
         if let Some(Value::Obj(counts)) = v.get("counts") {
             for (k, c) in counts {
-                let i: usize = k.parse().ok()?;
-                if i >= h.counts.len() {
-                    return None;
-                }
-                h.counts[i] = c.as_u64()?;
+                let slot = k.parse().ok().and_then(|i: usize| h.counts.get_mut(i));
+                *slot.ok_or_else(|| malformed("counts"))? =
+                    c.as_u64().ok_or_else(|| malformed("counts"))?;
             }
         }
-        Some(h)
+        Ok(h)
     }
 }
 

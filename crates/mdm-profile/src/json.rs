@@ -119,6 +119,103 @@ impl Value {
         }
     }
 
+    /// The string field `key`, if present and a string.
+    pub fn opt_str(&self, key: &str) -> Option<&str> {
+        self.get(key)?.as_str()
+    }
+
+    /// The string field `key`, or `default` when absent or mistyped.
+    pub fn str_or(&self, key: &str, default: &str) -> String {
+        self.opt_str(key).unwrap_or(default).to_string()
+    }
+
+    /// The integer field `key`, if present and an integer.
+    pub fn opt_u64(&self, key: &str) -> Option<u64> {
+        self.get(key)?.as_u64()
+    }
+
+    /// The number field `key`, if present and a number (`null` reads
+    /// as absent — the spelling [`Value::from_opt_f64`] writes).
+    pub fn opt_f64(&self, key: &str) -> Option<f64> {
+        self.get(key)?.as_f64()
+    }
+
+    /// The boolean field `key`, if present and a boolean.
+    pub fn opt_bool(&self, key: &str) -> Option<bool> {
+        match self.get(key)? {
+            Value::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    /// The string field `key`, or the codec's one error.
+    pub fn req_str(&self, key: &str) -> Result<&str, String> {
+        self.opt_str(key).ok_or_else(|| malformed(key))
+    }
+
+    /// The integer field `key`, or the codec's one error.
+    pub fn req_u64(&self, key: &str) -> Result<u64, String> {
+        self.opt_u64(key).ok_or_else(|| malformed(key))
+    }
+
+    /// The number field `key`, or the codec's one error.
+    pub fn req_f64(&self, key: &str) -> Result<f64, String> {
+        self.opt_f64(key).ok_or_else(|| malformed(key))
+    }
+
+    /// The array under `key`; an absent key is an empty array,
+    /// anything but an array an error.
+    pub fn arr(&self, key: &str) -> Result<&[Value], String> {
+        match self.get(key) {
+            None => Ok(&[]),
+            Some(v) => v.as_arr().ok_or_else(|| malformed(key)),
+        }
+    }
+
+    /// The name → number object under `key`; an absent key is an empty
+    /// map, anything but an object of numbers an error.
+    pub fn f64_map(&self, key: &str) -> Result<BTreeMap<String, f64>, String> {
+        self.map_of(key, Value::as_f64)
+    }
+
+    /// The name → integer object under `key` (as [`Self::f64_map`]).
+    pub fn u64_map(&self, key: &str) -> Result<BTreeMap<String, u64>, String> {
+        self.map_of(key, Value::as_u64)
+    }
+
+    fn map_of<T>(
+        &self,
+        key: &str,
+        read: fn(&Value) -> Option<T>,
+    ) -> Result<BTreeMap<String, T>, String> {
+        match self.get(key) {
+            None => Ok(BTreeMap::new()),
+            Some(Value::Obj(map)) => map
+                .iter()
+                .map(|(name, v)| match read(v) {
+                    Some(x) => Ok((name.clone(), x)),
+                    None => Err(malformed(&format!("{key}.{name}"))),
+                })
+                .collect(),
+            Some(_) => Err(malformed(key)),
+        }
+    }
+
+    /// A name → number object, each value through [`Value::from_f64`].
+    pub fn from_f64_map(map: &BTreeMap<String, f64>) -> Value {
+        Value::Obj(map.iter().map(|(k, v)| (k.clone(), Value::from_f64(*v))).collect())
+    }
+
+    /// A name → integer object, each value through [`Value::from_u64`].
+    pub fn from_u64_map(map: &BTreeMap<String, u64>) -> Value {
+        Value::Obj(map.iter().map(|(k, v)| (k.clone(), Value::from_u64(*v))).collect())
+    }
+
+    /// A number when there is one, `null` otherwise.
+    pub fn from_opt_f64(x: Option<f64>) -> Value {
+        x.map_or(Value::Null, Value::from_f64)
+    }
+
     /// Serialize with two-space indentation and a trailing newline.
     pub fn to_pretty(&self) -> String {
         let mut out = String::new();
@@ -251,6 +348,11 @@ impl Value {
         }
         Ok(value)
     }
+}
+
+/// The one wording every typed field reader fails with.
+pub(crate) fn malformed(key: &str) -> String {
+    format!("missing or malformed `{key}`")
 }
 
 fn push_indent(out: &mut String, indent: usize) {
@@ -594,9 +696,28 @@ mod tests {
     #[test]
     fn accessors() {
         let doc = Value::parse(r#"{"a": 3, "b": "x", "c": [1, 2]}"#).unwrap();
-        assert_eq!(doc.get("a").and_then(Value::as_u64), Some(3));
-        assert_eq!(doc.get("b").and_then(Value::as_str), Some("x"));
-        assert_eq!(doc.get("c").and_then(Value::as_arr).unwrap().len(), 2);
+        assert_eq!(doc.opt_u64("a"), Some(3));
+        assert_eq!(doc.opt_str("b"), Some("x"));
+        assert_eq!(doc.arr("c").unwrap().len(), 2);
         assert!(doc.get("missing").is_none());
+    }
+
+    #[test]
+    fn typed_field_readers_share_one_error_and_treat_absent_as_empty() {
+        let doc = Value::parse(r#"{"n": 3, "s": "x", "m": {"a": 1.5, "b": "NaN"}, "b": true}"#)
+            .unwrap();
+        assert_eq!(doc.req_u64("n"), Ok(3));
+        assert_eq!(doc.req_str("n"), Err("missing or malformed `n`".to_string()));
+        assert_eq!(doc.req_f64("gone"), Err("missing or malformed `gone`".to_string()));
+        assert_eq!((doc.opt_bool("b"), doc.opt_bool("n")), (Some(true), None));
+        let m = doc.f64_map("m").unwrap();
+        assert!(m["a"] == 1.5 && m["b"].is_nan());
+        assert_eq!(Value::from_f64_map(&m), *doc.get("m").unwrap());
+        assert_eq!(doc.u64_map("m"), Err("missing or malformed `m.a`".to_string()));
+        assert_eq!(doc.f64_map("s"), Err("missing or malformed `s`".to_string()));
+        assert_eq!(doc.u64_map("gone"), Ok(BTreeMap::new()));
+        assert_eq!(doc.arr("gone"), Ok(&[][..]));
+        assert!(doc.arr("n").is_err());
+        assert_eq!(Value::from_opt_f64(None), Value::Null);
     }
 }

@@ -16,6 +16,7 @@
 //! and skipped, never fatal — a ledger survives its own history.
 
 use crate::json::{obj, Value};
+use crate::phase;
 use std::collections::BTreeMap;
 use std::fs::{self, OpenOptions};
 use std::io::{self, Write};
@@ -98,13 +99,15 @@ fn hostname() -> Option<String> {
         .filter(|s| !s.is_empty())
 }
 
-/// One ledger line: a whole run reduced to its comparable summary.
+/// One ledger line: the only summary of a run. Every row is produced by
+/// the one reduction (`mdm_host::telemetry::RecordedRun::reduce`), so
+/// each column has one definition whichever tool wrote it.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RunRecord {
     /// Seconds since the Unix epoch when the record was written.
     pub timestamp_s: u64,
     /// Which entry point produced the row (`profile_step`,
-    /// `accuracy_report`, `run_instrumented`).
+    /// `accuracy_report`, `mdm-serve`, …).
     pub tool: String,
     /// Run label (`nacl-4096`, `nacl-512-lr-pswf`, …). Trend grouping
     /// key together with `tool`.
@@ -121,18 +124,26 @@ pub struct RunRecord {
     pub n_particles: u64,
     /// Steps measured.
     pub steps: u64,
-    /// Measured wall-clock seconds per step — the regression metric.
+    /// Σ step wall ÷ steps — the regression metric. A step's wall
+    /// covers the step alone: probe and recording overhead is outside.
     pub wall_seconds_per_step: f64,
-    /// Top-level phase name → seconds per step (Table 4 decomposition).
+    /// Top-level span name → seconds per step (Table 4's `real`,
+    /// `wave`, `comm`, `host`, plus whatever else ran at top level —
+    /// `integrate`, `probe`).
     pub phases: BTreeMap<String, f64>,
-    /// Phase name → measured Gflops (paper flop credits / wall time).
+    /// Phase name → Gflops: the phase's credited flops ÷ that phase's
+    /// measured seconds (`gflops[p] · phases[p]` summed over `p` is
+    /// `raw_tflops · wall_seconds_per_step`, up to the units).
+    /// `accuracy_report` rows written before ISSUE 22 divided by the
+    /// *step* wall instead.
     pub gflops: BTreeMap<String, f64>,
-    /// Raw calculation speed in Tflops (paper Table 4 "calculation
-    /// speed"), when the run metered it.
+    /// Σ credited flops ÷ Σ step wall, in Tflops (paper Table 4
+    /// "calculation speed"), when the run metered its flops.
     pub raw_tflops: Option<f64>,
-    /// Effective speed in Tflops (erfc⁻¹ re-costed), when metered.
+    /// Σ conventional-minimum flops (re-costed at the probed accuracy
+    /// once the probe has fired) ÷ Σ step wall, in Tflops, when metered.
     pub effective_tflops: Option<f64>,
-    /// Worst RMS force error the probe observed, when probed.
+    /// Worst relative RMS force error the probe observed, when probed.
     pub worst_force_error: Option<f64>,
     /// Total watchdog violations over the run.
     pub violations: u64,
@@ -140,8 +151,7 @@ pub struct RunRecord {
     /// current backend, including the emulated WINE-2 board — see
     /// DESIGN.md §12).
     pub pressure_supported: bool,
-    /// Gauge name → mean utilization over the run (from the
-    /// [`crate::timeseries`] samples).
+    /// Gauge name → mean over steps of each step event's gauge.
     pub gauges: BTreeMap<String, f64>,
     /// Telemetry-bus events evicted by slow subscribers during the run
     /// (0 when the run streamed to nobody — see [`crate::bus`]). A
@@ -152,6 +162,11 @@ pub struct RunRecord {
     /// run analyzed one. Trending this catches the bounding phase
     /// *moving* — a regression signature no scalar column shows.
     pub critical_path: Option<String>,
+    /// Phase name → modeled seconds per step on the real hardware,
+    /// from the emulators' cycle counters. Written only when non-empty
+    /// (rows from runs with no cycle counters, and every row written
+    /// before the column existed, have none).
+    pub modeled: BTreeMap<String, f64>,
 }
 
 impl RunRecord {
@@ -170,13 +185,19 @@ impl RunRecord {
         self.nproc = env.nproc;
     }
 
+    /// Modeled step time by the Table 4 rule,
+    /// `max(t_wine, t_mdg) + t_comm + t_host` over [`Self::modeled`];
+    /// `None` when the run modeled nothing.
+    pub fn modeled_step_seconds(&self) -> Option<f64> {
+        let get = |name: &str| self.modeled.get(name).copied().unwrap_or(0.0);
+        (!self.modeled.is_empty()).then(|| {
+            get(phase::REAL).max(get(phase::WAVE)) + get(phase::COMM) + get(phase::HOST)
+        })
+    }
+
     /// Serialize as one ledger line value.
     pub fn to_json(&self) -> Value {
-        let num_map = |map: &BTreeMap<String, f64>| {
-            Value::Obj(map.iter().map(|(k, v)| (k.clone(), Value::from_f64(*v))).collect())
-        };
-        let opt = |x: Option<f64>| x.map(Value::from_f64).unwrap_or(Value::Null);
-        obj([
+        let mut value = obj([
             ("type", Value::Str("run".into())),
             ("version", Value::from_u64(LEDGER_VERSION)),
             ("timestamp_s", Value::from_u64(self.timestamp_s)),
@@ -192,74 +213,61 @@ impl RunRecord {
                 "wall_seconds_per_step",
                 Value::from_f64(self.wall_seconds_per_step),
             ),
-            ("phases", num_map(&self.phases)),
-            ("gflops", num_map(&self.gflops)),
-            ("raw_tflops", opt(self.raw_tflops)),
-            ("effective_tflops", opt(self.effective_tflops)),
-            ("worst_force_error", opt(self.worst_force_error)),
+            ("phases", Value::from_f64_map(&self.phases)),
+            ("gflops", Value::from_f64_map(&self.gflops)),
+            ("raw_tflops", Value::from_opt_f64(self.raw_tflops)),
+            ("effective_tflops", Value::from_opt_f64(self.effective_tflops)),
+            ("worst_force_error", Value::from_opt_f64(self.worst_force_error)),
             ("violations", Value::from_u64(self.violations)),
             ("pressure_supported", Value::Bool(self.pressure_supported)),
-            ("gauges", num_map(&self.gauges)),
+            ("gauges", Value::from_f64_map(&self.gauges)),
             ("bus_dropped_events", Value::from_u64(self.bus_dropped_events)),
             (
                 "critical_path",
                 self.critical_path
                     .as_ref()
-                    .map(|s| Value::Str(s.clone()))
-                    .unwrap_or(Value::Null),
+                    .map_or(Value::Null, |s| Value::Str(s.clone())),
             ),
-        ])
+        ]);
+        if !self.modeled.is_empty() {
+            // Like `StepEvent.gauges`: only pay the key when non-empty,
+            // so rows without a model are byte-identical to version 1's.
+            if let Value::Obj(map) = &mut value {
+                map.insert("modeled".into(), Value::from_f64_map(&self.modeled));
+            }
+        }
+        value
     }
 
     /// Parse a ledger line. Only `tool`, `label`, and the regression
     /// metric are required; everything else defaults, so rows written
     /// by older (or newer) versions still read.
     pub fn from_json(value: &Value) -> Result<Self, String> {
-        if value.get("type").and_then(Value::as_str) != Some("run") {
+        if value.opt_str("type") != Some("run") {
             return Err("not a run line".into());
         }
-        let str_of = |key: &str| {
-            value
-                .get(key)
-                .and_then(Value::as_str)
-                .map(str::to_string)
-        };
-        let u64_of = |key: &str| value.get(key).and_then(Value::as_u64).unwrap_or(0);
-        let f64_opt = |key: &str| value.get(key).and_then(Value::as_f64);
-        let num_map = |key: &str| -> BTreeMap<String, f64> {
-            match value.get(key) {
-                Some(Value::Obj(map)) => map
-                    .iter()
-                    .filter_map(|(k, v)| v.as_f64().map(|x| (k.clone(), x)))
-                    .collect(),
-                _ => BTreeMap::new(),
-            }
-        };
         Ok(RunRecord {
-            timestamp_s: u64_of("timestamp_s"),
-            tool: str_of("tool").ok_or("run line missing `tool`")?,
-            label: str_of("label").ok_or("run line missing `label`")?,
-            git_sha: str_of("git_sha").unwrap_or_else(|| "unknown".into()),
-            hostname: str_of("hostname").unwrap_or_else(|| "unknown".into()),
-            nproc: u64_of("nproc"),
-            threads: u64_of("threads"),
-            n_particles: u64_of("n_particles"),
-            steps: u64_of("steps"),
-            wall_seconds_per_step: f64_opt("wall_seconds_per_step")
-                .ok_or("run line missing `wall_seconds_per_step`")?,
-            phases: num_map("phases"),
-            gflops: num_map("gflops"),
-            raw_tflops: f64_opt("raw_tflops"),
-            effective_tflops: f64_opt("effective_tflops"),
-            worst_force_error: f64_opt("worst_force_error"),
-            violations: u64_of("violations"),
-            pressure_supported: matches!(
-                value.get("pressure_supported"),
-                Some(Value::Bool(true))
-            ),
-            gauges: num_map("gauges"),
-            bus_dropped_events: u64_of("bus_dropped_events"),
-            critical_path: str_of("critical_path"),
+            timestamp_s: value.opt_u64("timestamp_s").unwrap_or(0),
+            tool: value.req_str("tool")?.to_string(),
+            label: value.req_str("label")?.to_string(),
+            git_sha: value.str_or("git_sha", "unknown"),
+            hostname: value.str_or("hostname", "unknown"),
+            nproc: value.opt_u64("nproc").unwrap_or(0),
+            threads: value.opt_u64("threads").unwrap_or(0),
+            n_particles: value.opt_u64("n_particles").unwrap_or(0),
+            steps: value.opt_u64("steps").unwrap_or(0),
+            wall_seconds_per_step: value.req_f64("wall_seconds_per_step")?,
+            phases: value.f64_map("phases")?,
+            gflops: value.f64_map("gflops")?,
+            raw_tflops: value.opt_f64("raw_tflops"),
+            effective_tflops: value.opt_f64("effective_tflops"),
+            worst_force_error: value.opt_f64("worst_force_error"),
+            violations: value.opt_u64("violations").unwrap_or(0),
+            pressure_supported: value.opt_bool("pressure_supported").unwrap_or(false),
+            gauges: value.f64_map("gauges")?,
+            bus_dropped_events: value.opt_u64("bus_dropped_events").unwrap_or(0),
+            critical_path: value.opt_str("critical_path").map(str::to_string),
+            modeled: value.f64_map("modeled")?,
         })
     }
 }
@@ -340,6 +348,7 @@ mod tests {
             gauges: [("mdg.occupancy".to_string(), 0.83)].into_iter().collect(),
             bus_dropped_events: 3,
             critical_path: Some("rank1/real".into()),
+            modeled: BTreeMap::new(),
         }
     }
 
@@ -360,6 +369,22 @@ mod tests {
         assert!(!line.contains('\n'));
         let back = RunRecord::from_json(&Value::parse(&line).unwrap()).unwrap();
         assert_eq!(back, record);
+    }
+
+    #[test]
+    fn modeled_round_trips_and_is_absent_when_empty() {
+        let mut record = sample_record("nacl-512", 0.071);
+        assert!(!record.to_json().to_compact().contains("modeled"));
+        assert_eq!(record.modeled_step_seconds(), None);
+        record.modeled = [("real", 3e-4), ("wave", 2e-5), ("comm", 7e-3), ("host", 4e-5)]
+            .into_iter()
+            .map(|(phase, s)| (phase.to_string(), s))
+            .collect();
+        let line = record.to_json().to_compact();
+        let back = RunRecord::from_json(&Value::parse(&line).unwrap()).unwrap();
+        assert_eq!(back, record);
+        // Table 4: max(real, wave) + comm + host.
+        assert_eq!(back.modeled_step_seconds(), Some(3e-4 + 7e-3 + 4e-5));
     }
 
     #[test]

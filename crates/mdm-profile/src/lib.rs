@@ -22,17 +22,20 @@
 //!   processed, …) next to the timings; [`counter_max`] keeps a running
 //!   maximum instead (names ending in `_max` merge by maximum too, so
 //!   high-water marks survive [`Profile::merge`]).
-//! * [`take`] drains the current sink into a [`Profile`] snapshot;
-//!   [`report::StepReport`] turns a profile plus modeled seconds into
-//!   the in-memory measured-vs-modeled table `profile_step` prints.
+//! * [`take`] drains the current sink into a [`Profile`] snapshot; a
+//!   run's merged profile is reduced once, to a [`ledger::RunRecord`].
 //! * An optional **timeline** ([`timeline_start`]/[`timeline_stop`])
 //!   additionally records every span occurrence with its wall-clock
 //!   placement, feeding the Chrome-trace exporter in [`trace`].
 //!
 //! The run-telemetry layer builds on these primitives: [`events`] is
-//! the per-step JSONL flight recorder, [`watchdog`] holds the generic
-//! threshold monitors, and [`ledger`] is the append-only run history
-//! `mdm_report` trends and gates on. The accuracy-telemetry layer adds
+//! the per-step JSONL flight recorder, [`bus`] its live fan-out,
+//! [`watchdog`] holds the generic threshold monitors, [`ledger`] is
+//! the append-only run history `mdm_report` trends (one
+//! [`ledger::RunRecord`] per run — the only run summary), and
+//! [`critical_path`] names the span chain that bounds a timeline; all
+//! of them encode and decode through the typed field readers of
+//! [`json`]. The accuracy-telemetry layer adds
 //! [`histogram`] (log-bucketed distributions — [`histogram_record`] /
 //! [`histogram_merge`] put them in the registry next to counters) and
 //! [`accuracy`] (RMS-force-error and effective-speed report types,
@@ -50,8 +53,6 @@ pub mod events;
 pub mod histogram;
 pub mod json;
 pub mod ledger;
-pub mod report;
-pub mod timeseries;
 pub mod trace;
 pub mod watchdog;
 
@@ -177,6 +178,13 @@ impl Profile {
             .filter(|(key, _)| *key == path || key.starts_with(&prefix))
             .map(|(_, stat)| stat.total.as_secs_f64())
             .sum()
+    }
+
+    /// The top-level spans (paths with no dot) and their seconds: the
+    /// *phases* of a step event and of a run's ledger row.
+    pub fn phases(&self) -> impl Iterator<Item = (&str, f64)> {
+        let top_level = self.spans.iter().filter(|(path, _)| !path.contains('.'));
+        top_level.map(|(path, stat)| (path.as_str(), stat.total.as_secs_f64()))
     }
 
     /// Span paths, sorted for stable output.

@@ -250,11 +250,11 @@ mod tests {
         let mut counters = 0;
         let mut pids = std::collections::BTreeSet::new();
         for event in events {
-            let ph = event.get("ph").and_then(Value::as_str).expect("ph");
+            let ph = event.opt_str("ph").expect("ph");
             match ph {
                 "X" => {
                     complete += 1;
-                    assert!(event.get("name").and_then(Value::as_str).is_some());
+                    assert!(event.opt_str("name").is_some());
                     for key in ["ts", "dur", "pid", "tid"] {
                         let x = event
                             .get(key)
@@ -262,7 +262,7 @@ mod tests {
                             .unwrap_or_else(|| panic!("missing {key}: {event:?}"));
                         assert!(x.is_finite());
                     }
-                    pids.insert(event.get("pid").and_then(Value::as_u64).unwrap());
+                    pids.insert(event.opt_u64("pid").unwrap());
                 }
                 "C" => {
                     counters += 1;
@@ -271,7 +271,7 @@ mod tests {
                 }
                 "M" => {
                     assert_eq!(
-                        event.get("name").and_then(Value::as_str),
+                        event.opt_str("name"),
                         Some("process_name")
                     );
                     assert!(event.get("args").and_then(|a| a.get("name")).is_some());
@@ -306,22 +306,22 @@ mod tests {
         // the sampled value.
         let timeline = sample_timeline();
         let doc = chrome_trace(&timeline);
-        let events = doc.get("traceEvents").and_then(Value::as_arr).unwrap();
+        let events = doc.arr("traceEvents").unwrap();
         let counter_events: Vec<&Value> = events
             .iter()
-            .filter(|e| e.get("ph").and_then(Value::as_str) == Some("C"))
+            .filter(|e| e.opt_str("ph") == Some("C"))
             .collect();
         assert_eq!(counter_events.len(), timeline.counters.len());
         for (event, counter) in counter_events.iter().zip(&timeline.counters) {
             assert_eq!(
-                event.get("name").and_then(Value::as_str),
+                event.opt_str("name"),
                 Some(counter.name.as_str())
             );
-            let ts = event.get("ts").and_then(Value::as_f64).expect("ts");
+            let ts = event.opt_f64("ts").expect("ts");
             assert!(ts.is_finite());
             assert_eq!(ts, counter.ts_us);
             assert_eq!(
-                event.get("pid").and_then(Value::as_u64),
+                event.opt_u64("pid"),
                 Some(counter_track(&counter.name).0)
             );
             let value = event
@@ -343,10 +343,10 @@ mod tests {
             flows: vec![],
         };
         let doc = chrome_trace(&wave_only);
-        let events = doc.get("traceEvents").and_then(Value::as_arr).unwrap();
+        let events = doc.arr("traceEvents").unwrap();
         assert!(events.iter().any(|e| {
-            e.get("ph").and_then(Value::as_str) == Some("M")
-                && e.get("pid").and_then(Value::as_u64) == Some(2)
+            e.opt_str("ph") == Some("M")
+                && e.opt_u64("pid") == Some(2)
         }));
     }
 
@@ -395,14 +395,14 @@ mod tests {
             ],
         };
         let doc = chrome_trace(&timeline);
-        let events = doc.get("traceEvents").and_then(Value::as_arr).unwrap();
+        let events = doc.arr("traceEvents").unwrap();
 
         // Per-rank pids: rank 0 owns 11..=14, rank 1 owns 21..=24; the
         // two ranks' comm spans are on *different* tracks.
         let span_pids: std::collections::BTreeSet<u64> = events
             .iter()
-            .filter(|e| e.get("ph").and_then(Value::as_str) == Some("X"))
-            .map(|e| e.get("pid").and_then(Value::as_u64).unwrap())
+            .filter(|e| e.opt_str("ph") == Some("X"))
+            .map(|e| e.opt_u64("pid").unwrap())
             .collect();
         assert!(span_pids.contains(&11), "rank0 real pid: {span_pids:?}");
         assert!(span_pids.contains(&13), "rank0 comm pid: {span_pids:?}");
@@ -421,36 +421,36 @@ mod tests {
         let flows: Vec<&Value> = events
             .iter()
             .filter(|e| {
-                matches!(e.get("ph").and_then(Value::as_str), Some("s") | Some("f"))
+                matches!(e.opt_str("ph"), Some("s") | Some("f"))
             })
             .collect();
         assert_eq!(flows.len(), 2);
         let s = flows
             .iter()
-            .find(|e| e.get("ph").and_then(Value::as_str) == Some("s"))
+            .find(|e| e.opt_str("ph") == Some("s"))
             .expect("send half");
         let f = flows
             .iter()
-            .find(|e| e.get("ph").and_then(Value::as_str) == Some("f"))
+            .find(|e| e.opt_str("ph") == Some("f"))
             .expect("finish half");
-        assert_eq!(s.get("id").and_then(Value::as_u64), Some(42));
-        assert_eq!(f.get("id").and_then(Value::as_u64), Some(42));
+        assert_eq!(s.opt_u64("id"), Some(42));
+        assert_eq!(f.opt_u64("id"), Some(42));
         assert_eq!(
-            s.get("name").and_then(Value::as_str),
-            f.get("name").and_then(Value::as_str)
+            s.opt_str("name"),
+            f.opt_str("name")
         );
-        assert_eq!(f.get("bp").and_then(Value::as_str), Some("e"));
-        assert_eq!(s.get("pid").and_then(Value::as_u64), Some(13));
-        assert_eq!(f.get("pid").and_then(Value::as_u64), Some(23));
+        assert_eq!(f.opt_str("bp"), Some("e"));
+        assert_eq!(s.opt_u64("pid"), Some(13));
+        assert_eq!(f.opt_u64("pid"), Some(23));
         // Each endpoint has an anchor slice at its (pid, tid, ts) for
         // the arrow to bind to.
         for (half, name) in [(s, "send(tag=2)"), (f, "recv(tag=2)")] {
-            let ts = half.get("ts").and_then(Value::as_f64).unwrap();
+            let ts = half.opt_f64("ts").unwrap();
             assert!(
                 events.iter().any(|e| {
-                    e.get("ph").and_then(Value::as_str) == Some("X")
-                        && e.get("name").and_then(Value::as_str) == Some(name)
-                        && e.get("ts").and_then(Value::as_f64) == Some(ts)
+                    e.opt_str("ph") == Some("X")
+                        && e.opt_str("name") == Some(name)
+                        && e.opt_f64("ts") == Some(ts)
                         && e.get("pid") == half.get("pid")
                         && e.get("tid") == half.get("tid")
                 }),
@@ -461,12 +461,12 @@ mod tests {
         // Counter tracks coexist in the same document.
         assert!(events
             .iter()
-            .any(|e| e.get("ph").and_then(Value::as_str) == Some("C")));
+            .any(|e| e.opt_str("ph") == Some("C")));
         // And every used pid is named by a metadata event.
         let named: std::collections::BTreeSet<u64> = events
             .iter()
-            .filter(|e| e.get("ph").and_then(Value::as_str) == Some("M"))
-            .map(|e| e.get("pid").and_then(Value::as_u64).unwrap())
+            .filter(|e| e.opt_str("ph") == Some("M"))
+            .map(|e| e.opt_u64("pid").unwrap())
             .collect();
         for pid in &span_pids {
             assert!(named.contains(pid), "unnamed pid {pid}");
@@ -485,13 +485,13 @@ mod tests {
     #[test]
     fn metadata_names_every_used_track() {
         let doc = chrome_trace(&sample_timeline());
-        let events = doc.get("traceEvents").and_then(Value::as_arr).unwrap();
+        let events = doc.arr("traceEvents").unwrap();
         let named: Vec<(u64, &str)> = events
             .iter()
-            .filter(|e| e.get("ph").and_then(Value::as_str) == Some("M"))
+            .filter(|e| e.opt_str("ph") == Some("M"))
             .map(|e| {
                 (
-                    e.get("pid").and_then(Value::as_u64).unwrap(),
+                    e.opt_u64("pid").unwrap(),
                     e.get("args")
                         .and_then(|a| a.get("name"))
                         .and_then(Value::as_str)

@@ -59,28 +59,15 @@ impl Violation {
 
     /// Parse a violation written by [`Violation::to_json`].
     pub fn from_json(value: &Value) -> Result<Self, String> {
-        let field = |key: &str| {
-            value
-                .get(key)
-                .ok_or_else(|| format!("violation missing `{key}`"))
-        };
         Ok(Self {
-            monitor: field("monitor")?
-                .as_str()
-                .ok_or("`monitor` must be a string")?
-                .to_string(),
-            step: field("step")?.as_u64().ok_or("`step` must be an integer")?,
-            value: field("value")?.as_f64().ok_or("`value` must be a number")?,
-            threshold: field("threshold")?
-                .as_f64()
-                .ok_or("`threshold` must be a number")?,
-            message: field("message")?
-                .as_str()
-                .ok_or("`message` must be a string")?
-                .to_string(),
+            monitor: value.req_str("monitor")?.to_string(),
+            step: value.req_u64("step")?,
+            value: value.req_f64("value")?,
+            threshold: value.req_f64("threshold")?,
+            message: value.req_str("message")?.to_string(),
             // Tolerant: lines written before rank stamping existed
             // simply have no rank.
-            rank: value.get("rank").and_then(Value::as_u64),
+            rank: value.opt_u64("rank"),
         })
     }
 

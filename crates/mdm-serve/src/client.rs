@@ -189,10 +189,7 @@ fn expect_ok(response: &Value) -> io::Result<()> {
         Some(Value::Bool(true)) => Ok(()),
         _ => Err(bad_data(format!(
             "server error: {}",
-            response
-                .get("error")
-                .and_then(Value::as_str)
-                .unwrap_or("request refused")
+            response.opt_str("error").unwrap_or("request refused")
         ))),
     }
 }

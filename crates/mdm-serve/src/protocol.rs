@@ -127,32 +127,28 @@ impl JobSpec {
     /// Parse; every field but `name` falls back to its default.
     pub fn from_json(value: &Value) -> Result<Self, String> {
         let mut spec = JobSpec {
-            name: value
-                .get("name")
-                .and_then(Value::as_str)
-                .ok_or("job spec missing `name`")?
-                .to_string(),
+            name: value.req_str("name")?.to_string(),
             ..JobSpec::default()
         };
-        if let Some(v) = value.get("cells").and_then(Value::as_u64) {
+        if let Some(v) = value.opt_u64("cells") {
             spec.cells = v as u32;
         }
-        if let Some(v) = value.get("steps").and_then(Value::as_u64) {
+        if let Some(v) = value.opt_u64("steps") {
             spec.steps = v;
         }
-        if let Some(v) = value.get("dt").and_then(Value::as_f64) {
+        if let Some(v) = value.opt_f64("dt") {
             spec.dt = v;
         }
-        if let Some(v) = value.get("temperature").and_then(Value::as_f64) {
+        if let Some(v) = value.opt_f64("temperature") {
             spec.temperature = v;
         }
-        if let Some(v) = value.get("seed").and_then(Value::as_u64) {
+        if let Some(v) = value.opt_u64("seed") {
             spec.seed = v;
         }
-        if let Some(v) = value.get("priority").and_then(Value::as_f64) {
+        if let Some(v) = value.opt_f64("priority") {
             spec.priority = v as i64;
         }
-        if let Some(v) = value.get("potential_interval").and_then(Value::as_u64) {
+        if let Some(v) = value.opt_u64("potential_interval") {
             spec.potential_interval = v;
         }
         if let Some(Value::Bool(b)) = value.get("thermostat") {
@@ -253,25 +249,16 @@ impl Request {
 
     /// Parse a request line.
     pub fn from_json(value: &Value) -> Result<Self, String> {
-        let op = value
-            .get("op")
-            .and_then(Value::as_str)
-            .ok_or("request missing `op`")?;
-        let job = |value: &Value| -> Result<String, String> {
-            Ok(value
-                .get("job")
-                .and_then(Value::as_str)
-                .ok_or_else(|| format!("`{op}` request missing `job`"))?
-                .to_string())
-        };
+        let op = value.req_str("op")?;
+        let job = || Ok::<_, String>(value.req_str("job")?.to_string());
         match op {
             "submit" => Ok(Request::Submit(JobSpec::from_json(
                 value.get("spec").ok_or("submit request missing `spec`")?,
             )?)),
-            "status" => Ok(Request::Status { job: job(value)? }),
+            "status" => Ok(Request::Status { job: job()? }),
             "list" => Ok(Request::List),
             "stats" => Ok(Request::Stats),
-            "watch" => Ok(Request::Watch { job: job(value)? }),
+            "watch" => Ok(Request::Watch { job: job()? }),
             "drain" => Ok(Request::Drain),
             "shutdown" => Ok(Request::Shutdown),
             other => Err(format!(
@@ -296,18 +283,11 @@ impl SubmitOutcome {
     pub fn from_json(value: &Value) -> Result<Self, String> {
         match value.get("ok") {
             Some(Value::Bool(true)) => Ok(SubmitOutcome::Accepted {
-                position: value.get("position").and_then(Value::as_u64).unwrap_or(0),
+                position: value.opt_u64("position").unwrap_or(0),
             }),
             Some(Value::Bool(false)) => Ok(SubmitOutcome::Rejected {
-                error: value
-                    .get("error")
-                    .and_then(Value::as_str)
-                    .unwrap_or("unspecified")
-                    .to_string(),
-                retry_after_ms: value
-                    .get("retry_after_ms")
-                    .and_then(Value::as_u64)
-                    .unwrap_or(0),
+                error: value.opt_str("error").unwrap_or("unspecified").to_string(),
+                retry_after_ms: value.opt_u64("retry_after_ms").unwrap_or(0),
             }),
             _ => Err("submit response missing `ok`".into()),
         }
@@ -357,32 +337,14 @@ impl JobReport {
     /// Parse (from a `status` response or a `list` element).
     pub fn from_json(value: &Value) -> Result<Self, String> {
         Ok(JobReport {
-            name: value
-                .get("job")
-                .and_then(Value::as_str)
-                .ok_or("job report missing `job`")?
-                .to_string(),
-            state: JobState::parse(
-                value
-                    .get("state")
-                    .and_then(Value::as_str)
-                    .ok_or("job report missing `state`")?,
-            )?,
-            step: value.get("step").and_then(Value::as_u64).unwrap_or(0),
-            steps: value.get("steps").and_then(Value::as_u64).unwrap_or(0),
-            priority: value
-                .get("priority")
-                .and_then(Value::as_f64)
-                .unwrap_or(0.0) as i64,
-            violations: value.get("violations").and_then(Value::as_u64).unwrap_or(0),
-            upload_bytes: value
-                .get("upload_bytes")
-                .and_then(Value::as_u64)
-                .unwrap_or(0),
-            detail: value
-                .get("detail")
-                .and_then(Value::as_str)
-                .map(str::to_string),
+            name: value.req_str("job")?.to_string(),
+            state: JobState::parse(value.req_str("state")?)?,
+            step: value.opt_u64("step").unwrap_or(0),
+            steps: value.opt_u64("steps").unwrap_or(0),
+            priority: value.opt_f64("priority").unwrap_or(0.0) as i64,
+            violations: value.opt_u64("violations").unwrap_or(0),
+            upload_bytes: value.opt_u64("upload_bytes").unwrap_or(0),
+            detail: value.opt_str("detail").map(str::to_string),
         })
     }
 }

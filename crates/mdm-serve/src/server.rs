@@ -44,11 +44,13 @@ use mdm_core::observables::PhysicsWatchdogs;
 use mdm_core::thermostat::Thermostat;
 use mdm_core::velocities::maxwell_boltzmann;
 use mdm_host::driver::{MdmForceField, MdmTables, PotentialCarry};
-use mdm_host::telemetry::{mdm_manifest, pump_subscription, run_instrumented, Instruments};
+use mdm_host::telemetry::{
+    mdm_manifest, pump_subscription, run_instrumented, Instruments, RecordedRun,
+};
 use mdm_profile::bus::Bus;
 use mdm_profile::events::FlightRecorder;
 use mdm_profile::json::{obj, Value};
-use mdm_profile::ledger::{append_record, EnvStamp, RunRecord};
+use mdm_profile::ledger::append_record;
 use std::collections::BTreeMap;
 use std::fs;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
@@ -690,26 +692,20 @@ fn finalize(inner: &Arc<Inner>, job: &str, slot: &JobSlot, suffix: &str) {
         return;
     }
     if let Some(ledger_path) = &inner.cfg.ledger {
-        let steps = slot.spec.steps.max(1) as f64;
-        let mut record = RunRecord {
-            tool: "mdm-serve".to_string(),
-            label: job.to_string(),
-            threads: inner.cfg.boards.max(1) as u64,
-            n_particles: slot.spec.n_particles(),
+        // A job's slices ran in separate `run_instrumented` windows;
+        // the slot carries their totals into the one reduction.
+        let totals = RecordedRun {
             steps: slot.spec.steps,
-            wall_seconds_per_step: slot.wall_seconds / steps,
+            wall_seconds: slot.wall_seconds,
             violations: slot.violations,
-            pressure_supported: true,
-            gauges: [(
-                "jstore_upload_bytes_per_step".to_string(),
-                slot.upload_bytes as f64 / steps,
-            )]
-            .into_iter()
-            .collect(),
-            ..RunRecord::default()
+            ..RecordedRun::default()
         };
-        record.stamp_now();
-        record.stamp_env(&EnvStamp::detect(Path::new(".")));
+        let mut record = totals.reduce("mdm-serve", job, slot.spec.n_particles());
+        record.threads = inner.cfg.boards.max(1) as u64;
+        record.gauges.insert(
+            "jstore_upload_bytes_per_step".to_string(),
+            slot.upload_bytes as f64 / slot.spec.steps.max(1) as f64,
+        );
         let _ = append_record(ledger_path, &record);
     }
 }
