@@ -16,7 +16,7 @@
 //! plus the matching energy kernels for the every-100-steps potential
 //! evaluation.
 
-use mdm_core::special::erfc;
+use mdm_core::special::erfc_expansion;
 use mdm_funceval::{FunctionEvaluator, FunctionTable, Segmentation, TableBuildError};
 
 /// The built-in kernels.
@@ -52,14 +52,19 @@ pub enum GFunction {
 
 impl GFunction {
     /// The exact `f64` kernel (used for table generation and as the
-    /// reference in accuracy tests).
+    /// reference in accuracy tests). The Coulomb kernels take their
+    /// `erfc` from the defining expansions rather than the fitted
+    /// `erfc`: the two agree to 10⁻¹⁴, but the coefficient-RAM images
+    /// are pinned bit for bit (`table_images_are_pinned` in `mdm-host`)
+    /// and 38 fourth-order `f32` coefficients would move by an ulp.
     pub fn eval(&self, x: f64) -> f64 {
         match self {
             Self::CoulombRealForce => {
                 let sx = x.sqrt();
-                2.0 * (-x).exp() / (std::f64::consts::PI.sqrt() * x) + erfc(sx) / (x * sx)
+                2.0 * (-x).exp() / (std::f64::consts::PI.sqrt() * x)
+                    + erfc_expansion(sx) / (x * sx)
             }
-            Self::CoulombRealEnergy => erfc(x.sqrt()) / x.sqrt(),
+            Self::CoulombRealEnergy => erfc_expansion(x.sqrt()) / x.sqrt(),
             Self::BornMayerForce => {
                 let sx = x.sqrt();
                 (-sx).exp() / sx
@@ -119,6 +124,7 @@ impl GFunction {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mdm_core::special::erfc;
 
     const ALL: [GFunction; 10] = [
         GFunction::CoulombRealForce,

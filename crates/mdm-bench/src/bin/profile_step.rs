@@ -75,8 +75,9 @@ fn slowdown(ratio: f64) -> String {
 }
 
 /// The measured / modeled / slowdown table of one size, read from its
-/// ledger row (the counters line from the profile the row reduced).
-fn print_report(row: &RunRecord, profile: &Profile) {
+/// ledger row (the counters line from the profile the row reduced), and
+/// what the set-up's energy step spent on top of a force-only step.
+fn print_report(row: &RunRecord, profile: &Profile, energy_step: &Profile) {
     println!(
         "== {} (N = {}, {} step{} averaged) ==",
         row.label,
@@ -140,6 +141,20 @@ fn print_report(row: &RunRecord, profile: &Profile) {
             .collect();
         println!(
             "  measured throughput [Gflops, paper flop credits]: {}",
+            parts.join(", ")
+        );
+    }
+    // The window holds force-only steps; the energy passes and the host
+    // virial of the set-up's evaluation are what every
+    // `potential_interval`-th step pays besides.
+    let parts: Vec<String> = ["real.potential", "host.virial"]
+        .into_iter()
+        .filter(|path| energy_step.spans.contains_key(*path))
+        .map(|path| format!("{path} {}", mdm_bench::sci(energy_step.seconds(path))))
+        .collect();
+    if !parts.is_empty() {
+        println!(
+            "  an energy step adds [s, from the set-up pass]: {}",
             parts.join(", ")
         );
     }
@@ -328,7 +343,10 @@ fn main() {
             want_critical_path,
             &mut timelines,
             || match world {
-                Some(config) => profile_world(c, steps, config),
+                Some(config) => {
+                    let (row, profile) = profile_world(c, steps, config);
+                    (row, profile, Profile::default())
+                }
                 None => {
                     let sink: Box<dyn Write> = match recorder_sink.as_mut() {
                         Some(file) => Box::new(file),
@@ -365,8 +383,8 @@ fn main() {
     println!("MDM emulated step: measured wall-clock vs modeled hardware time");
     println!("(Table 4 decomposition; the slowdown column is the emulation cost)");
     println!();
-    for ((mut row, profile), analysis) in results {
-        print_report(&row, &profile);
+    for ((mut row, profile, energy_step), analysis) in results {
+        print_report(&row, &profile, &energy_step);
         if let Some(analysis) = &analysis {
             for line in analysis.to_lines() {
                 println!("  {line}");

@@ -123,7 +123,10 @@ fn modeled_phases(sim: &Simulation<MdmForceField>) -> BTreeMap<String, f64> {
 /// Gflops / Tflops, gauge means and the `modeled` column — with the
 /// merged profile it was reduced from (see [`build_sim`] for `n3l` and
 /// `longrange`; non-default backends get `-lr-{name}` appended to the
-/// label so ledger rows stay distinguishable).
+/// label so ledger rows stay distinguishable), and last the profile of
+/// the set-up: its initial force evaluation is the run's one energy
+/// step (`real.potential`, `host.virial`), which the timed window by
+/// design never contains.
 ///
 /// There is one path, recorded or not: one untimed warm-up step absorbs
 /// first-touch effects (page faults, cache warmup, lazily built
@@ -144,8 +147,11 @@ pub fn profile_size<W: Write>(
     longrange: &str,
     sink: W,
     bus: Option<&Bus>,
-) -> io::Result<(RunRecord, Profile)> {
-    let mut sim = build_sim(cells, n3l, longrange);
+) -> io::Result<(RunRecord, Profile, Profile)> {
+    let (mut sim, energy_step) = {
+        let _scope = mdm_profile::scope();
+        (build_sim(cells, n3l, longrange), mdm_profile::take())
+    };
     sim.run(1);
     let n = sim.system().len();
     let meter = SpeedMeter::for_run(sim.force_field().params(), n as u64, sim.system().simbox().l());
@@ -181,7 +187,7 @@ pub fn profile_size<W: Write>(
     )?;
     let mut row = run.reduce("profile_step", &label, n as u64);
     row.modeled = modeled_phases(&sim);
-    Ok((row, run.profile))
+    Ok((row, run.profile, energy_step))
 }
 
 /// Profile the §4 simulated-MPI parallel program: `steps` repetitions
@@ -264,7 +270,7 @@ mod tests {
         // One small recorded step: the row has the Table 4 phases and
         // the JSONL stream parses back with matching N.
         let mut jsonl = Vec::new();
-        let (row, _) = profile_size(3, 1, false, "wine2", &mut jsonl, None).unwrap();
+        let (row, _, _) = profile_size(3, 1, false, "wine2", &mut jsonl, None).unwrap();
         assert_eq!(row.n_particles, 8 * 27);
         for name in [phase::REAL, phase::WAVE, phase::COMM, phase::HOST] {
             assert!(row.phases.contains_key(name), "{name}");
@@ -285,8 +291,9 @@ mod tests {
 
     #[test]
     fn recorded_and_unrecorded_profiles_share_one_path() {
-        let (plain, plain_profile) = profile_size(3, 1, false, "wine2", io::sink(), None).unwrap();
-        let (recorded, recorded_profile) =
+        let (plain, plain_profile, _) =
+            profile_size(3, 1, false, "wine2", io::sink(), None).unwrap();
+        let (recorded, recorded_profile, _) =
             profile_size(3, 1, false, "wine2", Vec::new(), None).unwrap();
         let names = |r: &RunRecord| r.phases.keys().cloned().collect::<Vec<_>>();
         assert_eq!(names(&plain), names(&recorded));
@@ -308,7 +315,7 @@ mod tests {
     fn recorded_run_honours_the_longrange_backend() {
         let steps = 2;
         let mut jsonl = Vec::new();
-        let (row, _) = profile_size(3, steps, false, "pswf", &mut jsonl, None).unwrap();
+        let (row, _, _) = profile_size(3, steps, false, "pswf", &mut jsonl, None).unwrap();
         assert_eq!(row.label, "nacl-216-lr-pswf");
 
         let text = String::from_utf8(jsonl).unwrap();
@@ -322,7 +329,11 @@ mod tests {
 
     #[test]
     fn a_profiled_size_is_reduced_to_one_complete_row() {
-        let (row, profile) = profile_size(3, 2, false, "wine2", io::sink(), None).unwrap();
+        let (row, profile, energy_step) =
+            profile_size(3, 2, false, "wine2", io::sink(), None).unwrap();
+        // The one energy step is the set-up's; the window has none.
+        assert!(energy_step.seconds("host.virial") > 0.0);
+        assert!(!profile.spans.contains_key("host.virial"));
         assert_eq!(row.tool, "profile_step");
         assert_eq!(row.label, "nacl-216");
         assert_eq!((row.n_particles, row.steps), (8 * 27, 2));
@@ -356,7 +367,7 @@ mod tests {
         // `profile_step --cells 4 --steps 2` has printed this modeled
         // t_step since the cycle counters were last touched (PR 19):
         // max(real 3.27e-4, wave 2.00e-5) + comm 6.89e-3 + host 4.27e-5.
-        let (row, _) = profile_size(4, 2, false, "wine2", io::sink(), None).unwrap();
+        let (row, _, _) = profile_size(4, 2, false, "wine2", io::sink(), None).unwrap();
         let m = &row.modeled;
         let t_step = m["real"].max(m["wave"]) + m["comm"] + m["host"];
         assert_eq!(row.modeled_step_seconds(), Some(t_step));

@@ -14,19 +14,27 @@
 
 use crate::boxsim::SimBox;
 use crate::celllist::CellList;
-use crate::special::{erf_derivative, erfc};
+use crate::special::erfcx;
 use crate::units::COULOMB_EV_A;
 use crate::vec3::Vec3;
 use rayon::prelude::*;
+use std::f64::consts::FRAC_2_SQRT_PI;
 
 /// The scalar kernel: given `r²`, returns `(pair_energy/qᵢqⱼ,
 /// force_over_r/qᵢqⱼ)` — caller multiplies by `C·qᵢqⱼ`.
+///
+/// One Gaussian, two uses: `e^(−κ²r²)` is both the factor that turns
+/// the fixed-cost `erfcx` into `erfc(κr)` and the force's own
+/// `2κ/√π·e^(−κ²r²)` term, so a pair costs a square root, one `exp`, a
+/// twelve-coefficient polynomial and two divisions whatever its `κr`.
 #[inline]
 pub fn real_kernel(kappa: f64, r_sq: f64) -> (f64, f64) {
     let r = r_sq.sqrt();
-    let e = erfc(kappa * r) / r;
-    // erf_derivative(x) = 2/√π e^(−x²); force_over_r = (e + κ·deriv)/r².
-    let f_over_r = (e + kappa * erf_derivative(kappa * r)) / r_sq;
+    let x = kappa * r;
+    let gaussian = (-x * x).exp();
+    let e = gaussian * erfcx(x) / r;
+    // force_over_r = (erfc(κr)/r + 2κ/√π·e^(−κ²r²))/r².
+    let f_over_r = (e + kappa * (FRAC_2_SQRT_PI * gaussian)) / r_sq;
     (e, f_over_r)
 }
 
@@ -147,6 +155,33 @@ mod tests {
         let (e, f) = real_kernel(1e-9, 4.0);
         assert!((e - 0.5).abs() < 1e-8);
         assert!((f - 0.125).abs() < 1e-7); // 1/r³ = 1/8
+    }
+
+    #[test]
+    fn kernel_matches_the_textbook_formula() {
+        // Eq. 2 written out, its erfc from the defining expansions and
+        // its Gaussian evaluated a second time: from the 1e-3 Å pair of
+        // the driver's `clustered` configuration out to 20 Å, through
+        // every regime of the fitted erfc (κr up to 20).
+        use crate::special::erfc_expansion;
+        for kappa in [0.1, 0.43, 1.0] {
+            let mut r = 1e-3;
+            while r <= 20.0 {
+                let (e, f_over_r) = real_kernel(kappa, r * r);
+                let e_want = erfc_expansion(kappa * r) / r;
+                let gaussian = (-kappa * kappa * r * r).exp();
+                let f_want = (e_want + kappa * FRAC_2_SQRT_PI * gaussian) / (r * r);
+                assert!(
+                    ((e - e_want) / e_want).abs() <= 1e-13,
+                    "κ={kappa} r={r}: e {e:e} vs {e_want:e}"
+                );
+                assert!(
+                    ((f_over_r - f_want) / f_want).abs() <= 1e-13,
+                    "κ={kappa} r={r}: f/r {f_over_r:e} vs {f_want:e}"
+                );
+                r *= 1.01;
+            }
+        }
     }
 
     #[test]

@@ -12,6 +12,11 @@
 //!   3 sub), **29** per particle–wave in the DFT (eqs. 9–10: sin and
 //!   cos at 10 each, 5 mul, 4 add) and **35** in the IDFT (eq. 11:
 //!   sin + cos, 9 mul, 5 add, 1 sub) — 64 total per particle–wave.
+//!
+//! The "erfc at 10 flops" is a fixed price, and the f64 kernel now has
+//! one too: `ewald::real::real_kernel` spends one `exp` and a
+//! twelve-coefficient polynomial on it at every `κr` (`special::erfc`),
+//! not a continued fraction whose length depended on the argument.
 
 /// Flops per real-space pair interaction (paper §2.2).
 pub const FLOPS_PER_REAL_PAIR: f64 = 59.0;

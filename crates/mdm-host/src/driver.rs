@@ -474,6 +474,7 @@ impl MdmForceField {
     fn real_virial(&self, system: &System, jstore: &JStore, kappa: f64) -> f64 {
         use mdm_core::potentials::ShortRangePotential;
         let _host = mdm_profile::span(mdm_profile::phase::HOST);
+        let _virial = mdm_profile::span("virial");
         let r_cut_sq = self.params.r_cut * self.params.r_cut;
         let cells = jstore.cells();
         let short = &self.short;
@@ -823,6 +824,26 @@ mod tests {
         (forces, e_real + e_short + recip.energy + e_self)
     }
 
+    /// The boards must not notice how the host evaluates `erfc`:
+    /// `mdgrape2::tables` fits the two Coulomb kernels from the same
+    /// function, and one moved `f32` coefficient would move every force.
+    /// FNV-1a over the eight coefficient-RAM images' bits, pinned at the
+    /// value the series/continued-fraction `erfc` produced (the table
+    /// fit still reads that one: `mdm_core::special::erfc_expansion`).
+    #[test]
+    fn table_images_are_pinned() {
+        let tables = MdmTables::build().unwrap();
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        for evaluator in tables.force_tables.iter().chain(&tables.energy_tables) {
+            for coefficient in evaluator.table().rows().iter().flatten() {
+                for byte in coefficient.to_bits().to_le_bytes() {
+                    digest = (digest ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        assert_eq!(digest, 0x3ee1_b415_ffeb_0d1d, "digest {digest:#018x}");
+    }
+
     #[test]
     fn forces_match_f64_block_reference() {
         let s = perturbed(3);
@@ -1116,6 +1137,29 @@ mod tests {
         let f1 = hw2.compute(&s);
         let f2 = hw2.compute(&s2);
         assert_ne!(f1.short_range, f2.short_range);
+    }
+
+    #[test]
+    fn virial_span_marks_the_energy_steps() {
+        // `host.virial` names where an energy step's host time goes; a
+        // step that carries the stale potential has no such span, and
+        // neither kind of step grows a phase.
+        let s = perturbed(3);
+        let mut hw = MdmForceField::nacl_default(s.simbox().l()).unwrap();
+        hw.set_potential_interval(100);
+        let _scope = mdm_profile::scope();
+        let _ = hw.compute(&s);
+        let energy_step = mdm_profile::take();
+        let _ = hw.compute(&s);
+        let stale_step = mdm_profile::take();
+        assert_eq!(energy_step.spans["host.virial"].calls, 1);
+        assert!(energy_step.seconds("host.virial") <= energy_step.seconds("host"));
+        assert!(!stale_step.spans.contains_key("host.virial"));
+        for step in [&energy_step, &stale_step] {
+            let mut phases: Vec<&str> = step.phases().map(|(name, _)| name).collect();
+            phases.sort_unstable();
+            assert_eq!(phases, ["comm", "host", "real", "wave"]);
+        }
     }
 
     #[test]

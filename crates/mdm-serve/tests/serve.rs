@@ -222,9 +222,13 @@ fn watch_streams_manifest_steps_and_done_trailer() {
     let addr = server.local_addr().to_string();
 
     let mut client = Client::connect(&addr).unwrap();
+    // Long enough (twenty slices) that the watcher below attaches while
+    // the job is still stepping: a six-step N = 64 job is over in ~20 ms,
+    // and a watcher descheduled that long saw a manifest and a trailer
+    // with no step between them (one full-suite run in ten).
     let spec = JobSpec {
         name: "watched".into(),
-        steps: 6,
+        steps: 60,
         seed: 3,
         ..JobSpec::default()
     };
