@@ -60,6 +60,16 @@ impl FtzGuard {
     }
 }
 
+/// Whether FTZ or DAZ is set in this thread's MXCSR.
+#[cfg(all(test, target_arch = "x86_64"))]
+pub(crate) fn flushing() -> bool {
+    let mut csr: u32 = 0;
+    // SAFETY: stmxcsr only reads the SSE control register into a valid,
+    // aligned u32.
+    unsafe { std::arch::asm!("stmxcsr [{}]", in(reg) &mut csr, options(nostack)) };
+    csr & FTZ_DAZ_BITS != 0
+}
+
 impl Default for FtzGuard {
     fn default() -> Self {
         Self::new()

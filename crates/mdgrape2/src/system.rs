@@ -741,6 +741,42 @@ mod tests {
         assert_ne!(gradual.acc, reference[0], "no subnormal product in the input");
     }
 
+    /// Pool workers live for the whole process, so an MXCSR a sweep task
+    /// leaked would silently flush every later region's arithmetic on
+    /// that thread. After a four-thread sweep, a four-thread region
+    /// whose first item waits for a second thread reads it everywhere.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn pool_workers_carry_no_mxcsr_between_regions() {
+        use std::sync::{Condvar, Mutex};
+        let (sb, pos, ty) = config(150, 16.0);
+        let js = JStore::build(sb, &pos, &ty, 4.0);
+        let table = GFunction::Dispersion6Force.build_evaluator().unwrap();
+        let ram = AtomCoefficients::new(&[vec![1.0; 2], vec![1.0; 2]], &[vec![-6.0; 2], vec![-6.0; 2]]);
+        let pass = [TablePass { table: &table, coefficients: &ram }];
+        let Some(mut sys) = tiled(2) else { return };
+        assert!(!crate::ftz::flushing(), "the test thread starts flushed");
+        let seen = Mutex::new(Vec::new());
+        let second_thread = Condvar::new();
+        rayon::with_num_threads(4, || {
+            sys.calc_passes_with_jstore(PipelineMode::Force, &pass, &pos, &ty, &js).unwrap();
+            (0..64usize).into_par_iter().for_each(|i| {
+                let mut seen = seen.lock().unwrap();
+                seen.push((std::thread::current().id(), crate::ftz::flushing()));
+                second_thread.notify_all();
+                if i == 0 {
+                    let patience = std::time::Duration::from_secs(5);
+                    let one = |seen: &mut Vec<(std::thread::ThreadId, bool)>| seen.iter().all(|s| s.0 == seen[0].0);
+                    let _ = second_thread.wait_timeout_while(seen, patience, one).unwrap();
+                }
+            });
+        });
+        let seen = seen.into_inner().unwrap();
+        assert_eq!(seen.len(), 64);
+        assert!(seen.iter().any(|s| s.0 != seen[0].0), "the region ran on one thread");
+        assert!(seen.iter().all(|&(_, flushing)| !flushing), "a chunk ran with FTZ/DAZ set: {seen:?}");
+    }
+
     /// Address and capacity of every buffer the tile sweep keeps between
     /// calls.
     #[cfg(target_arch = "x86_64")]

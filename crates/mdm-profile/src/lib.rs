@@ -366,19 +366,23 @@ pub fn span(name: &'static str) -> SpanGuard {
 }
 
 /// Snapshot of the current thread's recording context. Hand it to
-/// worker threads (via [`adopt_context`]) so spans they open nest under
-/// the phase that spawned them, in the spawning run's [`scope`]. The
-/// vendored rayon backend does this for every parallel region,
-/// `mpi::run_world` for every rank thread.
+/// another thread (via [`adopt_context`]) so spans it opens nest under
+/// the phase that handed it work, in that run's [`scope`]. The vendored
+/// rayon backend takes one per parallel region, for the pool workers
+/// that help with it; `mpi::run_world` one per world, for its rank
+/// threads.
 pub fn context_snapshot() -> Context {
     CONTEXT.with(|context| context.borrow().clone())
 }
 
-/// Adopt `context` (a [`context_snapshot`] from the spawning thread)
-/// until the guard drops: this thread records into its scope, under its
-/// span names. The adopted names themselves are *context only* — no
-/// time accumulates under them from this thread; the spawning thread's
-/// own guards measure the phase.
+/// Adopt `context` (a [`context_snapshot`] from the thread handing out
+/// work) until the guard drops: this thread records into its scope,
+/// under its span names, and afterwards records where it did before. A
+/// long-lived thread can therefore serve many runs in turn — a rayon
+/// pool worker adopts the caller's context for one region and drops it
+/// before taking the next. The adopted names themselves are *context
+/// only* — no time accumulates under them from this thread; the handing
+/// thread's own guards measure the phase.
 pub fn adopt_context(context: &Context) -> Scope {
     CONTEXT.with(|mine| {
         let mut mine = mine.borrow_mut();

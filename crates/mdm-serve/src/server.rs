@@ -63,9 +63,11 @@ use std::time::{Duration, Instant};
 
 /// The emulated boards share the host's cores, so only one slice may
 /// *step* at a time. The profiling registry no longer needs this lock
-/// (a run's profile is its own); the cores do: one step is ≈ 1.8 cores
-/// wide on the committed 2-vCPU host, so a second stepper would nearly
-/// double every step's wall for ≈ 14 % more throughput (DESIGN.md §15).
+/// (a run's profile is its own); the cores do. Re-measured on the
+/// persistent rayon pool, one step on the committed 2-vCPU host is
+/// ≈ 1.8 cores wide at N = 512 and ≈ 1.5 at N = 64, so a second stepper
+/// would raise every step's wall ≈ 1.8× / 1.5× for at most ≈ 20 % /
+/// 54 % more throughput (DESIGN.md §15).
 static HOST_CORES: Mutex<()> = Mutex::new(());
 
 /// Everything [`Server::start`] needs.
