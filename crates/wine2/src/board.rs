@@ -7,14 +7,15 @@
 //! the dataflow that keeps the bus traffic linear in `N` while the
 //! compute is `N·N_wv`.
 //!
-//! That dataflow is what the board *bills* (ops per pipeline, cycles per
-//! chip, bytes per bus). What the host *executes* is the wavenumber
-//! sweep (the `sweep` module) over the particle memory, which is held in
-//! the sweep's one-lane-per-particle column layout.
+//! That dataflow is what the board *bills*: ops per pipeline, cycles per
+//! chip and bytes per bus, all by arithmetic on its resident count. What
+//! the host *executes* is the wavenumber sweep (the `sweep` module) over
+//! the particle memory of the whole cluster ([`crate::cluster`]), where
+//! the boards' chunks lie packed in one column, so a board keeps its
+//! capacity check and its counters but no columns of its own.
 
 use crate::chip::{WineChip, WAVES_PER_CHIP};
-use crate::pipeline::{DftAccum, IdftAccum, IdftWave, WineParticle};
-use crate::sweep::{DftScratch, Kernel, Lanes, WavePlan};
+use crate::pipeline::WineParticle;
 
 /// Chips per board (Fig. 4b).
 pub const CHIPS_PER_BOARD: usize = 16;
@@ -53,11 +54,13 @@ impl std::fmt::Display for BoardError {
 
 impl std::error::Error for BoardError {}
 
-/// One WINE-2 board with loaded particle memory.
+/// One WINE-2 board: its chips and the size of its particle memory's
+/// contents.
 #[derive(Clone, Debug)]
 pub struct WineBoard {
     chips: Vec<WineChip>,
-    particles: Lanes,
+    /// Particles resident in the SDRAM.
+    particles: usize,
     /// Bytes moved over the board's bus interface (loads + read-backs).
     bus_bytes: u64,
 }
@@ -73,7 +76,7 @@ impl WineBoard {
     pub fn new() -> Self {
         Self {
             chips: (0..CHIPS_PER_BOARD).map(|_| WineChip::new()).collect(),
-            particles: Lanes::default(),
+            particles: 0,
             bus_bytes: 0,
         }
     }
@@ -81,7 +84,8 @@ impl WineBoard {
     /// Load the board's particle subset into SDRAM (counted as bus
     /// traffic). Fails if the subset exceeds the memory capacity —
     /// the same constraint that forced the real machine to split
-    /// particles across boards.
+    /// particles across boards. The words themselves are packed by the
+    /// cluster ([`crate::cluster::WineCluster::load_particles`]).
     pub fn load_particles(&mut self, particles: &[WineParticle]) -> Result<(), BoardError> {
         if particles.len() > PARTICLE_CAPACITY {
             return Err(BoardError::ParticleMemoryOverflow {
@@ -89,7 +93,7 @@ impl WineBoard {
                 capacity: PARTICLE_CAPACITY,
             });
         }
-        self.particles.load(particles);
+        self.particles = particles.len();
         self.bus_bytes += (particles.len() * BYTES_PER_PARTICLE) as u64;
         Ok(())
     }
@@ -100,16 +104,9 @@ impl WineBoard {
         &self.chips
     }
 
-    /// Address and capacity of the particle memory's columns (the
-    /// scratch-reuse test).
-    #[cfg(test)]
-    pub(crate) fn buffers(&self) -> Vec<(usize, usize)> {
-        self.particles.buffers()
-    }
-
     /// Number of particles resident.
     pub fn particle_count(&self) -> usize {
-        self.particles.len()
+        self.particles
     }
 
     /// Total particle–wave ops across the chips.
@@ -139,16 +136,11 @@ impl WineBoard {
         }
     }
 
-    /// The particle memory, in the sweep's column layout.
-    pub(crate) fn lanes(&self) -> &Lanes {
-        &self.particles
-    }
-
     /// Bill the chip passes of `waves` waves streamed past the resident
     /// particles — batches of ≤ 256 waves per board pass, ≤ 16 per chip —
     /// and `bus_bytes_per_wave` of bus traffic for each wave.
     fn credit_passes(&mut self, waves: usize, bus_bytes_per_wave: usize) {
-        let particles = self.particles.len() as u64;
+        let particles = self.particles as u64;
         for batch in (0..waves).step_by(WAVES_PER_BOARD) {
             let batch_len = WAVES_PER_BOARD.min(waves - batch);
             for (chip, first) in self.chips.iter_mut().zip((0..batch_len).step_by(WAVES_PER_CHIP)) {
@@ -168,47 +160,7 @@ impl WineBoard {
     /// coefficients per wave up and 12 B of force per particle down.
     pub(crate) fn credit_idft(&mut self, waves: usize) {
         self.credit_passes(waves, 24);
-        self.bus_bytes += (self.particles.len() * 12) as u64;
-    }
-
-    /// DFT over an arbitrarily long wave list: batches of ≤ 256 waves
-    /// stream through the 16 chips. Returns one accumulator per wave.
-    /// Wave uploads and accumulator read-backs are counted as bus bytes
-    /// (16 B per wave up, 16 B per accumulator pair down).
-    pub fn dft(&mut self, waves: &[[i32; 3]]) -> Vec<DftAccum> {
-        let plan = WavePlan::new(waves);
-        let mut sums = Vec::new();
-        let scratch = &mut DftScratch::default();
-        Kernel::detect().dft(&plan, std::iter::once(&self.particles), scratch, &mut sums);
-        self.credit_dft(waves.len());
-        let terms = self.particles.len() as u64;
-        (0..waves.len())
-            .map(|w| DftAccum::from_partial(sums[plan.slot_of(w)], terms))
-            .collect()
-    }
-
-    /// IDFT over an arbitrarily long wave list; returns per-particle
-    /// accumulators for the board's resident particles. Coefficient
-    /// uploads (24 B per wave) and final force read-backs (12 B per
-    /// particle) are counted as bus traffic.
-    pub fn idft(&mut self, waves: &[IdftWave]) -> Vec<IdftAccum> {
-        let (plan, uv) = crate::sweep::plan_idft(waves);
-        let mut acc = vec![IdftAccum::default(); self.particles.len()];
-        self.idft_planned(Kernel::detect(), &plan, &uv, &mut acc);
-        acc
-    }
-
-    /// [`Self::idft`] with the plan and the slot-ordered `[u, v]`
-    /// registers prepared by the caller, added into `out`.
-    pub(crate) fn idft_planned(
-        &mut self,
-        kernel: Kernel,
-        plan: &WavePlan,
-        uv: &[[i64; 2]],
-        out: &mut [IdftAccum],
-    ) {
-        kernel.idft_board(plan, uv, &self.particles, out);
-        self.credit_idft(plan.waves());
+        self.bus_bytes += (self.particles * 12) as u64;
     }
 }
 
@@ -248,17 +200,29 @@ mod tests {
 
     #[test]
     fn multi_batch_dft_matches_single_chip_result() {
-        let mut b = WineBoard::new();
-        b.load_particles(&particles(20)).unwrap();
-        // 300 waves → two board passes.
+        // 300 waves → two board passes. The chips' own DFT passes, dealt
+        // as the board deals a batch, agree with a lone pipeline, and
+        // `credit_dft` bills exactly the ops and cycles they counted.
+        let ps = particles(20);
         let waves: Vec<[i32; 3]> = (0..300).map(|i| [i % 13 - 6, i % 7 - 3, i % 5 + 1]).collect();
-        let out = b.dft(&waves);
+        let mut streamed = WineBoard::new();
+        let mut out = Vec::new();
+        for batch in waves.chunks(WAVES_PER_BOARD) {
+            for (chip, group) in streamed.chips.iter_mut().zip(batch.chunks(WAVES_PER_CHIP)) {
+                out.extend(chip.dft_pass(group, &ps));
+            }
+        }
         assert_eq!(out.len(), 300);
-        // Cross-check a few waves against a fresh single pipeline.
         let mut lone = crate::pipeline::WinePipeline::new();
         for &w in [0usize, 17, 255, 256, 299].iter() {
-            let reference = lone.dft_wave(waves[w], &particles(20));
+            let reference = lone.dft_wave(waves[w], &ps);
             assert_eq!(out[w].resolve(), reference.resolve(), "wave {w}");
+        }
+        let mut billed = WineBoard::new();
+        billed.load_particles(&ps).unwrap();
+        billed.credit_dft(waves.len());
+        for (a, b) in billed.chips.iter().zip(&streamed.chips) {
+            assert_eq!((a.ops(), a.cycles()), (b.ops(), b.cycles()));
         }
     }
 
@@ -266,8 +230,7 @@ mod tests {
     fn ops_count_is_particles_times_waves() {
         let mut b = WineBoard::new();
         b.load_particles(&particles(11)).unwrap();
-        let waves: Vec<[i32; 3]> = (0..40).map(|i| [i, 1, 1]).collect();
-        b.dft(&waves);
+        b.credit_dft(40);
         assert_eq!(b.ops(), 11 * 40);
     }
 
@@ -277,25 +240,19 @@ mod tests {
         b.load_particles(&particles(10)).unwrap();
         let load_bytes = 10 * BYTES_PER_PARTICLE as u64;
         assert_eq!(b.bus_bytes(), load_bytes);
-        let waves: Vec<[i32; 3]> = (0..8).map(|i| [i, 0, 0]).collect();
-        b.dft(&waves);
+        b.credit_dft(8);
         // + 8 waves up + 8 accumulators down at 16 B each.
         assert_eq!(b.bus_bytes(), load_bytes + 8 * 16 * 2);
     }
 
     #[test]
     fn idft_output_length_matches_particles() {
+        // The IDFT reads back one 12 B force word per resident particle.
         let mut b = WineBoard::new();
         b.load_particles(&particles(9)).unwrap();
-        let waves: Vec<crate::pipeline::IdftWave> = (1..=20)
-            .map(|i| crate::pipeline::IdftWave {
-                n: [i % 5, i % 3, 1],
-                u: mdm_fixed::Q30::from_f64(0.01 * i as f64),
-                v: mdm_fixed::Q30::from_f64(-0.02 * i as f64),
-            })
-            .collect();
-        let acc = b.idft(&waves);
-        assert_eq!(acc.len(), 9);
+        b.reset_counters();
+        b.credit_idft(20);
+        assert_eq!(b.bus_bytes(), 20 * 24 + 9 * 12);
         assert_eq!(b.ops(), 9 * 20);
     }
 }

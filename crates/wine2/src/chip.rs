@@ -73,7 +73,7 @@ impl WineChip {
     /// Bill one pass of `waves ≤ 16` resident waves over a stream of
     /// `particles`: one op per particle to the pipeline holding each
     /// wave (dealt round-robin), `P·⌈w/8⌉` cycles to the chip. The
-    /// wavenumber sweep ([`crate::sweep`]) computes a board's results in
+    /// wavenumber sweep ([`crate::sweep`]) computes a cluster's results in
     /// its own order and bills every chip pass through here, exactly as
     /// [`Self::dft_pass`] and [`Self::idft_pass`] bill themselves.
     pub(crate) fn credit_pass(&mut self, waves: usize, particles: u64) {

@@ -25,10 +25,11 @@
 //! is credited to the pipeline that holds the wave, every chip pass
 //! costs `P·⌈w/8⌉` cycles, every board pass moves its bytes over the
 //! cluster's bus. It is not the order in which the host computes. The
-//! datapath is integer arithmetic, so the order is free, and a board or
-//! cluster evaluation runs as one *wavenumber sweep* (`sweep`, with an
-//! AVX-512 form in `simd`): one lane per particle over SoA particle
-//! memory, the wave table regrouped into rows of consecutive `n_x` along
+//! datapath is integer arithmetic, so the order is free, and a cluster
+//! evaluation runs as one *wavenumber sweep* (`sweep`, with an AVX-512
+//! form in `simd`): one lane per particle over the cluster's particle
+//! memory, every board's chunk packed into one set of SoA columns, the
+//! wave table regrouped into rows of consecutive `n_x` along
 //! which the phase is walked by a modular add instead of re-multiplied,
 //! sums kept in machine words and folded into the wide registers once.
 //! [`WinePipeline::dft_wave`] and [`WinePipeline::idft_wave`] remain the

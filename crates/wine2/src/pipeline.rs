@@ -17,8 +17,8 @@
 //!
 //! [`WinePipeline::dft_wave`] and [`WinePipeline::idft_wave`] are the
 //! datapath one wave at a time, in plain `mdm_fixed` operations. A chip
-//! pass ([`crate::chip::WineChip`]) runs them as written; a board or
-//! cluster evaluation runs the reordered wavenumber sweep
+//! pass ([`crate::chip::WineChip`]) runs them as written; a cluster
+//! evaluation runs the reordered wavenumber sweep
 //! (`crate::sweep`), which is tested raw-register-equal to these two
 //! functions and bills each operation to the pipeline that holds the
 //! wave.

@@ -42,6 +42,7 @@
 use crate::pipeline::{shared_rom, IdftAccum};
 use crate::sweep::{DftLanes, Lanes, Row, WavePlan, LANES};
 use std::arch::x86_64::*;
+use std::ops::Range;
 use std::sync::OnceLock;
 
 /// ROM index width the kernels are specialised for (the WINE-2 default).
@@ -143,19 +144,29 @@ unsafe fn first_phase(n: [__m512i; 3], s: [__m512i; 3]) -> __m512i {
 ///
 /// # Safety
 /// Requires AVX-512 F + DQ and the 12-bit ROM (checked by
-/// [`available`]). `theta` holds one word per lane of `lanes` and
-/// `acc` one entry per wave of `row` (asserted by the caller).
+/// [`available`]). `blocks` lies within `lanes`, `theta` holds one word
+/// per lane of `blocks` and `acc` one entry per wave of `row` (asserted
+/// by the caller).
 #[target_feature(enable = "avx512f,avx512dq")]
-pub(crate) unsafe fn dft_row(row: &Row, lanes: &Lanes, theta: &mut [u64], acc: &mut [DftLanes]) {
-    let blocks = lanes.blocks();
-    assert!(theta.len() == blocks * LANES && acc.len() == row.len);
+pub(crate) unsafe fn dft_row(
+    row: &Row,
+    lanes: &Lanes,
+    blocks: Range<usize>,
+    theta: &mut [u64],
+    acc: &mut [DftLanes],
+) {
+    assert!(blocks.end <= lanes.blocks());
+    assert!(theta.len() == blocks.len() * LANES && acc.len() == row.len);
+    let first = blocks.start * LANES;
+    let blocks = blocks.len();
     let image = rom_image().as_ptr();
-    let columns = [0, 1, 2].map(|axis| lanes.phases(axis).as_ptr());
-    let charges = lanes.charges().as_ptr();
+    let columns = [0, 1, 2].map(|axis| lanes.phases(axis)[first..].as_ptr());
+    let charges = lanes.charges()[first..].as_ptr();
     let theta = theta.as_mut_ptr();
     // SAFETY (every load and store below): the `Lanes` invariant gives
-    // each column `blocks * LANES` words, `theta` was just checked to
-    // have as many, and `b < blocks`.
+    // each column `lanes.blocks() * LANES` words, so at least
+    // `blocks * LANES` past `first`; `theta` was just checked to have as
+    // many, and `b < blocks`.
     let n = [component(row.n0), component(row.ny), component(row.nz)];
     for b in 0..blocks {
         let s = columns.map(|c| _mm512_loadu_si512(c.add(b * LANES).cast()));
@@ -185,14 +196,14 @@ pub(crate) unsafe fn dft_row(row: &Row, lanes: &Lanes, theta: &mut [u64], acc: &
     }
 }
 
-/// The AVX-512 body of [`crate::sweep::Kernel::idft_board`].
+/// The AVX-512 body of [`crate::sweep::Kernel::idft`].
 ///
 /// # Safety
 /// Requires AVX-512 F + DQ and the 12-bit ROM (checked by
 /// [`available`]). `uv` holds one pair per wave of `plan` and `out` one
 /// accumulator per resident particle (asserted by the caller).
 #[target_feature(enable = "avx512f,avx512dq")]
-pub(crate) unsafe fn idft_board(
+pub(crate) unsafe fn idft(
     plan: &WavePlan,
     uv: &[[i64; 2]],
     lanes: &Lanes,

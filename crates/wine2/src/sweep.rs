@@ -7,11 +7,12 @@
 //! datapath is two's-complement integer arithmetic the order is free,
 //! and three exact reorderings make it cheap:
 //!
-//! 1. **One lane per particle.** A board's particle memory is held as
-//!    SoA columns ([`Lanes`]), 8 particles to a 512-bit register, padded
-//!    to a whole block with null particles (zero phase, zero charge:
-//!    their DFT terms are exactly 0, and their IDFT lanes are never read
-//!    back).
+//! 1. **One lane per particle.** A cluster's particle memory — every
+//!    board's chunk, concatenated in load order — is held as one set of
+//!    SoA columns ([`Lanes`]), 8 particles to a 512-bit register, with
+//!    only the last block padded with null particles (zero phase, zero
+//!    charge: their DFT terms are exactly 0, and their IDFT lanes are
+//!    never read back). The boards' split is billing, not layout.
 //! 2. **The wave table regrouped into rows** ([`WavePlan`]): runs of
 //!    consecutive `n_x` at fixed `(n_y, n_z)`. Along a row the phase is
 //!    an accumulator, `θ ← θ + s_x (mod 2³²)` — the same 32-bit word
@@ -20,7 +21,11 @@
 //!    the caller's order.
 //! 3. **Order-free integer sums.** The DFT keeps a wave's two sums in
 //!    i64 lanes across every particle block of a cluster and reduces
-//!    once per wave. The IDFT keeps `Σg` and its running prefix sum per
+//!    once per wave. It walks the column in segments of at most
+//!    `SEGMENT_BLOCKS` blocks, so that the walking phase, `s_x` and
+//!    charge words of one segment (12 KiB) stay L1-resident while a
+//!    row's waves pass over them; the row's lanes are parked between
+//!    segments. The IDFT keeps `Σg` and its running prefix sum per
 //!    row and applies `Σₖ (n₀ + k)·gₖ = (n₀ + len)·Σg − Σₖ Sₖ`,
 //!    `f_y += n_y·Σg`, `f_z += n_z·Σg` once per row, folding into the
 //!    wide [`FixedAccum`](mdm_fixed::FixedAccum)s once per particle.
@@ -44,11 +49,17 @@
 
 use crate::pipeline::{shared_rom, IdftAccum, IdftWave, WineParticle};
 use mdm_fixed::{Phase32, SinCosTable, Q30};
+use std::ops::Range;
 
 /// Particles per lane block (one 512-bit register of 64-bit lanes).
 pub(crate) const LANES: usize = 8;
 
-/// A board's particle memory as SoA columns, one lane per particle.
+/// Most blocks a DFT row sweeps before moving on: 64 blocks of phase,
+/// `s_x` and charge words are 12 KiB, well inside L1 (see the module
+/// docs). A cluster of 4,000 particles is 94 KiB a wave, which is not.
+const SEGMENT_BLOCKS: usize = 64;
+
+/// A cluster's particle memory as SoA columns, one lane per particle.
 ///
 /// Invariant (the AVX-512 kernel indexes the ROM with these words):
 /// every phase word is a zero-extended `u32` and every charge word a
@@ -238,7 +249,7 @@ pub(crate) fn plan_idft(waves: &[IdftWave]) -> (WavePlan, Vec<[i64; 2]>) {
 pub(crate) type DftLanes = [[i64; LANES]; 2];
 
 /// Scratch of the DFT sweep, reused across calls: the walking-phase
-/// column of the board in hand and the lane sums of the row in hand.
+/// column of the segment in hand and the lane sums of the row in hand.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct DftScratch {
     theta: Vec<u64>,
@@ -266,25 +277,29 @@ impl Kernel {
         Self::Portable
     }
 
-    /// DFT of the whole plan over the boards of one cluster:
+    /// DFT of the whole plan over one cluster's particle memory:
     /// `sums[slot]` becomes the wave's `[Σ q(sin+cos), Σ q(sin−cos)]`
     /// over every resident particle. A wave's lanes stay live across
-    /// all the boards and are reduced once.
-    pub(crate) fn dft<'a>(
+    /// every segment of the column and are reduced once.
+    pub(crate) fn dft(
         self,
         plan: &WavePlan,
-        boards: impl Iterator<Item = &'a Lanes> + Clone,
+        lanes: &Lanes,
         scratch: &mut DftScratch,
         sums: &mut Vec<[i64; 2]>,
     ) {
         sums.clear();
         sums.resize(plan.waves(), [0; 2]);
         scratch.acc.resize(plan.longest_row(), [[0; LANES]; 2]);
+        let blocks = lanes.blocks();
+        scratch.theta.resize(blocks.min(SEGMENT_BLOCKS) * LANES, 0);
         for row in plan.rows() {
             let acc = &mut scratch.acc[..row.len];
             acc.fill([[0; LANES]; 2]);
-            for lanes in boards.clone().filter(|lanes| lanes.len() > 0) {
-                self.dft_row(row, lanes, &mut scratch.theta, acc);
+            for start in (0..blocks).step_by(SEGMENT_BLOCKS) {
+                let segment = start..blocks.min(start + SEGMENT_BLOCKS);
+                let theta = &mut scratch.theta[..segment.len() * LANES];
+                self.dft_row(row, lanes, segment, theta, acc);
             }
             for (sum, wave) in sums[row.start..row.start + row.len].iter_mut().zip(acc) {
                 *sum = [wave[0].iter().sum(), wave[1].iter().sum()];
@@ -292,33 +307,38 @@ impl Kernel {
         }
     }
 
-    /// DFT of one row over one board: form the row's first phase for
-    /// every particle into `theta`, then walk it along the row, adding
-    /// each wave's terms into its lanes `acc[k]` (which carry over from
-    /// the previous board).
-    fn dft_row(self, row: &Row, lanes: &Lanes, theta: &mut Vec<u64>, acc: &mut [DftLanes]) {
+    /// DFT of one row over the blocks `blocks` of `lanes`: form the
+    /// row's first phase for every particle of the segment into `theta`,
+    /// then walk it along the row, adding each wave's terms into its
+    /// lanes `acc[k]` (which carry over from the previous segment).
+    fn dft_row(
+        self,
+        row: &Row,
+        lanes: &Lanes,
+        blocks: Range<usize>,
+        theta: &mut [u64],
+        acc: &mut [DftLanes],
+    ) {
+        assert!(blocks.end <= lanes.blocks());
+        assert_eq!(theta.len(), blocks.len() * LANES);
         assert_eq!(acc.len(), row.len);
-        let words = lanes.blocks() * LANES;
-        if theta.len() < words {
-            theta.resize(words, 0);
-        }
-        let theta = &mut theta[..words];
         match self {
-            Self::Portable => dft_row_portable(shared_rom(), row, lanes, theta, acc),
+            Self::Portable => dft_row_portable(shared_rom(), row, lanes, blocks, theta, acc),
             #[cfg(target_arch = "x86_64")]
             Self::Avx512 => {
                 assert!(crate::simd::available(), "AVX-512 kernel on a host without it");
                 // SAFETY: the CPU features and ROM width were just
-                // checked; `theta` and `acc` have the asserted lengths.
-                unsafe { crate::simd::dft_row(row, lanes, theta, acc) }
+                // checked; `blocks`, `theta` and `acc` have the asserted
+                // extents.
+                unsafe { crate::simd::dft_row(row, lanes, blocks, theta, acc) }
             }
         }
     }
 
-    /// IDFT of the whole plan over one board, added into `out` (one
-    /// accumulator per resident particle). `uv[slot]` is the wave's
-    /// `[u, v]` Q30 register pair.
-    pub(crate) fn idft_board(
+    /// IDFT of the whole plan over one cluster's particle memory, added
+    /// into `out` (one accumulator per resident particle). `uv[slot]` is
+    /// the wave's `[u, v]` Q30 register pair.
+    pub(crate) fn idft(
         self,
         plan: &WavePlan,
         uv: &[[i64; 2]],
@@ -328,13 +348,13 @@ impl Kernel {
         assert_eq!(uv.len(), plan.waves());
         assert_eq!(out.len(), lanes.len());
         match self {
-            Self::Portable => idft_board_portable(shared_rom(), plan, uv, lanes, out),
+            Self::Portable => idft_portable(shared_rom(), plan, uv, lanes, out),
             #[cfg(target_arch = "x86_64")]
             Self::Avx512 => {
                 assert!(crate::simd::available(), "AVX-512 kernel on a host without it");
                 // SAFETY: the CPU features and ROM width were just
                 // checked; `uv` and `out` have the asserted lengths.
-                unsafe { crate::simd::idft_board(plan, uv, lanes, out) }
+                unsafe { crate::simd::idft(plan, uv, lanes, out) }
             }
         }
     }
@@ -353,16 +373,19 @@ fn dft_row_portable(
     rom: &SinCosTable,
     row: &Row,
     lanes: &Lanes,
+    blocks: Range<usize>,
     theta: &mut [u64],
     acc: &mut [DftLanes],
 ) {
-    for (i, t) in theta.iter_mut().enumerate() {
+    let words = blocks.start * LANES..blocks.end * LANES;
+    for (t, i) in theta.iter_mut().zip(words.clone()) {
         *t = u64::from(first_phase(row, lanes, i).raw());
     }
+    let (sx, q) = (&lanes.s[0][words.clone()], &lanes.q[words]);
     for wave in acc {
         for (thetas, (sx, q)) in theta
             .chunks_exact_mut(LANES)
-            .zip(lanes.s[0].chunks_exact(LANES).zip(lanes.q.chunks_exact(LANES)))
+            .zip(sx.chunks_exact(LANES).zip(q.chunks_exact(LANES)))
         {
             for lane in 0..LANES {
                 let (sin, cos) = rom.sin_cos(Phase32::from_raw(thetas[lane] as u32));
@@ -375,7 +398,7 @@ fn dft_row_portable(
     }
 }
 
-fn idft_board_portable(
+fn idft_portable(
     rom: &SinCosTable,
     plan: &WavePlan,
     uv: &[[i64; 2]],
@@ -465,7 +488,7 @@ pub(crate) mod tests {
 
     /// Deterministic pseudo-random particle stream covering the full
     /// phase range and signed charges (xorshift; no external RNG).
-    fn particles(count: usize, seed: u64) -> Vec<WineParticle> {
+    pub(crate) fn particles(count: usize, seed: u64) -> Vec<WineParticle> {
         let mut state = 0x243f_6a88_85a3_08d3u64 ^ seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
         let mut next = move || {
             state ^= state << 13;
@@ -482,7 +505,7 @@ pub(crate) mod tests {
     }
 
     /// IDFT waves over `table` with in-range pseudo-random coefficients.
-    fn idft_waves(table: &[[i32; 3]]) -> Vec<IdftWave> {
+    pub(crate) fn idft_waves(table: &[[i32; 3]]) -> Vec<IdftWave> {
         table
             .iter()
             .enumerate()
@@ -494,50 +517,38 @@ pub(crate) mod tests {
             .collect()
     }
 
-    /// The board test table: unsorted, duplicated, mixed-sign vectors.
-    fn mixed_table(count: i32) -> Vec<[i32; 3]> {
+    /// The mixed test table: unsorted, duplicated, mixed-sign vectors.
+    pub(crate) fn mixed_table(count: i32) -> Vec<[i32; 3]> {
         (0..count).map(|i| [i % 13 - 6, i % 7 - 3, i % 5 + 1]).collect()
     }
 
-    /// Run every kernel over `boards` (one cluster) and assert raw
-    /// register equality — value and term count — with the per-wave
-    /// pipeline streaming the same particles.
-    fn assert_sweep_matches_pipeline(boards: &[Vec<WineParticle>], waves: &[IdftWave]) {
+    /// Run every kernel over `all` (one cluster's particle memory) and
+    /// assert raw register equality — value and term count — with the
+    /// per-wave pipeline streaming the same particles.
+    fn assert_sweep_matches_pipeline(all: &[WineParticle], waves: &[IdftWave]) {
         let table: Vec<[i32; 3]> = waves.iter().map(|w| w.n).collect();
-        let all: Vec<WineParticle> = boards.concat();
         let mut oracle = WinePipeline::new();
-        let dft_want: Vec<DftAccum> = table.iter().map(|&n| oracle.dft_wave(n, &all)).collect();
+        let dft_want: Vec<DftAccum> = table.iter().map(|&n| oracle.dft_wave(n, all)).collect();
         let mut idft_want = vec![IdftAccum::default(); all.len()];
         for wave in waves {
-            oracle.idft_wave(wave, &all, &mut idft_want);
+            oracle.idft_wave(wave, all, &mut idft_want);
         }
 
-        let lanes: Vec<Lanes> = boards
-            .iter()
-            .map(|b| {
-                let mut l = Lanes::default();
-                l.load(b);
-                l
-            })
-            .collect();
+        let mut lanes = Lanes::default();
+        lanes.load(all);
         let (plan, uv) = plan_idft(waves);
         assert_eq!(plan.rows().iter().map(|r| r.len).sum::<usize>(), waves.len());
 
         for kernel in kernels() {
             let mut sums = Vec::new();
-            kernel.dft(&plan, lanes.iter(), &mut DftScratch::default(), &mut sums);
+            kernel.dft(&plan, &lanes, &mut DftScratch::default(), &mut sums);
             for (w, want) in dft_want.iter().enumerate() {
                 let got = DftAccum::from_partial(sums[plan.slot_of(w)], all.len() as u64);
                 assert_eq!(got.s_plus_c, want.s_plus_c, "{kernel:?} wave {w} {:?}", table[w]);
                 assert_eq!(got.s_minus_c, want.s_minus_c, "{kernel:?} wave {w} {:?}", table[w]);
             }
-            let mut got = Vec::new();
-            for l in &lanes {
-                let mut out = vec![IdftAccum::default(); l.len()];
-                kernel.idft_board(&plan, &uv, l, &mut out);
-                got.extend(out);
-            }
-            assert_eq!(got.len(), idft_want.len());
+            let mut got = vec![IdftAccum::default(); all.len()];
+            kernel.idft(&plan, &uv, &lanes, &mut got);
             for (i, (g, want)) in got.iter().zip(&idft_want).enumerate() {
                 // `FixedAccum` equality is raw register and term count.
                 assert_eq!(g.f, want.f, "{kernel:?} particle {i}");
@@ -577,30 +588,34 @@ pub(crate) mod tests {
 
     #[test]
     fn scalar_simd_equivalence_over_particles_per_board() {
+        // Every ragged board chunk alone, the seven packed into one
+        // column, and a column crossing two segment edges with a ragged
+        // last block (1,030 particles: 64 + 64 + 1 blocks).
         let waves = idft_waves(&mixed_table(300));
         let boards: Vec<Vec<WineParticle>> =
             [0usize, 1, 7, 8, 9, 17, 0].iter().map(|&n| particles(n, n as u64)).collect();
-        assert_sweep_matches_pipeline(&boards, &waves);
+        assert_sweep_matches_pipeline(&boards.concat(), &waves);
         for board in boards {
-            assert_sweep_matches_pipeline(&[board], &waves);
+            assert_sweep_matches_pipeline(&board, &waves);
         }
+        assert_sweep_matches_pipeline(&particles(1030, 5), &waves);
     }
 
     #[test]
     fn scalar_simd_equivalence_over_table_shapes() {
-        let boards = [particles(19, 1), particles(5, 2)];
+        let cluster = [particles(19, 1), particles(5, 2)].concat();
         for count in [1, 7, 8, 9, 300] {
-            assert_sweep_matches_pipeline(&boards, &idft_waves(&mixed_table(count)));
+            assert_sweep_matches_pipeline(&cluster, &idft_waves(&mixed_table(count)));
         }
         // Unsorted, duplicated, single-wave rows, negative components,
         // one long row walked through zero.
         let mut table = vec![[4, -3, -2], [-7, 0, 0], [4, -3, -2], [100, -50, 25], [-2, -3, -2]];
         table.extend((-9..=9).rev().map(|nx| [nx, 1, -1]));
-        assert_sweep_matches_pipeline(&boards, &idft_waves(&table));
+        assert_sweep_matches_pipeline(&cluster, &idft_waves(&table));
         // The physical table, in the host's shell order.
         let half_space: Vec<[i32; 3]> =
             mdm_core::kvectors::half_space_vectors(4.2).iter().map(|k| k.n).collect();
-        assert_sweep_matches_pipeline(&boards, &idft_waves(&half_space));
+        assert_sweep_matches_pipeline(&cluster, &idft_waves(&half_space));
     }
 
     #[test]
@@ -624,7 +639,7 @@ pub(crate) mod tests {
             .enumerate()
             .map(|(k, n)| IdftWave { n, u: limits[k % 4], v: limits[(k / 4) % 4] })
             .collect();
-        assert_sweep_matches_pipeline(&[board, particles(9, 3)], &waves);
+        assert_sweep_matches_pipeline(&[board, particles(9, 3)].concat(), &waves);
     }
 
     #[test]
@@ -636,7 +651,7 @@ pub(crate) mod tests {
             s: [Phase32::from_raw(1), Phase32::ZERO, Phase32::ZERO],
             q: Q30::from_f64(1.0),
         };
-        let boards = [vec![probe], particles(8, 4)];
+        let cluster = [vec![probe], particles(8, 4)].concat();
         let big = 1 << 30;
         let waves = |count: i32| -> Vec<IdftWave> {
             (0..count)
@@ -646,12 +661,12 @@ pub(crate) mod tests {
         // max|n| · N_waves = 3·2³⁰ < 2³²: one span, partials stay in i64.
         let (under, _) = plan_idft(&waves(3));
         assert_eq!(under.spans().count(), 1);
-        assert_sweep_matches_pipeline(&boards, &waves(3));
+        assert_sweep_matches_pipeline(&cluster, &waves(3));
         // 2³² and beyond: the plan folds early instead of wrapping.
         for count in [4, 5, 11] {
             let (over, _) = plan_idft(&waves(count));
             assert_eq!(over.spans().count(), (count as usize).div_ceil(3), "{count} waves");
-            assert_sweep_matches_pipeline(&boards, &waves(count));
+            assert_sweep_matches_pipeline(&cluster, &waves(count));
         }
         // A run of consecutive huge n_x: rows are cut so that each fits.
         let run: Vec<IdftWave> = (0..7)
@@ -659,9 +674,9 @@ pub(crate) mod tests {
             .collect();
         let (plan, _) = plan_idft(&run);
         assert!(plan.rows().iter().all(|r| r.len <= 3), "{:?}", plan.rows());
-        assert_sweep_matches_pipeline(&boards, &run);
+        assert_sweep_matches_pipeline(&cluster, &run);
         // The far corner of the component range.
         let corner = [[i32::MIN, i32::MAX, -1], [i32::MAX, i32::MIN, 1], [i32::MIN, 0, 0]];
-        assert_sweep_matches_pipeline(&boards, &idft_waves(&corner));
+        assert_sweep_matches_pipeline(&cluster, &idft_waves(&corner));
     }
 }

@@ -65,9 +65,9 @@ pub struct WineForceResult {
 /// Besides the hardware it owns the host library's working state, built
 /// on the first call and reused by every later one — the row plan and
 /// per-wave spectral coefficients of the caller's wave table, the
-/// quantised particle image and the IDFT coefficient registers (the
-/// boards and clusters keep their particle columns and result registers
-/// the same way) — so a steady-state evaluation allocates only the
+/// quantised particle image and the IDFT coefficient registers (each
+/// cluster keeps its packed particle columns and result registers the
+/// same way) — so a steady-state evaluation allocates only the
 /// vectors it returns. The
 /// table-derived part is rebuilt when a call brings a different table or
 /// α; the particle-sized part follows the particle count.
@@ -509,6 +509,52 @@ mod tests {
             let (one, _) = run(1, kernel);
             assert_eq!(one.forces, reference.forces);
             assert_eq!(one.structure_factors, reference.structure_factors);
+        }
+    }
+
+    #[test]
+    fn an_empty_system_is_zero_not_a_panic() {
+        let s = perturbed_crystal();
+        for kernel in crate::sweep::tests::kernels() {
+            let mut wine = Wine2System::new(Wine2Config { clusters: 2 });
+            wine.kernel = kernel;
+            let hw = wine.compute_wavepart(s.simbox(), &[], &[], 7.0, 6.0).unwrap();
+            assert!(hw.forces.is_empty());
+            assert_eq!(hw.energy.to_bits(), 0.0f64.to_bits());
+            assert_eq!(hw.virial.to_bits(), 0.0f64.to_bits());
+            assert!(hw.structure_factors.iter().all(|&sc| sc == (0.0, 0.0)));
+            assert_eq!(
+                hw.counters,
+                WineCounters {
+                    dft_ops: 0,
+                    idft_ops: 0,
+                    cycles: 0,
+                    bus_bytes_per_cluster: 0,
+                    waves: half_space_vectors(6.0).len() as u64,
+                    particles: 0,
+                }
+            );
+        }
+    }
+
+    #[test]
+    fn one_particle_on_two_clusters_matches_one_cluster() {
+        // The second cluster, and six boards of the first, hold nothing.
+        let s = perturbed_crystal();
+        let (positions, charges) = (&s.positions()[..1], &s.charges()[..1]);
+        for kernel in crate::sweep::tests::kernels() {
+            let run = |clusters: usize| {
+                let mut wine = Wine2System::new(Wine2Config { clusters });
+                wine.kernel = kernel;
+                wine.compute_wavepart(s.simbox(), positions, charges, 7.0, 6.0).unwrap()
+            };
+            let (two, one) = (run(2), run(1));
+            let bits = |r: &WineForceResult| -> Vec<[u64; 3]> {
+                r.forces.iter().map(|f| [f.x, f.y, f.z].map(f64::to_bits)).collect()
+            };
+            assert_eq!(two.forces.len(), 1);
+            assert_eq!(bits(&two), bits(&one));
+            assert_same_result(&two, &one);
         }
     }
 

@@ -264,6 +264,40 @@ fn wine2_sweep_pinned_at_ragged_lane_blocks() {
     assert_eq!(residuals, 6 * (4 * 216 + 2 * 2069));
 }
 
+/// The WINE-2 sweep at the serve size: `cells = 2` is 64 particles, 32
+/// per cluster, which the boards' 5 / 5 / 5 / 5 / 5 / 5 / 2 split left
+/// ragged on every board while each board held its own lane blocks. Five
+/// steps through `MdmForceField`: the position digest, the counters and
+/// the number of quantisation residuals are the values the per-board
+/// sweep produced before one packed column per cluster replaced it.
+#[test]
+fn wine2_sweep_pinned_at_serve_size() {
+    let _scope = mdm::profile::scope();
+    let mut system = rocksalt_nacl(2, NACL_LATTICE_A);
+    maxwell_boltzmann(&mut system, 900.0, 31);
+    let hw = MdmForceField::nacl_default(system.simbox().l()).unwrap();
+    let mut sim = Simulation::new(system, hw, 2.0);
+    sim.run(5);
+
+    let digest = position_digest(sim.system().positions());
+    let wine = sim.force_field().last_counters().wine;
+    let residuals = mdm::profile::take().histograms["wine_fx_quant_residual"].count();
+    assert_eq!(digest, 0x58c1_48ee_9383_d269, "position digest {digest:016x}");
+    assert_eq!(
+        wine,
+        mdm::wine2::timing::WineCounters {
+            dft_ops: 132_416,
+            idft_ops: 132_416,
+            cycles: 180,
+            bus_bytes_per_cluster: 811_944,
+            waves: 2069,
+            particles: 64,
+        }
+    );
+    // 4 per particle + 2 per wave, for the initial evaluation and 5 steps.
+    assert_eq!(residuals, 6 * (4 * 64 + 2 * 2069));
+}
+
 /// The MDGRAPE-2 tile sweep at a size where every tile is ragged:
 /// `cells = 3` is 216 particles in 27 cells, 8 to a cell on the lattice
 /// and unevenly spread once molten, so no tile of sixteen lanes is ever
