@@ -252,7 +252,13 @@ impl JStore {
     /// streams through a pipeline in one batch.
     #[inline]
     pub fn cell_columns(&self, c: usize) -> JCellColumns<'_> {
-        let r = self.cell_range(c);
+        self.slot_columns(self.cell_range(c))
+    }
+
+    /// The SoA columns of a run of sorted slots — a cell's, or a tile's
+    /// i-particles.
+    #[inline]
+    pub(crate) fn slot_columns(&self, r: std::ops::Range<usize>) -> JCellColumns<'_> {
         JCellColumns {
             xs: &self.xs[r.clone()],
             ys: &self.ys[r.clone()],

@@ -24,7 +24,8 @@
 //! plus [`api`] (the Table 3 host library: `MR1allocateboard`, `MR1init`,
 //! `MR1SetTable`, `MR1calcvdw_block2`, `MR1free`), [`tables`] (the
 //! g(x) tables for Ewald-real Coulomb, Lennard-Jones and the Tosi–Fumi
-//! terms) and [`timing`].
+//! terms), [`plan`] (which i-particles share a tile of the emulator's
+//! sweep) and [`timing`].
 //!
 //! ## Numerics
 //!
@@ -56,10 +57,12 @@
 //! time the host takes to emulate it.
 //!
 //! On a CPU with AVX-512 F the sweep runs the silicon's own dataflow:
-//! sixteen resident i-particles of one home cell to a register, each
-//! streamed j-particle broadcast to all of them, every lane adding into
-//! f64 chains of its own (the `simd` module), in one parallel region
-//! over home cells above the board level; the boards are billed their
+//! sixteen resident i-particles to a register — sixteen consecutive
+//! j-store slots, whichever home cells they belong to — each streamed
+//! j-particle broadcast to all of them, every lane adding into f64 chains
+//! of its own under a mask of the cells in its own 27-cell box (the
+//! `simd` module), in one parallel region over the tiles of a cached
+//! [`plan::TilePlan`] above the board level; the boards are billed their
 //! chunks by arithmetic. On any other CPU each board computes its chunk
 //! one i-particle at a time through [`pipeline::interact_cell_passes`],
 //! the scalar column sweep — which is also the oracle the tiles are
@@ -72,6 +75,7 @@ pub mod cluster;
 pub mod ftz;
 pub mod jstore;
 pub mod pipeline;
+pub mod plan;
 mod simd;
 pub mod system;
 pub mod tables;
@@ -79,5 +83,6 @@ pub mod timing;
 
 pub use api::Mr1Library;
 pub use jstore::JStore;
+pub use plan::TilePlan;
 pub use system::{Mdgrape2Config, Mdgrape2System, RealSpaceMode};
 pub use tables::GFunction;

@@ -3,9 +3,11 @@
 //! MDGRAPE-2 streams each j-particle once and broadcasts it to pipelines
 //! that each hold their own resident i-particle and their own f64
 //! accumulators (paper Figs. 9–11). The kernel here runs that dataflow
-//! as written: a **tile** is up to sixteen i-particles of one home cell,
-//! one per lane, and every j-particle of the cell's 27-entry stencil is
-//! broadcast to all of them in turn.
+//! as written: a **tile** is up to sixteen consecutive j-store slots, one
+//! i-particle per lane, whichever home cells they belong to, and every
+//! j-particle of the union of the lanes' 27-cell boxes is broadcast to
+//! all of them in turn ([`crate::plan`] says which slots share a tile and
+//! in which order the union streams).
 //!
 //! What a tile shares: the j-side — `x⃗ⱼ + shift` is one scalar add per
 //! component instead of sixteen, and the j-species selects one
@@ -14,13 +16,14 @@
 //! Fig. 11 datapath (`x = a·r²` → address decode → coefficient fetch →
 //! quartic Horner → `b·g` → three products) and, after the widening
 //! `f32 → f64` convert, **its own accumulation chains**. One masked
-//! `add_pd` therefore advances sixteen chains by one term each, and each
-//! chain still receives its terms slot by slot in cell order, cells in
-//! stencil order — the order of [`crate::pipeline::interact_cell_scalar`]
-//! run per i. The self pair is one mask bit cleared for one j: the lane
-//! is passed over, nothing is added, not even a zero. A ragged last
-//! tile's dead lanes are masked the same way, never fetched and never
-//! stored.
+//! `add_pd` therefore advances up to sixteen chains by one term each. A
+//! streamed cell's mask holds only the lanes whose own box holds it, and
+//! the union's order keeps every box's, so each chain still receives its
+//! terms slot by slot in cell order, cells in stencil order — the order
+//! of [`crate::pipeline::interact_cell_scalar`] run per i. The self pair
+//! is one mask bit cleared for one j: the lane is passed over, nothing is
+//! added, not even a zero. Lanes past a short tile's last slot are masked
+//! the same way, never fetched and never stored.
 //!
 //! Every lane performs the scalar datapath's IEEE 754 operations in the
 //! scalar datapath's order — separate multiplies and adds, never an FMA;
@@ -38,12 +41,11 @@
 use crate::chip::MAX_TYPES;
 use crate::jstore::{JCellColumns, JStore};
 use crate::pipeline::PipelineMode;
+use crate::plan::{StreamCell, LANES};
 use crate::system::TablePass;
 use mdm_funceval::{FunctionEvaluator, POLY_COEFFS};
 use std::arch::x86_64::*;
-
-/// i-particles per tile.
-const LANES: usize = 16;
+use std::ops::Range;
 
 /// Runtime gate for the kernel.
 #[inline]
@@ -51,7 +53,7 @@ pub(crate) fn available() -> bool {
     is_x86_feature_detected!("avx512f")
 }
 
-/// One table's address-decode constants, read once per home cell.
+/// One table's address-decode constants, read once per tile.
 #[derive(Clone, Copy)]
 struct TableLanes {
     /// Coefficient RAM base, as `f32` words (`POLY_COEFFS` per row).
@@ -178,16 +180,19 @@ impl TableLanes {
     }
 }
 
-/// One entry of a home cell's stencil as the tiles stream it.
-#[derive(Clone, Copy)]
-pub(crate) struct JCell<'a> {
+/// One run of a tile's j-stream: a j-cell, the shift added to every
+/// position streamed from it, the lanes it feeds, and which lane's own
+/// particle each of its slots is.
+struct JRun<'a> {
     /// The j-cell's columns.
-    pub cell: JCellColumns<'a>,
-    /// Periodic image shift, added to every streamed position.
-    pub shift: [f32; 3],
-    /// The entry is the home cell itself: slot `k` is the self pair of
-    /// i-slot `k`.
-    pub is_home: bool,
+    cell: JCellColumns<'a>,
+    /// Periodic image shift.
+    shift: [f32; 3],
+    /// The lanes whose chains take its terms.
+    lanes: __mmask16,
+    /// Slot `k` is the self pair of lane `self_lane + k` (wrapping); a
+    /// value past the last lane for every `k` means no slot is.
+    self_lane: usize,
 }
 
 /// One pass's coefficients for one j-species across a tile: lane `l`
@@ -218,40 +223,62 @@ fn add_term(chain: &mut [__m512d; 2], term: __m512, live: __mmask16) {
     );
 }
 
-/// Home cell `home` of `jstore` against its 27-entry stencil, `P` passes
-/// side by side: [`sweep_tiles`] on the store's own columns (the i-side
-/// is the j-store's image of the same particles).
+/// Tile `slots` of `jstore` — its i-particles, one per lane — against
+/// the j-stream `union` in order, `P` passes side by side. A stream cell
+/// feeds only its own lanes, and a streamed j that is one of the tile's
+/// own slots is passed over by that slot's lane (the plan's lanes hold
+/// their home cell once, unshifted). `out[l·P + p]` is the accumulator of
+/// slot `slots.start + l` for pass `p`: read as the chains' starting
+/// values, written back with what [`crate::pipeline::interact_cell_scalar`]
+/// would leave there, bit for bit, after the slot's own j-cells in the
+/// same order with the slot's own species row of the coefficient RAM.
+/// Potential mode touches component 0 only.
+///
+/// Species beyond a pass's coefficient RAM are the caller's to rule out.
 #[target_feature(enable = "avx512f")]
-pub(crate) fn sweep_home_cell<const P: usize>(
+pub(crate) fn sweep_tile<const P: usize>(
     passes: &[TablePass<'_>; P],
     mode: PipelineMode,
     jstore: &JStore,
-    home: usize,
+    slots: Range<usize>,
+    union: impl Iterator<Item = StreamCell>,
     out: &mut [[f64; 3]],
 ) {
-    let neighbors = jstore.neighbors27(home);
-    let stencil: [JCell<'_>; 27] = std::array::from_fn(|k| {
-        let (nc, shift) = neighbors[k];
-        JCell {
-            cell: jstore.cell_columns(nc as usize),
-            shift,
-            // With ≥ 3 cells per side the home cell appears once in its
-            // own stencil, unshifted: that is where the self pairs live.
-            is_home: nc as usize == home && shift == [0.0f32; 3],
+    let first = slots.start;
+    let runs = union.map(|u| {
+        let cell = jstore.cell_range(u.cell);
+        JRun {
+            self_lane: cell.start.wrapping_sub(first),
+            cell: jstore.slot_columns(cell),
+            shift: u.shift,
+            lanes: u.lanes,
         }
     });
-    sweep_tiles(passes, mode, jstore.cell_columns(home), &stencil, out);
+    let lanes = jstore.slot_columns(slots);
+    match mode {
+        PipelineMode::Force => tile::<P, true>(passes, lanes, runs, out),
+        PipelineMode::Potential => tile::<P, false>(passes, lanes, runs, out),
+    }
 }
 
-/// Every i-particle of `home`, sixteen to a tile, against the j-cells of
-/// `stencil` in order. `out[s·P + p]` is the accumulator of home slot
-/// `s` for pass `p`: read as the chains' starting values, written back
-/// with what [`crate::pipeline::interact_cell_scalar`] would leave
-/// there, bit for bit, after the same j-cells in the same order with the
-/// slot's own species row of the coefficient RAM. Potential mode touches
-/// component 0 only.
-///
-/// Species beyond a pass's coefficient RAM are the caller's to rule out.
+/// One entry of a home cell's stencil, for [`sweep_tiles`].
+#[cfg(test)]
+#[derive(Clone, Copy)]
+pub(crate) struct JCell<'a> {
+    /// The j-cell's columns.
+    pub cell: JCellColumns<'a>,
+    /// Periodic image shift, added to every streamed position.
+    pub shift: [f32; 3],
+    /// The entry is the home cell itself: slot `k` is the self pair of
+    /// i-slot `k`.
+    pub is_home: bool,
+}
+
+/// The one-home-cell form of the tiles, against a stencil of the
+/// caller's making: every i-particle of `home`, sixteen to a tile, each
+/// tile streaming all of `stencil` to all its lanes. `out[s·P + p]` is
+/// home slot `s`'s accumulator for pass `p`, as in [`sweep_tile`].
+#[cfg(test)]
 #[target_feature(enable = "avx512f")]
 pub(crate) fn sweep_tiles<const P: usize>(
     passes: &[TablePass<'_>; P],
@@ -261,129 +288,142 @@ pub(crate) fn sweep_tiles<const P: usize>(
     out: &mut [[f64; 3]],
 ) {
     assert_eq!(out.len(), home.len() * P, "one accumulator per slot per pass");
-    match mode {
-        PipelineMode::Force => tiles::<P, true>(passes, home, stencil, out),
-        PipelineMode::Potential => tiles::<P, false>(passes, home, stencil, out),
+    for base in (0..home.len()).step_by(LANES) {
+        let lanes = base..(base + LANES).min(home.len());
+        let runs = stencil.iter().map(|entry| JRun {
+            cell: entry.cell,
+            shift: entry.shift,
+            lanes: ((1u32 << lanes.len()) - 1) as __mmask16,
+            // Home slot `k` is lane `k − base`'s own particle.
+            self_lane: if entry.is_home { base.wrapping_neg() } else { LANES },
+        });
+        let i_side = JCellColumns {
+            xs: &home.xs[lanes.clone()],
+            ys: &home.ys[lanes.clone()],
+            zs: &home.zs[lanes.clone()],
+            types: &home.types[lanes.clone()],
+        };
+        let out = &mut out[base * P..lanes.end * P];
+        match mode {
+            PipelineMode::Force => tile::<P, true>(passes, i_side, runs, out),
+            PipelineMode::Potential => tile::<P, false>(passes, i_side, runs, out),
+        }
     }
 }
 
-/// [`sweep_tiles`] with the mode as a constant: with both modes' arms in
-/// one body the four-pass sweep keeps fewer of its chains in registers
-/// (5–7 % at 33 particles per cell).
+/// One tile with the mode as a constant: with both modes' arms in one
+/// body the four-pass sweep keeps fewer of its chains in registers
+/// (5–7 % at 33 particles per cell). `lanes` holds the tile's
+/// i-particles, at most [`LANES`].
 #[target_feature(enable = "avx512f")]
-fn tiles<const P: usize, const FORCE: bool>(
+fn tile<'a, const P: usize, const FORCE: bool>(
     passes: &[TablePass<'_>; P],
-    home: JCellColumns<'_>,
-    stencil: &[JCell<'_>],
+    lanes: JCellColumns<'_>,
+    runs: impl Iterator<Item = JRun<'a>>,
     out: &mut [[f64; 3]],
 ) {
-    let m = home.len();
-    // Exact-length columns: every masked load below stays inside them.
-    let (hx, hy, hz, ht) = (&home.xs[..m], &home.ys[..m], &home.zs[..m], &home.types[..m]);
+    let width = lanes.len();
+    assert!(width <= LANES, "a tile holds at most {LANES} i-particles");
+    assert_eq!(out.len(), width * P, "one accumulator per lane per pass");
     let tables: [TableLanes; P] = std::array::from_fn(|p| TableLanes::new(passes[p].table));
     let components = if FORCE { 3 } else { 1 };
+    let tail = ((1u32 << width) - 1) as __mmask16;
+    // SAFETY: lanes `0..width` of each load are a column of length
+    // `width`; the rest are masked off and read 0.
+    let load = |col: &[f32]| unsafe { _mm512_maskz_loadu_ps(tail, col[..width].as_ptr()) };
+    let xi = [load(lanes.xs), load(lanes.ys), load(lanes.zs)];
 
-    for base in (0..m).step_by(LANES) {
-        let width = (m - base).min(LANES);
-        let tail = ((1u32 << width) - 1) as __mmask16;
-        // SAFETY: lanes `0..width` of each load are `base..base + width`
-        // of a column of length `m`; the rest are masked off and read 0.
-        let load = |col: &[f32]| unsafe { _mm512_maskz_loadu_ps(tail, col.as_ptr().add(base)) };
-        let xi = [load(hx), load(hy), load(hz)];
-
-        // The coefficient RAM as the tile sees it: per j-species, per
-        // pass, the lanes' own rows.
-        let zero = _mm512_setzero_ps();
-        let mut coeffs = [[PairCoeffs { a: zero, b: zero }; P]; MAX_TYPES];
-        for (p, pass) in passes.iter().enumerate() {
-            for (tj, pair) in coeffs.iter_mut().enumerate().take(pass.coefficients.n_types()) {
-                let (mut a, mut b) = ([0f32; LANES], [0f32; LANES]);
-                for (lane, &ti) in ht[base..base + width].iter().enumerate() {
-                    (a[lane], b[lane]) = pass.coefficients.get(ti, tj as u8);
-                }
-                // SAFETY: whole-register loads of 16-element arrays.
-                pair[p] = unsafe {
-                    PairCoeffs {
-                        a: _mm512_loadu_ps(a.as_ptr()),
-                        b: _mm512_loadu_ps(b.as_ptr()),
-                    }
-                };
+    // The coefficient RAM as the tile sees it: per j-species, per pass,
+    // the lanes' own rows.
+    let zero = _mm512_setzero_ps();
+    let mut coeffs = [[PairCoeffs { a: zero, b: zero }; P]; MAX_TYPES];
+    for (p, pass) in passes.iter().enumerate() {
+        for (tj, pair) in coeffs.iter_mut().enumerate().take(pass.coefficients.n_types()) {
+            let (mut a, mut b) = ([0f32; LANES], [0f32; LANES]);
+            for (lane, &ti) in lanes.types[..width].iter().enumerate() {
+                (a[lane], b[lane]) = pass.coefficients.get(ti, tj as u8);
             }
-        }
-
-        // Lane `l`'s chains start from slot `base + l`'s accumulators.
-        let mut acc = [[[_mm512_setzero_pd(); 2]; 3]; P];
-        for (p, chains) in acc.iter_mut().enumerate() {
-            for (c, chain) in chains.iter_mut().enumerate().take(components) {
-                let mut start = [0f64; LANES];
-                for (lane, value) in start.iter_mut().enumerate().take(width) {
-                    *value = out[(base + lane) * P + p][c];
+            // SAFETY: whole-register loads of 16-element arrays.
+            pair[p] = unsafe {
+                PairCoeffs {
+                    a: _mm512_loadu_ps(a.as_ptr()),
+                    b: _mm512_loadu_ps(b.as_ptr()),
                 }
-                // SAFETY: two whole-register loads of a 16-element array.
-                *chain = unsafe {
-                    [
-                        _mm512_loadu_pd(start.as_ptr()),
-                        _mm512_loadu_pd(start.as_ptr().add(LANES / 2)),
-                    ]
-                };
-            }
+            };
         }
+    }
 
-        for entry in stencil {
-            let n = entry.cell.len();
-            let (xs, ys, zs, ts) = (
-                &entry.cell.xs[..n],
-                &entry.cell.ys[..n],
-                &entry.cell.zs[..n],
-                &entry.cell.types[..n],
+    // Lane `l`'s chains start from its slot's accumulators.
+    let mut acc = [[[_mm512_setzero_pd(); 2]; 3]; P];
+    for (p, chains) in acc.iter_mut().enumerate() {
+        for (c, chain) in chains.iter_mut().enumerate().take(components) {
+            let mut start = [0f64; LANES];
+            for (lane, value) in start.iter_mut().enumerate().take(width) {
+                *value = out[lane * P + p][c];
+            }
+            // SAFETY: two whole-register loads of a 16-element array.
+            *chain = unsafe {
+                [
+                    _mm512_loadu_pd(start.as_ptr()),
+                    _mm512_loadu_pd(start.as_ptr().add(LANES / 2)),
+                ]
+            };
+        }
+    }
+
+    for run in runs {
+        let n = run.cell.len();
+        let (xs, ys, zs, ts) = (
+            &run.cell.xs[..n],
+            &run.cell.ys[..n],
+            &run.cell.zs[..n],
+            &run.cell.types[..n],
+        );
+        for k in 0..n {
+            // The j-side once for the whole tile.
+            let d = [
+                _mm512_sub_ps(xi[0], _mm512_set1_ps(xs[k] + run.shift[0])),
+                _mm512_sub_ps(xi[1], _mm512_set1_ps(ys[k] + run.shift[1])),
+                _mm512_sub_ps(xi[2], _mm512_set1_ps(zs[k] + run.shift[2])),
+            ];
+            let r_sq = _mm512_add_ps(
+                _mm512_add_ps(_mm512_mul_ps(d[0], d[0]), _mm512_mul_ps(d[1], d[1])),
+                _mm512_mul_ps(d[2], d[2]),
             );
-            for k in 0..n {
-                // The j-side once for the whole tile.
-                let d = [
-                    _mm512_sub_ps(xi[0], _mm512_set1_ps(xs[k] + entry.shift[0])),
-                    _mm512_sub_ps(xi[1], _mm512_set1_ps(ys[k] + entry.shift[1])),
-                    _mm512_sub_ps(xi[2], _mm512_set1_ps(zs[k] + entry.shift[2])),
-                ];
-                let r_sq = _mm512_add_ps(
-                    _mm512_add_ps(_mm512_mul_ps(d[0], d[0]), _mm512_mul_ps(d[1], d[1])),
-                    _mm512_mul_ps(d[2], d[2]),
-                );
-                // Home slot `k` is lane `k − base`'s own particle.
-                let live = if entry.is_home && k.wrapping_sub(base) < width {
-                    tail & !(1 << (k - base))
-                } else {
-                    tail
-                };
-                let pair = &coeffs[ts[k] as usize];
-                for p in 0..P {
-                    let x = _mm512_mul_ps(pair[p].a, r_sq);
-                    // SAFETY: `tables[p]` was built from `passes[p]`,
-                    // which outlives this call.
-                    let g = unsafe { tables[p].eval(x, tail) };
-                    let bg = _mm512_mul_ps(pair[p].b, g);
-                    if FORCE {
-                        for (chain, &dc) in acc[p].iter_mut().zip(&d) {
-                            add_term(chain, _mm512_mul_ps(bg, dc), live);
-                        }
-                    } else {
-                        add_term(&mut acc[p][0], bg, live);
+            let own = run.self_lane.wrapping_add(k);
+            let live = if own < LANES {
+                run.lanes & !(1 << own)
+            } else {
+                run.lanes
+            };
+            let pair = &coeffs[ts[k] as usize];
+            for p in 0..P {
+                let x = _mm512_mul_ps(pair[p].a, r_sq);
+                // SAFETY: `tables[p]` was built from `passes[p]`, which
+                // outlives this call.
+                let g = unsafe { tables[p].eval(x, run.lanes) };
+                let bg = _mm512_mul_ps(pair[p].b, g);
+                if FORCE {
+                    for (chain, &dc) in acc[p].iter_mut().zip(&d) {
+                        add_term(chain, _mm512_mul_ps(bg, dc), live);
                     }
+                } else {
+                    add_term(&mut acc[p][0], bg, live);
                 }
             }
         }
+    }
 
-        for (p, chains) in acc.iter().enumerate() {
-            for (c, chain) in chains.iter().enumerate().take(components) {
-                let mut end = [0f64; LANES];
-                // SAFETY: two whole-register stores into a 16-element
-                // array.
-                unsafe {
-                    _mm512_storeu_pd(end.as_mut_ptr(), chain[0]);
-                    _mm512_storeu_pd(end.as_mut_ptr().add(LANES / 2), chain[1]);
-                }
-                for (lane, &value) in end.iter().enumerate().take(width) {
-                    out[(base + lane) * P + p][c] = value;
-                }
+    for (p, chains) in acc.iter().enumerate() {
+        for (c, chain) in chains.iter().enumerate().take(components) {
+            let mut end = [0f64; LANES];
+            // SAFETY: two whole-register stores into a 16-element array.
+            unsafe {
+                _mm512_storeu_pd(end.as_mut_ptr(), chain[0]);
+                _mm512_storeu_pd(end.as_mut_ptr().add(LANES / 2), chain[1]);
+            }
+            for (lane, &value) in end.iter().enumerate().take(width) {
+                out[lane * P + p][c] = value;
             }
         }
     }

@@ -8,11 +8,13 @@
 //! ops and read-backs of the passes it ran. What the host *executes* for
 //! the hardware-faithful pattern depends on the CPU. With AVX-512 F it
 //! is the tile sweep of the `simd` module, run above the board level in
-//! one parallel region over home cells — sixteen resident i-particles
-//! per streamed j, as the silicon broadcasts it — with the boards billed
-//! by arithmetic. Elsewhere each board computes its own chunk one
-//! i-particle at a time ([`MdgBoard::calc_block2_passes`]) and bills
-//! itself. The two agree in every value bit and every counter.
+//! one parallel region over the tiles of a [`crate::plan::TilePlan`] —
+//! sixteen resident i-particles per streamed j, as the silicon
+//! broadcasts it, taken from neighbouring home cells where one cell has
+//! fewer — with the boards billed by arithmetic. Elsewhere each board
+//! computes its own chunk one i-particle at a time
+//! ([`MdgBoard::calc_block2_passes`]) and bills itself. The two agree in
+//! every value bit and every counter.
 
 use crate::board::{
     CoeffCols, ColumnPass, IBatch, MdgBoard, MdgBoardError, PIPELINES_PER_BOARD,
@@ -23,6 +25,8 @@ use crate::cluster::{MdgCluster, BOARDS_PER_CLUSTER};
 use crate::ftz::FtzGuard;
 use crate::jstore::JStore;
 use crate::pipeline::{PairAccum, PipelineMode};
+#[cfg(target_arch = "x86_64")]
+use crate::plan::TilePlan;
 use crate::timing::MdgCounters;
 use mdm_core::boxsim::SimBox;
 use mdm_core::vec3::Vec3;
@@ -102,11 +106,11 @@ struct TileSweep {
     /// Whether this CPU runs it.
     available: bool,
     /// The accumulators of the sweep in flight in j-store slot order,
-    /// `[slot][pass]`: each home cell's tiles own one contiguous run.
+    /// `[slot][pass]`: each tile owns one contiguous run.
     slot_values: Vec<[f64; 3]>,
-    /// Per home cell, the population of its 27-cell block: what one pass
-    /// streams past each of its i-particles, self pair included.
-    block_len: Vec<u64>,
+    /// The tiles of the j-store last swept, rebuilt only when its cell
+    /// ranges change.
+    plan: TilePlan,
 }
 
 /// The emulated MDGRAPE-2 system.
@@ -331,11 +335,11 @@ impl Mdgrape2System {
         (b * per_board).min(n)..((b + 1) * per_board).min(n)
     }
 
-    /// The sweep on AVX-512 lanes: one parallel region over home cells,
-    /// each cell's tiles (`simd::sweep_home_cell`) writing their own run
-    /// of the slot-ordered buffer, one scatter to original order at the
-    /// end. The i-side is the j-store's own image of the particles — the
-    /// same `p.x as f32` casts [`IBatch::stage`] makes.
+    /// The sweep on AVX-512 lanes: one parallel region over the tiles of
+    /// the cached [`TilePlan`], each tile (`simd::sweep_tile`) writing its
+    /// own run of the slot-ordered buffer, one scatter to original order
+    /// at the end. The i-side is the j-store's own image of the particles
+    /// — the same `p.x as f32` casts [`IBatch::stage`] makes.
     #[cfg(target_arch = "x86_64")]
     fn tile_sweep<const P: usize>(
         &mut self,
@@ -366,25 +370,28 @@ impl Mdgrape2System {
                 "species beyond the coefficient RAM"
             );
         }
+        self.tiles.plan.update(jstore);
         self.bill_tile_sweep(P as u64, jstore)?;
 
-        let values = &mut self.tiles.slot_values;
+        let TileSweep { slot_values: values, plan, .. } = &mut self.tiles;
+        let plan = &*plan;
         values.clear();
         values.resize(n * P, [0.0; 3]);
-        let mut cells = Vec::with_capacity(jstore.n_cells());
+        let mut tiles = Vec::with_capacity(plan.tiles());
         let mut rest = &mut values[..];
-        for c in 0..jstore.n_cells() {
-            let (cell, tail) = rest.split_at_mut(jstore.cell_range(c).len() * P);
-            cells.push(cell);
+        for t in 0..plan.tiles() {
+            let (tile, tail) = rest.split_at_mut(plan.tile(t).0.len() * P);
+            tiles.push(tile);
             rest = tail;
         }
         let pipeline_span = mdm_profile::span("pipelines");
-        cells.par_iter_mut().enumerate().for_each(|(home, out)| {
+        tiles.par_iter_mut().enumerate().for_each(|(t, out)| {
             // MXCSR is per thread: a guard opened by the caller would
             // not reach this worker.
             let _ftz = FtzGuard::new();
+            let (slots, union) = plan.tile(t);
             // SAFETY: `tiles.available` is AVX-512 F, detected.
-            unsafe { crate::simd::sweep_home_cell(passes, mode, jstore, home, out) };
+            unsafe { crate::simd::sweep_tile(passes, mode, jstore, slots, union, out) };
         });
         drop(pipeline_span);
 
@@ -400,15 +407,10 @@ impl Mdgrape2System {
     /// once per pass, and is billed each i-particle of its chunk (dealt
     /// in *original* index order, chips round-robin) at its home cell's
     /// 27-cell block minus the self pair — what
-    /// [`MdgBoard::calc_block2_passes`] bills as it computes.
+    /// [`MdgBoard::calc_block2_passes`] bills as it computes. The block
+    /// lengths are the plan's, which must be up to date with `jstore`.
     #[cfg(target_arch = "x86_64")]
     fn bill_tile_sweep(&mut self, passes: u64, jstore: &JStore) -> Result<(), MdgBoardError> {
-        let block_len = &mut self.tiles.block_len;
-        block_len.clear();
-        block_len.extend((0..jstore.n_cells()).map(|c| {
-            let block = jstore.neighbors27(c).iter();
-            block.map(|&(nc, _)| jstore.cell_range(nc as usize).len() as u64).sum::<u64>()
-        }));
         for b in 0..self.config.boards() {
             let chunk = self.board_chunk(b, jstore.len());
             if chunk.is_empty() {
@@ -418,7 +420,7 @@ impl Mdgrape2System {
             for _ in 0..passes {
                 board.accept_jstore(jstore)?;
             }
-            let block_len = &self.tiles.block_len;
+            let block_len = self.tiles.plan.block_len();
             board.credit_block2(passes, chunk.map(|i| block_len[jstore.cell_of(i)] - 1));
         }
         Ok(())
@@ -693,6 +695,74 @@ mod tests {
         }
     }
 
+    /// `P` passes through the tile sweep against the boards computing
+    /// and billing their own chunks (one thread), on 1 and 4 threads:
+    /// every value bit and all four counters.
+    #[cfg(target_arch = "x86_64")]
+    #[allow(clippy::too_many_arguments)]
+    fn assert_tiles_match_boards<const P: usize>(
+        tiles: &mut Mdgrape2System,
+        boards: &mut Mdgrape2System,
+        tables: &[FunctionEvaluator],
+        ram: &[AtomCoefficients],
+        mode: PipelineMode,
+        pos: &[Vec3],
+        ty: &[u8],
+        js: &JStore,
+        what: &str,
+    ) {
+        let passes: [TablePass<'_>; P] = std::array::from_fn(|p| TablePass {
+            table: &tables[p],
+            coefficients: &ram[p],
+        });
+        let reference = rayon::with_num_threads(1, || {
+            boards.calc_passes_with_jstore(mode, &passes, pos, ty, js).unwrap()
+        });
+        for threads in [1usize, 4] {
+            let swept = rayon::with_num_threads(threads, || {
+                tiles.calc_passes_with_jstore(mode, &passes, pos, ty, js).unwrap()
+            });
+            for (p, (t, b)) in swept.iter().zip(&reference).enumerate() {
+                let what = format!("{what} P {P} {mode:?} pass {p} ({threads} threads)");
+                assert_eq!(t.counters, b.counters, "{what}");
+                for (i, (tv, bv)) in t.values.iter().zip(&b.values).enumerate() {
+                    assert_eq!(tv.map(f64::to_bits), bv.map(f64::to_bits), "{what} particle {i}");
+                }
+            }
+        }
+    }
+
+    /// Tiles across home cells against the per-i boards: 3, 4 and 5
+    /// cells per side, every cell holding 0, 1, 2, 7, 15, 16, 17 or 33
+    /// particles (so tiles start and end mid-cell, span runs of empty
+    /// cells, and wrap across rows and planes of the grid), three
+    /// species, `P` = 1 / 3 / 4, both modes, 1–3 clusters.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn tiles_across_home_cells_match_the_boards() {
+        use crate::plan::tests::random_store;
+        use crate::simd::tests::{tables, three_species_ram, FORCE_KERNELS};
+        let (tables, ram) = (tables(FORCE_KERNELS), three_species_ram());
+        for (m, seed) in [(3usize, 31u64), (4, 32), (5, 33)] {
+            let (_, pos, ty, js) = random_store(m, seed);
+            for clusters in [1usize, 2, 3] {
+                let Some(mut tiles) = tiled(clusters) else { return };
+                let mut boards = system(clusters);
+                boards.tiles.available = false;
+                for mode in [PipelineMode::Force, PipelineMode::Potential] {
+                    let what = format!("{m} cells a side, N {}, {clusters} clusters", pos.len());
+                    let (t, b) = (&mut tiles, &mut boards);
+                    assert_tiles_match_boards::<1>(t, b, &tables, &ram, mode, &pos, &ty, &js, &what);
+                    assert_tiles_match_boards::<3>(t, b, &tables[1..], &ram[1..], mode, &pos, &ty, &js, &what);
+                    assert_tiles_match_boards::<4>(t, b, &tables, &ram, mode, &pos, &ty, &js, &what);
+                }
+                let lanes = crate::plan::LANES;
+                let one_cell_tiles: usize = (0..js.n_cells()).map(|c| js.cell_range(c).len().div_ceil(lanes)).sum();
+                assert!(tiles.tiles.plan.tiles() < one_cell_tiles, "{m} cells a side: no tile spans home cells");
+            }
+        }
+    }
+
     /// MXCSR is per thread: the sweep's flush-to-zero must not depend on
     /// the caller's, nor on how many workers the region gets. The
     /// coefficients put most `b·g` products below the smallest normal
@@ -780,19 +850,22 @@ mod tests {
     /// Address and capacity of every buffer the tile sweep keeps between
     /// calls.
     #[cfg(target_arch = "x86_64")]
-    fn buffers(sys: &Mdgrape2System) -> [(usize, usize); 2] {
+    fn buffers(sys: &Mdgrape2System) -> Vec<(usize, usize)> {
         let tiles = &sys.tiles;
-        [
-            (tiles.slot_values.as_ptr() as usize, tiles.slot_values.capacity()),
-            (tiles.block_len.as_ptr() as usize, tiles.block_len.capacity()),
-        ]
+        let mut buffers = tiles.plan.buffers();
+        buffers.push((tiles.slot_values.as_ptr() as usize, tiles.slot_values.capacity()));
+        buffers
     }
 
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn steady_state_calls_reuse_every_buffer() {
-        // The first call sizes the working state and from then on no
-        // buffer moves or grows, whichever pass count or mode follows.
+        // The first call sizes the working state and the tile plan, and
+        // from then on no buffer moves or grows, whichever pass count or
+        // mode follows: not when the j-store is refreshed in place (the
+        // plan is kept), nor when it is re-sorted (the plan is rebuilt in
+        // its own buffers).
+        use crate::jstore::JStoreRefresh;
         let (sb, mut pos, ty, tables, ram) = three_species(150, 16.0);
         let passes: [TablePass<'_>; 4] = std::array::from_fn(|p| TablePass {
             table: &tables[p],
@@ -803,12 +876,13 @@ mod tests {
         sys.calc_passes_with_jstore(PipelineMode::Force, &passes, &pos, &ty, &js).unwrap();
         let warm = buffers(&sys);
         assert!(warm.iter().all(|&(_, capacity)| capacity > 0), "{warm:?}");
-        pos[3] += Vec3::new(0.1, 0.1, -0.2);
-        js.refresh(sb, &pos, &ty, 4.0);
+        pos[3] += Vec3::new(1e-3, 1e-3, -2e-3);
+        assert_eq!(js.refresh(sb, &pos, &ty, 4.0), JStoreRefresh::InPlace);
         sys.calc_passes_with_jstore(PipelineMode::Potential, &passes, &pos, &ty, &js).unwrap();
         assert_eq!(buffers(&sys), warm, "the second call moved or grew a buffer");
-        pos[11] += Vec3::new(-0.2, 0.05, 0.1);
-        js.refresh(sb, &pos, &ty, 4.0);
+        // One cell edge along x: particle 11 changes cell.
+        pos[11] += Vec3::new(4.0, 0.0, 0.0);
+        assert_eq!(js.refresh(sb, &pos, &ty, 4.0), JStoreRefresh::Resorted);
         let third = sys.calc_passes_with_jstore(PipelineMode::Force, &[passes[0]], &pos, &ty, &js).unwrap();
         assert_eq!(buffers(&sys), warm, "the third call moved or grew a buffer");
         // Reuse changes nothing: a fresh system computes the same bits.

@@ -330,3 +330,35 @@ fn mdgrape2_tile_sweep_pinned_at_ragged_tiles() {
     );
     assert_eq!(coulomb, 46_440);
 }
+
+/// The MDGRAPE-2 tiles at the serve size: `cells = 2` is 64 particles in
+/// 27 cells, ≈ 2.4 to a cell, so a tile that took one home cell's
+/// i-particles kept about one lane in seven live. Five hot steps through
+/// `MdmForceField`: the position digest, the step's counters and the
+/// Coulomb pass's pair ops are the values the one-home-cell tiles produced
+/// before tiles across home cells replaced them.
+#[test]
+fn mdgrape2_tiles_pinned_at_serve_size() {
+    let mut system = rocksalt_nacl(2, NACL_LATTICE_A);
+    maxwell_boltzmann(&mut system, 2400.0, 47);
+    let hw = MdmForceField::nacl_default(system.simbox().l()).unwrap();
+    let mut sim = Simulation::new(system, hw, 2.0);
+    sim.run(5);
+
+    let digest = position_digest(sim.system().positions());
+    let mdg = sim.force_field().last_counters().mdg;
+    let coulomb = sim.force_field().coulomb_pair_ops();
+    assert_eq!(digest, 0x4476_9a9b_12da_27fa, "position digest {digest:016x}");
+    // Four force and four energy passes; at 3 cells per side a particle's
+    // 27-cell block is the whole box: 64 · 63 pair ops a pass.
+    assert_eq!(
+        mdg,
+        mdm::mdgrape2::timing::MdgCounters {
+            pair_ops: 8 * 4_032,
+            cycles: 1_008,
+            bus_bytes_per_cluster: 26_112,
+            particles: 64,
+        }
+    );
+    assert_eq!(coulomb, 4_032);
+}
