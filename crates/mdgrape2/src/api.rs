@@ -258,6 +258,42 @@ mod tests {
     }
 
     #[test]
+    fn a_stale_jstore_is_an_error_that_bills_nothing() {
+        use crate::system::RealSpaceMode;
+        let (sb, pos, ty) = config(60, 12.0);
+        let js = JStore::build(sb, &pos, &ty, 4.0);
+        let mut lib = Mr1Library::new();
+        lib.mr1_allocate_board(4).unwrap();
+        lib.mr1_init().unwrap();
+        lib.mr1_set_table(GFunction::Dispersion6Force).unwrap();
+        lib.mr1_set_coefficients(&[vec![1.0; 2], vec![1.0; 2]], &[vec![-6.0; 2], vec![-6.0; 2]])
+            .unwrap();
+        // One particle moved after the store was built, one species
+        // changed, one particle dropped.
+        let mut moved = pos.clone();
+        moved[7] += Vec3::new(0.25, 0.0, 0.0);
+        let mut retyped = ty.clone();
+        retyped[3] ^= 1;
+        let stale = [(&moved[..], &ty[..], 7), (&pos[..], &retyped[..], 3), (&pos[..59], &ty[..59], 59)];
+        for mode in [RealSpaceMode::HardwareFaithful, RealSpaceMode::SoftwareN3l] {
+            lib.system.as_mut().unwrap().set_real_space_mode(mode);
+            lib.mr1_calcvdw_block2(&pos, &ty, &js).unwrap();
+            let billed = lib.system.as_ref().unwrap().board_meters();
+            assert!(billed.iter().any(|&(ops, _)| ops > 0), "{mode:?}");
+            for (positions, types, particle) in stale {
+                for result in [
+                    lib.mr1_calcvdw_block2(positions, types, &js),
+                    lib.mr1_calc_potential_block2(positions, types, &js),
+                ] {
+                    let want = Mr1Error::Board(MdgBoardError::StaleJStore { particle });
+                    assert_eq!(result.unwrap_err(), want, "{mode:?}");
+                }
+            }
+            assert_eq!(lib.system.as_ref().unwrap().board_meters(), billed, "{mode:?}: a refused pass billed");
+        }
+    }
+
+    #[test]
     fn table_swap_between_passes() {
         // The multi-pass composition pattern: same j-store, different
         // tables/coefficients per pass.

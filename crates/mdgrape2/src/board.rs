@@ -10,17 +10,16 @@
 //! distance between two particles is larger than r_cut", §2.2).
 //!
 //! That dataflow is what the board *bills* (pair ops per chip, bytes on
-//! the bus). On a CPU with AVX-512 the host *executes* the
-//! hardware-faithful pattern above the board level, sixteen i-particles
-//! to a tile (the `simd` module), and bills each board its share through
-//! `MdgBoard::credit_block2`; the entry points here that compute per
-//! i-particle are the portable path and the oracle the tiles are pinned
-//! against.
+//! the bus). The host *executes* the hardware-faithful pattern above the
+//! board level, sixteen i-particles to a tile (the `sweep` module), and
+//! bills each board its share through `MdgBoard::credit_block2`; the
+//! entry points here that compute per i-particle are the oracle the tiles
+//! are pinned against.
 
 use crate::chip::{AtomCoefficients, MdgChip, PIPELINES_PER_CHIP};
 use crate::ftz::FtzGuard;
 use crate::jstore::JStore;
-use crate::pipeline::{CellPass, PairAccum, PipelineMode};
+use crate::pipeline::{PairAccum, PipelineMode};
 use mdm_funceval::FunctionEvaluator;
 
 /// Chips per board (Fig. 8b).
@@ -123,6 +122,15 @@ pub enum MdgBoardError {
         /// SSRAM capacity.
         capacity: usize,
     },
+    /// The j-store does not hold the configuration the pass was given:
+    /// the sweep reads its i-side from the store's image, so it would
+    /// return another configuration's forces.
+    StaleJStore {
+        /// The first original index whose `f32` position or species
+        /// differs from the store's image (the shorter length if the
+        /// particle counts differ).
+        particle: usize,
+    },
 }
 
 impl std::fmt::Display for MdgBoardError {
@@ -132,20 +140,25 @@ impl std::fmt::Display for MdgBoardError {
                 f,
                 "SSRAM overflow: {requested} j-particles > capacity {capacity}"
             ),
+            Self::StaleJStore { particle } => write!(
+                f,
+                "stale j-store: particle {particle} differs from the uploaded image"
+            ),
         }
     }
 }
 
 impl std::error::Error for MdgBoardError {}
 
-/// Per-i-type coefficient columns of one table pass, parallel to the
-/// j-store slot order: `a[ti][slot] = a(ti, types[slot])` (and likewise
-/// `b`). Rebuilt at the top of every per-i batched sweep — O(n_types·N)
-/// gathers, negligible next to the O(N·27·occupancy) pair work they free
-/// from per-pair type lookups. The gathered values are the exact `f32`s
-/// of the coefficient RAM, so the columns change nothing numerically.
+/// Per-i-type coefficient columns of the resident coefficient RAM,
+/// parallel to the j-store slot order: `a[ti][slot] = a(ti, types[slot])`
+/// (and likewise `b`). Rebuilt at the top of every per-i batched sweep —
+/// O(n_types·N) gathers, negligible next to the O(N·27·occupancy) pair
+/// work they free from per-pair type lookups. The gathered values are the
+/// exact `f32`s of the coefficient RAM, so the columns change nothing
+/// numerically.
 #[derive(Clone, Debug, Default)]
-pub struct CoeffCols {
+struct CoeffCols {
     a: Vec<Vec<f32>>,
     b: Vec<Vec<f32>>,
 }
@@ -153,7 +166,7 @@ pub struct CoeffCols {
 impl CoeffCols {
     /// Regather the columns for `coeffs` over the slot-ordered species
     /// column `types`, reusing the buffers.
-    pub fn build(&mut self, coeffs: &AtomCoefficients, types: &[u8]) {
+    fn build(&mut self, coeffs: &AtomCoefficients, types: &[u8]) {
         let n_types = coeffs.n_types();
         self.a.resize_with(n_types, Vec::new);
         self.b.resize_with(n_types, Vec::new);
@@ -168,24 +181,12 @@ impl CoeffCols {
     }
 }
 
-/// One table pass of a board sweep: the `MR1SetTable` image and the
-/// coefficient RAM contents that go with it, the latter already
-/// gathered into columns over the resident j-store (built once per
-/// sweep and shared by every board — they all hold the same j-set).
-#[derive(Clone, Copy, Debug)]
-pub struct ColumnPass<'a> {
-    /// The g(x) function table.
-    pub table: &'a FunctionEvaluator,
-    /// The `aᵢⱼ`, `bᵢⱼ` columns.
-    pub columns: &'a CoeffCols,
-}
-
 /// One MDGRAPE-2 board.
 #[derive(Clone, Debug)]
 pub struct MdgBoard {
     chips: Vec<MdgChip>,
     bus_bytes: u64,
-    /// Columns for the entry points that run the resident pass.
+    /// Columns for the per-i entry points.
     coeff_cols: CoeffCols,
 }
 
@@ -234,9 +235,11 @@ impl MdgBoard {
     }
 
     /// Run a block-2 pass (eqs. 7–8) with the resident table and
-    /// coefficients: the single-pass instance of
-    /// [`Self::calc_block2_passes`]. Returns one accumulator per
-    /// i-particle in range order.
+    /// coefficients for the i-particles `batch[range]` against the
+    /// resident j-store, one whole j-cell per pipeline dispatch. Returns
+    /// one accumulator per i-particle in range order. i-particles are
+    /// dealt round-robin to the chips; the board result does not depend
+    /// on the dealing because each i has its own accumulator.
     ///
     /// Bitwise identical to [`Self::calc_block2_per_pair`] over the same
     /// particles: the batch kernel preserves the per-pair f32 operation
@@ -249,44 +252,14 @@ impl MdgBoard {
         range: std::ops::Range<usize>,
         jstore: &JStore,
     ) -> Vec<PairAccum> {
-        let table = self.chips[0].evaluator().clone();
-        let mut columns = std::mem::take(&mut self.coeff_cols);
-        columns.build(self.chips[0].coefficients(), jstore.types());
-        let pass = ColumnPass {
-            table: &table,
-            columns: &columns,
-        };
-        let out = self.calc_block2_passes(mode, &[pass], batch, range, jstore);
-        self.coeff_cols = columns;
-        out.into_iter().map(|[acc]| acc).collect()
-    }
-
-    /// Run `P` block-2 passes (eqs. 7–8) in **one sweep** for the
-    /// i-particles `batch[range]` against the resident j-store, one
-    /// whole j-cell per pipeline dispatch: what the host gets from `P`
-    /// rounds of `MR1SetTable` + `MR1calcvdw_block2` over the same
-    /// particles, computed side by side because every round walks the
-    /// same pairs. Returns the `P` accumulators of each i-particle in
-    /// range order. i-particles are dealt round-robin to the chips; the
-    /// board result does not depend on the dealing because each i has
-    /// its own accumulators.
-    ///
-    /// Pass `p` of the result is bitwise identical to
-    /// [`Self::calc_block2`] with `passes[p]` resident. The modeled
-    /// board is billed for `P` passes: `P` pair ops per pair and `P`
-    /// force read-backs.
-    pub fn calc_block2_passes<const P: usize>(
-        &mut self,
-        mode: PipelineMode,
-        passes: &[ColumnPass<'_>; P],
-        batch: &IBatch,
-        range: std::ops::Range<usize>,
-        jstore: &JStore,
-    ) -> Vec<[PairAccum; P]> {
         let _ftz = FtzGuard::new();
-        let mut out = vec![[PairAccum::default(); P]; range.len()];
-        for (idx, (i, accs)) in range.clone().zip(out.iter_mut()).enumerate() {
-            let chip = &mut self.chips[idx % CHIPS_PER_BOARD];
+        self.coeff_cols
+            .build(self.chips[0].coefficients(), jstore.types());
+        let (columns, chips) = (&self.coeff_cols, &mut self.chips);
+        let mut out = vec![PairAccum::default(); range.len()];
+        for (idx, (i, acc)) in range.clone().zip(out.iter_mut()).enumerate() {
+            let chip = &mut chips[idx % CHIPS_PER_BOARD];
+            let pipe = (idx / CHIPS_PER_BOARD) % PIPELINES_PER_CHIP;
             let xi = [batch.xs[i], batch.ys[i], batch.zs[i]];
             let ti = batch.types[i] as usize;
             let self_slot = batch.self_slots[i] as usize;
@@ -296,29 +269,23 @@ impl MdgBoard {
                 // skipped as the per-pair driver did (the silicon
                 // evaluates it and gets f⃗·0⃗; skipping is numerically
                 // identical and keeps potential mode clean).
-                let skip = if shift == [0.0f32; 3] && cell_range.contains(&self_slot) {
-                    Some(self_slot - cell_range.start)
-                } else {
-                    None
-                };
-                let cell_passes: [CellPass<'_>; P] = std::array::from_fn(|p| CellPass {
-                    evaluator: passes[p].table,
-                    acol: &passes[p].columns.a[ti][cell_range.clone()],
-                    bcol: &passes[p].columns.b[ti][cell_range.clone()],
-                });
-                chip.stream_cell_passes(
-                    &cell_passes,
+                let skip = (shift == [0.0f32; 3] && cell_range.contains(&self_slot))
+                    .then(|| self_slot - cell_range.start);
+                chip.stream_cell(
+                    pipe,
                     mode,
                     xi,
                     shift,
                     jstore.cell_columns(nc as usize),
+                    &columns.a[ti][cell_range.clone()],
+                    &columns.b[ti][cell_range],
                     skip,
-                    accs,
+                    acc,
                 );
             }
         }
-        // Force read-back: 24 B per i-particle (3 × f64), once per pass.
-        self.bus_bytes += (P * range.len() * 24) as u64;
+        // Force read-back: 24 B per i-particle (3 × f64).
+        self.bus_bytes += (range.len() * 24) as u64;
         out
     }
 
@@ -327,7 +294,7 @@ impl MdgBoard {
     /// of the chunk in range order, the pair ops of one pass (its
     /// 27-cell block minus the self pair). Chips are dealt the particles
     /// round-robin and the read-back is 24 B per particle per pass,
-    /// exactly as [`Self::calc_block2_passes`] bills itself.
+    /// exactly as `passes` calls of [`Self::calc_block2`] bill themselves.
     pub(crate) fn credit_block2(&mut self, passes: u64, pair_ops: impl Iterator<Item = u64>) {
         let mut particles = 0u64;
         for (idx, ops) in pair_ops.enumerate() {

@@ -56,17 +56,17 @@
 //! pass in full — the model of the machine does not change, only the
 //! time the host takes to emulate it.
 //!
-//! On a CPU with AVX-512 F the sweep runs the silicon's own dataflow:
-//! sixteen resident i-particles to a register — sixteen consecutive
-//! j-store slots, whichever home cells they belong to — each streamed
-//! j-particle broadcast to all of them, every lane adding into f64 chains
-//! of its own under a mask of the cells in its own 27-cell box (the
-//! `simd` module), in one parallel region over the tiles of a cached
+//! The sweep runs the silicon's own dataflow on every CPU: sixteen
+//! resident i-particles to a tile — sixteen consecutive j-store slots,
+//! whichever home cells they belong to — each streamed j-particle
+//! broadcast to all of them, every lane adding into f64 chains of its own
+//! under a mask of the cells in its own 27-cell box (the `sweep` module;
+//! AVX-512 registers where the CPU has AVX-512 F, `[f32; 16]` arrays
+//! elsewhere), in one parallel region over the tiles of a cached
 //! [`plan::TilePlan`] above the board level; the boards are billed their
-//! chunks by arithmetic. On any other CPU each board computes its chunk
-//! one i-particle at a time through [`pipeline::interact_cell_passes`],
-//! the scalar column sweep — which is also the oracle the tiles are
-//! pinned against, bit for bit and counter for counter.
+//! chunks by arithmetic. The per-i scalar column sweep
+//! ([`board::MdgBoard::calc_block2`]) is the oracle both forms are pinned
+//! against, bit for bit and counter for counter.
 
 pub mod api;
 pub mod board;
@@ -77,6 +77,7 @@ pub mod jstore;
 pub mod pipeline;
 pub mod plan;
 mod simd;
+mod sweep;
 pub mod system;
 pub mod tables;
 pub mod timing;

@@ -109,11 +109,10 @@ pub const MAX_CELL_PASSES: usize = 4;
 /// driver skipped it: the slot is passed over, no zero is added.
 ///
 /// This is the per-i entry point: the scalar column sweeps of
-/// `interact_cell_scalar`, on every CPU. The production sweep of
+/// `interact_cell_scalar`. The production sweep of
 /// [`crate::system::Mdgrape2System`] runs sixteen i-particles to a tile
-/// on AVX-512 lanes where the CPU has them (the `simd` module) and is
-/// pinned bitwise against this function; elsewhere it runs this
-/// function.
+/// (the `sweep` module, on AVX-512 lanes or portable arrays) and is
+/// pinned bitwise against this function.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 pub fn interact_cell_passes<const P: usize>(

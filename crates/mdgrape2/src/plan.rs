@@ -33,10 +33,6 @@
 //! the system keeps it across a j-store refresh that moved no particle
 //! across a cell boundary, and otherwise rebuilds it in its own buffers.
 
-// The one sweep that reads a plan is AVX-512 only until a portable lane
-// instance exists; elsewhere the plan is built by its tests and callers.
-#![cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
-
 use crate::jstore::JStore;
 use mdm_core::boxsim::SimBox;
 use std::ops::Range;

@@ -1,51 +1,20 @@
-//! AVX-512 tiles for the hardware-faithful real-space sweep.
-//!
-//! MDGRAPE-2 streams each j-particle once and broadcasts it to pipelines
-//! that each hold their own resident i-particle and their own f64
-//! accumulators (paper Figs. 9–11). The kernel here runs that dataflow
-//! as written: a **tile** is up to sixteen consecutive j-store slots, one
-//! i-particle per lane, whichever home cells they belong to, and every
-//! j-particle of the union of the lanes' 27-cell boxes is broadcast to
-//! all of them in turn ([`crate::plan`] says which slots share a tile and
-//! in which order the union streams).
-//!
-//! What a tile shares: the j-side — `x⃗ⱼ + shift` is one scalar add per
-//! component instead of sixteen, and the j-species selects one
-//! precomputed `a`/`b` vector per pass — and the table constants. What
-//! each lane owns: its `x⃗ᵢ`, its `r⃗ᵢⱼ`, `r²`, its trip through the
-//! Fig. 11 datapath (`x = a·r²` → address decode → coefficient fetch →
-//! quartic Horner → `b·g` → three products) and, after the widening
-//! `f32 → f64` convert, **its own accumulation chains**. One masked
-//! `add_pd` therefore advances up to sixteen chains by one term each. A
-//! streamed cell's mask holds only the lanes whose own box holds it, and
-//! the union's order keeps every box's, so each chain still receives its
-//! terms slot by slot in cell order, cells in stencil order — the order
-//! of [`crate::pipeline::interact_cell_scalar`] run per i. The self pair
-//! is one mask bit cleared for one j: the lane is passed over, nothing is
-//! added, not even a zero. Lanes past a short tile's last slot are masked
-//! the same way, never fetched and never stored.
-//!
-//! Every lane performs the scalar datapath's IEEE 754 operations in the
-//! scalar datapath's order — separate multiplies and adds, never an FMA;
-//! the integer decode of [`mdm_funceval::Segmentation::locate`] — under
-//! the same MXCSR (flush-to-zero governs the 512-bit operations and the
-//! scalar j-side add alike), so the accumulators are **bitwise
-//! identical** to the scalar sweep's. The `scalar_simd_equivalence`
-//! tests assert it on any machine that runs this path.
-//!
-//! Requires AVX-512 F only; any other CPU runs the scalar column sweep
-//! through the per-i entry points.
+//! AVX-512 form of the tile sweep ([`crate::sweep`]): the same order with
+//! a lane's datapath in 512-bit registers — `x = a·r²` → address decode
+//! in integer lanes → the coefficients straight from the `[f32; 5]` rows
+//! by masked gathers → quartic Horner → `b·g` → three products — and one
+//! masked `add_pd` advancing up to sixteen f64 chains by one term each.
+//! Every operation is the scalar datapath's, in its order (the integer
+//! decode is [`mdm_funceval::Segmentation::locate`]'s), under the same
+//! MXCSR, so the chains are **bitwise identical** to the portable form's.
+//! Requires AVX-512 F only; anything else runs the portable form.
 
 #![cfg(target_arch = "x86_64")]
 
-use crate::chip::MAX_TYPES;
-use crate::jstore::{JCellColumns, JStore};
-use crate::pipeline::PipelineMode;
-use crate::plan::{StreamCell, LANES};
+use crate::plan::LANES;
+use crate::sweep::{JRun, Tile};
 use crate::system::TablePass;
 use mdm_funceval::{FunctionEvaluator, POLY_COEFFS};
 use std::arch::x86_64::*;
-use std::ops::Range;
 
 /// Runtime gate for the kernel.
 #[inline]
@@ -180,29 +149,6 @@ impl TableLanes {
     }
 }
 
-/// One run of a tile's j-stream: a j-cell, the shift added to every
-/// position streamed from it, the lanes it feeds, and which lane's own
-/// particle each of its slots is.
-struct JRun<'a> {
-    /// The j-cell's columns.
-    cell: JCellColumns<'a>,
-    /// Periodic image shift.
-    shift: [f32; 3],
-    /// The lanes whose chains take its terms.
-    lanes: __mmask16,
-    /// Slot `k` is the self pair of lane `self_lane + k` (wrapping); a
-    /// value past the last lane for every `k` means no slot is.
-    self_lane: usize,
-}
-
-/// One pass's coefficients for one j-species across a tile: lane `l`
-/// holds `a[tᵢ(l)][tⱼ]` and `b[tᵢ(l)][tⱼ]`.
-#[derive(Clone, Copy)]
-struct PairCoeffs {
-    a: __m512,
-    b: __m512,
-}
-
 /// Widen one f32 term per lane and add it into the lanes' own f64
 /// chains; a lane whose bit is clear keeps its chain untouched.
 #[inline]
@@ -223,153 +169,25 @@ fn add_term(chain: &mut [__m512d; 2], term: __m512, live: __mmask16) {
     );
 }
 
-/// Tile `slots` of `jstore` — its i-particles, one per lane — against
-/// the j-stream `union` in order, `P` passes side by side. A stream cell
-/// feeds only its own lanes, and a streamed j that is one of the tile's
-/// own slots is passed over by that slot's lane (the plan's lanes hold
-/// their home cell once, unshifted). `out[l·P + p]` is the accumulator of
-/// slot `slots.start + l` for pass `p`: read as the chains' starting
-/// values, written back with what [`crate::pipeline::interact_cell_scalar`]
-/// would leave there, bit for bit, after the slot's own j-cells in the
-/// same order with the slot's own species row of the coefficient RAM.
-/// Potential mode touches component 0 only.
-///
-/// Species beyond a pass's coefficient RAM are the caller's to rule out.
+/// The AVX-512 j-stream of [`crate::sweep::Kernel::sweep_tile`], the
+/// mode as a constant: with both modes' arms in one body the four-pass
+/// sweep keeps fewer of its chains in registers (5–7 % at 33 particles
+/// per cell). The chains live in registers from the tile's load to its
+/// store.
 #[target_feature(enable = "avx512f")]
-pub(crate) fn sweep_tile<const P: usize>(
+pub(crate) fn tile<'a, const P: usize, const FORCE: bool>(
     passes: &[TablePass<'_>; P],
-    mode: PipelineMode,
-    jstore: &JStore,
-    slots: Range<usize>,
-    union: impl Iterator<Item = StreamCell>,
-    out: &mut [[f64; 3]],
-) {
-    let first = slots.start;
-    let runs = union.map(|u| {
-        let cell = jstore.cell_range(u.cell);
-        JRun {
-            self_lane: cell.start.wrapping_sub(first),
-            cell: jstore.slot_columns(cell),
-            shift: u.shift,
-            lanes: u.lanes,
-        }
-    });
-    let lanes = jstore.slot_columns(slots);
-    match mode {
-        PipelineMode::Force => tile::<P, true>(passes, lanes, runs, out),
-        PipelineMode::Potential => tile::<P, false>(passes, lanes, runs, out),
-    }
-}
-
-/// One entry of a home cell's stencil, for [`sweep_tiles`].
-#[cfg(test)]
-#[derive(Clone, Copy)]
-pub(crate) struct JCell<'a> {
-    /// The j-cell's columns.
-    pub cell: JCellColumns<'a>,
-    /// Periodic image shift, added to every streamed position.
-    pub shift: [f32; 3],
-    /// The entry is the home cell itself: slot `k` is the self pair of
-    /// i-slot `k`.
-    pub is_home: bool,
-}
-
-/// The one-home-cell form of the tiles, against a stencil of the
-/// caller's making: every i-particle of `home`, sixteen to a tile, each
-/// tile streaming all of `stencil` to all its lanes. `out[s·P + p]` is
-/// home slot `s`'s accumulator for pass `p`, as in [`sweep_tile`].
-#[cfg(test)]
-#[target_feature(enable = "avx512f")]
-pub(crate) fn sweep_tiles<const P: usize>(
-    passes: &[TablePass<'_>; P],
-    mode: PipelineMode,
-    home: JCellColumns<'_>,
-    stencil: &[JCell<'_>],
-    out: &mut [[f64; 3]],
-) {
-    assert_eq!(out.len(), home.len() * P, "one accumulator per slot per pass");
-    for base in (0..home.len()).step_by(LANES) {
-        let lanes = base..(base + LANES).min(home.len());
-        let runs = stencil.iter().map(|entry| JRun {
-            cell: entry.cell,
-            shift: entry.shift,
-            lanes: ((1u32 << lanes.len()) - 1) as __mmask16,
-            // Home slot `k` is lane `k − base`'s own particle.
-            self_lane: if entry.is_home { base.wrapping_neg() } else { LANES },
-        });
-        let i_side = JCellColumns {
-            xs: &home.xs[lanes.clone()],
-            ys: &home.ys[lanes.clone()],
-            zs: &home.zs[lanes.clone()],
-            types: &home.types[lanes.clone()],
-        };
-        let out = &mut out[base * P..lanes.end * P];
-        match mode {
-            PipelineMode::Force => tile::<P, true>(passes, i_side, runs, out),
-            PipelineMode::Potential => tile::<P, false>(passes, i_side, runs, out),
-        }
-    }
-}
-
-/// One tile with the mode as a constant: with both modes' arms in one
-/// body the four-pass sweep keeps fewer of its chains in registers
-/// (5–7 % at 33 particles per cell). `lanes` holds the tile's
-/// i-particles, at most [`LANES`].
-#[target_feature(enable = "avx512f")]
-fn tile<'a, const P: usize, const FORCE: bool>(
-    passes: &[TablePass<'_>; P],
-    lanes: JCellColumns<'_>,
+    tile: &mut Tile<P>,
     runs: impl Iterator<Item = JRun<'a>>,
-    out: &mut [[f64; 3]],
 ) {
-    let width = lanes.len();
-    assert!(width <= LANES, "a tile holds at most {LANES} i-particles");
-    assert_eq!(out.len(), width * P, "one accumulator per lane per pass");
     let tables: [TableLanes; P] = std::array::from_fn(|p| TableLanes::new(passes[p].table));
-    let components = if FORCE { 3 } else { 1 };
-    let tail = ((1u32 << width) - 1) as __mmask16;
-    // SAFETY: lanes `0..width` of each load are a column of length
-    // `width`; the rest are masked off and read 0.
-    let load = |col: &[f32]| unsafe { _mm512_maskz_loadu_ps(tail, col[..width].as_ptr()) };
-    let xi = [load(lanes.xs), load(lanes.ys), load(lanes.zs)];
-
-    // The coefficient RAM as the tile sees it: per j-species, per pass,
-    // the lanes' own rows.
-    let zero = _mm512_setzero_ps();
-    let mut coeffs = [[PairCoeffs { a: zero, b: zero }; P]; MAX_TYPES];
-    for (p, pass) in passes.iter().enumerate() {
-        for (tj, pair) in coeffs.iter_mut().enumerate().take(pass.coefficients.n_types()) {
-            let (mut a, mut b) = ([0f32; LANES], [0f32; LANES]);
-            for (lane, &ti) in lanes.types[..width].iter().enumerate() {
-                (a[lane], b[lane]) = pass.coefficients.get(ti, tj as u8);
-            }
-            // SAFETY: whole-register loads of 16-element arrays.
-            pair[p] = unsafe {
-                PairCoeffs {
-                    a: _mm512_loadu_ps(a.as_ptr()),
-                    b: _mm512_loadu_ps(b.as_ptr()),
-                }
-            };
-        }
-    }
-
-    // Lane `l`'s chains start from its slot's accumulators.
-    let mut acc = [[[_mm512_setzero_pd(); 2]; 3]; P];
-    for (p, chains) in acc.iter_mut().enumerate() {
-        for (c, chain) in chains.iter_mut().enumerate().take(components) {
-            let mut start = [0f64; LANES];
-            for (lane, value) in start.iter_mut().enumerate().take(width) {
-                *value = out[lane * P + p][c];
-            }
-            // SAFETY: two whole-register loads of a 16-element array.
-            *chain = unsafe {
-                [
-                    _mm512_loadu_pd(start.as_ptr()),
-                    _mm512_loadu_pd(start.as_ptr().add(LANES / 2)),
-                ]
-            };
-        }
-    }
+    // SAFETY: whole-register loads of 16-lane arrays.
+    let load = |lanes: &[f32; LANES]| unsafe { _mm512_loadu_ps(lanes.as_ptr()) };
+    let xi = tile.xi.each_ref().map(load);
+    // SAFETY: two whole-register loads of each 16-lane chain array.
+    let mut acc = tile.acc.map(|chains| {
+        chains.map(|c| unsafe { [_mm512_loadu_pd(c.as_ptr()), _mm512_loadu_pd(c.as_ptr().add(LANES / 2))] })
+    });
 
     for run in runs {
         let n = run.cell.len();
@@ -390,19 +208,14 @@ fn tile<'a, const P: usize, const FORCE: bool>(
                 _mm512_add_ps(_mm512_mul_ps(d[0], d[0]), _mm512_mul_ps(d[1], d[1])),
                 _mm512_mul_ps(d[2], d[2]),
             );
-            let own = run.self_lane.wrapping_add(k);
-            let live = if own < LANES {
-                run.lanes & !(1 << own)
-            } else {
-                run.lanes
-            };
-            let pair = &coeffs[ts[k] as usize];
+            let live = run.live(k);
+            let pair = &tile.coeffs[ts[k] as usize];
             for p in 0..P {
-                let x = _mm512_mul_ps(pair[p].a, r_sq);
+                let x = _mm512_mul_ps(load(&pair[p][0]), r_sq);
                 // SAFETY: `tables[p]` was built from `passes[p]`, which
                 // outlives this call.
                 let g = unsafe { tables[p].eval(x, run.lanes) };
-                let bg = _mm512_mul_ps(pair[p].b, g);
+                let bg = _mm512_mul_ps(load(&pair[p][1]), g);
                 if FORCE {
                     for (chain, &dc) in acc[p].iter_mut().zip(&d) {
                         add_term(chain, _mm512_mul_ps(bg, dc), live);
@@ -414,28 +227,30 @@ fn tile<'a, const P: usize, const FORCE: bool>(
         }
     }
 
-    for (p, chains) in acc.iter().enumerate() {
-        for (c, chain) in chains.iter().enumerate().take(components) {
-            let mut end = [0f64; LANES];
-            // SAFETY: two whole-register stores into a 16-element array.
+    for (chains, lanes) in acc.iter().zip(&mut tile.acc) {
+        for (chain, lanes) in chains.iter().zip(lanes) {
+            // SAFETY: two whole-register stores into a 16-lane array.
             unsafe {
-                _mm512_storeu_pd(end.as_mut_ptr(), chain[0]);
-                _mm512_storeu_pd(end.as_mut_ptr().add(LANES / 2), chain[1]);
-            }
-            for (lane, &value) in end.iter().enumerate().take(width) {
-                out[lane * P + p][c] = value;
+                _mm512_storeu_pd(lanes.as_mut_ptr(), chain[0]);
+                _mm512_storeu_pd(lanes.as_mut_ptr().add(LANES / 2), chain[1]);
             }
         }
     }
 }
 
+/// The tile-level equivalence tests of both kernels (the portable form
+/// runs wherever they do; the AVX-512 one skips loudly without it).
 #[cfg(test)]
-pub(crate) mod tests {
-    use super::*;
+mod tests {
     use crate::chip::AtomCoefficients;
     use crate::ftz::FtzGuard;
-    use crate::pipeline::{interact_cell_scalar, BatchScratch, CellPass, PairAccum, MAX_CELL_PASSES};
+    use crate::jstore::JCellColumns;
+    use crate::pipeline::{interact_cell_scalar, BatchScratch, CellPass, PairAccum, PipelineMode, MAX_CELL_PASSES};
+    use crate::sweep::tests::{kernels, tables, three_species_ram, FORCE_KERNELS};
+    use crate::sweep::JCell;
+    use crate::system::TablePass;
     use crate::tables::GFunction;
+    use mdm_funceval::FunctionEvaluator;
 
     /// Deterministic pseudo-random stream in `[0, 1)` (xorshift; no
     /// external RNG).
@@ -475,32 +290,6 @@ pub(crate) mod tests {
                 types: &self.types,
             }
         }
-    }
-
-    pub(crate) fn tables(kernels: [GFunction; 4]) -> Vec<FunctionEvaluator> {
-        kernels
-            .iter()
-            .map(|g| g.build_evaluator().unwrap())
-            .collect()
-    }
-
-    /// Three species, every `a` and `b` of every pass distinct, mixed
-    /// signs and magnitudes.
-    pub(crate) fn three_species_ram() -> Vec<AtomCoefficients> {
-        (0..MAX_CELL_PASSES)
-            .map(|p| {
-                let entry = |scale: f64, offset: f64| -> Vec<Vec<f64>> {
-                    (0..3)
-                        .map(|i| {
-                            (0..3)
-                                .map(|j| offset + scale * (1 + 3 * i + j + 9 * p) as f64)
-                                .collect()
-                        })
-                        .collect()
-                };
-                AtomCoefficients::new(&entry(0.02, 0.1), &entry(-0.11, 2.0))
-            })
-            .collect()
     }
 
     /// The oracle: the scalar column sweep, one i-particle at a time,
@@ -546,8 +335,8 @@ pub(crate) mod tests {
         }
     }
 
-    /// Run both sweeps on the same inputs from the same starting
-    /// accumulators and demand identical bits.
+    /// Run the scalar sweep and every kernel's tiles on the same inputs
+    /// from the same starting accumulators and demand identical bits.
     fn assert_tiles_match_scalar<const P: usize>(
         tables: &[FunctionEvaluator],
         ram: &[AtomCoefficients],
@@ -564,41 +353,26 @@ pub(crate) mod tests {
             let begin: Vec<[f64; 3]> = (0..home.len() * P)
                 .map(|k| start.map(|v| v * (1 + k % 7) as f64))
                 .collect();
-            let (mut scalar, mut tiled) = (begin.clone(), begin);
+            let mut scalar = begin.clone();
             scalar_sweep(&passes, mode, home, stencil, &mut scalar);
-            // SAFETY: callers checked `available()`.
-            unsafe { sweep_tiles(&passes, mode, home, stencil, &mut tiled) };
-            for (k, (s, t)) in scalar.iter().zip(&tiled).enumerate() {
-                assert_eq!(
-                    s.map(f64::to_bits),
-                    t.map(f64::to_bits),
-                    "{what}: slot {} pass {} {mode:?}: scalar {s:?} vs tiles {t:?}",
-                    k / P,
-                    k % P,
-                );
+            for kernel in kernels() {
+                let mut tiled = begin.clone();
+                kernel.sweep_tiles(&passes, mode, home, stencil, &mut tiled);
+                for (k, (s, t)) in scalar.iter().zip(&tiled).enumerate() {
+                    assert_eq!(
+                        s.map(f64::to_bits),
+                        t.map(f64::to_bits),
+                        "{what}: slot {} pass {} {mode:?}: scalar {s:?} vs {kernel:?} tiles {t:?}",
+                        k / P,
+                        k % P,
+                    );
+                }
             }
         }
     }
 
-    pub(crate) const FORCE_KERNELS: [GFunction; 4] = [
-        GFunction::CoulombRealForce,
-        GFunction::BornMayerForce,
-        GFunction::Dispersion6Force,
-        GFunction::Dispersion8Force,
-    ];
-
-    fn simd_or_loud_skip() -> bool {
-        if !available() {
-            eprintln!("AVX-512 absent: SIMD case skipped");
-        }
-        available()
-    }
-
     #[test]
     fn scalar_simd_equivalence_over_cell_lengths_and_self_slots() {
-        if !simd_or_loud_skip() {
-            return;
-        }
         let tables = tables(FORCE_KERNELS);
         let ram = three_species_ram();
         let _ftz = FtzGuard::new();
@@ -631,9 +405,6 @@ pub(crate) mod tests {
 
     #[test]
     fn scalar_simd_equivalence_for_a_particle_alone_in_its_stencil() {
-        if !simd_or_loud_skip() {
-            return;
-        }
         let tables = tables(FORCE_KERNELS);
         let ram = three_species_ram();
         let _ftz = FtzGuard::new();
@@ -645,21 +416,19 @@ pub(crate) mod tests {
         });
         // Its one pair is the self pair: no term at all, so even the
         // sign of a zero accumulator survives (`−0 + 0` would be `+0`).
-        for mode in [PipelineMode::Force, PipelineMode::Potential] {
-            let mut out = [[-0.0f64; 3]; 4];
-            // SAFETY: `available()` was checked above.
-            unsafe { sweep_tiles(&passes, mode, home.columns(), &stencil, &mut out) };
-            for acc in out {
-                assert_eq!(acc.map(f64::to_bits), [(-0.0f64).to_bits(); 3], "{mode:?}");
+        for kernel in kernels() {
+            for mode in [PipelineMode::Force, PipelineMode::Potential] {
+                let mut out = [[-0.0f64; 3]; 4];
+                kernel.sweep_tiles(&passes, mode, home.columns(), &stencil, &mut out);
+                for acc in out {
+                    assert_eq!(acc.map(f64::to_bits), [(-0.0f64).to_bits(); 3], "{kernel:?} {mode:?}");
+                }
             }
         }
     }
 
     #[test]
     fn scalar_simd_equivalence_over_every_input_class() {
-        if !simd_or_loud_skip() {
-            return;
-        }
         let tables = tables([
             GFunction::CoulombRealEnergy,
             GFunction::BornMayerEnergy,

@@ -6,27 +6,23 @@
 //! The hierarchy is the accounting truth: every board is dealt its
 //! contiguous chunk of i-particles and billed the j-store uploads, pair
 //! ops and read-backs of the passes it ran. What the host *executes* for
-//! the hardware-faithful pattern depends on the CPU. With AVX-512 F it
-//! is the tile sweep of the `simd` module, run above the board level in
-//! one parallel region over the tiles of a [`crate::plan::TilePlan`] —
-//! sixteen resident i-particles per streamed j, as the silicon
-//! broadcasts it, taken from neighbouring home cells where one cell has
-//! fewer — with the boards billed by arithmetic. Elsewhere each board
-//! computes its own chunk one i-particle at a time
-//! ([`MdgBoard::calc_block2_passes`]) and bills itself. The two agree in
-//! every value bit and every counter.
+//! the hardware-faithful pattern is the tile sweep of the `sweep`
+//! module, run above the board level in one parallel region over the
+//! tiles of a [`crate::plan::TilePlan`] — sixteen resident i-particles
+//! per streamed j, as the silicon broadcasts it, taken from neighbouring
+//! home cells where one cell has fewer — in the form this CPU runs
+//! (AVX-512 lanes or portable arrays, bit for bit the same), with the
+//! boards billed by arithmetic. Its values and counters are those of the
+//! boards each running [`MdgBoard::calc_block2`] on their own chunks.
 
-use crate::board::{
-    CoeffCols, ColumnPass, IBatch, MdgBoard, MdgBoardError, PIPELINES_PER_BOARD,
-};
+use crate::board::{MdgBoard, MdgBoardError, PIPELINES_PER_BOARD};
 use crate::chip::AtomCoefficients;
 use crate::cluster::{MdgCluster, BOARDS_PER_CLUSTER};
-#[cfg(target_arch = "x86_64")]
 use crate::ftz::FtzGuard;
 use crate::jstore::JStore;
-use crate::pipeline::{PairAccum, PipelineMode};
-#[cfg(target_arch = "x86_64")]
+use crate::pipeline::PipelineMode;
 use crate::plan::TilePlan;
+use crate::sweep::Kernel;
 use crate::timing::MdgCounters;
 use mdm_core::boxsim::SimBox;
 use mdm_core::vec3::Vec3;
@@ -100,11 +96,9 @@ pub struct MdgPassResult {
 /// returns and the parallel region's bookkeeping, all on the calling
 /// thread — never on a worker (short-lived workers each grow an
 /// allocator arena of their own).
-#[cfg(target_arch = "x86_64")]
-#[derive(Default)]
 struct TileSweep {
-    /// Whether this CPU runs it.
-    available: bool,
+    /// The form of the sweep this CPU runs.
+    kernel: Kernel,
     /// The accumulators of the sweep in flight in j-store slot order,
     /// `[slot][pass]`: each tile owns one contiguous run.
     slot_values: Vec<[f64; 3]>,
@@ -118,10 +112,6 @@ pub struct Mdgrape2System {
     config: Mdgrape2Config,
     clusters: Vec<MdgCluster>,
     mode: RealSpaceMode,
-    /// Per-pass coefficient columns of the per-i sweep in flight
-    /// (buffers kept across steps).
-    coeff_cols: Vec<CoeffCols>,
-    #[cfg(target_arch = "x86_64")]
     tiles: TileSweep,
 }
 
@@ -140,11 +130,10 @@ impl Mdgrape2System {
                 .map(|_| MdgCluster::new(evaluator.clone(), coefficients.clone()))
                 .collect(),
             mode: RealSpaceMode::default(),
-            coeff_cols: Vec::new(),
-            #[cfg(target_arch = "x86_64")]
             tiles: TileSweep {
-                available: crate::simd::available(),
-                ..TileSweep::default()
+                kernel: Kernel::detect(),
+                slot_values: Vec::new(),
+                plan: TilePlan::default(),
             },
         }
     }
@@ -229,11 +218,13 @@ impl Mdgrape2System {
     /// values and counters, to loading `passes[p]` and calling
     /// [`Self::calc_pass_with_jstore`].
     ///
+    /// `positions` and `types` must be the configuration `jstore` holds
+    /// (the sweep reads its i-side from the store's image); otherwise the
+    /// call returns [`MdgBoardError::StaleJStore`] and bills nothing.
+    ///
     /// In [`RealSpaceMode::HardwareFaithful`] the passes run as one
     /// fused sweep: the 27-cell pair set is walked once and all `P`
-    /// tables are evaluated per pair, one fork-join for the lot (the
-    /// module docs say which form of the sweep this CPU runs; `positions`
-    /// and `types` must be the configuration `jstore` holds). The modeled
+    /// tables are evaluated per pair, one fork-join for the lot. The modeled
     /// machine still ran `P` passes: every board is billed `P` j-store
     /// uploads, `P` read-backs and `P` pair ops per pair, and each
     /// returned [`MdgCounters`] is that of one pass.
@@ -254,10 +245,13 @@ impl Mdgrape2System {
     ) -> Result<[MdgPassResult; P], MdgBoardError> {
         assert_eq!(positions.len(), types.len());
         let _span = mdm_profile::span("mdg_pass");
+        if let Some(particle) = first_stale(positions, types, jstore) {
+            return Err(MdgBoardError::StaleJStore { particle });
+        }
         match self.mode {
             RealSpaceMode::HardwareFaithful => {
                 self.reset_counters();
-                let values = self.hardware_passes(mode, passes, positions, types, jstore)?;
+                let values = self.tile_sweep(mode, passes, jstore)?;
                 // Every pass walked the same pairs on the same boards.
                 let counters = self.pass_counters(P as u64, positions.len());
                 Ok(values.map(|values| MdgPassResult { values, counters }))
@@ -268,7 +262,7 @@ impl Mdgrape2System {
                     self.load_table(pass.table);
                     self.load_coefficients(pass.coefficients);
                     self.reset_counters();
-                    let values = self.n3l_pass(mode, positions, jstore)?;
+                    let values = self.n3l_pass(mode, jstore)?;
                     let counters = self.pass_counters(1, positions.len());
                     results.push(MdgPassResult { values, counters });
                 }
@@ -313,56 +307,25 @@ impl Mdgrape2System {
         }
     }
 
-    /// The hardware-faithful sweep, in the form this CPU runs.
-    fn hardware_passes<const P: usize>(
-        &mut self,
-        mode: PipelineMode,
-        passes: &[TablePass<'_>; P],
-        positions: &[Vec3],
-        types: &[u8],
-        jstore: &JStore,
-    ) -> Result<[Vec<[f64; 3]>; P], MdgBoardError> {
-        #[cfg(target_arch = "x86_64")]
-        if self.tiles.available {
-            return self.tile_sweep(mode, passes, positions, types, jstore);
-        }
-        self.board_sweep(mode, passes, positions, types, jstore)
-    }
-
     /// The contiguous chunk of `n` i-particles dealt to board `b`.
     fn board_chunk(&self, b: usize, n: usize) -> std::ops::Range<usize> {
         let per_board = n.div_ceil(self.config.boards()).max(1);
         (b * per_board).min(n)..((b + 1) * per_board).min(n)
     }
 
-    /// The sweep on AVX-512 lanes: one parallel region over the tiles of
-    /// the cached [`TilePlan`], each tile (`simd::sweep_tile`) writing its
-    /// own run of the slot-ordered buffer, one scatter to original order
-    /// at the end. The i-side is the j-store's own image of the particles
-    /// — the same `p.x as f32` casts [`IBatch::stage`] makes.
-    #[cfg(target_arch = "x86_64")]
+    /// The hardware-faithful sweep: one parallel region over the tiles of
+    /// the cached [`TilePlan`], each tile ([`Kernel::sweep_tile`]) writing
+    /// its own run of the slot-ordered buffer, one scatter to original
+    /// order at the end. The i-side is the j-store's own image of the
+    /// particles — the same `p.x as f32` casts
+    /// [`IBatch::stage`](crate::board::IBatch::stage) makes.
     fn tile_sweep<const P: usize>(
         &mut self,
         mode: PipelineMode,
         passes: &[TablePass<'_>; P],
-        positions: &[Vec3],
-        types: &[u8],
         jstore: &JStore,
     ) -> Result<[Vec<[f64; 3]>; P], MdgBoardError> {
         let n = jstore.len();
-        assert_eq!(
-            positions.len(),
-            n,
-            "the hardware sweep takes identical i- and j-sets"
-        );
-        debug_assert!(
-            (0..n).all(|i| {
-                let (p, s) = (positions[i], jstore.slot_of_original(i));
-                jstore.position(s) == [p.x as f32, p.y as f32, p.z as f32]
-                    && jstore.species(s) == types[i]
-            }),
-            "the j-store does not hold this configuration"
-        );
         let species = jstore.types().iter().max().map_or(0, |&t| t as usize + 1);
         for pass in passes {
             assert!(
@@ -373,8 +336,8 @@ impl Mdgrape2System {
         self.tiles.plan.update(jstore);
         self.bill_tile_sweep(P as u64, jstore)?;
 
-        let TileSweep { slot_values: values, plan, .. } = &mut self.tiles;
-        let plan = &*plan;
+        let TileSweep { kernel, slot_values: values, plan } = &mut self.tiles;
+        let (kernel, plan) = (*kernel, &*plan);
         values.clear();
         values.resize(n * P, [0.0; 3]);
         let mut tiles = Vec::with_capacity(plan.tiles());
@@ -390,8 +353,7 @@ impl Mdgrape2System {
             // not reach this worker.
             let _ftz = FtzGuard::new();
             let (slots, union) = plan.tile(t);
-            // SAFETY: `tiles.available` is AVX-512 F, detected.
-            unsafe { crate::simd::sweep_tile(passes, mode, jstore, slots, union, out) };
+            kernel.sweep_tile(passes, mode, jstore, slots, union, out);
         });
         drop(pipeline_span);
 
@@ -406,10 +368,9 @@ impl Mdgrape2System {
     /// arithmetic: every board with a non-empty chunk accepts the j-store
     /// once per pass, and is billed each i-particle of its chunk (dealt
     /// in *original* index order, chips round-robin) at its home cell's
-    /// 27-cell block minus the self pair — what
-    /// [`MdgBoard::calc_block2_passes`] bills as it computes. The block
-    /// lengths are the plan's, which must be up to date with `jstore`.
-    #[cfg(target_arch = "x86_64")]
+    /// 27-cell block minus the self pair — what `passes` calls of
+    /// [`MdgBoard::calc_block2`] bill as they compute. The block lengths
+    /// are the plan's, which must be up to date with `jstore`.
     fn bill_tile_sweep(&mut self, passes: u64, jstore: &JStore) -> Result<(), MdgBoardError> {
         for b in 0..self.config.boards() {
             let chunk = self.board_chunk(b, jstore.len());
@@ -426,62 +387,6 @@ impl Mdgrape2System {
         Ok(())
     }
 
-    /// The sweep one i-particle at a time: stage the i-side as an
-    /// [`IBatch`] and deal contiguous ranges to boards, run concurrently;
-    /// every board evaluates all `P` passes over its range and bills
-    /// itself.
-    fn board_sweep<const P: usize>(
-        &mut self,
-        mode: PipelineMode,
-        passes: &[TablePass<'_>; P],
-        positions: &[Vec3],
-        types: &[u8],
-        jstore: &JStore,
-    ) -> Result<[Vec<[f64; 3]>; P], MdgBoardError> {
-        let batch = IBatch::stage(positions, types, jstore);
-        if self.coeff_cols.len() < P {
-            self.coeff_cols.resize_with(P, CoeffCols::default);
-        }
-        for (cols, pass) in self.coeff_cols.iter_mut().zip(passes) {
-            cols.build(pass.coefficients, jstore.types());
-        }
-        let ranges: Vec<std::ops::Range<usize>> = (0..self.config.boards())
-            .map(|b| self.board_chunk(b, batch.len()))
-            .collect();
-        let passes: [ColumnPass<'_>; P] = std::array::from_fn(|p| ColumnPass {
-            table: passes[p].table,
-            columns: &self.coeff_cols[p],
-        });
-        let boards: Vec<&mut MdgBoard> = self
-            .clusters
-            .iter_mut()
-            .flat_map(|c| c.boards_mut().iter_mut())
-            .collect();
-        let pipeline_span = mdm_profile::span("pipelines");
-        let results: Vec<Vec<[PairAccum; P]>> = boards
-            .into_par_iter()
-            .zip(ranges)
-            .map(|(board, range)| {
-                if range.is_empty() {
-                    return Ok(Vec::new());
-                }
-                // The j-store goes up once per pass on the real bus.
-                for _ in 0..P {
-                    board.accept_jstore(jstore)?;
-                }
-                Ok(board.calc_block2_passes(mode, &passes, &batch, range, jstore))
-            })
-            .collect::<Result<_, MdgBoardError>>()?;
-        drop(pipeline_span);
-
-        Ok(std::array::from_fn(|p| {
-            results
-                .iter()
-                .flat_map(|board| board.iter().map(|accs| accs[p].acc))
-                .collect()
-        }))
-    }
-
     /// The Newton's-third-law software pass: boards own contiguous
     /// **home-cell** ranges and each produces a partial force array over
     /// every sorted slot (reactions land in other boards' home cells);
@@ -491,14 +396,8 @@ impl Mdgrape2System {
     fn n3l_pass(
         &mut self,
         mode: PipelineMode,
-        positions: &[Vec3],
         jstore: &JStore,
     ) -> Result<Vec<[f64; 3]>, MdgBoardError> {
-        assert_eq!(
-            positions.len(),
-            jstore.len(),
-            "the N3L fast path requires identical i- and j-sets"
-        );
         let n_cells = jstore.n_cells();
         let n_boards = self.config.boards();
         let per_board = n_cells.div_ceil(n_boards).max(1);
@@ -526,7 +425,7 @@ impl Mdgrape2System {
             .collect::<Result<_, MdgBoardError>>()?;
         drop(pipeline_span);
 
-        let mut values = vec![[0f64; 3]; positions.len()];
+        let mut values = vec![[0f64; 3]; jstore.len()];
         for partial in partials.iter().filter(|p| !p.is_empty()) {
             for (s, v) in partial.iter().enumerate() {
                 let out = &mut values[jstore.original_index(s)];
@@ -539,9 +438,41 @@ impl Mdgrape2System {
     }
 }
 
+/// The first original index at which `jstore` does not hold
+/// `positions`/`types` — an `f32` position bit or a species that differs,
+/// or the shorter length if the counts do — or `None` if it holds them.
+fn first_stale(positions: &[Vec3], types: &[u8], jstore: &JStore) -> Option<usize> {
+    let n = positions.len().min(jstore.len());
+    (0..n)
+        .find(|&i| {
+            let (p, s) = (positions[i], jstore.slot_of_original(i));
+            jstore.position(s).map(f32::to_bits) != [p.x, p.y, p.z].map(|v| (v as f32).to_bits())
+                || jstore.species(s) != types[i]
+        })
+        .or((positions.len() != jstore.len()).then_some(n))
+}
+
+#[cfg(test)]
+impl Mdgrape2System {
+    /// This system running `kernel` in place of the detected one.
+    pub(crate) fn with_kernel(mut self, kernel: Kernel) -> Self {
+        self.tiles.kernel = kernel;
+        self
+    }
+
+    /// Every board's `(pair ops, bus bytes)` meters, in board order.
+    pub(crate) fn board_meters(&self) -> Vec<(u64, u64)> {
+        let boards = self.clusters.iter().flat_map(|c| c.boards());
+        boards.map(|b| (b.ops(), b.bus_bytes())).collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::board::IBatch;
+    use crate::pipeline::PairAccum;
+    use crate::sweep::tests::{kernels, tables, three_species_ram, FORCE_KERNELS};
     use crate::tables::GFunction;
     use mdm_core::celllist::CellList;
     use rand::{Rng, SeedableRng};
@@ -630,79 +561,73 @@ mod tests {
 
     /// `config` with three species, and the four force tables with a
     /// coefficient RAM each whose every entry is distinct.
-    #[cfg(target_arch = "x86_64")]
     fn three_species(
         n: usize,
         l: f64,
     ) -> (SimBox, Vec<Vec3>, Vec<u8>, Vec<FunctionEvaluator>, Vec<AtomCoefficients>) {
-        use crate::simd::tests::{tables, three_species_ram, FORCE_KERNELS};
         let (sb, pos, _) = config(n, l);
         let ty = (0..n).map(|i| (i * 7 % 3) as u8).collect();
         (sb, pos, ty, tables(FORCE_KERNELS), three_species_ram())
     }
 
-    /// A system that runs the tile sweep, or a loud skip where the CPU
-    /// cannot.
-    #[cfg(target_arch = "x86_64")]
-    fn tiled(clusters: usize) -> Option<Mdgrape2System> {
-        let sys = system(clusters);
-        if !sys.tiles.available {
-            eprintln!("AVX-512 absent: SIMD case skipped");
-        }
-        sys.tiles.available.then_some(sys)
+    /// A system that runs `kernel`.
+    fn tiled(clusters: usize, kernel: Kernel) -> Mdgrape2System {
+        system(clusters).with_kernel(kernel)
     }
 
-    /// The tile sweep with its billing by arithmetic against the boards
-    /// computing and billing their own chunks: every value bit and all
-    /// four counters, on an uneven box, on a nearly empty one (27 cells,
-    /// 10 particles: most cells empty, and on 3 clusters a board with no
-    /// chunk at all) and on one whose every cell holds a ragged tile.
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn scalar_simd_equivalence_of_the_tile_sweep_and_the_boards() {
-        for (n, l, min_cell) in [(150usize, 16.0, 4.0), (10, 12.0, 4.0), (216, 15.0, 5.0)] {
-            let (sb, pos, ty, tables, ram) = three_species(n, l);
-            let js = JStore::build(sb, &pos, &ty, min_cell);
-            let passes: [TablePass<'_>; 4] = std::array::from_fn(|p| TablePass {
-                table: &tables[p],
-                coefficients: &ram[p],
-            });
-            for clusters in [1usize, 2, 3] {
-                let Some(mut tiles) = tiled(clusters) else { return };
-                let mut boards = system(clusters);
-                boards.tiles.available = false;
-                if (n, clusters) == (10, 3) {
-                    assert!(boards.board_chunk(5, n).is_empty(), "no board is idle");
-                }
-                for mode in [PipelineMode::Force, PipelineMode::Potential] {
-                    let reference = rayon::with_num_threads(1, || {
-                        boards.calc_passes_with_jstore(mode, &passes, &pos, &ty, &js).unwrap()
-                    });
-                    for threads in [1usize, 4] {
-                        let swept = rayon::with_num_threads(threads, || {
-                            tiles.calc_passes_with_jstore(mode, &passes, &pos, &ty, &js).unwrap()
-                        });
-                        for (p, (t, b)) in swept.iter().zip(&reference).enumerate() {
-                            let what = format!("N {n} clusters {clusters} {mode:?} pass {p} ({threads} threads)");
-                            assert_eq!(t.counters, b.counters, "{what}");
-                            for (i, (tv, bv)) in t.values.iter().zip(&b.values).enumerate() {
-                                assert_eq!(tv.map(f64::to_bits), bv.map(f64::to_bits), "{what} particle {i}");
-                            }
+    /// The hierarchy doing its own work, pass by pass: every board of
+    /// `clusters` clusters, loaded with the pass's images, is dealt its
+    /// chunk of original indices, accepts the j-store and runs
+    /// [`MdgBoard::calc_block2`] on the chunk (an idle board is not even
+    /// sent the store); the counters are read off those boards' meters.
+    fn boards_reference(
+        clusters: usize,
+        passes: &[TablePass<'_>],
+        mode: PipelineMode,
+        pos: &[Vec3],
+        ty: &[u8],
+        js: &JStore,
+    ) -> Vec<MdgPassResult> {
+        let (n, boards) = (pos.len(), Mdgrape2Config { clusters }.boards());
+        let per_board = n.div_ceil(boards).max(1);
+        let batch = IBatch::stage(pos, ty, js);
+        passes
+            .iter()
+            .map(|pass| {
+                let mut values = Vec::with_capacity(n);
+                let boards: Vec<MdgBoard> = (0..boards)
+                    .map(|b| {
+                        let mut board = MdgBoard::new(pass.table.clone(), pass.coefficients.clone());
+                        let chunk = (b * per_board).min(n)..((b + 1) * per_board).min(n);
+                        if !chunk.is_empty() {
+                            board.accept_jstore(js).unwrap();
+                            values.extend(board.calc_block2(mode, &batch, chunk, js).iter().map(|a| a.acc));
                         }
-                    }
-                }
-            }
-        }
+                        board
+                    })
+                    .collect();
+                let ops = boards.iter().map(MdgBoard::ops);
+                let counters = MdgCounters {
+                    pair_ops: ops.clone().sum(),
+                    cycles: ops.map(|o| o.div_ceil(PIPELINES_PER_BOARD as u64)).max().unwrap_or(0),
+                    bus_bytes_per_cluster: boards
+                        .chunks(BOARDS_PER_CLUSTER)
+                        .map(|c| c.iter().map(MdgBoard::bus_bytes).sum())
+                        .max()
+                        .unwrap_or(0),
+                    particles: n as u64,
+                };
+                MdgPassResult { values, counters }
+            })
+            .collect()
     }
 
-    /// `P` passes through the tile sweep against the boards computing
-    /// and billing their own chunks (one thread), on 1 and 4 threads:
-    /// every value bit and all four counters.
-    #[cfg(target_arch = "x86_64")]
+    /// `P` passes through every kernel's tile sweep, on 1 and 4 threads,
+    /// against [`boards_reference`]: every value bit and all four
+    /// counters.
     #[allow(clippy::too_many_arguments)]
     fn assert_tiles_match_boards<const P: usize>(
-        tiles: &mut Mdgrape2System,
-        boards: &mut Mdgrape2System,
+        clusters: usize,
         tables: &[FunctionEvaluator],
         ram: &[AtomCoefficients],
         mode: PipelineMode,
@@ -715,18 +640,41 @@ mod tests {
             table: &tables[p],
             coefficients: &ram[p],
         });
-        let reference = rayon::with_num_threads(1, || {
-            boards.calc_passes_with_jstore(mode, &passes, pos, ty, js).unwrap()
-        });
-        for threads in [1usize, 4] {
-            let swept = rayon::with_num_threads(threads, || {
-                tiles.calc_passes_with_jstore(mode, &passes, pos, ty, js).unwrap()
-            });
-            for (p, (t, b)) in swept.iter().zip(&reference).enumerate() {
-                let what = format!("{what} P {P} {mode:?} pass {p} ({threads} threads)");
-                assert_eq!(t.counters, b.counters, "{what}");
-                for (i, (tv, bv)) in t.values.iter().zip(&b.values).enumerate() {
-                    assert_eq!(tv.map(f64::to_bits), bv.map(f64::to_bits), "{what} particle {i}");
+        let reference = boards_reference(clusters, &passes, mode, pos, ty, js);
+        for kernel in kernels() {
+            let mut tiles = tiled(clusters, kernel);
+            for threads in [1usize, 4] {
+                let swept = rayon::with_num_threads(threads, || {
+                    tiles.calc_passes_with_jstore(mode, &passes, pos, ty, js).unwrap()
+                });
+                for (p, (t, b)) in swept.iter().zip(&reference).enumerate() {
+                    let what = format!("{what} {kernel:?} P {P} {mode:?} pass {p} ({threads} threads)");
+                    assert_eq!(t.counters, b.counters, "{what}");
+                    for (i, (tv, bv)) in t.values.iter().zip(&b.values).enumerate() {
+                        assert_eq!(tv.map(f64::to_bits), bv.map(f64::to_bits), "{what} particle {i}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The tile sweep with its billing by arithmetic against the boards
+    /// computing and billing their own chunks: every value bit and all
+    /// four counters, on an uneven box, on a nearly empty one (27 cells,
+    /// 10 particles: most cells empty, and on 3 clusters a board with no
+    /// chunk at all) and on one whose every cell holds a ragged tile.
+    #[test]
+    fn scalar_simd_equivalence_of_the_tile_sweep_and_the_boards() {
+        for (n, l, min_cell) in [(150usize, 16.0, 4.0), (10, 12.0, 4.0), (216, 15.0, 5.0)] {
+            let (sb, pos, ty, tables, ram) = three_species(n, l);
+            let js = JStore::build(sb, &pos, &ty, min_cell);
+            for clusters in [1usize, 2, 3] {
+                if (n, clusters) == (10, 3) {
+                    assert!(system(clusters).board_chunk(5, n).is_empty(), "no board is idle");
+                }
+                for mode in [PipelineMode::Force, PipelineMode::Potential] {
+                    let what = format!("N {n} clusters {clusters}");
+                    assert_tiles_match_boards::<4>(clusters, &tables, &ram, mode, &pos, &ty, &js, &what);
                 }
             }
         }
@@ -737,28 +685,23 @@ mod tests {
     /// particles (so tiles start and end mid-cell, span runs of empty
     /// cells, and wrap across rows and planes of the grid), three
     /// species, `P` = 1 / 3 / 4, both modes, 1–3 clusters.
-    #[cfg(target_arch = "x86_64")]
     #[test]
     fn tiles_across_home_cells_match_the_boards() {
         use crate::plan::tests::random_store;
-        use crate::simd::tests::{tables, three_species_ram, FORCE_KERNELS};
         let (tables, ram) = (tables(FORCE_KERNELS), three_species_ram());
         for (m, seed) in [(3usize, 31u64), (4, 32), (5, 33)] {
             let (_, pos, ty, js) = random_store(m, seed);
+            let lanes = crate::plan::LANES;
+            let one_cell_tiles: usize = (0..js.n_cells()).map(|c| js.cell_range(c).len().div_ceil(lanes)).sum();
+            assert!(TilePlan::new(&js).tiles() < one_cell_tiles, "{m} cells a side: no tile spans home cells");
             for clusters in [1usize, 2, 3] {
-                let Some(mut tiles) = tiled(clusters) else { return };
-                let mut boards = system(clusters);
-                boards.tiles.available = false;
                 for mode in [PipelineMode::Force, PipelineMode::Potential] {
                     let what = format!("{m} cells a side, N {}, {clusters} clusters", pos.len());
-                    let (t, b) = (&mut tiles, &mut boards);
-                    assert_tiles_match_boards::<1>(t, b, &tables, &ram, mode, &pos, &ty, &js, &what);
-                    assert_tiles_match_boards::<3>(t, b, &tables[1..], &ram[1..], mode, &pos, &ty, &js, &what);
-                    assert_tiles_match_boards::<4>(t, b, &tables, &ram, mode, &pos, &ty, &js, &what);
+                    let c = clusters;
+                    assert_tiles_match_boards::<1>(c, &tables, &ram, mode, &pos, &ty, &js, &what);
+                    assert_tiles_match_boards::<3>(c, &tables[1..], &ram[1..], mode, &pos, &ty, &js, &what);
+                    assert_tiles_match_boards::<4>(c, &tables, &ram, mode, &pos, &ty, &js, &what);
                 }
-                let lanes = crate::plan::LANES;
-                let one_cell_tiles: usize = (0..js.n_cells()).map(|c| js.cell_range(c).len().div_ceil(lanes)).sum();
-                assert!(tiles.tiles.plan.tiles() < one_cell_tiles, "{m} cells a side: no tile spans home cells");
             }
         }
     }
@@ -775,40 +718,42 @@ mod tests {
         let table = GFunction::Dispersion6Force.build_evaluator().unwrap();
         let ram = AtomCoefficients::new(&[vec![1.0; 2], vec![1.0; 2]], &[vec![1e-34; 2], vec![1e-34; 2]]);
         let pass = [TablePass { table: &table, coefficients: &ram }];
-        let Some(mut sys) = tiled(2) else { return };
-        let mut run = |flushed: bool, threads: usize| {
-            let _ftz = flushed.then(crate::ftz::FtzGuard::new);
-            let [out] = rayon::with_num_threads(threads, || {
-                sys.calc_passes_with_jstore(PipelineMode::Force, &pass, &pos, &ty, &js).unwrap()
-            });
-            out.values
-        };
-        let reference = run(true, 1);
-        for flushed in [true, false] {
-            for threads in [1usize, 2, 4] {
-                let got = run(flushed, threads);
-                for (i, (g, r)) in got.iter().zip(&reference).enumerate() {
-                    assert_eq!(
-                        g.map(f64::to_bits),
-                        r.map(f64::to_bits),
-                        "particle {i}: caller flushed {flushed}, {threads} threads"
-                    );
+        for kernel in kernels() {
+            let mut sys = tiled(2, kernel);
+            let mut run = |flushed: bool, threads: usize| {
+                let _ftz = flushed.then(crate::ftz::FtzGuard::new);
+                let [out] = rayon::with_num_threads(threads, || {
+                    sys.calc_passes_with_jstore(PipelineMode::Force, &pass, &pos, &ty, &js).unwrap()
+                });
+                out.values
+            };
+            let reference = run(true, 1);
+            for flushed in [true, false] {
+                for threads in [1usize, 2, 4] {
+                    let got = run(flushed, threads);
+                    for (i, (g, r)) in got.iter().zip(&reference).enumerate() {
+                        assert_eq!(
+                            g.map(f64::to_bits),
+                            r.map(f64::to_bits),
+                            "{kernel:?} particle {i}: caller flushed {flushed}, {threads} threads"
+                        );
+                    }
                 }
             }
-        }
-        // The input does tell the two arithmetics apart: particle 0 by
-        // the per-pair datapath on this thread, which does not flush.
-        let pipe = crate::pipeline::MdgPipeline::new(table.clone());
-        let mut gradual = PairAccum::default();
-        let xi = js.position(js.slot_of_original(0));
-        for &(nc, shift) in js.neighbors27(js.cell_of(0)) {
-            for s in js.cell_range(nc as usize).filter(|&s| js.original_index(s) != 0) {
-                let xj = js.position(s);
-                let xj = [xj[0] + shift[0], xj[1] + shift[1], xj[2] + shift[2]];
-                pipe.interact(xi, xj, 1.0, 1e-34, PipelineMode::Force, &mut gradual);
+            // The input does tell the two arithmetics apart: particle 0 by
+            // the per-pair datapath on this thread, which does not flush.
+            let pipe = crate::pipeline::MdgPipeline::new(table.clone());
+            let mut gradual = PairAccum::default();
+            let xi = js.position(js.slot_of_original(0));
+            for &(nc, shift) in js.neighbors27(js.cell_of(0)) {
+                for s in js.cell_range(nc as usize).filter(|&s| js.original_index(s) != 0) {
+                    let xj = js.position(s);
+                    let xj = [xj[0] + shift[0], xj[1] + shift[1], xj[2] + shift[2]];
+                    pipe.interact(xi, xj, 1.0, 1e-34, PipelineMode::Force, &mut gradual);
+                }
             }
+            assert_ne!(gradual.acc, reference[0], "no subnormal product in the input");
         }
-        assert_ne!(gradual.acc, reference[0], "no subnormal product in the input");
     }
 
     /// Pool workers live for the whole process, so an MXCSR a sweep task
@@ -824,32 +769,33 @@ mod tests {
         let table = GFunction::Dispersion6Force.build_evaluator().unwrap();
         let ram = AtomCoefficients::new(&[vec![1.0; 2], vec![1.0; 2]], &[vec![-6.0; 2], vec![-6.0; 2]]);
         let pass = [TablePass { table: &table, coefficients: &ram }];
-        let Some(mut sys) = tiled(2) else { return };
-        assert!(!crate::ftz::flushing(), "the test thread starts flushed");
-        let seen = Mutex::new(Vec::new());
-        let second_thread = Condvar::new();
-        rayon::with_num_threads(4, || {
-            sys.calc_passes_with_jstore(PipelineMode::Force, &pass, &pos, &ty, &js).unwrap();
-            (0..64usize).into_par_iter().for_each(|i| {
-                let mut seen = seen.lock().unwrap();
-                seen.push((std::thread::current().id(), crate::ftz::flushing()));
-                second_thread.notify_all();
-                if i == 0 {
-                    let patience = std::time::Duration::from_secs(5);
-                    let one = |seen: &mut Vec<(std::thread::ThreadId, bool)>| seen.iter().all(|s| s.0 == seen[0].0);
-                    let _ = second_thread.wait_timeout_while(seen, patience, one).unwrap();
-                }
+        for kernel in kernels() {
+            let mut sys = tiled(2, kernel);
+            assert!(!crate::ftz::flushing(), "the test thread starts flushed");
+            let seen = Mutex::new(Vec::new());
+            let second_thread = Condvar::new();
+            rayon::with_num_threads(4, || {
+                sys.calc_passes_with_jstore(PipelineMode::Force, &pass, &pos, &ty, &js).unwrap();
+                (0..64usize).into_par_iter().for_each(|i| {
+                    let mut seen = seen.lock().unwrap();
+                    seen.push((std::thread::current().id(), crate::ftz::flushing()));
+                    second_thread.notify_all();
+                    if i == 0 {
+                        let patience = std::time::Duration::from_secs(5);
+                        let one = |seen: &mut Vec<(std::thread::ThreadId, bool)>| seen.iter().all(|s| s.0 == seen[0].0);
+                        let _ = second_thread.wait_timeout_while(seen, patience, one).unwrap();
+                    }
+                });
             });
-        });
-        let seen = seen.into_inner().unwrap();
-        assert_eq!(seen.len(), 64);
-        assert!(seen.iter().any(|s| s.0 != seen[0].0), "the region ran on one thread");
-        assert!(seen.iter().all(|&(_, flushing)| !flushing), "a chunk ran with FTZ/DAZ set: {seen:?}");
+            let seen = seen.into_inner().unwrap();
+            assert_eq!(seen.len(), 64);
+            assert!(seen.iter().any(|s| s.0 != seen[0].0), "the region ran on one thread");
+            assert!(seen.iter().all(|&(_, flushing)| !flushing), "{kernel:?}: a chunk ran with FTZ/DAZ set: {seen:?}");
+        }
     }
 
     /// Address and capacity of every buffer the tile sweep keeps between
     /// calls.
-    #[cfg(target_arch = "x86_64")]
     fn buffers(sys: &Mdgrape2System) -> Vec<(usize, usize)> {
         let tiles = &sys.tiles;
         let mut buffers = tiles.plan.buffers();
@@ -857,7 +803,6 @@ mod tests {
         buffers
     }
 
-    #[cfg(target_arch = "x86_64")]
     #[test]
     fn steady_state_calls_reuse_every_buffer() {
         // The first call sizes the working state and the tile plan, and
@@ -866,31 +811,34 @@ mod tests {
         // plan is kept), nor when it is re-sorted (the plan is rebuilt in
         // its own buffers).
         use crate::jstore::JStoreRefresh;
-        let (sb, mut pos, ty, tables, ram) = three_species(150, 16.0);
+        let (sb, start, ty, tables, ram) = three_species(150, 16.0);
         let passes: [TablePass<'_>; 4] = std::array::from_fn(|p| TablePass {
             table: &tables[p],
             coefficients: &ram[p],
         });
-        let Some(mut sys) = tiled(2) else { return };
-        let mut js = JStore::build(sb, &pos, &ty, 4.0);
-        sys.calc_passes_with_jstore(PipelineMode::Force, &passes, &pos, &ty, &js).unwrap();
-        let warm = buffers(&sys);
-        assert!(warm.iter().all(|&(_, capacity)| capacity > 0), "{warm:?}");
-        pos[3] += Vec3::new(1e-3, 1e-3, -2e-3);
-        assert_eq!(js.refresh(sb, &pos, &ty, 4.0), JStoreRefresh::InPlace);
-        sys.calc_passes_with_jstore(PipelineMode::Potential, &passes, &pos, &ty, &js).unwrap();
-        assert_eq!(buffers(&sys), warm, "the second call moved or grew a buffer");
-        // One cell edge along x: particle 11 changes cell.
-        pos[11] += Vec3::new(4.0, 0.0, 0.0);
-        assert_eq!(js.refresh(sb, &pos, &ty, 4.0), JStoreRefresh::Resorted);
-        let third = sys.calc_passes_with_jstore(PipelineMode::Force, &[passes[0]], &pos, &ty, &js).unwrap();
-        assert_eq!(buffers(&sys), warm, "the third call moved or grew a buffer");
-        // Reuse changes nothing: a fresh system computes the same bits.
-        let fresh = system(2)
-            .calc_passes_with_jstore(PipelineMode::Force, &[passes[0]], &pos, &ty, &js)
-            .unwrap();
-        assert_eq!(third[0].values, fresh[0].values);
-        assert_eq!(third[0].counters, fresh[0].counters);
+        for kernel in kernels() {
+            let mut pos = start.clone();
+            let mut sys = tiled(2, kernel);
+            let mut js = JStore::build(sb, &pos, &ty, 4.0);
+            sys.calc_passes_with_jstore(PipelineMode::Force, &passes, &pos, &ty, &js).unwrap();
+            let warm = buffers(&sys);
+            assert!(warm.iter().all(|&(_, capacity)| capacity > 0), "{warm:?}");
+            pos[3] += Vec3::new(1e-3, 1e-3, -2e-3);
+            assert_eq!(js.refresh(sb, &pos, &ty, 4.0), JStoreRefresh::InPlace);
+            sys.calc_passes_with_jstore(PipelineMode::Potential, &passes, &pos, &ty, &js).unwrap();
+            assert_eq!(buffers(&sys), warm, "{kernel:?}: the second call moved or grew a buffer");
+            // One cell edge along x: particle 11 changes cell.
+            pos[11] += Vec3::new(4.0, 0.0, 0.0);
+            assert_eq!(js.refresh(sb, &pos, &ty, 4.0), JStoreRefresh::Resorted);
+            let third = sys.calc_passes_with_jstore(PipelineMode::Force, &[passes[0]], &pos, &ty, &js).unwrap();
+            assert_eq!(buffers(&sys), warm, "{kernel:?}: the third call moved or grew a buffer");
+            // Reuse changes nothing: a fresh system computes the same bits.
+            let fresh = tiled(2, kernel)
+                .calc_passes_with_jstore(PipelineMode::Force, &[passes[0]], &pos, &ty, &js)
+                .unwrap();
+            assert_eq!(third[0].values, fresh[0].values);
+            assert_eq!(third[0].counters, fresh[0].counters);
+        }
     }
 
     #[test]

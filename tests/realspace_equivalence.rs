@@ -5,7 +5,7 @@
 //! the incremental j-store refresh against a scratch rebuild every step
 //! (bitwise trajectories), each at both CI thread counts.
 
-use mdgrape2::board::{CoeffCols, ColumnPass, IBatch, IParticle, MdgBoard};
+use mdgrape2::board::{IBatch, IParticle, MdgBoard};
 use mdgrape2::chip::AtomCoefficients;
 use mdgrape2::jstore::JStore;
 use mdgrape2::pipeline::PipelineMode;
@@ -317,9 +317,8 @@ fn fused_four_pass_sweep_bitwise_matches_four_sequential_passes() {
     }
 }
 
-/// The system's sweep (sixteen i-particles to an AVX-512 tile, boards
-/// billed by arithmetic, wherever the CPU has the lanes) against the
-/// hierarchy doing the work itself: every board dealt its chunk of
+/// The system's sweep (sixteen i-particles to a tile, boards billed by
+/// arithmetic) against the hierarchy doing the work itself: every board dealt its chunk of
 /// original indices, accepting the j-store and running
 /// `MdgBoard::calc_block2` one i-particle at a time. Values bit for bit
 /// and all four `MdgCounters` fields read off those boards' own meters,
@@ -385,54 +384,6 @@ fn system_sweep_matches_boards_running_calc_block2_on_their_chunks() {
                         assert_pass_bits_eq(s, r, &what);
                     }
                 }
-            }
-        }
-    }
-}
-
-/// The same equivalence one layer down, where the per-particle op
-/// counts live: a board's fused sweep against four single-pass
-/// `calc_block2` calls with a table swap in between, and the board's
-/// own meters (four passes' worth of pair ops and read-backs).
-#[test]
-fn fused_board_sweep_matches_four_calc_block2_calls_including_op_counts() {
-    let coeffs = per_pass_coefficients();
-    for (name, sb, pos, ty, min_cell) in fused_sweep_configs() {
-        let js = JStore::build(sb, &pos, &ty, min_cell);
-        let batch = IBatch::stage(&pos, &ty, &js);
-        let mut columns: [CoeffCols; 4] = Default::default();
-        for (cols, c) in columns.iter_mut().zip(&coeffs) {
-            cols.build(c, js.types());
-        }
-        for mode in [PipelineMode::Force, PipelineMode::Potential] {
-            let tables = kernels_for(mode);
-            let mut fused_board = MdgBoard::new(tables[0].clone(), coeffs[0].clone());
-            let passes: [ColumnPass<'_>; 4] = std::array::from_fn(|p| ColumnPass {
-                table: &tables[p],
-                columns: &columns[p],
-            });
-            let fused = fused_board.calc_block2_passes(mode, &passes, &batch, 0..batch.len(), &js);
-
-            let mut board = MdgBoard::new(tables[0].clone(), coeffs[0].clone());
-            for p in 0..4 {
-                board.load_table(&tables[p]);
-                board.load_coefficients(&coeffs[p]);
-                board.reset_counters();
-                let single = board.calc_block2(mode, &batch, 0..batch.len(), &js);
-                for (i, (f, s)) in fused.iter().zip(&single).enumerate() {
-                    assert_eq!(
-                        f[p].acc.map(f64::to_bits),
-                        s.acc.map(f64::to_bits),
-                        "{name} {mode:?} pass {p} particle {i}"
-                    );
-                    assert_eq!(f[p].ops, s.ops, "{name} {mode:?} pass {p} particle {i} ops");
-                }
-                assert_eq!(fused_board.ops(), 4 * board.ops(), "{name} {mode:?} board ops");
-                assert_eq!(
-                    fused_board.bus_bytes(),
-                    4 * board.bus_bytes(),
-                    "{name} {mode:?} read-back bytes"
-                );
             }
         }
     }
