@@ -19,7 +19,7 @@
 
 use crate::celllist::CellList;
 use crate::ewald::real::real_kernel;
-use crate::ewald::recip::recip_space_parallel;
+use crate::ewald::recip::recip_space;
 use crate::ewald::EwaldParams;
 use crate::kvectors::{half_space_vectors, KVector};
 use crate::potentials::{ShortRangePotential, TosiFumi};
@@ -196,7 +196,7 @@ impl ForceErrorProbe {
         // The reciprocal reference is computed for all particles — the
         // structure factors already cost O(N·N_wv), so per-particle
         // synthesis for everyone adds nothing asymptotically.
-        let recip = recip_space_parallel(simbox, positions, charges, self.params.alpha, &self.waves);
+        let recip = recip_space(simbox, positions, charges, self.params.alpha, &self.waves);
 
         let kappa = self.params.kappa(simbox.l());
         let r_cut = self.params.r_cut.min(simbox.max_cutoff());

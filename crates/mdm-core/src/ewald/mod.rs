@@ -81,6 +81,13 @@ impl EwaldParams {
     }
 }
 
+/// The self-energy `−C·κ/√π·Σqᵢ²`: each charge's interaction with its
+/// own screening cloud (eV).
+pub fn self_energy(kappa: f64, charges: &[f64]) -> f64 {
+    let q_sq: f64 = charges.iter().map(|q| q * q).sum();
+    -COULOMB_EV_A * kappa / std::f64::consts::PI.sqrt() * q_sq
+}
+
 /// Energy breakdown and forces from a full Ewald evaluation.
 #[derive(Clone, Debug)]
 pub struct EwaldResult {
@@ -137,55 +144,18 @@ impl EwaldSum {
         &self.waves
     }
 
-    /// Full Ewald evaluation (serial reference path).
+    /// Full Ewald evaluation: the real-space pass, the wavenumber sum and
+    /// the self and background terms.
     pub fn compute(&self, simbox: SimBox, positions: &[Vec3], charges: &[f64]) -> EwaldResult {
-        self.compute_inner(simbox, positions, charges, false)
-    }
-
-    /// Full Ewald evaluation with Rayon-parallel kernels. Results agree
-    /// with [`Self::compute`] to floating-point reassociation tolerance.
-    pub fn compute_parallel(
-        &self,
-        simbox: SimBox,
-        positions: &[Vec3],
-        charges: &[f64],
-    ) -> EwaldResult {
-        self.compute_inner(simbox, positions, charges, true)
-    }
-
-    fn compute_inner(
-        &self,
-        simbox: SimBox,
-        positions: &[Vec3],
-        charges: &[f64],
-        parallel: bool,
-    ) -> EwaldResult {
         assert_eq!(positions.len(), charges.len());
-        let l = simbox.l();
-        let kappa = self.params.kappa(l);
-        // Minimum-image validity bounds the real-space cutoff at L/2;
-        // for small test boxes a nominal r_cut beyond that is clamped
-        // (the truncated tail is ≤ erfc(α/2) per pair).
-        let r_cut = self.params.r_cut.min(simbox.max_cutoff());
-
-        let (energy_real, mut forces, virial_real, real_pairs) = if parallel {
-            real::real_space_parallel(simbox, positions, charges, kappa, r_cut)
-        } else {
-            real::real_space(simbox, positions, charges, kappa, r_cut)
-        };
-
-        let recip_out = if parallel {
-            recip::recip_space_parallel(simbox, positions, charges, self.params.alpha, &self.waves)
-        } else {
-            recip::recip_space(simbox, positions, charges, self.params.alpha, &self.waves)
-        };
+        let kappa = self.params.kappa(simbox.l());
+        let real = real::real_space(simbox, positions, charges, kappa, self.params.r_cut, None);
+        let recip_out =
+            recip::recip_space(simbox, positions, charges, self.params.alpha, &self.waves);
+        let mut forces = real.forces;
         for (f, df) in forces.iter_mut().zip(&recip_out.forces) {
             *f += *df;
         }
-
-        // Self energy: −C·κ/√π · Σ qᵢ².
-        let q_sq: f64 = charges.iter().map(|q| q * q).sum();
-        let energy_self = -COULOMB_EV_A * kappa / std::f64::consts::PI.sqrt() * q_sq;
 
         // Neutralising background for net charge: −C·π/(2κ²V)·(Σq)².
         let q_tot: f64 = charges.iter().sum();
@@ -195,13 +165,13 @@ impl EwaldSum {
                 * q_tot;
 
         EwaldResult {
-            energy_real,
+            energy_real: real.coulomb,
             energy_recip: recip_out.energy,
-            energy_self,
+            energy_self: self_energy(kappa, charges),
             energy_background,
             forces,
-            virial: virial_real + recip_out.virial,
-            real_pairs,
+            virial: real.virial + recip_out.virial,
+            real_pairs: real.pairs,
             n_waves: self.waves.len() as u64,
         }
     }
@@ -301,12 +271,15 @@ mod tests {
         s.displace(0, Vec3::new(0.25, 0.0, -0.1));
         let l = s.simbox().l();
         let sum = EwaldSum::new(EwaldParams::from_alpha_accuracy(7.0, 3.2, 3.2, l));
-        let a = sum.compute(s.simbox(), s.positions(), s.charges());
-        let b = sum.compute_parallel(s.simbox(), s.positions(), s.charges());
-        assert!(((a.energy() - b.energy()) / a.energy()).abs() < 1e-12);
-        for (fa, fb) in a.forces.iter().zip(&b.forces) {
-            assert!((*fa - *fb).norm() < 1e-10);
-        }
+        let run = |threads| {
+            rayon::with_num_threads(threads, || {
+                sum.compute(s.simbox(), s.positions(), s.charges())
+            })
+        };
+        let (a, b) = (run(1), run(4));
+        assert_eq!(a.energy().to_bits(), b.energy().to_bits());
+        assert_eq!(a.virial.to_bits(), b.virial.to_bits());
+        assert_eq!(a.forces, b.forces);
     }
 
     #[test]

@@ -5,15 +5,19 @@
 //! * energy: `C·qᵢqⱼ·erfc(κr)/r`
 //! * force on `i`: `C·qᵢqⱼ·[erfc(κr)/r + 2κ/√π·e^(−κ²r²)]·r⃗ᵢⱼ/r²`
 //!
-//! Two implementations:
-//! * [`real_space`] — serial, unique pairs, Newton's third law: the
-//!   "conventional computer" kernel whose op count is `59·N·N_int`;
-//! * [`real_space_parallel`] — Rayon over particles, each scanning its
-//!   27-cell neighbourhood (ordered pairs, like the hardware dataflow,
-//!   but with cutoff skipping since software can afford the branch).
+//! One pass, [`real_space`]: a Rayon map over particles, collected and
+//! reduced in index order, so the result is bitwise the same at every
+//! thread count. Each particle's share is [`particle_sum`] over its
+//! candidate list — the 27-cell block on a grid of at least 3 cells per
+//! side, every minimum-image `j` on a coarser one — with ordered pairs
+//! (like the hardware dataflow), half-weighted energy and virial, and
+//! cutoff skipping (software can afford the branch). Given a short-range
+//! potential, the same pass adds the Tosi–Fumi terms (they share `r_cut`
+//! in the paper too).
 
 use crate::boxsim::SimBox;
 use crate::celllist::CellList;
+use crate::potentials::{ShortRangePotential, TosiFumi};
 use crate::special::erfcx;
 use crate::units::COULOMB_EV_A;
 use crate::vec3::Vec3;
@@ -38,99 +42,139 @@ pub fn real_kernel(kappa: f64, r_sq: f64) -> (f64, f64) {
     (e, f_over_r)
 }
 
-/// Serial unique-pair evaluation. Returns
-/// `(energy, forces, virial, pair_count)`.
+/// The short-range terms a pass adds: the potential and the species
+/// index of every particle the charges cover.
+#[derive(Clone, Copy)]
+pub struct ShortRange<'a> {
+    /// The pair potential.
+    pub potential: &'a TosiFumi,
+    /// Species per particle, indexed like the charges.
+    pub types: &'a [u8],
+}
+
+/// One particle's half-weighted share of the real-space sum.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct ParticleSum {
+    /// Force on the particle (eV/Å).
+    pub force: Vec3,
+    /// Half the Ewald-real Coulomb energy of its pairs (eV).
+    pub coulomb: f64,
+    /// Half the short-range energy of its pairs (eV; zero without a
+    /// short-range potential).
+    pub short: f64,
+    /// Half the pair virial `Σ f⃗·r⃗` (eV).
+    pub virial: f64,
+    /// Ordered pairs within the cutoff.
+    pub pairs: u64,
+}
+
+/// Output of one [`real_space`] pass.
+#[derive(Clone, Debug)]
+pub struct RealSpace {
+    /// Per-particle forces (eV/Å).
+    pub forces: Vec<Vec3>,
+    /// Ewald-real Coulomb energy (eV).
+    pub coulomb: f64,
+    /// Short-range energy (eV).
+    pub short: f64,
+    /// Pair virial `Σ f⃗·r⃗` (eV).
+    pub virial: f64,
+    /// Unique pairs within the cutoff (the paper's `N·N_int`).
+    pub pairs: u64,
+}
+
+/// Particle `i`'s share: every candidate `(j, r⃗ᵢ − r⃗ⱼ)` (the image of
+/// `j` already chosen) within `r_cut`, Coulomb from `charges` and, with
+/// `short`, the short-range terms.
+pub fn particle_sum(
+    kappa: f64,
+    r_cut: f64,
+    i: usize,
+    charges: &[f64],
+    short: Option<ShortRange>,
+    candidates: impl IntoIterator<Item = (usize, Vec3)>,
+) -> ParticleSum {
+    let r_cut_sq = r_cut * r_cut;
+    let qi = charges[i];
+    let mut sum = ParticleSum::default();
+    for (j, d) in candidates {
+        let r_sq = d.norm_sq();
+        if r_sq > r_cut_sq {
+            continue;
+        }
+        let (e, f_over_r) = real_kernel(kappa, r_sq);
+        let qq = COULOMB_EV_A * qi * charges[j];
+        let mut scale = qq * f_over_r;
+        if let Some(ShortRange { potential, types }) = short {
+            let (ti, tj, r) = (types[i] as usize, types[j] as usize, r_sq.sqrt());
+            scale += potential.force_over_r(ti, tj, r);
+            sum.short += 0.5 * potential.energy(ti, tj, r);
+        }
+        let f = d * scale;
+        sum.force += f;
+        sum.coulomb += 0.5 * qq * e;
+        sum.virial += 0.5 * f.dot(d);
+        sum.pairs += 1;
+    }
+    sum
+}
+
+/// The real-space pass over every particle. `r_cut` is clamped to the
+/// minimum-image bound `L/2` (for small test boxes a nominal cutoff
+/// beyond it truncates a tail of at most `erfc(α/2)` per pair).
 pub fn real_space(
     simbox: SimBox,
     positions: &[Vec3],
     charges: &[f64],
     kappa: f64,
     r_cut: f64,
-) -> (f64, Vec<Vec3>, f64, u64) {
+    short: Option<ShortRange>,
+) -> RealSpace {
     let _span = mdm_profile::span("ewald_real");
+    let r_cut = r_cut.min(simbox.max_cutoff());
     let cl = CellList::build(simbox, positions, r_cut);
-    let mut energy = 0.0;
-    let mut virial = 0.0;
-    let mut forces = vec![Vec3::ZERO; positions.len()];
-    let mut pairs = 0u64;
-    cl.for_each_half_pair(positions, r_cut, |i, j, d, r_sq| {
-        let (e, f_over_r) = real_kernel(kappa, r_sq);
-        let qq = COULOMB_EV_A * charges[i] * charges[j];
-        energy += qq * e;
-        let f = d * (qq * f_over_r);
-        forces[i] += f;
-        forces[j] -= f;
-        virial += f.dot(d);
-        pairs += 1;
-    });
-    (energy, forces, virial, pairs)
-}
-
-/// Rayon-parallel per-particle evaluation (ordered pairs, halved for the
-/// energy/virial). Deterministic: each particle's accumulation order is
-/// fixed by the cell traversal.
-pub fn real_space_parallel(
-    simbox: SimBox,
-    positions: &[Vec3],
-    charges: &[f64],
-    kappa: f64,
-    r_cut: f64,
-) -> (f64, Vec<Vec3>, f64, u64) {
-    let _span = mdm_profile::span("ewald_real");
-    let cl = CellList::build(simbox, positions, r_cut);
-    if !cl.supports_cutoff(r_cut) {
-        // Grid too coarse for the 27-cell scan; the serial path has the
-        // brute-force fallback.
-        return real_space(simbox, positions, charges, kappa, r_cut);
-    }
-    let r_cut_sq = r_cut * r_cut;
-    // Per-particle: force, energy share (half of ordered-pair energy),
-    // virial share, pair count.
-    let per_particle: Vec<(Vec3, f64, f64, u64)> = (0..positions.len())
+    let block = cl.supports_cutoff(r_cut);
+    let per_particle: Vec<ParticleSum> = (0..positions.len())
         .into_par_iter()
         .map(|i| {
             let ri = positions[i];
-            let qi = charges[i];
-            let c = cl.cell_of(i);
-            let mut force = Vec3::ZERO;
-            let mut energy = 0.0;
-            let mut virial = 0.0;
-            let mut pairs = 0u64;
-            for (neighbor, shift) in cl.neighbors27(c) {
-                for &ju in cl.particles_in(neighbor) {
-                    let j = ju as usize;
-                    if j == i && shift == Vec3::ZERO {
-                        continue;
-                    }
-                    let d = ri - (positions[j] + shift);
-                    let r_sq = d.norm_sq();
-                    if r_sq > r_cut_sq {
-                        continue;
-                    }
-                    let (e, f_over_r) = real_kernel(kappa, r_sq);
-                    let qq = COULOMB_EV_A * qi * charges[j];
-                    let f = d * (qq * f_over_r);
-                    force += f;
-                    energy += 0.5 * qq * e;
-                    virial += 0.5 * f.dot(d);
-                    pairs += 1;
-                }
+            if block {
+                let neighbors = cl.neighbors27(cl.cell_of(i));
+                let candidates = neighbors.into_iter().flat_map(|(c, shift)| {
+                    cl.particles_in(c).iter().filter_map(move |&j| {
+                        let j = j as usize;
+                        let image = ri - (positions[j] + shift);
+                        (j != i || shift != Vec3::ZERO).then_some((j, image))
+                    })
+                });
+                particle_sum(kappa, r_cut, i, charges, short, candidates)
+            } else {
+                let candidates = positions
+                    .iter()
+                    .enumerate()
+                    .filter(|&(j, _)| j != i)
+                    .map(|(j, &rj)| (j, simbox.min_image(ri, rj)));
+                particle_sum(kappa, r_cut, i, charges, short, candidates)
             }
-            (force, energy, virial, pairs)
         })
         .collect();
-    let mut forces = Vec::with_capacity(positions.len());
-    let mut energy = 0.0;
-    let mut virial = 0.0;
-    let mut pairs = 0u64;
-    for (f, e, v, p) in per_particle {
-        forces.push(f);
-        energy += e;
-        virial += v;
-        pairs += p;
+    let mut out = RealSpace {
+        forces: Vec::with_capacity(positions.len()),
+        coulomb: 0.0,
+        short: 0.0,
+        virial: 0.0,
+        pairs: 0,
+    };
+    for p in per_particle {
+        out.forces.push(p.force);
+        out.coulomb += p.coulomb;
+        out.short += p.short;
+        out.virial += p.virial;
+        out.pairs += p.pairs;
     }
-    // Ordered pairs counted twice.
-    (energy, forces, virial, pairs / 2)
+    // Every pair was visited from both ends.
+    out.pairs /= 2;
+    out
 }
 
 #[cfg(test)]
@@ -138,6 +182,7 @@ mod tests {
     use super::*;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
+    use rayon::with_num_threads;
 
     fn random_charged(n: usize, l: f64, seed: u64) -> (SimBox, Vec<Vec3>, Vec<f64>) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -201,23 +246,90 @@ mod tests {
         }
     }
 
+    fn assert_bitwise(a: &RealSpace, b: &RealSpace, what: &str) {
+        assert_eq!(a.forces, b.forces, "{what}: forces");
+        assert_eq!(a.coulomb.to_bits(), b.coulomb.to_bits(), "{what}: coulomb");
+        assert_eq!(a.short.to_bits(), b.short.to_bits(), "{what}: short");
+        assert_eq!(a.virial.to_bits(), b.virial.to_bits(), "{what}: virial");
+        assert_eq!(a.pairs, b.pairs, "{what}: pairs");
+    }
+
+    /// The 27-cell block (four cells per side) at one and four threads.
     #[test]
     fn serial_and_parallel_agree() {
         let (b, pos, q) = random_charged(400, 20.0, 21);
-        let (e1, f1, v1, p1) = real_space(b, &pos, &q, 0.3, 5.0);
-        let (e2, f2, v2, p2) = real_space_parallel(b, &pos, &q, 0.3, 5.0);
-        assert_eq!(p1, p2);
-        assert!(((e1 - e2) / e1).abs() < 1e-12, "{e1} vs {e2}");
-        assert!(((v1 - v2) / v1).abs() < 1e-11);
-        for (a, b) in f1.iter().zip(&f2) {
-            assert!((*a - *b).norm() < 1e-10);
+        let run = |threads| with_num_threads(threads, || real_space(b, &pos, &q, 0.3, 5.0, None));
+        let one = run(1);
+        assert!(one.pairs > 0);
+        assert_bitwise(&one, &run(4), "4 threads");
+    }
+
+    /// Coarse grids take the minimum-image branch, fine ones the 27-cell
+    /// block; both must be the textbook O(N²) minimum-image double loop,
+    /// at any thread count. Nominal cutoffs of 0.8·L (one cell per side)
+    /// and 0.5·L both clamp to L/2.
+    #[test]
+    fn every_grid_matches_the_minimum_image_double_loop() {
+        let l = 12.0;
+        let (b, pos, q) = random_charged(90, l, 24);
+        let kappa = 0.45;
+        for nominal in [0.8 * l, 0.5 * l, 0.45 * l, 0.32 * l] {
+            let r_cut = nominal.min(l / 2.0);
+            let (mut coulomb, mut virial, mut pairs) = (0.0, 0.0, 0u64);
+            let mut forces = vec![Vec3::ZERO; pos.len()];
+            for i in 0..pos.len() {
+                for j in i + 1..pos.len() {
+                    let d = b.min_image(pos[i], pos[j]);
+                    let r_sq = d.norm_sq();
+                    if r_sq > r_cut * r_cut {
+                        continue;
+                    }
+                    let (e, f_over_r) = real_kernel(kappa, r_sq);
+                    let qq = COULOMB_EV_A * q[i] * q[j];
+                    let f = d * (qq * f_over_r);
+                    forces[i] += f;
+                    forces[j] -= f;
+                    coulomb += qq * e;
+                    virial += f.dot(d);
+                    pairs += 1;
+                }
+            }
+            let run =
+                |threads| with_num_threads(threads, || real_space(b, &pos, &q, kappa, nominal, None));
+            let got = run(1);
+            assert_bitwise(&got, &run(4), &format!("r_cut {nominal}: 4 threads"));
+            assert_eq!(got.pairs, pairs, "r_cut {nominal}");
+            assert!(((got.coulomb - coulomb) / coulomb).abs() < 1e-12, "r_cut {nominal}");
+            assert!(((got.virial - virial) / virial).abs() < 1e-12, "r_cut {nominal}");
+            let scale = forces.iter().map(|f| f.norm()).fold(0.0f64, f64::max);
+            for (i, (a, w)) in got.forces.iter().zip(&forces).enumerate() {
+                assert!((*a - *w).norm() / scale < 1e-10, "r_cut {nominal}, particle {i}");
+            }
         }
+    }
+
+    /// Two charges exactly L/2 apart with r_cut clamped to L/2: each sees
+    /// the other once, through one image, so the pair counts once.
+    #[test]
+    fn a_pair_half_a_box_apart_counts_once() {
+        let b = SimBox::cubic(10.0);
+        let pos = [Vec3::new(1.0, 2.0, 3.0), Vec3::new(6.0, 2.0, 3.0)];
+        let q = [1.0, -1.0];
+        let kappa = 0.4;
+        let got = real_space(b, &pos, &q, kappa, 7.0, None);
+        let (e, f_over_r) = real_kernel(kappa, 25.0);
+        let (e_want, virial_want) = (-COULOMB_EV_A * e, -COULOMB_EV_A * f_over_r * 25.0);
+        assert_eq!(got.pairs, 1);
+        assert!(((got.coulomb - e_want) / e_want).abs() < 1e-14);
+        assert!(((got.virial - virial_want) / virial_want).abs() < 1e-14);
+        assert_eq!(got.forces[0], -got.forces[1]);
+        assert!(((got.forces[0].norm() * 5.0 - virial_want.abs()) / virial_want).abs() < 1e-14);
     }
 
     #[test]
     fn forces_sum_to_zero() {
         let (b, pos, q) = random_charged(200, 15.0, 22);
-        let (_, forces, _, _) = real_space(b, &pos, &q, 0.4, 4.5);
+        let forces = real_space(b, &pos, &q, 0.4, 4.5, None).forces;
         let net: Vec3 = forces.iter().copied().sum();
         assert!(net.norm() < 1e-10);
     }
@@ -227,20 +339,20 @@ mod tests {
         let b = SimBox::cubic(20.0);
         let pos = vec![Vec3::new(5.0, 5.0, 5.0), Vec3::new(8.0, 5.0, 5.0)];
         let q = vec![1.0, -1.0];
-        let (e, f, _, pairs) = real_space(b, &pos, &q, 0.2, 6.0);
-        assert_eq!(pairs, 1);
-        assert!(e < 0.0);
+        let got = real_space(b, &pos, &q, 0.2, 6.0, None);
+        assert_eq!(got.pairs, 1);
+        assert!(got.coulomb < 0.0);
         // Force on particle 0 points toward particle 1 (+x).
-        assert!(f[0].x > 0.0);
-        assert!((f[0] + f[1]).norm() < 1e-14);
+        assert!(got.forces[0].x > 0.0);
+        assert!((got.forces[0] + got.forces[1]).norm() < 1e-14);
     }
 
     #[test]
     fn energy_decays_with_kappa() {
         // Larger κ screens harder: |E_real| shrinks.
         let (b, pos, q) = random_charged(100, 12.0, 23);
-        let (e1, _, _, _) = real_space(b, &pos, &q, 0.2, 5.0);
-        let (e2, _, _, _) = real_space(b, &pos, &q, 0.8, 5.0);
+        let e1 = real_space(b, &pos, &q, 0.2, 5.0, None).coulomb;
+        let e2 = real_space(b, &pos, &q, 0.8, 5.0, None).coulomb;
         assert!(e2.abs() < e1.abs());
     }
 }

@@ -81,21 +81,7 @@ pub fn structure_factors(
 ) -> Vec<(f64, f64)> {
     let mut scratch = RecipScratch::default();
     fill_fractional(simbox, positions, &mut scratch.fractional);
-    fill_structure_factors(&scratch.fractional, charges, waves, false, &mut scratch.sf);
-    scratch.sf
-}
-
-/// Parallel variant of [`structure_factors`] (Rayon over waves — each
-/// wave's particle sum stays serial, so results are deterministic).
-pub fn structure_factors_parallel(
-    simbox: SimBox,
-    positions: &[Vec3],
-    charges: &[f64],
-    waves: &[KVector],
-) -> Vec<(f64, f64)> {
-    let mut scratch = RecipScratch::default();
-    fill_fractional(simbox, positions, &mut scratch.fractional);
-    fill_structure_factors(&scratch.fractional, charges, waves, true, &mut scratch.sf);
+    fill_structure_factors(&scratch.fractional, charges, waves, &mut scratch.sf);
     scratch.sf
 }
 
@@ -104,28 +90,21 @@ fn fill_fractional(simbox: SimBox, positions: &[Vec3], out: &mut Vec<Vec3>) {
     out.extend(positions.iter().map(|&r| simbox.fractional(r)));
 }
 
-/// Fill `sf` in place. Each wave's particle sum is serial regardless of
-/// `parallel`, and each slot is written exactly once, so the result is
+/// Fill `sf` in place, one Rayon task per wave. Each wave's particle sum
+/// is serial and each slot is written exactly once, so the result is
 /// bitwise identical at every thread count.
 fn fill_structure_factors(
     fractional: &[Vec3],
     charges: &[f64],
     waves: &[KVector],
-    parallel: bool,
     sf: &mut Vec<(f64, f64)>,
 ) {
     let _span = mdm_profile::span("dft");
     sf.clear();
     sf.resize(waves.len(), (0.0, 0.0));
-    if parallel {
-        sf.par_iter_mut()
-            .zip(waves)
-            .for_each(|(slot, k)| *slot = dft_one_wave(k, fractional, charges));
-    } else {
-        for (slot, k) in sf.iter_mut().zip(waves) {
-            *slot = dft_one_wave(k, fractional, charges);
-        }
-    }
+    sf.par_iter_mut()
+        .zip(waves)
+        .for_each(|(slot, k)| *slot = dft_one_wave(k, fractional, charges));
 }
 
 #[inline]
@@ -141,7 +120,8 @@ fn dft_one_wave(k: &KVector, fractional: &[Vec3], charges: &[f64]) -> (f64, f64)
     (s, c)
 }
 
-/// Full wavenumber-space evaluation, serial.
+/// Full wavenumber-space evaluation, Rayon-parallel in both phases and
+/// bitwise the same at every thread count.
 pub fn recip_space(
     simbox: SimBox,
     positions: &[Vec3],
@@ -150,25 +130,7 @@ pub fn recip_space(
     waves: &[KVector],
 ) -> RecipResult {
     let mut scratch = RecipScratch::default();
-    let eval = recip_space_cached(simbox, positions, charges, alpha, waves, false, &mut scratch);
-    RecipResult {
-        energy: eval.energy,
-        forces: eval.forces,
-        virial: eval.virial,
-        structure_factors: scratch.sf,
-    }
-}
-
-/// Full wavenumber-space evaluation, Rayon-parallel in both phases.
-pub fn recip_space_parallel(
-    simbox: SimBox,
-    positions: &[Vec3],
-    charges: &[f64],
-    alpha: f64,
-    waves: &[KVector],
-) -> RecipResult {
-    let mut scratch = RecipScratch::default();
-    let eval = recip_space_cached(simbox, positions, charges, alpha, waves, true, &mut scratch);
+    let eval = recip_space_cached(simbox, positions, charges, alpha, waves, &mut scratch);
     RecipResult {
         energy: eval.energy,
         forces: eval.forces,
@@ -179,21 +141,20 @@ pub fn recip_space_parallel(
 
 /// Full wavenumber-space evaluation against caller-held scratch — the
 /// per-step entry point used by the `ExactEwald` long-range backend.
-/// Arithmetic and iteration order are identical to [`recip_space`] /
-/// [`recip_space_parallel`] (which are thin wrappers over this), so the
-/// results are bitwise the same; only the buffer provenance differs.
+/// Arithmetic and iteration order are identical to [`recip_space`] (a
+/// thin wrapper over this), so the results are bitwise the same; only
+/// the buffer provenance differs.
 pub fn recip_space_cached(
     simbox: SimBox,
     positions: &[Vec3],
     charges: &[f64],
     alpha: f64,
     waves: &[KVector],
-    parallel: bool,
     scratch: &mut RecipScratch,
 ) -> RecipEval {
     let _span = mdm_profile::span("ewald_recip");
     fill_fractional(simbox, positions, &mut scratch.fractional);
-    fill_structure_factors(&scratch.fractional, charges, waves, parallel, &mut scratch.sf);
+    fill_structure_factors(&scratch.fractional, charges, waves, &mut scratch.sf);
 
     let pi = std::f64::consts::PI;
     let l = simbox.l();
@@ -243,11 +204,7 @@ pub fn recip_space_cached(
 
     let forces: Vec<Vec3> = {
         let _span = mdm_profile::span("idft");
-        if parallel {
-            (0..positions.len()).into_par_iter().map(idft).collect()
-        } else {
-            (0..positions.len()).map(idft).collect()
-        }
+        (0..positions.len()).into_par_iter().map(idft).collect()
     };
 
     RecipEval {
@@ -304,12 +261,14 @@ mod tests {
     fn parallel_matches_serial() {
         let (b, pos, q) = random_charged(60, 12.0, 31);
         let waves = half_space_vectors(6.0);
-        let a = recip_space(b, &pos, &q, 6.0, &waves);
-        let p = recip_space_parallel(b, &pos, &q, 6.0, &waves);
-        assert!(((a.energy - p.energy) / a.energy).abs() < 1e-13);
-        for (fa, fp) in a.forces.iter().zip(&p.forces) {
-            assert!((*fa - *fp).norm() < 1e-12);
-        }
+        let run = |threads| {
+            rayon::with_num_threads(threads, || recip_space(b, &pos, &q, 6.0, &waves))
+        };
+        let (one, four) = (run(1), run(4));
+        assert_eq!(one.structure_factors, four.structure_factors);
+        assert_eq!(one.forces, four.forces);
+        assert_eq!(one.energy.to_bits(), four.energy.to_bits());
+        assert_eq!(one.virial.to_bits(), four.virial.to_bits());
     }
 
     #[test]

@@ -8,15 +8,12 @@
 //! call library routines to calculate real-space and wavenumber-space
 //! forces instead of calling internal force subroutines" (§4).
 
-use crate::boxsim::SimBox;
-use crate::celllist::CellList;
-use crate::ewald::{EwaldParams, EwaldSum};
+use crate::ewald::real::{real_space, ShortRange};
+use crate::ewald::{self_energy, EwaldParams, EwaldSum};
 use crate::longrange::{ExactEwald, LongRangeBackend};
-use crate::potentials::{ShortRangePotential, TosiFumi};
+use crate::potentials::TosiFumi;
 use crate::system::System;
-use crate::units::COULOMB_EV_A;
 use crate::vec3::Vec3;
-use rayon::prelude::*;
 
 /// Everything one force evaluation produces.
 #[derive(Clone, Debug)]
@@ -48,15 +45,14 @@ pub trait ForceField {
 /// Ewald Coulomb (real + wavenumber + self) plus the Tosi–Fumi
 /// short-range terms, all in `f64`.
 ///
-/// The real-space Coulomb and the short-range terms share one cell-list
-/// pass (they share `r_cut` in the paper too). The wavenumber phase is
+/// The real-space Coulomb and the short-range terms share one pass,
+/// [`real_space`] (they share `r_cut` in the paper too). The wavenumber phase is
 /// a pluggable [`LongRangeBackend`] — exact Ewald by default, swappable
 /// for PME or PSWF fast Ewald at construction time.
 pub struct EwaldTosiFumi {
     ewald: EwaldSum,
     short: TosiFumi,
     longrange: Box<dyn LongRangeBackend>,
-    parallel: bool,
 }
 
 impl EwaldTosiFumi {
@@ -72,7 +68,6 @@ impl EwaldTosiFumi {
             ewald,
             short,
             longrange,
-            parallel: true,
         }
     }
 
@@ -95,7 +90,6 @@ impl EwaldTosiFumi {
             ewald: EwaldSum::new(params),
             short,
             longrange,
-            parallel: true,
         }
     }
 
@@ -109,7 +103,6 @@ impl EwaldTosiFumi {
             self.ewald.params().alpha
         );
         self.longrange = longrange;
-        self.longrange.set_parallel(self.parallel);
     }
 
     /// The active wavenumber backend.
@@ -149,13 +142,6 @@ impl EwaldTosiFumi {
         )
     }
 
-    /// Toggle Rayon parallel kernels (on by default). Forwards to the
-    /// wavenumber backend.
-    pub fn set_parallel(&mut self, parallel: bool) {
-        self.parallel = parallel;
-        self.longrange.set_parallel(parallel);
-    }
-
     /// Access the Ewald configuration.
     pub fn ewald(&self) -> &EwaldSum {
         &self.ewald
@@ -165,85 +151,6 @@ impl EwaldTosiFumi {
     pub fn short_range(&self) -> &TosiFumi {
         &self.short
     }
-
-    /// One fused pass over pairs: real-space Coulomb + short-range.
-    /// Returns (coulomb_real, short_energy, forces, virial).
-    fn fused_real_pass(
-        &self,
-        simbox: SimBox,
-        positions: &[Vec3],
-        charges: &[f64],
-        types: &[u8],
-    ) -> (f64, f64, Vec<Vec3>, f64) {
-        let params = self.ewald.params();
-        let kappa = params.kappa(simbox.l());
-        let r_cut = params.r_cut.min(simbox.max_cutoff());
-        let cl = CellList::build(simbox, positions, r_cut);
-
-        if self.parallel && cl.supports_cutoff(r_cut) {
-            let r_cut_sq = r_cut * r_cut;
-            let per: Vec<(Vec3, f64, f64, f64)> = (0..positions.len())
-                .into_par_iter()
-                .map(|i| {
-                    let ri = positions[i];
-                    let qi = charges[i];
-                    let ti = types[i] as usize;
-                    let mut force = Vec3::ZERO;
-                    let (mut e_c, mut e_s, mut vir) = (0.0, 0.0, 0.0);
-                    for (neighbor, shift) in cl.neighbors27(cl.cell_of(i)) {
-                        for &ju in cl.particles_in(neighbor) {
-                            let j = ju as usize;
-                            if j == i && shift == Vec3::ZERO {
-                                continue;
-                            }
-                            let d = ri - (positions[j] + shift);
-                            let r_sq = d.norm_sq();
-                            if r_sq > r_cut_sq {
-                                continue;
-                            }
-                            let r = r_sq.sqrt();
-                            let (e, f_over_r) = crate::ewald::real::real_kernel(kappa, r_sq);
-                            let qq = COULOMB_EV_A * qi * charges[j];
-                            let tj = types[j] as usize;
-                            let fs = self.short.force_over_r(ti, tj, r);
-                            let f = d * (qq * f_over_r + fs);
-                            force += f;
-                            e_c += 0.5 * qq * e;
-                            e_s += 0.5 * self.short.energy(ti, tj, r);
-                            vir += 0.5 * f.dot(d);
-                        }
-                    }
-                    (force, e_c, e_s, vir)
-                })
-                .collect();
-            let mut forces = Vec::with_capacity(positions.len());
-            let (mut e_c, mut e_s, mut vir) = (0.0, 0.0, 0.0);
-            for (f, ec, es, v) in per {
-                forces.push(f);
-                e_c += ec;
-                e_s += es;
-                vir += v;
-            }
-            (e_c, e_s, forces, vir)
-        } else {
-            let mut forces = vec![Vec3::ZERO; positions.len()];
-            let (mut e_c, mut e_s, mut vir) = (0.0, 0.0, 0.0);
-            cl.for_each_half_pair(positions, r_cut, |i, j, d, r_sq| {
-                let r = r_sq.sqrt();
-                let (e, f_over_r) = crate::ewald::real::real_kernel(kappa, r_sq);
-                let qq = COULOMB_EV_A * charges[i] * charges[j];
-                let (ti, tj) = (types[i] as usize, types[j] as usize);
-                let fs = self.short.force_over_r(ti, tj, r);
-                let f = d * (qq * f_over_r + fs);
-                forces[i] += f;
-                forces[j] -= f;
-                e_c += qq * e;
-                e_s += self.short.energy(ti, tj, r);
-                vir += f.dot(d);
-            });
-            (e_c, e_s, forces, vir)
-        }
-    }
 }
 
 impl ForceField for EwaldTosiFumi {
@@ -252,26 +159,27 @@ impl ForceField for EwaldTosiFumi {
         let positions = system.positions();
         let charges = system.charges();
         let params = *self.ewald.params();
+        let kappa = params.kappa(simbox.l());
 
-        let (e_real, e_short, mut forces, virial_real) =
-            self.fused_real_pass(simbox, positions, charges, system.types());
+        let short = ShortRange {
+            potential: &self.short,
+            types: system.types(),
+        };
+        let real = real_space(simbox, positions, charges, kappa, params.r_cut, Some(short));
 
         let recip_out = self.longrange.compute(simbox, positions, charges);
+        let mut forces = real.forces;
         for (f, df) in forces.iter_mut().zip(&recip_out.forces) {
             *f += *df;
         }
 
-        let kappa = params.kappa(simbox.l());
-        let q_sq: f64 = charges.iter().map(|q| q * q).sum();
-        let e_self = -COULOMB_EV_A * kappa / std::f64::consts::PI.sqrt() * q_sq;
-
-        let coulomb = e_real + recip_out.energy + e_self;
+        let coulomb = real.coulomb + recip_out.energy + self_energy(kappa, charges);
         ForceResult {
             forces,
-            potential: coulomb + e_short,
+            potential: coulomb + real.short,
             coulomb,
-            short_range: e_short,
-            virial: virial_real + recip_out.virial,
+            short_range: real.short,
+            virial: real.virial + recip_out.virial,
         }
     }
 
@@ -283,126 +191,6 @@ impl ForceField for EwaldTosiFumi {
             p.r_cut,
             p.n_max,
             self.longrange.name()
-        )
-    }
-}
-
-/// The "conventional general-purpose computer" of Table 4, implemented
-/// the way a production CPU code would be: a Verlet half neighbour list
-/// with a skin, reused across steps until something moved half the
-/// skin, Newton's third law, cutoff skipping — the `59·N·N_int` cost
-/// model made concrete.
-pub struct ConventionalEwaldTosiFumi {
-    ewald: EwaldSum,
-    short: TosiFumi,
-    longrange: ExactEwald,
-    skin: f64,
-    list: Option<crate::neighbors::NeighborList>,
-    rebuilds: u64,
-    evaluations: u64,
-}
-
-impl ConventionalEwaldTosiFumi {
-    /// Build with explicit Ewald parameters and skin radius (Å).
-    pub fn new(params: EwaldParams, short: TosiFumi, skin: f64) -> Self {
-        assert!(skin >= 0.0);
-        let ewald = EwaldSum::new(params);
-        // The "conventional computer" baseline is single-threaded by
-        // definition (Table 4 compares against one CPU).
-        let mut longrange = ExactEwald::with_waves(params.alpha, ewald.waves().to_vec());
-        longrange.set_parallel(false);
-        Self {
-            ewald,
-            short,
-            longrange,
-            skin,
-            list: None,
-            rebuilds: 0,
-            evaluations: 0,
-        }
-    }
-
-    /// NaCl default matching [`EwaldTosiFumi::nacl_default`], with a
-    /// 0.5 Å skin.
-    pub fn nacl_default(l: f64) -> Self {
-        let s = 3.2;
-        let alpha = 2.0 * s * 1.05;
-        Self::new(
-            EwaldParams::from_alpha_accuracy(alpha, s, s, l),
-            TosiFumi::nacl(),
-            0.5,
-        )
-    }
-
-    /// How many times the neighbour list was rebuilt vs evaluated —
-    /// the payoff of the skin.
-    pub fn rebuild_stats(&self) -> (u64, u64) {
-        (self.rebuilds, self.evaluations)
-    }
-}
-
-impl ForceField for ConventionalEwaldTosiFumi {
-    fn compute(&mut self, system: &System) -> ForceResult {
-        let simbox = system.simbox();
-        let positions = system.positions();
-        let charges = system.charges();
-        let types = system.types();
-        let params = *self.ewald.params();
-        let kappa = params.kappa(simbox.l());
-        let r_cut = params.r_cut.min(simbox.max_cutoff());
-
-        // The candidate radius r_cut + skin must respect the
-        // minimum-image bound; shrink the skin for small boxes.
-        let skin = self.skin.min(simbox.max_cutoff() - r_cut).max(0.0);
-        let needs_rebuild = match &self.list {
-            None => true,
-            Some(list) => skin == 0.0 || list.needs_rebuild(positions),
-        };
-        if needs_rebuild {
-            self.list = Some(crate::neighbors::NeighborList::build(
-                simbox, positions, r_cut, skin,
-            ));
-            self.rebuilds += 1;
-        }
-        self.evaluations += 1;
-        let list = self.list.as_ref().expect("list built above");
-
-        let mut forces = vec![Vec3::ZERO; positions.len()];
-        let (mut e_c, mut e_s, mut virial) = (0.0, 0.0, 0.0);
-        list.for_each_pair(positions, |i, j, d, r_sq| {
-            let r = r_sq.sqrt();
-            let (e, f_over_r) = crate::ewald::real::real_kernel(kappa, r_sq);
-            let qq = COULOMB_EV_A * charges[i] * charges[j];
-            let (ti, tj) = (types[i] as usize, types[j] as usize);
-            let fs = self.short.force_over_r(ti, tj, r);
-            let f = d * (qq * f_over_r + fs);
-            forces[i] += f;
-            forces[j] -= f;
-            e_c += qq * e;
-            e_s += self.short.energy(ti, tj, r);
-            virial += f.dot(d);
-        });
-
-        let recip_out = self.longrange.compute(simbox, positions, charges);
-        for (f, df) in forces.iter_mut().zip(&recip_out.forces) {
-            *f += *df;
-        }
-        let q_sq: f64 = charges.iter().map(|q| q * q).sum();
-        let e_self = -COULOMB_EV_A * kappa / std::f64::consts::PI.sqrt() * q_sq;
-        let coulomb = e_c + recip_out.energy + e_self;
-        ForceResult {
-            forces,
-            potential: coulomb + e_s,
-            coulomb,
-            short_range: e_s,
-            virial: virial + recip_out.virial,
-        }
-    }
-
-    fn describe(&self) -> String {
-        format!(
-            "conventional Ewald+TosiFumi (Verlet list, skin {} A)",
-            self.skin
         )
     }
 }
@@ -440,19 +228,22 @@ mod tests {
         }
     }
 
+    /// Two cells per side: the minimum-image branch of the real-space
+    /// pass, at one and four threads.
     #[test]
     fn serial_and_parallel_paths_agree() {
         let mut s = rocksalt_nacl(2, NACL_LATTICE_A);
         s.displace(0, Vec3::new(0.3, -0.1, 0.2));
         s.displace(9, Vec3::new(-0.2, 0.2, 0.0));
-        let mut ff = EwaldTosiFumi::nacl_default(s.simbox().l());
-        let rp = ff.compute(&s);
-        ff.set_parallel(false);
-        let rs = ff.compute(&s);
-        assert!(((rp.potential - rs.potential) / rs.potential).abs() < 1e-12);
-        for (a, b) in rp.forces.iter().zip(&rs.forces) {
-            assert!((*a - *b).norm() < 1e-9);
-        }
+        let eval = |threads| {
+            rayon::with_num_threads(threads, || {
+                EwaldTosiFumi::nacl_default(s.simbox().l()).compute(&s)
+            })
+        };
+        let (one, four) = (eval(1), eval(4));
+        assert_eq!(one.forces, four.forces);
+        assert_eq!(one.potential.to_bits(), four.potential.to_bits());
+        assert_eq!(one.virial.to_bits(), four.virial.to_bits());
     }
 
     #[test]
@@ -482,40 +273,6 @@ mod tests {
                 "axis {axis}: analytic {analytic} vs fd {fd}"
             );
         }
-    }
-
-    #[test]
-    fn conventional_matches_cell_list_field() {
-        let mut s = rocksalt_nacl(2, NACL_LATTICE_A);
-        s.displace(0, Vec3::new(0.3, -0.1, 0.2));
-        let mut a = EwaldTosiFumi::nacl_default(s.simbox().l());
-        a.set_parallel(false);
-        let mut b = ConventionalEwaldTosiFumi::nacl_default(s.simbox().l());
-        let ra = a.compute(&s);
-        let rb = b.compute(&s);
-        assert!(((ra.potential - rb.potential) / ra.potential).abs() < 1e-12);
-        for (fa, fb) in ra.forces.iter().zip(&rb.forces) {
-            assert!((*fa - *fb).norm() < 1e-10);
-        }
-    }
-
-    #[test]
-    fn conventional_list_is_reused_across_steps() {
-        use crate::integrate::Simulation;
-        use crate::velocities::maxwell_boltzmann;
-        let mut s = rocksalt_nacl(2, NACL_LATTICE_A);
-        maxwell_boltzmann(&mut s, 300.0, 3);
-        let ff = ConventionalEwaldTosiFumi::nacl_default(s.simbox().l());
-        let mut sim = Simulation::new(s, ff, 1.0);
-        sim.run(20);
-        let (rebuilds, evals) = sim.force_field().rebuild_stats();
-        assert_eq!(evals, 21); // initial + 20 steps
-        assert!(rebuilds < evals / 2, "skin not paying off: {rebuilds}/{evals}");
-        // And the dynamics stay conservative with the reused list.
-        let e0 = sim.record().total;
-        let records = sim.run(20);
-        let drift = ((records.last().unwrap().total - e0) / e0).abs();
-        assert!(drift < 1e-4, "drift {drift}");
     }
 
     #[test]

@@ -10,11 +10,10 @@
 //!   cutoffs `r_cut`, `L·k_cut`;
 //! * the **Tosi–Fumi** (Born–Mayer–Huggins) force field for NaCl
 //!   (eq. 15) and the Lennard-Jones form of eq. 4;
-//! * the **cell-index method** (Hockney & Eastwood) in both the hardware
-//!   flavour (27-cell scan, no Newton's third law, no cutoff skipping —
-//!   what MDGRAPE-2 does) and the conventional flavour (half neighbour
-//!   list with third-law halving — the paper's "conventional computer"
-//!   baseline);
+//! * the **cell-index method** (Hockney & Eastwood): the 27-cell scan
+//!   MDGRAPE-2 runs (no Newton's third law, no cutoff skipping), and the
+//!   same scan with cutoff skipping in the one software real-space pass
+//!   ([`ewald::real::real_space`]);
 //! * velocity-Verlet **integration**, velocity-scaling **NVT** and plain
 //!   **NVE** (the paper's 2,000-step NVT + 1,000-step NVE protocol);
 //! * **observables**: temperature, pressure, energies, RDF, MSD,
@@ -38,7 +37,6 @@ pub mod kvectors;
 pub mod lattice;
 pub mod longrange;
 pub mod mesh;
-pub mod neighbors;
 pub mod observables;
 pub mod pme;
 pub mod potentials;

@@ -30,10 +30,11 @@
 //!   the telemetry layer can price mesh backends that have no
 //!   paper-credited DFT/IDFT ops.
 //! * Determinism: for a fixed input, results are bitwise identical at
-//!   any Rayon thread count and with `set_parallel(false)`
-//!   (per-particle and per-wave maps are ordered; the mesh engine's
-//!   plane and pencil tasks each own their output and reduce in index
-//!   order — see [`crate::mesh`]).
+//!   any Rayon thread count (per-particle and per-wave maps are ordered;
+//!   the mesh engine's plane and pencil tasks each own their output and
+//!   reduce in index order — see [`crate::mesh`]). The thread count is
+//!   the only parallelism control: `rayon::with_num_threads(1, …)` is
+//!   the serial run.
 
 use crate::boxsim::SimBox;
 use crate::ewald::recip::{recip_space_cached, RecipScratch};
@@ -93,11 +94,6 @@ pub trait LongRangeBackend: Send + Sync {
     /// for (κ = α/L).
     fn alpha(&self) -> f64;
 
-    /// Toggle Rayon parallelism (every software backend supports it;
-    /// the default no-op is for an engine with nothing to toggle, such
-    /// as the emulated board). Results do not depend on the setting.
-    fn set_parallel(&mut self, _parallel: bool) {}
-
     /// Evaluate the reciprocal sum for one configuration.
     fn compute(&mut self, simbox: SimBox, positions: &[Vec3], charges: &[f64])
         -> LongRangeResult;
@@ -124,7 +120,6 @@ fn note_scratch_reuse(warm: &mut bool) {
 pub struct ExactEwald {
     alpha: f64,
     waves: Vec<KVector>,
-    parallel: bool,
     scratch: RecipScratch,
     warm: bool,
 }
@@ -142,7 +137,6 @@ impl ExactEwald {
         Self {
             alpha,
             waves,
-            parallel: true,
             scratch: RecipScratch::default(),
             warm: false,
         }
@@ -163,10 +157,6 @@ impl LongRangeBackend for ExactEwald {
         self.alpha
     }
 
-    fn set_parallel(&mut self, parallel: bool) {
-        self.parallel = parallel;
-    }
-
     fn compute(
         &mut self,
         simbox: SimBox,
@@ -180,7 +170,6 @@ impl LongRangeBackend for ExactEwald {
             charges,
             self.alpha,
             &self.waves,
-            self.parallel,
             &mut self.scratch,
         );
         let ops = (positions.len() * self.waves.len()) as u64;
@@ -203,10 +192,9 @@ impl LongRangeBackend for ExactEwald {
 
     fn describe(&self) -> String {
         format!(
-            "exact Ewald recip (alpha={}, {} waves, {})",
+            "exact Ewald recip (alpha={}, {} waves)",
             self.alpha,
-            self.waves.len(),
-            if self.parallel { "parallel" } else { "serial" }
+            self.waves.len()
         )
     }
 }
@@ -221,10 +209,6 @@ impl<W: Window> LongRangeBackend for MeshEngine<W> {
 
     fn alpha(&self) -> f64 {
         MeshEngine::alpha(self)
-    }
-
-    fn set_parallel(&mut self, parallel: bool) {
-        MeshEngine::set_parallel(self, parallel);
     }
 
     fn compute(
@@ -301,7 +285,7 @@ pub fn default_operating_point(name: &str, l: f64) -> Option<EwaldParams> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ewald::recip::recip_space_parallel;
+    use crate::ewald::recip::recip_space;
     use crate::lattice::{rocksalt_nacl, NACL_LATTICE_A};
     use crate::system::System;
 
@@ -324,7 +308,7 @@ mod tests {
         let mut backend = ExactEwald::new(p.alpha, p.n_max);
         let waves = half_space_vectors(p.n_max);
         let reference =
-            recip_space_parallel(s.simbox(), s.positions(), s.charges(), p.alpha, &waves);
+            recip_space(s.simbox(), s.positions(), s.charges(), p.alpha, &waves);
         for step in 0..3 {
             let got = backend.compute(s.simbox(), s.positions(), s.charges());
             assert_eq!(got.forces, reference.forces, "step {step}");

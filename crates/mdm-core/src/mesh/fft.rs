@@ -243,23 +243,17 @@ impl PrunedFft3 {
 
     /// x and y passes, one task per z-plane: `planes[z·P + p]` becomes
     /// the `(kx, ky)` coefficient of pencil `p` in plane `z`.
-    pub fn forward_planes(&self, grid: &[f64], planes: &mut [Complex], parallel: bool) {
+    pub fn forward_planes(&self, grid: &[f64], planes: &mut [Complex]) {
         let (kk, p) = (self.k * self.k, self.pencils.len());
         assert_eq!(grid.len(), kk * self.k);
         assert_eq!(planes.len(), self.spectrum_len());
         if p == 0 {
             return;
         }
-        if parallel {
-            planes
-                .par_chunks_mut(p)
-                .zip(grid.par_chunks(kk))
-                .for_each(|(out, plane)| self.forward_plane(plane, out));
-        } else {
-            for (out, plane) in planes.chunks_mut(p).zip(grid.chunks(kk)) {
-                self.forward_plane(plane, out);
-            }
-        }
+        planes
+            .par_chunks_mut(p)
+            .zip(grid.par_chunks(kk))
+            .for_each(|(out, plane)| self.forward_plane(plane, out));
     }
 
     /// z pass, one task per pencil: gather pencil `p` from `planes`,
@@ -270,7 +264,6 @@ impl PrunedFft3 {
         &self,
         planes: &[Complex],
         pencils: &mut [Complex],
-        parallel: bool,
         convolve: F,
     ) -> Vec<R>
     where
@@ -289,11 +282,7 @@ impl PrunedFft3 {
             self.plan.transform(line, true);
             r
         };
-        if parallel {
-            pencils.par_chunks_mut(k).enumerate().map(one).collect()
-        } else {
-            pencils.chunks_mut(k).enumerate().map(one).collect()
-        }
+        pencils.par_chunks_mut(k).enumerate().map(one).collect()
     }
 
     /// Inverse y and x passes, one task per z-plane, from the
@@ -301,19 +290,13 @@ impl PrunedFft3 {
     /// kept pencils are zero; the x pass completes the Hermitian half
     /// (`X[k−kx] = conj X[kx]`), which is what taking the real part of
     /// a full complex inverse does.
-    pub fn inverse_planes(&self, pencils: &[Complex], grid: &mut [f64], parallel: bool) {
+    pub fn inverse_planes(&self, pencils: &[Complex], grid: &mut [f64]) {
         let kk = self.k * self.k;
         assert_eq!(grid.len(), kk * self.k);
         assert_eq!(pencils.len(), self.spectrum_len());
-        if parallel {
-            grid.par_chunks_mut(kk)
-                .enumerate()
-                .for_each(|(z, plane)| self.inverse_plane(z, pencils, plane));
-        } else {
-            for (z, plane) in grid.chunks_mut(kk).enumerate() {
-                self.inverse_plane(z, pencils, plane);
-            }
-        }
+        grid.par_chunks_mut(kk)
+            .enumerate()
+            .for_each(|(z, plane)| self.inverse_plane(z, pencils, plane));
     }
 
     fn forward_plane(&self, plane: &[f64], out: &mut [Complex]) {
@@ -549,8 +532,8 @@ mod tests {
     /// The pruned real-input transform against the full complex oracle
     /// at K = 16, 32, 64 and bands 3, K/4, K/2 — forward on every kept
     /// mode, then the inverse of the band-limited spectrum on every
-    /// grid point, both to 1e-12 of the largest value, serial and
-    /// parallel bitwise equal.
+    /// grid point, both to 1e-12 of the largest value, one and four
+    /// threads bitwise equal.
     #[test]
     fn pruned_transform_matches_full_complex_oracle() {
         for k in [16usize, 32, 64] {
@@ -569,20 +552,28 @@ mod tests {
                     .flat_map(|kx| kept.iter().map(move |&ky| (kx, ky)))
                     .collect();
                 let fft = PrunedFft3::new(k, pencils.clone());
-                let mut planes = vec![Complex::ZERO; fft.spectrum_len()];
-                let mut lines = vec![Complex::ZERO; fft.spectrum_len()];
-                fft.forward_planes(&grid, &mut planes, true);
-                // Keep |kz| ≤ band, zero the rest; hand the kept
-                // spectrum out for the forward comparison.
-                let keep_z = |_: usize, line: &mut [Complex]| -> Vec<Complex> {
-                    let before = line.to_vec();
-                    if 2 * band + 1 < k {
-                        line[band + 1..k - band].fill(Complex::ZERO);
-                    }
-                    before
+                // Forward, keep |kz| ≤ band (zero the rest, hand the kept
+                // spectrum out for the forward comparison), inverse.
+                let run = |threads| {
+                    rayon::with_num_threads(threads, || {
+                        let mut planes = vec![Complex::ZERO; fft.spectrum_len()];
+                        let mut lines = vec![Complex::ZERO; fft.spectrum_len()];
+                        let mut back = vec![0.0f64; k * k * k];
+                        fft.forward_planes(&grid, &mut planes);
+                        let spectra = fft.pencil_pass(&planes, &mut lines, |_, line| {
+                            let before = line.to_vec();
+                            if 2 * band + 1 < k {
+                                line[band + 1..k - band].fill(Complex::ZERO);
+                            }
+                            before
+                        });
+                        fft.inverse_planes(&lines, &mut back);
+                        (planes, lines, back, spectra)
+                    })
                 };
-                let spectra = fft.pencil_pass(&planes, &mut lines, true, keep_z);
-                for (&(kx, ky), spectrum) in pencils.iter().zip(&spectra) {
+                let four = run(4);
+                let (_, _, back, spectra) = &four;
+                for (&(kx, ky), spectrum) in pencils.iter().zip(spectra) {
                     for (kz, got) in spectrum.iter().enumerate() {
                         let want = full[(kz * k + ky) * k + kx];
                         assert!(
@@ -604,8 +595,6 @@ mod tests {
                     }
                 }
                 oracle_fft3(k, &mut limited, true);
-                let mut back = vec![0.0f64; k * k * k];
-                fft.inverse_planes(&lines, &mut back, true);
                 let back_scale = limited.iter().map(|c| c.re.abs()).fold(0.0f64, f64::max);
                 for (i, (got, want)) in back.iter().zip(&limited).enumerate() {
                     assert!(
@@ -615,14 +604,8 @@ mod tests {
                     );
                 }
 
-                // The serial path is the same arithmetic.
-                let mut planes_s = vec![Complex::ZERO; fft.spectrum_len()];
-                let mut lines_s = vec![Complex::ZERO; fft.spectrum_len()];
-                let mut back_s = vec![0.0f64; k * k * k];
-                fft.forward_planes(&grid, &mut planes_s, false);
-                fft.pencil_pass(&planes_s, &mut lines_s, false, keep_z);
-                fft.inverse_planes(&lines_s, &mut back_s, false);
-                assert!(planes == planes_s && lines == lines_s && back == back_s);
+                // One thread is the same arithmetic.
+                assert!(run(1) == four);
             }
         }
     }

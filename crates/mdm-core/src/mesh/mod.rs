@@ -14,7 +14,7 @@
 //! Every stage is a loop over a fixed decomposition — particles,
 //! z-planes, `(kx, ky)` pencils — whose tasks write disjoint outputs in
 //! a fixed order, so the result is bitwise identical at any Rayon
-//! thread count and with [`MeshEngine::set_parallel`]`(false)`:
+//! thread count (`rayon::with_num_threads(1, …)` is the serial run):
 //!
 //! * **weights**: one task per particle computes its 3·support window
 //!   weights and derivatives once; spread and gather both read them.
@@ -114,7 +114,6 @@ pub struct MeshEngine<W> {
     mesh: usize,
     alpha: f64,
     l: f64,
-    parallel: bool,
     /// Set by the first call through the backend interface (see
     /// `longrange::note_scratch_reuse`).
     pub(crate) warm: bool,
@@ -210,7 +209,6 @@ impl<W: Window> MeshEngine<W> {
             mesh,
             alpha,
             l,
-            parallel: true,
             warm: false,
             fft: PrunedFft3::new(k, pencils),
             bands,
@@ -239,12 +237,6 @@ impl<W: Window> MeshEngine<W> {
     /// The window in use.
     pub fn window(&self) -> &W {
         &self.window
-    }
-
-    /// Run every stage on the calling thread (`false`) or as Rayon
-    /// loops (`true`, the default). The result is bitwise the same.
-    pub fn set_parallel(&mut self, parallel: bool) {
-        self.parallel = parallel;
     }
 
     /// Evaluate reciprocal energy, forces, and virial. `&mut self`
@@ -323,19 +315,11 @@ impl<W: Window> MeshEngine<W> {
                 base[axis] = first.rem_euclid(k as i64) as u32;
             }
         };
-        if self.parallel {
-            self.weights
-                .par_chunks_mut(6 * s)
-                .zip(self.base.par_iter_mut())
-                .zip(positions.par_iter())
-                .for_each(one);
-        } else {
-            self.weights
-                .chunks_mut(6 * s)
-                .zip(self.base.iter_mut())
-                .zip(positions)
-                .for_each(one);
-        }
+        self.weights
+            .par_chunks_mut(6 * s)
+            .zip(self.base.par_iter_mut())
+            .zip(positions.par_iter())
+            .for_each(one);
     }
 
     /// Stable counting sort of the particles by `base[i][2]`.
@@ -386,11 +370,7 @@ impl<W: Window> MeshEngine<W> {
                 }
             }
         };
-        if self.parallel {
-            self.grid.par_chunks_mut(k * k).enumerate().for_each(one);
-        } else {
-            self.grid.chunks_mut(k * k).enumerate().for_each(one);
-        }
+        self.grid.par_chunks_mut(k * k).enumerate().for_each(one);
     }
 
     /// Charge grid → potential grid: forward transform, multiply by the
@@ -401,13 +381,11 @@ impl<W: Window> MeshEngine<W> {
         let k = self.mesh;
         self.planes.resize(self.fft.spectrum_len(), Complex::ZERO);
         self.lines.resize(self.fft.spectrum_len(), Complex::ZERO);
-        self.fft
-            .forward_planes(&self.grid, &mut self.planes, self.parallel);
+        self.fft.forward_planes(&self.grid, &mut self.planes);
         let (bands, theta, virial_factor) = (&self.bands, &self.theta, &self.virial_factor);
         let partials = self.fft.pencil_pass(
             &self.planes,
             &mut self.lines,
-            self.parallel,
             |p, line: &mut [Complex]| {
                 let PencilBand {
                     band,
@@ -428,8 +406,7 @@ impl<W: Window> MeshEngine<W> {
                 (multiplicity * energy, multiplicity * virial)
             },
         );
-        self.fft
-            .inverse_planes(&self.lines, &mut self.grid, self.parallel);
+        self.fft.inverse_planes(&self.lines, &mut self.grid);
         partials
             .iter()
             .fold((0.0, 0.0), |(e, v), p| (e + p.0, v + p.1))
@@ -465,11 +442,7 @@ impl<W: Window> MeshEngine<W> {
             }
             grad * (-charges[i] * du_dr)
         };
-        if self.parallel {
-            (0..charges.len()).into_par_iter().map(one).collect()
-        } else {
-            (0..charges.len()).map(one).collect()
-        }
+        (0..charges.len()).into_par_iter().map(one).collect()
     }
 }
 

@@ -15,8 +15,6 @@ pub mod bspline;
 
 use crate::ewald::EwaldParams;
 use crate::mesh::{default_mesh, MeshEngine, Window};
-use crate::units::COULOMB_EV_A;
-use crate::vec3::Vec3;
 use bspline::{b_mod_sq, m_spline, m_spline_deriv};
 
 /// Largest supported B-spline order.
@@ -87,113 +85,15 @@ impl SpmeRecip {
     }
 }
 
-/// A complete O(N·log N) force field: cell-list real space (shared with
-/// the conventional engine) + SPME reciprocal space + self-energy, for
-/// the NaCl system — the force field a GROMACS-lineage code would use
-/// where the MDM used brute force.
-pub struct PmeTosiFumi {
-    params: EwaldParams,
-    short: crate::potentials::TosiFumi,
-    spme: SpmeRecip,
-}
-
-impl PmeTosiFumi {
-    /// Build for a box of side `l` with the given Ewald parameters and
-    /// SPME discretisation.
-    pub fn new(params: EwaldParams, l: f64, mesh: usize, order: usize) -> Self {
-        Self {
-            params,
-            short: crate::potentials::TosiFumi::nacl(),
-            spme: SpmeRecip::new(l, params.alpha, mesh, order),
-        }
-    }
-
-    /// NaCl default: balanced α for `n` particles, mesh sized to keep
-    /// the SPME error at the WINE-2-hardware level (~2 points per α).
-    pub fn nacl_default(l: f64, n: usize) -> Self {
-        let reference = crate::forcefield::EwaldTosiFumi::nacl_balanced(l, n);
-        let params = *reference.ewald().params();
-        let mesh = (2.0 * params.alpha).ceil() as usize;
-        let mesh = mesh.next_power_of_two().max(16);
-        Self::new(params, l, mesh, 6)
-    }
-
-    /// The Ewald parameters in use.
-    pub fn params(&self) -> &EwaldParams {
-        &self.params
-    }
-
-    /// The SPME engine (mesh/order inspection).
-    pub fn spme(&self) -> &SpmeRecip {
-        &self.spme
-    }
-}
-
-impl crate::forcefield::ForceField for PmeTosiFumi {
-    fn compute(&mut self, system: &crate::system::System) -> crate::forcefield::ForceResult {
-        use crate::celllist::CellList;
-        use crate::potentials::ShortRangePotential;
-        let simbox = system.simbox();
-        let positions = system.positions();
-        let charges = system.charges();
-        let types = system.types();
-        let kappa = self.params.kappa(simbox.l());
-        let r_cut = self.params.r_cut.min(simbox.max_cutoff());
-
-        // Real space: shared pass for Ewald-real Coulomb + Tosi-Fumi.
-        let cl = CellList::build(simbox, positions, r_cut);
-        let mut forces = vec![Vec3::ZERO; positions.len()];
-        let (mut e_c, mut e_s, mut virial) = (0.0, 0.0, 0.0);
-        cl.for_each_half_pair(positions, r_cut, |i, j, d, r_sq| {
-            let r = r_sq.sqrt();
-            let (e, f_over_r) = crate::ewald::real::real_kernel(kappa, r_sq);
-            let qq = COULOMB_EV_A * charges[i] * charges[j];
-            let (ti, tj) = (types[i] as usize, types[j] as usize);
-            let fs = self.short.force_over_r(ti, tj, r);
-            let f = d * (qq * f_over_r + fs);
-            forces[i] += f;
-            forces[j] -= f;
-            e_c += qq * e;
-            e_s += self.short.energy(ti, tj, r);
-            virial += f.dot(d);
-        });
-
-        // Reciprocal space via the mesh.
-        let recip = self.spme.compute(simbox, positions, charges);
-        for (f, df) in forces.iter_mut().zip(&recip.forces) {
-            *f += *df;
-        }
-
-        let q_sq: f64 = charges.iter().map(|q| q * q).sum();
-        let e_self = -COULOMB_EV_A * kappa / std::f64::consts::PI.sqrt() * q_sq;
-        let coulomb = e_c + recip.energy + e_self;
-        crate::forcefield::ForceResult {
-            forces,
-            potential: coulomb + e_s,
-            coulomb,
-            short_range: e_s,
-            // The mesh virial is not assembled here; pressure users
-            // should take the exact-recip field.
-            virial: f64::NAN,
-        }
-    }
-
-    fn describe(&self) -> String {
-        format!(
-            "PME Ewald+TosiFumi (alpha={}, mesh={}, order={})",
-            self.params.alpha,
-            self.spme.mesh(),
-            self.spme.order()
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ewald::recip::recip_space;
+    use crate::forcefield::{EwaldTosiFumi, ForceField};
     use crate::kvectors::half_space_vectors;
     use crate::lattice::{rocksalt_nacl, NACL_LATTICE_A};
+    use crate::potentials::TosiFumi;
+    use crate::vec3::Vec3;
 
     fn perturbed() -> crate::system::System {
         let mut s = rocksalt_nacl(2, NACL_LATTICE_A);
@@ -264,15 +164,25 @@ mod tests {
         assert!(net.norm() < 1e-12, "net {net:?}");
     }
 
+    /// The O(N·log N) NaCl field: the exact field's balanced parameters
+    /// with SPME for the wavenumber part, on a mesh of ⌈2α⌉ rounded up
+    /// to a power of two (at least 16), order 6.
+    fn pme_field(l: f64, n: usize) -> EwaldTosiFumi {
+        let params = *EwaldTosiFumi::nacl_balanced(l, n).ewald().params();
+        let mesh = ((2.0 * params.alpha).ceil() as usize)
+            .next_power_of_two()
+            .max(16);
+        let spme = SpmeRecip::new(l, params.alpha, mesh, 6);
+        EwaldTosiFumi::with_longrange(params, TosiFumi::nacl(), Box::new(spme))
+    }
+
     #[test]
     fn pme_force_field_matches_exact_field() {
-        use crate::forcefield::{EwaldTosiFumi, ForceField};
         let mut s = perturbed();
         s.displace(3, Vec3::new(0.1, 0.3, -0.2));
         let l = s.simbox().l();
-        let mut pme = PmeTosiFumi::nacl_default(l, s.len());
-        let mut exact = EwaldTosiFumi::new(*pme.params(), crate::potentials::TosiFumi::nacl());
-        exact.set_parallel(false);
+        let mut pme = pme_field(l, s.len());
+        let mut exact = EwaldTosiFumi::new(*pme.ewald().params(), TosiFumi::nacl());
         let rp = pme.compute(&s);
         let re = exact.compute(&s);
         assert!(
@@ -285,6 +195,16 @@ mod tests {
         for (a, b) in rp.forces.iter().zip(&re.forces) {
             assert!((*a - *b).norm() / scale < 1e-3, "{a:?} vs {b:?}");
         }
+        // The mesh engine assembles a virial, so the pressure is usable:
+        // finite, and off the exact field's by the mesh error (the
+        // forces' 1e-3, on the scale of the Coulomb energy).
+        assert!(rp.virial.is_finite(), "virial {}", rp.virial);
+        assert!(
+            (rp.virial - re.virial).abs() < 1e-3 * re.coulomb.abs(),
+            "virial {} vs {}",
+            rp.virial,
+            re.virial
+        );
     }
 
     #[test]
@@ -293,7 +213,7 @@ mod tests {
         use crate::velocities::maxwell_boltzmann;
         let mut s = rocksalt_nacl(2, NACL_LATTICE_A);
         maxwell_boltzmann(&mut s, 300.0, 21);
-        let pme = PmeTosiFumi::nacl_default(s.simbox().l(), s.len());
+        let pme = pme_field(s.simbox().l(), s.len());
         let mut sim = Simulation::new(s, pme, 1.0);
         let e0 = sim.record().total;
         let rec = sim.run(30);

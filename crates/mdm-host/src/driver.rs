@@ -33,7 +33,7 @@ use mdgrape2::system::{
 use mdgrape2::tables::GFunction;
 use mdgrape2::timing::MdgCounters;
 use mdm_core::boxsim::SimBox;
-use mdm_core::ewald::EwaldParams;
+use mdm_core::ewald::{self_energy, EwaldParams};
 use mdm_core::forcefield::{ForceField, ForceResult};
 use mdm_core::kvectors::{half_space_vectors, KVector};
 use mdm_core::longrange::{LongRangeBackend, LongRangeCounters, LongRangeResult};
@@ -690,8 +690,7 @@ impl ForceField for MdmForceField {
         // --- Host: self-energy. ---
         let e_self = {
             let _host = mdm_profile::span(mdm_profile::phase::HOST);
-            let q_sq: f64 = system.charges().iter().map(|q| q * q).sum();
-            -COULOMB_EV_A * kappa / std::f64::consts::PI.sqrt() * q_sq
+            self_energy(kappa, system.charges())
         };
 
         // --- Potential (every `potential_interval` steps). ---
@@ -819,8 +818,7 @@ mod tests {
         for (f, df) in forces.iter_mut().zip(&recip.forces) {
             *f += *df;
         }
-        let q_sq: f64 = charges.iter().map(|q| q * q).sum();
-        let e_self = -COULOMB_EV_A * kappa / std::f64::consts::PI.sqrt() * q_sq;
+        let e_self = self_energy(kappa, charges);
         (forces, e_real + e_short + recip.energy + e_self)
     }
 

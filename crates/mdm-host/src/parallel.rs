@@ -21,12 +21,12 @@
 
 use crate::domain::CartesianDecomposition;
 use crate::mpi::{run_world, Comm};
-use mdm_core::ewald::real::real_kernel;
+use mdm_core::ewald::real::{particle_sum, ShortRange};
 use mdm_core::ewald::recip::spectral_coefficient;
-use mdm_core::ewald::EwaldParams;
+use mdm_core::ewald::{self_energy, EwaldParams};
 use mdm_core::forcefield::ForceResult;
 use mdm_core::kvectors::half_space_vectors;
-use mdm_core::potentials::{ShortRangePotential, TosiFumi};
+use mdm_core::potentials::TosiFumi;
 use mdm_core::system::System;
 use mdm_core::units::COULOMB_EV_A;
 use mdm_core::vec3::Vec3;
@@ -117,30 +117,21 @@ pub fn parallel_forces(
             // Ordered pairs (i owned, any j), half-weighted energy. An
             // all-pairs scan over owned+halo is exact; domains are small.
             let real_span = mdm_profile::span(mdm_profile::phase::REAL);
-            let mut forces = vec![Vec3::ZERO; n_own];
+            let local_short = ShortRange {
+                potential: &short,
+                types: &local_t,
+            };
+            let mut forces = Vec::with_capacity(n_own);
             let (mut e_real, mut e_short, mut virial) = (0.0, 0.0, 0.0);
-            let r_cut_sq = r_cut * r_cut;
             for a in 0..n_own {
-                for b in 0..local_pos.len() {
-                    if a == b {
-                        continue;
-                    }
-                    let d = simbox.min_image(local_pos[a], local_pos[b]);
-                    let r_sq = d.norm_sq();
-                    if r_sq > r_cut_sq {
-                        continue;
-                    }
-                    let r = r_sq.sqrt();
-                    let (e, f_over_r) = real_kernel(kappa, r_sq);
-                    let qq = COULOMB_EV_A * local_q[a] * local_q[b];
-                    let (ta, tb) = (local_t[a] as usize, local_t[b] as usize);
-                    let fs = short.force_over_r(ta, tb, r);
-                    let f = d * (qq * f_over_r + fs);
-                    forces[a] += f;
-                    e_real += 0.5 * qq * e;
-                    e_short += 0.5 * short.energy(ta, tb, r);
-                    virial += 0.5 * f.dot(d);
-                }
+                let candidates = (0..local_pos.len())
+                    .filter(|&b| b != a)
+                    .map(|b| (b, simbox.min_image(local_pos[a], local_pos[b])));
+                let sum = particle_sum(kappa, r_cut, a, &local_q, Some(local_short), candidates);
+                forces.push(sum.force);
+                e_real += sum.coulomb;
+                e_short += sum.short;
+                virial += sum.virial;
             }
             drop(real_span);
             // Gather to rank 0 — within the real-space sub-group only
@@ -317,9 +308,7 @@ fn assemble(
         }
     }
     let e_recip = comm.recv(n_real, tag::ENERGY + 100)[0];
-    let q_sq: f64 = charges.iter().map(|q| q * q).sum();
-    let e_self = -COULOMB_EV_A * kappa / std::f64::consts::PI.sqrt() * q_sq;
-    let coulomb = e_real + e_recip + e_self;
+    let coulomb = e_real + e_recip + self_energy(kappa, charges);
     ForceResult {
         potential: coulomb + e_short,
         coulomb,
@@ -353,7 +342,6 @@ mod tests {
         let params = params_for(s.simbox().l());
         let parallel = parallel_forces(&s, &params, ParallelConfig::small());
         let mut serial = EwaldTosiFumi::new(params, TosiFumi::nacl());
-        serial.set_parallel(false);
         let reference = serial.compute(&s);
         assert!(
             ((parallel.potential - reference.potential) / reference.potential).abs() < 1e-10,

@@ -49,9 +49,8 @@ fn main() {
     let t_par = t0.elapsed();
 
     let mut serial = EwaldTosiFumi::new(params, TosiFumi::nacl());
-    serial.set_parallel(false);
     let t1 = std::time::Instant::now();
-    let ser = serial.compute(&system);
+    let ser = rayon::with_num_threads(1, || serial.compute(&system));
     let t_ser = t1.elapsed();
 
     let scale = ser.forces.iter().map(|f| f.norm()).fold(0.0f64, f64::max);

@@ -1,5 +1,5 @@
 //! The shared mesh engine (`mdm::core::mesh`) through its two windows,
-//! from the outside: thread-count and `set_parallel` invariance at a
+//! from the outside: thread-count invariance at a
 //! size where every plane and pencil task has real work, stencils that
 //! wrap or sit exactly on the slab boundaries the spread partitions by,
 //! scratch reuse and its accounting, and non-neutral input.
@@ -58,22 +58,13 @@ fn identical_at_every_thread_count<W: Window>(
     positions: &[Vec3],
     charges: &[f64],
 ) -> MeshResult {
-    let run = |threads: usize, parallel: bool| {
-        with_num_threads(threads, || {
-            let mut engine = build();
-            engine.set_parallel(parallel);
-            engine.compute(simbox, positions, charges)
-        })
+    let run = |threads: usize| {
+        with_num_threads(threads, || build().compute(simbox, positions, charges))
     };
-    let reference = run(1, true);
+    let reference = run(1);
     for threads in [2, 3, 4] {
-        assert_bitwise(
-            &reference,
-            &run(threads, true),
-            &format!("{threads} threads"),
-        );
+        assert_bitwise(&reference, &run(threads), &format!("{threads} threads"));
     }
-    assert_bitwise(&reference, &run(4, false), "set_parallel(false)");
     // Whatever RAYON_NUM_THREADS this binary runs under (CI repeats it
     // at 1 and at 3: an odd count splits the planes unevenly).
     let ambient = build().compute(simbox, positions, charges);

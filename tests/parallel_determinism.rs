@@ -3,8 +3,8 @@
 //!
 //! The backend's contract (see `vendor/rayon`) is that `collect`
 //! reassembles chunk results in index order, so any *per-particle map*
-//! — forces from the Ewald real-space pass, the IDFT force synthesis,
-//! the fused Coulomb+Tosi–Fumi pass, the whole emulated-hardware step —
+//! — forces from the Ewald real-space pass (with or without the
+//! Tosi–Fumi terms), the IDFT force synthesis, the whole emulated-hardware step —
 //! is **bitwise identical** at every thread count: each particle's
 //! accumulation order is fixed by the cell/wave traversal, and only the
 //! chunk boundaries move. Scalar *reductions* that go through a
@@ -17,8 +17,8 @@
 //! the comparison is real even on a single-core host (the backend still
 //! spawns four workers).
 
-use mdm::core::ewald::real::real_space_parallel;
-use mdm::core::ewald::recip::recip_space_parallel;
+use mdm::core::ewald::real::real_space;
+use mdm::core::ewald::recip::recip_space;
 use mdm::core::forcefield::{EwaldTosiFumi, ForceField, ForceResult};
 use mdm::core::integrate::Simulation;
 use mdm::core::kvectors::half_space_vectors;
@@ -46,25 +46,25 @@ fn real_space_forces_bitwise_identical_across_thread_counts() {
     let (simbox, l) = (system.simbox(), system.simbox().l());
     let kappa = 6.4 / l;
     // r_cut small enough that the cell grid supports the 27-cell scan
-    // (otherwise the parallel path falls back to serial and the test
-    // proves nothing).
+    // (the minimum-image branch of coarser grids has its own tests in
+    // `ewald::real`).
     let r_cut = l / 3.1;
 
-    let serial = with_num_threads(1, || {
-        real_space_parallel(simbox, system.positions(), system.charges(), kappa, r_cut)
-    });
-    let threaded = with_num_threads(4, || {
-        real_space_parallel(simbox, system.positions(), system.charges(), kappa, r_cut)
-    });
+    let run = |threads| {
+        with_num_threads(threads, || {
+            real_space(simbox, system.positions(), system.charges(), kappa, r_cut, None)
+        })
+    };
+    let (serial, threaded) = (run(1), run(4));
 
-    assert!(serial.3 > 0, "cutoff too small: no pairs evaluated");
+    assert!(serial.pairs > 0, "cutoff too small: no pairs evaluated");
     // Per-particle force map: bitwise.
-    assert_eq!(serial.1, threaded.1, "real-space forces diverged");
+    assert_eq!(serial.forces, threaded.forces, "real-space forces diverged");
     // Energy/virial/pair-count reduce serially over the ordered collect,
     // so they are exact as well — not just within tolerance.
-    assert_eq!(serial.0.to_bits(), threaded.0.to_bits(), "energy");
-    assert_eq!(serial.2.to_bits(), threaded.2.to_bits(), "virial");
-    assert_eq!(serial.3, threaded.3, "pair count");
+    assert_eq!(serial.coulomb.to_bits(), threaded.coulomb.to_bits(), "energy");
+    assert_eq!(serial.virial.to_bits(), threaded.virial.to_bits(), "virial");
+    assert_eq!(serial.pairs, threaded.pairs, "pair count");
 }
 
 #[test]
@@ -75,10 +75,10 @@ fn recip_space_forces_bitwise_identical_across_thread_counts() {
     let waves = half_space_vectors(5.0);
 
     let serial = with_num_threads(1, || {
-        recip_space_parallel(simbox, system.positions(), system.charges(), alpha, &waves)
+        recip_space(simbox, system.positions(), system.charges(), alpha, &waves)
     });
     let threaded = with_num_threads(4, || {
-        recip_space_parallel(simbox, system.positions(), system.charges(), alpha, &waves)
+        recip_space(simbox, system.positions(), system.charges(), alpha, &waves)
     });
 
     // Both the DFT (per-wave structure factors) and the IDFT (per-
@@ -89,8 +89,8 @@ fn recip_space_forces_bitwise_identical_across_thread_counts() {
     assert_eq!(serial.virial.to_bits(), threaded.virial.to_bits());
 }
 
-/// The software reference force field end to end (fused real pass +
-/// recip + self terms).
+/// The software reference force field end to end (real-space pass with
+/// the Tosi–Fumi terms + recip + self terms).
 #[test]
 fn software_forcefield_identical_across_thread_counts() {
     let system = molten_snapshot(3);
@@ -150,7 +150,7 @@ fn parallel_sum_reduction_agrees_to_tolerance() {
 }
 
 /// Every selectable long-range backend — the emulated WINE-2 board, the
-/// exact software recip (parallel and serial), SPME, and the PSWF fast
+/// exact software recip, SPME, and the PSWF fast
 /// Ewald — through the full `MdmForceField` step. The wine2/ewald paths
 /// have their own `par_iter` kernels (ordered maps → bitwise); the mesh
 /// backends run every stage of the shared mesh engine as plane, pencil
