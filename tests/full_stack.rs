@@ -327,6 +327,77 @@ fn wine2_sweep_pinned_at_serve_size() {
     assert_eq!(residuals, 6 * (4 * 64 + 2 * 2069));
 }
 
+/// The paper's own WINE-2, `Wine2Config::default()`: 20 clusters and
+/// 2,240 chips, at N = 64 (a ragged 3–4 particles a cluster, most boards
+/// empty) and N = 216. One wavenumber call each on thermally kicked
+/// positions with the serve workloads' Ewald parameters: the force-bit
+/// digest, the energy and virial bits, every `WineCounters` field and
+/// the quantisation-residual histogram's bucket counts.
+#[test]
+fn wine2_default_machine_pinned() {
+    use mdm::wine2::{timing::WineCounters, Wine2Config, Wine2System};
+    let counters = |n: u64, cycles: u64, bus_bytes_per_cluster: u64| WineCounters {
+        dft_ops: n * 2069,
+        idft_ops: n * 2069,
+        cycles,
+        bus_bytes_per_cluster,
+        waves: 2069,
+        particles: n,
+    };
+    // (cells, force digest, [energy, virial] bits, counters, residual
+    // buckets 0..11 and underflow; every later bucket and overflow is 0)
+    let pins = [
+        (
+            2,
+            0xa5c5_d287_68c3_e775,
+            [0x4064_cff4_0e95_5126, 0xc071_5b4f_8bac_1ec3],
+            counters(64, 36, 463_568),
+            [8, 20, 32, 39, 79, 133, 273, 474, 699, 1284, 1276],
+            77,
+        ),
+        (
+            3,
+            0x8419_c437_bf06_a4f4,
+            [0x405d_4458_b369_552f, 0xc080_8655_4caa_e593],
+            counters(216, 72, 811_244),
+            [12, 19, 39, 67, 104, 219, 346, 600, 760, 1260, 1344],
+            232,
+        ),
+    ];
+    for (cells, digest_want, bits_want, counters_want, buckets_want, underflow_want) in pins {
+        let mut system = rocksalt_nacl(cells, NACL_LATTICE_A);
+        maxwell_boltzmann(&mut system, 1200.0, 7);
+        let kicked: Vec<Vec3> = system
+            .positions()
+            .iter()
+            .zip(system.velocities())
+            .map(|(r, v)| system.simbox().wrap(*r + *v * 10.0))
+            .collect();
+        let params = *MdmForceField::nacl_default(system.simbox().l()).unwrap().params();
+        let _scope = mdm::profile::scope();
+        let out = Wine2System::new(Wine2Config::default())
+            .compute_wavepart(
+                system.simbox(),
+                &kicked,
+                system.charges(),
+                params.alpha,
+                params.n_max,
+            )
+            .unwrap();
+        let hist = &mdm::profile::take().histograms["wine_fx_quant_residual"];
+        let digest = position_digest(&out.forces);
+        let bits = [out.energy.to_bits(), out.virial.to_bits()];
+        let n = kicked.len();
+        assert_eq!(digest, digest_want, "N = {n}: force digest {digest:016x}");
+        assert_eq!(bits, bits_want, "N = {n}: energy and virial bits {bits:016x?}");
+        assert_eq!(out.counters, counters_want, "N = {n}");
+        let (buckets, rest) = hist.bucket_counts().split_at(buckets_want.len());
+        assert_eq!(buckets, buckets_want, "N = {n}");
+        assert!(rest.iter().all(|&c| c == 0), "N = {n}: {rest:?}");
+        assert_eq!((hist.underflow(), hist.overflow()), (underflow_want, 0), "N = {n}");
+    }
+}
+
 /// The MDGRAPE-2 tile sweep at a size where every tile is ragged:
 /// `cells = 3` is 216 particles in 27 cells, 8 to a cell on the lattice
 /// and unevenly spread once molten, so no tile of sixteen lanes is ever
