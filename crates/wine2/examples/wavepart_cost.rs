@@ -1,9 +1,10 @@
 //! What one WINE-2 wavenumber call costs: the median wall of
-//! `Wine2System::compute_wavepart_with_waves` on 2 clusters, and the
-//! medians of its `quantize`, `dft` and `idft` spans, at the size and
-//! Ewald parameters of each benchmark workload that runs WINE-2
-//! (`serve_small` N = 64, `serve_long` N = 512, `faithful_8k`
-//! N = 8,000), at 1 and 2 threads.
+//! `Wine2System::compute_wavepart_with_waves`, and the medians of its
+//! `quantize`, `dft` and `idft` spans, at the size and Ewald parameters
+//! of each benchmark workload that runs WINE-2 (`serve_small` N = 64,
+//! `serve_long` N = 512, `faithful_8k` N = 8,000), at 1 and 2 threads,
+//! on the workloads' 2 clusters and on the paper's 20
+//! (`Wine2Config::default()`).
 //!
 //! Run with: `cargo run --release -p wine2 --example wavepart_cost`
 
@@ -20,11 +21,11 @@ const ACCURACY_S: f64 = 3.2;
 
 /// Medians over `reps` warm calls: the call's wall, then its
 /// `quantize`, `dft` and `idft` spans.
-fn measure(system: &System, alpha: f64, reps: usize) -> [Duration; 4] {
+fn measure(system: &System, alpha: f64, clusters: usize, reps: usize) -> [Duration; 4] {
     let l = system.simbox().l();
     let params = EwaldParams::from_alpha_accuracy(alpha, ACCURACY_S, ACCURACY_S, l);
     let waves = half_space_vectors(params.n_max);
-    let mut wine = Wine2System::new(Wine2Config { clusters: 2 });
+    let mut wine = Wine2System::new(Wine2Config { clusters });
     let mut call = || {
         let out = wine.compute_wavepart_with_waves(
             system.simbox(),
@@ -66,14 +67,14 @@ fn main() {
         ("serve_long", rocksalt_nacl(4, NACL_LATTICE_A), serve_alpha, 300),
         ("faithful_8k", rocksalt_nacl_at_density(10, PAPER_DENSITY), faithful_alpha, 30),
     ];
-    println!("workload          N  threads  call (ms)  quantize  dft (ms)  idft (ms)");
+    println!("workload          N  clusters  threads  call (ms)  quantize  dft (ms)  idft (ms)");
     for (name, system, alpha, reps) in &cases {
-        for threads in [1, 2] {
+        for (clusters, threads) in [(2, 1), (2, 2), (20, 1), (20, 2)] {
             let [wall, quantize, dft, idft] =
-                rayon::with_num_threads(threads, || measure(system, *alpha, *reps));
+                rayon::with_num_threads(threads, || measure(system, *alpha, clusters, *reps));
             let ms = |d: Duration| d.as_secs_f64() * 1e3;
             println!(
-                "{name:<11} {:>7}  {threads:>7}  {:>9.3}  {:>8.3}  {:>8.3}  {:>9.3}",
+                "{name:<11} {:>7}  {clusters:>8}  {threads:>7}  {:>9.3}  {:>8.3}  {:>8.3}  {:>9.3}",
                 system.len(),
                 ms(wall),
                 ms(quantize),

@@ -10,8 +10,8 @@
 //! That dataflow is what the board *bills*: ops per pipeline, cycles per
 //! chip and bytes per bus, all by arithmetic on its resident count. What
 //! the host *executes* is the wavenumber sweep (the `sweep` module) over
-//! the particle memory of the whole cluster ([`crate::cluster`]), where
-//! the boards' chunks lie packed in one column, so a board keeps its
+//! the particle memory of the whole system ([`crate::system`]), where
+//! every board's chunk lies packed in one column, so a board keeps its
 //! capacity check and its counters but no columns of its own.
 
 use crate::chip::{WineChip, WAVES_PER_CHIP};
@@ -85,7 +85,7 @@ impl WineBoard {
     /// traffic). Fails if the subset exceeds the memory capacity —
     /// the same constraint that forced the real machine to split
     /// particles across boards. The words themselves are packed by the
-    /// cluster ([`crate::cluster::WineCluster::load_particles`]).
+    /// system ([`crate::system::Wine2System`]).
     pub fn load_particles(&mut self, particles: &[WineParticle]) -> Result<(), BoardError> {
         if particles.len() > PARTICLE_CAPACITY {
             return Err(BoardError::ParticleMemoryOverflow {
@@ -137,14 +137,18 @@ impl WineBoard {
     }
 
     /// Bill the chip passes of `waves` waves streamed past the resident
-    /// particles — batches of ≤ 256 waves per board pass, ≤ 16 per chip —
-    /// and `bus_bytes_per_wave` of bus traffic for each wave.
+    /// particles — batches of ≤ 256 waves per board pass, ≤ 16 per chip,
+    /// so every chip holds 16 waves of each full batch and chip `c` the
+    /// waves `16c ..` of the last, partial one — and `bus_bytes_per_wave`
+    /// of bus traffic for each wave.
     fn credit_passes(&mut self, waves: usize, bus_bytes_per_wave: usize) {
         let particles = self.particles as u64;
-        for batch in (0..waves).step_by(WAVES_PER_BOARD) {
-            let batch_len = WAVES_PER_BOARD.min(waves - batch);
-            for (chip, first) in self.chips.iter_mut().zip((0..batch_len).step_by(WAVES_PER_CHIP)) {
-                chip.credit_pass(WAVES_PER_CHIP.min(batch_len - first), particles);
+        let (full, rest) = (waves / WAVES_PER_BOARD, waves % WAVES_PER_BOARD);
+        for (c, chip) in self.chips.iter_mut().enumerate() {
+            chip.credit_passes(full as u64, WAVES_PER_CHIP, particles);
+            let last = rest.saturating_sub(c * WAVES_PER_CHIP).min(WAVES_PER_CHIP);
+            if last > 0 {
+                chip.credit_passes(1, last, particles);
             }
         }
         self.bus_bytes += (waves * bus_bytes_per_wave) as u64;

@@ -4,18 +4,16 @@
 //! from the performance model's point of view the cluster is the unit
 //! of bus bandwidth.
 //!
-//! The boards split the particles into contiguous chunks and are billed
-//! for them (capacity, bus bytes, chip passes). The host holds the
-//! chunks packed in load order as one particle memory for the whole
-//! cluster, in the sweep's column layout, and runs the wavenumber sweep
-//! over that once: the DFT and IDFT sums are integer and order-free, so
-//! the packed column computes the same registers as the boards' chunks
-//! would, with one ragged lane block per cluster instead of one per
-//! board.
+//! The cluster deals its particles to its boards in contiguous chunks
+//! and bills them by arithmetic (capacity, bus bytes, chip passes). It
+//! holds no particle words: the host keeps one packed particle column
+//! for the whole system ([`crate::system`]) and runs the wavenumber sweep
+//! over that, split by threads, not by clusters. The DFT and IDFT sums
+//! are integer and order-free, so the column computes the same registers
+//! as the boards' chunks would.
 
 use crate::board::{BoardError, WineBoard};
-use crate::pipeline::{DftAccum, IdftAccum, IdftWave, WineParticle};
-use crate::sweep::{DftScratch, Kernel, Lanes, WavePlan};
+use crate::pipeline::WineParticle;
 
 /// Boards per cluster (Fig. 3).
 pub const BOARDS_PER_CLUSTER: usize = 7;
@@ -24,15 +22,6 @@ pub const BOARDS_PER_CLUSTER: usize = 7;
 #[derive(Clone, Debug)]
 pub struct WineCluster {
     boards: Vec<WineBoard>,
-    /// Every board's chunk, concatenated in load order.
-    particles: Lanes,
-    /// Sweep scratch and results, kept across calls so that a
-    /// steady-state evaluation allocates nothing: the DFT's working
-    /// columns, its per-slot sums, and the IDFT's per-particle registers.
-    dft_scratch: DftScratch,
-    /// `[Σ q(sin+cos), Σ q(sin−cos)]` per slot of the last DFT's plan.
-    dft_sums: Vec<[i64; 2]>,
-    idft_acc: Vec<IdftAccum>,
 }
 
 impl Default for WineCluster {
@@ -44,13 +33,7 @@ impl Default for WineCluster {
 impl WineCluster {
     /// A cluster of empty boards.
     pub fn new() -> Self {
-        Self {
-            boards: (0..BOARDS_PER_CLUSTER).map(|_| WineBoard::new()).collect(),
-            particles: Lanes::default(),
-            dft_scratch: DftScratch::default(),
-            dft_sums: Vec::new(),
-            idft_acc: Vec::new(),
-        }
+        Self { boards: (0..BOARDS_PER_CLUSTER).map(|_| WineBoard::new()).collect() }
     }
 
     /// The boards.
@@ -58,10 +41,9 @@ impl WineCluster {
         &self.boards
     }
 
-    /// Split `particles` across the cluster's boards (contiguous chunks),
-    /// load each board's share, then pack the whole list into the
-    /// cluster's particle memory. A chunk over a board's capacity is
-    /// refused before anything is packed.
+    /// Split `particles` across the cluster's boards (contiguous chunks)
+    /// and load each board's share. A chunk over a board's capacity is
+    /// refused.
     pub fn load_particles(&mut self, particles: &[WineParticle]) -> Result<(), BoardError> {
         let per = particles.len().div_ceil(BOARDS_PER_CLUSTER);
         for (b, chunk) in self
@@ -71,71 +53,27 @@ impl WineCluster {
         {
             b.load_particles(chunk)?;
         }
-        self.particles.load(particles);
         Ok(())
     }
 
     /// Particles resident across the boards.
     pub fn particle_count(&self) -> usize {
-        self.particles.len()
+        self.boards.iter().map(WineBoard::particle_count).sum()
     }
 
-    /// DFT over the whole wave list: the sum over every board's resident
-    /// particles.
-    pub fn dft(&mut self, waves: &[[i32; 3]]) -> Vec<DftAccum> {
-        let plan = WavePlan::new(waves);
-        self.dft_planned(Kernel::detect(), &plan);
-        (0..waves.len()).map(|w| self.dft_accum(plan.slot_of(w))).collect()
-    }
-
-    /// [`Self::dft`] with the caller's plan; the results stay in the
-    /// cluster, one [`Self::dft_accum`] per slot of the plan.
-    pub(crate) fn dft_planned(&mut self, kernel: Kernel, plan: &WavePlan) {
-        kernel.dft(plan, &self.particles, &mut self.dft_scratch, &mut self.dft_sums);
-        // Every board with a non-empty chunk streamed the whole table.
+    /// Bill a DFT over `waves` waves: every board with a non-empty chunk
+    /// streams the whole table.
+    pub(crate) fn credit_dft(&mut self, waves: usize) {
         for b in self.boards.iter_mut().filter(|b| b.particle_count() > 0) {
-            b.credit_dft(plan.waves());
+            b.credit_dft(waves);
         }
     }
 
-    /// The accumulator pair of slot `slot` after [`Self::dft_planned`].
-    pub(crate) fn dft_accum(&self, slot: usize) -> DftAccum {
-        DftAccum::from_partial(self.dft_sums[slot], self.particle_count() as u64)
-    }
-
-    /// IDFT: the per-particle force registers, in load order.
-    pub fn idft(&mut self, waves: &[IdftWave]) -> Vec<IdftAccum> {
-        let (plan, uv) = crate::sweep::plan_idft(waves);
-        self.idft_planned(Kernel::detect(), &plan, &uv);
-        self.idft_acc.clone()
-    }
-
-    /// [`Self::idft`] with the caller's plan and slot-ordered `[u, v]`
-    /// registers; the results stay in the cluster ([`Self::idft_acc`]).
-    pub(crate) fn idft_planned(&mut self, kernel: Kernel, plan: &WavePlan, uv: &[[i64; 2]]) {
-        self.idft_acc.clear();
-        self.idft_acc.resize(self.particle_count(), IdftAccum::default());
-        kernel.idft(plan, uv, &self.particles, &mut self.idft_acc);
+    /// Bill an IDFT over `waves` waves, as [`Self::credit_dft`].
+    pub(crate) fn credit_idft(&mut self, waves: usize) {
         for b in self.boards.iter_mut().filter(|b| b.particle_count() > 0) {
-            b.credit_idft(plan.waves());
+            b.credit_idft(waves);
         }
-    }
-
-    /// The per-particle registers of the last [`Self::idft_planned`], in
-    /// load order.
-    pub(crate) fn idft_acc(&self) -> &[IdftAccum] {
-        &self.idft_acc
-    }
-
-    /// Address and capacity of every buffer a call reuses (the
-    /// scratch-reuse test).
-    #[cfg(test)]
-    pub(crate) fn buffers(&self) -> Vec<(usize, usize)> {
-        let mut out = self.dft_scratch.buffers();
-        out.push((self.dft_sums.as_ptr() as usize, self.dft_sums.capacity()));
-        out.push((self.idft_acc.as_ptr() as usize, self.idft_acc.capacity()));
-        out.extend(self.particles.buffers());
-        out
     }
 
     /// Total ops across boards.
@@ -167,6 +105,10 @@ impl WineCluster {
 mod tests {
     use super::*;
     use crate::board::PARTICLE_CAPACITY;
+    use crate::pipeline::{DftAccum, IdftAccum, IdftWave, WinePipeline};
+    use crate::sweep::Kernel;
+    use crate::system::{Wine2Config, Wine2System};
+    use mdm_fixed::Q30;
 
     fn particles(n: usize) -> Vec<WineParticle> {
         (0..n)
@@ -199,6 +141,11 @@ mod tests {
         }
     }
 
+    /// A one-cluster system: the cluster's particles are the system's.
+    fn one_cluster() -> Wine2System {
+        Wine2System::new(Wine2Config { clusters: 1 })
+    }
+
     /// Every board's counters after one load, one DFT and one IDFT of
     /// `waves` waves over `n` particles, by the formula the per-board
     /// sweep billed: each non-empty chunk is loaded over the bus and
@@ -227,9 +174,9 @@ mod tests {
 
     #[test]
     fn packed_cluster_matches_the_pipeline_over_cluster_sizes() {
-        // 520 particles are 65 blocks: one full 64-block segment and a
-        // one-block tail.
-        use crate::pipeline::WinePipeline;
+        // A cluster's particles in the system's column, swept by the
+        // thread-sized regions at 1 and 3 threads. 520 particles are 65
+        // blocks: one full 64-block segment and a one-block tail.
         use crate::sweep::tests as sweep;
         let mut tables: Vec<Vec<[i32; 3]>> = [1, 9, 300].map(sweep::mixed_table).into();
         tables.push(mdm_core::kvectors::half_space_vectors(4.2).iter().map(|k| k.n).collect());
@@ -244,24 +191,22 @@ mod tests {
                 for wave in &waves {
                     oracle.idft_wave(wave, &ps, &mut idft_want);
                 }
-                let (plan, uv) = crate::sweep::plan_idft(&waves);
-                for kernel in sweep::kernels() {
-                    let case = format!("{kernel:?}, N = {n}, {} waves", table.len());
-                    let mut cluster = WineCluster::new();
-                    cluster.load_particles(&ps).unwrap();
-                    cluster.dft_planned(kernel, &plan);
-                    for (w, want) in dft_want.iter().enumerate() {
-                        // `FixedAccum` equality is raw register and term count.
-                        let got = cluster.dft_accum(plan.slot_of(w));
-                        assert_eq!(got.s_plus_c, want.s_plus_c, "{case}: wave {w}");
-                        assert_eq!(got.s_minus_c, want.s_minus_c, "{case}: wave {w}");
-                    }
-                    cluster.idft_planned(kernel, &plan, &uv);
-                    assert_eq!(cluster.idft_acc().len(), n, "{case}");
-                    for (i, (got, want)) in cluster.idft_acc().iter().zip(&idft_want).enumerate() {
-                        assert_eq!(got.f, want.f, "{case}: particle {i}");
-                    }
-                    assert_billed_as_boards(&cluster, n, table.len());
+                for (kernel, threads) in sweep::kernels().into_iter().flat_map(|k| [(k, 1), (k, 3)]) {
+                    let case = format!("{kernel:?}, {threads} threads, N = {n}, {} waves", table.len());
+                    let mut wine = one_cluster();
+                    rayon::with_num_threads(threads, || {
+                        let (dft, idft) = wine.sweep_raw(kernel, ps.clone(), &waves).unwrap();
+                        for (w, (got, want)) in dft.iter().zip(&dft_want).enumerate() {
+                            // `FixedAccum` equality is raw register and term count.
+                            assert_eq!(got.s_plus_c, want.s_plus_c, "{case}: wave {w}");
+                            assert_eq!(got.s_minus_c, want.s_minus_c, "{case}: wave {w}");
+                        }
+                        assert_eq!(idft.len(), n, "{case}");
+                        for (i, (got, want)) in idft.iter().zip(&idft_want).enumerate() {
+                            assert_eq!(got.f, want.f, "{case}: particle {i}");
+                        }
+                    });
+                    assert_billed_as_boards(&wine.clusters()[0], n, table.len());
                 }
             }
         }
@@ -269,36 +214,37 @@ mod tests {
 
     #[test]
     fn over_capacity_chunk_is_refused_before_packing() {
-        let mut cluster = WineCluster::new();
-        cluster.load_particles(&particles(20)).unwrap();
-        let packed = cluster.particles.buffers();
+        let mut wine = one_cluster();
+        wine.sweep_raw(Kernel::Portable, particles(20), &[]).unwrap();
+        let packed = wine.column().buffers();
         let too_many = untouched_particles(BOARDS_PER_CLUSTER * PARTICLE_CAPACITY + 1);
         assert_eq!(
-            cluster.load_particles(&too_many),
+            wine.sweep_raw(Kernel::Portable, too_many, &[]).map(|_| ()),
             Err(BoardError::ParticleMemoryOverflow {
                 requested: PARTICLE_CAPACITY + 1,
                 capacity: PARTICLE_CAPACITY,
             })
         );
-        assert_eq!(cluster.particle_count(), 20);
-        assert_eq!(cluster.particles.buffers(), packed, "the refused list was packed");
+        assert_eq!(wine.clusters()[0].particle_count(), 20);
+        assert_eq!(wine.column().buffers(), packed, "the refused list was packed");
     }
 
     #[test]
     fn cluster_dft_equals_single_board_dft() {
         // Splitting particles across boards must not change the result:
-        // the packed column sums every board's chunk exactly as one
-        // pipeline streaming them all does.
+        // the column sums every board's chunk exactly as one pipeline
+        // streaming them all does.
         let ps = particles(33);
-        let waves: Vec<[i32; 3]> = (0..25).map(|i| [i % 9 - 4, i % 5, 2]).collect();
+        let waves: Vec<IdftWave> = (0..25)
+            .map(|i| IdftWave { n: [i % 9 - 4, i % 5, 2], u: Q30::ZERO, v: Q30::ZERO })
+            .collect();
 
-        let mut cluster = WineCluster::new();
-        cluster.load_particles(&ps).unwrap();
-        let split = cluster.dft(&waves);
+        let mut wine = one_cluster();
+        let (split, _) = wine.sweep_raw(Kernel::detect(), ps.clone(), &waves).unwrap();
 
-        let mut lone = crate::pipeline::WinePipeline::new();
-        for (w, (a, &n)) in split.iter().zip(&waves).enumerate() {
-            assert_eq!(a.resolve(), lone.dft_wave(n, &ps).resolve(), "wave {w}");
+        let mut lone = WinePipeline::new();
+        for (w, (a, wave)) in split.iter().zip(&waves).enumerate() {
+            assert_eq!(a.resolve(), lone.dft_wave(wave.n, &ps).resolve(), "wave {w}");
         }
     }
 
@@ -308,16 +254,19 @@ mod tests {
         let waves: Vec<IdftWave> = (1..=10)
             .map(|i| IdftWave {
                 n: [i, 0, i],
-                u: mdm_fixed::Q30::from_f64(0.03 * i as f64),
-                v: mdm_fixed::Q30::from_f64(0.05 * i as f64),
+                u: Q30::from_f64(0.03 * i as f64),
+                v: Q30::from_f64(0.05 * i as f64),
             })
             .collect();
 
-        let mut cluster = WineCluster::new();
-        cluster.load_particles(&ps).unwrap();
-        let split = cluster.idft(&waves);
+        // Three boards' chunks of 3 and the rest, at three threads:
+        // items and boards cut the particles in different places.
+        let mut wine = one_cluster();
+        let split = rayon::with_num_threads(3, || {
+            wine.sweep_raw(Kernel::detect(), ps.clone(), &waves).unwrap().1.to_vec()
+        });
 
-        let mut lone = crate::pipeline::WinePipeline::new();
+        let mut lone = WinePipeline::new();
         let mut whole = vec![IdftAccum::default(); ps.len()];
         for wave in &waves {
             lone.idft_wave(wave, &ps, &mut whole);

@@ -25,13 +25,17 @@
 //! is credited to the pipeline that holds the wave, every chip pass
 //! costs `P·⌈w/8⌉` cycles, every board pass moves its bytes over the
 //! cluster's bus. It is not the order in which the host computes. The
-//! datapath is integer arithmetic, so the order is free, and a cluster
+//! datapath is integer arithmetic, so the order is free, and an
 //! evaluation runs as one *wavenumber sweep* (`sweep`, with an AVX-512
-//! form in `simd`): one lane per particle over the cluster's particle
-//! memory, every board's chunk packed into one set of SoA columns, the
-//! wave table regrouped into rows of consecutive `n_x` along
-//! which the phase is walked by a modular add instead of re-multiplied,
-//! sums kept in machine words and folded into the wide registers once.
+//! form in `simd`): one lane per particle over the system's particle
+//! memory, every cluster's and board's chunk packed into one set of SoA
+//! columns, the wave table regrouped into rows of consecutive `n_x`
+//! along which the phase is walked by a modular add instead of
+//! re-multiplied, sums kept in machine words and folded into the wide
+//! registers once. The sweep is split across threads — the DFT by runs
+//! of wave slots, the IDFT by runs of particle blocks — never by
+//! emulated clusters, so a 20-cluster machine costs what a 2-cluster one
+//! does and every result is the same at any cluster or thread count.
 //! [`WinePipeline::dft_wave`] and [`WinePipeline::idft_wave`] remain the
 //! per-wave definition of the datapath, and the sweep is asserted
 //! raw-register-equal to them.

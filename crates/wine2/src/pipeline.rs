@@ -54,17 +54,11 @@ impl WineParticle {
     /// this, so any saturation here means that scaling contract was
     /// broken and force errors are no longer bounded by quantisation.
     pub fn quantize(frac: [f64; 3], q_scaled: f64) -> Self {
-        if Q30::saturates(q_scaled) {
+        let (q, saturated) = Q30::quantize(q_scaled);
+        if saturated {
             mdm_profile::counter("wine_q30_saturations", 1);
         }
-        Self {
-            s: [
-                Phase32::from_turns(frac[0]),
-                Phase32::from_turns(frac[1]),
-                Phase32::from_turns(frac[2]),
-            ],
-            q: Q30::from_f64_saturating(q_scaled),
-        }
+        Self { s: frac.map(Phase32::from_turns), q }
     }
 }
 
@@ -82,6 +76,7 @@ impl DftAccum {
     /// The registers after `terms` particles whose truncated products
     /// sum to `[Σ q(sin+cos), Σ q(sin−cos)]` — how the wavenumber sweep
     /// ([`crate::sweep`]) hands over a wave it summed in machine words.
+    #[cfg(test)]
     pub(crate) fn from_partial(sums: [i64; 2], terms: u64) -> Self {
         let mut acc = Self::default();
         acc.s_plus_c.fold_partial(sums[0], terms);
