@@ -12,7 +12,7 @@ use mdm::core::boxsim::SimBox;
 use mdm::core::ewald::recip::recip_space;
 use mdm::core::ewald::EwaldParams;
 use mdm::core::kvectors::half_space_vectors;
-use mdm::core::lattice::{rocksalt_nacl, NACL_LATTICE_A};
+use mdm::core::lattice::{rocksalt_nacl, rocksalt_nacl_at_density, NACL_LATTICE_A, PAPER_DENSITY};
 use mdm::core::longrange::{by_name, SOFTWARE_BACKENDS};
 use mdm::core::mesh::{MeshEngine, MeshResult, Window};
 use mdm::core::pme::SpmeRecip;
@@ -23,10 +23,9 @@ use rayon::with_num_threads;
 
 const ALPHA: f64 = 9.0;
 
-/// N = 512 rock salt with every ion pushed off its site by a
-/// deterministic, incommensurate displacement of up to ~0.4 Å.
-fn jittered_512() -> System {
-    let mut s = rocksalt_nacl(4, NACL_LATTICE_A);
+/// Every ion pushed off its site by a deterministic, incommensurate
+/// displacement of up to ~0.4 Å.
+fn jittered(mut s: System) -> System {
     for i in 0..s.len() {
         let t = i as f64;
         s.displace(
@@ -37,12 +36,28 @@ fn jittered_512() -> System {
     s
 }
 
+/// N = 512 rock salt, jittered.
+fn jittered_512() -> System {
+    jittered(rocksalt_nacl(4, NACL_LATTICE_A))
+}
+
 fn pswf_64(l: f64) -> PswfRecip {
     PswfRecip::new(l, ALPHA, 3.2 * ALPHA / std::f64::consts::PI, 64, 6)
 }
 
 fn spme_64(l: f64) -> SpmeRecip {
     SpmeRecip::new(l, ALPHA, 64, 6)
+}
+
+/// FNV-1a over the force components' bits.
+fn force_digest(forces: &[Vec3]) -> u64 {
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    for f in forces {
+        for byte in [f.x, f.y, f.z].iter().flat_map(|c| c.to_bits().to_le_bytes()) {
+            digest = (digest ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    digest
 }
 
 fn assert_bitwise(a: &MeshResult, b: &MeshResult, what: &str) {
@@ -83,6 +98,36 @@ fn engine_output_is_bitwise_identical_at_1_2_3_4_threads_and_serial() {
         identical_at_every_thread_count(|| spme_64(l), s.simbox(), s.positions(), s.charges());
     // And the two windows compute the same physics.
     assert!(((pswf.energy - spme.energy) / pswf.energy).abs() < 1e-3);
+}
+
+/// The engine's output bits at the benchmark's mesh operating point —
+/// `mesh_pswf_4k`: N = 4,096 at the paper's density, r_cut 9 Å,
+/// s = 3.2, so K = 128 and b = 18 — and for order-6 PME at K = 64 on
+/// the N = 512 system. A faster engine must reproduce every bit.
+#[test]
+fn mesh_engine_pinned_at_the_benchmark_mesh() {
+    let s = jittered(rocksalt_nacl_at_density(8, PAPER_DENSITY));
+    assert_eq!(s.len(), 4096);
+    let l = s.simbox().l();
+    let params = EwaldParams::from_alpha_accuracy(3.2 * l / 9.0, 3.2, 3.2, l);
+    let mut pswf = PswfRecip::for_params(&params, l);
+    assert_eq!(pswf.mesh(), 128);
+    let out = pswf.compute(s.simbox(), s.positions(), s.charges());
+    let pinned = (force_digest(&out.forces), out.energy.to_bits(), out.virial.to_bits());
+
+    let s = jittered_512();
+    let out = spme_64(s.simbox().l()).compute(s.simbox(), s.positions(), s.charges());
+    let pinned_pme = (force_digest(&out.forces), out.energy.to_bits(), out.virial.to_bits());
+    assert_eq!(
+        pinned,
+        (0x8cb5_5fe4_0455_81db, 0x4061_5e11_3e25_2ae6, 0xc090_0765_9dac_ef20),
+        "pswf at K = 128"
+    );
+    assert_eq!(
+        pinned_pme,
+        (0x06ee_b74f_655f_29c2, 0x404b_151f_f92b_d527, 0xc05e_e6e8_dfe5_3326),
+        "pme order 6 at K = 64"
+    );
 }
 
 /// The second call runs on the first call's grid, spectrum buffers and
