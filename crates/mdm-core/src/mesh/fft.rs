@@ -9,22 +9,43 @@
 //!
 //! * the x pass transforms two real lines per complex FFT and keeps
 //!   only the Hermitian half `0 ≤ kx ≤ band`;
-//! * the y pass runs only on those columns and keeps only the
-//!   `(kx, ky)` **pencils** the caller listed;
+//! * the y pass runs only on those columns and keeps only the `(kx, ky)`
+//!   **pencils** the caller listed;
 //! * the z pass runs only on those pencils, hands each transformed
 //!   pencil to the caller (the convolution), and transforms it back;
 //! * the inverse mirrors the y and x passes onto the real grid.
 //!
-//! Each pass reads the previous pass's buffer shared and writes its own
-//! chunk (one z-plane, one pencil), so every pass is a `par_chunks_mut`
-//! over a fixed decomposition and the output does not depend on the
-//! thread count.
+//! The forward plane pass never reads a grid: it asks the caller to
+//! `fill(z, plane)` one real plane into a scratch plane and runs the x
+//! and y passes on it while it is still in cache, so the mesh engine
+//! spreads its charges there and no charge grid is ever written.
+//!
+//! Each pass writes its own chunk (a run of z-planes, one pencil) from
+//! what the previous pass left shared, so every pass is a
+//! `par_chunks_mut` over a fixed decomposition and the output does not
+//! depend on the thread count. The plane passes run one region item per
+//! thread, each on its own `PlaneScratch` held in the transform, so a
+//! warm call allocates nothing.
+//!
+//! **Two butterfly kernels.** [`FftPlan`] picks one once, at
+//! construction, by CPU: `Kernel::Portable` is plain Rust, one butterfly
+//! at a time; `Kernel::Avx512` runs every stage with `half ≥ 4` four
+//! butterflies per 512-bit register, complex values kept interleaved
+//! (the fused `len = 2, 4` stage is the same code in both). Both form
+//! `v = b·w` from the same products and the same differences in the
+//! same operand order — `v.re = b.re·w.re − b.im·w.im`,
+//! `v.im = b.re·w.im − b.im·(−w.re)` with `−w.re` tabulated (see
+//! `Twiddles`) — then `u + v` and `u − v`, so the two are bitwise equal
+//! on every input, signed zeros and NaN payloads included, with FTZ/DAZ
+//! off and on (`butterfly_kernels_agree_bit_for_bit`).
 
 use rayon::prelude::*;
 
 /// A complex number as a bare pair — all we need, no operator sugar in
-/// the hot loops.
+/// the hot loops. `repr(C)`: the AVX-512 kernel reads a line as
+/// interleaved `re, im` words.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
+#[repr(C)]
 pub struct Complex {
     /// Real part.
     pub re: f64,
@@ -93,24 +114,76 @@ impl std::ops::Sub for Complex {
     }
 }
 
+/// Which form of the butterfly stages a plan runs (see the module
+/// docs).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Kernel {
+    /// Plain Rust, every host.
+    Portable,
+    /// Four butterflies per register: AVX-512 F.
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+}
+
+impl Kernel {
+    /// The kernel for this CPU — the only selection there is.
+    pub(crate) fn detect() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if avx512::available() {
+            return Self::Avx512;
+        }
+        Self::Portable
+    }
+}
+
+/// One direction's twiddles, stage after stage for `len = 8, 16, …, n`
+/// (the `len = 2, 4` stages multiply by ±1 and ∓i only and carry
+/// none), with each one's quarter turn beside it.
+///
+/// A butterfly forms `v = b·w` as `v.re = b.re·w.re − b.im·w.im` and
+/// `v.im = b.re·w.im − b.im·rot.im`, with `rot = −i·w = (w.im, −w.re)`:
+/// the imaginary part is a difference, not the sum
+/// `b.re·w.im + b.im·w.re`. The two are the same number for every
+/// non-NaN input (`x − (−y)` is `x + y` in IEEE arithmetic, signed zeros
+/// included), but a compiler may put a sum's operands either way round
+/// — and with two NaN operands that picks the payload — while a
+/// difference has one order. Tabulating `−w.re` keeps the negation out
+/// of the loop, where it would be folded back into a sum.
+struct Twiddles {
+    w: Vec<Complex>,
+    rot: Vec<Complex>,
+}
+
+impl Twiddles {
+    fn new(w: Vec<Complex>) -> Self {
+        let rot = w.iter().map(|w| Complex::new(w.im, -w.re)).collect();
+        Self { w, rot }
+    }
+}
+
 /// A length-`n` radix-2 FFT with everything that depends only on `n`
 /// tabulated once: the bit-reversal permutation and the twiddles of
-/// every stage (each by its own `sin_cos`, not by recurrence).
-/// Transforms are un-normalised; the inverse uses the conjugate
-/// twiddles.
+/// every stage (each by its own `sin_cos`, not by recurrence), and the
+/// butterfly kernel. Transforms are un-normalised; the inverse uses the
+/// conjugate twiddles.
 pub struct FftPlan {
     n: usize,
+    kernel: Kernel,
     /// `slot[i]`: where input element `i` sits before the butterflies.
     slot: Vec<u32>,
-    /// Forward twiddles `e^(−2πi·j/len)`, `j < len/2`, stage after
-    /// stage for `len = 8, 16, …, n` (the `len = 2, 4` stages multiply
-    /// by ±1 and ∓i only and carry none).
-    twiddles: Vec<Complex>,
+    /// `e^(−2πi·j/len)`, `j < len/2`, per stage.
+    forward: Twiddles,
+    /// Their conjugates.
+    inverse: Twiddles,
 }
 
 impl FftPlan {
     /// Plan a transform of length `n` (a power of two, at least 4).
     pub fn new(n: usize) -> Self {
+        Self::with_kernel(n, Kernel::detect())
+    }
+
+    pub(crate) fn with_kernel(n: usize, kernel: Kernel) -> Self {
         assert!(
             n.is_power_of_two() && n >= 4,
             "FFT length must be a power of two >= 4, got {n}"
@@ -127,7 +200,14 @@ impl FftPlan {
             );
             len <<= 1;
         }
-        Self { n, slot, twiddles }
+        let conjugates = twiddles.iter().map(|w| w.conj()).collect();
+        Self {
+            n,
+            kernel,
+            slot,
+            forward: Twiddles::new(twiddles),
+            inverse: Twiddles::new(conjugates),
+        }
     }
 
     /// The slot input element `i` must occupy before
@@ -176,20 +256,89 @@ impl FftPlan {
             quad[2] = s0 - s1;
             quad[3] = d0 - rot;
         }
-        let mut twiddles = &self.twiddles[..];
+        let twiddles = if INVERSE {
+            &self.inverse
+        } else {
+            &self.forward
+        };
+        match self.kernel {
+            Kernel::Portable => wide_stages(data, twiddles),
+            // SAFETY: `detect` picked this kernel only where the CPU
+            // runs AVX-512 F; the tables hold `half` entries for each
+            // stage `half = 4, 8, …, n/2`, as the kernel reads.
+            #[cfg(target_arch = "x86_64")]
+            Kernel::Avx512 => unsafe { avx512::wide_stages(data, twiddles) },
+        }
+    }
+}
+
+/// The stages `half = 4, 8, …, n/2`, one butterfly at a time, with
+/// the forward or the inverse twiddles.
+fn wide_stages(data: &mut [Complex], twiddles: &Twiddles) {
+    let (mut ws, mut rots) = (&twiddles.w[..], &twiddles.rot[..]);
+    let mut half = 4;
+    while half < data.len() {
+        let ((w_stage, w_rest), (rot_stage, rot_rest)) = (ws.split_at(half), rots.split_at(half));
+        for block in data.chunks_exact_mut(2 * half) {
+            let (lo, hi) = block.split_at_mut(half);
+            for (((a, b), w), rot) in lo.iter_mut().zip(hi).zip(w_stage).zip(rot_stage) {
+                let v = Complex::new(b.re * w.re - b.im * w.im, b.re * w.im - b.im * rot.im);
+                let u = *a;
+                *a = u + v;
+                *b = u - v;
+            }
+        }
+        (ws, rots) = (w_rest, rot_rest);
+        half <<= 1;
+    }
+}
+
+/// The AVX-512 form of [`wide_stages`].
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use super::{Complex, Twiddles};
+    use std::arch::x86_64::*;
+
+    /// Runtime gate for the kernel.
+    pub(super) fn available() -> bool {
+        is_x86_feature_detected!("avx512f")
+    }
+
+    /// [`super::wide_stages`], four butterflies per register, complex
+    /// values interleaved `re, im`. Per lane, `t1 = b.re·w` (the real
+    /// part duplicated) and `t2 = b.im·rot` (the imaginary part
+    /// duplicated) are the two products the portable form takes for
+    /// that component, and `v = t1 − t2` is its difference, on every
+    /// lane; `u + v` and `u − v` follow in its order.
+    ///
+    /// # Safety
+    /// The CPU must run AVX-512 F, and `twiddles` must hold `half`
+    /// entries for each stage `half = 4, 8, …, data.len()/2`.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn wide_stages(data: &mut [Complex], twiddles: &Twiddles) {
+        let n = data.len();
+        assert!(twiddles.w.len() == n - 4 && twiddles.rot.len() == n - 4);
+        let words = data.as_mut_ptr().cast::<f64>();
+        let (mut ws, mut rots) = (
+            twiddles.w.as_ptr().cast::<f64>(),
+            twiddles.rot.as_ptr().cast::<f64>(),
+        );
         let mut half = 4;
-        while half < self.n {
-            let (stage, rest) = twiddles.split_at(half);
-            for block in data.chunks_exact_mut(2 * half) {
-                let (lo, hi) = block.split_at_mut(half);
-                for ((a, b), w) in lo.iter_mut().zip(hi).zip(stage) {
-                    let v = *b * if INVERSE { w.conj() } else { *w };
-                    let u = *a;
-                    *a = u + v;
-                    *b = u - v;
+        while half < n {
+            for block in (0..n).step_by(2 * half) {
+                for j in (0..half).step_by(4) {
+                    let lo = words.add(2 * (block + j));
+                    let hi = lo.add(2 * half);
+                    let (w, rot) = (_mm512_loadu_pd(ws.add(2 * j)), _mm512_loadu_pd(rots.add(2 * j)));
+                    let (u, b) = (_mm512_loadu_pd(lo), _mm512_loadu_pd(hi));
+                    let t1 = _mm512_mul_pd(_mm512_movedup_pd(b), w);
+                    let t2 = _mm512_mul_pd(_mm512_permute_pd::<0xff>(b), rot);
+                    let v = _mm512_sub_pd(t1, t2);
+                    _mm512_storeu_pd(lo, _mm512_add_pd(u, v));
+                    _mm512_storeu_pd(hi, _mm512_sub_pd(u, v));
                 }
             }
-            twiddles = rest;
+            (ws, rots) = (ws.add(2 * half), rots.add(2 * half));
             half <<= 1;
         }
     }
@@ -207,6 +356,19 @@ pub fn band_indices(k: usize, band: usize) -> impl Iterator<Item = usize> {
     pos.chain(neg)
 }
 
+/// One region item's buffers for the plane passes, sized on first use
+/// and kept by the transform.
+#[derive(Default)]
+pub(crate) struct PlaneScratch {
+    /// The real plane `fill` writes, `[y][x]`.
+    pub(crate) plane: Vec<f64>,
+    /// `half[kx·k + y]`: a plane after the x pass, transposed so the y
+    /// pass walks contiguous lines.
+    pub(crate) half: Vec<Complex>,
+    /// One x line.
+    pub(crate) line: Vec<Complex>,
+}
+
 /// The pruned real-input 3-D transform of a `k³` grid in row-major
 /// `[z][y][x]` order. See the module docs.
 pub struct PrunedFft3 {
@@ -217,20 +379,27 @@ pub struct PrunedFft3 {
     pencils: Vec<(usize, usize)>,
     /// `1 + max kx` over the pencils: columns the y pass runs on.
     nx: usize,
+    /// One set per plane-pass region item.
+    pub(crate) scratch: Vec<PlaneScratch>,
 }
 
 impl PrunedFft3 {
     /// Plan for mesh size `k` keeping the listed `(kx, ky)` pencils;
     /// every `kx` must lie in the Hermitian half `0..=k/2`.
     pub fn new(k: usize, pencils: Vec<(usize, usize)>) -> Self {
+        Self::with_kernel(k, pencils, Kernel::detect())
+    }
+
+    pub(crate) fn with_kernel(k: usize, pencils: Vec<(usize, usize)>, kernel: Kernel) -> Self {
         let nx = pencils.iter().map(|p| p.0 + 1).max().unwrap_or(0);
         assert!(nx <= k / 2 + 1, "kx beyond the Hermitian half");
         assert!(pencils.iter().all(|p| p.1 < k));
         Self {
             k,
-            plan: FftPlan::new(k),
+            plan: FftPlan::with_kernel(k, kernel),
             pencils,
             nx,
+            scratch: Vec::new(),
         }
     }
 
@@ -241,70 +410,107 @@ impl PrunedFft3 {
         self.k * self.pencils.len()
     }
 
-    /// x and y passes, one task per z-plane: `planes[z·P + p]` becomes
-    /// the `(kx, ky)` coefficient of pencil `p` in plane `z`.
-    pub fn forward_planes(&self, grid: &[f64], planes: &mut [Complex]) {
-        let (kk, p) = (self.k * self.k, self.pencils.len());
-        assert_eq!(grid.len(), kk * self.k);
+    /// Planes per region item — one item per thread — with the scratch
+    /// sized to match.
+    fn plane_items(&mut self) -> usize {
+        let k = self.k;
+        let per_item = k.div_ceil(rayon::current_num_threads().min(k));
+        self.scratch
+            .resize_with(k.div_ceil(per_item), PlaneScratch::default);
+        for s in &mut self.scratch {
+            s.plane.resize(k * k, 0.0);
+            s.half.resize(self.nx * k, Complex::ZERO);
+            s.line.resize(k, Complex::ZERO);
+        }
+        per_item
+    }
+
+    /// x and y passes, one region item per thread over runs of z-planes:
+    /// `fill(z, plane)` writes real plane `z` (`[y][x]`, every point),
+    /// then `planes[z·P + p]` becomes the `(kx, ky)` coefficient of
+    /// pencil `p` in plane `z`.
+    pub fn forward_planes<F>(&mut self, fill: F, planes: &mut [Complex])
+    where
+        F: Fn(usize, &mut [f64]) + Sync,
+    {
+        let p = self.pencils.len();
         assert_eq!(planes.len(), self.spectrum_len());
         if p == 0 {
             return;
         }
+        let per_item = self.plane_items();
+        let mut scratch = std::mem::take(&mut self.scratch);
         planes
-            .par_chunks_mut(p)
-            .zip(grid.par_chunks(kk))
-            .for_each(|(out, plane)| self.forward_plane(plane, out));
+            .par_chunks_mut(per_item * p)
+            .zip(scratch.par_iter_mut())
+            .enumerate()
+            .for_each(|(item, (out, scratch))| {
+                for (z, out) in (item * per_item..).zip(out.chunks_exact_mut(p)) {
+                    fill(z, &mut scratch.plane);
+                    self.forward_plane(scratch, out);
+                }
+            });
+        self.scratch = scratch;
     }
 
     /// z pass, one task per pencil: gather pencil `p` from `planes`,
     /// transform it, let `convolve(p, line)` act on the `k` modes along
     /// z (natural order), transform back into `pencils[p·k..][z]`.
-    /// Returns what `convolve` returned, in pencil order.
+    /// `out[p]` receives what `convolve` returned.
     pub fn pencil_pass<R, F>(
         &self,
         planes: &[Complex],
         pencils: &mut [Complex],
+        out: &mut [R],
         convolve: F,
-    ) -> Vec<R>
-    where
+    ) where
         R: Send,
         F: Fn(usize, &mut [Complex]) -> R + Sync,
     {
         let (k, np) = (self.k, self.pencils.len());
         assert_eq!(planes.len(), self.spectrum_len());
         assert_eq!(pencils.len(), self.spectrum_len());
-        let one = |(p, line): (usize, &mut [Complex])| -> R {
+        assert_eq!(out.len(), np);
+        let one = |(p, (line, r)): (usize, (&mut [Complex], &mut R))| {
             for (z, c) in line.iter_mut().enumerate() {
                 *c = planes[z * np + p];
             }
             self.plan.transform(line, false);
-            let r = convolve(p, line);
+            *r = convolve(p, line);
             self.plan.transform(line, true);
-            r
         };
-        pencils.par_chunks_mut(k).enumerate().map(one).collect()
+        pencils
+            .par_chunks_mut(k)
+            .zip(out.par_iter_mut())
+            .enumerate()
+            .for_each(one);
     }
 
-    /// Inverse y and x passes, one task per z-plane, from the
-    /// pencil-major buffer back onto the real grid. Modes outside the
-    /// kept pencils are zero; the x pass completes the Hermitian half
-    /// (`X[k−kx] = conj X[kx]`), which is what taking the real part of
-    /// a full complex inverse does.
-    pub fn inverse_planes(&self, pencils: &[Complex], grid: &mut [f64]) {
+    /// Inverse y and x passes, one region item per thread over runs of
+    /// z-planes, from the pencil-major buffer back onto the real grid.
+    /// Modes outside the kept pencils are zero; the x pass completes
+    /// the Hermitian half (`X[k−kx] = conj X[kx]`), which is what taking
+    /// the real part of a full complex inverse does.
+    pub fn inverse_planes(&mut self, pencils: &[Complex], grid: &mut [f64]) {
         let kk = self.k * self.k;
         assert_eq!(grid.len(), kk * self.k);
         assert_eq!(pencils.len(), self.spectrum_len());
-        grid.par_chunks_mut(kk)
+        let per_item = self.plane_items();
+        let mut scratch = std::mem::take(&mut self.scratch);
+        grid.par_chunks_mut(per_item * kk)
+            .zip(scratch.par_iter_mut())
             .enumerate()
-            .for_each(|(z, plane)| self.inverse_plane(z, pencils, plane));
+            .for_each(|(item, (out, scratch))| {
+                for (z, plane) in (item * per_item..).zip(out.chunks_exact_mut(kk)) {
+                    self.inverse_plane(z, pencils, scratch, plane);
+                }
+            });
+        self.scratch = scratch;
     }
 
-    fn forward_plane(&self, plane: &[f64], out: &mut [Complex]) {
+    fn forward_plane(&self, scratch: &mut PlaneScratch, out: &mut [Complex]) {
         let k = self.k;
-        // `half[kx·k + y]`: the plane after the x pass, transposed so
-        // the y pass walks contiguous lines.
-        let mut half = vec![Complex::ZERO; self.nx * k];
-        let mut line = vec![Complex::ZERO; k];
+        let PlaneScratch { plane, half, line } = scratch;
         for (pair, rows) in plane.chunks_exact(2 * k).enumerate() {
             // Two real rows as one complex line z = a + i·b; then
             // A[kx] = (Z[kx] + conj Z[−kx])/2, B[kx] = (Z[kx] − conj Z[−kx])/2i.
@@ -312,7 +518,7 @@ impl PrunedFft3 {
             for (x, (&a, &b)) in row_a.iter().zip(row_b).enumerate() {
                 line[self.plan.slot(x)] = Complex::new(a, b);
             }
-            self.plan.butterflies(&mut line, false);
+            self.plan.butterflies(line, false);
             let y = 2 * pair;
             for kx in 0..self.nx {
                 let zp = line[kx];
@@ -330,16 +536,22 @@ impl PrunedFft3 {
         }
     }
 
-    fn inverse_plane(&self, z: usize, pencils: &[Complex], plane: &mut [f64]) {
+    fn inverse_plane(
+        &self,
+        z: usize,
+        pencils: &[Complex],
+        scratch: &mut PlaneScratch,
+        plane: &mut [f64],
+    ) {
         let k = self.k;
-        let mut half = vec![Complex::ZERO; self.nx * k];
+        let PlaneScratch { half, line, .. } = scratch;
+        half.fill(Complex::ZERO);
         for (p, &(kx, ky)) in self.pencils.iter().enumerate() {
             half[kx * k + ky] = pencils[p * k + z];
         }
         for column in half.chunks_exact_mut(k) {
             self.plan.transform(column, true);
         }
-        let mut line = vec![Complex::ZERO; k];
         for (pair, rows) in plane.chunks_exact_mut(2 * k).enumerate() {
             // Z = A + i·B over the full line, A and B Hermitian-
             // completed; the self-conjugate modes contribute their real
@@ -356,9 +568,9 @@ impl PrunedFft3 {
                     line[self.plan.slot(k - kx)] = Complex::new(a.re + b.im, b.re - a.im);
                 }
             }
-            self.plan.butterflies(&mut line, true);
+            self.plan.butterflies(line, true);
             let (row_a, row_b) = rows.split_at_mut(k);
-            for ((a, b), c) in row_a.iter_mut().zip(row_b).zip(&line) {
+            for ((a, b), c) in row_a.iter_mut().zip(row_b).zip(line.iter()) {
                 *a = c.re;
                 *b = c.im;
             }
@@ -369,6 +581,22 @@ impl PrunedFft3 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+
+    /// Every kernel this host runs; the AVX-512 one is skipped, loudly,
+    /// without `avx512f`.
+    fn kernels() -> Vec<Kernel> {
+        #[allow(unused_mut)]
+        let mut kernels = vec![Kernel::Portable];
+        #[cfg(target_arch = "x86_64")]
+        if avx512::available() {
+            kernels.push(Kernel::Avx512);
+        } else {
+            eprintln!("avx512f absent: skipping the AVX-512 butterfly kernel");
+        }
+        kernels
+    }
 
     /// The transform this module replaced, kept as the oracle: the
     /// textbook in-place radix-2 FFT with twiddles by recurrence, and
@@ -433,8 +661,8 @@ mod tests {
 
     #[test]
     fn planned_fft_matches_naive_dft() {
-        for n in [4usize, 8, 32] {
-            let plan = FftPlan::new(n);
+        for (n, kernel) in [4usize, 8, 32].into_iter().flat_map(|n| kernels().into_iter().map(move |k| (n, k))) {
+            let plan = FftPlan::with_kernel(n, kernel);
             let x = signal(n);
             for inverse in [false, true] {
                 let mut fast = x.clone();
@@ -456,8 +684,8 @@ mod tests {
 
     #[test]
     fn planned_fft_matches_the_recurrence_oracle_and_round_trips() {
-        for n in [4usize, 16, 64, 128, 256] {
-            let plan = FftPlan::new(n);
+        for (n, kernel) in [4usize, 16, 64, 128, 256].into_iter().flat_map(|n| kernels().into_iter().map(move |k| (n, k))) {
+            let plan = FftPlan::with_kernel(n, kernel);
             let x = signal(n);
             let mut fast = x.clone();
             let mut slow = x.clone();
@@ -476,16 +704,122 @@ mod tests {
 
     #[test]
     fn slot_order_lets_callers_skip_the_permutation() {
-        let plan = FftPlan::new(64);
-        let x = signal(64);
-        let mut natural = x.clone();
-        plan.transform(&mut natural, false);
-        let mut placed = vec![Complex::ZERO; 64];
-        for (i, &c) in x.iter().enumerate() {
-            placed[plan.slot(i)] = c;
+        for kernel in kernels() {
+            let plan = FftPlan::with_kernel(64, kernel);
+            let x = signal(64);
+            let mut natural = x.clone();
+            plan.transform(&mut natural, false);
+            let mut placed = vec![Complex::ZERO; 64];
+            for (i, &c) in x.iter().enumerate() {
+                placed[plan.slot(i)] = c;
+            }
+            plan.butterflies(&mut placed, false);
+            assert_eq!(natural, placed, "{kernel:?}");
         }
-        plan.butterflies(&mut placed, false);
-        assert_eq!(natural, placed);
+    }
+
+    /// Run `f` with the MXCSR flush-to-zero and denormals-are-zero
+    /// flags set (`on`) or clear, restoring the caller's control word.
+    #[cfg(target_arch = "x86_64")]
+    fn with_ftz_daz<R>(on: bool, f: impl FnOnce() -> R) -> R {
+        const FTZ_DAZ: u32 = (1 << 15) | (1 << 6);
+        struct Restore(u32);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                // SAFETY: reloads the control word read below.
+                unsafe { std::arch::asm!("ldmxcsr [{}]", in(reg) &self.0, options(nostack)) };
+            }
+        }
+        let mut saved = 0u32;
+        // SAFETY: stmxcsr/ldmxcsr only read and write the SSE control
+        // register through a valid, aligned u32.
+        unsafe { std::arch::asm!("stmxcsr [{}]", in(reg) &mut saved, options(nostack)) };
+        let _restore = Restore(saved);
+        let set = if on { saved | FTZ_DAZ } else { saved & !FTZ_DAZ };
+        unsafe { std::arch::asm!("ldmxcsr [{}]", in(reg) &set, options(nostack)) };
+        f()
+    }
+
+    /// Every kernel leaves the same bits as the portable one, at every
+    /// length, forward and inverse, with FTZ/DAZ off and on: on random
+    /// lines, and on lines seeded with ±0, subnormals, ±∞, and NaNs of
+    /// both signs with distinct payloads — alone, and as `re, im` pairs
+    /// of two different NaNs, whose products meet in one add.
+    #[test]
+    fn butterfly_kernels_agree_bit_for_bit() {
+        let specials = [
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            -f64::from_bits(0x000f_ffff_ffff_ffff),
+            f64::MIN_POSITIVE / 3.0,
+            -f64::MIN_POSITIVE * 0.75,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::from_bits(0x7ff8_0000_0000_00a5),
+            f64::from_bits(0xfff8_0000_0000_0b0c),
+            f64::from_bits(0x7ff0_0000_0000_0003),
+            f64::from_bits(0xfff4_0000_0000_0042),
+            1e300,
+            -1e-300,
+        ];
+        let nan_pairs = [
+            (0x7ff8_0000_0000_0011u64, 0xfff8_0000_0000_0022u64),
+            (0xfff8_0000_0000_0033, 0x7ff8_0000_0000_0044),
+            (0x7ff0_0000_0000_0055, 0x7ff8_0000_0000_0066),
+        ];
+        let mut rng = ChaCha8Rng::seed_from_u64(0x5eed);
+        let random = |rng: &mut ChaCha8Rng| rng.gen::<f64>() * 2.0 - 1.0;
+        let mut lines = Vec::new();
+        for n in (2..=10).map(|b| 1usize << b) {
+            let plain: Vec<Complex> = (0..n)
+                .map(|_| Complex::new(random(&mut rng), random(&mut rng)))
+                .collect();
+            let tiny: Vec<Complex> = plain
+                .iter()
+                .map(|c| Complex::new(c.re * 1e-306, c.im * 3e-308))
+                .collect();
+            let mut sparse = plain.clone();
+            let mut dense = plain.clone();
+            let mut paired = plain.clone();
+            for i in 0..n {
+                let pick = |rng: &mut ChaCha8Rng| specials[rng.gen_range(0..specials.len())];
+                if rng.gen_range(0..n) < 2 {
+                    sparse[i] = Complex::new(pick(&mut rng), sparse[i].im);
+                }
+                if rng.gen_range(0..3) == 0 {
+                    dense[i] = Complex::new(pick(&mut rng), pick(&mut rng));
+                }
+                if rng.gen_range(0..n) < 1 {
+                    let (a, b) = nan_pairs[rng.gen_range(0..nan_pairs.len())];
+                    paired[i] = Complex::new(f64::from_bits(a), f64::from_bits(b));
+                }
+            }
+            lines.extend([plain, tiny, sparse, dense, paired]);
+        }
+        let bits = |line: &[Complex]| -> Vec<[u64; 2]> {
+            line.iter().map(|c| [c.re.to_bits(), c.im.to_bits()]).collect()
+        };
+        let check = || {
+            for line in &lines {
+                let n = line.len();
+                for inverse in [false, true] {
+                    let mut want = line.clone();
+                    FftPlan::with_kernel(n, Kernel::Portable).butterflies(&mut want, inverse);
+                    for kernel in kernels() {
+                        let mut got = line.clone();
+                        FftPlan::with_kernel(n, kernel).butterflies(&mut got, inverse);
+                        assert_eq!(bits(&got), bits(&want), "{kernel:?}, n {n}, inverse {inverse}");
+                    }
+                }
+            }
+        };
+        #[cfg(target_arch = "x86_64")]
+        for on in [false, true] {
+            with_ftz_daz(on, check);
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        check();
     }
 
     #[test]
@@ -551,16 +885,20 @@ mod tests {
                 let pencils: Vec<(usize, usize)> = (0..=band)
                     .flat_map(|kx| kept.iter().map(move |&ky| (kx, ky)))
                     .collect();
-                let fft = PrunedFft3::new(k, pencils.clone());
                 // Forward, keep |kz| ≤ band (zero the rest, hand the kept
                 // spectrum out for the forward comparison), inverse.
-                let run = |threads| {
+                let run = |kernel, threads| {
                     rayon::with_num_threads(threads, || {
+                        let mut fft = PrunedFft3::with_kernel(k, pencils.clone(), kernel);
                         let mut planes = vec![Complex::ZERO; fft.spectrum_len()];
                         let mut lines = vec![Complex::ZERO; fft.spectrum_len()];
+                        let mut spectra = vec![Vec::new(); pencils.len()];
                         let mut back = vec![0.0f64; k * k * k];
-                        fft.forward_planes(&grid, &mut planes);
-                        let spectra = fft.pencil_pass(&planes, &mut lines, |_, line| {
+                        let fill = |z: usize, plane: &mut [f64]| {
+                            plane.copy_from_slice(&grid[z * k * k..(z + 1) * k * k]);
+                        };
+                        fft.forward_planes(fill, &mut planes);
+                        fft.pencil_pass(&planes, &mut lines, &mut spectra, |_, line| {
                             let before = line.to_vec();
                             if 2 * band + 1 < k {
                                 line[band + 1..k - band].fill(Complex::ZERO);
@@ -571,7 +909,7 @@ mod tests {
                         (planes, lines, back, spectra)
                     })
                 };
-                let four = run(4);
+                let four = run(Kernel::Portable, 4);
                 let (_, _, back, spectra) = &four;
                 for (&(kx, ky), spectrum) in pencils.iter().zip(spectra) {
                     for (kz, got) in spectrum.iter().enumerate() {
@@ -604,8 +942,13 @@ mod tests {
                     );
                 }
 
-                // One thread is the same arithmetic.
-                assert!(run(1) == four);
+                // One thread is the same arithmetic, and so is every
+                // kernel.
+                for kernel in kernels() {
+                    for threads in [1, 4] {
+                        assert!(run(kernel, threads) == four, "{kernel:?}, {threads} threads");
+                    }
+                }
             }
         }
     }

@@ -3,8 +3,8 @@
 //!
 //! Smooth PME ([`crate::pme`]) and the PSWF fast Ewald
 //! ([`crate::pswf`]) are the same pipeline with a different
-//! [`Window`]: charges are spread onto a uniform real `K³` grid through
-//! a compact separable window, the grid is convolved with the Ewald
+//! [`Window`]: charges are spread onto a uniform real `K³` mesh through
+//! a compact separable window, the mesh is convolved with the Ewald
 //! reciprocal Green's function (divided by the window's spectrum) in
 //! Fourier space, and forces are gathered back through the window's
 //! derivative. [`MeshEngine`] is that pipeline; a backend supplies the
@@ -16,17 +16,31 @@
 //! a fixed order, so the result is bitwise identical at any Rayon
 //! thread count (`rayon::with_num_threads(1, …)` is the serial run):
 //!
-//! * **weights**: one task per particle computes its 3·support window
+//! * **stencils**: one task per particle computes its 3·support window
 //!   weights and derivatives once; spread and gather both read them.
-//! * **spread**: particles are counting-sorted by the first z-plane of
-//!   their stencil; the task that owns plane `z` accumulates, for
-//!   `j = 0..support`, bucket `z − j`'s particles in index order. No
-//!   atomics, no per-thread grid replicas.
-//! * **transform + convolve**: [`fft::PrunedFft3`] over the Hermitian
-//!   half-band the influence table is non-zero on; the table is stored
-//!   compactly per pencil, and energy and virial are reduced from
-//!   per-pencil partials in pencil order.
-//! * **gather**: an ordered per-particle map.
+//!   Particles are then counting-sorted by the first z-plane of their
+//!   stencil.
+//! * **plane pass** ([`fft::PrunedFft3::forward_planes`]): one region
+//!   item per thread over runs of z-planes. For plane `z` the item
+//!   spreads, for `j = 0..support`, bucket `z − j`'s particles in index
+//!   order into its own scratch plane — no atomics, no per-thread grid
+//!   replicas, and no charge grid at all — and runs the x and y passes
+//!   of the pruned real transform while that plane is still in cache.
+//! * **pencil pass**: each `(kx, ky)` pencil the influence function is
+//!   non-zero on is transformed along z, multiplied by the compact
+//!   influence table, and transformed back; energy and virial are
+//!   reduced from per-pencil partials in pencil order.
+//! * **inverse plane pass**: the y and x inverses onto the real
+//!   potential grid, the one `K³` buffer the engine keeps.
+//! * **gather**: particles in the counting-sort order, so consecutive
+//!   particles read the same few potential planes; each force lands at
+//!   its own index, and the mean-force correction sums in index order.
+//!
+//! A stencil row that does not wrap is spread and gathered as one
+//! contiguous slice — the same adds, in the same order, as the wrapping
+//! walk. Every buffer is the engine's and is sized on the first call,
+//! the plane scratch one set per region item, so a warm call at a fixed
+//! thread count allocates only the forces it returns.
 
 pub mod fft;
 
@@ -125,18 +139,25 @@ pub struct MeshEngine<W> {
     /// Per-mode virial factor `1 − 2π²n²/α²`, same indexing.
     virial_factor: Vec<f64>,
     // --- scratch, sized on first use ---
-    /// Real charge grid, then potential grid, `[z][y][x]`.
+    /// The potential grid, `[z][y][x]`.
     grid: Vec<f64>,
+    /// The spectrum after the plane pass (plane-major), and after the
+    /// pencil pass (pencil-major).
     planes: Vec<Complex>,
     lines: Vec<Complex>,
+    /// Per-pencil `(energy, virial)` partials.
+    partials: Vec<(f64, f64)>,
     /// Wrapped first grid index of each particle's stencil, per axis.
     base: Vec<[u32; 3]>,
     /// Per particle `6·support` values: `wx, wy, wz, dwx, dwy, dwz`.
     weights: Vec<f64>,
-    /// Particle indices sorted by `base[i][2]`, and the `K + 1` bucket
-    /// boundaries into them.
+    /// Particle indices sorted by `base[i][2]`, the `K + 1` bucket
+    /// boundaries into them, and the sort's write cursor per bucket.
     order: Vec<u32>,
     bucket: Vec<u32>,
+    cursor: Vec<u32>,
+    /// Gathered forces in `order`, before they go to their indices.
+    sorted_forces: Vec<Vec3>,
 }
 
 impl<W: Window> MeshEngine<W> {
@@ -217,10 +238,13 @@ impl<W: Window> MeshEngine<W> {
             grid: Vec::new(),
             planes: Vec::new(),
             lines: Vec::new(),
+            partials: Vec::new(),
             base: Vec::new(),
             weights: Vec::new(),
             order: Vec::new(),
             bucket: Vec::new(),
+            cursor: Vec::new(),
+            sorted_forces: Vec::new(),
         }
     }
 
@@ -255,14 +279,13 @@ impl<W: Window> MeshEngine<W> {
         );
         let _span = mdm_profile::span(W::NAME);
         {
-            let _span = mdm_profile::span("spread");
+            let _span = mdm_profile::span("stencils");
             self.fill_stencils(simbox, positions);
             self.sort_by_first_plane();
-            self.spread(charges);
         }
         let (energy, virial) = {
-            let _span = mdm_profile::span("fft");
-            self.convolve()
+            let _span = mdm_profile::span("transform");
+            self.convolve(charges)
         };
         let _span = mdm_profile::span("gather");
         let mut forces = self.gather(charges);
@@ -333,22 +356,31 @@ impl<W: Window> MeshEngine<W> {
         for z in 0..k {
             self.bucket[z + 1] += self.bucket[z];
         }
-        let mut cursor = self.bucket[..k].to_vec();
+        self.cursor.clear();
+        self.cursor.extend_from_slice(&self.bucket[..k]);
         self.order.resize(self.base.len(), 0);
         for (i, b) in self.base.iter().enumerate() {
-            let slot = &mut cursor[b[2] as usize];
+            let slot = &mut self.cursor[b[2] as usize];
             self.order[*slot as usize] = i as u32;
             *slot += 1;
         }
     }
 
-    /// Charge grid: plane `z` is written by one task, from the
-    /// particles whose stencil reaches it, in (bucket, particle) order.
-    fn spread(&mut self, charges: &[f64]) {
+    /// Charges → potential grid: the plane pass spreads each plane
+    /// and transforms it, the pencil pass multiplies by the influence
+    /// table (un-normalised inverse: matches `E = ½ Σ Q·φ`), the inverse
+    /// plane pass writes the potential. Returns `(energy, virial)`,
+    /// accumulated from `|Q̂|²` before the multiply.
+    fn convolve(&mut self, charges: &[f64]) -> (f64, f64) {
         let (k, s) = (self.mesh, self.window.support());
+        self.planes.resize(self.fft.spectrum_len(), Complex::ZERO);
+        self.lines.resize(self.fft.spectrum_len(), Complex::ZERO);
+        self.partials.resize(self.bands.len(), (0.0, 0.0));
         self.grid.resize(k * k * k, 0.0);
         let (base, weights, order, bucket) = (&self.base, &self.weights, &self.order, &self.bucket);
-        let one = |(z, plane): (usize, &mut [f64])| {
+        // Plane `z` from the particles whose stencil reaches it, in
+        // (j, bucket, particle, wy, wx) order.
+        let spread = |z: usize, plane: &mut [f64]| {
             plane.fill(0.0);
             for j in 0..s {
                 let b = (z + k - j) % k;
@@ -356,82 +388,85 @@ impl<W: Window> MeshEngine<W> {
                     let i = i as usize;
                     let w = &weights[i * 6 * s..(i + 1) * 6 * s];
                     let qz = charges[i] * w[2 * s + j];
-                    let mut py = base[i][1] as usize;
+                    let (bx, mut py) = (base[i][0] as usize, base[i][1] as usize);
                     for wy in &w[s..2 * s] {
                         let row = &mut plane[py * k..(py + 1) * k];
                         let qzy = qz * wy;
-                        let mut px = base[i][0] as usize;
-                        for wx in &w[..s] {
-                            row[px] += qzy * wx;
-                            px = next_wrapped(px, k);
+                        if bx + s <= k {
+                            for (g, wx) in row[bx..bx + s].iter_mut().zip(&w[..s]) {
+                                *g += qzy * wx;
+                            }
+                        } else {
+                            let mut px = bx;
+                            for wx in &w[..s] {
+                                row[px] += qzy * wx;
+                                px = next_wrapped(px, k);
+                            }
                         }
                         py = next_wrapped(py, k);
                     }
                 }
             }
         };
-        self.grid.par_chunks_mut(k * k).enumerate().for_each(one);
-    }
-
-    /// Charge grid → potential grid: forward transform, multiply by the
-    /// influence table (un-normalised inverse: matches `E = ½ Σ Q·φ`),
-    /// inverse transform. Returns `(energy, virial)`, accumulated from
-    /// `|Q̂|²` before the multiply.
-    fn convolve(&mut self) -> (f64, f64) {
-        let k = self.mesh;
-        self.planes.resize(self.fft.spectrum_len(), Complex::ZERO);
-        self.lines.resize(self.fft.spectrum_len(), Complex::ZERO);
-        self.fft.forward_planes(&self.grid, &mut self.planes);
+        self.fft.forward_planes(spread, &mut self.planes);
         let (bands, theta, virial_factor) = (&self.bands, &self.theta, &self.virial_factor);
-        let partials = self.fft.pencil_pass(
-            &self.planes,
-            &mut self.lines,
-            |p, line: &mut [Complex]| {
-                let PencilBand {
-                    band,
-                    offset,
-                    multiplicity,
-                } = bands[p];
-                let (mut energy, mut virial) = (0.0, 0.0);
-                for (i, kz) in band_indices(k, band).enumerate() {
-                    let (t, c) = (theta[offset + i], line[kz]);
-                    let e_m = 0.5 * t * c.norm_sq();
-                    energy += e_m;
-                    virial += e_m * virial_factor[offset + i];
-                    line[kz] = Complex::new(c.re * t, c.im * t);
-                }
-                if 2 * band + 1 < k {
-                    line[band + 1..k - band].fill(Complex::ZERO);
-                }
-                (multiplicity * energy, multiplicity * virial)
-            },
-        );
+        let convolve = |p: usize, line: &mut [Complex]| {
+            let PencilBand {
+                band,
+                offset,
+                multiplicity,
+            } = bands[p];
+            let (mut energy, mut virial) = (0.0, 0.0);
+            for (i, kz) in band_indices(k, band).enumerate() {
+                let (t, c) = (theta[offset + i], line[kz]);
+                let e_m = 0.5 * t * c.norm_sq();
+                energy += e_m;
+                virial += e_m * virial_factor[offset + i];
+                line[kz] = Complex::new(c.re * t, c.im * t);
+            }
+            if 2 * band + 1 < k {
+                line[band + 1..k - band].fill(Complex::ZERO);
+            }
+            (multiplicity * energy, multiplicity * virial)
+        };
+        self.fft
+            .pencil_pass(&self.planes, &mut self.lines, &mut self.partials, convolve);
         self.fft.inverse_planes(&self.lines, &mut self.grid);
-        partials
+        self.partials
             .iter()
             .fold((0.0, 0.0), |(e, v), p| (e + p.0, v + p.1))
     }
 
     /// Forces from the potential grid through the window derivative:
-    /// `F = −q·∇W·φ`, `du/dr = K/L` per axis.
-    fn gather(&self, charges: &[f64]) -> Vec<Vec3> {
+    /// `F = −q·∇W·φ`, `du/dr = K/L` per axis. Particles are visited in
+    /// `order`, so neighbours in the walk share potential planes.
+    fn gather(&mut self, charges: &[f64]) -> Vec<Vec3> {
         let (k, s) = (self.mesh, self.window.support());
         let du_dr = k as f64 / self.l;
-        let one = |i: usize| -> Vec3 {
-            let (w, dw) = self.weights[i * 6 * s..(i + 1) * 6 * s].split_at(3 * s);
-            let [bx, by, bz] = self.base[i].map(|b| b as usize);
+        let (grid, base, weights) = (&self.grid, &self.base, &self.weights);
+        let one = |(force, &i): (&mut Vec3, &u32)| {
+            let i = i as usize;
+            let (w, dw) = weights[i * 6 * s..(i + 1) * 6 * s].split_at(3 * s);
+            let [bx, by, bz] = base[i].map(|b| b as usize);
             let mut grad = Vec3::ZERO;
             let mut pz = bz;
             for jz in 0..s {
                 let mut py = by;
                 for jy in 0..s {
-                    let row = &self.grid[(pz * k + py) * k..(pz * k + py + 1) * k];
+                    let row = &grid[(pz * k + py) * k..(pz * k + py + 1) * k];
                     let (mut sum, mut sum_dx) = (0.0, 0.0);
-                    let mut px = bx;
-                    for jx in 0..s {
-                        sum += w[jx] * row[px];
-                        sum_dx += dw[jx] * row[px];
-                        px = next_wrapped(px, k);
+                    if bx + s <= k {
+                        for ((wx, dwx), phi) in w[..s].iter().zip(&dw[..s]).zip(&row[bx..bx + s]) {
+                            sum += wx * phi;
+                            sum_dx += dwx * phi;
+                        }
+                    } else {
+                        let mut px = bx;
+                        for jx in 0..s {
+                            sum += w[jx] * row[px];
+                            sum_dx += dw[jx] * row[px];
+                            px = next_wrapped(px, k);
+                        }
                     }
                     grad.x += sum_dx * w[s + jy] * w[2 * s + jz];
                     grad.y += sum * dw[s + jy] * w[2 * s + jz];
@@ -440,9 +475,18 @@ impl<W: Window> MeshEngine<W> {
                 }
                 pz = next_wrapped(pz, k);
             }
-            grad * (-charges[i] * du_dr)
+            *force = grad * (-charges[i] * du_dr);
         };
-        (0..charges.len()).into_par_iter().map(one).collect()
+        self.sorted_forces.resize(charges.len(), Vec3::ZERO);
+        self.sorted_forces
+            .par_iter_mut()
+            .zip(self.order.par_iter())
+            .for_each(one);
+        let mut forces = vec![Vec3::ZERO; charges.len()];
+        for (&f, &i) in self.sorted_forces.iter().zip(&self.order) {
+            forces[i as usize] = f;
+        }
+        forces
     }
 }
 
@@ -527,6 +571,62 @@ mod tests {
             9 * 16 * 16,
             "Hermitian half of every mode"
         );
+    }
+
+    /// Address and capacity of every buffer the engine keeps, by name.
+    fn buffers<W: Window>(engine: &MeshEngine<W>) -> Vec<(String, usize, usize)> {
+        fn entry<T>(name: &str, v: &Vec<T>) -> (String, usize, usize) {
+            (name.to_string(), v.as_ptr() as usize, v.capacity())
+        }
+        let mut all = vec![
+            entry("grid", &engine.grid),
+            entry("planes", &engine.planes),
+            entry("lines", &engine.lines),
+            entry("partials", &engine.partials),
+            entry("base", &engine.base),
+            entry("weights", &engine.weights),
+            entry("order", &engine.order),
+            entry("bucket", &engine.bucket),
+            entry("cursor", &engine.cursor),
+            entry("sorted_forces", &engine.sorted_forces),
+            entry("scratch", &engine.fft.scratch),
+        ];
+        for (item, s) in engine.fft.scratch.iter().enumerate() {
+            all.push(entry(&format!("item {item} plane"), &s.plane));
+            all.push(entry(&format!("item {item} half"), &s.half));
+            all.push(entry(&format!("item {item} line"), &s.line));
+        }
+        all
+    }
+
+    /// At a fixed thread count, the first call sizes every buffer and
+    /// the next two run in exactly those allocations: one plane-pass
+    /// scratch set per thread, nothing new but the returned forces.
+    #[test]
+    fn steady_state_calls_reuse_every_buffer() {
+        let s = perturbed();
+        let l = s.simbox().l();
+        let three_calls = |engine: &mut dyn FnMut() -> Vec<(String, usize, usize)>| {
+            let first = engine();
+            for call in 2..=3 {
+                assert_eq!(engine(), first, "call {call}");
+            }
+            first
+        };
+        rayon::with_num_threads(2, || {
+            let mut pswf = PswfRecip::new(l, 7.0, 3.2 * 7.0 / std::f64::consts::PI, 32, 6);
+            let first = three_calls(&mut || {
+                pswf.compute(s.simbox(), s.positions(), s.charges());
+                buffers(&pswf)
+            });
+            assert_eq!(pswf.fft.scratch.len(), 2, "one scratch set per thread");
+            assert!(first.iter().all(|&(_, _, cap)| cap > 0), "{first:?}");
+            let mut spme = SpmeRecip::new(l, 7.0, 16, 6);
+            three_calls(&mut || {
+                spme.compute(s.simbox(), s.positions(), s.charges());
+                buffers(&spme)
+            });
+        });
     }
 
     #[test]
