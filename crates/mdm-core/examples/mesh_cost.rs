@@ -42,7 +42,8 @@ fn jittered(cells: usize) -> System {
 /// transform and gather spans.
 fn measure(system: &System, mesh: usize, reps: usize) -> [Duration; 4] {
     let l = system.simbox().l();
-    let params = EwaldParams::from_alpha_accuracy(ACCURACY_S * l / R_CUT, ACCURACY_S, ACCURACY_S, l);
+    let params =
+        EwaldParams::from_alpha_accuracy(ACCURACY_S * l / R_CUT, ACCURACY_S, ACCURACY_S, l);
     let mut pswf = PswfRecip::new(l, params.alpha, params.n_max, mesh, 6);
     let mut call = || {
         black_box(pswf.compute(system.simbox(), system.positions(), system.charges()));

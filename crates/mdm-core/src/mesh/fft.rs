@@ -183,10 +183,16 @@ impl FftPlan {
         Self::with_kernel(n, Kernel::detect())
     }
 
+    /// Plan with a given kernel, which the CPU must run.
     pub(crate) fn with_kernel(n: usize, kernel: Kernel) -> Self {
         assert!(
             n.is_power_of_two() && n >= 4,
             "FFT length must be a power of two >= 4, got {n}"
+        );
+        #[cfg(target_arch = "x86_64")]
+        assert!(
+            kernel != Kernel::Avx512 || avx512::available(),
+            "AVX-512 F absent"
         );
         let bits = n.trailing_zeros();
         let slot = (0..n as u32)
@@ -263,9 +269,9 @@ impl FftPlan {
         };
         match self.kernel {
             Kernel::Portable => wide_stages(data, twiddles),
-            // SAFETY: `detect` picked this kernel only where the CPU
-            // runs AVX-512 F; the tables hold `half` entries for each
-            // stage `half = 4, 8, …, n/2`, as the kernel reads.
+            // SAFETY: `with_kernel` checked that the CPU runs AVX-512 F;
+            // the tables hold `half` entries for each stage
+            // `half = 4, 8, …, n/2`, as the kernel reads.
             #[cfg(target_arch = "x86_64")]
             Kernel::Avx512 => unsafe { avx512::wide_stages(data, twiddles) },
         }
@@ -329,7 +335,10 @@ mod avx512 {
                 for j in (0..half).step_by(4) {
                     let lo = words.add(2 * (block + j));
                     let hi = lo.add(2 * half);
-                    let (w, rot) = (_mm512_loadu_pd(ws.add(2 * j)), _mm512_loadu_pd(rots.add(2 * j)));
+                    let (w, rot) = (
+                        _mm512_loadu_pd(ws.add(2 * j)),
+                        _mm512_loadu_pd(rots.add(2 * j)),
+                    );
                     let (u, b) = (_mm512_loadu_pd(lo), _mm512_loadu_pd(hi));
                     let t1 = _mm512_mul_pd(_mm512_movedup_pd(b), w);
                     let t2 = _mm512_mul_pd(_mm512_permute_pd::<0xff>(b), rot);
@@ -360,7 +369,8 @@ pub fn band_indices(k: usize, band: usize) -> impl Iterator<Item = usize> {
 /// and kept by the transform.
 #[derive(Default)]
 pub(crate) struct PlaneScratch {
-    /// The real plane `fill` writes, `[y][x]`.
+    /// A real plane, `[y][x]`: the one `fill` writes, and the one the
+    /// inverse assembles before it is copied to the grid.
     pub(crate) plane: Vec<f64>,
     /// `half[kx·k + y]`: a plane after the x pass, transposed so the y
     /// pass walks contiguous lines.
@@ -390,6 +400,7 @@ impl PrunedFft3 {
         Self::with_kernel(k, pencils, Kernel::detect())
     }
 
+    /// [`Self::new`] with a given butterfly kernel.
     pub(crate) fn with_kernel(k: usize, pencils: Vec<(usize, usize)>, kernel: Kernel) -> Self {
         let nx = pencils.iter().map(|p| p.0 + 1).max().unwrap_or(0);
         assert!(nx <= k / 2 + 1, "kx beyond the Hermitian half");
@@ -544,7 +555,11 @@ impl PrunedFft3 {
         plane: &mut [f64],
     ) {
         let k = self.k;
-        let PlaneScratch { half, line, .. } = scratch;
+        let PlaneScratch {
+            plane: staged,
+            half,
+            line,
+        } = scratch;
         half.fill(Complex::ZERO);
         for (p, &(kx, ky)) in self.pencils.iter().enumerate() {
             half[kx * k + ky] = pencils[p * k + z];
@@ -552,7 +567,7 @@ impl PrunedFft3 {
         for column in half.chunks_exact_mut(k) {
             self.plan.transform(column, true);
         }
-        for (pair, rows) in plane.chunks_exact_mut(2 * k).enumerate() {
+        for (pair, rows) in staged.chunks_exact_mut(2 * k).enumerate() {
             // Z = A + i·B over the full line, A and B Hermitian-
             // completed; the self-conjugate modes contribute their real
             // parts only.
@@ -575,6 +590,10 @@ impl PrunedFft3 {
                 *b = c.im;
             }
         }
+        // Rows are written into the cached scratch plane and the grid
+        // receives it in one copy: the same stores made straight into
+        // the grid, between butterflies, stall on its cache misses.
+        plane.copy_from_slice(staged);
     }
 }
 
@@ -661,7 +680,10 @@ mod tests {
 
     #[test]
     fn planned_fft_matches_naive_dft() {
-        for (n, kernel) in [4usize, 8, 32].into_iter().flat_map(|n| kernels().into_iter().map(move |k| (n, k))) {
+        for (n, kernel) in [4usize, 8, 32]
+            .into_iter()
+            .flat_map(|n| kernels().into_iter().map(move |k| (n, k)))
+        {
             let plan = FftPlan::with_kernel(n, kernel);
             let x = signal(n);
             for inverse in [false, true] {
@@ -684,7 +706,10 @@ mod tests {
 
     #[test]
     fn planned_fft_matches_the_recurrence_oracle_and_round_trips() {
-        for (n, kernel) in [4usize, 16, 64, 128, 256].into_iter().flat_map(|n| kernels().into_iter().map(move |k| (n, k))) {
+        for (n, kernel) in [4usize, 16, 64, 128, 256]
+            .into_iter()
+            .flat_map(|n| kernels().into_iter().map(move |k| (n, k)))
+        {
             let plan = FftPlan::with_kernel(n, kernel);
             let x = signal(n);
             let mut fast = x.clone();
@@ -735,7 +760,13 @@ mod tests {
         // register through a valid, aligned u32.
         unsafe { std::arch::asm!("stmxcsr [{}]", in(reg) &mut saved, options(nostack)) };
         let _restore = Restore(saved);
-        let set = if on { saved | FTZ_DAZ } else { saved & !FTZ_DAZ };
+        let set = if on {
+            saved | FTZ_DAZ
+        } else {
+            saved & !FTZ_DAZ
+        };
+        // SAFETY: as above; the word differs from the caller's in the
+        // two flush flags only, which `Restore` puts back.
         unsafe { std::arch::asm!("ldmxcsr [{}]", in(reg) &set, options(nostack)) };
         f()
     }
@@ -744,7 +775,7 @@ mod tests {
     /// length, forward and inverse, with FTZ/DAZ off and on: on random
     /// lines, and on lines seeded with ±0, subnormals, ±∞, and NaNs of
     /// both signs with distinct payloads — alone, and as `re, im` pairs
-    /// of two different NaNs, whose products meet in one add.
+    /// of two different NaNs, whose products meet in one difference.
     #[test]
     fn butterfly_kernels_agree_bit_for_bit() {
         let specials = [
@@ -798,7 +829,9 @@ mod tests {
             lines.extend([plain, tiny, sparse, dense, paired]);
         }
         let bits = |line: &[Complex]| -> Vec<[u64; 2]> {
-            line.iter().map(|c| [c.re.to_bits(), c.im.to_bits()]).collect()
+            line.iter()
+                .map(|c| [c.re.to_bits(), c.im.to_bits()])
+                .collect()
         };
         let check = || {
             for line in &lines {
@@ -809,14 +842,22 @@ mod tests {
                     for kernel in kernels() {
                         let mut got = line.clone();
                         FftPlan::with_kernel(n, kernel).butterflies(&mut got, inverse);
-                        assert_eq!(bits(&got), bits(&want), "{kernel:?}, n {n}, inverse {inverse}");
+                        assert_eq!(
+                            bits(&got),
+                            bits(&want),
+                            "{kernel:?}, n {n}, inverse {inverse}"
+                        );
                     }
                 }
             }
         };
         #[cfg(target_arch = "x86_64")]
         for on in [false, true] {
-            with_ftz_daz(on, check);
+            with_ftz_daz(on, || {
+                let tiny = std::hint::black_box(f64::MIN_POSITIVE) * 0.5;
+                assert_eq!(tiny == 0.0, on, "FTZ {on} did not take effect");
+                check();
+            });
         }
         #[cfg(not(target_arch = "x86_64"))]
         check();
@@ -946,7 +987,10 @@ mod tests {
                 // kernel.
                 for kernel in kernels() {
                     for threads in [1, 4] {
-                        assert!(run(kernel, threads) == four, "{kernel:?}, {threads} threads");
+                        assert!(
+                            run(kernel, threads) == four,
+                            "{kernel:?}, {threads} threads"
+                        );
                     }
                 }
             }
