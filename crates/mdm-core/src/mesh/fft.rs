@@ -20,12 +20,12 @@
 //! and y passes on it while it is still in cache, so the mesh engine
 //! spreads its charges there and no charge grid is ever written.
 //!
-//! Each pass writes its own chunk (a run of z-planes, one pencil) from
-//! what the previous pass left shared, so every pass is a
-//! `par_chunks_mut` over a fixed decomposition and the output does not
-//! depend on the thread count. The plane passes run one region item per
-//! thread, each on its own `PlaneScratch` held in the transform, so a
-//! warm call allocates nothing.
+//! Each pass writes its own chunk (one z-plane, one pencil) from what
+//! the previous pass left shared, over a fixed decomposition, so the
+//! output does not depend on the thread count. The plane passes run one
+//! region item per thread, each on its own `PlaneScratch` held in the
+//! transform and taking the next plane from a shared queue, so a warm
+//! call allocates nothing and a stalled thread delays one plane.
 //!
 //! **Two butterfly kernels.** [`FftPlan`] picks one once, at
 //! construction, by CPU: `Kernel::Portable` is plain Rust, one butterfly
@@ -40,6 +40,7 @@
 //! off and on (`butterfly_kernels_agree_bit_for_bit`).
 
 use rayon::prelude::*;
+use std::sync::Mutex;
 
 /// A complex number as a bare pair — all we need, no operator sugar in
 /// the hot loops. `repr(C)`: the AVX-512 kernel reads a line as
@@ -421,25 +422,43 @@ impl PrunedFft3 {
         self.k * self.pencils.len()
     }
 
-    /// Planes per region item — one item per thread — with the scratch
-    /// sized to match.
-    fn plane_items(&mut self) -> usize {
+    /// `task(self, z, chunk, scratch)` for the `z`-th chunk of every
+    /// plane, in one region of one item per thread (`scratch` is the
+    /// item's own); items take the next plane from a shared queue, so a
+    /// stalled thread holds up one plane, not a fixed run of them. Every
+    /// plane gets the same arithmetic whichever item takes it.
+    fn for_each_plane<T, F>(&mut self, chunks: impl Iterator<Item = T> + Send, task: F)
+    where
+        T: Send,
+        F: Fn(&Self, usize, T, &mut PlaneScratch) + Sync,
+    {
         let k = self.k;
-        let per_item = k.div_ceil(rayon::current_num_threads().min(k));
         self.scratch
-            .resize_with(k.div_ceil(per_item), PlaneScratch::default);
+            .resize_with(rayon::current_num_threads().min(k), PlaneScratch::default);
         for s in &mut self.scratch {
             s.plane.resize(k * k, 0.0);
             s.half.resize(self.nx * k, Complex::ZERO);
             s.line.resize(k, Complex::ZERO);
         }
-        per_item
+        // Out of `self` for the region, so the region can share `self`.
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let queue = Mutex::new(chunks.enumerate());
+        let this = &*self;
+        scratch.par_iter_mut().for_each(|scratch| loop {
+            let next = queue
+                .lock()
+                .expect("no task runs while the queue is locked")
+                .next();
+            let Some((z, chunk)) = next else { break };
+            task(this, z, chunk, scratch);
+        });
+        self.scratch = scratch;
     }
 
-    /// x and y passes, one region item per thread over runs of z-planes:
-    /// `fill(z, plane)` writes real plane `z` (`[y][x]`, every point),
-    /// then `planes[z·P + p]` becomes the `(kx, ky)` coefficient of
-    /// pencil `p` in plane `z`.
+    /// x and y passes, plane by plane, one region item per thread:
+    /// `fill(z, plane)` writes real plane `z` (`[y][x]`, every point)
+    /// into the item's scratch plane, then `planes[z·P + p]` becomes the
+    /// `(kx, ky)` coefficient of pencil `p` in plane `z`.
     pub fn forward_planes<F>(&mut self, fill: F, planes: &mut [Complex])
     where
         F: Fn(usize, &mut [f64]) + Sync,
@@ -449,19 +468,10 @@ impl PrunedFft3 {
         if p == 0 {
             return;
         }
-        let per_item = self.plane_items();
-        let mut scratch = std::mem::take(&mut self.scratch);
-        planes
-            .par_chunks_mut(per_item * p)
-            .zip(scratch.par_iter_mut())
-            .enumerate()
-            .for_each(|(item, (out, scratch))| {
-                for (z, out) in (item * per_item..).zip(out.chunks_exact_mut(p)) {
-                    fill(z, &mut scratch.plane);
-                    self.forward_plane(scratch, out);
-                }
-            });
-        self.scratch = scratch;
+        self.for_each_plane(planes.chunks_exact_mut(p), |this, z, out, scratch| {
+            fill(z, &mut scratch.plane);
+            this.forward_plane(scratch, out);
+        });
     }
 
     /// z pass, one task per pencil: gather pencil `p` from `planes`,
@@ -497,8 +507,8 @@ impl PrunedFft3 {
             .for_each(one);
     }
 
-    /// Inverse y and x passes, one region item per thread over runs of
-    /// z-planes, from the pencil-major buffer back onto the real grid.
+    /// Inverse y and x passes, plane by plane, one region item per
+    /// thread, from the pencil-major buffer back onto the real grid.
     /// Modes outside the kept pencils are zero; the x pass completes
     /// the Hermitian half (`X[k−kx] = conj X[kx]`), which is what taking
     /// the real part of a full complex inverse does.
@@ -506,17 +516,9 @@ impl PrunedFft3 {
         let kk = self.k * self.k;
         assert_eq!(grid.len(), kk * self.k);
         assert_eq!(pencils.len(), self.spectrum_len());
-        let per_item = self.plane_items();
-        let mut scratch = std::mem::take(&mut self.scratch);
-        grid.par_chunks_mut(per_item * kk)
-            .zip(scratch.par_iter_mut())
-            .enumerate()
-            .for_each(|(item, (out, scratch))| {
-                for (z, plane) in (item * per_item..).zip(out.chunks_exact_mut(kk)) {
-                    self.inverse_plane(z, pencils, scratch, plane);
-                }
-            });
-        self.scratch = scratch;
+        self.for_each_plane(grid.chunks_exact_mut(kk), |this, z, plane, scratch| {
+            this.inverse_plane(z, pencils, scratch, plane);
+        });
     }
 
     fn forward_plane(&self, scratch: &mut PlaneScratch, out: &mut [Complex]) {

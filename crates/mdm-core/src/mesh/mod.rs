@@ -21,8 +21,8 @@
 //!   Particles are then counting-sorted by the first z-plane of their
 //!   stencil.
 //! * **plane pass** ([`fft::PrunedFft3::forward_planes`]): one region
-//!   item per thread over runs of z-planes. For plane `z` the item
-//!   spreads, for `j = 0..support`, bucket `z − j`'s particles in index
+//!   item per thread, each taking the next z-plane from a shared queue.
+//!   For plane `z` the item spreads, for `j = 0..support`, bucket `z − j`'s particles in index
 //!   order into its own scratch plane — no atomics, no per-thread grid
 //!   replicas, and no charge grid at all — and runs the x and y passes
 //!   of the pruned real transform while that plane is still in cache.
