@@ -9,8 +9,8 @@
 //!
 //! * the x pass transforms two real lines per complex FFT and keeps
 //!   only the Hermitian half `0 ≤ kx ≤ band`;
-//! * the y pass runs only on those columns and keeps only the `(kx, ky)`
-//!   **pencils** the caller listed;
+//! * the y pass runs only on those columns and keeps only the
+//!   `(kx, ky)` **pencils** the caller listed;
 //! * the z pass runs only on those pencils, hands each transformed
 //!   pencil to the caller (the convolution), and transforms it back;
 //! * the inverse mirrors the y and x passes onto the real grid.
