@@ -49,6 +49,29 @@ fn spme_64(l: f64) -> SpmeRecip {
     SpmeRecip::new(l, ALPHA, 64, 6)
 }
 
+/// The wrap case: eight ions exactly on the grid planes of K = 32
+/// engines in a 20 Å box — at u = 0, and at u = K − ε where the stencil
+/// wraps on all three axes — with alternating charges, at α = 7.
+const WRAP_L: f64 = 20.0;
+const WRAP_ALPHA: f64 = 7.0;
+const WRAP_CHARGES: [f64; 8] = [1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0];
+
+fn wrap_positions() -> [Vec3; 8] {
+    let l = WRAP_L;
+    let h = l / 32.0;
+    let eps = 1e-9;
+    [
+        Vec3::new(0.0, 0.0, 0.0),
+        Vec3::new(l - eps, l - eps, l - eps),
+        Vec3::new(3.0 * h, 7.0 * h, 16.0 * h),
+        Vec3::new(17.0 * h, 2.0 * h, 31.0 * h),
+        Vec3::new(9.4, 0.0, 31.0 * h + 0.5 * h),
+        Vec3::new(l - eps, 11.7, 3.0 * h),
+        Vec3::new(5.5 * h, l - eps, 0.0),
+        Vec3::new(12.3, 6.1, 1.0 * h),
+    ]
+}
+
 /// FNV-1a over the force components' bits.
 fn force_digest(forces: &[Vec3]) -> u64 {
     let mut digest = 0xcbf2_9ce4_8422_2325u64;
@@ -130,6 +153,53 @@ fn mesh_engine_pinned_at_the_benchmark_mesh() {
     );
 }
 
+/// The corner the benchmark mesh does not reach: K = 16 on the N = 512
+/// system — `pswf` support 6 and `pme` orders 4 and 5, supports that
+/// divide the 16 planes and supports that do not — and the wrap case at
+/// K = 32, each at 1, 2, 3, 4 and 7 threads, where the thread count
+/// exceeds K / support. The output bits are pinned: a faster engine that
+/// splits the planes another way must reproduce every one.
+#[test]
+fn mesh_engine_pinned_on_a_small_mesh() {
+    let at_every_count = |compute: &dyn Fn() -> MeshResult| {
+        let reference = with_num_threads(1, compute);
+        for threads in [2, 3, 4, 7] {
+            let out = with_num_threads(threads, compute);
+            assert_bitwise(&reference, &out, &format!("{threads} threads"));
+        }
+        let (energy, virial) = (reference.energy.to_bits(), reference.virial.to_bits());
+        (force_digest(&reference.forces), energy, virial)
+    };
+    let s = jittered_512();
+    let (l, alpha) = (s.simbox().l(), WRAP_ALPHA);
+    let (simbox, r, q) = (s.simbox(), s.positions(), s.charges());
+    let n_max = 3.2 * alpha / std::f64::consts::PI;
+    let (wrap_box, wrap_r, wrap_q) = (SimBox::cubic(WRAP_L), wrap_positions(), WRAP_CHARGES);
+    let pinned = [
+        at_every_count(&|| PswfRecip::new(l, alpha, n_max, 16, 6).compute(simbox, r, q)),
+        at_every_count(&|| SpmeRecip::new(l, alpha, 16, 4).compute(simbox, r, q)),
+        at_every_count(&|| SpmeRecip::new(l, alpha, 16, 5).compute(simbox, r, q)),
+        at_every_count(&|| {
+            PswfRecip::new(WRAP_L, alpha, n_max, 32, 6).compute(wrap_box, &wrap_r, &wrap_q)
+        }),
+        at_every_count(&|| {
+            SpmeRecip::new(WRAP_L, alpha, 32, 6).compute(wrap_box, &wrap_r, &wrap_q)
+        }),
+    ];
+    let want = [
+        // pswf support 6, then pme orders 4 and 5, at K = 16
+        (0x6cff_3cd4_cd1f_c0bb, 0x403f_871a_17dd_d52a, 0xc030_2075_bf65_871a),
+        (0x8fad_b47c_ef25_687e, 0x403f_81f4_537b_3a0b, 0xc02f_454a_f7e8_4bf4),
+        (0x6b06_aaf4_157f_f1f0, 0x403f_9e68_fc80_2404, 0xc030_920c_f6ca_dc31),
+        // the wrap case at K = 32: pswf support 6, pme order 6
+        (0x6f0a_51da_50ec_dacd, 0x4023_0e7c_be5d_d6c7, 0xc00f_330a_7c82_ca9d),
+        (0x6c78_bd35_c3d3_bffd, 0x4023_0ea7_38d6_900d, 0xc00f_3849_f6f9_7c57),
+    ];
+    for (case, (got, want)) in pinned.iter().zip(&want).enumerate() {
+        assert_eq!(got, want, "case {case}: (force digest, energy bits, virial bits)");
+    }
+}
+
 /// The second call runs on the first call's grid, spectrum buffers and
 /// stencil scratch; none of it may leak into the result.
 #[test]
@@ -188,22 +258,11 @@ fn n_calls_report_n_minus_one_scratch_reuses_for_every_software_backend() {
 /// each window's tolerance.
 #[test]
 fn stencils_on_slab_boundaries_and_across_the_periodic_wrap() {
-    let l = 20.0;
+    let l = WRAP_L;
     let simbox = SimBox::cubic(l);
-    let h = l / 32.0; // grid spacing of the K = 32 engines below
-    let eps = 1e-9;
-    let positions = [
-        Vec3::new(0.0, 0.0, 0.0),
-        Vec3::new(l - eps, l - eps, l - eps),
-        Vec3::new(3.0 * h, 7.0 * h, 16.0 * h),
-        Vec3::new(17.0 * h, 2.0 * h, 31.0 * h),
-        Vec3::new(9.4, 0.0, 31.0 * h + 0.5 * h),
-        Vec3::new(l - eps, 11.7, 3.0 * h),
-        Vec3::new(5.5 * h, l - eps, 0.0),
-        Vec3::new(12.3, 6.1, 1.0 * h),
-    ];
-    let charges = [1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0];
-    let alpha = 7.0;
+    let positions = wrap_positions();
+    let charges = WRAP_CHARGES;
+    let alpha = WRAP_ALPHA;
     let exact = recip_space(
         simbox,
         &positions,
