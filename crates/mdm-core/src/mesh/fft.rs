@@ -13,19 +13,25 @@
 //!   `(kx, ky)` **pencils** the caller listed;
 //! * the z pass runs only on those pencils, hands each transformed
 //!   pencil to the caller (the convolution), and transforms it back;
-//! * the inverse mirrors the y and x passes onto the real grid.
+//! * the inverse mirrors the y and x passes, one real plane at a time.
 //!
-//! The forward plane pass never reads a grid: it asks the caller to
-//! `fill(z, plane)` one real plane into a scratch plane and runs the x
-//! and y passes on it while it is still in cache, so the mesh engine
-//! spreads its charges there and no charge grid is ever written.
+//! Neither plane pass touches a grid. The forward pass asks the caller
+//! to `fill(z, plane)` one real plane into a scratch plane and runs the
+//! x and y passes on it while it is still in cache, so the mesh engine
+//! spreads its charges there and no charge grid is ever written. The
+//! inverse pass keeps each region item's last `support` planes in a
+//! ring and hands the ring to the caller's `visit(b, ring, out)` as soon
+//! as it holds planes `b … b + support − 1`, so the mesh engine gathers
+//! there and no potential grid is ever written either.
 //!
-//! Each pass writes its own chunk (one z-plane, one pencil) from what
-//! the previous pass left shared, over a fixed decomposition, so the
-//! output does not depend on the thread count. The plane passes run one
-//! region item per thread, each on its own `PlaneScratch` held in the
-//! transform and taking the next plane from a shared queue, so a warm
-//! call allocates nothing and a stalled thread delays one plane.
+//! Each pass writes its own chunk (one z-plane, one pencil, one run of
+//! planes) from what the previous pass left shared, over a fixed
+//! decomposition, so the output does not depend on the thread count.
+//! The plane passes run one region item per thread — the inverse at most
+//! `k / support`, so no run is shorter than the ring — each on its own
+//! `PlaneScratch` held in the transform; forward items take the next
+//! plane from a shared queue, so a stalled thread delays one plane. A
+//! warm call allocates nothing.
 //!
 //! **Two butterfly kernels.** [`FftPlan`] picks one once, at
 //! construction, by CPU: `Kernel::Portable` is plain Rust, one butterfly
@@ -370,9 +376,11 @@ pub fn band_indices(k: usize, band: usize) -> impl Iterator<Item = usize> {
 /// and kept by the transform.
 #[derive(Default)]
 pub(crate) struct PlaneScratch {
-    /// A real plane, `[y][x]`: the one `fill` writes, and the one the
-    /// inverse assembles before it is copied to the grid.
-    pub(crate) plane: Vec<f64>,
+    /// Real planes, `[y][x]` each: `fill` writes the first, and the
+    /// inverse pass keeps its ring of the last `support` planes it
+    /// inverted in the first `support`, plane `u` of its run in
+    /// `planes[u % support]`.
+    pub(crate) planes: Vec<Vec<f64>>,
     /// `half[kx·k + y]`: a plane after the x pass, transposed so the y
     /// pass walks contiguous lines.
     pub(crate) half: Vec<Complex>,
@@ -390,7 +398,7 @@ pub struct PrunedFft3 {
     pencils: Vec<(usize, usize)>,
     /// `1 + max kx` over the pencils: columns the y pass runs on.
     nx: usize,
-    /// One set per plane-pass region item.
+    /// One set per region item of the widest plane pass so far.
     pub(crate) scratch: Vec<PlaneScratch>,
 }
 
@@ -422,21 +430,33 @@ impl PrunedFft3 {
         self.k * self.pencils.len()
     }
 
-    /// `task(self, z, chunk, scratch)` for the `z`-th chunk of every
-    /// plane, in one region of one item per thread (`scratch` is the
-    /// item's own); items take the next plane from a shared queue, so a
-    /// stalled thread holds up one plane, not a fixed run of them. Every
-    /// plane gets the same arithmetic whichever item takes it.
-    fn for_each_plane<T, F>(&mut self, chunks: impl Iterator<Item = T> + Send, task: F)
-    where
+    /// `task(self, i, chunk, scratch)` for the `i`-th of `chunks`, in
+    /// one region of `items` items (`scratch` is the item's own, with at
+    /// least `planes` real planes); items take the next chunk from a
+    /// shared queue, so a stalled thread holds up one chunk, not a fixed
+    /// run of them. Every chunk gets the same arithmetic whichever item
+    /// takes it.
+    fn for_each_chunk<T, F>(
+        &mut self,
+        items: usize,
+        planes: usize,
+        chunks: impl Iterator<Item = T> + Send,
+        task: F,
+    ) where
         T: Send,
         F: Fn(&Self, usize, T, &mut PlaneScratch) + Sync,
     {
         let k = self.k;
-        self.scratch
-            .resize_with(rayon::current_num_threads().min(k), PlaneScratch::default);
-        for s in &mut self.scratch {
-            s.plane.resize(k * k, 0.0);
+        if self.scratch.len() < items {
+            self.scratch.resize_with(items, PlaneScratch::default);
+        }
+        for s in &mut self.scratch[..items] {
+            if s.planes.len() < planes {
+                s.planes.resize_with(planes, Vec::new);
+            }
+            for plane in &mut s.planes[..planes] {
+                plane.resize(k * k, 0.0);
+            }
             s.half.resize(self.nx * k, Complex::ZERO);
             s.line.resize(k, Complex::ZERO);
         }
@@ -444,21 +464,22 @@ impl PrunedFft3 {
         let mut scratch = std::mem::take(&mut self.scratch);
         let queue = Mutex::new(chunks.enumerate());
         let this = &*self;
-        scratch.par_iter_mut().for_each(|scratch| loop {
+        scratch[..items].par_iter_mut().for_each(|scratch| loop {
             let next = queue
                 .lock()
                 .expect("no task runs while the queue is locked")
                 .next();
-            let Some((z, chunk)) = next else { break };
-            task(this, z, chunk, scratch);
+            let Some((i, chunk)) = next else { break };
+            task(this, i, chunk, scratch);
         });
         self.scratch = scratch;
     }
 
-    /// x and y passes, plane by plane, one region item per thread:
-    /// `fill(z, plane)` writes real plane `z` (`[y][x]`, every point)
-    /// into the item's scratch plane, then `planes[z·P + p]` becomes the
-    /// `(kx, ky)` coefficient of pencil `p` in plane `z`.
+    /// x and y passes, plane by plane, one region item per thread taking
+    /// planes from a shared queue: `fill(z, plane)` writes real plane `z`
+    /// (`[y][x]`, every point) into the item's scratch plane, then
+    /// `planes[z·P + p]` becomes the `(kx, ky)` coefficient of pencil `p`
+    /// in plane `z`.
     pub fn forward_planes<F>(&mut self, fill: F, planes: &mut [Complex])
     where
         F: Fn(usize, &mut [f64]) + Sync,
@@ -468,10 +489,17 @@ impl PrunedFft3 {
         if p == 0 {
             return;
         }
-        self.for_each_plane(planes.chunks_exact_mut(p), |this, z, out, scratch| {
-            fill(z, &mut scratch.plane);
-            this.forward_plane(scratch, out);
-        });
+        let items = rayon::current_num_threads().min(self.k);
+        self.for_each_chunk(
+            items,
+            1,
+            planes.chunks_exact_mut(p),
+            |this, z, out, scratch| {
+                let PlaneScratch { planes, half, line } = scratch;
+                fill(z, &mut planes[0]);
+                this.forward_plane(&planes[0], half, line, out);
+            },
+        );
     }
 
     /// z pass, one task per pencil: gather pencil `p` from `planes`,
@@ -507,23 +535,71 @@ impl PrunedFft3 {
             .for_each(one);
     }
 
-    /// Inverse y and x passes, plane by plane, one region item per
-    /// thread, from the pencil-major buffer back onto the real grid.
-    /// Modes outside the kept pencils are zero; the x pass completes
-    /// the Hermitian half (`X[k−kx] = conj X[kx]`), which is what taking
-    /// the real part of a full complex inverse does.
-    pub fn inverse_planes(&mut self, pencils: &[Complex], grid: &mut [f64]) {
-        let kk = self.k * self.k;
-        assert_eq!(grid.len(), kk * self.k);
+    /// Inverse y and x passes from the pencil-major buffer, plane by
+    /// plane, into a ring of `support` real planes per region item — no
+    /// grid. There are `n = min(threads, k / support)` items, at least
+    /// one; item `t` owns the planes `[z₀, z₁) = [t·k/n, (t + 1)·k/n)`
+    /// and inverts planes `z₀ … z₁ + support − 2` (mod `k`) in turn, run
+    /// position `u` into `ring[u % support]`. Once planes `b … b +
+    /// support − 1` are in the ring it calls `visit(b, ring, out_b)`,
+    /// plane `b + j` in `ring[(b + j) % support]` and `out_b` the chunk
+    /// `out[bounds[b]..bounds[b + 1]]` (`bounds` runs from 0 to
+    /// `out.len()`, non-decreasing). The `support − 1` planes past a run
+    /// are also the first of the next, so they are inverted twice, by the
+    /// same arithmetic.
+    ///
+    /// Modes outside the kept pencils are zero; the x pass completes the
+    /// Hermitian half (`X[k−kx] = conj X[kx]`), which is what taking the
+    /// real part of a full complex inverse does.
+    pub fn inverse_planes<T, F>(
+        &mut self,
+        pencils: &[Complex],
+        support: usize,
+        out: &mut [T],
+        bounds: &[u32],
+        visit: F,
+    ) where
+        T: Send,
+        F: Fn(usize, &[Vec<f64>], &mut [T]) + Sync,
+    {
+        let k = self.k;
+        assert!(
+            (1..=k).contains(&support),
+            "support {support} on {k} planes"
+        );
         assert_eq!(pencils.len(), self.spectrum_len());
-        self.for_each_plane(grid.chunks_exact_mut(kk), |this, z, plane, scratch| {
-            this.inverse_plane(z, pencils, scratch, plane);
+        assert_eq!(bounds.len(), k + 1);
+        assert!(bounds[0] == 0 && bounds[k] as usize == out.len());
+        let items = rayon::current_num_threads().min(k / support).max(1);
+        let runs = (0..items).scan(out, |rest, t| {
+            let (z0, z1) = (t * k / items, (t + 1) * k / items);
+            let len = (bounds[z1] - bounds[z0]) as usize;
+            let (run, tail) = std::mem::take(rest).split_at_mut(len);
+            *rest = tail;
+            Some((z0, z1, run))
+        });
+        self.for_each_chunk(items, support, runs, |this, _, (z0, z1, run), scratch| {
+            let PlaneScratch { planes, half, line } = scratch;
+            let ring = &mut planes[..support];
+            for u in z0..z1 + support - 1 {
+                this.inverse_plane(u % k, pencils, half, line, &mut ring[u % support]);
+                if u + 1 >= z0 + support {
+                    let b = u + 1 - support;
+                    let [lo, hi] = [b, b + 1].map(|z| (bounds[z] - bounds[z0]) as usize);
+                    visit(b, ring, &mut run[lo..hi]);
+                }
+            }
         });
     }
 
-    fn forward_plane(&self, scratch: &mut PlaneScratch, out: &mut [Complex]) {
+    fn forward_plane(
+        &self,
+        plane: &[f64],
+        half: &mut [Complex],
+        line: &mut [Complex],
+        out: &mut [Complex],
+    ) {
         let k = self.k;
-        let PlaneScratch { plane, half, line } = scratch;
         for (pair, rows) in plane.chunks_exact(2 * k).enumerate() {
             // Two real rows as one complex line z = a + i·b; then
             // A[kx] = (Z[kx] + conj Z[−kx])/2, B[kx] = (Z[kx] − conj Z[−kx])/2i.
@@ -549,19 +625,16 @@ impl PrunedFft3 {
         }
     }
 
+    /// Real plane `z` of the inverse into `plane`, a cached ring plane.
     fn inverse_plane(
         &self,
         z: usize,
         pencils: &[Complex],
-        scratch: &mut PlaneScratch,
+        half: &mut [Complex],
+        line: &mut [Complex],
         plane: &mut [f64],
     ) {
         let k = self.k;
-        let PlaneScratch {
-            plane: staged,
-            half,
-            line,
-        } = scratch;
         half.fill(Complex::ZERO);
         for (p, &(kx, ky)) in self.pencils.iter().enumerate() {
             half[kx * k + ky] = pencils[p * k + z];
@@ -569,7 +642,7 @@ impl PrunedFft3 {
         for column in half.chunks_exact_mut(k) {
             self.plan.transform(column, true);
         }
-        for (pair, rows) in staged.chunks_exact_mut(2 * k).enumerate() {
+        for (pair, rows) in plane.chunks_exact_mut(2 * k).enumerate() {
             // Z = A + i·B over the full line, A and B Hermitian-
             // completed; the self-conjugate modes contribute their real
             // parts only.
@@ -592,11 +665,21 @@ impl PrunedFft3 {
                 *b = c.im;
             }
         }
-        // Rows are written into the cached scratch plane and the grid
-        // receives it in one copy: the same stores made straight into
-        // the grid, between butterflies, stall on its cache misses.
-        plane.copy_from_slice(staged);
     }
+}
+
+/// The whole real inverse, for checks against an oracle:
+/// [`PrunedFft3::inverse_planes`] at support 1 with a `visit` that
+/// copies each plane into a `[z][y][x]` grid.
+#[cfg(test)]
+pub(crate) fn inverse_grid(fft: &mut PrunedFft3, pencils: &[Complex]) -> Vec<f64> {
+    let kk = fft.k * fft.k;
+    let mut grid = vec![0.0; kk * fft.k];
+    let bounds: Vec<u32> = (0..=fft.k).map(|z| (z * kk) as u32).collect();
+    fft.inverse_planes(pencils, 1, &mut grid, &bounds, |_, ring, plane| {
+        plane.copy_from_slice(&ring[0]);
+    });
+    grid
 }
 
 #[cfg(test)]
@@ -936,7 +1019,6 @@ mod tests {
                         let mut planes = vec![Complex::ZERO; fft.spectrum_len()];
                         let mut lines = vec![Complex::ZERO; fft.spectrum_len()];
                         let mut spectra = vec![Vec::new(); pencils.len()];
-                        let mut back = vec![0.0f64; k * k * k];
                         let fill = |z: usize, plane: &mut [f64]| {
                             plane.copy_from_slice(&grid[z * k * k..(z + 1) * k * k]);
                         };
@@ -948,7 +1030,7 @@ mod tests {
                             }
                             before
                         });
-                        fft.inverse_planes(&lines, &mut back);
+                        let back = inverse_grid(&mut fft, &lines);
                         (planes, lines, back, spectra)
                     })
                 };

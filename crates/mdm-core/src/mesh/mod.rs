@@ -12,14 +12,15 @@
 //! cutoff, nothing else.
 //!
 //! Every stage is a loop over a fixed decomposition — particles,
-//! z-planes, `(kx, ky)` pencils — whose tasks write disjoint outputs in
-//! a fixed order, so the result is bitwise identical at any Rayon
-//! thread count (`rayon::with_num_threads(1, …)` is the serial run):
+//! z-planes, `(kx, ky)` pencils, runs of z-planes — whose tasks write
+//! disjoint outputs in a fixed order, so the result is bitwise identical
+//! at any Rayon thread count (`rayon::with_num_threads(1, …)` is the
+//! serial run):
 //!
 //! * **stencils**: one task per particle computes its 3·support window
 //!   weights and derivatives once; spread and gather both read them.
 //!   Particles are then counting-sorted by the first z-plane of their
-//!   stencil.
+//!   stencil, their *bucket*.
 //! * **plane pass** ([`fft::PrunedFft3::forward_planes`]): one region
 //!   item per thread, each taking the next z-plane from a shared queue.
 //!   For plane `z` the item spreads, for `j = 0..support`, bucket `z − j`'s particles in index
@@ -30,17 +31,22 @@
 //!   non-zero on is transformed along z, multiplied by the compact
 //!   influence table, and transformed back; energy and virial are
 //!   reduced from per-pencil partials in pencil order.
-//! * **inverse plane pass**: the y and x inverses onto the real
-//!   potential grid, the one `K³` buffer the engine keeps.
-//! * **gather**: particles in the counting-sort order, so consecutive
-//!   particles read the same few potential planes; each force lands at
-//!   its own index, and the mean-force correction sums in index order.
+//! * **inverse plane pass with the gather**
+//!   ([`fft::PrunedFft3::inverse_planes`]): `min(threads, K / support)`
+//!   region items, each owning a contiguous run of buckets. An item
+//!   runs the y and x inverses plane by plane into its own ring of
+//!   `support` cached planes, and as soon as the ring holds the planes of
+//!   bucket `b`'s stencils it gathers bucket `b`'s particles into its own
+//!   slice of the sorted forces — so there is no potential grid either,
+//!   and no `K³` buffer at all. Each item also inverts the `support − 1`
+//!   planes past its run, which the next item inverts too. The forces go
+//!   to their indices, and the mean-force correction sums in index order.
 //!
 //! A stencil row that does not wrap is spread and gathered as one
 //! contiguous slice — the same adds, in the same order, as the wrapping
 //! walk. Every buffer is the engine's and is sized on the first call,
-//! the plane scratch one set per region item, so a warm call at a fixed
-//! thread count allocates only the forces it returns.
+//! the plane scratch and the rings one set per region item, so a warm
+//! call at a fixed thread count allocates only the forces it returns.
 
 pub mod fft;
 
@@ -139,8 +145,6 @@ pub struct MeshEngine<W> {
     /// Per-mode virial factor `1 − 2π²n²/α²`, same indexing.
     virial_factor: Vec<f64>,
     // --- scratch, sized on first use ---
-    /// The potential grid, `[z][y][x]`.
-    grid: Vec<f64>,
     /// The spectrum after the plane pass (plane-major), and after the
     /// pencil pass (pencil-major).
     planes: Vec<Complex>,
@@ -235,7 +239,6 @@ impl<W: Window> MeshEngine<W> {
             bands,
             theta,
             virial_factor,
-            grid: Vec::new(),
             planes: Vec::new(),
             lines: Vec::new(),
             partials: Vec::new(),
@@ -366,17 +369,16 @@ impl<W: Window> MeshEngine<W> {
         }
     }
 
-    /// Charges → potential grid: the plane pass spreads each plane
+    /// Charges → potential spectrum: the plane pass spreads each plane
     /// and transforms it, the pencil pass multiplies by the influence
-    /// table (un-normalised inverse: matches `E = ½ Σ Q·φ`), the inverse
-    /// plane pass writes the potential. Returns `(energy, virial)`,
-    /// accumulated from `|Q̂|²` before the multiply.
+    /// table (un-normalised inverse: matches `E = ½ Σ Q·φ`) and leaves
+    /// the pencils transformed back along z in `lines`. Returns
+    /// `(energy, virial)`, accumulated from `|Q̂|²` before the multiply.
     fn convolve(&mut self, charges: &[f64]) -> (f64, f64) {
         let (k, s) = (self.mesh, self.window.support());
         self.planes.resize(self.fft.spectrum_len(), Complex::ZERO);
         self.lines.resize(self.fft.spectrum_len(), Complex::ZERO);
         self.partials.resize(self.bands.len(), (0.0, 0.0));
-        self.grid.resize(k * k * k, 0.0);
         let (base, weights, order, bucket) = (&self.base, &self.weights, &self.order, &self.bucket);
         // Plane `z` from the particles whose stencil reaches it, in
         // (j, bucket, particle, wy, wx) order.
@@ -431,29 +433,30 @@ impl<W: Window> MeshEngine<W> {
         };
         self.fft
             .pencil_pass(&self.planes, &mut self.lines, &mut self.partials, convolve);
-        self.fft.inverse_planes(&self.lines, &mut self.grid);
         self.partials
             .iter()
             .fold((0.0, 0.0), |(e, v), p| (e + p.0, v + p.1))
     }
 
-    /// Forces from the potential grid through the window derivative:
-    /// `F = −q·∇W·φ`, `du/dr = K/L` per axis. Particles are visited in
-    /// `order`, so neighbours in the walk share potential planes.
+    /// The inverse plane pass with the gather: each region item inverts
+    /// its run of potential planes into its own ring of `support` planes
+    /// and gathers bucket `b` once the ring holds planes `b … b + support
+    /// − 1` — `F = −q·∇W·φ`, `du/dr = K/L` per axis — in `order`, into
+    /// its own run of `sorted_forces`; then each force goes to its index.
     fn gather(&mut self, charges: &[f64]) -> Vec<Vec3> {
         let (k, s) = (self.mesh, self.window.support());
         let du_dr = k as f64 / self.l;
-        let (grid, base, weights) = (&self.grid, &self.base, &self.weights);
-        let one = |(force, &i): (&mut Vec3, &u32)| {
-            let i = i as usize;
+        let (base, weights, order, bucket) = (&self.base, &self.weights, &self.order, &self.bucket);
+        // Particle `i` of bucket `b`: plane `b + jz` is `ring[(b + jz) % s]`.
+        let one = |i: usize, b: usize, ring: &[Vec<f64>]| {
             let (w, dw) = weights[i * 6 * s..(i + 1) * 6 * s].split_at(3 * s);
-            let [bx, by, bz] = base[i].map(|b| b as usize);
+            let (bx, by) = (base[i][0] as usize, base[i][1] as usize);
             let mut grad = Vec3::ZERO;
-            let mut pz = bz;
             for jz in 0..s {
+                let plane = &ring[(b + jz) % s];
                 let mut py = by;
                 for jy in 0..s {
-                    let row = &grid[(pz * k + py) * k..(pz * k + py + 1) * k];
+                    let row = &plane[py * k..(py + 1) * k];
                     let (mut sum, mut sum_dx) = (0.0, 0.0);
                     if bx + s <= k {
                         for ((wx, dwx), phi) in w[..s].iter().zip(&dw[..s]).zip(&row[bx..bx + s]) {
@@ -473,15 +476,18 @@ impl<W: Window> MeshEngine<W> {
                     grad.z += sum * w[s + jy] * dw[2 * s + jz];
                     py = next_wrapped(py, k);
                 }
-                pz = next_wrapped(pz, k);
             }
-            *force = grad * (-charges[i] * du_dr);
+            grad * (-charges[i] * du_dr)
+        };
+        let visit = |b: usize, ring: &[Vec<f64>], forces: &mut [Vec3]| {
+            let members = &order[bucket[b] as usize..bucket[b + 1] as usize];
+            for (force, &i) in forces.iter_mut().zip(members) {
+                *force = one(i as usize, b, ring);
+            }
         };
         self.sorted_forces.resize(charges.len(), Vec3::ZERO);
-        self.sorted_forces
-            .par_iter_mut()
-            .zip(self.order.par_iter())
-            .for_each(one);
+        self.fft
+            .inverse_planes(&self.lines, s, &mut self.sorted_forces, bucket, visit);
         let mut forces = vec![Vec3::ZERO; charges.len()];
         for (&f, &i) in self.sorted_forces.iter().zip(&self.order) {
             forces[i as usize] = f;
@@ -504,10 +510,11 @@ mod tests {
         s
     }
 
-    /// `½ Σᵢ qᵢ Σ W·φ` from the potential grid and stencils the last
-    /// `compute` left behind.
-    fn gather_energy<W: Window>(engine: &MeshEngine<W>, charges: &[f64]) -> f64 {
+    /// `½ Σᵢ qᵢ Σ W·φ` from the potential spectrum and stencils the
+    /// last `compute` left behind, φ inverted onto a whole grid.
+    fn gather_energy<W: Window>(engine: &mut MeshEngine<W>, charges: &[f64]) -> f64 {
         let (k, s) = (engine.mesh, engine.window.support());
+        let grid = fft::inverse_grid(&mut engine.fft, &engine.lines);
         let mut energy = 0.0;
         for (i, q) in charges.iter().enumerate() {
             let w = &engine.weights[i * 6 * s..i * 6 * s + 3 * s];
@@ -516,7 +523,7 @@ mod tests {
                 for jy in 0..s {
                     for jx in 0..s {
                         let (px, py, pz) = ((bx + jx) % k, (by + jy) % k, (bz + jz) % k);
-                        let phi = engine.grid[(pz * k + py) * k + px];
+                        let phi = grid[(pz * k + py) * k + px];
                         energy += 0.5 * q * w[jx] * w[s + jy] * w[2 * s + jz] * phi;
                     }
                 }
@@ -535,7 +542,7 @@ mod tests {
         let l = s.simbox().l();
         let mut pswf = PswfRecip::new(l, 7.0, 3.2 * 7.0 / std::f64::consts::PI, 32, 6);
         let spectral = pswf.compute(s.simbox(), s.positions(), s.charges()).energy;
-        let gathered = gather_energy(&pswf, s.charges());
+        let gathered = gather_energy(&mut pswf, s.charges());
         assert!(
             ((spectral - gathered) / spectral).abs() < 1e-10,
             "pswf: spectral {spectral} vs gather {gathered}"
@@ -545,7 +552,7 @@ mod tests {
         for order in [4usize, 5] {
             let mut spme = SpmeRecip::new(l, 7.0, 16, order);
             let spectral = spme.compute(s.simbox(), s.positions(), s.charges()).energy;
-            let gathered = gather_energy(&spme, s.charges());
+            let gathered = gather_energy(&mut spme, s.charges());
             assert!(
                 ((spectral - gathered) / spectral).abs() < 1e-10,
                 "pme order {order}: spectral {spectral} vs gather {gathered}"
@@ -579,7 +586,6 @@ mod tests {
             (name.to_string(), v.as_ptr() as usize, v.capacity())
         }
         let mut all = vec![
-            entry("grid", &engine.grid),
             entry("planes", &engine.planes),
             entry("lines", &engine.lines),
             entry("partials", &engine.partials),
@@ -592,7 +598,10 @@ mod tests {
             entry("scratch", &engine.fft.scratch),
         ];
         for (item, s) in engine.fft.scratch.iter().enumerate() {
-            all.push(entry(&format!("item {item} plane"), &s.plane));
+            all.push(entry(&format!("item {item} planes"), &s.planes));
+            for (j, plane) in s.planes.iter().enumerate() {
+                all.push(entry(&format!("item {item} plane {j}"), plane));
+            }
             all.push(entry(&format!("item {item} half"), &s.half));
             all.push(entry(&format!("item {item} line"), &s.line));
         }
@@ -600,8 +609,11 @@ mod tests {
     }
 
     /// At a fixed thread count, the first call sizes every buffer and
-    /// the next two run in exactly those allocations: one plane-pass
-    /// scratch set per thread, nothing new but the returned forces.
+    /// the next two run in exactly those allocations — one plane-pass
+    /// scratch set per thread, the first `min(threads, K / support)` of
+    /// them holding an inverse ring of `support` planes — so a call
+    /// allocates only the forces it returns; and no buffer holds K³
+    /// values.
     #[test]
     fn steady_state_calls_reuse_every_buffer() {
         let s = perturbed();
@@ -613,20 +625,39 @@ mod tests {
             }
             first
         };
-        rayon::with_num_threads(2, || {
-            let mut pswf = PswfRecip::new(l, 7.0, 3.2 * 7.0 / std::f64::consts::PI, 32, 6);
-            let first = three_calls(&mut || {
-                pswf.compute(s.simbox(), s.positions(), s.charges());
-                buffers(&pswf)
+        let ring_items = |scratch: &[fft::PlaneScratch], support: usize| {
+            scratch.iter().filter(|s| s.planes.len() == support).count()
+        };
+        let no_grid = |buffers: &[(String, usize, usize)], k: usize| {
+            for (name, _, cap) in buffers {
+                assert!(*cap > 0 && *cap < k * k * k, "{name}: {cap} on K = {k}");
+            }
+        };
+        // K = 32 and support 6: one inverse item per thread at 2 threads,
+        // K / support = 5 at 8.
+        for (threads, items) in [(2, 2), (8, 5)] {
+            rayon::with_num_threads(threads, || {
+                let mut pswf = PswfRecip::new(l, 7.0, 3.2 * 7.0 / std::f64::consts::PI, 32, 6);
+                let first = three_calls(&mut || {
+                    pswf.compute(s.simbox(), s.positions(), s.charges());
+                    buffers(&pswf)
+                });
+                assert_eq!(
+                    pswf.fft.scratch.len(),
+                    threads,
+                    "one scratch set per thread"
+                );
+                assert_eq!(ring_items(&pswf.fft.scratch, 6), items, "{threads} threads");
+                no_grid(&first, 32);
+                let mut spme = SpmeRecip::new(l, 7.0, 16, 6);
+                let first = three_calls(&mut || {
+                    spme.compute(s.simbox(), s.positions(), s.charges());
+                    buffers(&spme)
+                });
+                assert_eq!(ring_items(&spme.fft.scratch, 6), threads.min(16 / 6));
+                no_grid(&first, 16);
             });
-            assert_eq!(pswf.fft.scratch.len(), 2, "one scratch set per thread");
-            assert!(first.iter().all(|&(_, _, cap)| cap > 0), "{first:?}");
-            let mut spme = SpmeRecip::new(l, 7.0, 16, 6);
-            three_calls(&mut || {
-                spme.compute(s.simbox(), s.positions(), s.charges());
-                buffers(&spme)
-            });
-        });
+        }
     }
 
     #[test]
