@@ -6,11 +6,14 @@
 //! at 1 and 2 threads.
 //!
 //! The engine names its spans `stencils`, `transform` (the plane pass
-//! that spreads and runs the x/y transforms, the pencil pass and the
-//! inverse) and `gather`. Older trees spread in a stage of its own and
-//! named the first two `spread` (stencils and spread) and `fft`; the
-//! harness reads those when the new names are absent, so the file runs
-//! unchanged on either side of that change and the rows compare.
+//! that spreads and runs the x/y transforms, and the pencil pass) and
+//! `gather` (the inverse plane pass, which gathers from its ring of
+//! planes as it goes). Trees that still wrote a potential grid ran the
+//! inverse plane pass inside `transform`, so there the sum `transform` +
+//! `gather` is the comparable figure. Older trees still spread in a
+//! stage of its own and named the first two spans `spread` (stencils and
+//! spread) and `fft`; the harness reads those when the new names are
+//! absent, so the file runs unchanged on either side of those changes.
 //!
 //! Run with: `cargo run --release -p mdm-core --example mesh_cost`
 

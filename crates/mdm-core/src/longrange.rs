@@ -217,7 +217,7 @@ impl<W: Window> LongRangeBackend for MeshEngine<W> {
         positions: &[Vec3],
         charges: &[f64],
     ) -> LongRangeResult {
-        // The engine sizes its grid and stencil scratch on the first
+        // The engine sizes its plane and stencil scratch on the first
         // call and reuses it from then on.
         note_scratch_reuse(&mut self.warm);
         let out = MeshEngine::compute(self, simbox, positions, charges);

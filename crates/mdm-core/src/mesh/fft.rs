@@ -447,13 +447,10 @@ impl PrunedFft3 {
         F: Fn(&Self, usize, T, &mut PlaneScratch) + Sync,
     {
         let k = self.k;
-        if self.scratch.len() < items {
-            self.scratch.resize_with(items, PlaneScratch::default);
-        }
+        let n = self.scratch.len().max(items);
+        self.scratch.resize_with(n, PlaneScratch::default);
         for s in &mut self.scratch[..items] {
-            if s.planes.len() < planes {
-                s.planes.resize_with(planes, Vec::new);
-            }
+            s.planes.resize_with(s.planes.len().max(planes), Vec::new);
             for plane in &mut s.planes[..planes] {
                 plane.resize(k * k, 0.0);
             }
@@ -490,16 +487,11 @@ impl PrunedFft3 {
             return;
         }
         let items = rayon::current_num_threads().min(self.k);
-        self.for_each_chunk(
-            items,
-            1,
-            planes.chunks_exact_mut(p),
-            |this, z, out, scratch| {
-                let PlaneScratch { planes, half, line } = scratch;
-                fill(z, &mut planes[0]);
-                this.forward_plane(&planes[0], half, line, out);
-            },
-        );
+        let chunks = planes.chunks_exact_mut(p);
+        self.for_each_chunk(items, 1, chunks, |this, z, out, scratch| {
+            fill(z, &mut scratch.planes[0]);
+            this.forward_plane(scratch, out);
+        });
     }
 
     /// z pass, one task per pencil: gather pencil `p` from `planes`,
@@ -563,10 +555,7 @@ impl PrunedFft3 {
         F: Fn(usize, &[Vec<f64>], &mut [T]) + Sync,
     {
         let k = self.k;
-        assert!(
-            (1..=k).contains(&support),
-            "support {support} on {k} planes"
-        );
+        assert!((1..=k).contains(&support));
         assert_eq!(pencils.len(), self.spectrum_len());
         assert_eq!(bounds.len(), k + 1);
         assert!(bounds[0] == 0 && bounds[k] as usize == out.len());
@@ -579,28 +568,21 @@ impl PrunedFft3 {
             Some((z0, z1, run))
         });
         self.for_each_chunk(items, support, runs, |this, _, (z0, z1, run), scratch| {
-            let PlaneScratch { planes, half, line } = scratch;
-            let ring = &mut planes[..support];
             for u in z0..z1 + support - 1 {
-                this.inverse_plane(u % k, pencils, half, line, &mut ring[u % support]);
+                this.inverse_plane(u % k, pencils, scratch, u % support);
                 if u + 1 >= z0 + support {
                     let b = u + 1 - support;
                     let [lo, hi] = [b, b + 1].map(|z| (bounds[z] - bounds[z0]) as usize);
-                    visit(b, ring, &mut run[lo..hi]);
+                    visit(b, &scratch.planes[..support], &mut run[lo..hi]);
                 }
             }
         });
     }
 
-    fn forward_plane(
-        &self,
-        plane: &[f64],
-        half: &mut [Complex],
-        line: &mut [Complex],
-        out: &mut [Complex],
-    ) {
+    fn forward_plane(&self, scratch: &mut PlaneScratch, out: &mut [Complex]) {
         let k = self.k;
-        for (pair, rows) in plane.chunks_exact(2 * k).enumerate() {
+        let PlaneScratch { planes, half, line } = scratch;
+        for (pair, rows) in planes[0].chunks_exact(2 * k).enumerate() {
             // Two real rows as one complex line z = a + i·b; then
             // A[kx] = (Z[kx] + conj Z[−kx])/2, B[kx] = (Z[kx] − conj Z[−kx])/2i.
             let (row_a, row_b) = rows.split_at(k);
@@ -625,16 +607,16 @@ impl PrunedFft3 {
         }
     }
 
-    /// Real plane `z` of the inverse into `plane`, a cached ring plane.
+    /// Real plane `z` of the inverse into the item's ring plane `slot`.
     fn inverse_plane(
         &self,
         z: usize,
         pencils: &[Complex],
-        half: &mut [Complex],
-        line: &mut [Complex],
-        plane: &mut [f64],
+        scratch: &mut PlaneScratch,
+        slot: usize,
     ) {
         let k = self.k;
+        let PlaneScratch { planes, half, line } = scratch;
         half.fill(Complex::ZERO);
         for (p, &(kx, ky)) in self.pencils.iter().enumerate() {
             half[kx * k + ky] = pencils[p * k + z];
@@ -642,7 +624,7 @@ impl PrunedFft3 {
         for column in half.chunks_exact_mut(k) {
             self.plan.transform(column, true);
         }
-        for (pair, rows) in plane.chunks_exact_mut(2 * k).enumerate() {
+        for (pair, rows) in planes[slot].chunks_exact_mut(2 * k).enumerate() {
             // Z = A + i·B over the full line, A and B Hermitian-
             // completed; the self-conjugate modes contribute their real
             // parts only.
