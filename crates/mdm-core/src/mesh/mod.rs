@@ -450,7 +450,7 @@ impl<W: Window> MeshEngine<W> {
         // Particle `i` of bucket `b`: plane `b + jz` is `ring[(b + jz) % s]`.
         let one = |i: usize, b: usize, ring: &[Vec<f64>]| {
             let (w, dw) = weights[i * 6 * s..(i + 1) * 6 * s].split_at(3 * s);
-            let (bx, by) = (base[i][0] as usize, base[i][1] as usize);
+            let [bx, by, _] = base[i].map(|b| b as usize);
             let mut grad = Vec3::ZERO;
             for jz in 0..s {
                 let plane = &ring[(b + jz) % s];
