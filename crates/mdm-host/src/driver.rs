@@ -255,21 +255,33 @@ pub struct MdmTables {
 }
 
 impl MdmTables {
-    /// Run the §4 table-fit utility for all eight kernels.
+    /// The §4 kernels in table order: the four force passes, then the
+    /// four energy passes.
+    const KERNELS: [GFunction; 8] = [
+        GFunction::CoulombRealForce,
+        GFunction::BornMayerForce,
+        GFunction::Dispersion6Force,
+        GFunction::Dispersion8Force,
+        GFunction::CoulombRealEnergy,
+        GFunction::BornMayerEnergy,
+        GFunction::Dispersion6Energy,
+        GFunction::Dispersion8Energy,
+    ];
+
+    /// Run the §4 table-fit utility for all eight kernels, one kernel
+    /// per parallel item. The collect keeps kernel order and each fit is
+    /// serial, so the images do not depend on the thread count, and the
+    /// first failing kernel in that order is the error returned.
     pub fn build() -> Result<Self, mdm_funceval::TableBuildError> {
+        let mut fitted = Self::KERNELS
+            .par_iter()
+            .map(GFunction::build_evaluator)
+            .collect::<Result<Vec<_>, _>>()?
+            .into_iter();
+        let mut next = || fitted.next().expect("one table per kernel");
         Ok(Self {
-            force_tables: [
-                GFunction::CoulombRealForce.build_evaluator()?,
-                GFunction::BornMayerForce.build_evaluator()?,
-                GFunction::Dispersion6Force.build_evaluator()?,
-                GFunction::Dispersion8Force.build_evaluator()?,
-            ],
-            energy_tables: [
-                GFunction::CoulombRealEnergy.build_evaluator()?,
-                GFunction::BornMayerEnergy.build_evaluator()?,
-                GFunction::Dispersion6Energy.build_evaluator()?,
-                GFunction::Dispersion8Energy.build_evaluator()?,
-            ],
+            force_tables: std::array::from_fn(|_| next()),
+            energy_tables: std::array::from_fn(|_| next()),
         })
     }
 }
