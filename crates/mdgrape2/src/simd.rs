@@ -172,8 +172,14 @@ fn add_term(chain: &mut [__m512d; 2], term: __m512, live: __mmask16) {
 /// The AVX-512 j-stream of [`crate::sweep::Kernel::sweep_tile`], the
 /// mode as a constant: with both modes' arms in one body the four-pass
 /// sweep keeps fewer of its chains in registers (5–7 % at 33 particles
-/// per cell). The chains live in registers from the tile's load to its
-/// store.
+/// per cell). The chains are loaded at the tile's start and stored at
+/// its end. Only the potential-mode instance keeps its 8 chains in
+/// registers in between. The force-mode four-pass instance holds 24
+/// chains; with the 3 `xi` registers they exceed the 32 zmm registers,
+/// and since the pass loop is not unrolled, each chain is loaded and
+/// stored once per pass per streamed j. A pass-major order that kept
+/// them in registers measured slower in `tile_cost` (N = 8,000, one
+/// thread: force 204 → 223 ms, potential 141 → 208 ms).
 #[target_feature(enable = "avx512f")]
 pub(crate) fn tile<'a, const P: usize, const FORCE: bool>(
     passes: &[TablePass<'_>; P],
