@@ -1,6 +1,8 @@
 //! What one mesh-Ewald call costs: the median wall of
 //! `PswfRecip::compute` and the medians of its stencil, transform and
-//! gather spans, for the `pswf` engine at `mesh_pswf_4k`'s operating
+//! gather spans, and what building the engine costs — the median wall of
+//! `PswfRecip::new` (window tables, window transform, influence
+//! function) — for the `pswf` engine at `mesh_pswf_4k`'s operating
 //! point (r_cut 9 Å, s = 3.2, the paper's density) — N = 4,096 on its
 //! default K = 128 mesh, N = 512 on its default K = 64 and on K = 32 —
 //! at 1 and 2 threads.
@@ -41,12 +43,25 @@ fn jittered(cells: usize) -> System {
     s
 }
 
-/// Medians over `reps` warm calls: the call's wall, then its stencil,
-/// transform and gather spans.
-fn measure(system: &System, mesh: usize, reps: usize) -> [Duration; 4] {
+/// Engine constructions timed per row.
+const BUILDS: usize = 9;
+
+/// The median wall of `PswfRecip::new` over [`BUILDS`] constructions,
+/// then medians over `reps` warm calls: the call's wall, then its
+/// stencil, transform and gather spans.
+fn measure(system: &System, mesh: usize, reps: usize) -> [Duration; 5] {
     let l = system.simbox().l();
     let params =
         EwaldParams::from_alpha_accuracy(ACCURACY_S * l / R_CUT, ACCURACY_S, ACCURACY_S, l);
+    let mut builds: Vec<Duration> = (0..BUILDS)
+        .map(|_| {
+            let start = Instant::now();
+            black_box(PswfRecip::new(l, params.alpha, params.n_max, mesh, 6));
+            start.elapsed()
+        })
+        .collect();
+    builds.sort();
+    let build = builds[BUILDS / 2];
     let mut pswf = PswfRecip::new(l, params.alpha, params.n_max, mesh, 6);
     let mut call = || {
         black_box(pswf.compute(system.simbox(), system.positions(), system.charges()));
@@ -76,25 +91,27 @@ fn measure(system: &System, mesh: usize, reps: usize) -> [Duration; 4] {
             column.push(value);
         }
     }
-    samples.map(|mut column| {
+    let [wall, stencils, transform, gather] = samples.map(|mut column| {
         column.sort();
         column[reps / 2]
-    })
+    });
+    [build, wall, stencils, transform, gather]
 }
 
 fn main() {
     // (rock-salt cells per side, mesh, calls per thread count)
     let cases = [(4, 32, 200), (4, 64, 100), (8, 128, 30)];
-    println!("    N    K  threads  call (ms)  stencils  transform  gather (ms)");
+    println!("    N    K  threads  new (ms)  call (ms)  stencils  transform  gather (ms)");
     for (cells, mesh, reps) in cases {
         let system = jittered(cells);
         for threads in [1, 2] {
-            let [wall, stencils, transform, gather] =
+            let [build, wall, stencils, transform, gather] =
                 rayon::with_num_threads(threads, || measure(&system, mesh, reps));
             let ms = |d: Duration| d.as_secs_f64() * 1e3;
             println!(
-                "{:>5}  {mesh:>3}  {threads:>7}  {:>9.3}  {:>8.3}  {:>9.3}  {:>11.3}",
+                "{:>5}  {mesh:>3}  {threads:>7}  {:>8.3}  {:>9.3}  {:>8.3}  {:>9.3}  {:>11.3}",
                 system.len(),
+                ms(build),
                 ms(wall),
                 ms(stencils),
                 ms(transform),
