@@ -42,7 +42,7 @@ use std::io::{self, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -50,17 +50,23 @@ use crate::driver::MdmForceField;
 use crate::machines::MachineModel;
 use crate::perfmodel::{PerformanceModel, SystemSpec};
 
-/// Detect the environment stamp (git SHA, hostname, nproc) for this
-/// checkout: walk up from the crate's manifest dir to the `.git` root.
-/// The `MDM_GIT_SHA` environment variable overrides detection — see
-/// [`EnvStamp::detect`].
+/// The environment stamp (git SHA, hostname, nproc) for this checkout:
+/// walk up from the crate's manifest dir to the `.git` root. The
+/// `MDM_GIT_SHA` environment variable overrides detection — see
+/// [`EnvStamp::detect`]. Detected once per process (it reads `.git`
+/// and the hostname, and a run server stamps every slice).
 pub fn env_stamp() -> EnvStamp {
-    let manifest_dir = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let root = manifest_dir
-        .ancestors()
-        .find(|p| p.join(".git").exists())
-        .unwrap_or(manifest_dir);
-    EnvStamp::detect(root)
+    static STAMP: OnceLock<EnvStamp> = OnceLock::new();
+    STAMP
+        .get_or_init(|| {
+            let manifest_dir = Path::new(env!("CARGO_MANIFEST_DIR"));
+            let root = manifest_dir
+                .ancestors()
+                .find(|p| p.join(".git").exists())
+                .unwrap_or(manifest_dir);
+            EnvStamp::detect(root)
+        })
+        .clone()
 }
 
 /// Build the flight-recorder manifest for a run driven by the emulated
