@@ -170,6 +170,12 @@ impl<F: ForceField> Simulation<F> {
         &mut self.ff
     }
 
+    /// End the run and hand back its force field, so a host that runs
+    /// many jobs can load the next one onto the same machine.
+    pub fn into_force_field(self) -> F {
+        self.ff
+    }
+
     /// Re-evaluate the forces at the current positions and replace the
     /// cached [`Self::current_forces`]. Needed after mutating the
     /// system or force field out-of-band (checkpoint restore, cadence

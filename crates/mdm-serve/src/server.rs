@@ -5,10 +5,13 @@
 //! `boards` worker threads form the board pool — each worker is one
 //! leased set of emulated WINE-2/MDGRAPE-2 boards. Workers pull the
 //! highest-priority job from the bounded [`JobQueue`], *materialise it
-//! from its checkpoint* (or from the spec, first time), run one slice
-//! of `slice_steps` steps, write the next checkpoint atomically, and
-//! put the job back. Jobs therefore hold no memory between slices —
-//! the spool is the only per-job state — which is what makes a crash
+//! from its checkpoint* (or from the spec, first time) onto the board's
+//! machine, run one slice of `slice_steps` steps, write the next
+//! checkpoint atomically, and put the job back. A board keeps its
+//! machine between slices — [`MdmForceField::forget_job`] drops the last
+//! job's state, and a new machine is built only for a job in another box
+//! or after a failed slice — but jobs hold no memory between slices:
+//! the spool is the only per-job state, which is what makes a crash
 //! indistinguishable from a scheduling gap: either way the job's next
 //! slice starts from its last durable checkpoint, and because
 //! checkpoint restores are bit-exact the observable stream continues
@@ -18,8 +21,8 @@
 //! per-slice counters (the j-store upload meter the pool arbitrates
 //! on) attribute to exactly one job. The *stepping* section of a slice
 //! is still serialised across workers — one step's rayon regions
-//! already fill the host's cores — while checkpoint IO, force-field
-//! assembly, and client streaming overlap stepping.
+//! already fill the host's cores — while checkpoint IO, loading the job
+//! onto the machine, and client streaming overlap stepping.
 //!
 //! ## Spool layout
 //!
@@ -614,6 +617,10 @@ fn watch(inner: &Arc<Inner>, mut writer: TcpStream, job: &str) -> io::Result<()>
 }
 
 fn worker_loop(inner: Arc<Inner>) {
+    // This board's machine: loaded with each slice's job, kept between
+    // slices, rebuilt when a job needs other parameters or a slice
+    // failed on it.
+    let mut board = None;
     loop {
         let entry = {
             let mut st = inner.lock();
@@ -639,7 +646,7 @@ fn worker_loop(inner: Arc<Inner>) {
             }
         }
         let started = Instant::now();
-        let outcome = run_slice(&inner, &job);
+        let outcome = run_slice(&inner, &job, &mut board);
         let ms = started.elapsed().as_millis() as u64;
         let ema = inner.slice_ms.load(Ordering::Relaxed);
         inner
@@ -718,9 +725,26 @@ fn cpu_lease() -> MutexGuard<'static, ()> {
     HOST_CORES.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// One scheduling slice: materialise from the spool, step under the
-/// CPU lease, checkpoint, free.
-fn run_slice(inner: &Arc<Inner>, job: &str) -> Result<SliceOutcome, String> {
+/// The board's machine loaded for a job in a box of side `l`: the one
+/// the board holds when its parameters are the job's, else a new one.
+fn load_machine(inner: &Inner, board: &mut Option<MdmForceField>, l: f64) -> MdmForceField {
+    match board.take() {
+        Some(mut ff) if *ff.params() == MdmForceField::nacl_default_params(l) => {
+            ff.forget_job();
+            ff
+        }
+        _ => MdmForceField::nacl_default_with_tables(l, inner.tables.clone()),
+    }
+}
+
+/// One scheduling slice: materialise from the spool onto the board's
+/// machine, step under the CPU lease, checkpoint, hand the machine back
+/// to the board. A slice that fails leaves the board empty.
+fn run_slice(
+    inner: &Arc<Inner>,
+    job: &str,
+    board: &mut Option<MdmForceField>,
+) -> Result<SliceOutcome, String> {
     let (spec, bus) = {
         let st = inner.lock();
         let slot = st.jobs.get(job).ok_or("job vanished from the registry")?;
@@ -736,7 +760,7 @@ fn run_slice(inner: &Arc<Inner>, job: &str) -> Result<SliceOutcome, String> {
     let mut lease = None;
     let mut sim = if ckpt_path.exists() {
         let cp = Checkpoint::load(&ckpt_path).map_err(|e| format!("checkpoint load: {e}"))?;
-        let mut ff = MdmForceField::nacl_default_with_tables(cp.l, inner.tables.clone());
+        let mut ff = load_machine(inner, board, cp.l);
         ff.set_potential_interval(spec.potential_interval);
         if let Some(carry) = PotentialCarry::from_extras(&cp.extras) {
             ff.restore_potential_carry(carry);
@@ -745,8 +769,7 @@ fn run_slice(inner: &Arc<Inner>, job: &str) -> Result<SliceOutcome, String> {
     } else {
         let mut system = rocksalt_nacl(spec.cells as usize, NACL_LATTICE_A);
         maxwell_boltzmann(&mut system, spec.temperature, spec.seed);
-        let mut ff =
-            MdmForceField::nacl_default_with_tables(system.simbox().l(), inner.tables.clone());
+        let mut ff = load_machine(inner, board, system.simbox().l());
         ff.set_potential_interval(spec.potential_interval);
         lease = Some(cpu_lease());
         Simulation::new(system, ff, spec.dt)
@@ -757,8 +780,10 @@ fn run_slice(inner: &Arc<Inner>, job: &str) -> Result<SliceOutcome, String> {
 
     let remaining = spec.steps.saturating_sub(sim.step_count());
     if remaining == 0 {
+        let step = sim.step_count();
+        *board = Some(sim.into_force_field());
         return Ok(SliceOutcome {
-            step: sim.step_count(),
+            step,
             done: true,
             violations: 0,
             upload_bytes: 0,
@@ -812,9 +837,11 @@ fn run_slice(inner: &Arc<Inner>, job: &str) -> Result<SliceOutcome, String> {
     cp.write(&ckpt_path)
         .map_err(|e| format!("checkpoint write: {e}"))?;
 
+    let step = sim.step_count();
+    *board = Some(sim.into_force_field());
     Ok(SliceOutcome {
-        step: sim.step_count(),
-        done: sim.step_count() >= spec.steps,
+        step,
+        done: step >= spec.steps,
         violations: run.violations,
         upload_bytes,
         wall_seconds: run.wall_seconds,
