@@ -308,12 +308,20 @@ impl Members {
                 forces.len()
             ));
         }
+        // `SimBox::cubic` would panic on it, wherever the checkpoint is
+        // resumed: refuse it here, where a bad file is an error.
+        let l = want_bits(&v, "l")?;
+        if !(l.is_finite() && l > 0.0) {
+            return Err(format!(
+                "checkpoint box edge \"l\" is {l}, not a positive finite length"
+            ));
+        }
         Ok(Checkpoint {
             job: v.req_str("job")?.to_string(),
             step: v.req_u64("step")?,
             dt: want_bits(&v, "dt")?,
             seed: v.req_u64("seed")?,
-            l: want_bits(&v, "l")?,
+            l,
             species,
             types,
             positions,
@@ -585,6 +593,24 @@ mod tests {
         let line = Checkpoint::capture(&sim, "trunc", 1).to_line();
         let err = Checkpoint::parse(&line[..line.len() / 2]).unwrap_err();
         assert!(err.contains("not valid JSON"), "{err}");
+    }
+
+    #[test]
+    fn a_box_edge_that_is_no_length_is_an_error_not_a_panic() {
+        let sim = running_sim(1);
+        let cp = Checkpoint::capture(&sim, "edge", 1);
+        let line = cp.to_line();
+        let good = format!("\"l\":\"{}\"", cp.l.to_bits());
+        assert!(line.contains(&good), "{line}");
+        let bad_edges = [0.0, -0.0, -cp.l, f64::INFINITY, f64::NAN, f64::NEG_INFINITY]
+            .map(|l| format!("\"l\":\"{}\"", l.to_bits()));
+        for bad in bad_edges.iter().map(String::as_str).chain(["\"l\":0"]) {
+            let err = Checkpoint::parse(&line.replace(&good, bad)).unwrap_err();
+            assert!(err.contains("box edge"), "{bad}: {err}");
+        }
+        let smallest = f64::from_bits(1);
+        let tiny = line.replace(&good, &format!("\"l\":\"{}\"", smallest.to_bits()));
+        assert_eq!(Checkpoint::parse(&tiny).unwrap().l, smallest);
     }
 
     #[test]

@@ -155,7 +155,8 @@ impl ShortRangePotential for TosiFumi {
     }
 
     fn force_over_r(&self, ti: usize, tj: usize, r: f64) -> f64 {
-        debug_assert!(r > 0.0);
+        // A NaN separation (a diverged run) passes through as NaN.
+        debug_assert!(r > 0.0 || r.is_nan());
         // −φ'(r)/r with φ' = −B/ρ·e^(−r/ρ) + 6c/r⁷ + 8d/r⁹.
         let rep = self.bm_prefactor[ti][tj] * (-r / self.params.rho).exp() / (self.params.rho * r);
         let r2 = r * r;

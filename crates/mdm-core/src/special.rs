@@ -29,7 +29,9 @@
 //! MDGRAPE-2's function tables and WINE-2's sine ROM use. The expansions
 //! therefore remain the generator, the large-`x` regime and, in the
 //! tests, the oracle. `erf` keeps its series below 1, where `1 − erfc`
-//! would cancel.
+//! would cancel. The fitter is generic ([`ChebyshevFitter`], evaluated
+//! by [`eval_piece`]): the host's real-space virial fits its pair terms
+//! with it too, from `real_kernel` and the short-range force.
 //!
 //! Against a 40-digit reference the relative error of `erfc` is below
 //! 3·10⁻¹⁵ up to `x = 3.5` (the paper's operating point is
@@ -119,16 +121,10 @@ pub(crate) fn erfcx(x: f64) -> f64 {
     if x < X_HI {
         let k = (x * (1.0 / PIECE_WIDTH) + 0.5) as usize;
         let t = (x - k as f64 * PIECE_WIDTH) * (2.0 / PIECE_WIDTH);
-        let c = &pieces()[k];
-        // Even and odd powers as two Horner chains in t²: half the
-        // dependent multiply-adds of one chain in t.
-        let t_sq = t * t;
-        let (mut even, mut odd) = (c[TERMS - 2], c[TERMS - 1]);
-        for j in (0..TERMS / 2 - 1).rev() {
-            even = even * t_sq + c[2 * j];
-            odd = odd * t_sq + c[2 * j + 1];
-        }
-        even + t * odd
+        eval_piece(&pieces()[k], t)
+    } else if x.is_nan() {
+        // Not the fraction: it would run all its terms on a NaN.
+        x
     } else {
         erfcx_fraction(x)
     }
@@ -160,17 +156,52 @@ fn pieces() -> &'static [[f64; TERMS]; PIECES] {
     FITTED.get_or_init(fit_pieces)
 }
 
-/// Interpolate [`erfcx_expansion`] at the `TERMS` Chebyshev nodes of
-/// every piece and re-expand each interpolant in powers of `t`.
+/// Interpolate [`erfcx_expansion`] on every piece (the constant term
+/// from the generator makes `erfcx(0) = erfc(0) = 1` exact).
 fn fit_pieces() -> [[f64; TERMS]; PIECES] {
-    // cos(j·θᵢ) at the nodes θᵢ = (2i + 1)·π/2n; row 1 is the nodes tᵢ.
-    let cos_j_theta: [[f64; TERMS]; TERMS] =
-        std::array::from_fn(|j| std::array::from_fn(|i| cos_half_turns(j * (2 * i + 1))));
+    let fitter = ChebyshevFitter::<TERMS>::new();
     std::array::from_fn(|k| {
-        let centre = k as f64 * PIECE_WIDTH;
-        let samples = cos_j_theta[1].map(|t| erfcx_expansion(centre + 0.5 * PIECE_WIDTH * t));
+        fitter.piece(k as f64 * PIECE_WIDTH, 0.5 * PIECE_WIDTH, erfcx_expansion)
+    })
+}
+
+/// The piece fitter behind [`erfc`]'s table, for any smooth function:
+/// interpolate it at the `TERMS` Chebyshev nodes of a piece and
+/// re-expand the interpolant in powers of the piece's own variable
+/// `t = (x − centre)/half_width ∈ [−1, 1]`. The host virial's pair
+/// table (`mdm-host`) is fitted by it too. The cosines are tabulated
+/// once per fitter, so a table of many pieces pays for them once.
+pub struct ChebyshevFitter<const TERMS: usize> {
+    /// `cos(j·θᵢ)` at the nodes `θᵢ = (2i + 1)·π/2n`; row 1 is the
+    /// nodes `tᵢ`.
+    cos_j_theta: [[f64; TERMS]; TERMS],
+}
+
+impl<const TERMS: usize> Default for ChebyshevFitter<TERMS> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<const TERMS: usize> ChebyshevFitter<TERMS> {
+    /// Tabulate the cosines at the `TERMS` nodes.
+    pub fn new() -> Self {
+        Self {
+            cos_j_theta: std::array::from_fn(|j| {
+                std::array::from_fn(|i| cos_half_turns(j * (2 * i + 1), TERMS))
+            }),
+        }
+    }
+
+    /// The piece `[centre − half_width, centre + half_width]` of `f`:
+    /// `piece[j]` multiplies `tʲ` (evaluate it with [`eval_piece`]).
+    /// The interpolant misses `f` at `t = 0` by an ulp or two; the
+    /// constant term is `f(centre)` itself, which costs nothing and
+    /// makes the piece exact at its centre.
+    pub fn piece(&self, centre: f64, half_width: f64, f: impl Fn(f64) -> f64) -> [f64; TERMS] {
+        let samples = self.cos_j_theta[1].map(|t| f(centre + half_width * t));
         // Chebyshev coefficients: cⱼ = 2/n·Σᵢ f(tᵢ)·cos(jθᵢ), c₀ halved.
-        let mut cheb = cos_j_theta.map(|row| {
+        let mut cheb = self.cos_j_theta.map(|row| {
             let sum: f64 = samples.iter().zip(row).map(|(f, cos)| f * cos).sum();
             sum * 2.0 / TERMS as f64
         });
@@ -190,20 +221,31 @@ fn fit_pieces() -> [[f64; TERMS]; PIECES] {
             }
             (t_prev, t_cur) = (t_cur, t_next);
         }
-        // The interpolant misses the generator at t = 0 by an ulp or
-        // two; taking the generator's value there costs nothing and
-        // makes erfcx(0) = erfc(0) = 1 exact.
-        powers[0] = erfcx_expansion(centre);
+        powers[0] = f(centre);
         powers
-    })
+    }
 }
 
-/// `cos(m·π/(2·TERMS))`, the angle folded into the first quadrant so
+/// A piece from [`ChebyshevFitter::piece`] at `t ∈ [−1, 1]`: even and
+/// odd powers as two Horner chains in `t²`, half the dependent
+/// multiply-adds of one chain in `t`. `TERMS` must be even.
+#[inline]
+pub fn eval_piece<const TERMS: usize>(c: &[f64; TERMS], t: f64) -> f64 {
+    const { assert!(TERMS >= 2 && TERMS.is_multiple_of(2)) };
+    let t_sq = t * t;
+    let (mut even, mut odd) = (c[TERMS - 2], c[TERMS - 1]);
+    for j in (0..TERMS / 2 - 1).rev() {
+        even = even * t_sq + c[2 * j];
+        odd = odd * t_sq + c[2 * j + 1];
+    }
+    even + t * odd
+}
+
+/// `cos(m·π/(2·quarter))`, the angle folded into the first quadrant so
 /// that its rounding stays below an ulp however large `m` is (the
 /// argument of a plain `cos(j·θ)` is off by up to `j·θ·2⁻⁵³`, which a
 /// twelve-term sum turns into 10⁻¹⁵ at a piece's ends).
-fn cos_half_turns(m: usize) -> f64 {
-    let quarter = TERMS; // m = TERMS is a quarter turn
+fn cos_half_turns(m: usize, quarter: usize) -> f64 {
     let m = m % (4 * quarter);
     let m = if m > 2 * quarter { 4 * quarter - m } else { m };
     let first_quadrant = |m: usize| (PI * m as f64 / (2 * quarter) as f64).cos();

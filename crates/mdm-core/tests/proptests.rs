@@ -204,7 +204,8 @@ proptest! {
             step,
             dt: scalars[0],
             seed,
-            l: scalars[1],
+            // A box edge is a length: positive (`parse` refuses the rest).
+            l: scalars[1].abs(),
             species: vec![
                 Species { name: "Na+".into(), mass: scalars[2], charge: scalars[3] },
                 Species { name: "Cl-".into(), mass: scalars[4], charge: scalars[5] },
@@ -220,6 +221,11 @@ proptest! {
             observables: obs,
             extras,
         };
+        // A box edge that is no length is refused, not decoded.
+        if cp.l == 0.0 {
+            prop_assert!(Checkpoint::parse(&cp.to_line()).is_err());
+            return;
+        }
         let back = Checkpoint::parse(&cp.to_line()).expect("round-trip");
         prop_assert_eq!(&back, &cp);
         for (a, b) in [(cp.dt, back.dt), (cp.l, back.l), (cp.potential, back.potential), (cp.virial, back.virial)] {
@@ -308,6 +314,12 @@ proptest! {
         prop_assert_eq!(&line, &checkpoint_oracle::to_line(&cp));
         // NaN is not equal to itself: compare what the decoders read by
         // its encoding, which spells every bit.
+        // Both refuse a box edge that is no length.
+        if !(cp.l.is_finite() && cp.l > 0.0) {
+            prop_assert!(Checkpoint::parse(&line).is_err());
+            prop_assert!(checkpoint_oracle::parse(&line).is_err());
+            return;
+        }
         let streamed = Checkpoint::parse(&line).expect("streamed decode");
         let oracle = checkpoint_oracle::parse(&line).expect("oracle decode");
         prop_assert_eq!(streamed.to_line(), line.clone());

@@ -159,12 +159,16 @@ pub fn from_value(v: &Value) -> Result<Checkpoint, String> {
     if positions.len() != n || velocities.len() != n || forces.len() != n {
         return Err("checkpoint arrays disagree on particle count".into());
     }
+    let l = want_bits(v, "l")?;
+    if !(l.is_finite() && l > 0.0) {
+        return Err(format!("checkpoint box edge \"l\" is {l}"));
+    }
     Ok(Checkpoint {
         job: v.req_str("job")?.to_string(),
         step: v.req_u64("step")?,
         dt: want_bits(v, "dt")?,
         seed: v.req_u64("seed")?,
-        l: want_bits(v, "l")?,
+        l,
         species,
         types,
         positions,

@@ -24,6 +24,7 @@
 //!    the last known potential is carried (exactly the staleness the
 //!    real runs had).
 
+use crate::virial::PairTerms;
 use mdgrape2::chip::AtomCoefficients;
 use mdgrape2::jstore::JStore;
 use mdgrape2::pipeline::PipelineMode;
@@ -310,6 +311,9 @@ pub struct MdmForceField {
     /// The j-store carried across steps and refreshed in place (see
     /// [`JStore::refresh`]); `None` until the first step.
     jstore: Option<JStore>,
+    /// The real-space virial's fitted pair terms, kept across jobs while
+    /// `(κ, r_cut, species charges)` stay the same.
+    virial_terms: Option<PairTerms>,
     /// When false, rebuild the j-store from scratch every step instead
     /// of refreshing — the pre-reuse behaviour, kept as an ablation knob
     /// and for the incremental-vs-scratch equivalence tests.
@@ -368,6 +372,7 @@ impl MdmForceField {
             last_counters: StepCounters::default(),
             coulomb_pass_ops: 0,
             jstore: None,
+            virial_terms: None,
             jstore_reuse: true,
         }
     }
@@ -399,8 +404,10 @@ impl MdmForceField {
     /// previous job's potential carry, cadence, counters and j-store.
     /// What stays is what a fresh machine would rebuild the same — the
     /// function tables, both emulators with their row plan, tile plan
-    /// and scratch, and the wave table — so the next job computes every
-    /// bit, counter included, as it would on a new machine.
+    /// and scratch, the wave table and the virial's fitted pair terms
+    /// (refitted if the next job's κ, `r_cut` or species charges differ)
+    /// — so the next job computes every bit, counter included, as it
+    /// would on a new machine.
     pub fn forget_job(&mut self) {
         self.potential_interval = 1;
         self.steps_since_potential = 0;
@@ -497,54 +504,30 @@ impl MdmForceField {
     }
 
     /// Host-side real-space virial `Σ f⃗·d⃗` over the unordered pairs of
-    /// the hardware's block-pair set, in f64. The MDGRAPE-2 pipelines
-    /// accumulate forces only, so the driver reduces the virial itself —
-    /// at the potential cadence, carried stale between energy passes
-    /// exactly like the potential.
-    ///
-    /// Summation order: cells run in parallel, each adding its
-    /// half-shell pairs in the cell list's fixed order into its own
-    /// partial; the partials are collected in cell order and added
-    /// serially. The value is therefore the same bit pattern for every
-    /// thread count. The j-store's cell list is the walk's grid, and
-    /// `JStore::build` has already refused fewer than 3 cells per side,
-    /// so the half shell never meets an aliased neighbour cell.
-    fn real_virial(&self, system: &System, jstore: &JStore, kappa: f64) -> f64 {
-        use mdm_core::potentials::ShortRangePotential;
+    /// the hardware's block-pair set within `r_cut`, in f64 (see
+    /// [`crate::virial`]). The MDGRAPE-2 pipelines accumulate forces
+    /// only, so the driver reduces the virial itself — at the potential
+    /// cadence, carried stale between energy passes exactly like the
+    /// potential. The pair terms come from the machine's fitted table,
+    /// fitted here on the first energy evaluation and again only when
+    /// `(κ, r_cut, species charges)` change. The j-store's cell list is
+    /// the walk's grid, and `JStore::build` has already refused fewer
+    /// than 3 cells per side, so the half shell never meets an aliased
+    /// neighbour cell.
+    fn real_virial(&mut self, system: &System, jstore: &JStore, kappa: f64) -> f64 {
         let _host = mdm_profile::span(mdm_profile::phase::HOST);
         let _virial = mdm_profile::span("virial");
-        let r_cut_sq = self.params.r_cut * self.params.r_cut;
-        let cells = jstore.cells();
-        let short = &self.short;
-        let positions = system.positions();
-        let charges = system.charges();
-        let types = system.types();
-        let per_cell: Vec<f64> = (0..cells.n_cells())
-            .into_par_iter()
-            .map(|c| {
-                let mut virial = 0.0;
-                cells.for_each_block_pair_n3l_in_cell(c, positions, |i, j, _d, r_sq| {
-                    // The boards evaluate every block pair (no cutoff),
-                    // but the pressure observable is defined against the
-                    // truncated interaction — the same r_cut the f64
-                    // reference applies. The dispersion virial tail
-                    // beyond r_cut is ~6x its energy tail, so keeping it
-                    // here would put the reported pressure >1% away from
-                    // the reference's.
-                    if r_sq > r_cut_sq {
-                        return;
-                    }
-                    let r = r_sq.sqrt();
-                    let (_e, f_over_r) = mdm_core::ewald::real::real_kernel(kappa, r_sq);
-                    let qq = COULOMB_EV_A * charges[i] * charges[j];
-                    let fs = short.force_over_r(types[i] as usize, types[j] as usize, r);
-                    // f⃗ = d⃗·(qq·f_over_r + fs), so f⃗·d⃗ = (qq·f_over_r + fs)·r².
-                    virial += (qq * f_over_r + fs) * r_sq;
-                });
-                virial
-            })
-            .collect();
-        per_cell.iter().sum()
+        let r_cut = self.params.r_cut;
+        let terms = match self.virial_terms.take() {
+            Some(terms) if terms.fits(kappa, r_cut, system.species()) => terms,
+            _ => {
+                let _fit = mdm_profile::span("fit");
+                PairTerms::fit(kappa, r_cut, system.species(), &self.short)
+            }
+        };
+        let virial = crate::virial::real_virial(jstore.cells(), system, &terms);
+        self.virial_terms = Some(terms);
+        virial
     }
 
     /// Real-space pair interactions of the last Coulomb force pass —
@@ -967,6 +950,8 @@ mod tests {
         virial
     }
 
+    /// `real_virial` with the pair terms `ff` fits on its first energy
+    /// evaluation.
     fn half_shell_virial(ff: &MdmForceField, system: &System) -> f64 {
         let jstore = JStore::build(
             system.simbox(),
@@ -974,7 +959,9 @@ mod tests {
             system.types(),
             ff.params.r_cut,
         );
-        ff.real_virial(system, &jstore, ff.params.kappa(system.simbox().l()))
+        let kappa = ff.params.kappa(system.simbox().l());
+        let terms = PairTerms::fit(kappa, ff.params.r_cut, system.species(), &ff.short);
+        crate::virial::real_virial(jstore.cells(), system, &terms)
     }
 
     /// A hot N = 8·cells³ melt a few steps off the lattice.
@@ -1238,6 +1225,21 @@ mod tests {
         let f1 = hw2.compute(&s);
         let f2 = hw2.compute(&s2);
         assert_ne!(f1.short_range, f2.short_range);
+    }
+
+    #[test]
+    fn a_diverged_machine_reports_a_nan_virial() {
+        // dt = 1e300 fs flings every particle out of any finite range in
+        // one step: whatever the walk makes of the positions, the
+        // pressure must say so, not read as a finite number.
+        use mdm_core::integrate::Simulation;
+        let mut s = rocksalt_nacl(2, NACL_LATTICE_A);
+        mdm_core::velocities::maxwell_boltzmann(&mut s, 1200.0, 5);
+        let ff = MdmForceField::nacl_default(s.simbox().l()).unwrap();
+        let mut sim = Simulation::new(s, ff, 1e300);
+        sim.step();
+        let virial = sim.current_forces().virial;
+        assert!(virial.is_nan(), "virial {virial}");
     }
 
     #[test]

@@ -32,6 +32,7 @@ pub mod parallel;
 pub mod perfmodel;
 pub mod telemetry;
 pub mod topology;
+mod virial;
 
 pub use driver::{longrange_by_name, MdmForceField, Wine2Backend, LONGRANGE_BACKENDS};
 pub use machines::MachineModel;

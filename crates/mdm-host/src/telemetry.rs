@@ -504,7 +504,7 @@ pub fn run_instrumented<F: ForceField, W: Write>(
         }
         recorder.record(&event)?;
         if let Some(bus) = inst.bus {
-            bus.publish_step(&event);
+            bus.publish_step(event);
         }
 
         merged.merge(&profile);
@@ -1239,7 +1239,7 @@ mod tests {
         let sub = bus.subscribe(4);
         let manifest = RunManifest::default();
         for step in 0..100u64 {
-            bus.publish_step(&StepEvent::from_profile(
+            bus.publish_step(StepEvent::from_profile(
                 step,
                 1e-3,
                 &mdm_profile::Profile::default(),
@@ -1283,7 +1283,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
         for step in 1..=5u64 {
-            bus.publish_step(&StepEvent::from_profile(
+            bus.publish_step(StepEvent::from_profile(
                 step,
                 1e-3,
                 &mdm_profile::Profile::default(),

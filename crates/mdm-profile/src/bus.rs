@@ -172,9 +172,11 @@ impl Bus {
         self.publish(BusEvent::Manifest(Arc::new(manifest.clone())));
     }
 
-    /// Publish one step event (convenience wrapper).
-    pub fn publish_step(&self, event: &StepEvent) {
-        self.publish(BusEvent::Step(Arc::new(event.clone())));
+    /// Publish one step event (convenience wrapper). It takes the event
+    /// by value: the `Arc` every subscriber shares is made from it, with
+    /// no copy.
+    pub fn publish_step(&self, event: StepEvent) {
+        self.publish(BusEvent::Step(Arc::new(event)));
     }
 
     /// Mark the run finished: subscribers drain their queues and then
@@ -325,7 +327,7 @@ mod tests {
         let bus = Bus::new();
         let sub = bus.subscribe(128);
         for n in 0..100 {
-            bus.publish_step(&step(n));
+            bus.publish_step(step(n));
         }
         bus.close();
         let mut seen = Vec::new();
@@ -343,7 +345,7 @@ mod tests {
         let bus = Bus::new();
         let sub = bus.subscribe(4);
         for n in 0..100 {
-            bus.publish_step(&step(n));
+            bus.publish_step(step(n));
         }
         bus.close();
         let mut seen = Vec::new();
@@ -363,7 +365,7 @@ mod tests {
         let _stalled = bus.subscribe(2);
         let start = std::time::Instant::now();
         for n in 0..10_000 {
-            bus.publish_step(&step(n));
+            bus.publish_step(step(n));
         }
         // Generous bound: 10k publishes are queue ops, not waits. The
         // real assertion is that we got here at all (no deadlock) —
@@ -382,7 +384,7 @@ mod tests {
         let sub = bus.subscribe(8);
         assert_eq!(bus.subscriber_count(), 1);
         drop(sub);
-        bus.publish_step(&step(0)); // prunes the dead weak
+        bus.publish_step(step(0)); // prunes the dead weak
         assert_eq!(bus.subscriber_count(), 0);
         // Evictions in a dead queue are not counted (nobody lost data).
         assert_eq!(bus.dropped_events(), 0);
@@ -399,7 +401,7 @@ mod tests {
                 let bus = bus.clone();
                 scope.spawn(move || {
                     for n in 0..EVENTS {
-                        bus.publish_step(&step(n));
+                        bus.publish_step(step(n));
                     }
                     bus.close();
                 })
@@ -441,7 +443,7 @@ mod tests {
         assert!(sub.recv_timeout(Duration::from_millis(20)).is_none());
         assert!(start.elapsed() >= Duration::from_millis(20));
         assert!(!sub.is_closed());
-        bus.publish_step(&step(1));
+        bus.publish_step(step(1));
         assert_eq!(step_no(&sub.recv_timeout(Duration::from_secs(5)).unwrap()), 1);
     }
 
@@ -453,7 +455,7 @@ mod tests {
             label: "first".into(),
             ..RunManifest::default()
         });
-        bus.publish_step(&step(1));
+        bus.publish_step(step(1));
         bus.publish_manifest(&RunManifest {
             label: "second".into(),
             ..RunManifest::default()

@@ -253,6 +253,71 @@ fn a_board_carries_nothing_from_job_to_job() {
     let _ = std::fs::remove_dir_all(&spool);
 }
 
+/// A checkpoint whose box edge is no length fails its own job at load,
+/// on a typed error: the board survives it, so the next job on a
+/// one-board daemon still runs.
+#[test]
+fn a_checkpoint_with_a_bad_box_edge_fails_its_job_not_its_board() {
+    let spool = temp_spool("edge");
+    let mut cfg = ServerConfig::new(&spool);
+    cfg.slice_steps = 2;
+    let job = |name: &str, steps: u64| JobSpec {
+        name: name.into(),
+        cells: 2,
+        steps,
+        dt: 2.0,
+        temperature: 1200.0,
+        seed: 21,
+        ..JobSpec::default()
+    };
+
+    // Run the job long enough to leave a checkpoint, then stop the
+    // server: the running slice finishes and the job stays queued.
+    let server = Server::start(cfg.clone()).unwrap();
+    let mut client = Client::connect(&server.local_addr().to_string()).unwrap();
+    assert!(matches!(
+        client.submit(&job("edge-bad", 1_000_000)).unwrap(),
+        SubmitOutcome::Accepted { .. }
+    ));
+    let deadline = std::time::Instant::now() + Duration::from_secs(120);
+    while client.status("edge-bad").unwrap().step < 2 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "no checkpoint after 120 s"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    server.stop();
+
+    let ckpt = spool.join("edge-bad.ckpt");
+    let mut line = std::fs::read_to_string(&ckpt).unwrap();
+    let start = line
+        .find("\"l\":\"")
+        .expect("the checkpoint has a box edge");
+    let end = start + 5 + line[start + 5..].find('"').expect("a closed string") + 1;
+    line.replace_range(start..end, "\"l\":0");
+    std::fs::write(&ckpt, line).unwrap();
+
+    let server = Server::start(cfg).unwrap();
+    let mut client = Client::connect(&server.local_addr().to_string()).unwrap();
+    let report = client.wait("edge-bad", Duration::from_secs(120)).unwrap();
+    assert_eq!(report.state, JobState::Failed, "{:?}", report.detail);
+    let detail = report.detail.unwrap_or_default();
+    assert!(
+        detail.contains("checkpoint load") && detail.contains("box edge"),
+        "{detail}"
+    );
+    assert!(spool.join("edge-bad.failed").exists());
+    assert!(matches!(
+        client.submit(&job("edge-next", 4)).unwrap(),
+        SubmitOutcome::Accepted { .. }
+    ));
+    let report = client.wait("edge-next", Duration::from_secs(120)).unwrap();
+    assert_eq!(report.state, JobState::Done, "{:?}", report.detail);
+    server.stop();
+    let _ = std::fs::remove_dir_all(&spool);
+}
+
 #[test]
 fn full_queue_rejects_with_retry_after_and_drops_nothing_admitted() {
     let spool = temp_spool("backpressure");

@@ -93,7 +93,7 @@ fn two_clients_one_slow_fast_sees_everything_slow_drops_oldest() {
     for step in 1..=EVENTS {
         let event = fat_step(step);
         let t0 = Instant::now();
-        bus.publish_step(&event);
+        bus.publish_step(event);
         publish_time += t0.elapsed();
         std::thread::sleep(Duration::from_millis(10));
     }
