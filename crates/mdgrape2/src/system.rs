@@ -149,11 +149,6 @@ impl Mdgrape2System {
         self.mode = mode;
     }
 
-    /// The active real-space mode.
-    pub fn real_space_mode(&self) -> RealSpaceMode {
-        self.mode
-    }
-
     /// Reload the function table everywhere.
     pub fn load_table(&mut self, evaluator: &FunctionEvaluator) {
         for c in &mut self.clusters {

@@ -32,7 +32,7 @@
 //! `mdm_core::longrange::default_operating_point` — rather than
 //! inheriting the board's machine-balance α (see `build_sim`).
 
-use mdm_bench::stepprof::{append_to_ledger, build_sim};
+use mdm_bench::stepprof::build_sim;
 use mdm_core::accuracy::ForceErrorProbe;
 use mdm_core::forcefield::{EwaldTosiFumi, ForceField};
 use mdm_core::observables::PhysicsWatchdogs;
@@ -76,7 +76,7 @@ fn run_backend(
     every: u64,
     samples: usize,
 ) -> BackendRun {
-    let mut sim = build_sim(cells, false, backend);
+    let mut sim = build_sim(cells, backend);
     // Melt before measuring. The run starts from the perfect rocksalt
     // lattice, where total forces nearly cancel (the crystal is at
     // equilibrium) and the wavenumber forces vanish outright by
@@ -154,7 +154,6 @@ fn run_backend(
     )
     .expect("in-memory recorder");
     let row = run.reduce("accuracy_report", &label, n);
-    append_to_ledger(&row);
 
     println!("== {backend}: {describe} ==");
     println!(

@@ -14,8 +14,8 @@
 //!
 //! This is the explainer, not the gate: the committed baseline and the
 //! regression gate are the repo benchmark (`BENCHMARK.json`,
-//! `benchmark/`); each size profiled here appends one row to the run
-//! ledger that `mdm_report` trends.
+//! `benchmark/`); each size profiled here is reduced to one run row
+//! ([`RunRecord`]) that the table is printed from, and written nowhere.
 //!
 //! Options:
 //! * `--steps K` — steps averaged per size (default 2), after one
@@ -24,10 +24,6 @@
 //!   N = 512, 4,096, 32,768);
 //! * `--sizes N1,N2` — same ladder given as particle counts
 //!   (`512,4096,32768`; each must be a rocksalt count `8·c³`);
-//! * `--n3l` — run the real-space passes through the Newton's-third-law
-//!   software fast path instead of the hardware-faithful no-N3L
-//!   streaming pattern (see `RealSpaceMode`); forces agree to f64
-//!   rounding, not bitwise;
 //! * `--longrange B` — wavenumber backend for the profiled steps:
 //!   `wine2` (default, the emulated board), `ewald`, `pme`, or `pswf`.
 //!   Non-default backends append `-lr-B` to the report labels;
@@ -51,10 +47,9 @@
 //!   Spans land on per-rank tracks in `--trace` output;
 //! * `--critical-path` — analyze each size's span timeline and print
 //!   the chain of spans (by rank, linked through message flows) that
-//!   bounds the wall-clock; the bottleneck label is recorded in the
-//!   ledger row's `critical_path` column.
+//!   bounds the wall-clock and the rank/phase that bottlenecks it.
 
-use mdm_bench::stepprof::{append_to_ledger, cells_for_particles, profile_size, profile_world};
+use mdm_bench::stepprof::{cells_for_particles, profile_size, profile_world};
 use mdm_host::parallel::ParallelConfig;
 use mdm_host::telemetry::{serve, ServeOptions};
 use mdm_profile::bus::Bus;
@@ -223,7 +218,6 @@ fn with_timeline<R, F: FnOnce() -> R>(
 fn main() {
     let mut steps: u64 = 2;
     let mut cells: Vec<usize> = vec![4, 8, 16];
-    let mut n3l = false;
     let mut longrange = "wine2".to_string();
     let mut trace_path: Option<String> = None;
     let mut record_path: Option<String> = None;
@@ -262,7 +256,6 @@ fn main() {
                     })
                     .collect();
             }
-            "--n3l" => n3l = true,
             "--longrange" => {
                 longrange = args.next().expect("--longrange needs a backend name");
                 assert!(
@@ -294,7 +287,7 @@ fn main() {
             }
             "--critical-path" => want_critical_path = true,
             other => panic!(
-                "unknown option {other:?} (try --steps, --cells, --sizes, --n3l, --longrange, --trace, --record, --serve, --world, --critical-path)"
+                "unknown option {other:?} (try --steps, --cells, --sizes, --longrange, --trace, --record, --serve, --world, --critical-path)"
             ),
         }
     }
@@ -352,7 +345,7 @@ fn main() {
                         Some(file) => Box::new(file),
                         None => Box::new(std::io::sink()),
                     };
-                    profile_size(c, steps, n3l, &longrange, sink, bus.as_ref())
+                    profile_size(c, steps, &longrange, sink, bus.as_ref())
                         .expect("write flight recording")
                 }
             },
@@ -383,16 +376,13 @@ fn main() {
     println!("MDM emulated step: measured wall-clock vs modeled hardware time");
     println!("(Table 4 decomposition; the slowdown column is the emulation cost)");
     println!();
-    for ((mut row, profile, energy_step), analysis) in results {
+    for ((row, profile, energy_step), analysis) in results {
         print_report(&row, &profile, &energy_step);
-        if let Some(analysis) = &analysis {
+        if let Some(analysis) = analysis {
             for line in analysis.to_lines() {
                 println!("  {line}");
             }
             println!();
         }
-        // The bottleneck label (e.g. `rank1/real`) `mdm_report` trends.
-        row.critical_path = analysis.and_then(|a| a.bottleneck);
-        append_to_ledger(&row);
     }
 }

@@ -20,7 +20,6 @@ use mdm_profile::ledger::RunRecord;
 use mdm_profile::{phase, Profile};
 use std::collections::BTreeMap;
 use std::io::{self, Write};
-use std::path::PathBuf;
 use std::time::Instant;
 
 /// Molten-salt temperature for the velocity draw (NaCl melts at
@@ -60,15 +59,12 @@ pub fn cells_for_particles(n: u64) -> Option<usize> {
 
 /// Build the warm emulated-MDM simulation profiled by [`profile_size`]:
 /// `cells` rocksalt cells per side at the paper's density, molten-salt
-/// velocities, energy passes pushed out of the window.
-///
-/// `n3l = true` turns on the Newton's-third-law software fast path
-/// (each block pair evaluated once, action and reaction both applied),
-/// `false` keeps the hardware-faithful no-N3L streaming pattern.
+/// velocities, energy passes pushed out of the window, real-space
+/// passes in the hardware-faithful no-N3L streaming pattern.
 /// `longrange` names the wavenumber backend — `"wine2"` (the emulated
 /// board, the default everywhere), `"ewald"`, `"pme"`, `"pswf"` (see
 /// [`mdm_host::driver::LONGRANGE_BACKENDS`]).
-pub fn build_sim(cells: usize, n3l: bool, longrange: &str) -> Simulation<MdmForceField> {
+pub fn build_sim(cells: usize, longrange: &str) -> Simulation<MdmForceField> {
     let mut system = rocksalt_nacl_at_density(cells, PAPER_DENSITY);
     let n = system.len();
     let l = system.simbox().l();
@@ -85,7 +81,6 @@ pub fn build_sim(cells: usize, n3l: bool, longrange: &str) -> Simulation<MdmForc
     // them out of the profiled window entirely so every timed step is
     // the steady-state force-only step of Table 4.
     ff.set_potential_interval(u64::MAX);
-    ff.set_n3l_fast_path(n3l);
     if longrange != "wine2" {
         let backend = mdm_host::driver::longrange_by_name(longrange, &params, l, 2)
             .unwrap_or_else(|| {
@@ -121,7 +116,7 @@ fn modeled_phases(sim: &Simulation<MdmForceField>) -> BTreeMap<String, f64> {
 /// Run `steps` profiled MD steps at `cells` rocksalt cells per side and
 /// return the run's `profile_step` ledger row — measured phases, metered
 /// Gflops / Tflops, gauge means and the `modeled` column — with the
-/// merged profile it was reduced from (see [`build_sim`] for `n3l` and
+/// merged profile it was reduced from (see [`build_sim`] for
 /// `longrange`; non-default backends get `-lr-{name}` appended to the
 /// label so ledger rows stay distinguishable), and last the profile of
 /// the set-up: its initial force evaluation is the run's one energy
@@ -143,14 +138,13 @@ fn modeled_phases(sim: &Simulation<MdmForceField>) -> BTreeMap<String, f64> {
 pub fn profile_size<W: Write>(
     cells: usize,
     steps: u64,
-    n3l: bool,
     longrange: &str,
     sink: W,
     bus: Option<&Bus>,
 ) -> io::Result<(RunRecord, Profile, Profile)> {
     let (mut sim, energy_step) = {
         let _scope = mdm_profile::scope();
-        (build_sim(cells, n3l, longrange), mdm_profile::take())
+        (build_sim(cells, longrange), mdm_profile::take())
     };
     sim.run(1);
     let n = sim.system().len();
@@ -225,31 +219,6 @@ pub fn profile_world(cells: usize, steps: u64, config: ParallelConfig) -> (RunRe
     (run.reduce("profile_step", &label, n as u64), run.profile)
 }
 
-/// The run ledger every bench binary appends to: one row per
-/// invocation per size, at the repo root (`results/ledger.jsonl`).
-/// The `MDM_LEDGER` environment variable overrides the location (CI
-/// points it at the workspace; tests at a temp dir).
-pub fn default_ledger_path() -> PathBuf {
-    std::env::var("MDM_LEDGER")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| {
-            PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
-                .join("results/ledger.jsonl")
-        })
-}
-
-/// Append `row` to [`default_ledger_path`]. An io failure is reported,
-/// not fatal — the measurement the caller just printed matters more
-/// than the bookkeeping.
-pub fn append_to_ledger(row: &RunRecord) {
-    let path = default_ledger_path();
-    let (tool, label) = (&row.tool, &row.label);
-    match mdm_profile::ledger::append_record(&path, row) {
-        Ok(()) => eprintln!("ledger: appended {tool}:{label} to {}", path.display()),
-        Err(e) => eprintln!("ledger: SKIPPED {tool}:{label} ({}: {e})", path.display()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,7 +239,7 @@ mod tests {
         // One small recorded step: the row has the Table 4 phases and
         // the JSONL stream parses back with matching N.
         let mut jsonl = Vec::new();
-        let (row, _, _) = profile_size(3, 1, false, "wine2", &mut jsonl, None).unwrap();
+        let (row, _, _) = profile_size(3, 1, "wine2", &mut jsonl, None).unwrap();
         assert_eq!(row.n_particles, 8 * 27);
         for name in [phase::REAL, phase::WAVE, phase::COMM, phase::HOST] {
             assert!(row.phases.contains_key(name), "{name}");
@@ -292,9 +261,9 @@ mod tests {
     #[test]
     fn recorded_and_unrecorded_profiles_share_one_path() {
         let (plain, plain_profile, _) =
-            profile_size(3, 1, false, "wine2", io::sink(), None).unwrap();
+            profile_size(3, 1, "wine2", io::sink(), None).unwrap();
         let (recorded, recorded_profile, _) =
-            profile_size(3, 1, false, "wine2", Vec::new(), None).unwrap();
+            profile_size(3, 1, "wine2", Vec::new(), None).unwrap();
         let names = |r: &RunRecord| r.phases.keys().cloned().collect::<Vec<_>>();
         assert_eq!(names(&plain), names(&recorded));
         // Every count must agree exactly; only the wall-clock
@@ -315,7 +284,7 @@ mod tests {
     fn recorded_run_honours_the_longrange_backend() {
         let steps = 2;
         let mut jsonl = Vec::new();
-        let (row, _, _) = profile_size(3, steps, false, "pswf", &mut jsonl, None).unwrap();
+        let (row, _, _) = profile_size(3, steps, "pswf", &mut jsonl, None).unwrap();
         assert_eq!(row.label, "nacl-216-lr-pswf");
 
         let text = String::from_utf8(jsonl).unwrap();
@@ -330,7 +299,7 @@ mod tests {
     #[test]
     fn a_profiled_size_is_reduced_to_one_complete_row() {
         let (row, profile, energy_step) =
-            profile_size(3, 2, false, "wine2", io::sink(), None).unwrap();
+            profile_size(3, 2, "wine2", io::sink(), None).unwrap();
         // The one energy step is the set-up's; the window has none.
         assert!(energy_step.seconds("host.virial") > 0.0);
         assert!(!profile.spans.contains_key("host.virial"));
@@ -367,7 +336,7 @@ mod tests {
         // `profile_step --cells 4 --steps 2` has printed this modeled
         // t_step since the cycle counters were last touched (PR 19):
         // max(real 3.27e-4, wave 2.00e-5) + comm 6.89e-3 + host 4.27e-5.
-        let (row, _, _) = profile_size(4, 2, false, "wine2", io::sink(), None).unwrap();
+        let (row, _, _) = profile_size(4, 2, "wine2", io::sink(), None).unwrap();
         let m = &row.modeled;
         let t_step = m["real"].max(m["wave"]) + m["comm"] + m["host"];
         assert_eq!(row.modeled_step_seconds(), Some(t_step));

@@ -28,9 +28,7 @@ use crate::virial::PairTerms;
 use mdgrape2::chip::AtomCoefficients;
 use mdgrape2::jstore::JStore;
 use mdgrape2::pipeline::PipelineMode;
-use mdgrape2::system::{
-    MdgPassResult, Mdgrape2Config, Mdgrape2System, RealSpaceMode, TablePass,
-};
+use mdgrape2::system::{MdgPassResult, Mdgrape2Config, Mdgrape2System, TablePass};
 use mdgrape2::tables::GFunction;
 use mdgrape2::timing::MdgCounters;
 use mdm_core::boxsim::SimBox;
@@ -314,10 +312,6 @@ pub struct MdmForceField {
     /// The real-space virial's fitted pair terms, kept across jobs while
     /// `(κ, r_cut, species charges)` stay the same.
     virial_terms: Option<PairTerms>,
-    /// When false, rebuild the j-store from scratch every step instead
-    /// of refreshing — the pre-reuse behaviour, kept as an ablation knob
-    /// and for the incremental-vs-scratch equivalence tests.
-    jstore_reuse: bool,
 }
 
 impl MdmForceField {
@@ -373,7 +367,6 @@ impl MdmForceField {
             coulomb_pass_ops: 0,
             jstore: None,
             virial_terms: None,
-            jstore_reuse: true,
         }
     }
 
@@ -422,35 +415,6 @@ impl MdmForceField {
     pub fn set_potential_interval(&mut self, interval: u64) {
         assert!(interval >= 1);
         self.potential_interval = interval;
-    }
-
-    /// Toggle the Newton's-third-law software fast path (default off:
-    /// hardware-faithful, every ordered block pair evaluated). With it
-    /// on, pair evaluations halve and forces agree with the faithful
-    /// mode to f64 tolerance — not bitwise — so leave it off when
-    /// reproducing hardware numbers. See [`RealSpaceMode`].
-    pub fn set_n3l_fast_path(&mut self, on: bool) {
-        self.mdg.set_real_space_mode(if on {
-            RealSpaceMode::SoftwareN3l
-        } else {
-            RealSpaceMode::HardwareFaithful
-        });
-    }
-
-    /// Is the N3L fast path enabled?
-    pub fn n3l_fast_path(&self) -> bool {
-        self.mdg.real_space_mode() == RealSpaceMode::SoftwareN3l
-    }
-
-    /// Toggle j-store reuse across steps (default on). Off forces a
-    /// from-scratch [`JStore::build`] every step — bit-identical results
-    /// by the refresh contract, just slower; the equivalence tests run
-    /// both ways.
-    pub fn set_jstore_reuse(&mut self, on: bool) {
-        self.jstore_reuse = on;
-        if !on {
-            self.jstore = None;
-        }
     }
 
     /// The Ewald parameters.
@@ -656,21 +620,16 @@ impl ForceField for MdmForceField {
         self.coulomb_pass_ops = 0;
 
         // j-store shared by all MDGRAPE-2 passes this step: refreshed in
-        // place from the previous step when reuse is on (bit-identical
-        // to a from-scratch build — the JStore::refresh contract), built
-        // fresh otherwise.
+        // place from the previous step (bit-identical to a from-scratch
+        // build — the JStore::refresh contract), built on the first.
         let jstore = {
             let _host = mdm_profile::span(mdm_profile::phase::HOST);
             match self.jstore.take() {
-                Some(mut js) if self.jstore_reuse => {
+                Some(mut js) => {
                     js.refresh(simbox, system.positions(), system.types(), self.params.r_cut);
-                    mdm_profile::counter("jstore_refreshes", 1);
                     js
                 }
-                _ => {
-                    mdm_profile::counter("jstore_builds", 1);
-                    JStore::build(simbox, system.positions(), system.types(), self.params.r_cut)
-                }
+                None => JStore::build(simbox, system.positions(), system.types(), self.params.r_cut),
             }
         };
 
@@ -758,9 +717,7 @@ impl ForceField for MdmForceField {
         // needs this count separately from the all-pass total.
         mdm_profile::counter("mdg_coulomb_pair_ops", self.coulomb_pass_ops);
 
-        if self.jstore_reuse {
-            self.jstore = Some(jstore);
-        }
+        self.jstore = Some(jstore);
 
         let coulomb = e_real + wave.energy + e_self;
         ForceResult {

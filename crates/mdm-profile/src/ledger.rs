@@ -5,7 +5,7 @@
 //! accuracy can be compared **across** runs, commits, and machines.
 //! Each [`RunRecord`] carries the environment stamp ([`EnvStamp`]:
 //! git SHA, hostname, nproc, thread count) next to the measurement, so
-//! a regression in `results/ledger.jsonl` is attributable — "slower
+//! a regression between two ledger rows is attributable — "slower
 //! because the code changed" is distinguishable from "slower because
 //! CI moved to a different machine".
 //!
@@ -159,8 +159,9 @@ pub struct RunRecord {
     pub bus_dropped_events: u64,
     /// Label of the critical-path bottleneck segment
     /// (`rank1/real`-style, from [`crate::critical_path`]), when the
-    /// run analyzed one. Trending this catches the bounding phase
-    /// *moving* — a regression signature no scalar column shows.
+    /// writer analyzed one. No writer in this workspace sets it (the
+    /// serve daemon runs no timeline); it stays in the format so rows
+    /// that carry it still parse.
     pub critical_path: Option<String>,
     /// Phase name → modeled seconds per step on the real hardware,
     /// from the emulators' cycle counters. Written only when non-empty

@@ -31,7 +31,7 @@
 //! The run-telemetry layer builds on these primitives: [`events`] is
 //! the per-step JSONL flight recorder, [`bus`] its live fan-out,
 //! [`watchdog`] holds the generic threshold monitors, [`ledger`] is
-//! the append-only run history `mdm_report` trends (one
+//! the append-only run history the serve daemon writes (one
 //! [`ledger::RunRecord`] per run — the only run summary), and
 //! [`critical_path`] names the span chain that bounds a timeline; all
 //! of them encode and decode through the typed field readers of

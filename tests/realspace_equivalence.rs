@@ -1,15 +1,16 @@
 //! Equivalence guarantees of the real-space fast paths, pinned at the
 //! integration level: the batched SoA pipeline against the per-pair
-//! reference (bitwise), the Newton's-third-law software fast path
-//! against the hardware-faithful streaming pattern (f64 tolerance), and
-//! the incremental j-store refresh against a scratch rebuild every step
-//! (bitwise trajectories), each at both CI thread counts.
+//! reference (bitwise), the Newton's-third-law software mode of
+//! `Mdgrape2System` against the driver's hardware-faithful streaming
+//! pattern (f64 tolerance), and the driver's incremental j-store
+//! refresh against a scratch build every step (bitwise trajectories),
+//! each at both CI thread counts.
 
 use mdgrape2::board::{IBatch, IParticle, MdgBoard};
 use mdgrape2::chip::AtomCoefficients;
 use mdgrape2::jstore::JStore;
 use mdgrape2::pipeline::PipelineMode;
-use mdgrape2::system::{MdgPassResult, Mdgrape2Config, Mdgrape2System, TablePass};
+use mdgrape2::system::{MdgPassResult, Mdgrape2Config, Mdgrape2System, RealSpaceMode, TablePass};
 use mdgrape2::tables::GFunction;
 use mdgrape2::timing::MdgCounters;
 use mdm::core::boxsim::SimBox;
@@ -124,34 +125,33 @@ fn batched_block2_bitwise_matches_per_pair_including_out_of_range() {
     }
 }
 
-/// The Newton's-third-law fast path evaluates each pair's f32 kernel
-/// once and applies ±f⃗, while the hardware-faithful pattern evaluates
-/// both directions — whose f32 roundings differ (r⃗ seen from i vs from
-/// j through the periodic shift). Agreement is therefore at f32 pair
-/// precision accumulated in f64 (~10⁻⁷ relative per pair), not
-/// bitwise; the f64 accumulation itself adds nothing beyond that.
+/// The Newton's-third-law software mode evaluates each pair's f32
+/// kernel once and applies ±f⃗, while the hardware-faithful pattern
+/// evaluates both directions — whose f32 roundings differ (r⃗ seen from
+/// i vs from j through the periodic shift). Agreement is therefore at
+/// f32 pair precision accumulated in f64 (~10⁻⁷ relative per pair), not
+/// bitwise; the f64 accumulation itself adds nothing beyond that. The
+/// N3L side is the four-round reference with its `Mdgrape2System` set
+/// to `SoftwareN3l`; the faithful side is the driver itself.
 #[test]
 fn n3l_fast_path_forces_agree_to_pair_precision() {
     let system = molten_snapshot(3, 1500.0, 17);
     let l = system.simbox().l();
 
-    let eval = |n3l: bool, threads: usize| -> ForceResult {
-        with_num_threads(threads, || {
-            let mut ff = MdmForceField::nacl_default(l).unwrap();
-            ff.set_n3l_fast_path(n3l);
-            ff.compute(&system)
-        })
-    };
-
     for threads in [1usize, 4] {
-        let faithful = eval(false, threads);
-        let n3l = eval(true, threads);
+        let (faithful, n3l) = with_num_threads(threads, || {
+            let mut ff = MdmForceField::nacl_default(l).unwrap();
+            let mut reference = FourPassReference::new(*ff.params());
+            reference.mdg.set_real_space_mode(RealSpaceMode::SoftwareN3l);
+            (ff.compute(&system), reference.compute(&system))
+        });
         let scale = faithful
             .forces
             .iter()
             .map(|f| f.norm())
             .fold(0.0f64, f64::max);
         assert!(scale > 0.0, "degenerate snapshot: all forces vanish");
+        assert_ne!(faithful.forces, n3l.forces, "the N3L mode did not run");
         for (i, (a, b)) in faithful.forces.iter().zip(&n3l.forces).enumerate() {
             let rel = (*a - *b).norm() / scale;
             assert!(
@@ -164,28 +164,34 @@ fn n3l_fast_path_forces_agree_to_pair_precision() {
     }
 }
 
-/// Incremental j-store refresh vs scratch rebuild every step, over a
+/// Incremental j-store refresh vs a scratch build every step, over a
 /// 100-step NaCl trajectory: the refresh path must leave no trace in
 /// the physics — positions stay bitwise identical — at both CI thread
-/// counts. Hot enough that particles cross cell boundaries and the
-/// refresh takes its re-sort branch, not just the in-place one.
+/// counts. The scratch side calls `forget_job` before every step, which
+/// drops the kept j-store, so `compute` builds one from nothing. Hot
+/// enough that particles cross cell boundaries and the refresh takes
+/// its re-sort branch, not just the in-place one.
 #[test]
 fn incremental_jstore_trajectory_bitwise_matches_scratch_rebuild() {
-    let run = |reuse: bool, threads: usize| -> Vec<Vec3> {
+    let run = |scratch: bool, threads: usize| -> Vec<Vec3> {
         with_num_threads(threads, || {
             let mut system = rocksalt_nacl(2, NACL_LATTICE_A);
             maxwell_boltzmann(&mut system, 1800.0, 7);
-            let mut ff = MdmForceField::nacl_default(system.simbox().l()).unwrap();
-            ff.set_jstore_reuse(reuse);
+            let ff = MdmForceField::nacl_default(system.simbox().l()).unwrap();
             let mut sim = Simulation::new(system, ff, 2.0);
-            sim.run(100);
+            for _ in 0..100 {
+                if scratch {
+                    sim.force_field_mut().forget_job();
+                }
+                sim.step();
+            }
             sim.system().positions().to_vec()
         })
     };
 
-    let scratch = run(false, 1);
+    let scratch = run(true, 1);
     for threads in [1usize, 4] {
-        let incremental = run(true, threads);
+        let incremental = run(false, threads);
         assert_eq!(
             scratch, incremental,
             "incremental refresh changed the trajectory ({threads} threads)"
