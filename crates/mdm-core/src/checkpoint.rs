@@ -487,21 +487,70 @@ impl Checkpoint {
         members.decode()
     }
 
-    /// Write atomically (temp file + rename) so a crash mid-write
-    /// never leaves a truncated checkpoint where a good one stood.
+    /// Replace the checkpoint at `path`, never renaming over a file:
+    /// write `path.with_extension("tmp")` in full, remove `path`, then
+    /// rename the `.tmp` onto the now free name. At every instant either
+    /// `path` holds the newest complete checkpoint, or `path` is absent
+    /// and the `.tmp` holds it complete, so a process killed at any point
+    /// leaves one that [`Self::load_latest`] reads back. Nothing is
+    /// synced: the guarantee covers a killed process, not a power loss.
+    ///
+    /// A rename over an existing file is what this order avoids: ext4's
+    /// `auto_da_alloc` flushes a file that replaces another, 54–70 ms a
+    /// call on the ext4 disk of a 2-vCPU host where this whole write
+    /// costs 0.02–0.07 ms at N = 64–512 (`examples/checkpoint_write.rs`
+    /// prints both).
     pub fn write(&self, path: &Path) -> std::io::Result<()> {
         let tmp = path.with_extension("tmp");
         let mut line = self.encode(1);
         line.push(b'\n');
         std::fs::write(&tmp, line)?;
+        match std::fs::remove_file(path) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e),
+            _ => {}
+        }
         std::fs::rename(&tmp, path)
     }
 
-    /// Load from a file written by [`Self::write`].
+    /// Load from one file, as [`Self::write`] leaves it.
     pub fn load(path: &Path) -> Result<Self, String> {
         let text = std::fs::read_to_string(path)
             .map_err(|e| format!("read checkpoint {}: {e}", path.display()))?;
         Self::parse(text.trim_end())
+    }
+
+    /// The newest complete checkpoint [`Self::write`] left at `path`,
+    /// wherever a killed writer left it:
+    ///
+    /// * `path` if it exists — a bad `path` is an error;
+    /// * otherwise its `.tmp` if that parses: a finished write killed
+    ///   between its remove and its rename. The rename is finished here
+    ///   (onto the free name), so the next write's `.tmp` never
+    ///   overwrites the only copy;
+    /// * otherwise `None`: no `.tmp`, or a torn one, means no write ever
+    ///   finished, and the run starts from its first step.
+    pub fn load_latest(path: &Path) -> Result<Option<Self>, String> {
+        match std::fs::read_to_string(path) {
+            Ok(text) => return Self::parse(text.trim_end()).map(Some),
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+                return Err(format!("read checkpoint {}: {e}", path.display()))
+            }
+            Err(_) => {}
+        }
+        let tmp = path.with_extension("tmp");
+        let bytes = match std::fs::read(&tmp) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(format!("read checkpoint {}: {e}", tmp.display())),
+        };
+        // A write cut short may end inside a UTF-8 sequence: torn too.
+        let parsed = std::str::from_utf8(&bytes).map(|text| Self::parse(text.trim_end()));
+        let Ok(Ok(cp)) = parsed else {
+            return Ok(None);
+        };
+        std::fs::rename(&tmp, path)
+            .map_err(|e| format!("adopt checkpoint {}: {e}", tmp.display()))?;
+        Ok(Some(cp))
     }
 }
 
@@ -613,15 +662,106 @@ mod tests {
         assert_eq!(Checkpoint::parse(&tiny).unwrap().l, smallest);
     }
 
-    #[test]
-    fn write_and_load_round_trip() {
-        let sim = running_sim(2);
-        let cp = Checkpoint::capture(&sim, "disk", 9);
-        let dir = std::env::temp_dir().join(format!("mdm-ckpt-test-{}", std::process::id()));
+    /// A fresh directory holding nothing, and the two names a
+    /// checkpoint at `job.ckpt` lives under.
+    fn spool(tag: &str) -> (std::path::PathBuf, std::path::PathBuf, std::path::PathBuf) {
+        let dir = std::env::temp_dir().join(format!("mdm-ckpt-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("job.ckpt");
+        let tmp = dir.join("job.tmp");
+        (dir, path, tmp)
+    }
+
+    /// The bytes [`Checkpoint::write`] puts in a file.
+    fn file_bytes(cp: &Checkpoint) -> Vec<u8> {
+        let mut line = cp.to_line().into_bytes();
+        line.push(b'\n');
+        line
+    }
+
+    #[test]
+    fn write_and_load_round_trip() {
+        // The second write replaces a checkpoint, as every resumed
+        // slice's does.
+        let (dir, path, tmp) = spool("disk");
+        let older = Checkpoint::capture(&running_sim(1), "disk", 9);
+        let newer = Checkpoint::capture(&running_sim(2), "disk", 9);
+        older.write(&path).unwrap();
+        newer.write(&path).unwrap();
+        assert!(!tmp.exists(), "the write left its .tmp behind");
+        assert_eq!(std::fs::read(&path).unwrap(), file_bytes(&newer));
+        assert_eq!(Checkpoint::load(&path).unwrap(), newer);
+        assert_eq!(Checkpoint::load_latest(&path).unwrap(), Some(newer));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_complete_tmp_with_no_checkpoint_is_the_latest_and_is_adopted() {
+        // A writer killed between its remove and its rename.
+        let (dir, path, tmp) = spool("window");
+        let cp = Checkpoint::capture(&running_sim(2), "window", 5);
+        std::fs::write(&tmp, file_bytes(&cp)).unwrap();
+        assert_eq!(Checkpoint::load_latest(&path).unwrap(), Some(cp.clone()));
+        assert!(
+            !tmp.exists() && path.exists(),
+            "the rename was not finished"
+        );
+        assert_eq!(Checkpoint::load_latest(&path).unwrap(), Some(cp));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_torn_tmp_with_no_checkpoint_is_no_checkpoint() {
+        // A writer killed inside its first write: nothing finished.
+        let (dir, path, tmp) = spool("torn");
+        // A prefix may end inside a UTF-8 sequence: cut one in the name.
+        let bytes = file_bytes(&Checkpoint::capture(&running_sim(1), "torn-é", 5));
+        let name = bytes.windows(2).position(|w| w == "é".as_bytes()).unwrap();
+        for cut in [0, 1, name + 1, bytes.len() / 2, bytes.len() - 2] {
+            std::fs::write(&tmp, &bytes[..cut]).unwrap();
+            assert_eq!(
+                Checkpoint::load_latest(&path).unwrap(),
+                None,
+                "cut at {cut}"
+            );
+            assert!(!path.exists(), "cut at {cut}: a torn .tmp was adopted");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_good_checkpoint_beside_a_torn_tmp_is_the_latest() {
+        // A writer killed inside a later write.
+        let (dir, path, tmp) = spool("beside");
+        let cp = Checkpoint::capture(&running_sim(2), "beside", 5);
         cp.write(&path).unwrap();
+        let later = file_bytes(&Checkpoint::capture(&running_sim(3), "beside", 5));
+        std::fs::write(&tmp, &later[..later.len() / 3]).unwrap();
+        assert_eq!(Checkpoint::load_latest(&path).unwrap(), Some(cp.clone()));
+        // The next write replaces the torn .tmp and leaves none behind.
+        cp.write(&path).unwrap();
+        assert!(!tmp.exists());
         assert_eq!(Checkpoint::load(&path).unwrap(), cp);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn no_checkpoint_and_no_tmp_is_no_checkpoint() {
+        let (dir, path, _) = spool("none");
+        assert_eq!(Checkpoint::load_latest(&path).unwrap(), None);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_bad_checkpoint_is_an_error_even_beside_a_good_tmp() {
+        let (dir, path, tmp) = spool("bad");
+        let cp = Checkpoint::capture(&running_sim(1), "bad", 5);
+        let bytes = file_bytes(&cp);
+        std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
+        std::fs::write(&tmp, &bytes).unwrap();
+        let err = Checkpoint::load_latest(&path).unwrap_err();
+        assert!(err.contains("not valid JSON"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

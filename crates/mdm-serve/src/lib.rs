@@ -23,8 +23,9 @@
 //!
 //! Scheduling is slice-granular: a job runs `slice_steps` steps, a
 //! checkpoint (positions, velocities, cached forces, RNG seed, step
-//! counter, stale-potential carry) is written atomically, and the job
-//! goes back in the queue. Because [`mdm_core::checkpoint`] restores
+//! counter, stale-potential carry) is written so that a kill at any
+//! instant leaves one complete checkpoint, and the job goes back in the
+//! queue. Because [`mdm_core::checkpoint`] restores
 //! are bit-exact and the driver's potential cadence is carried across
 //! the boundary, a job resumed after a kill produces the same
 //! per-step observable stream, bit for bit, as an uninterrupted run.

@@ -7,10 +7,11 @@
 //! highest-priority job from the bounded [`JobQueue`], *materialise it
 //! from its checkpoint* (or from the spec, first time) onto the board's
 //! machine, run one slice of `slice_steps` steps, write the next
-//! checkpoint atomically, and put the job back. A board keeps its
-//! machine between slices — [`MdmForceField::forget_job`] drops the last
-//! job's state, and a new machine is built only for a job in another box
-//! or after a failed slice — but jobs hold no memory between slices:
+//! checkpoint (a kill at any instant leaves one complete), and put the
+//! job back. A board keeps its machine between slices —
+//! [`MdmForceField::forget_job`] drops the last job's state, and a new
+//! machine is built only for a job in another box or after a failed
+//! slice — but jobs hold no memory between slices:
 //! the spool is the only per-job state, which is what makes a crash
 //! indistinguishable from a scheduling gap: either way the job's next
 //! slice starts from its last durable checkpoint, and because
@@ -29,14 +30,17 @@
 //! | file | meaning |
 //! |---|---|
 //! | `<job>.job` | submitted spec (JSON line) — present while live |
-//! | `<job>.ckpt` | latest checkpoint (atomic rename on write) |
+//! | `<job>.ckpt` | latest checkpoint, replaced each slice by remove + rename of `<job>.tmp` |
+//! | `<job>.tmp` | the next checkpoint while it is written; the latest one if the daemon died between that remove and rename |
 //! | `<job>.trace.jsonl` | flight-recorder stream, appended per slice |
 //! | `<job>.done` | spec, moved here on completion |
 //! | `<job>.failed` | spec + error line, moved here on failure |
 //!
 //! A restarted server scans the spool: `.done`/`.failed` register as
-//! terminal, `.job` re-enters the queue (resuming from `.ckpt` when
-//! one exists).
+//! terminal, `.job` re-enters the queue, resuming from the checkpoint
+//! [`Checkpoint::load_latest`] finds (`.ckpt`, else a complete `.tmp`)
+//! or from step 0. Nothing is synced: a SIGKILL loses at most the slice
+//! that was running, a power loss may lose more.
 
 use crate::protocol::{error_line, JobReport, JobSpec, JobState, Request};
 use crate::queue::{Entry, JobQueue};
@@ -358,11 +362,10 @@ impl Inner {
 }
 
 fn checkpointed_step(inner: &Arc<Inner>, job: &str) -> u64 {
-    let path = inner.spool_file(job, "ckpt");
-    if !path.exists() {
-        return 0;
+    match Checkpoint::load_latest(&inner.spool_file(job, "ckpt")) {
+        Ok(Some(cp)) => cp.step,
+        _ => 0,
     }
-    Checkpoint::load(&path).map(|cp| cp.step).unwrap_or(0)
 }
 
 fn accept_loop(inner: Arc<Inner>, listener: TcpListener) {
@@ -758,8 +761,9 @@ fn run_slice(
     // job's first slice takes it here already — `Simulation::new` runs
     // the initial force and energy evaluation, a step's worth of work.
     let mut lease = None;
-    let mut sim = if ckpt_path.exists() {
-        let cp = Checkpoint::load(&ckpt_path).map_err(|e| format!("checkpoint load: {e}"))?;
+    let latest =
+        Checkpoint::load_latest(&ckpt_path).map_err(|e| format!("checkpoint load: {e}"))?;
+    let mut sim = if let Some(cp) = latest {
         let mut ff = load_machine(inner, board, cp.l);
         ff.set_potential_interval(spec.potential_interval);
         if let Some(carry) = PotentialCarry::from_extras(&cp.extras) {

@@ -318,6 +318,135 @@ fn a_checkpoint_with_a_bad_box_edge_fails_its_job_not_its_board() {
     let _ = std::fs::remove_dir_all(&spool);
 }
 
+/// Run a job on an in-process daemon until its first checkpoint, stop
+/// the daemon (the running slice finishes and checkpoints), let
+/// `mangle` rearrange `<job>.ckpt` and `<job>.tmp` into a state a
+/// killed writer can leave, and restart on the same spool. The job must
+/// finish, leave no `.tmp`, and hold the uninterrupted run's final
+/// checkpoint and per-step observables bit for bit. Returns the step
+/// the first daemon stopped at and the number of step events the trace
+/// holds, re-run steps included.
+fn resume_from_spool_state(tag: &str, mangle: impl FnOnce(&Path, &Path)) -> (u64, usize) {
+    let spool = temp_spool(tag);
+    let mut cfg = ServerConfig::new(&spool);
+    cfg.slice_steps = 2;
+    let spec = JobSpec {
+        name: tag.into(),
+        cells: 2,
+        steps: 40,
+        dt: 2.0,
+        temperature: 1200.0,
+        seed: 31,
+        potential_interval: 3,
+        ..JobSpec::default()
+    };
+    let server = Server::start(cfg.clone()).unwrap();
+    let mut client = Client::connect(&server.local_addr().to_string()).unwrap();
+    assert!(matches!(
+        client.submit(&spec).unwrap(),
+        SubmitOutcome::Accepted { .. }
+    ));
+    let deadline = std::time::Instant::now() + Duration::from_secs(120);
+    while client.status(tag).unwrap().step < 2 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "no checkpoint after 120 s"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    server.stop();
+    let ckpt = spool.join(format!("{tag}.ckpt"));
+    let tmp = spool.join(format!("{tag}.tmp"));
+    let stopped_at = mdm_core::checkpoint::Checkpoint::load(&ckpt)
+        .expect("the stopped daemon left a checkpoint")
+        .step;
+    assert!(stopped_at < spec.steps, "the job finished before the stop");
+    mangle(&ckpt, &tmp);
+
+    let server = Server::start(cfg).unwrap();
+    let mut client = Client::connect(&server.local_addr().to_string()).unwrap();
+    let report = client.wait(tag, Duration::from_secs(120)).unwrap();
+    assert_eq!(report.state, JobState::Done, "{:?}", report.detail);
+    assert_eq!(report.step, spec.steps);
+    server.stop();
+    assert!(!tmp.exists(), "a finished spool holds a .tmp");
+
+    // The final checkpoint is the uninterrupted run's.
+    let mut system = rocksalt_nacl(spec.cells as usize, NACL_LATTICE_A);
+    maxwell_boltzmann(&mut system, spec.temperature, spec.seed);
+    let mut ff = MdmForceField::nacl_default(system.simbox().l()).expect("tables");
+    ff.set_potential_interval(spec.potential_interval);
+    let mut sim = Simulation::new(system, ff, spec.dt);
+    sim.run(spec.steps as usize);
+    let mut want = mdm_core::checkpoint::Checkpoint::capture(&sim, tag, spec.seed);
+    if let Some(carry) = sim.force_field().potential_carry() {
+        carry.to_extras(&mut want.extras);
+    }
+    assert_eq!(
+        std::fs::read_to_string(&ckpt).unwrap(),
+        want.to_line() + "\n",
+        "final checkpoint differs from the uninterrupted run's"
+    );
+
+    let trace = std::fs::read_to_string(spool.join(format!("{tag}.trace.jsonl"))).unwrap();
+    let recorded = trace
+        .lines()
+        .filter(|l| l.contains("\"type\":\"step\""))
+        .count();
+    let events = step_events_deduped(&trace);
+    let reference = reference_records(&spec);
+    assert_eq!(events.len(), reference.len());
+    for (event, r) in events.iter().zip(&reference) {
+        assert_eq!(event.step, r.step);
+        for (key, want) in [
+            ("total_ev", r.total),
+            ("temperature_k", r.temperature),
+            ("potential_ev", r.potential),
+            ("kinetic_ev", r.kinetic),
+        ] {
+            let got = event.observables[key];
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "step {} {key}: resumed {got} != uninterrupted {want}",
+                r.step
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&spool);
+    (stopped_at, recorded)
+}
+
+/// A daemon killed between the checkpoint write's remove and its rename
+/// leaves only `<job>.tmp`: the restarted job resumes from it, re-running
+/// no step.
+#[test]
+fn a_checkpoint_left_only_as_tmp_resumes_its_job() {
+    let (_, recorded) = resume_from_spool_state("window", |ckpt, tmp| {
+        std::fs::rename(ckpt, tmp).unwrap();
+    });
+    assert_eq!(
+        recorded, 40,
+        "a step ran twice: the .tmp was not resumed from"
+    );
+}
+
+/// A daemon killed inside its first checkpoint write leaves a torn
+/// `<job>.tmp` and no `<job>.ckpt`: the restarted job starts from step 0.
+#[test]
+fn a_torn_tmp_and_no_checkpoint_restarts_its_job_from_step_0() {
+    let (stopped_at, recorded) = resume_from_spool_state("torn", |ckpt, tmp| {
+        let line = std::fs::read(ckpt).unwrap();
+        std::fs::write(tmp, &line[..line.len() / 2]).unwrap();
+        std::fs::remove_file(ckpt).unwrap();
+    });
+    assert_eq!(
+        recorded,
+        40 + stopped_at as usize,
+        "steps 1..={stopped_at} ran once, not twice"
+    );
+}
+
 #[test]
 fn full_queue_rejects_with_retry_after_and_drops_nothing_admitted() {
     let spool = temp_spool("backpressure");
