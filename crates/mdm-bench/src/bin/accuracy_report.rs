@@ -20,8 +20,16 @@
 //! cargo run --release -p mdm-bench --bin accuracy_report
 //! cargo run --release -p mdm-bench --bin accuracy_report -- \
 //!     --cells 3 --steps 4 --warmup 20 --every 2 --samples 16 --longrange all \
-//!     --json accuracy_report.json --gate 1e-3
+//!     --record accuracy_report.jsonl --gate 1e-3
 //! ```
+//!
+//! `--record FILE` writes each backend's flight recording, one after
+//! the other: a manifest line (labelled `nacl-N-accuracy-BACKEND`) and
+//! one step line per measured step, whose observables carry the
+//! per-step `raw_tflops`, `effective_tflops` and, on probed steps,
+//! `force_error_rel` — the lines `profile_step --record` writes and an
+//! `mdm_serve` watch streams. `parse_jsonl_multi` reads it back as one
+//! run per backend.
 //!
 //! The gate is always on: the process exits non-zero when the worst
 //! probed relative force error of *any* backend exceeds the tolerance
@@ -40,9 +48,7 @@ use mdm_core::potentials::TosiFumi;
 use mdm_host::machines::MachineModel;
 use mdm_host::perfmodel::{PerformanceModel, SystemSpec};
 use mdm_host::telemetry::{mdm_manifest, run_instrumented, Instruments, SpeedMeter};
-use mdm_profile::accuracy::AccuracyReport;
 use mdm_profile::events::FlightRecorder;
-use mdm_profile::json::Value;
 use mdm_profile::ledger::RunRecord;
 
 /// Paper Figure 5: relative RMS force error at the production accuracy
@@ -55,8 +61,8 @@ struct BackendRun {
     describe: String,
     /// The run's ledger row: every aggregate the footer prints.
     row: RunRecord,
-    /// The per-step samples, for the `--json` artifact.
-    report: AccuracyReport,
+    /// The run's flight recording, for the `--record` file.
+    recording: Vec<u8>,
     /// Backend virial at the post-warmup configuration (eV).
     virial: f64,
     /// Relative error of that virial against the f64 reference Ewald
@@ -193,13 +199,7 @@ fn run_backend(
         name: backend.to_string(),
         describe,
         row,
-        report: AccuracyReport {
-            label,
-            n_particles: n,
-            steps: steps as u64,
-            force_errors: run.force_errors,
-            speeds: run.speeds,
-        },
+        recording: recorder.into_inner(),
         virial: measured_virial,
         virial_rel,
         pressure_gpa: pressure,
@@ -214,7 +214,7 @@ fn main() {
     let mut every: u64 = 2;
     let mut samples: usize = 16;
     let mut longrange = "wine2".to_string();
-    let mut json_path: Option<String> = None;
+    let mut record_path: Option<String> = None;
     let mut gate: f64 = 1e-3;
 
     let mut args = std::env::args().skip(1);
@@ -230,10 +230,10 @@ fn main() {
             "--every" => every = value("a cadence").parse().expect("--every"),
             "--samples" => samples = value("a sample count").parse().expect("--samples"),
             "--longrange" => longrange = value("a backend name or `all`"),
-            "--json" => json_path = Some(value("an output path")),
+            "--record" => record_path = Some(value("an output path")),
             "--gate" => gate = value("a tolerance").parse().expect("--gate"),
             other => panic!(
-                "unknown option {other:?} (try --cells, --steps, --warmup, --every, --samples, --longrange, --json, --gate)"
+                "unknown option {other:?} (try --cells, --steps, --warmup, --every, --samples, --longrange, --record, --gate)"
             ),
         }
     }
@@ -253,7 +253,7 @@ fn main() {
         .iter()
         .map(|b| run_backend(b, cells, steps, warmup, every, samples))
         .collect();
-    let n = runs[0].report.n_particles;
+    let n = runs[0].row.n_particles;
 
     // --- The backend shootout table. ---
     println!("Long-range backend shootout (N = {n}, {steps} steps, emulated real-space unchanged):");
@@ -346,16 +346,9 @@ fn main() {
         }
     }
 
-    if let Some(path) = &json_path {
-        // One object per backend, keyed by name — the combined shootout
-        // artifact CI uploads.
-        let combined = Value::Obj(
-            runs.iter()
-                .map(|run| (run.name.clone(), run.report.to_json()))
-                .collect(),
-        );
-        std::fs::write(path, combined.to_pretty())
-            .unwrap_or_else(|e| panic!("write {path}: {e}"));
+    if let Some(path) = &record_path {
+        let recordings = runs.iter().map(|run| run.recording.as_slice()).collect::<Vec<_>>();
+        std::fs::write(path, recordings.concat()).unwrap_or_else(|e| panic!("write {path}: {e}"));
         println!();
         println!("wrote {path}");
     }

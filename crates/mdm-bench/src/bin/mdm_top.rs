@@ -1,86 +1,79 @@
-//! `mdm_top` — live terminal viewer for a telemetry stream served by
-//! `profile_step --serve` (or any caller of `mdm_host::telemetry::serve`),
-//! including `mdm_serve` job watch streams.
+//! `mdm_top` — live terminal viewer for one job of an `mdm_serve`
+//! daemon.
 //!
-//! Connects over TCP, reads the manifest line and then one JSONL step
-//! event per completed step, and renders a refreshing dashboard: step
-//! rate, per-device occupancy gauges, the worst probed force error,
-//! watchdog status, and the bus drop counter (how many events slow
-//! viewers — including this one — have cost so far).
+//! Opens the job's watch stream (`mdm_serve::Client::watch`: the job's
+//! manifest line and then one JSONL step event per completed step,
+//! ending with a `done` trailer) and renders a refreshing dashboard:
+//! step rate, per-device occupancy gauges, the worst probed force
+//! error, watchdog status, and the bus drop counter (how many events
+//! slow viewers — including this one — have cost so far).
 //!
 //! ```text
-//! cargo run --release -p mdm-bench --bin profile_step -- --serve 127.0.0.1:7979 &
-//! cargo run --release -p mdm-bench --bin mdm_top
+//! cargo run --release -p mdm-serve --bin mdm_serve -- --spool /tmp/spool &
+//! cargo run --release -p mdm-bench --bin mdm_submit -- submit --job melt-1 --cells 4 --steps 400
+//! cargo run --release -p mdm-bench --bin mdm_top -- melt-1
 //! ```
 //!
-//! Options:
-//! * `--connect ADDR` — endpoint to read (default: the
-//!   `MDM_TELEMETRY_ADDR` environment variable, else `127.0.0.1:7979`);
+//! Usage: `mdm_top [--addr HOST:PORT] JOB [--once] [--retry-seconds S]`.
+//! * `--addr HOST:PORT` — the daemon (default `127.0.0.1:7980`, the
+//!   address `mdm_serve` and `mdm_submit` default to);
 //! * `--once` — wait for the manifest and the first step event, print
 //!   one snapshot without any screen control, and exit 0 (for scripts
 //!   and CI smoke tests). Without it, the view refreshes in place on
 //!   every step until the stream ends;
 //! * `--retry-seconds S` — keep retrying the connection for S seconds
-//!   before giving up (default 30; the serving run may still be
-//!   warming up when the viewer starts).
+//!   before giving up (default 30; the daemon may still be starting
+//!   when the viewer does).
+//!
+//! A `profile_step` run is not served; its `--record FILE` holds the
+//! same lines, to be read after the run.
 //!
 //! Exit codes: 0 on a clean stream end, 1 if `--once` saw no step,
-//! 2 on a connection failure, a mid-stream error, or malformed JSONL
-//! (the stream-following rules live in `mdm_bench::topview`).
+//! 2 on a connection or watch failure, a mid-stream error, or
+//! malformed JSONL (the stream-following rules live in
+//! `mdm_bench::topview`).
 
 use mdm_bench::topview::{follow, StreamError};
-use mdm_host::telemetry::{DEFAULT_TELEMETRY_ADDR, TELEMETRY_ADDR_ENV};
-use std::io::BufReader;
-use std::net::TcpStream;
+use mdm_serve::Client;
 use std::ops::ControlFlow;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-fn connect(addr: &str, retry: Duration) -> Result<TcpStream, std::io::Error> {
-    let deadline = Instant::now() + retry;
-    loop {
-        match TcpStream::connect(addr) {
-            Ok(stream) => return Ok(stream),
-            Err(e) if Instant::now() < deadline => {
-                eprintln!("mdm_top: connect {addr}: {e}; retrying...");
-                std::thread::sleep(Duration::from_millis(200));
-            }
-            Err(e) => return Err(e),
-        }
-    }
+fn fail(message: impl std::fmt::Display) -> ! {
+    eprintln!("mdm_top: {message}");
+    std::process::exit(2)
 }
 
 fn main() {
-    let mut addr = std::env::var(TELEMETRY_ADDR_ENV)
-        .unwrap_or_else(|_| DEFAULT_TELEMETRY_ADDR.to_string());
+    let mut addr = "127.0.0.1:7980".to_string();
+    let mut job: Option<String> = None;
     let mut once = false;
     let mut retry_seconds = 30u64;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--connect" => addr = args.next().expect("--connect needs host:port"),
+            "--addr" => addr = args.next().unwrap_or_else(|| fail("--addr needs host:port")),
             "--once" => once = true,
             "--retry-seconds" => {
                 retry_seconds = args
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .expect("--retry-seconds needs an integer");
+                    .unwrap_or_else(|| fail("--retry-seconds needs an integer"));
             }
-            other => {
-                eprintln!("mdm_top: unknown option {other:?} (try --connect, --once, --retry-seconds)");
-                std::process::exit(2);
-            }
+            other if !other.starts_with("--") && job.is_none() => job = Some(other.to_string()),
+            other => fail(format_args!(
+                "unexpected argument {other:?} (usage: mdm_top [--addr HOST:PORT] JOB [--once] [--retry-seconds S])"
+            )),
         }
     }
+    let job = job.unwrap_or_else(|| fail("which job? (usage: mdm_top [--addr HOST:PORT] JOB ...)"));
 
-    let stream = match connect(&addr, Duration::from_secs(retry_seconds)) {
-        Ok(stream) => stream,
-        Err(e) => {
-            eprintln!("mdm_top: connect {addr}: {e} (is a --serve run up?)");
-            std::process::exit(2);
-        }
-    };
-    let result = follow(BufReader::new(stream), |view| {
+    let client = Client::connect_with_retry(&addr, Duration::from_secs(retry_seconds))
+        .unwrap_or_else(|e| fail(format_args!("connect {addr}: {e} (is mdm_serve up?)")));
+    let stream = client
+        .watch(&job)
+        .unwrap_or_else(|e| fail(format_args!("watch {job}: {e}")));
+    let result = follow(stream, |view| {
         if once {
             print!("{}", view.render());
             return ControlFlow::Break(());
@@ -105,9 +98,6 @@ fn main() {
             eprintln!("mdm_top: stream ended before the first step event");
             std::process::exit(1);
         }
-        Err(e) => {
-            eprintln!("mdm_top: {e}");
-            std::process::exit(2);
-        }
+        Err(e) => fail(e),
     }
 }

@@ -35,12 +35,8 @@
 //!   a 1 ms gap;
 //! * `--record FILE` — also stream a per-step JSONL flight recording
 //!   (manifest + step events with counters, observables, and watchdog
-//!   verdicts);
-//! * `--serve ADDR` — additionally serve the manifest + live step
-//!   events as JSONL over TCP on `ADDR` (e.g. `127.0.0.1:7979`, port
-//!   `0` for an OS-assigned port — the bound address is printed). Watch
-//!   with `mdm_top`; slow viewers lose their oldest queued events,
-//!   never the step loop;
+//!   verdicts): the same lines an `mdm_serve` job streams to `mdm_top`,
+//!   read after the run instead of during it;
 //! * `--world R,W` — profile the §4 simulated-MPI parallel program
 //!   instead of the emulated single-host step: `R` real-space ranks ×
 //!   `W` wavenumber ranks per force evaluation, `--steps` evaluations.
@@ -51,10 +47,7 @@
 
 use mdm_bench::stepprof::{cells_for_particles, profile_size, profile_world};
 use mdm_host::parallel::ParallelConfig;
-use mdm_host::telemetry::{serve, ServeOptions};
-use mdm_profile::bus::Bus;
 use mdm_profile::critical_path::{critical_path, CriticalPathReport};
-use mdm_profile::events::RunManifest;
 use mdm_profile::ledger::RunRecord;
 use mdm_profile::{phase, Profile, Timeline};
 use std::io::Write;
@@ -221,7 +214,6 @@ fn main() {
     let mut longrange = "wine2".to_string();
     let mut trace_path: Option<String> = None;
     let mut record_path: Option<String> = None;
-    let mut serve_addr: Option<String> = None;
     let mut world: Option<ParallelConfig> = None;
     let mut want_critical_path = false;
 
@@ -270,9 +262,6 @@ fn main() {
             "--record" => {
                 record_path = Some(args.next().expect("--record needs an output path"));
             }
-            "--serve" => {
-                serve_addr = Some(args.next().expect("--serve needs host:port to bind"));
-            }
             "--world" => {
                 let spec = args.next().expect("--world needs R,W (ranks)");
                 let (r, w) = spec
@@ -287,7 +276,7 @@ fn main() {
             }
             "--critical-path" => want_critical_path = true,
             other => panic!(
-                "unknown option {other:?} (try --steps, --cells, --sizes, --longrange, --trace, --record, --serve, --world, --critical-path)"
+                "unknown option {other:?} (try --steps, --cells, --sizes, --longrange, --trace, --record, --world, --critical-path)"
             ),
         }
     }
@@ -301,27 +290,10 @@ fn main() {
 
     if world.is_some() {
         assert!(
-            recorder_sink.is_none() && serve_addr.is_none(),
-            "--world profiles the parallel program; it has no per-step stream (--record/--serve)"
+            recorder_sink.is_none(),
+            "--world profiles the parallel program; it has no per-step stream (--record)"
         );
     }
-
-    // Live telemetry: one bus for the whole ladder, served over TCP.
-    // The pre-run manifest on the server only labels the session; each
-    // size publishes its real manifest when its run starts.
-    let bus = serve_addr.as_ref().map(|_| Bus::new());
-    let server = serve_addr.as_ref().map(|addr| {
-        let manifest = RunManifest {
-            label: "profile_step".to_string(),
-            command: std::env::args().collect::<Vec<_>>().join(" "),
-            n_particles: cells.first().map_or(0, |&c| 8 * c * c * c) as u64,
-            ..RunManifest::default()
-        };
-        let server = serve(addr, bus.as_ref().unwrap(), &manifest, ServeOptions::default())
-            .unwrap_or_else(|e| panic!("bind {addr}: {e}"));
-        eprintln!("serving live telemetry on {} (watch with mdm_top)", server.local_addr());
-        server
-    });
 
     let want_timeline = trace_path.is_some() || want_critical_path;
     let mut timelines: Vec<Timeline> = Vec::new();
@@ -345,18 +317,10 @@ fn main() {
                         Some(file) => Box::new(file),
                         None => Box::new(std::io::sink()),
                     };
-                    profile_size(c, steps, &longrange, sink, bus.as_ref())
-                        .expect("write flight recording")
+                    profile_size(c, steps, &longrange, sink).expect("write flight recording")
                 }
             },
         ));
-    }
-
-    if let Some(bus) = &bus {
-        bus.close();
-    }
-    if let Some(server) = server {
-        server.shutdown();
     }
 
     if let Some(path) = &trace_path {

@@ -14,7 +14,7 @@
 //! | `ablation` | §6.1's upgrade list quantified factor by factor |
 //! | `profile_step` | Table 4's `t_step = max(t_wine, t_mdg) + t_comm + t_host` measured live on the emulator vs modeled from cycle counters, printed from the run's one ledger row — the explainer beside the repo benchmark (`benchmark/`), which is the baseline and the only perf gate |
 //! | `accuracy_report` | §5 accuracy/speed sweep per long-range backend; its raw / effective / worst-error figures are its ledger rows' columns |
-//! | `mdm_top` | live terminal viewer for a `profile_step --serve` telemetry stream (step rate, device occupancy, worst probed force error, watchdog status); `--once` prints a single snapshot for scripts/CI |
+//! | `mdm_top` | live terminal viewer for one `mdm_serve` job's watch stream (step rate, device occupancy, worst probed force error, watchdog status); `--once` prints a single snapshot for scripts/CI |
 //!
 //! Kernel-level timings are the repo benchmark's layer rungs (DESIGN.md
 //! §5 maps each retired bench target to its rung).

@@ -14,7 +14,6 @@ use mdm_host::parallel::{parallel_forces, ParallelConfig};
 use mdm_host::telemetry::{
     mdm_manifest, run_instrumented, Instruments, RecordedRun, SpeedMeter,
 };
-use mdm_profile::bus::Bus;
 use mdm_profile::events::FlightRecorder;
 use mdm_profile::ledger::RunRecord;
 use mdm_profile::{phase, Profile};
@@ -130,17 +129,11 @@ fn modeled_phases(sim: &Simulation<MdmForceField>) -> BTreeMap<String, f64> {
 /// `sink` as JSONL (pass [`io::sink`] when nothing is recorded). The
 /// step time is the sum of the per-step walls, so recording overhead
 /// never counts against the machine.
-///
-/// With a live telemetry [`Bus`], the size's manifest is published
-/// first (so connected `mdm_top` viewers re-header when a ladder moves
-/// to the next size), then every step event goes to the recorder *and*
-/// the bus — what `profile_step --serve` runs.
 pub fn profile_size<W: Write>(
     cells: usize,
     steps: u64,
     longrange: &str,
     sink: W,
-    bus: Option<&Bus>,
 ) -> io::Result<(RunRecord, Profile, Profile)> {
     let (mut sim, energy_step) = {
         let _scope = mdm_profile::scope();
@@ -161,9 +154,6 @@ pub fn profile_size<W: Write>(
         2000 + cells as u64,
     );
     let mut recorder = FlightRecorder::new(sink, &manifest)?;
-    if let Some(bus) = bus {
-        bus.publish_manifest(&manifest);
-    }
     // Loose NVE watchdogs: the profiled window is a handful of steps of
     // a healthy melt, so anything they catch is a genuine emulator bug.
     let mut dogs = PhysicsWatchdogs::nve(1e-2, 1e-6);
@@ -175,7 +165,6 @@ pub fn profile_size<W: Write>(
         Instruments {
             watchdogs: Some(&mut dogs),
             meter: Some(&meter),
-            bus,
             ..Instruments::default()
         },
     )?;
@@ -239,7 +228,7 @@ mod tests {
         // One small recorded step: the row has the Table 4 phases and
         // the JSONL stream parses back with matching N.
         let mut jsonl = Vec::new();
-        let (row, _, _) = profile_size(3, 1, "wine2", &mut jsonl, None).unwrap();
+        let (row, _, _) = profile_size(3, 1, "wine2", &mut jsonl).unwrap();
         assert_eq!(row.n_particles, 8 * 27);
         for name in [phase::REAL, phase::WAVE, phase::COMM, phase::HOST] {
             assert!(row.phases.contains_key(name), "{name}");
@@ -261,9 +250,9 @@ mod tests {
     #[test]
     fn recorded_and_unrecorded_profiles_share_one_path() {
         let (plain, plain_profile, _) =
-            profile_size(3, 1, "wine2", io::sink(), None).unwrap();
+            profile_size(3, 1, "wine2", io::sink()).unwrap();
         let (recorded, recorded_profile, _) =
-            profile_size(3, 1, "wine2", Vec::new(), None).unwrap();
+            profile_size(3, 1, "wine2", Vec::new()).unwrap();
         let names = |r: &RunRecord| r.phases.keys().cloned().collect::<Vec<_>>();
         assert_eq!(names(&plain), names(&recorded));
         // Every count must agree exactly; only the wall-clock
@@ -284,7 +273,7 @@ mod tests {
     fn recorded_run_honours_the_longrange_backend() {
         let steps = 2;
         let mut jsonl = Vec::new();
-        let (row, _, _) = profile_size(3, steps, "pswf", &mut jsonl, None).unwrap();
+        let (row, _, _) = profile_size(3, steps, "pswf", &mut jsonl).unwrap();
         assert_eq!(row.label, "nacl-216-lr-pswf");
 
         let text = String::from_utf8(jsonl).unwrap();
@@ -299,7 +288,7 @@ mod tests {
     #[test]
     fn a_profiled_size_is_reduced_to_one_complete_row() {
         let (row, profile, energy_step) =
-            profile_size(3, 2, "wine2", io::sink(), None).unwrap();
+            profile_size(3, 2, "wine2", io::sink()).unwrap();
         // The one energy step is the set-up's; the window has none.
         assert!(energy_step.seconds("host.virial") > 0.0);
         assert!(!profile.spans.contains_key("host.virial"));
@@ -336,7 +325,7 @@ mod tests {
         // `profile_step --cells 4 --steps 2` has printed this modeled
         // t_step since the cycle counters were last touched (PR 19):
         // max(real 3.27e-4, wave 2.00e-5) + comm 6.89e-3 + host 4.27e-5.
-        let (row, _, _) = profile_size(4, 2, "wine2", io::sink(), None).unwrap();
+        let (row, _, _) = profile_size(4, 2, "wine2", io::sink()).unwrap();
         let m = &row.modeled;
         let t_step = m["real"].max(m["wave"]) + m["comm"] + m["host"];
         assert_eq!(row.modeled_step_seconds(), Some(t_step));

@@ -1,14 +1,16 @@
 //! Stream-following core of `mdm_top`, split out so it can be driven
 //! by unit tests against scripted readers and fake servers.
 //!
-//! [`follow`] consumes a line-JSON telemetry stream (from
-//! `mdm_host::telemetry::serve` or an `mdm_serve` watch) and folds it
-//! into a [`View`]. Stream pathologies are *typed*, not swallowed:
+//! [`follow`] consumes the lines of an `mdm_serve` job's watch stream
+//! (`mdm_serve::Client::watch`: the job's manifest and step lines, then
+//! a `done` trailer) and folds them into a [`View`]. Stream pathologies
+//! are *typed*, not swallowed:
 //!
 //! * an I/O error mid-stream → [`StreamError::Io`];
 //! * a line that is not valid JSON (truncated by a dying server,
-//!   garbage on the port) → [`StreamError::Malformed`] with the line
-//!   number and a snippet — the framing is gone, so we stop rather
+//!   garbage on the port), or a `manifest` / `step` line whose fields do
+//!   not parse → [`StreamError::Malformed`] with the line number and a
+//!   snippet — the framing or the schema is gone, so we stop rather
 //!   than resynchronize on guesswork;
 //! * the server closing before the first step event →
 //!   [`StreamError::EndedEarly`];
@@ -17,7 +19,7 @@
 
 use mdm_profile::events::{RunManifest, StepEvent};
 use mdm_profile::json::Value;
-use std::io::BufRead;
+use std::io;
 use std::ops::ControlFlow;
 
 /// Rolling view of the stream: the newest step plus run aggregates.
@@ -124,8 +126,8 @@ pub fn bar(value: f64) -> String {
 pub enum StreamError {
     /// The connection died mid-read (reset, timeout, …).
     Io(std::io::Error),
-    /// A line was not valid JSON: the framing is broken, so nothing
-    /// after it can be trusted either.
+    /// A line was not valid JSON, or a manifest / step line whose fields
+    /// did not parse: nothing after it can be trusted either.
     Malformed { lineno: u64, snippet: String },
     /// The server closed the stream before the first step event — the
     /// run never got going from this viewer's perspective.
@@ -148,35 +150,33 @@ impl std::fmt::Display for StreamError {
 
 impl std::error::Error for StreamError {}
 
-/// Follow a telemetry stream to its end, calling `on_step` after each
-/// absorbed step event (return [`ControlFlow::Break`] to stop early,
-/// e.g. for `--once`). Returns the final view on a clean end.
-pub fn follow<R: BufRead>(
-    reader: R,
+/// Follow a telemetry stream's lines to their end, calling `on_step`
+/// after each absorbed step event (return [`ControlFlow::Break`] to
+/// stop early, e.g. for `--once`). Returns the final view on a clean
+/// end.
+pub fn follow(
+    lines: impl IntoIterator<Item = io::Result<String>>,
     mut on_step: impl FnMut(&View) -> ControlFlow<()>,
 ) -> Result<View, StreamError> {
     let mut view = View::default();
-    for (lineno, line) in (1u64..).zip(reader.lines()) {
+    for (lineno, line) in (1u64..).zip(lines) {
         let line = line.map_err(StreamError::Io)?;
         if line.trim().is_empty() {
             continue;
         }
-        let Ok(value) = Value::parse(&line) else {
-            let snippet: String = line.chars().take(80).collect();
-            return Err(StreamError::Malformed { lineno, snippet });
+        let malformed = || StreamError::Malformed {
+            lineno,
+            snippet: line.chars().take(80).collect(),
         };
+        let value = Value::parse(&line).map_err(|_| malformed())?;
         match value.opt_str("type") {
             Some("manifest") => {
-                if let Ok(m) = RunManifest::from_json(&value) {
-                    view.absorb_manifest(m);
-                }
+                view.absorb_manifest(RunManifest::from_json(&value).map_err(|_| malformed())?);
             }
             Some("step") => {
-                if let Ok(event) = StepEvent::from_json(&value) {
-                    view.absorb_step(event);
-                    if on_step(&view).is_break() {
-                        return Ok(view);
-                    }
+                view.absorb_step(StepEvent::from_json(&value).map_err(|_| malformed())?);
+                if on_step(&view).is_break() {
+                    return Ok(view);
                 }
             }
             // An mdm_serve watch ends with a done trailer: clean end
@@ -194,7 +194,7 @@ pub fn follow<R: BufRead>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
+    use std::io::{BufRead, Cursor};
 
     fn manifest_line() -> String {
         RunManifest {
@@ -223,20 +223,31 @@ mod tests {
     #[test]
     fn clean_stream_counts_steps() {
         let text = format!("{}\n{}\n{}\n", manifest_line(), step_line(0), step_line(1));
-        let view = follow(Cursor::new(text), keep_going).unwrap();
+        let view = follow(Cursor::new(text).lines(), keep_going).unwrap();
         assert_eq!(view.steps_seen(), 2);
         assert!(view.render().contains("mdm_top — t"));
     }
 
     #[test]
     fn malformed_line_is_a_typed_error_with_position() {
-        let text = format!("{}\n{}\n{{\"type\":\"st", manifest_line(), step_line(0));
-        match follow(Cursor::new(text), keep_going) {
-            Err(StreamError::Malformed { lineno, snippet }) => {
-                assert_eq!(lineno, 3);
-                assert!(snippet.starts_with("{\"type\":\"st"), "{snippet}");
+        // Broken framing, and valid JSON whose step / manifest fields do
+        // not parse: each stops the stream at its own line.
+        for bad in [
+            "{\"type\":\"st",
+            "{\"type\":\"step\",\"step\":\"three\"}",
+            "{\"type\":\"manifest\",\"label\":7}",
+        ] {
+            let text = format!("{}\n{}\n{bad}\n{}\n", manifest_line(), step_line(0), step_line(1));
+            match follow(Cursor::new(text).lines(), keep_going) {
+                Err(StreamError::Malformed { lineno, snippet }) => {
+                    assert_eq!(lineno, 3);
+                    assert_eq!(snippet, bad);
+                }
+                other => panic!(
+                    "{bad}: expected Malformed, got {other:?}",
+                    other = other.map(|v| v.steps_seen())
+                ),
             }
-            other => panic!("expected Malformed, got {other:?}", other = other.map(|v| v.steps_seen())),
         }
     }
 
@@ -244,7 +255,7 @@ mod tests {
     fn eof_before_first_step_is_ended_early() {
         let text = format!("{}\n", manifest_line());
         assert!(matches!(
-            follow(Cursor::new(text), keep_going),
+            follow(Cursor::new(text).lines(), keep_going),
             Err(StreamError::EndedEarly)
         ));
     }
@@ -252,15 +263,48 @@ mod tests {
     #[test]
     fn done_trailer_ends_clean_even_with_zero_steps() {
         let text = format!("{}\n{{\"type\":\"done\",\"state\":\"done\"}}\n", manifest_line());
-        let view = follow(Cursor::new(text), keep_going).unwrap();
+        let view = follow(Cursor::new(text).lines(), keep_going).unwrap();
         assert_eq!(view.steps_seen(), 0);
     }
 
     #[test]
     fn break_from_callback_stops_early() {
         let text = format!("{}\n{}\n{}\n", manifest_line(), step_line(0), step_line(1));
-        let view = follow(Cursor::new(text), |_| ControlFlow::Break(())).unwrap();
+        let view = follow(Cursor::new(text).lines(), |_| ControlFlow::Break(())).unwrap();
         assert_eq!(view.steps_seen(), 1);
+    }
+
+    /// A real watch of an in-process `mdm_serve` daemon, followed to
+    /// its `done` trailer. A higher-priority job holds the one board
+    /// while the viewer attaches, so the view sees every step.
+    #[test]
+    fn follows_a_served_job_to_its_done_trailer() {
+        use mdm_serve::{Client, JobSpec, Server, ServerConfig};
+        let spool = std::env::temp_dir().join(format!("mdm-topview-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&spool);
+        let mut cfg = ServerConfig::new(&spool);
+        cfg.slice_steps = 5;
+        let server = Server::start(cfg).unwrap();
+        let addr = server.local_addr().to_string();
+        let mut client = Client::connect(&addr).unwrap();
+        for (name, steps, priority) in [("blocker", 400, 1), ("viewed", 12, 0)] {
+            let spec = JobSpec {
+                name: name.into(),
+                steps,
+                priority,
+                ..JobSpec::default()
+            };
+            client.submit(&spec).unwrap();
+        }
+        let stream = Client::connect(&addr).unwrap().watch("viewed").unwrap();
+        assert!(!client.status("blocker").unwrap().state.is_terminal());
+        let view = follow(stream, keep_going).unwrap();
+        assert_eq!(view.steps_seen(), 12);
+        let screen = view.render();
+        assert!(screen.contains("mdm_top — viewed (N = 64"), "{screen}");
+        assert!(screen.contains("step 12:"), "{screen}");
+        server.stop();
+        let _ = std::fs::remove_dir_all(&spool);
     }
 
     /// A scripted fake server: serves a manifest, one step, then a
@@ -280,7 +324,7 @@ mod tests {
             // Dropping the socket closes the connection mid-line.
         });
         let stream = std::net::TcpStream::connect(addr).unwrap();
-        let result = follow(std::io::BufReader::new(stream), keep_going);
+        let result = follow(std::io::BufReader::new(stream).lines(), keep_going);
         script.join().unwrap();
         assert!(
             matches!(result, Err(StreamError::Malformed { lineno: 3, .. })),
@@ -301,7 +345,7 @@ mod tests {
             writeln!(sock, "{}", manifest_line()).unwrap();
         });
         let stream = std::net::TcpStream::connect(addr).unwrap();
-        let result = follow(std::io::BufReader::new(stream), keep_going);
+        let result = follow(std::io::BufReader::new(stream).lines(), keep_going);
         script.join().unwrap();
         assert!(matches!(result, Err(StreamError::EndedEarly)));
     }

@@ -33,18 +33,15 @@ use mdm_core::integrate::{Simulation, StepRecord};
 use mdm_core::observables::PhysicsWatchdogs;
 use mdm_core::special::erfc;
 use mdm_profile::accuracy::{ForceErrorSample, SpeedSample};
-use mdm_profile::bus::{Bus, BusEvent, Subscription};
+use mdm_profile::bus::Bus;
 use mdm_profile::events::{FlightRecorder, RunManifest, StepEvent};
 use mdm_profile::ledger::{EnvStamp, RunRecord};
 use mdm_profile::phase;
 use std::collections::BTreeMap;
 use std::io::{self, Write};
-use std::net::{TcpListener, TcpStream};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::sync::OnceLock;
+use std::time::Instant;
 
 use crate::driver::MdmForceField;
 use crate::machines::MachineModel;
@@ -556,156 +553,6 @@ fn stamp_wall_fraction_gauges(event: &mut StepEvent, profile: &mdm_profile::Prof
     }
 }
 
-/// Environment variable naming the telemetry endpoint
-/// (`host:port`). `profile_step --serve` binds it; `mdm_top` connects
-/// to it when `--connect` is not given.
-pub const TELEMETRY_ADDR_ENV: &str = "MDM_TELEMETRY_ADDR";
-
-/// Default telemetry endpoint when neither `--connect` nor
-/// [`TELEMETRY_ADDR_ENV`] says otherwise.
-pub const DEFAULT_TELEMETRY_ADDR: &str = "127.0.0.1:7979";
-
-/// Tuning for [`serve`].
-#[derive(Clone, Copy, Debug)]
-pub struct ServeOptions {
-    /// Per-client bus queue depth. A client that falls more than this
-    /// many events behind loses its *oldest* queued events
-    /// (drop-oldest; the losses show up in the bus-wide
-    /// [`Bus::dropped_events`] counter) — the step loop never waits.
-    pub queue_capacity: usize,
-}
-
-impl Default for ServeOptions {
-    fn default() -> Self {
-        ServeOptions {
-            queue_capacity: 1024,
-        }
-    }
-}
-
-/// Handle for a running telemetry server. Dropping it stops accepting
-/// new clients; already-connected clients keep streaming until the bus
-/// is [`close`](Bus::close)d or they disconnect.
-#[derive(Debug)]
-pub struct TelemetryServer {
-    local_addr: std::net::SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
-}
-
-impl TelemetryServer {
-    /// The address actually bound — useful with port 0.
-    pub fn local_addr(&self) -> std::net::SocketAddr {
-        self.local_addr
-    }
-
-    /// Stop accepting new clients and join the accept thread.
-    pub fn shutdown(mut self) {
-        self.stop();
-    }
-
-    fn stop(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.accept.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for TelemetryServer {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-/// Serve live telemetry over TCP: each client that connects receives
-/// the run manifest as one JSONL line, then every step event published
-/// on `bus` — the same line shapes the [`FlightRecorder`] writes, so
-/// `mdm_top` and `parse_jsonl` read both identically. A client joining
-/// mid-run gets the *newest* manifest published on the bus
-/// ([`Bus::latest_manifest`]); `manifest` is the fallback for clients
-/// that connect before the first publish.
-///
-/// Every client gets its *own* bus subscription (capacity
-/// [`ServeOptions::queue_capacity`]) pumped by its own thread, so a
-/// slow or dead client only ever loses its own oldest events; it can
-/// never stall the step loop or another client. Client threads exit
-/// when the bus closes, the client disconnects, or a write fails.
-///
-/// Bind to port 0 to let the OS pick (read it back from
-/// [`TelemetryServer::local_addr`]).
-pub fn serve(
-    addr: &str,
-    bus: &Bus,
-    manifest: &RunManifest,
-    options: ServeOptions,
-) -> io::Result<TelemetryServer> {
-    let listener = TcpListener::bind(addr)?;
-    let local_addr = listener.local_addr()?;
-    // Nonblocking accept so the thread can poll the shutdown flag.
-    listener.set_nonblocking(true)?;
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let manifest_line = Arc::new(BusEvent::Manifest(Arc::new(manifest.clone())).to_jsonl());
-    let accept = {
-        let shutdown = Arc::clone(&shutdown);
-        let bus = bus.clone();
-        std::thread::spawn(move || {
-            while !shutdown.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        // Subscribe *before* handing off so no step
-                        // published during thread spawn is missed.
-                        let sub = bus.subscribe(options.queue_capacity);
-                        // Mid-run joiners get the newest manifest the
-                        // bus has seen; the connect-time fallback only
-                        // serves clients that beat the first publish.
-                        let manifest_line = match bus.latest_manifest() {
-                            Some(m) => Arc::new(BusEvent::Manifest(m).to_jsonl()),
-                            None => Arc::clone(&manifest_line),
-                        };
-                        std::thread::spawn(move || {
-                            let _ = stream_client(stream, &manifest_line, &sub);
-                        });
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(10));
-                    }
-                    Err(_) => break,
-                }
-            }
-        })
-    };
-    Ok(TelemetryServer {
-        local_addr,
-        shutdown,
-        accept: Some(accept),
-    })
-}
-
-/// One client's session: manifest line first, then the live stream.
-fn stream_client(stream: TcpStream, manifest_line: &str, sub: &Subscription) -> io::Result<u64> {
-    let mut writer = io::BufWriter::new(stream);
-    writer.write_all(manifest_line.as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()?;
-    pump_subscription(sub, writer)
-}
-
-/// Pump a bus subscription into a writer as JSONL, one line per event,
-/// flushed per line so a live viewer sees each step as it happens.
-/// Returns the number of events written; ends when the bus closes (all
-/// queued events are drained first) or the writer errors.
-pub fn pump_subscription<W: Write>(sub: &Subscription, mut writer: W) -> io::Result<u64> {
-    let mut written = 0u64;
-    while let Some(event) = sub.recv() {
-        writer.write_all(event.to_jsonl().as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
-        written += 1;
-    }
-    Ok(written)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -713,8 +560,8 @@ mod tests {
     use mdm_core::forcefield::EwaldTosiFumi;
     use mdm_core::lattice::{rocksalt_nacl, NACL_LATTICE_A};
     use mdm_core::velocities::maxwell_boltzmann;
+    use mdm_profile::bus::BusEvent;
     use mdm_profile::events::parse_jsonl;
-    use mdm_profile::json::Value;
     use std::collections::BTreeMap;
 
     fn software_sim(dt: f64) -> Simulation<EwaldTosiFumi> {
@@ -1228,74 +1075,5 @@ mod tests {
             assert_eq!(streamed.counters["bus_dropped_events"], 0);
             assert!(streamed.observables.contains_key("total_ev"));
         }
-    }
-
-    #[test]
-    fn pump_drains_the_newest_events_after_overflow() {
-        // Deterministic drop-oldest at the pump level: nobody reads
-        // while 100 events hit a 4-deep queue, so exactly the newest 4
-        // survive and are pumped out in order after close.
-        let bus = Bus::new();
-        let sub = bus.subscribe(4);
-        let manifest = RunManifest::default();
-        for step in 0..100u64 {
-            bus.publish_step(StepEvent::from_profile(
-                step,
-                1e-3,
-                &mdm_profile::Profile::default(),
-            ));
-        }
-        bus.close();
-        let mut sink = Vec::new();
-        let written = pump_subscription(&sub, &mut sink).unwrap();
-        assert_eq!(written, 4);
-        assert_eq!(sub.dropped(), 96);
-        assert_eq!(bus.dropped_events(), 96);
-        let text = format!(
-            "{}\n{}",
-            BusEvent::Manifest(Arc::new(manifest)).to_jsonl(),
-            String::from_utf8(sink).unwrap()
-        );
-        let (_, steps) = parse_jsonl(&text).unwrap();
-        let got: Vec<u64> = steps.iter().map(|e| e.step).collect();
-        assert_eq!(got, vec![96, 97, 98, 99]);
-    }
-
-    #[test]
-    fn serve_streams_manifest_then_steps_to_a_tcp_client() {
-        use std::io::BufRead;
-        let bus = Bus::new();
-        let manifest = RunManifest {
-            label: "serve-test".into(),
-            n_particles: 64,
-            ..RunManifest::default()
-        };
-        let server = serve("127.0.0.1:0", &bus, &manifest, ServeOptions::default()).unwrap();
-        let stream = TcpStream::connect(server.local_addr()).unwrap();
-        let mut lines = io::BufReader::new(stream).lines();
-        // The manifest arrives on connect, before any step exists.
-        let first = lines.next().unwrap().unwrap();
-        let parsed = RunManifest::from_json(&Value::parse(&first).unwrap()).unwrap();
-        assert_eq!(parsed, manifest);
-        // Wait for the subscription to land before publishing, then
-        // stream a handful of steps.
-        while bus.subscriber_count() == 0 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        for step in 1..=5u64 {
-            bus.publish_step(StepEvent::from_profile(
-                step,
-                1e-3,
-                &mdm_profile::Profile::default(),
-            ));
-        }
-        bus.close();
-        let text: Vec<String> = lines.map(|l| l.unwrap()).collect();
-        let steps: Vec<u64> = text
-            .iter()
-            .map(|l| StepEvent::from_json(&Value::parse(l).unwrap()).unwrap().step)
-            .collect();
-        assert_eq!(steps, vec![1, 2, 3, 4, 5]);
-        server.shutdown();
     }
 }

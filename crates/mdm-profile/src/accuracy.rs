@@ -1,4 +1,4 @@
-//! Accuracy and effective-speed report types (paper §5, Table 4,
+//! Accuracy and effective-speed sample types (paper §5, Table 4,
 //! Figure 5).
 //!
 //! The paper's headline number is *effective* speed: raw Tflops
@@ -7,14 +7,13 @@
 //! effective from 15.4 Tflops raw). These types carry the two
 //! measured inputs of that computation — RMS force error from the
 //! on-line probe ([`ForceErrorSample`]) and flop throughput from the
-//! emulator interaction counters ([`SpeedSample`]) — plus the
-//! [`AccuracyReport`] artifact the `accuracy_report` binary emits.
+//! emulator interaction counters ([`SpeedSample`]). A run streams
+//! them as step-event observables (`force_error_rel`, `raw_tflops`,
+//! `effective_tflops`) and reduces them into its ledger row.
 //!
-//! They live in `mdm-profile` (not `mdm-core`) because the flight
-//! recorder and the report tooling need them without a dependency on
+//! They live in `mdm-profile` (not `mdm-core`) because the ledger
+//! reduction and the report tooling need them without a dependency on
 //! the physics crates.
-
-use crate::json::{obj, Value};
 
 /// One on-line force-error measurement: RMS error of the production
 /// forces against a well-converged f64 reference Ewald, over a sample
@@ -41,26 +40,6 @@ impl ForceErrorSample {
         } else {
             f64::INFINITY
         }
-    }
-
-    /// Flight-recorder JSON form.
-    pub fn to_json(&self) -> Value {
-        obj([
-            ("step", Value::from_u64(self.step)),
-            ("sampled", Value::from_u64(self.sampled)),
-            ("rms_force", Value::from_f64(self.rms_force)),
-            ("rms_error", Value::from_f64(self.rms_error)),
-        ])
-    }
-
-    /// Parse the [`Self::to_json`] form back.
-    pub fn from_json(v: &Value) -> Result<Self, String> {
-        Ok(Self {
-            step: v.req_u64("step")?,
-            sampled: v.req_u64("sampled")?,
-            rms_force: v.req_f64("rms_force")?,
-            rms_error: v.req_f64("rms_error")?,
-        })
     }
 }
 
@@ -112,130 +91,42 @@ impl SpeedSample {
     pub fn effective_tflops(&self) -> f64 {
         self.effective_flops_per_s() / 1e12
     }
-
-    /// Flight-recorder JSON form.
-    pub fn to_json(&self) -> Value {
-        let mut v = obj([
-            ("step", Value::from_u64(self.step)),
-            ("wall_seconds", Value::from_f64(self.wall_seconds)),
-            ("real_flops", Value::from_f64(self.real_flops)),
-            ("wave_flops", Value::from_f64(self.wave_flops)),
-            ("conventional_flops", Value::from_f64(self.conventional_flops)),
-        ]);
-        if let (Value::Obj(map), Some(m)) = (&mut v, self.conventional_flops_measured) {
-            map.insert("conventional_flops_measured".into(), Value::from_f64(m));
-        }
-        v
-    }
-
-    /// Parse the [`Self::to_json`] form back.
-    pub fn from_json(v: &Value) -> Result<Self, String> {
-        Ok(Self {
-            step: v.req_u64("step")?,
-            wall_seconds: v.req_f64("wall_seconds")?,
-            real_flops: v.req_f64("real_flops")?,
-            wave_flops: v.req_f64("wave_flops")?,
-            conventional_flops: v.req_f64("conventional_flops")?,
-            conventional_flops_measured: v.opt_f64("conventional_flops_measured"),
-        })
-    }
-}
-
-/// The `accuracy_report.json` artifact: the per-step probe and speed
-/// samples of one recorded run. A container only — the run's
-/// aggregates (raw / effective Tflops, worst force error) are columns
-/// of its [`crate::ledger::RunRecord`].
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct AccuracyReport {
-    /// Run label (e.g. `nacl_cells3`).
-    pub label: String,
-    /// Particle count.
-    pub n_particles: u64,
-    /// Steps recorded.
-    pub steps: u64,
-    /// Probe samples, in step order.
-    pub force_errors: Vec<ForceErrorSample>,
-    /// Per-step speed samples, in step order.
-    pub speeds: Vec<SpeedSample>,
-}
-
-impl AccuracyReport {
-    /// Serialize the report (the CI artifact format).
-    pub fn to_json(&self) -> Value {
-        obj([
-            ("label", Value::Str(self.label.clone())),
-            ("n_particles", Value::from_u64(self.n_particles)),
-            ("steps", Value::from_u64(self.steps)),
-            (
-                "force_errors",
-                Value::Arr(self.force_errors.iter().map(ForceErrorSample::to_json).collect()),
-            ),
-            (
-                "speeds",
-                Value::Arr(self.speeds.iter().map(SpeedSample::to_json).collect()),
-            ),
-        ])
-    }
-
-    /// Parse the [`Self::to_json`] form back.
-    pub fn from_json(v: &Value) -> Result<Self, String> {
-        let force_errors = v.arr("force_errors")?.iter().map(ForceErrorSample::from_json);
-        let speeds = v.arr("speeds")?.iter().map(SpeedSample::from_json);
-        Ok(Self {
-            label: v.req_str("label")?.to_string(),
-            n_particles: v.req_u64("n_particles")?,
-            steps: v.req_u64("steps")?,
-            force_errors: force_errors.collect::<Result<_, _>>()?,
-            speeds: speeds.collect::<Result<_, _>>()?,
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample_report() -> AccuracyReport {
-        AccuracyReport {
-            label: "nacl_test".into(),
-            n_particles: 512,
-            steps: 2,
-            force_errors: vec![ForceErrorSample {
+    fn sample_speeds() -> [SpeedSample; 2] {
+        [
+            SpeedSample {
                 step: 0,
-                sampled: 16,
-                rms_force: 2.0,
-                rms_error: 6e-5,
-            }],
-            speeds: vec![
-                SpeedSample {
-                    step: 0,
-                    wall_seconds: 0.5,
-                    real_flops: 4e9,
-                    wave_flops: 1e9,
-                    conventional_flops: 2e9,
-                    conventional_flops_measured: None,
-                },
-                SpeedSample {
-                    step: 1,
-                    wall_seconds: 0.5,
-                    real_flops: 4e9,
-                    wave_flops: 1e9,
-                    conventional_flops: 2e9,
-                    conventional_flops_measured: Some(1.5e9),
-                },
-            ],
-        }
+                wall_seconds: 0.5,
+                real_flops: 4e9,
+                wave_flops: 1e9,
+                conventional_flops: 2e9,
+                conventional_flops_measured: None,
+            },
+            SpeedSample {
+                step: 1,
+                wall_seconds: 0.5,
+                real_flops: 4e9,
+                wave_flops: 1e9,
+                conventional_flops: 2e9,
+                conventional_flops_measured: Some(1.5e9),
+            },
+        ]
     }
 
     #[test]
     fn speed_sample_rates() {
-        let r = sample_report();
-        let s = &r.speeds[0];
+        let speeds = sample_speeds();
+        let s = &speeds[0];
         assert!((s.raw_flops() - 5e9).abs() < 1.0);
         assert!((s.raw_flops_per_s() - 1e10).abs() < 1.0);
         assert!((s.effective_flops_per_s() - 4e9).abs() < 1.0);
         // Measured re-costing takes precedence when present.
-        assert!((r.speeds[1].effective_flops_per_s() - 3e9).abs() < 1.0);
+        assert!((speeds[1].effective_flops_per_s() - 3e9).abs() < 1.0);
         assert!((s.raw_tflops() - 0.01).abs() < 1e-12);
     }
 
@@ -250,13 +141,5 @@ mod tests {
         assert!((f.relative() - 3e-5).abs() < 1e-18);
         let zero = ForceErrorSample { rms_force: 0.0, ..f };
         assert!(zero.relative().is_infinite());
-    }
-
-    #[test]
-    fn report_round_trips() {
-        let r = sample_report();
-        let text = r.to_json().to_pretty();
-        let back = AccuracyReport::from_json(&Value::parse(&text).unwrap()).unwrap();
-        assert_eq!(r, back);
     }
 }

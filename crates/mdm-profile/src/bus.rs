@@ -2,9 +2,9 @@
 //!
 //! The instrumented run loop ([`crate::events::FlightRecorder`] writes
 //! the post-hoc JSONL file) publishes the same manifest and
-//! [`StepEvent`]s onto a [`Bus`]; any number of subscribers — the TCP
-//! stream server, an auto-tuner, a test — consume them *live*, each
-//! over its own bounded queue.
+//! [`StepEvent`]s onto a [`Bus`]; any number of subscribers — each
+//! client of an `mdm_serve` job's `watch` stream, a test — consume them
+//! *live*, each over its own bounded queue.
 //!
 //! Back-pressure policy: **drop-oldest, never block**. The publisher
 //! is the step loop, whose wall-clock *is* the measurement (the whole
@@ -22,14 +22,14 @@ use crate::events::{RunManifest, StepEvent};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, Weak};
-use std::time::Duration;
 
 /// One message on the bus. Events are `Arc`-shared: publishing to N
 /// subscribers clones N pointers, not N copies of the step payload.
 #[derive(Clone, Debug)]
 pub enum BusEvent {
-    /// The run manifest, published once at run start (late subscribers
-    /// get it from whoever caches it — see `telemetry::serve`).
+    /// The run manifest, published at the start of each run window
+    /// (an `mdm_serve` job publishes it every slice). Late subscribers
+    /// read the newest one from [`Bus::latest_manifest`].
     Manifest(Arc<RunManifest>),
     /// One completed step.
     Step(Arc<StepEvent>),
@@ -64,7 +64,6 @@ struct SubShared {
 struct BusShared {
     subs: Mutex<Vec<Weak<SubShared>>>,
     dropped: AtomicU64,
-    published: AtomicU64,
     closed: AtomicBool,
     /// Most recent manifest published on the bus, retained so late
     /// joiners (e.g. a viewer connecting mid-run) can be brought up to
@@ -103,7 +102,6 @@ impl Bus {
             shared: Arc::new(BusShared {
                 subs: Mutex::new(Vec::new()),
                 dropped: AtomicU64::new(0),
-                published: AtomicU64::new(0),
                 closed: AtomicBool::new(false),
                 latest_manifest: Mutex::new(None),
                 topic: topic.into(),
@@ -141,7 +139,6 @@ impl Bus {
     /// pop when full), and `Condvar` waiters hold no lock while
     /// waiting. Dead subscriptions are pruned as a side effect.
     pub fn publish(&self, event: BusEvent) {
-        self.shared.published.fetch_add(1, Ordering::Relaxed);
         if let BusEvent::Manifest(m) = &event {
             *self
                 .shared
@@ -212,11 +209,6 @@ impl Bus {
         self.shared.dropped.load(Ordering::Relaxed)
     }
 
-    /// Total `publish` calls since creation.
-    pub fn published_events(&self) -> u64 {
-        self.shared.published.load(Ordering::Relaxed)
-    }
-
     /// Live subscriber count (prunes dead registrations).
     pub fn subscriber_count(&self) -> usize {
         let mut subs = self.shared.subs.lock().unwrap_or_else(|p| p.into_inner());
@@ -251,46 +243,6 @@ impl Subscription {
         }
     }
 
-    /// Like [`Subscription::recv`] with a deadline; `None` on timeout
-    /// as well as end-of-stream (callers that must distinguish should
-    /// check [`Subscription::is_closed`] afterwards).
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<BusEvent> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut state = self.shared.state.lock().unwrap_or_else(|p| p.into_inner());
-        loop {
-            if let Some(event) = state.queue.pop_front() {
-                return Some(event);
-            }
-            if state.closed {
-                return None;
-            }
-            let now = std::time::Instant::now();
-            let remaining = deadline.checked_duration_since(now).filter(|d| !d.is_zero())?;
-            let (guard, _timed_out) = self
-                .shared
-                .available
-                .wait_timeout(state, remaining)
-                .unwrap_or_else(|p| p.into_inner());
-            state = guard;
-        }
-    }
-
-    /// Pop an event if one is queued; never blocks.
-    pub fn try_recv(&self) -> Option<BusEvent> {
-        let mut state = self.shared.state.lock().unwrap_or_else(|p| p.into_inner());
-        state.queue.pop_front()
-    }
-
-    /// Whether the bus has closed this subscription (events may still
-    /// be queued).
-    pub fn is_closed(&self) -> bool {
-        self.shared
-            .state
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .closed
-    }
-
     /// Events evicted from *this* subscription's queue.
     pub fn dropped(&self) -> u64 {
         self.shared.dropped.load(Ordering::Relaxed)
@@ -301,6 +253,7 @@ impl Subscription {
 mod tests {
     use super::*;
     use std::collections::BTreeMap;
+    use std::time::Duration;
 
     fn step(n: u64) -> StepEvent {
         StepEvent {
@@ -337,7 +290,6 @@ mod tests {
         assert_eq!(seen, (0..100).collect::<Vec<_>>());
         assert_eq!(sub.dropped(), 0);
         assert_eq!(bus.dropped_events(), 0);
-        assert_eq!(bus.published_events(), 100);
     }
 
     #[test]
@@ -433,18 +385,6 @@ mod tests {
             // it missed is exactly what was counted as dropped.
             assert_eq!(count + dropped, EVENTS);
         });
-    }
-
-    #[test]
-    fn recv_timeout_returns_none_without_events() {
-        let bus = Bus::new();
-        let sub = bus.subscribe(4);
-        let start = std::time::Instant::now();
-        assert!(sub.recv_timeout(Duration::from_millis(20)).is_none());
-        assert!(start.elapsed() >= Duration::from_millis(20));
-        assert!(!sub.is_closed());
-        bus.publish_step(step(1));
-        assert_eq!(step_no(&sub.recv_timeout(Duration::from_secs(5)).unwrap()), 1);
     }
 
     #[test]

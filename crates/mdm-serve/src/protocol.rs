@@ -4,9 +4,10 @@
 //! line; the server answers each with one JSON line (every response
 //! has an `ok` field). The exception is `watch`, which turns the rest
 //! of the connection into a one-way stream: an `ok` line, then the
-//! job's flight-recorder JSONL (manifest + step events, the exact
-//! lines `mdm_top` already reads), then one `{"type":"done",...}`
-//! trailer when the job finishes.
+//! job's flight-recorder JSONL (manifest + step events: from the watch
+//! on, the lines its `<job>.trace.jsonl` gets, and what `mdm_top JOB`
+//! renders), then one `{"type":"done",...}` trailer when the job
+//! finishes.
 //!
 //! Grammar (one object per line):
 //!

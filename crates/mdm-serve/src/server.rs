@@ -51,10 +51,8 @@ use mdm_core::observables::PhysicsWatchdogs;
 use mdm_core::thermostat::Thermostat;
 use mdm_core::velocities::maxwell_boltzmann;
 use mdm_host::driver::{MdmForceField, MdmTables, PotentialCarry};
-use mdm_host::telemetry::{
-    mdm_manifest, pump_subscription, run_instrumented, Instruments, RecordedRun,
-};
-use mdm_profile::bus::Bus;
+use mdm_host::telemetry::{mdm_manifest, run_instrumented, Instruments, RecordedRun};
+use mdm_profile::bus::{Bus, Subscription};
 use mdm_profile::events::FlightRecorder;
 use mdm_profile::json::{obj, Value};
 use mdm_profile::ledger::append_record;
@@ -587,6 +585,11 @@ fn watch(inner: &Arc<Inner>, mut writer: TcpStream, job: &str) -> io::Result<()>
     };
     let bus = slot.bus.clone();
     drop(st);
+    // Subscribe before the header, so a client holding the header sees
+    // every event published after it; and before looking at the
+    // manifest: a close that lands in between makes recv return None
+    // immediately, never hangs.
+    let sub = bus.subscribe(1024);
     let header = obj([
         ("ok", Value::Bool(true)),
         ("job", Value::Str(job.to_string())),
@@ -595,9 +598,6 @@ fn watch(inner: &Arc<Inner>, mut writer: TcpStream, job: &str) -> io::Result<()>
     ]);
     writeln!(writer, "{}", header.to_compact())?;
     writer.flush()?;
-    // Subscribe before looking at the manifest: a close that lands in
-    // between makes recv return None immediately, never hangs.
-    let sub = bus.subscribe(1024);
     if let Some(manifest) = bus.latest_manifest() {
         writeln!(writer, "{}", manifest.to_json().to_compact())?;
         writer.flush()?;
@@ -617,6 +617,21 @@ fn watch(inner: &Arc<Inner>, mut writer: TcpStream, job: &str) -> io::Result<()>
     ]);
     writeln!(writer, "{}", trailer.to_compact())?;
     writer.flush()
+}
+
+/// Pump a bus subscription into a writer as JSONL, one line per event,
+/// flushed per line so a live viewer sees each step as it happens.
+/// Returns the number of events written; ends when the bus closes (all
+/// queued events are drained first) or the writer errors.
+fn pump_subscription<W: Write>(sub: &Subscription, mut writer: W) -> io::Result<u64> {
+    let mut written = 0u64;
+    while let Some(event) = sub.recv() {
+        writer.write_all(event.to_jsonl().as_bytes())?;
+        writer.write_all(b"\n")?;
+        writer.flush()?;
+        written += 1;
+    }
+    Ok(written)
 }
 
 fn worker_loop(inner: Arc<Inner>) {
@@ -710,6 +725,7 @@ fn finalize(inner: &Arc<Inner>, job: &str, slot: &JobSlot, suffix: &str) {
             steps: slot.spec.steps,
             wall_seconds: slot.wall_seconds,
             violations: slot.violations,
+            bus_dropped_events: slot.bus.dropped_events(),
             ..RecordedRun::default()
         };
         let mut record = totals.reduce("mdm-serve", job, slot.spec.n_particles());
@@ -850,4 +866,42 @@ fn run_slice(
         upload_bytes,
         wall_seconds: run.wall_seconds,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mdm_profile::bus::BusEvent;
+    use mdm_profile::events::{parse_jsonl, RunManifest, StepEvent};
+
+    #[test]
+    fn pump_drains_the_newest_events_after_overflow() {
+        // Deterministic drop-oldest at the pump level: nobody reads
+        // while 100 events hit a 4-deep queue, so exactly the newest 4
+        // survive and are pumped out in order after close.
+        let bus = Bus::new();
+        let sub = bus.subscribe(4);
+        let manifest = RunManifest::default();
+        for step in 0..100u64 {
+            bus.publish_step(StepEvent::from_profile(
+                step,
+                1e-3,
+                &mdm_profile::Profile::default(),
+            ));
+        }
+        bus.close();
+        let mut sink = Vec::new();
+        let written = pump_subscription(&sub, &mut sink).unwrap();
+        assert_eq!(written, 4);
+        assert_eq!(sub.dropped(), 96);
+        assert_eq!(bus.dropped_events(), 96);
+        let text = format!(
+            "{}\n{}",
+            BusEvent::Manifest(Arc::new(manifest)).to_jsonl(),
+            String::from_utf8(sink).unwrap()
+        );
+        let (_, steps) = parse_jsonl(&text).unwrap();
+        let got: Vec<u64> = steps.iter().map(|e| e.step).collect();
+        assert_eq!(got, vec![96, 97, 98, 99]);
+    }
 }

@@ -1,5 +1,6 @@
 //! End-to-end server tests: the daemon binary under a real SIGKILL,
-//! back-pressure at the admission bound, live watch streams, a
+//! back-pressure at the admission bound, live watch streams (the stream
+//! equal to the trace file; a stalled watcher stalling nothing), a
 //! mini-soak with mixed priorities, and one board carrying its machine
 //! from job to job.
 
@@ -548,6 +549,135 @@ fn watch_streams_manifest_steps_and_done_trailer() {
         JobState::Done
     );
     server.stop();
+    let _ = std::fs::remove_dir_all(&spool);
+}
+
+/// A one-board daemon (ledger in the spool) whose board a
+/// higher-priority `blocker` job holds for a while (`slice_steps` per
+/// slice): a job submitted now waits in the queue until the blocker is
+/// done.
+fn daemon_behind_a_blocker(spool: &Path, slice_steps: u64) -> (Server, String, Client) {
+    let mut cfg = ServerConfig::new(spool);
+    cfg.slice_steps = slice_steps;
+    cfg.ledger = Some(spool.join("ledger.jsonl"));
+    let server = Server::start(cfg).unwrap();
+    let addr = server.local_addr().to_string();
+    let mut client = Client::connect(&addr).unwrap();
+    let blocker = JobSpec {
+        name: "blocker".into(),
+        steps: 400,
+        priority: 1,
+        ..JobSpec::default()
+    };
+    client.submit(&blocker).unwrap();
+    (server, addr, client)
+}
+
+/// A watch header means the watcher is subscribed. While the blocker is
+/// not done, the jobs queued behind it have not run a step, so every
+/// watcher attached so far sees them from their first slice on.
+fn assert_blocker_still_holds_the_board(client: &mut Client) {
+    let blocker = client.status("blocker").unwrap();
+    assert!(
+        !blocker.state.is_terminal(),
+        "the blocker finished before the watchers attached; lengthen it"
+    );
+}
+
+fn step_of(line: &str) -> Option<u64> {
+    let value = Value::parse(line).expect("stream lines are JSON");
+    (value.opt_str("type") == Some("step")).then(|| value.req_u64("step").unwrap())
+}
+
+/// The live stream and the job's trace file are one recording: a
+/// watcher attached before the first slice receives, between its header
+/// and the `done` trailer, exactly the lines of `<job>.trace.jsonl` —
+/// each slice's manifest and its step lines, in order.
+#[test]
+fn a_watch_from_the_first_slice_streams_exactly_the_trace_file() {
+    let spool = temp_spool("stream-file");
+    let (server, addr, mut client) = daemon_behind_a_blocker(&spool, 3);
+    let spec = JobSpec {
+        name: "traced".into(),
+        steps: 12,
+        seed: 5,
+        ..JobSpec::default()
+    };
+    client.submit(&spec).unwrap();
+    let watcher = Client::connect(&addr).unwrap().watch("traced").unwrap();
+    assert_blocker_still_holds_the_board(&mut client);
+    let mut lines: Vec<String> = watcher.collect::<Result<_, _>>().unwrap();
+    let trailer = lines.pop().expect("stream not empty");
+    assert!(
+        trailer.contains("\"type\":\"done\"") && trailer.contains("\"state\":\"done\""),
+        "missing done trailer: {trailer}"
+    );
+    let trace = std::fs::read_to_string(spool.join("traced.trace.jsonl")).unwrap();
+    assert_eq!(lines, trace.lines().collect::<Vec<_>>());
+    let steps: Vec<u64> = lines.iter().filter_map(|l| step_of(l)).collect();
+    assert_eq!(steps, (1..=12).collect::<Vec<_>>());
+    server.stop();
+    let _ = std::fs::remove_dir_all(&spool);
+}
+
+/// Drop-oldest, never block: a watcher that reads nothing until its job
+/// is done fills its socket and then its bus queue, which sheds its
+/// oldest events. The job still finishes, a second watcher still sees
+/// every step in order, and the stalled watcher, read at last, gets an
+/// in-order stream that ends at the job's last step. What it lost is
+/// the job's ledger count of dropped events.
+#[test]
+fn a_stalled_watcher_stalls_neither_the_job_nor_another_watcher() {
+    // Enough step lines (≈ 1.3 kB each) to overflow the stalled
+    // watcher's socket buffers (≈ 4 MiB on Linux loopback, where it saw
+    // ≈ 4,200 of 10,000) and then its 1,024-event queue.
+    const STEPS: u64 = 10_000;
+    const SLICE: u64 = 500;
+    let spool = temp_spool("stalled");
+    let (server, addr, mut client) = daemon_behind_a_blocker(&spool, SLICE);
+    let spec = JobSpec {
+        name: "flood".into(),
+        steps: STEPS,
+        ..JobSpec::default()
+    };
+    client.submit(&spec).unwrap();
+    let stalled = Client::connect(&addr).unwrap().watch("flood").unwrap();
+    let reader = Client::connect(&addr).unwrap().watch("flood").unwrap();
+    assert_blocker_still_holds_the_board(&mut client);
+    let fast = std::thread::spawn(move || {
+        let lines = reader.map(|line| line.unwrap());
+        lines.filter_map(|line| step_of(&line)).collect::<Vec<u64>>()
+    });
+    let report = match client.wait("flood", Duration::from_secs(120)) {
+        Ok(report) => report,
+        Err(e) => {
+            // The board is stuck publishing: joining it would hang the
+            // test instead of failing it.
+            std::mem::forget(server);
+            panic!("the job stalled behind a stalled watcher: {e}");
+        }
+    };
+    assert_eq!(report.state, JobState::Done, "{:?}", report.detail);
+    assert_eq!(fast.join().unwrap(), (1..=STEPS).collect::<Vec<_>>());
+
+    let mut lines: Vec<String> = stalled.collect::<Result<_, _>>().unwrap();
+    let trailer = lines.pop().expect("stream not empty");
+    assert!(trailer.contains("\"type\":\"done\""), "missing done trailer: {trailer}");
+    let seen: Vec<u64> = lines.iter().filter_map(|line| step_of(line)).collect();
+    assert!(seen.windows(2).all(|w| w[0] < w[1]), "out of order: {seen:?}");
+    assert_eq!(seen.last(), Some(&STEPS), "the newest events survive");
+    assert!(
+        (seen.len() as u64) < STEPS,
+        "the stalled watcher lost nothing: its socket held the whole stream, \
+         so its queue never filled and the test shows nothing (raise STEPS)"
+    );
+    server.stop();
+    // Each slice published a manifest and its steps; every one of those
+    // events reached the stalled watcher or was counted as dropped.
+    let (rows, _) = mdm_profile::ledger::read_ledger(&spool.join("ledger.jsonl")).unwrap();
+    let row = rows.iter().find(|r| r.label == "flood").expect("flood's ledger row");
+    let published = STEPS + STEPS / SLICE;
+    assert_eq!(row.bus_dropped_events, published - lines.len() as u64);
     let _ = std::fs::remove_dir_all(&spool);
 }
 

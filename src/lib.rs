@@ -25,7 +25,7 @@
 //!   and the performance model that regenerates Tables 4–5;
 //! * [`profile`] (`mdm-profile`) — spans, counters, log-bucketed
 //!   histograms, the JSONL flight recorder, and the accuracy /
-//!   effective-speed report types behind `accuracy_report`.
+//!   effective-speed sample types behind `accuracy_report`.
 //!
 //! ## Quickstart
 //!
