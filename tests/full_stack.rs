@@ -462,3 +462,100 @@ fn mdgrape2_tiles_pinned_at_serve_size() {
     );
     assert_eq!(coulomb, 4_032);
 }
+
+/// The paper's own MDGRAPE-2, `Mdgrape2Config::default()`: 16 clusters,
+/// 32 boards and 64 chips, at N = 64 (two i-particles a board), N = 216
+/// (seven a board, six on the 31st and none on the last) and N = 1,000
+/// (32 a board and eight on the last). One force pass and one potential
+/// pass of the Ewald real-space Coulomb tables each, on thermally kicked
+/// positions with the serve workloads' cutoff: the value digest and
+/// every `MdgCounters` field. Then the force pass again in
+/// `RealSpaceMode::SoftwareN3l` on 2 clusters, the shape the benchmark's
+/// `n3l_pass_ns_per_pair` rung runs: its digest and counters.
+#[test]
+fn mdgrape2_paper_machine_pinned() {
+    use mdm::mdgrape2::chip::AtomCoefficients;
+    use mdm::mdgrape2::pipeline::PipelineMode;
+    use mdm::mdgrape2::timing::MdgCounters;
+    use mdm::mdgrape2::{GFunction, JStore, Mdgrape2Config, Mdgrape2System, RealSpaceMode};
+    let counters = |pair_ops, cycles, bus_bytes_per_cluster, particles| MdgCounters {
+        pair_ops,
+        cycles,
+        bus_bytes_per_cluster,
+        particles,
+    };
+    // (cells, [force, potential, N3L force] value digests and counters)
+    let pins: [(usize, [(u64, MdgCounters); 3]); 3] = [
+        (
+            2,
+            [
+                (0x8fb3_e4c1_0a13_1dd2, counters(4_032, 16, 2_592, 64)),
+                (0xf56e_93eb_4364_5067, counters(4_032, 16, 2_592, 64)),
+                (0xe2ed_db4f_3e15_df2b, counters(2_016, 123, 3_288, 64)),
+            ],
+        ),
+        (
+            3,
+            [
+                (0xe430_4405_2874_9cf1, counters(46_440, 189, 7_696, 216)),
+                (0x3e5d_bda2_b68e_1ebf, counters(46_440, 189, 7_696, 216)),
+                (0x045d_6802_46e1_d146, counters(23_220, 1_392, 10_072, 216)),
+            ],
+        ),
+        (
+            5,
+            [
+                (0x3afe_ea4a_26fd_39fa, counters(999_000, 3_996, 33_984, 1000)),
+                (0x914e_3541_5b9c_5cc0, counters(999_000, 3_996, 33_984, 1000)),
+                (0x03f7_1b08_55aa_3cd7, counters(499_500, 28_812, 44_856, 1000)),
+            ],
+        ),
+    ];
+    let digest = |values: &[[f64; 3]]| {
+        position_digest(&values.iter().map(|v| Vec3::new(v[0], v[1], v[2])).collect::<Vec<_>>())
+    };
+    for (cells, want) in pins {
+        let mut system = rocksalt_nacl(cells, NACL_LATTICE_A);
+        maxwell_boltzmann(&mut system, 1200.0, 7);
+        let kicked: Vec<Vec3> = system
+            .positions()
+            .iter()
+            .zip(system.velocities())
+            .map(|(r, v)| system.simbox().wrap(*r + *v * 10.0))
+            .collect();
+        let l = system.simbox().l();
+        let params = MdmForceField::nacl_default_params(l);
+        let kappa = params.kappa(l);
+        let js = JStore::build(system.simbox(), &kicked, system.types(), params.r_cut);
+        // Na⁺–Na⁺, Na⁺–Cl⁻, Cl⁻–Cl⁻ charge products, scaled as the
+        // force (κ³) and energy (κ) tables take them.
+        let coefficients = |scale: f64| {
+            let b = |q: f64| q * mdm::core::units::COULOMB_EV_A * scale;
+            let a = vec![vec![kappa * kappa; 2]; 2];
+            AtomCoefficients::new(&a, &[vec![b(1.0), b(-1.0)], vec![b(-1.0), b(1.0)]])
+        };
+        let passes = [
+            (PipelineMode::Force, GFunction::CoulombRealForce, kappa.powi(3)),
+            (PipelineMode::Potential, GFunction::CoulombRealEnergy, kappa),
+        ];
+        let mut got = Vec::new();
+        for (mode, g, scale) in passes {
+            let table = g.build_evaluator().unwrap();
+            let mut mdg = Mdgrape2System::new(Mdgrape2Config::default(), table, coefficients(scale));
+            let out = mdg.calc_pass_with_jstore(mode, &kicked, system.types(), &js).unwrap();
+            got.push((digest(&out.values), out.counters));
+        }
+        let table = GFunction::CoulombRealForce.build_evaluator().unwrap();
+        let mut n3l = Mdgrape2System::new(Mdgrape2Config { clusters: 2 }, table, coefficients(kappa.powi(3)));
+        n3l.set_real_space_mode(RealSpaceMode::SoftwareN3l);
+        let out = n3l
+            .calc_pass_with_jstore(PipelineMode::Force, &kicked, system.types(), &js)
+            .unwrap();
+        got.push((digest(&out.values), out.counters));
+        let n = kicked.len();
+        for (what, (got, want)) in ["force", "potential", "N3L force"].iter().zip(got.iter().zip(&want)) {
+            assert_eq!(got.0, want.0, "N = {n}, {what}: value digest {:016x}", got.0);
+            assert_eq!(got.1, want.1, "N = {n}, {what}");
+        }
+    }
+}
