@@ -9,12 +9,14 @@
 //! skip** ("MDGRAPE-2 does not skip the force calculation even if the
 //! distance between two particles is larger than r_cut", §2.2).
 //!
-//! That dataflow is what the board *bills* (pair ops per chip, bytes on
+//! That dataflow is what a board *bills* (pair ops per chip, bytes on
 //! the bus). The host *executes* the hardware-faithful pattern above the
 //! board level, sixteen i-particles to a tile (the `sweep` module), and
-//! bills each board its share through `MdgBoard::credit_block2`; the
-//! entry points here that compute per i-particle are the oracle the tiles
-//! are pinned against.
+//! bills each board its share by arithmetic
+//! ([`crate::timing::board_bill`]), without building one; the entry
+//! points here that compute per i-particle are the oracle the tiles are
+//! pinned against, and the Newton's-third-law mode builds its boards
+//! for the call.
 
 use crate::chip::{AtomCoefficients, MdgChip, PIPELINES_PER_CHIP};
 use crate::ftz::FtzGuard;
@@ -203,34 +205,10 @@ impl MdgBoard {
         }
     }
 
-    /// Reload the function table on both chips.
-    pub fn load_table(&mut self, evaluator: &FunctionEvaluator) {
-        for c in &mut self.chips {
-            c.load_table(evaluator);
-        }
-        // Table upload: 1,024 segments × 5 × 4 B per chip.
-        self.bus_bytes += (CHIPS_PER_BOARD * 1024 * 20) as u64;
-    }
-
-    /// Reload the coefficient RAM on both chips.
-    pub fn load_coefficients(&mut self, coefficients: &AtomCoefficients) {
-        for c in &mut self.chips {
-            c.load_coefficients(coefficients.clone());
-        }
-        let n = coefficients.n_types();
-        self.bus_bytes += (CHIPS_PER_BOARD * n * n * 8) as u64;
-    }
-
     /// Validate a j-store against the SSRAM capacity and count its
     /// upload traffic.
     pub fn accept_jstore(&mut self, jstore: &JStore) -> Result<(), MdgBoardError> {
-        if jstore.len() > PARTICLE_CAPACITY {
-            return Err(MdgBoardError::ParticleMemoryOverflow {
-                requested: jstore.len(),
-                capacity: PARTICLE_CAPACITY,
-            });
-        }
-        self.bus_bytes += jstore.upload_bytes();
+        self.bus_bytes += crate::timing::upload(jstore)?;
         Ok(())
     }
 
@@ -287,21 +265,6 @@ impl MdgBoard {
         // Force read-back: 24 B per i-particle (3 × f64).
         self.bus_bytes += (range.len() * 24) as u64;
         out
-    }
-
-    /// Bill this board `passes` block-2 passes over a chunk of
-    /// i-particles computed elsewhere: `pair_ops` yields, per i-particle
-    /// of the chunk in range order, the pair ops of one pass (its
-    /// 27-cell block minus the self pair). Chips are dealt the particles
-    /// round-robin and the read-back is 24 B per particle per pass,
-    /// exactly as `passes` calls of [`Self::calc_block2`] bill themselves.
-    pub(crate) fn credit_block2(&mut self, passes: u64, pair_ops: impl Iterator<Item = u64>) {
-        let mut particles = 0u64;
-        for (idx, ops) in pair_ops.enumerate() {
-            self.chips[idx % CHIPS_PER_BOARD].credit_ops(passes * ops);
-            particles += 1;
-        }
-        self.bus_bytes += passes * particles * 24;
     }
 
     /// The pre-batching per-pair reference implementation of
@@ -411,11 +374,6 @@ impl MdgBoard {
         self.bus_bytes += (i_count * 24) as u64;
     }
 
-    /// The chips.
-    pub fn chips(&self) -> &[MdgChip] {
-        &self.chips
-    }
-
     /// Pair operations executed across both chips.
     pub fn ops(&self) -> u64 {
         self.chips.iter().map(MdgChip::ops).sum()
@@ -424,14 +382,6 @@ impl MdgBoard {
     /// Bus traffic, bytes.
     pub fn bus_bytes(&self) -> u64 {
         self.bus_bytes
-    }
-
-    /// Reset counters.
-    pub fn reset_counters(&mut self) {
-        self.bus_bytes = 0;
-        for c in &mut self.chips {
-            c.reset_ops();
-        }
     }
 }
 

@@ -1,7 +1,6 @@
-//! The MDGRAPE-2 chip (paper Fig. 10): four pipelines, the atom
-//! coefficient RAM (32 × 32 pair coefficients) and the neighbour-list
-//! RAM ("which was not used in our simulation", §3.5.3 — present here
-//! for completeness, likewise unused by the driver).
+//! The MDGRAPE-2 chip (paper Fig. 10): four pipelines and the atom
+//! coefficient RAM (32 × 32 pair coefficients). Its neighbour-list RAM
+//! ("which was not used in our simulation", §3.5.3) is not modelled.
 
 use crate::jstore::JCellColumns;
 use crate::pipeline::{BatchScratch, MdgPipeline, PairAccum, PipelineMode};
@@ -73,21 +72,11 @@ impl AtomCoefficients {
     }
 }
 
-/// The unused neighbour-list RAM (kept as a modelled resource: 4 KB of
-/// index storage on the real chip).
-#[derive(Clone, Debug, Default)]
-pub struct NeighborListRam {
-    /// Stored indices, if a future driver wants them.
-    pub entries: Vec<u32>,
-}
-
 /// One MDGRAPE-2 chip.
 #[derive(Clone, Debug)]
 pub struct MdgChip {
     pipelines: Vec<MdgPipeline>,
     coefficients: AtomCoefficients,
-    /// Present but unused, as in the paper's runs.
-    pub neighbor_list_ram: NeighborListRam,
     ops: u64,
     scratch: BatchScratch,
 }
@@ -100,7 +89,6 @@ impl MdgChip {
                 .map(|_| MdgPipeline::new(evaluator.clone()))
                 .collect(),
             coefficients,
-            neighbor_list_ram: NeighborListRam::default(),
             ops: 0,
             scratch: BatchScratch::default(),
         }
@@ -113,11 +101,6 @@ impl MdgChip {
         }
     }
 
-    /// Replace the coefficient RAM.
-    pub fn load_coefficients(&mut self, coefficients: AtomCoefficients) {
-        self.coefficients = coefficients;
-    }
-
     /// The coefficient RAM.
     pub fn coefficients(&self) -> &AtomCoefficients {
         &self.coefficients
@@ -126,19 +109,6 @@ impl MdgChip {
     /// Pair ops executed.
     pub fn ops(&self) -> u64 {
         self.ops
-    }
-
-    /// Reset the op counter.
-    pub fn reset_ops(&mut self) {
-        self.ops = 0;
-    }
-
-    /// Bill `ops` pair operations. The tile sweep of
-    /// [`crate::system::Mdgrape2System`] computes above the board level
-    /// and bills every chip through here what [`Self::stream`] and
-    /// [`Self::stream_cell`] bill themselves.
-    pub(crate) fn credit_ops(&mut self, ops: u64) {
-        self.ops += ops;
     }
 
     /// Evaluate one i-particle against a stream of j-particles on
@@ -161,12 +131,6 @@ impl MdgChip {
             pipeline.interact(xi, xj, a, b, mode, acc);
         }
         self.ops += acc.ops - before;
-    }
-
-    /// The table image resident on the pipelines (all four hold the same
-    /// one).
-    pub fn evaluator(&self) -> &FunctionEvaluator {
-        self.pipelines[0].evaluator()
     }
 
     /// Evaluate one i-particle against a whole j-cell batch on pipeline

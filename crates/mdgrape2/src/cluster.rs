@@ -1,95 +1,27 @@
 //! An MDGRAPE-2 cluster: two boards behind a PCI–PCI bridge (§3.5.1).
-//! As with WINE-2, the cluster is the unit of host-link bandwidth.
-
-use crate::board::MdgBoard;
-use crate::chip::AtomCoefficients;
-use mdm_funceval::FunctionEvaluator;
+//! As with WINE-2, the cluster is the unit of host-link bandwidth: the
+//! emulator builds no cluster, and [`crate::timing::bill`] adds its
+//! boards' bus bytes.
 
 /// Boards per cluster (Fig. 3).
 pub const BOARDS_PER_CLUSTER: usize = 2;
 
-/// One cluster of two boards.
-#[derive(Clone, Debug)]
-pub struct MdgCluster {
-    boards: Vec<MdgBoard>,
-}
-
-impl MdgCluster {
-    /// Build with identical table/coefficient images on both boards.
-    pub fn new(evaluator: FunctionEvaluator, coefficients: AtomCoefficients) -> Self {
-        Self {
-            boards: (0..BOARDS_PER_CLUSTER)
-                .map(|_| MdgBoard::new(evaluator.clone(), coefficients.clone()))
-                .collect(),
-        }
-    }
-
-    /// The boards.
-    pub fn boards(&self) -> &[MdgBoard] {
-        &self.boards
-    }
-
-    /// Mutable boards.
-    pub fn boards_mut(&mut self) -> &mut [MdgBoard] {
-        &mut self.boards
-    }
-
-    /// Reload the function table on both boards.
-    pub fn load_table(&mut self, evaluator: &FunctionEvaluator) {
-        for b in &mut self.boards {
-            b.load_table(evaluator);
-        }
-    }
-
-    /// Reload coefficients on both boards.
-    pub fn load_coefficients(&mut self, coefficients: &AtomCoefficients) {
-        for b in &mut self.boards {
-            b.load_coefficients(coefficients);
-        }
-    }
-
-    /// Total pair ops.
-    pub fn ops(&self) -> u64 {
-        self.boards.iter().map(MdgBoard::ops).sum()
-    }
-
-    /// Shared-bus bytes (sum over boards).
-    pub fn bus_bytes(&self) -> u64 {
-        self.boards.iter().map(MdgBoard::bus_bytes).sum()
-    }
-
-    /// Reset counters.
-    pub fn reset_counters(&mut self) {
-        for b in &mut self.boards {
-            b.reset_counters();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tables::GFunction;
+    use crate::system::Mdgrape2Config;
+    use crate::timing::{BoardBill, MdgCounters};
 
     #[test]
     fn cluster_has_two_boards() {
-        let c = MdgCluster::new(
-            GFunction::Dispersion6Force.build_evaluator().unwrap(),
-            AtomCoefficients::uniform(1.0, 1.0),
+        assert_eq!(Mdgrape2Config { clusters: 1 }.boards(), BOARDS_PER_CLUSTER);
+        // One bus carries both boards' bytes; the busier board sets the
+        // cycles.
+        let bill = |b: usize| BoardBill { pair_ops: [9, 17][b], bus_bytes: 100 };
+        let counters = MdgCounters::of_boards(1, 5, bill);
+        assert_eq!(
+            counters,
+            MdgCounters { pair_ops: 26, cycles: 3, bus_bytes_per_cluster: 200, particles: 5 }
         );
-        assert_eq!(c.boards().len(), 2);
-        assert_eq!(c.ops(), 0);
-    }
-
-    #[test]
-    fn table_upload_counted_on_both_boards() {
-        let mut c = MdgCluster::new(
-            GFunction::Dispersion6Force.build_evaluator().unwrap(),
-            AtomCoefficients::uniform(1.0, 1.0),
-        );
-        c.reset_counters();
-        c.load_table(&GFunction::Dispersion8Force.build_evaluator().unwrap());
-        // 2 boards × 2 chips × 1024 segments × 20 B.
-        assert_eq!(c.bus_bytes(), 2 * 2 * 1024 * 20);
     }
 }

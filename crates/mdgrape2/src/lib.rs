@@ -13,13 +13,17 @@
 //! neighbour cells **without Newton's third law and without cutoff
 //! skipping** — the ~13× work inflation the paper's `N_int_g` quantifies.
 //!
-//! | paper | module | numbers (current MDM) |
+//! The emulator bills the hierarchy above the pipeline from its numbers,
+//! and builds boards and chips only as the per-i oracle and for the
+//! Newton's-third-law mode:
+//!
+//! | paper | numbers (current MDM) | in the emulator |
 //! |---|---|---|
-//! | pipeline (Fig. 11) | [`pipeline`] | f32 arithmetic, f64 accumulation, 1 pair/cycle |
-//! | chip (Fig. 10) | [`chip`] | 4 pipelines, 100 MHz, ≈16 Gflops, 32-type coefficient RAM |
-//! | board (Fig. 9) | [`board`] | 2 chips, cell memory + dual index counters, 8 MB SSRAM |
-//! | cluster | [`cluster`] | 2 boards on a PCI bus |
-//! | system (Fig. 3) | [`system`] | 16 clusters = 64 chips ≈ 1 Tflops |
+//! | pipeline (Fig. 11) | f32 arithmetic, f64 accumulation, 1 pair/cycle | [`pipeline::MdgPipeline`] |
+//! | chip (Fig. 10) | 4 pipelines, 100 MHz, ≈16 Gflops, 32-type coefficient RAM | [`chip::PIPELINES_PER_CHIP`], [`chip::AtomCoefficients`] |
+//! | board (Fig. 9) | 2 chips, cell memory + dual index counters, 8 MB SSRAM | [`board::PIPELINES_PER_BOARD`], [`board::PARTICLE_CAPACITY`], [`timing::board_bill`]; [`board::MdgBoard`], the per-i oracle |
+//! | cluster | 2 boards on a PCI bus | [`cluster::BOARDS_PER_CLUSTER`], dealt by [`timing::bill`] |
+//! | system (Fig. 3) | 16 clusters = 64 chips ≈ 1 Tflops | [`Mdgrape2System`]: one loaded table and coefficient image, one tile sweep |
 //!
 //! plus [`api`] (the Table 3 host library: `MR1allocateboard`, `MR1init`,
 //! `MR1SetTable`, `MR1calcvdw_block2`, `MR1free`), [`tables`] (the
@@ -64,7 +68,7 @@
 //! AVX-512 registers where the CPU has AVX-512 F, `[f32; 16]` arrays
 //! elsewhere), in one parallel region over the tiles of a cached
 //! [`plan::TilePlan`] above the board level; the boards are billed their
-//! chunks by arithmetic. The per-i scalar column sweep
+//! chunks by arithmetic ([`timing::bill`]). The per-i scalar column sweep
 //! ([`board::MdgBoard::calc_block2`]) is the oracle both forms are pinned
 //! against, bit for bit and counter for counter.
 

@@ -3,27 +3,34 @@
 //! distribution across boards, and the Rayon-parallel execution that
 //! stands in for the boards' physical concurrency.
 //!
-//! The hierarchy is the accounting truth: every board is dealt its
-//! contiguous chunk of i-particles and billed the j-store uploads, pair
-//! ops and read-backs of the passes it ran. What the host *executes* for
-//! the hardware-faithful pattern is the tile sweep of the `sweep`
-//! module, run above the board level in one parallel region over the
-//! tiles of a [`crate::plan::TilePlan`] — sixteen resident i-particles
-//! per streamed j, as the silicon broadcasts it, taken from neighbouring
-//! home cells where one cell has fewer — in the form this CPU runs
-//! (AVX-512 lanes or portable arrays, bit for bit the same), with the
-//! boards billed by arithmetic. Its values and counters are those of the
-//! boards each running [`MdgBoard::calc_block2`] on their own chunks.
+//! The hierarchy is the accounting truth, and it is billed by arithmetic
+//! ([`crate::timing::bill`]): every board is dealt its contiguous chunk
+//! of i-particles and billed the j-store upload, pair ops and read-back
+//! of each pass it ran. What the host *executes* for the
+//! hardware-faithful pattern is the tile sweep of the `sweep` module,
+//! run above the board level in one parallel region over the tiles of a
+//! [`crate::plan::TilePlan`] — sixteen resident i-particles per streamed
+//! j, as the silicon broadcasts it, taken from neighbouring home cells
+//! where one cell has fewer — in the form this CPU runs (AVX-512 lanes or
+//! portable arrays, bit for bit the same). Its values and counters are
+//! those of the boards each running [`MdgBoard::calc_block2`] on their
+//! own chunks.
+//!
+//! The system keeps one table image and one coefficient image: what
+//! [`Mdgrape2System::load_table`] and [`Mdgrape2System::load_coefficients`]
+//! broadcast to every chip, and what a single pass reads. Uploads are not
+//! billed: a pass's counters are its own, and the reset that starts one
+//! erased whatever the uploads before it had billed.
 
-use crate::board::{MdgBoard, MdgBoardError, PIPELINES_PER_BOARD};
+use crate::board::{MdgBoard, MdgBoardError};
 use crate::chip::AtomCoefficients;
-use crate::cluster::{MdgCluster, BOARDS_PER_CLUSTER};
+use crate::cluster::BOARDS_PER_CLUSTER;
 use crate::ftz::FtzGuard;
 use crate::jstore::JStore;
 use crate::pipeline::PipelineMode;
 use crate::plan::TilePlan;
 use crate::sweep::Kernel;
-use crate::timing::MdgCounters;
+use crate::timing::{bill, board_chunk, BoardBill, MdgCounters};
 use mdm_core::boxsim::SimBox;
 use mdm_core::vec3::Vec3;
 use mdm_funceval::FunctionEvaluator;
@@ -91,12 +98,15 @@ pub struct MdgPassResult {
     pub counters: MdgCounters,
 }
 
-/// Working state of the tile sweep, sized by the first call and reused
-/// by every later one: a steady-state call allocates the vectors it
-/// returns and the parallel region's bookkeeping, all on the calling
-/// thread — never on a worker (short-lived workers each grow an
-/// allocator arena of their own).
-struct TileSweep {
+/// The machine the passes run on, less its loaded images: its shape,
+/// its real-space mode and the working state of the tile sweep, sized by
+/// the first call and reused by every later one — a steady-state call
+/// allocates the vectors it returns and the parallel region's
+/// bookkeeping, all on the calling thread, never on a worker
+/// (short-lived workers each grow an allocator arena of their own).
+struct Machine {
+    config: Mdgrape2Config,
+    mode: RealSpaceMode,
     /// The form of the sweep this CPU runs.
     kernel: Kernel,
     /// The accumulators of the sweep in flight in j-store slot order,
@@ -109,10 +119,11 @@ struct TileSweep {
 
 /// The emulated MDGRAPE-2 system.
 pub struct Mdgrape2System {
-    config: Mdgrape2Config,
-    clusters: Vec<MdgCluster>,
-    mode: RealSpaceMode,
-    tiles: TileSweep,
+    /// The function table last loaded (`MR1SetTable`).
+    table: FunctionEvaluator,
+    /// The coefficient RAM last loaded.
+    coefficients: AtomCoefficients,
+    machine: Machine,
 }
 
 impl Mdgrape2System {
@@ -125,12 +136,11 @@ impl Mdgrape2System {
     ) -> Self {
         assert!(config.clusters > 0);
         Self {
-            config,
-            clusters: (0..config.clusters)
-                .map(|_| MdgCluster::new(evaluator.clone(), coefficients.clone()))
-                .collect(),
-            mode: RealSpaceMode::default(),
-            tiles: TileSweep {
+            table: evaluator,
+            coefficients,
+            machine: Machine {
+                config,
+                mode: RealSpaceMode::default(),
                 kernel: Kernel::detect(),
                 slot_values: Vec::new(),
                 plan: TilePlan::default(),
@@ -140,27 +150,25 @@ impl Mdgrape2System {
 
     /// The configuration.
     pub fn config(&self) -> Mdgrape2Config {
-        self.config
+        self.machine.config
     }
 
     /// Select how real-space pairs are walked (defaults to the
     /// hardware-faithful no-N3L pattern).
     pub fn set_real_space_mode(&mut self, mode: RealSpaceMode) {
-        self.mode = mode;
+        self.machine.mode = mode;
     }
 
-    /// Reload the function table everywhere.
+    /// Reload the function table everywhere (unbilled, see the module
+    /// docs).
     pub fn load_table(&mut self, evaluator: &FunctionEvaluator) {
-        for c in &mut self.clusters {
-            c.load_table(evaluator);
-        }
+        self.table.clone_from(evaluator);
     }
 
-    /// Reload the coefficient RAM everywhere.
+    /// Reload the coefficient RAM everywhere (unbilled, see the module
+    /// docs).
     pub fn load_coefficients(&mut self, coefficients: &AtomCoefficients) {
-        for c in &mut self.clusters {
-            c.load_coefficients(coefficients);
-        }
+        self.coefficients.clone_from(coefficients);
     }
 
     /// Run one pass of the cell-index pairwise evaluation (the
@@ -197,13 +205,11 @@ impl Mdgrape2System {
         types: &[u8],
         jstore: &JStore,
     ) -> Result<MdgPassResult, MdgBoardError> {
-        let chip = &self.clusters[0].boards()[0].chips()[0];
-        let (table, coefficients) = (chip.evaluator().clone(), chip.coefficients().clone());
         let pass = TablePass {
-            table: &table,
-            coefficients: &coefficients,
+            table: &self.table,
+            coefficients: &self.coefficients,
         };
-        let [result] = self.calc_passes_with_jstore(mode, &[pass], positions, types, jstore)?;
+        let [result] = self.machine.calc_passes(mode, &[pass], positions, types, jstore)?;
         Ok(result)
     }
 
@@ -224,13 +230,30 @@ impl Mdgrape2System {
     /// uploads, `P` read-backs and `P` pair ops per pair, and each
     /// returned [`MdgCounters`] is that of one pass.
     ///
-    /// The uploads (`load_table`, `load_coefficients`) stay with the
-    /// caller, which times them as bus traffic; the sweep reads the
-    /// images from `passes`, since the emulated chips hold one table at
-    /// a time. [`RealSpaceMode::SoftwareN3l`] has no fused form (a
-    /// pair's reaction lands in another particle's accumulator): there
-    /// the passes run one after another, each on its own images.
+    /// The table and coefficient uploads (`load_table`,
+    /// `load_coefficients`) stay with the caller, which times them as bus
+    /// traffic, and are not billed: each returned [`MdgCounters`] holds
+    /// only its pass's own traffic. The sweep reads the images from
+    /// `passes`, and leaves the loaded ones as they were.
+    /// [`RealSpaceMode::SoftwareN3l`] has no fused form (a pair's
+    /// reaction lands in another particle's accumulator): there the
+    /// passes run one after another, each on boards built for the call
+    /// with its own images.
     pub fn calc_passes_with_jstore<const P: usize>(
+        &mut self,
+        mode: PipelineMode,
+        passes: &[TablePass<'_>; P],
+        positions: &[Vec3],
+        types: &[u8],
+        jstore: &JStore,
+    ) -> Result<[MdgPassResult; P], MdgBoardError> {
+        self.machine.calc_passes(mode, passes, positions, types, jstore)
+    }
+}
+
+impl Machine {
+    /// [`Mdgrape2System::calc_passes_with_jstore`].
+    fn calc_passes<const P: usize>(
         &mut self,
         mode: PipelineMode,
         passes: &[TablePass<'_>; P],
@@ -244,68 +267,17 @@ impl Mdgrape2System {
             return Err(MdgBoardError::StaleJStore { particle });
         }
         match self.mode {
-            RealSpaceMode::HardwareFaithful => {
-                self.reset_counters();
-                let values = self.tile_sweep(mode, passes, jstore)?;
-                // Every pass walked the same pairs on the same boards.
-                let counters = self.pass_counters(P as u64, positions.len());
-                Ok(values.map(|values| MdgPassResult { values, counters }))
-            }
+            RealSpaceMode::HardwareFaithful => self.tile_sweep(mode, passes, jstore),
             RealSpaceMode::SoftwareN3l => {
                 let mut results = Vec::with_capacity(P);
                 for pass in passes {
-                    self.load_table(pass.table);
-                    self.load_coefficients(pass.coefficients);
-                    self.reset_counters();
-                    let values = self.n3l_pass(mode, jstore)?;
-                    let counters = self.pass_counters(1, positions.len());
-                    results.push(MdgPassResult { values, counters });
+                    results.push(self.n3l_pass(mode, pass, jstore)?);
                 }
                 Ok(results
                     .try_into()
                     .unwrap_or_else(|_| unreachable!("one result per pass")))
             }
         }
-    }
-
-    fn reset_counters(&mut self) {
-        for c in &mut self.clusters {
-            c.reset_counters();
-        }
-    }
-
-    /// The counters of one pass, read off the boards after `passes`
-    /// identical passes ran since the last reset.
-    fn pass_counters(&self, passes: u64, particles: usize) -> MdgCounters {
-        let board_ops: Vec<u64> = self
-            .clusters
-            .iter()
-            .flat_map(|c| c.boards().iter().map(|b| b.ops() / passes))
-            .collect();
-        MdgCounters {
-            pair_ops: board_ops.iter().sum(),
-            // Within a board the 8 pipelines share the i-stream; the
-            // board's time is its ops divided by its pipelines, and the
-            // system's time the max over boards.
-            cycles: board_ops
-                .iter()
-                .map(|&o| o.div_ceil(PIPELINES_PER_BOARD as u64))
-                .max()
-                .unwrap_or(0),
-            bus_bytes_per_cluster: self
-                .clusters
-                .iter()
-                .map(|c| c.bus_bytes() / passes)
-                .max()
-                .unwrap_or(0),
-            particles: particles as u64,
-        }
-    }
-
-    /// The contiguous chunk of `n` i-particles dealt to board `b`.
-    fn board_chunk(&self, b: usize, n: usize) -> std::ops::Range<usize> {
-        let per_board = n.div_ceil(self.config.boards()).max(1);
-        (b * per_board).min(n)..((b + 1) * per_board).min(n)
     }
 
     /// The hardware-faithful sweep: one parallel region over the tiles of
@@ -319,7 +291,7 @@ impl Mdgrape2System {
         mode: PipelineMode,
         passes: &[TablePass<'_>; P],
         jstore: &JStore,
-    ) -> Result<[Vec<[f64; 3]>; P], MdgBoardError> {
+    ) -> Result<[MdgPassResult; P], MdgBoardError> {
         let n = jstore.len();
         let species = jstore.types().iter().max().map_or(0, |&t| t as usize + 1);
         for pass in passes {
@@ -328,11 +300,10 @@ impl Mdgrape2System {
                 "species beyond the coefficient RAM"
             );
         }
-        self.tiles.plan.update(jstore);
-        self.bill_tile_sweep(P as u64, jstore)?;
+        self.plan.update(jstore);
+        let counters = bill(self.config.clusters, jstore, &self.plan)?;
 
-        let TileSweep { kernel, slot_values: values, plan } = &mut self.tiles;
-        let (kernel, plan) = (*kernel, &*plan);
+        let (kernel, plan, values) = (self.kernel, &self.plan, &mut self.slot_values);
         values.clear();
         values.resize(n * P, [0.0; 3]);
         let mut tiles = Vec::with_capacity(plan.tiles());
@@ -352,76 +323,55 @@ impl Mdgrape2System {
         });
         drop(pipeline_span);
 
-        Ok(std::array::from_fn(|p| {
-            (0..n)
-                .map(|i| values[jstore.slot_of_original(i) * P + p])
-                .collect()
+        // Every pass walked the same pairs on the same boards.
+        Ok(std::array::from_fn(|p| MdgPassResult {
+            values: (0..n).map(|i| values[jstore.slot_of_original(i) * P + p]).collect(),
+            counters,
         }))
     }
 
-    /// Bill the hierarchy for a tile sweep of `passes` passes, by
-    /// arithmetic: every board with a non-empty chunk accepts the j-store
-    /// once per pass, and is billed each i-particle of its chunk (dealt
-    /// in *original* index order, chips round-robin) at its home cell's
-    /// 27-cell block minus the self pair — what `passes` calls of
-    /// [`MdgBoard::calc_block2`] bill as they compute. The block lengths
-    /// are the plan's, which must be up to date with `jstore`.
-    fn bill_tile_sweep(&mut self, passes: u64, jstore: &JStore) -> Result<(), MdgBoardError> {
-        for b in 0..self.config.boards() {
-            let chunk = self.board_chunk(b, jstore.len());
-            if chunk.is_empty() {
-                continue;
-            }
-            let board = &mut self.clusters[b / BOARDS_PER_CLUSTER].boards_mut()[b % BOARDS_PER_CLUSTER];
-            for _ in 0..passes {
-                board.accept_jstore(jstore)?;
-            }
-            let block_len = self.tiles.plan.block_len();
-            board.credit_block2(passes, chunk.map(|i| block_len[jstore.cell_of(i)] - 1));
-        }
-        Ok(())
-    }
-
-    /// The Newton's-third-law software pass: boards own contiguous
-    /// **home-cell** ranges and each produces a partial force array over
-    /// every sorted slot (reactions land in other boards' home cells);
-    /// the partials are reduced in fixed board order so the result is
-    /// independent of the Rayon thread count, then scattered back to
-    /// original particle indexing.
+    /// The Newton's-third-law software pass: boards, built for the call
+    /// with `pass`'s images, own contiguous **home-cell** ranges and each
+    /// produces a partial force array over every sorted slot (reactions
+    /// land in other boards' home cells); the partials are reduced in
+    /// fixed board order so the result is independent of the Rayon
+    /// thread count, then scattered back to original particle indexing.
+    /// The counters are read off the boards' meters.
     fn n3l_pass(
-        &mut self,
+        &self,
         mode: PipelineMode,
+        pass: &TablePass<'_>,
         jstore: &JStore,
-    ) -> Result<Vec<[f64; 3]>, MdgBoardError> {
-        let n_cells = jstore.n_cells();
-        let n_boards = self.config.boards();
-        let per_board = n_cells.div_ceil(n_boards).max(1);
-        let boards: Vec<&mut MdgBoard> = self
-            .clusters
-            .iter_mut()
-            .flat_map(|c| c.boards_mut().iter_mut())
-            .collect();
-        let ranges: Vec<std::ops::Range<usize>> = (0..n_boards)
-            .map(|b| (b * per_board).min(n_cells)..((b + 1) * per_board).min(n_cells))
+    ) -> Result<MdgPassResult, MdgBoardError> {
+        let (n_cells, n_boards) = (jstore.n_cells(), self.config.boards());
+        let ranges: Vec<std::ops::Range<usize>> =
+            (0..n_boards).map(|b| board_chunk(n_cells, n_boards, b)).collect();
+        // An idle board is not built, so not sent the store.
+        let mut boards: Vec<Option<(MdgBoard, Vec<[f64; 3]>)>> = ranges
+            .iter()
+            .map(|range| {
+                (!range.is_empty()).then(|| {
+                    let board = MdgBoard::new(pass.table.clone(), pass.coefficients.clone());
+                    (board, vec![[0f64; 3]; jstore.len()])
+                })
+            })
             .collect();
         let pipeline_span = mdm_profile::span("pipelines");
-        let partials: Vec<Vec<[f64; 3]>> = boards
-            .into_par_iter()
+        boards
+            .par_iter_mut()
             .zip(ranges)
             .map(|(board, range)| {
-                if range.is_empty() {
-                    return Ok(Vec::new());
+                if let Some((board, partial)) = board {
+                    board.accept_jstore(jstore)?;
+                    board.calc_block2_n3l(mode, range, jstore, partial);
                 }
-                board.accept_jstore(jstore)?;
-                let mut partial = vec![[0f64; 3]; jstore.len()];
-                board.calc_block2_n3l(mode, range, jstore, &mut partial);
-                Ok(partial)
+                Ok(())
             })
-            .collect::<Result<_, MdgBoardError>>()?;
+            .collect::<Result<Vec<()>, MdgBoardError>>()?;
         drop(pipeline_span);
 
         let mut values = vec![[0f64; 3]; jstore.len()];
-        for partial in partials.iter().filter(|p| !p.is_empty()) {
+        for (_, partial) in boards.iter().flatten() {
             for (s, v) in partial.iter().enumerate() {
                 let out = &mut values[jstore.original_index(s)];
                 out[0] += v[0];
@@ -429,7 +379,14 @@ impl Mdgrape2System {
                 out[2] += v[2];
             }
         }
-        Ok(values)
+        let meters = |b: usize| {
+            boards[b].as_ref().map_or(BoardBill::default(), |(board, _)| BoardBill {
+                pair_ops: board.ops(),
+                bus_bytes: board.bus_bytes(),
+            })
+        };
+        let counters = MdgCounters::of_boards(self.config.clusters, jstore.len(), meters);
+        Ok(MdgPassResult { values, counters })
     }
 }
 
@@ -451,21 +408,15 @@ fn first_stale(positions: &[Vec3], types: &[u8], jstore: &JStore) -> Option<usiz
 impl Mdgrape2System {
     /// This system running `kernel` in place of the detected one.
     pub(crate) fn with_kernel(mut self, kernel: Kernel) -> Self {
-        self.tiles.kernel = kernel;
+        self.machine.kernel = kernel;
         self
-    }
-
-    /// Every board's `(pair ops, bus bytes)` meters, in board order.
-    pub(crate) fn board_meters(&self) -> Vec<(u64, u64)> {
-        let boards = self.clusters.iter().flat_map(|c| c.boards());
-        boards.map(|b| (b.ops(), b.bus_bytes())).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::board::IBatch;
+    use crate::board::{IBatch, PIPELINES_PER_BOARD};
     use crate::pipeline::PairAccum;
     use crate::sweep::tests::{kernels, tables, three_species_ram, FORCE_KERNELS};
     use crate::tables::GFunction;
@@ -574,7 +525,8 @@ mod tests {
     /// `clusters` clusters, loaded with the pass's images, is dealt its
     /// chunk of original indices, accepts the j-store and runs
     /// [`MdgBoard::calc_block2`] on the chunk (an idle board is not even
-    /// sent the store); the counters are read off those boards' meters.
+    /// sent the store); the counters are read off those boards' meters,
+    /// and each board's meters must be its closed-form bill.
     fn boards_reference(
         clusters: usize,
         passes: &[TablePass<'_>],
@@ -601,6 +553,11 @@ mod tests {
                         board
                     })
                     .collect();
+                let plan = TilePlan::new(js);
+                for (b, board) in boards.iter().enumerate() {
+                    let meters = BoardBill { pair_ops: board.ops(), bus_bytes: board.bus_bytes() };
+                    assert_eq!(meters, crate::timing::board_bill(clusters, js, &plan, b), "board {b}");
+                }
                 let ops = boards.iter().map(MdgBoard::ops);
                 let counters = MdgCounters {
                     pair_ops: ops.clone().sum(),
@@ -665,7 +622,7 @@ mod tests {
             let js = JStore::build(sb, &pos, &ty, min_cell);
             for clusters in [1usize, 2, 3] {
                 if (n, clusters) == (10, 3) {
-                    assert!(system(clusters).board_chunk(5, n).is_empty(), "no board is idle");
+                    assert!(board_chunk(n, Mdgrape2Config { clusters }.boards(), 5).is_empty(), "no board is idle");
                 }
                 for mode in [PipelineMode::Force, PipelineMode::Potential] {
                     let what = format!("N {n} clusters {clusters}");
@@ -792,9 +749,9 @@ mod tests {
     /// Address and capacity of every buffer the tile sweep keeps between
     /// calls.
     fn buffers(sys: &Mdgrape2System) -> Vec<(usize, usize)> {
-        let tiles = &sys.tiles;
-        let mut buffers = tiles.plan.buffers();
-        buffers.push((tiles.slot_values.as_ptr() as usize, tiles.slot_values.capacity()));
+        let machine = &sys.machine;
+        let mut buffers = machine.plan.buffers();
+        buffers.push((machine.slot_values.as_ptr() as usize, machine.slot_values.capacity()));
         buffers
     }
 
@@ -834,6 +791,18 @@ mod tests {
             assert_eq!(third[0].values, fresh[0].values);
             assert_eq!(third[0].counters, fresh[0].counters);
         }
+    }
+
+    /// A j-store over a board's 8 MB SSRAM is refused before the sweep
+    /// runs: the billing's capacity check, with the count it refused.
+    #[test]
+    fn an_over_capacity_jstore_is_refused_before_the_sweep() {
+        use crate::board::PARTICLE_CAPACITY;
+        let (sb, pos, ty) = config(PARTICLE_CAPACITY + 1, 30.0);
+        let js = JStore::build(sb, &pos, &ty, 10.0);
+        let refused = system(2).calc_pass_with_jstore(PipelineMode::Force, &pos, &ty, &js);
+        let want = MdgBoardError::ParticleMemoryOverflow { requested: PARTICLE_CAPACITY + 1, capacity: PARTICLE_CAPACITY };
+        assert_eq!(refused.map(|r| r.counters), Err(want));
     }
 
     #[test]

@@ -1,5 +1,13 @@
 //! Cycle and bandwidth accounting for MDGRAPE-2 — the numbers behind
-//! the performance model's `t_mdg` term.
+//! the performance model's `t_mdg` term — and [`bill`], which turns one
+//! pass's i-particles and their 27-cell blocks into the counters the
+//! machine's boards would have metered.
+
+use crate::board::{MdgBoardError, PARTICLE_CAPACITY, PIPELINES_PER_BOARD};
+use crate::cluster::BOARDS_PER_CLUSTER;
+use crate::jstore::JStore;
+use crate::plan::TilePlan;
+use std::ops::Range;
 
 /// Pipeline clock (§3.5.3: 100 MHz).
 pub const CLOCK_HZ: f64 = 100.0e6;
@@ -80,32 +88,88 @@ impl MdgCounters {
     }
 }
 
-/// Modeled cycle time beside measured wall-clock — see
-/// `wine2::timing::MeasuredVsModeled` for the WINE-2 twin; together
-/// they give the Table 4 per-engine comparison.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct MeasuredVsModeled {
-    /// Wall-clock seconds the emulated pass actually took.
-    pub measured_seconds: f64,
-    /// Seconds the real hardware would take: busy cycles / clock.
-    pub modeled_seconds: f64,
-}
-
-impl MeasuredVsModeled {
-    /// Emulation slowdown: measured / modeled.
-    pub fn slowdown(&self) -> f64 {
-        self.measured_seconds / self.modeled_seconds
-    }
-}
-
 impl MdgCounters {
-    /// Pair the modeled compute time with a measured wall-clock.
-    pub fn against_wall_clock(&self, measured_seconds: f64) -> MeasuredVsModeled {
-        MeasuredVsModeled {
-            measured_seconds,
-            modeled_seconds: self.compute_seconds(),
+    /// The counters of one pass on `clusters` clusters from its boards'
+    /// bills, `board(b)` for boards numbered cluster by cluster: the
+    /// pair ops of them all; the busiest board's cycles, its ops over its
+    /// eight pipelines (boards run concurrently, and a board's pipelines
+    /// share its i-stream); and the busiest cluster's bus bytes, its two
+    /// boards' added (they share the bus).
+    pub(crate) fn of_boards(clusters: usize, particles: usize, board: impl Fn(usize) -> BoardBill) -> Self {
+        let mut counters = Self { particles: particles as u64, ..Self::default() };
+        for c in 0..clusters {
+            let mut bus_bytes = 0;
+            for b in c * BOARDS_PER_CLUSTER..(c + 1) * BOARDS_PER_CLUSTER {
+                let bill = board(b);
+                counters.pair_ops += bill.pair_ops;
+                counters.cycles = counters.cycles.max(bill.pair_ops.div_ceil(PIPELINES_PER_BOARD as u64));
+                bus_bytes += bill.bus_bytes;
+            }
+            counters.bus_bytes_per_cluster = counters.bus_bytes_per_cluster.max(bus_bytes);
         }
+        counters
     }
+}
+
+/// What one board is billed for one pass.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct BoardBill {
+    /// Pair operations its chips executed.
+    pub pair_ops: u64,
+    /// Bytes over its bus: the j-store upload and 24 B of read-back per
+    /// i-particle.
+    pub bus_bytes: u64,
+}
+
+/// The contiguous run of `n` items dealt to board `b` of `boards`:
+/// `⌈n/boards⌉` each in order, the last ones short or empty. A
+/// hardware-faithful pass deals the i-particles in original index
+/// order; the Newton's-third-law mode deals home cells.
+pub(crate) fn board_chunk(n: usize, boards: usize, b: usize) -> Range<usize> {
+    let per = n.div_ceil(boards).max(1);
+    (b * per).min(n)..((b + 1) * per).min(n)
+}
+
+/// A board accepting `jstore` into its 8 MB SSRAM: the upload's bus
+/// bytes, or the overflow that refuses it.
+pub(crate) fn upload(jstore: &JStore) -> Result<u64, MdgBoardError> {
+    if jstore.len() > PARTICLE_CAPACITY {
+        return Err(MdgBoardError::ParticleMemoryOverflow {
+            requested: jstore.len(),
+            capacity: PARTICLE_CAPACITY,
+        });
+    }
+    Ok(jstore.upload_bytes())
+}
+
+/// Board `b`'s bill for one hardware-faithful pass over `jstore`'s
+/// particles on `clusters` clusters: each i-particle of its chunk at its
+/// home cell's 27-cell block minus the self pair (the block lengths of
+/// `plan`, which must be up to date with `jstore`), the store's upload
+/// and the read-back — what [`MdgBoard::calc_block2`] meters on that
+/// chunk. An idle board is not sent the store and bills nothing.
+///
+/// [`MdgBoard::calc_block2`]: crate::board::MdgBoard::calc_block2
+pub fn board_bill(clusters: usize, jstore: &JStore, plan: &TilePlan, b: usize) -> BoardBill {
+    let chunk = board_chunk(jstore.len(), clusters * BOARDS_PER_CLUSTER, b);
+    if chunk.is_empty() {
+        return BoardBill::default();
+    }
+    let block_len = plan.block_len();
+    BoardBill {
+        pair_ops: chunk.clone().map(|i| block_len[jstore.cell_of(i)] - 1).sum(),
+        bus_bytes: jstore.upload_bytes() + 24 * chunk.len() as u64,
+    }
+}
+
+/// The counters of one hardware-faithful pass, billed by arithmetic and
+/// without an object per cluster, board or chip: `jstore`'s particles
+/// dealt to the boards in contiguous chunks, every board billed by
+/// [`board_bill`]. A j-store over a board's SSRAM is refused before
+/// anything is billed.
+pub fn bill(clusters: usize, jstore: &JStore, plan: &TilePlan) -> Result<MdgCounters, MdgBoardError> {
+    upload(jstore)?;
+    Ok(MdgCounters::of_boards(clusters, jstore.len(), |b| board_bill(clusters, jstore, plan, b)))
 }
 
 /// Peak rated flops of an MDGRAPE-2 configuration (the paper's
@@ -182,16 +246,5 @@ mod tests {
         };
         assert!((c.upload_bandwidth(1.0) - CLUSTER_BUS_BYTES_PER_S).abs() < 1.0);
         assert_eq!(c.upload_bandwidth(0.0), 0.0);
-    }
-
-    #[test]
-    fn measured_vs_modeled_slowdown() {
-        let c = MdgCounters {
-            cycles: 100_000_000, // 1 s of modeled silicon
-            ..Default::default()
-        };
-        let cmp = c.against_wall_clock(4.0);
-        assert!((cmp.modeled_seconds - 1.0).abs() < 1e-12);
-        assert!((cmp.slowdown() - 4.0).abs() < 1e-12);
     }
 }

@@ -30,7 +30,8 @@
 //!
 //! Exit codes: 0 on a clean stream end, 1 if `--once` saw no step,
 //! 2 on a connection or watch failure, a mid-stream error, or
-//! malformed JSONL (the stream-following rules live in
+//! malformed JSONL, 3 if the job's trailer says it ended in a state
+//! other than `done` (the stream-following rules live in
 //! `mdm_bench::topview`).
 
 use mdm_bench::topview::{follow, StreamError};
@@ -97,6 +98,10 @@ fn main() {
         Err(StreamError::EndedEarly) if once => {
             eprintln!("mdm_top: stream ended before the first step event");
             std::process::exit(1);
+        }
+        Err(StreamError::JobEnded(state)) => {
+            eprintln!("mdm_top: job {job} ended {}", state.as_str());
+            std::process::exit(3);
         }
         Err(e) => fail(e),
     }

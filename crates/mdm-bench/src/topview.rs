@@ -14,11 +14,14 @@
 //!   than resynchronize on guesswork;
 //! * the server closing before the first step event →
 //!   [`StreamError::EndedEarly`];
-//! * EOF after at least one step, or a `{"type":"done"}` trailer →
+//! * a `{"type":"done"}` trailer whose `state` is not `done` (the job
+//!   failed) → [`StreamError::JobEnded`] with that state;
+//! * EOF after at least one step, or a trailer with `"state":"done"` →
 //!   clean end.
 
 use mdm_profile::events::{RunManifest, StepEvent};
 use mdm_profile::json::Value;
+use mdm_serve::JobState;
 use std::io;
 use std::ops::ControlFlow;
 
@@ -132,6 +135,8 @@ pub enum StreamError {
     /// The server closed the stream before the first step event — the
     /// run never got going from this viewer's perspective.
     EndedEarly,
+    /// The job's trailer gave a final state other than `done`.
+    JobEnded(JobState),
 }
 
 impl std::fmt::Display for StreamError {
@@ -144,6 +149,7 @@ impl std::fmt::Display for StreamError {
             StreamError::EndedEarly => {
                 write!(f, "server closed the stream before the first step event")
             }
+            StreamError::JobEnded(state) => write!(f, "the job ended {}", state.as_str()),
         }
     }
 }
@@ -179,9 +185,16 @@ pub fn follow(
                     return Ok(view);
                 }
             }
-            // An mdm_serve watch ends with a done trailer: clean end
-            // even if the job produced no steps for this viewer.
-            Some("done") => return Ok(view),
+            // An mdm_serve watch ends with a done trailer carrying the
+            // job's final state: a clean end for a finished job, even if
+            // it produced no steps for this viewer.
+            Some("done") => {
+                let state = value.opt_str("state").map(JobState::parse);
+                return match state.ok_or_else(malformed)?.map_err(|_| malformed())? {
+                    JobState::Done => Ok(view),
+                    other => Err(StreamError::JobEnded(other)),
+                };
+            }
             _ => {}
         }
     }
@@ -265,6 +278,17 @@ mod tests {
         let text = format!("{}\n{{\"type\":\"done\",\"state\":\"done\"}}\n", manifest_line());
         let view = follow(Cursor::new(text).lines(), keep_going).unwrap();
         assert_eq!(view.steps_seen(), 0);
+        // The trailer of a job that failed is not a clean end, with steps
+        // seen or none.
+        for steps in [String::new(), format!("{}\n", step_line(0))] {
+            let text = format!("{}\n{steps}{{\"type\":\"done\",\"state\":\"failed\"}}\n", manifest_line());
+            let result = follow(Cursor::new(text).lines(), keep_going);
+            assert!(
+                matches!(result, Err(StreamError::JobEnded(JobState::Failed))),
+                "{steps:?}: {:?}",
+                result.map(|v| v.steps_seen())
+            );
+        }
     }
 
     #[test]

@@ -558,10 +558,10 @@ impl MdmForceField {
 
     /// The four §4 passes (Ewald-real, Born–Mayer, `r⁻⁶`, `r⁻⁸`) in
     /// `mode` over one j-store. The host uploads each pass's table and
-    /// coefficient images — modeled bus traffic, timed as `comm` — and
-    /// the boards then evaluate the four passes in one sweep of the pair
-    /// set they share (see [`Mdgrape2System::calc_passes_with_jstore`]);
-    /// every pass still returns, and is billed, its own counters.
+    /// coefficient images — timed as `comm`, not billed — and the boards
+    /// then evaluate the four passes in one sweep of the pair set they
+    /// share (see [`Mdgrape2System::calc_passes_with_jstore`]); every
+    /// pass still returns, and is billed, its own counters.
     fn real_space_passes(
         &mut self,
         mode: PipelineMode,

@@ -1042,7 +1042,7 @@ mod tests {
         let mut sim = software_sim(1.0);
         let manifest = software_manifest(&sim);
         let mut recorder = FlightRecorder::new(Vec::new(), &manifest).unwrap();
-        let bus = Bus::new();
+        let bus = Bus::with_topic("t");
         let sub = bus.subscribe(64);
         let run = run_instrumented(
             &mut sim,

@@ -69,8 +69,7 @@ struct BusShared {
     /// joiners (e.g. a viewer connecting mid-run) can be brought up to
     /// date without replaying the stream.
     latest_manifest: Mutex<Option<Arc<RunManifest>>>,
-    /// Scope label for multi-bus hosts (the run server keys one bus
-    /// per job); `""` for the anonymous single-run bus.
+    /// Scope label: the run server keys one bus per job, by job name.
     topic: String,
 }
 
@@ -81,19 +80,9 @@ pub struct Bus {
     shared: Arc<BusShared>,
 }
 
-impl Default for Bus {
-    fn default() -> Self {
-        Bus::new()
-    }
-}
-
 impl Bus {
-    /// A bus with no subscribers.
-    pub fn new() -> Self {
-        Self::with_topic("")
-    }
-
-    /// A bus scoped to a named topic. Topics don't route anything —
+    /// A bus with no subscribers, scoped to a named topic. Topics don't
+    /// route anything —
     /// each bus is its own hub — they label the stream so a host
     /// multiplexing many buses (one per server job) can report which
     /// stream a subscriber is attached to.
@@ -277,7 +266,7 @@ mod tests {
 
     #[test]
     fn fast_subscriber_sees_every_event_in_order() {
-        let bus = Bus::new();
+        let bus = Bus::with_topic("t");
         let sub = bus.subscribe(128);
         for n in 0..100 {
             bus.publish_step(step(n));
@@ -294,7 +283,7 @@ mod tests {
 
     #[test]
     fn full_queue_drops_oldest_and_counts() {
-        let bus = Bus::new();
+        let bus = Bus::with_topic("t");
         let sub = bus.subscribe(4);
         for n in 0..100 {
             bus.publish_step(step(n));
@@ -312,7 +301,7 @@ mod tests {
 
     #[test]
     fn publish_never_blocks_on_a_stalled_subscriber() {
-        let bus = Bus::new();
+        let bus = Bus::with_topic("t");
         // Stalled: subscribed but never receiving.
         let _stalled = bus.subscribe(2);
         let start = std::time::Instant::now();
@@ -332,7 +321,7 @@ mod tests {
 
     #[test]
     fn dropped_subscription_unregisters() {
-        let bus = Bus::new();
+        let bus = Bus::with_topic("t");
         let sub = bus.subscribe(8);
         assert_eq!(bus.subscriber_count(), 1);
         drop(sub);
@@ -344,7 +333,7 @@ mod tests {
 
     #[test]
     fn concurrent_publisher_and_consumers() {
-        let bus = Bus::new();
+        let bus = Bus::with_topic("t");
         let fast = bus.subscribe(2048);
         let slow = bus.subscribe(4);
         const EVENTS: u64 = 500;
@@ -389,7 +378,7 @@ mod tests {
 
     #[test]
     fn bus_retains_the_latest_manifest_for_late_joiners() {
-        let bus = Bus::new();
+        let bus = Bus::with_topic("t");
         assert!(bus.latest_manifest().is_none());
         bus.publish_manifest(&RunManifest {
             label: "first".into(),
@@ -408,7 +397,7 @@ mod tests {
         let bus = Bus::with_topic("job-42");
         assert_eq!(bus.topic(), "job-42");
         assert_eq!(bus.clone().topic(), "job-42");
-        assert_eq!(Bus::new().topic(), "");
+        assert_eq!(Bus::with_topic("job-43").topic(), "job-43");
     }
 
     #[test]

@@ -879,7 +879,7 @@ mod tests {
         // Deterministic drop-oldest at the pump level: nobody reads
         // while 100 events hit a 4-deep queue, so exactly the newest 4
         // survive and are pumped out in order after close.
-        let bus = Bus::new();
+        let bus = Bus::with_topic("t");
         let sub = bus.subscribe(4);
         let manifest = RunManifest::default();
         for step in 0..100u64 {

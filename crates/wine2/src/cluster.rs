@@ -4,110 +4,26 @@
 //! from the performance model's point of view the cluster is the unit
 //! of bus bandwidth.
 //!
-//! The cluster deals its particles to its boards in contiguous chunks
-//! and bills them by arithmetic (capacity, bus bytes, chip passes). It
-//! holds no particle words: the host keeps one packed particle column
-//! for the whole system ([`crate::system`]) and runs the wavenumber sweep
+//! The host deals each cluster a contiguous chunk of the particles, and
+//! the cluster deals its chunk to its boards the same way;
+//! [`crate::timing::bill`] bills that dealing by arithmetic. No cluster
+//! holds particle words: the host keeps one packed particle column for
+//! the whole system ([`crate::system`]) and runs the wavenumber sweep
 //! over that, split by threads, not by clusters. The DFT and IDFT sums
 //! are integer and order-free, so the column computes the same registers
 //! as the boards' chunks would.
 
-use crate::board::{BoardError, WineBoard};
-use crate::pipeline::WineParticle;
-
 /// Boards per cluster (Fig. 3).
 pub const BOARDS_PER_CLUSTER: usize = 7;
-
-/// One cluster of seven boards.
-#[derive(Clone, Debug)]
-pub struct WineCluster {
-    boards: Vec<WineBoard>,
-}
-
-impl Default for WineCluster {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl WineCluster {
-    /// A cluster of empty boards.
-    pub fn new() -> Self {
-        Self { boards: (0..BOARDS_PER_CLUSTER).map(|_| WineBoard::new()).collect() }
-    }
-
-    /// The boards.
-    pub fn boards(&self) -> &[WineBoard] {
-        &self.boards
-    }
-
-    /// Split `particles` across the cluster's boards (contiguous chunks)
-    /// and load each board's share. A chunk over a board's capacity is
-    /// refused.
-    pub fn load_particles(&mut self, particles: &[WineParticle]) -> Result<(), BoardError> {
-        let per = particles.len().div_ceil(BOARDS_PER_CLUSTER);
-        for (b, chunk) in self
-            .boards
-            .iter_mut()
-            .zip(particles.chunks(per.max(1)).chain(std::iter::repeat(&[][..])))
-        {
-            b.load_particles(chunk)?;
-        }
-        Ok(())
-    }
-
-    /// Particles resident across the boards.
-    pub fn particle_count(&self) -> usize {
-        self.boards.iter().map(WineBoard::particle_count).sum()
-    }
-
-    /// Bill a DFT over `waves` waves: every board with a non-empty chunk
-    /// streams the whole table.
-    pub(crate) fn credit_dft(&mut self, waves: usize) {
-        for b in self.boards.iter_mut().filter(|b| b.particle_count() > 0) {
-            b.credit_dft(waves);
-        }
-    }
-
-    /// Bill an IDFT over `waves` waves, as [`Self::credit_dft`].
-    pub(crate) fn credit_idft(&mut self, waves: usize) {
-        for b in self.boards.iter_mut().filter(|b| b.particle_count() > 0) {
-            b.credit_idft(waves);
-        }
-    }
-
-    /// Total ops across boards.
-    pub fn ops(&self) -> u64 {
-        self.boards.iter().map(WineBoard::ops).sum()
-    }
-
-    /// Cluster busy cycles: boards run concurrently; the bus serialises
-    /// only transfers, so compute time is the max over boards.
-    pub fn cycles(&self) -> u64 {
-        self.boards.iter().map(WineBoard::cycles).max().unwrap_or(0)
-    }
-
-    /// Bytes moved over the shared CompactPCI bus (sum over boards — the
-    /// bus is shared, so transfers serialise).
-    pub fn bus_bytes(&self) -> u64 {
-        self.boards.iter().map(WineBoard::bus_bytes).sum()
-    }
-
-    /// Reset counters on every board.
-    pub fn reset_counters(&mut self) {
-        for b in &mut self.boards {
-            b.reset_counters();
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::board::PARTICLE_CAPACITY;
-    use crate::pipeline::{DftAccum, IdftAccum, IdftWave, WinePipeline};
+    use crate::board::{BoardError, PARTICLE_CAPACITY};
+    use crate::pipeline::{DftAccum, IdftAccum, IdftWave, WineParticle, WinePipeline};
     use crate::sweep::Kernel;
     use crate::system::{Wine2Config, Wine2System};
+    use crate::timing::{bill, board_bill};
     use mdm_fixed::Q30;
 
     fn particles(n: usize) -> Vec<WineParticle> {
@@ -146,30 +62,35 @@ mod tests {
         Wine2System::new(Wine2Config { clusters: 1 })
     }
 
-    /// Every board's counters after one load, one DFT and one IDFT of
-    /// `waves` waves over `n` particles, by the formula the per-board
-    /// sweep billed: each non-empty chunk is loaded over the bus and
-    /// streamed past every batch of ≤ 256 waves, and an empty board
-    /// bills nothing.
-    fn assert_billed_as_boards(cluster: &WineCluster, n: usize, waves: usize) {
+    /// Every board's bill for one load, one DFT and one IDFT of `waves`
+    /// waves over `n` particles on one cluster, against the formula
+    /// written out on its own: each non-empty chunk is loaded over the
+    /// bus and streamed past every batch of ≤ 256 waves, and an empty
+    /// board bills nothing. The cluster's counters are its boards' total
+    /// ops, busiest board and summed bus bytes.
+    fn assert_billed_as_boards(n: usize, waves: usize) {
         let per = n.div_ceil(BOARDS_PER_CLUSTER).max(1);
         // A board's cycles are chip 0's, which holds ≤ 16 waves of every
         // batch and serves them 8 per particle cycle.
         let rounds: u64 =
             (0..waves).step_by(256).map(|b| (waves - b).min(16).div_ceil(8) as u64).sum();
         let w = waves as u64;
-        for (i, board) in cluster.boards().iter().enumerate() {
+        let mut boards = Vec::new();
+        for i in 0..BOARDS_PER_CLUSTER {
             let p = n.saturating_sub(i * per).min(per) as u64;
             let want = match p {
                 0 => (0, 0, 0),
                 p => (2 * p * w, 2 * p * rounds, 16 * p + (16 + 16) * w + 24 * w + 12 * p),
             };
-            assert_eq!(
-                (board.ops(), board.cycles(), board.bus_bytes()),
-                want,
-                "board {i}, N = {n}, {waves} waves"
-            );
+            let board = board_bill(n, waves, 1, i);
+            assert_eq!((board.ops, board.cycles, board.bus_bytes), want, "board {i}, N = {n}, {waves} waves");
+            boards.push(board);
         }
+        let counters = bill(n, waves, 1).unwrap();
+        let ops: u64 = boards.iter().map(|b| b.ops).sum();
+        assert_eq!(counters.dft_ops + counters.idft_ops, ops);
+        assert_eq!(counters.cycles, boards.iter().map(|b| b.cycles).max().unwrap());
+        assert_eq!(counters.bus_bytes_per_cluster, boards.iter().map(|b| b.bus_bytes).sum());
     }
 
     #[test]
@@ -206,7 +127,7 @@ mod tests {
                             assert_eq!(got.f, want.f, "{case}: particle {i}");
                         }
                     });
-                    assert_billed_as_boards(&wine.clusters()[0], n, table.len());
+                    assert_billed_as_boards(n, table.len());
                 }
             }
         }
@@ -225,7 +146,7 @@ mod tests {
                 capacity: PARTICLE_CAPACITY,
             })
         );
-        assert_eq!(wine.clusters()[0].particle_count(), 20);
+        assert_eq!(wine.column().len(), 20);
         assert_eq!(wine.column().buffers(), packed, "the refused list was packed");
     }
 
@@ -280,11 +201,12 @@ mod tests {
 
     #[test]
     fn particles_distributed_across_boards() {
-        let mut cluster = WineCluster::new();
-        cluster.load_particles(&particles(20)).unwrap();
-        let counts: Vec<usize> = cluster.boards().iter().map(|b| b.particle_count()).collect();
-        assert_eq!(counts.iter().sum::<usize>(), 20);
-        // ceil(20/7) = 3 per board for the first boards.
-        assert_eq!(counts[0], 3);
+        let counts: Vec<u64> = (0..BOARDS_PER_CLUSTER).map(|b| board_bill(20, 0, 1, b).particles).collect();
+        // ⌈20/7⌉ = 3 per board, the last one short.
+        assert_eq!(counts, [3, 3, 3, 3, 3, 3, 2]);
+        // Clusters first: 20 on 3 clusters is 7 + 7 + 6, one per board.
+        let dealt: Vec<u64> = (0..3 * BOARDS_PER_CLUSTER).map(|b| board_bill(20, 0, 3, b).particles).collect();
+        assert_eq!(dealt.iter().sum::<u64>(), 20);
+        assert!(dealt[..20].iter().all(|&p| p == 1) && dealt[20] == 0, "{dealt:?}");
     }
 }

@@ -16,12 +16,12 @@
 //! ## The per-wave definition
 //!
 //! [`WinePipeline::dft_wave`] and [`WinePipeline::idft_wave`] are the
-//! datapath one wave at a time, in plain `mdm_fixed` operations. A chip
-//! pass ([`crate::chip::WineChip`]) runs them as written; a cluster
-//! evaluation runs the reordered wavenumber sweep
-//! (`crate::sweep`), which is tested raw-register-equal to these two
-//! functions and bills each operation to the pipeline that holds the
-//! wave.
+//! datapath one wave at a time, in plain `mdm_fixed` operations, and the
+//! oracle of the emulator's tests: an evaluation runs the reordered
+//! wavenumber sweep (`crate::sweep`), which is tested raw-register-equal
+//! to these two functions, and [`crate::timing::bill`] bills each
+//! operation to the pipeline that holds the wave, which chips built of
+//! these pipelines in the tests meter op for op.
 //!
 //! ## Fixed-point contract
 //!
@@ -136,11 +136,11 @@ pub struct IdftWave {
 ///
 /// On silicon every pipeline has its own 16 KB ROM, and the modeled
 /// inventory still says so ([`SinCosTable::rom_bytes`] per pipeline,
-/// ops and cycles attributed per pipeline). The contents are identical
+/// ops and cycles billed per pipeline). The contents are identical
 /// and never written, so the emulator keeps a single host-memory copy
-/// that every pipeline reads: a 20-cluster machine is 17,920 pipelines,
-/// and a private copy each would be 880 MB and 73 million `f64::sin`
-/// calls per [`crate::Wine2System::new`].
+/// that the sweep and every pipeline read: a 20-cluster machine is
+/// 17,920 pipelines, and a private copy each would be 880 MB and
+/// 73 million `f64::sin` calls.
 pub(crate) fn shared_rom() -> &'static SinCosTable {
     static ROM: OnceLock<SinCosTable> = OnceLock::new();
     ROM.get_or_init(SinCosTable::default)
@@ -203,14 +203,6 @@ impl WinePipeline {
     #[cfg(test)]
     pub(crate) fn trig(&self) -> &'static SinCosTable {
         self.trig
-    }
-
-    /// Credit `n` particle–wave operations to this pipeline: the
-    /// wavenumber sweep ([`crate::sweep`]) executes them on the
-    /// pipeline's behalf, but each op is still attributed to the
-    /// pipeline that holds the wave, so cycle accounting is unchanged.
-    pub(crate) fn add_ops(&mut self, n: u64) {
-        self.ops += n;
     }
 
     /// IDFT mode: accumulate one wave's force contribution into the

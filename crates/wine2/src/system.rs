@@ -3,23 +3,24 @@
 //! scaling logic that turns physical quantities into fixed-point
 //! pipeline inputs and back.
 //!
-//! The clusters are billing: each is dealt a contiguous chunk of the
-//! particles, checks it against its boards' capacity and is credited the
-//! chip passes and bus bytes the chunk costs. The host computes over one
-//! packed particle column for the whole system, in two parallel regions
-//! sized by the thread count alone — the DFT split into equal runs of
-//! wave slots, the IDFT into equal runs of particle blocks — so the
-//! emulated cluster count changes neither the parallel width nor a bit
-//! of the result. The host's per-wave work (§3.4.4: "calculates Sₙ and
+//! The clusters are billing, by arithmetic and without an object per
+//! cluster, board or chip ([`crate::timing::bill`]): each is dealt a
+//! contiguous chunk of the particles, checked against its boards'
+//! capacity and billed the chip passes and bus bytes the chunk costs.
+//! The host computes over one packed particle column for the whole
+//! system, in two parallel regions sized by the thread count alone —
+//! the DFT split into equal runs of wave slots, the IDFT into equal runs
+//! of particle blocks — so the emulated cluster count changes neither
+//! the parallel width nor a bit of the result. The host's per-wave work (§3.4.4: "calculates Sₙ and
 //! Cₙ from Sₙ+Cₙ and Sₙ−Cₙ", then energy, virial and the IDFT
 //! coefficients) is one pass in table order over the whole-system i64
 //! sums.
 
 use crate::board::BoardError;
-use crate::cluster::{WineCluster, BOARDS_PER_CLUSTER};
+use crate::cluster::BOARDS_PER_CLUSTER;
 use crate::pipeline::{IdftAccum, WineParticle};
 use crate::sweep::{DftScratch, Kernel, Lanes, WavePlan, LANES};
-use crate::timing::WineCounters;
+use crate::timing::{bill, WineCounters};
 use mdm_core::boxsim::SimBox;
 use mdm_core::ewald::recip::spectral_coefficient;
 use mdm_core::kvectors::{half_space_vectors, KVector};
@@ -74,7 +75,7 @@ pub struct WineForceResult {
 
 /// The emulated WINE-2 system.
 ///
-/// Besides the hardware it owns the host library's working state, built
+/// It owns the host library's working state, built
 /// on the first call and reused by every later one — the row plan and
 /// per-wave spectral coefficients of the caller's wave table, the
 /// quantised particle image and its packed column, the whole-system DFT
@@ -86,7 +87,6 @@ pub struct WineForceResult {
 /// thread count.
 pub struct Wine2System {
     config: Wine2Config,
-    clusters: Vec<WineCluster>,
     /// The form of the sweep this CPU and ROM run.
     kernel: Kernel,
     /// The wave table `plan` and `spectral` were built for, and its α.
@@ -117,7 +117,6 @@ impl Wine2System {
         assert!(config.clusters > 0);
         Self {
             config,
-            clusters: (0..config.clusters).map(|_| WineCluster::new()).collect(),
             kernel: Kernel::detect(),
             waves: Vec::new(),
             alpha: f64::NAN,
@@ -176,25 +175,18 @@ impl Wine2System {
         }
     }
 
-    /// Deal `quantized` to the clusters in contiguous chunks (capacity
-    /// and billing), then pack it into the column. A chunk over a board's
-    /// capacity is refused before anything is packed.
-    fn load(&mut self) -> Result<(), BoardError> {
+    /// Pack `quantized` into the column (the boards' particle memories,
+    /// in load order).
+    fn load(&mut self) {
         // Fewer than 2³¹ particles keep every whole-system DFT sum in an
         // i64 (see `sweep::DftLanes`).
         assert!(self.quantized.len() < 1 << 31, "more particles than the DFT sums hold");
-        let per_cluster = self.quantized.len().div_ceil(self.config.clusters).max(1);
-        let chunks = self.quantized.chunks(per_cluster).chain(std::iter::repeat(&[][..]));
-        for (cluster, chunk) in self.clusters.iter_mut().zip(chunks) {
-            cluster.load_particles(chunk)?;
-        }
         self.particles.load(&self.quantized);
-        Ok(())
     }
 
     /// The DFT region: one item per thread, each summing an equal run of
     /// the plan's slots over the whole column into its own run of
-    /// `dft_sums`. Every board holding particles is billed the table.
+    /// `dft_sums`.
     fn dft(&mut self) {
         let (kernel, plan, lanes) = (self.kernel, &self.plan, &self.particles);
         let waves = plan.waves();
@@ -212,14 +204,11 @@ impl Wine2System {
                     kernel.dft(plan, first..first + sums.len(), lanes, scratch, sums);
                 });
         }
-        for cluster in &mut self.clusters {
-            cluster.credit_dft(waves);
-        }
     }
 
     /// The IDFT region: one item per thread, each sweeping the whole
     /// plan over an equal run of the column's blocks into its own run of
-    /// `idft_acc`. Every board holding particles is billed the table.
+    /// `idft_acc`.
     fn idft(&mut self) {
         let (kernel, plan, uv, lanes) = (self.kernel, &self.plan, &self.uv, &self.particles);
         self.idft_acc.clear();
@@ -231,9 +220,6 @@ impl Wine2System {
                 .par_chunks_mut(per_item * LANES)
                 .enumerate()
                 .for_each(|(item, out)| kernel.idft(plan, uv, lanes, item * per_item, out));
-        }
-        for cluster in &mut self.clusters {
-            cluster.credit_idft(plan.waves());
         }
     }
 
@@ -248,9 +234,9 @@ impl Wine2System {
         waves: &[KVector],
     ) -> Result<WineForceResult, BoardError> {
         assert_eq!(positions.len(), charges.len());
-        for c in &mut self.clusters {
-            c.reset_counters();
-        }
+        // A chunk over a board's capacity is refused before anything is
+        // quantised or packed.
+        let counters = bill(positions.len(), waves.len(), self.config.clusters)?;
 
         // --- Host: quantise particles into the fixed-point format. ---
         let quantize_span = mdm_profile::span("quantize");
@@ -273,14 +259,13 @@ impl Wine2System {
             }
             p
         }));
-        self.load()?;
+        self.load();
         self.prepare(alpha, waves);
         drop(quantize_span);
 
         // --- DFT phase: whole-system sums per wave. ---
         let dft_span = mdm_profile::span("dft");
         self.dft();
-        let dft_ops: u64 = self.clusters.iter().map(WineCluster::ops).sum();
         drop(dft_span);
 
         // --- Host: Sₙ and Cₙ from the rotated sums, energy, virial and
@@ -327,8 +312,6 @@ impl Wine2System {
         let idft_span = mdm_profile::span("idft");
         self.idft();
         drop(idft_span);
-        let total_ops: u64 = self.clusters.iter().map(WineCluster::ops).sum();
-        let idft_ops = total_ops - dft_ops;
 
         // --- Host: rescale to physical forces. ---
         let prefactor = 4.0 * COULOMB_EV_A / (l * l) * c_scale;
@@ -341,20 +324,6 @@ impl Wine2System {
                 Vec3::new(g[0], g[1], g[2]) * (prefactor * q)
             })
             .collect();
-
-        let counters = WineCounters {
-            dft_ops,
-            idft_ops,
-            cycles: self.clusters.iter().map(WineCluster::cycles).max().unwrap_or(0),
-            bus_bytes_per_cluster: self
-                .clusters
-                .iter()
-                .map(WineCluster::bus_bytes)
-                .max()
-                .unwrap_or(0),
-            waves: waves.len() as u64,
-            particles: positions.len() as u64,
-        };
 
         Ok(WineForceResult {
             forces,
@@ -378,12 +347,10 @@ impl Wine2System {
         particles: Vec<WineParticle>,
         waves: &[crate::pipeline::IdftWave],
     ) -> Result<(Vec<crate::pipeline::DftAccum>, &[IdftAccum]), BoardError> {
-        for c in &mut self.clusters {
-            c.reset_counters();
-        }
+        bill(particles.len(), waves.len(), self.config.clusters)?;
         self.kernel = kernel;
         self.quantized = particles;
-        self.load()?;
+        self.load();
         (self.plan, self.uv) = crate::sweep::plan_idft(waves);
         self.dft();
         let terms = self.quantized.len() as u64;
@@ -395,11 +362,6 @@ impl Wine2System {
             .collect();
         self.idft();
         Ok((dft, &self.idft_acc))
-    }
-
-    /// The clusters (the billing tests read their boards).
-    pub(crate) fn clusters(&self) -> &[WineCluster] {
-        &self.clusters
     }
 
     /// The packed column (the refusal test checks it did not move).
@@ -665,8 +627,10 @@ mod tests {
             let mut wine = Wine2System::new(Wine2Config { clusters });
             wine.kernel = kernel;
             let out = wine.compute_wavepart(s.simbox(), positions, charges, 7.0, 5.0).unwrap();
-            let empty = wine.clusters.iter().flat_map(|c| c.boards());
-            (out, empty.filter(|b| b.particle_count() == 0).count())
+            let waves = out.counters.waves as usize;
+            let bills = (0..Wine2Config { clusters }.boards()).map(|b| crate::timing::board_bill(10, waves, clusters, b));
+            let empty = bills.filter(|b| b.particles == 0).count();
+            (out, empty)
         };
         let (reference, empty) = run(3, Kernel::Portable);
         assert_eq!(empty, 11);
@@ -732,24 +696,16 @@ mod tests {
 
     #[test]
     fn every_chip_reads_one_rom_allocation() {
-        // One process-wide image: every chip of a system — and of the
-        // next system built — reads the same table, so building a
-        // machine constructs no `SinCosTable`.
-        let wine = Wine2System::new(Wine2Config { clusters: 3 });
-        let rom = wine.clusters[0].boards()[0].chips()[0].rom();
-        let other = Wine2System::new(Wine2Config { clusters: 1 });
-        let chips = wine
-            .clusters
-            .iter()
-            .chain(&other.clusters)
-            .flat_map(|c| c.boards())
-            .flat_map(|b| b.chips());
-        let mut seen = 0;
-        for chip in chips {
-            assert!(std::ptr::eq(chip.rom(), rom));
-            seen += 1;
+        // One process-wide image: every pipeline the oracles build reads
+        // the table the sweep reads, so building a machine — which builds
+        // no chip at all — constructs no `SinCosTable`.
+        use crate::pipeline::{shared_rom, WinePipeline};
+        let rom = shared_rom();
+        let _machine = Wine2System::new(Wine2Config::default());
+        for pipeline in [WinePipeline::new(), WinePipeline::default(), WinePipeline::new()] {
+            assert!(std::ptr::eq(pipeline.trig(), rom));
         }
-        assert_eq!(seen, 4 * BOARDS_PER_CLUSTER * crate::board::CHIPS_PER_BOARD);
+        assert!(std::ptr::eq(shared_rom(), rom));
     }
 
     #[test]
@@ -761,7 +717,7 @@ mod tests {
         use mdm_fixed::SinCosTable;
         let mut wine = Wine2System::new(Wine2Config::default());
         let mut oracle = WinePipeline::with_rom(Box::leak(Box::new(SinCosTable::new(12))));
-        assert!(!std::ptr::eq(oracle.trig(), wine.clusters[0].boards()[0].chips()[0].rom()));
+        assert!(!std::ptr::eq(oracle.trig(), crate::pipeline::shared_rom()));
 
         let particles: Vec<WineParticle> = (0..301)
             .map(|i| {

@@ -1,5 +1,11 @@
 //! Cycle and bandwidth accounting for WINE-2 — the numbers behind the
-//! performance model's `t_wine` term.
+//! performance model's `t_wine` term — and [`bill`], which turns one
+//! evaluation's particle and wave counts into the counters the machine's
+//! clusters, boards and chips would have metered.
+
+use crate::board::{BoardError, BYTES_PER_PARTICLE, PARTICLE_CAPACITY, WAVES_PER_BOARD};
+use crate::chip::{pass_cycles, WAVES_PER_CHIP};
+use crate::cluster::BOARDS_PER_CLUSTER;
 
 /// Pipeline clock (§3.4.3: 66.6 MHz).
 pub const CLOCK_HZ: f64 = 66.6e6;
@@ -54,11 +60,6 @@ impl WineCounters {
         self.bus_bytes_per_cluster as f64 / CLUSTER_BUS_BYTES_PER_S
     }
 
-    /// Achieved flop rate against a wall-clock time (flops/s).
-    pub fn achieved_flops(&self, seconds: f64) -> f64 {
-        self.credited_flops() / seconds
-    }
-
     /// Fraction of pipeline slots doing useful DFT/IDFT work:
     /// `(dft_ops + idft_ops) / (cycles × total_pipelines)`. `cycles`
     /// is the busiest chip's count while chips run concurrently, so
@@ -74,33 +75,98 @@ impl WineCounters {
     }
 }
 
-/// Modeled cycle time beside measured wall-clock for one engine — the
-/// per-component comparison the paper's Table 4 makes between the
-/// hardware budget and the observed 43.8 s/step.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct MeasuredVsModeled {
-    /// Wall-clock seconds the emulated evaluation actually took.
-    pub measured_seconds: f64,
-    /// Seconds the real hardware would take: busy cycles / clock.
-    pub modeled_seconds: f64,
+/// What one board is billed for one evaluation: its chunk loaded into
+/// the particle memory, then a DFT and an IDFT of the whole wave table
+/// streamed past it in batches of ≤ 256 waves, ≤ 16 to a chip.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct BoardBill {
+    /// Particles dealt to the board.
+    pub(crate) particles: u64,
+    /// Particle–wave operations: one per particle and wave in each of
+    /// the DFT and the IDFT.
+    pub(crate) ops: u64,
+    /// Busy cycles: the board's chips run in lock-step on one particle
+    /// stream, so its time is its busiest chip's.
+    pub(crate) cycles: u64,
+    /// Bytes over the cluster's bus.
+    pub(crate) bus_bytes: u64,
 }
 
-impl MeasuredVsModeled {
-    /// Emulation slowdown: measured / modeled (how many times slower the
-    /// software emulation is than the modeled silicon).
-    pub fn slowdown(&self) -> f64 {
-        self.measured_seconds / self.modeled_seconds
-    }
-}
-
-impl WineCounters {
-    /// Pair the modeled compute time with a measured wall-clock.
-    pub fn against_wall_clock(&self, measured_seconds: f64) -> MeasuredVsModeled {
-        MeasuredVsModeled {
-            measured_seconds,
-            modeled_seconds: self.compute_seconds(),
+impl BoardBill {
+    /// The bill of a board holding `particles` of the particles, for
+    /// `waves` waves. An empty board is sent nothing and bills nothing.
+    pub(crate) fn new(particles: usize, waves: usize) -> Self {
+        if particles == 0 {
+            return Self::default();
+        }
+        let (p, w) = (particles as u64, waves as u64);
+        // Chip 0 holds 16 waves of every full batch and the first ≤ 16
+        // of the last, partial one: no chip is busier.
+        let (full, rest) = (waves / WAVES_PER_BOARD, waves % WAVES_PER_BOARD);
+        let chip0 = full as u64 * pass_cycles(WAVES_PER_CHIP, p) + pass_cycles(rest.min(WAVES_PER_CHIP), p);
+        Self {
+            particles: p,
+            ops: 2 * p * w,
+            cycles: 2 * chip0,
+            // The load; 16 B a wave up and 16 B of accumulators down for
+            // the DFT; 24 B of coefficients a wave up and 12 B of force a
+            // particle down for the IDFT.
+            bus_bytes: BYTES_PER_PARTICLE as u64 * p + (16 + 16) * w + 24 * w + 12 * p,
         }
     }
+}
+
+/// The length of chunk `i` when `n` items are dealt to `parts` in
+/// contiguous chunks of `⌈n/parts⌉`, the last ones short or empty: how
+/// the host deals the particles to the clusters, and a cluster its
+/// chunk to the boards.
+fn chunk(n: usize, parts: usize, i: usize) -> usize {
+    let per = n.div_ceil(parts).max(1);
+    n.saturating_sub(i * per).min(per)
+}
+
+/// Board `board`'s bill, boards numbered cluster by cluster, for one
+/// evaluation of `particles` particles and `waves` waves on `clusters`
+/// clusters (see [`bill`]).
+pub(crate) fn board_bill(particles: usize, waves: usize, clusters: usize, board: usize) -> BoardBill {
+    let cluster = chunk(particles, clusters, board / BOARDS_PER_CLUSTER);
+    BoardBill::new(chunk(cluster, BOARDS_PER_CLUSTER, board % BOARDS_PER_CLUSTER), waves)
+}
+
+/// The counters of one evaluation, billed by arithmetic: `particles`
+/// particles dealt to `clusters` clusters in contiguous chunks, each
+/// cluster's chunk dealt to its seven boards the same way, and every
+/// board with particles billed its load, DFT and IDFT of `waves` waves
+/// (`board_bill`). A chunk over a board's particle memory is refused —
+/// the constraint that made the real machine split the particles — and
+/// the host checks it before it packs anything.
+pub fn bill(particles: usize, waves: usize, clusters: usize) -> Result<WineCounters, BoardError> {
+    // Board 0 holds the largest chunk: the first a load would refuse,
+    // and the busiest.
+    let busiest = board_bill(particles, waves, clusters, 0);
+    if busiest.particles > PARTICLE_CAPACITY as u64 {
+        return Err(BoardError::ParticleMemoryOverflow {
+            requested: busiest.particles as usize,
+            capacity: PARTICLE_CAPACITY,
+        });
+    }
+    // A cluster's boards share its bus, so their transfers add up.
+    let bus_bytes_per_cluster = (0..clusters)
+        .map(|c| {
+            let boards = c * BOARDS_PER_CLUSTER..(c + 1) * BOARDS_PER_CLUSTER;
+            boards.map(|b| board_bill(particles, waves, clusters, b).bus_bytes).sum()
+        })
+        .max()
+        .unwrap_or(0);
+    let ops = (particles * waves) as u64;
+    Ok(WineCounters {
+        dft_ops: ops,
+        idft_ops: ops,
+        cycles: busiest.cycles,
+        bus_bytes_per_cluster,
+        waves: waves as u64,
+        particles: particles as u64,
+    })
 }
 
 /// Peak rated flops of a WINE-2 configuration: every pipeline doing one
@@ -157,16 +223,5 @@ mod tests {
         // 10 pipelines × 100 cycles = 1000 slots, 800 busy.
         assert!((c.pipeline_occupancy(10) - 0.8).abs() < 1e-12);
         assert_eq!(WineCounters::default().pipeline_occupancy(10), 0.0);
-    }
-
-    #[test]
-    fn measured_vs_modeled_slowdown() {
-        let c = WineCounters {
-            cycles: 66_600_000, // 1 s of modeled silicon
-            ..Default::default()
-        };
-        let cmp = c.against_wall_clock(2.5);
-        assert!((cmp.modeled_seconds - 1.0).abs() < 1e-12);
-        assert!((cmp.slowdown() - 2.5).abs() < 1e-12);
     }
 }

@@ -12,7 +12,8 @@ use mdgrape2::jstore::JStore;
 use mdgrape2::pipeline::PipelineMode;
 use mdgrape2::system::{MdgPassResult, Mdgrape2Config, Mdgrape2System, RealSpaceMode, TablePass};
 use mdgrape2::tables::GFunction;
-use mdgrape2::timing::MdgCounters;
+use mdgrape2::timing::{board_bill, BoardBill, MdgCounters};
+use mdgrape2::TilePlan;
 use mdm::core::boxsim::SimBox;
 use mdm::core::forcefield::{ForceField, ForceResult};
 use mdm::core::integrate::Simulation;
@@ -328,12 +329,14 @@ fn fused_four_pass_sweep_bitwise_matches_four_sequential_passes() {
 /// original indices, accepting the j-store and running
 /// `MdgBoard::calc_block2` one i-particle at a time. Values bit for bit
 /// and all four `MdgCounters` fields read off those boards' own meters,
-/// per pass, force and potential, 1 and 4 threads, on 1 / 2 / 3 clusters.
+/// per pass, force and potential, 1 and 4 threads, on 1 / 2 / 3 clusters;
+/// and each board's meters against its closed-form bill.
 #[test]
 fn system_sweep_matches_boards_running_calc_block2_on_their_chunks() {
     let coeffs = per_pass_coefficients();
     for (name, sb, pos, ty, min_cell) in fused_sweep_configs() {
         let js = JStore::build(sb, &pos, &ty, min_cell);
+        let plan = TilePlan::new(&js);
         let batch = IBatch::stage(&pos, &ty, &js);
         for mode in [PipelineMode::Force, PipelineMode::Potential] {
             let tables = kernels_for(mode);
@@ -357,6 +360,10 @@ fn system_sweep_matches_boards_running_calc_block2_on_their_chunks() {
                                 board
                             })
                             .collect();
+                        for (b, board) in boards.iter().enumerate() {
+                            let meters = BoardBill { pair_ops: board.ops(), bus_bytes: board.bus_bytes() };
+                            assert_eq!(meters, board_bill(clusters, &js, &plan, b), "{name} pass {p} board {b}");
+                        }
                         let counters = MdgCounters {
                             pair_ops: boards.iter().map(MdgBoard::ops).sum(),
                             cycles: boards.iter().map(|b| b.ops().div_ceil(8)).max().unwrap(),
