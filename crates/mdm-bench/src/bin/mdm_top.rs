@@ -19,8 +19,10 @@
 //!   address `mdm_serve` and `mdm_submit` default to);
 //! * `--once` — wait for the manifest and the first step event, print
 //!   one snapshot without any screen control, and exit 0 (for scripts
-//!   and CI smoke tests). Without it, the view refreshes in place on
-//!   every step until the stream ends;
+//!   and CI smoke tests); a job that has already finished prints its
+//!   manifest view and "job J done, no step streamed", and exits 0 too.
+//!   Without it, the view refreshes in place on every step until the
+//!   stream ends;
 //! * `--retry-seconds S` — keep retrying the connection for S seconds
 //!   before giving up (default 30; the daemon may still be starting
 //!   when the viewer does).
@@ -28,7 +30,8 @@
 //! A `profile_step` run is not served; its `--record FILE` holds the
 //! same lines, to be read after the run.
 //!
-//! Exit codes: 0 on a clean stream end, 1 if `--once` saw no step,
+//! Exit codes: 0 on a clean stream end (a finished job's included),
+//! 1 if `--once` saw the stream end with no step and no trailer,
 //! 2 on a connection or watch failure, a mid-stream error, or
 //! malformed JSONL, 3 if the job's trailer says it ended in a state
 //! other than `done` (the stream-following rules live in
@@ -86,11 +89,13 @@ fn main() {
         ControlFlow::Continue(())
     });
     match result {
+        // `follow` ends clean with no step only on a `done` trailer: the
+        // job finished before this viewer attached.
+        Ok(view) if view.steps_seen() == 0 => {
+            print!("{}", view.render());
+            println!("mdm_top: job {job} done, no step streamed");
+        }
         Ok(view) => {
-            if once && view.steps_seen() == 0 {
-                eprintln!("mdm_top: stream ended before the first step event");
-                std::process::exit(1);
-            }
             if !once {
                 println!("\nmdm_top: stream ended ({} steps seen)", view.steps_seen());
             }

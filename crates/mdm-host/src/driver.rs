@@ -306,6 +306,10 @@ pub struct MdmForceField {
     /// Only credit the Coulomb passes in the flop counters (the paper
     /// excludes "the force calculation other than the Coulomb").
     coulomb_pass_ops: u64,
+    /// Wall clock of this step's MDGRAPE-2 uploads and sweeps (force
+    /// and potential, each timed inside its `comm` or `real` span): the
+    /// window the j-store upload-bandwidth gauge divides by.
+    mdg_seconds: f64,
     /// The j-store carried across steps and refreshed in place (see
     /// [`JStore::refresh`]); `None` until the first step.
     jstore: Option<JStore>,
@@ -365,6 +369,7 @@ impl MdmForceField {
             last_potential: None,
             last_counters: StepCounters::default(),
             coulomb_pass_ops: 0,
+            mdg_seconds: 0.0,
             jstore: None,
             virial_terms: None,
         }
@@ -583,17 +588,21 @@ impl MdmForceField {
         {
             let _comm = mdm_profile::span(mdm_profile::phase::COMM);
             let _upload = mdm_profile::span("upload");
+            let started = std::time::Instant::now();
             for pass in &passes {
                 self.mdg.load_table(pass.table);
                 self.mdg.load_coefficients(pass.coefficients);
             }
+            self.mdg_seconds += started.elapsed().as_secs_f64();
         }
         let _real = mdm_profile::span(mdm_profile::phase::REAL);
         let _pot = energy.then(|| mdm_profile::span("potential"));
+        let started = std::time::Instant::now();
         let results = self
             .mdg
             .calc_passes_with_jstore(mode, &passes, system.positions(), system.types(), jstore)
             .expect("real-space passes");
+        self.mdg_seconds += started.elapsed().as_secs_f64();
         for pass in &results {
             self.last_counters.mdg.merge(&pass.counters);
         }
@@ -618,6 +627,7 @@ impl ForceField for MdmForceField {
         let n = system.len();
         self.last_counters = StepCounters::default();
         self.coulomb_pass_ops = 0;
+        self.mdg_seconds = 0.0;
 
         // j-store shared by all MDGRAPE-2 passes this step: refreshed in
         // place from the previous step (bit-identical to a from-scratch
@@ -634,10 +644,6 @@ impl ForceField for MdmForceField {
         };
 
         // --- MDGRAPE-2: four force passes. ---
-        // Wall clock over every MDGRAPE-2 section this step (force and
-        // potential passes, table/coefficient uploads) — the window the
-        // j-store upload-bandwidth gauge is measured over.
-        let mdg_section_start = std::time::Instant::now();
         let passes = self.real_space_passes(PipelineMode::Force, system, &jstore, kappa);
         let mut forces = vec![Vec3::ZERO; n];
         for pass in &passes {
@@ -691,18 +697,18 @@ impl ForceField for MdmForceField {
         // trace exporter can draw them as counter tracks and the run
         // ledger can summarize them). Occupancy is work over pipeline
         // slots of the busy window; the upload gauge is the modeled bus
-        // bytes over the measured wall clock of the MDGRAPE-2 section —
-        // the bandwidth the emulated bus actually sustained.
+        // bytes over the measured wall clock of the MDGRAPE-2 passes
+        // (uploads and sweeps, not the wavenumber part or the host's
+        // work between them) — the bandwidth the emulated bus sustained.
         let mdg_pipes = (self.mdg.config().boards()
             * mdgrape2::board::PIPELINES_PER_BOARD) as u64;
         mdm_profile::gauge(
             "mdg.occupancy",
             self.last_counters.mdg.pipeline_occupancy(mdg_pipes),
         );
-        let mdg_wall = mdg_section_start.elapsed().as_secs_f64();
         mdm_profile::gauge(
             "comm.jstore_upload_mbps",
-            self.last_counters.mdg.upload_bandwidth(mdg_wall) / 1e6,
+            self.last_counters.mdg.upload_bandwidth(self.mdg_seconds) / 1e6,
         );
 
         // Engine counters beside the wall-clock spans — the modeled leg
@@ -1197,6 +1203,53 @@ mod tests {
         sim.step();
         let virial = sim.current_forces().virial;
         assert!(virial.is_nan(), "virial {virial}");
+    }
+
+    /// A wavenumber part that takes 20 ms and computes nothing, at the
+    /// machine's α.
+    struct SlowWave(f64);
+
+    impl LongRangeBackend for SlowWave {
+        fn name(&self) -> &'static str {
+            "slow"
+        }
+
+        fn alpha(&self) -> f64 {
+            self.0
+        }
+
+        fn compute(&mut self, _: SimBox, positions: &[Vec3], _: &[f64]) -> LongRangeResult {
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            LongRangeResult {
+                energy: 0.0,
+                forces: vec![Vec3::ZERO; positions.len()],
+                virial: 0.0,
+                counters: LongRangeCounters::default(),
+            }
+        }
+    }
+
+    #[test]
+    fn the_upload_gauge_is_timed_over_the_mdgrape2_passes_only() {
+        // The bytes over the gauge give the window it was measured
+        // over; that must lie inside the MDGRAPE-2 uploads and sweeps
+        // (`comm` + `real`), not stretch over the 20 ms wavenumber part.
+        let s = perturbed(3);
+        let mut hw = MdmForceField::nacl_default(s.simbox().l()).unwrap();
+        hw.set_longrange(Box::new(SlowWave(hw.params().alpha)));
+        let _scope = mdm_profile::scope();
+        let _ = hw.compute(&s);
+        let step = mdm_profile::take();
+        assert!(step.seconds("wave") >= 0.02);
+        let bytes = hw.last_counters().mdg.bus_bytes_per_cluster as f64;
+        let mbps = step.gauges["comm.jstore_upload_mbps"].last;
+        assert!(bytes > 0.0 && mbps > 0.0);
+        let window = bytes / (mbps * 1e6);
+        let passes = step.seconds("real") + step.seconds("comm");
+        assert!(
+            window < passes,
+            "gauge window {window} s against {passes} s of comm + real"
+        );
     }
 
     #[test]

@@ -21,9 +21,14 @@
 //! Every slice records into its own [`mdm_profile::scope`], so
 //! per-slice counters (the j-store upload meter the pool arbitrates
 //! on) attribute to exactly one job. The *stepping* section of a slice
-//! is still serialised across workers — one step's rayon regions
-//! already fill the host's cores — while checkpoint IO, loading the job
-//! onto the machine, and client streaming overlap stepping.
+//! runs under a lease of host cores taken from `HOST_CORES`, a
+//! budget of `rayon::current_num_threads()` cores granted in arrival
+//! order, and its rayon regions run exactly that many threads wide. A
+//! job of N ≤ 216 takes one core, so a second board's small job steps
+//! beside it: two one-core steps deliver more than one two-thread step
+//! does. A larger job takes every core and steps alone. Checkpoint IO,
+//! loading the job onto the machine, and client streaming overlap
+//! stepping either way.
 //!
 //! ## Spool layout
 //!
@@ -62,18 +67,119 @@ use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, LazyLock, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// The emulated boards share the host's cores, so only one slice may
-/// *step* at a time. The profiling registry no longer needs this lock
-/// (a run's profile is its own); the cores do. Re-measured on the
-/// persistent rayon pool, one step on the committed 2-vCPU host is
-/// ≈ 1.8 cores wide at N = 512 and ≈ 1.5 at N = 64, so a second stepper
-/// would raise every step's wall ≈ 1.8× / 1.5× for at most ≈ 20 % /
-/// 54 % more throughput (DESIGN.md §15).
-static HOST_CORES: Mutex<()> = Mutex::new(());
+/// The host's cores, shared by the boards' steps: a budget of
+/// `rayon::current_num_threads()` cores (the daemon's threads set no
+/// override, so this is `RAYON_NUM_THREADS` or the host's parallelism).
+/// A slice takes [`step_width`] cores of it before it steps, and its
+/// rayon regions run that many threads wide, so the busy threads never
+/// outnumber the cores: two boards' N = 64 steps run side by side on
+/// one core each, an N = 512 step runs alone on all of them. Leases are
+/// granted in arrival order, so a wide slice waits only for the steps
+/// already running, never for narrow slices that asked after it. The
+/// profiling registry needs no lease (a run's profile is its own); the
+/// cores do (DESIGN.md §15).
+static HOST_CORES: LazyLock<CoreBudget> =
+    LazyLock::new(|| CoreBudget::new(rayon::current_num_threads()));
+
+/// The largest job, in unit cells a side, that steps on one core.
+/// `examples/step_width.rs` reads a step's wall at one thread over its
+/// wall at two, on the 2-vCPU host in six runs: N = 64 ×0.96–1.23,
+/// N = 216 ×1.10–1.58, N = 512 ×1.24–1.66, N = 1,000 ×1.27–1.88. Two
+/// one-core steps side by side deliver up to twice what one two-thread
+/// step does at every size; the price is each job's own step wall,
+/// longer by that ratio. At N = 64 it is within the host's run-to-run
+/// spread. N = 216 is the boundary case and steps narrow; from N = 512
+/// on a job keeps its short steps and takes every core.
+const NARROW_MAX_CELLS: u32 = 3;
+
+/// How many of [`HOST_CORES`] a job of `cells` unit cells a side steps
+/// on.
+fn step_width(cells: u32) -> usize {
+    if cells <= NARROW_MAX_CELLS {
+        1
+    } else {
+        HOST_CORES.total
+    }
+}
+
+/// A budget of host cores, granted in FIFO ticket order.
+struct CoreBudget {
+    total: usize,
+    turns: Mutex<Turns>,
+    turn: Condvar,
+}
+
+/// The budget's books: cores leased out, and the ticket counter.
+struct Turns {
+    in_use: usize,
+    /// The ticket the next request draws.
+    next_ticket: u64,
+    /// The ticket that is granted next, once its cores are free.
+    serving: u64,
+}
+
+impl CoreBudget {
+    fn new(total: usize) -> Self {
+        CoreBudget {
+            total,
+            turns: Mutex::new(Turns {
+                in_use: 0,
+                next_ticket: 0,
+                serving: 0,
+            }),
+            turn: Condvar::new(),
+        }
+    }
+
+    fn books(&self) -> MutexGuard<'_, Turns> {
+        // Every critical section is counter arithmetic that cannot
+        // panic half done.
+        self.turns.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Block until every earlier request has been granted and `width`
+    /// cores are free, then lease them.
+    fn acquire(&self, width: usize) -> CoreLease<'_> {
+        assert!(
+            (1..=self.total).contains(&width),
+            "{width} of {} cores",
+            self.total
+        );
+        let mut turns = self.books();
+        let ticket = turns.next_ticket;
+        turns.next_ticket += 1;
+        while turns.serving != ticket || turns.in_use + width > self.total {
+            turns = self.turn.wait(turns).unwrap_or_else(|p| p.into_inner());
+        }
+        turns.serving += 1;
+        turns.in_use += width;
+        drop(turns);
+        // The next ticket may fit in what is left.
+        self.turn.notify_all();
+        CoreLease {
+            budget: self,
+            width,
+        }
+    }
+}
+
+/// Cores leased from a [`CoreBudget`]; dropping it (on unwind too)
+/// returns them.
+struct CoreLease<'a> {
+    budget: &'a CoreBudget,
+    width: usize,
+}
+
+impl Drop for CoreLease<'_> {
+    fn drop(&mut self) {
+        self.budget.books().in_use -= self.width;
+        self.budget.turn.notify_all();
+    }
+}
 
 /// Everything [`Server::start`] needs.
 #[derive(Clone, Debug)]
@@ -738,12 +844,6 @@ fn finalize(inner: &Arc<Inner>, job: &str, slot: &JobSlot, suffix: &str) {
     }
 }
 
-fn cpu_lease() -> MutexGuard<'static, ()> {
-    // The guarded data is `()`: a slice that panicked under the lease
-    // left nothing half-updated behind.
-    HOST_CORES.lock().unwrap_or_else(|p| p.into_inner())
-}
-
 /// The board's machine loaded for a job in a box of side `l`: the one
 /// the board holds when its parameters are the job's, else a new one.
 fn load_machine(inner: &Inner, board: &mut Option<MdmForceField>, l: f64) -> MdmForceField {
@@ -757,8 +857,9 @@ fn load_machine(inner: &Inner, board: &mut Option<MdmForceField>, l: f64) -> Mdm
 }
 
 /// One scheduling slice: materialise from the spool onto the board's
-/// machine, step under the CPU lease, checkpoint, hand the machine back
-/// to the board. A slice that fails leaves the board empty.
+/// machine, step on the cores leased from [`HOST_CORES`], checkpoint,
+/// hand the machine back to the board. A slice that fails leaves the
+/// board empty.
 fn run_slice(
     inner: &Arc<Inner>,
     job: &str,
@@ -772,10 +873,12 @@ fn run_slice(
     let ckpt_path = inner.spool_file(job, "ckpt");
     let trace_path = inner.spool_file(job, "trace.jsonl");
 
-    // The CPU lease: whatever runs the emulators' parallel regions runs
-    // under it. A resumed slice takes it at the stepping section; a
-    // job's first slice takes it here already — `Simulation::new` runs
-    // the initial force and energy evaluation, a step's worth of work.
+    // The core lease: whatever runs the emulators' parallel regions runs
+    // under it, `width` threads wide. A resumed slice takes it at the
+    // stepping section; a job's first slice takes it here already —
+    // `Simulation::new` runs the initial force and energy evaluation, a
+    // step's worth of work.
+    let width = step_width(spec.cells);
     let mut lease = None;
     let latest =
         Checkpoint::load_latest(&ckpt_path).map_err(|e| format!("checkpoint load: {e}"))?;
@@ -791,8 +894,8 @@ fn run_slice(
         maxwell_boltzmann(&mut system, spec.temperature, spec.seed);
         let mut ff = load_machine(inner, board, system.simbox().l());
         ff.set_potential_interval(spec.potential_interval);
-        lease = Some(cpu_lease());
-        Simulation::new(system, ff, spec.dt)
+        lease = Some(HOST_CORES.acquire(width));
+        rayon::with_num_threads(width, || Simulation::new(system, ff, spec.dt))
     };
     if spec.thermostat {
         sim.set_thermostat(Some(Thermostat::velocity_scaling(spec.temperature)));
@@ -830,17 +933,19 @@ fn run_slice(
     };
 
     let run = {
-        let _cores = lease.unwrap_or_else(cpu_lease);
-        run_instrumented(
-            &mut sim,
-            n,
-            &mut recorder,
-            Instruments {
-                watchdogs: Some(&mut dogs),
-                bus: Some(&bus),
-                ..Instruments::default()
-            },
-        )
+        let _cores = lease.unwrap_or_else(|| HOST_CORES.acquire(width));
+        rayon::with_num_threads(width, || {
+            run_instrumented(
+                &mut sim,
+                n,
+                &mut recorder,
+                Instruments {
+                    watchdogs: Some(&mut dogs),
+                    bus: Some(&bus),
+                    ..Instruments::default()
+                },
+            )
+        })
         .map_err(|e| format!("slice: {e}"))?
     };
     let upload_bytes = run
@@ -873,6 +978,126 @@ mod tests {
     use super::*;
     use mdm_profile::bus::BusEvent;
     use mdm_profile::events::{parse_jsonl, RunManifest, StepEvent};
+    use std::sync::mpsc;
+
+    /// A budget the test's threads can borrow for as long as they run.
+    fn budget(total: usize) -> &'static CoreBudget {
+        Box::leak(Box::new(CoreBudget::new(total)))
+    }
+
+    /// Block until `tickets` requests of `budget` have drawn a ticket.
+    fn await_tickets(budget: &CoreBudget, tickets: u64) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while budget.books().next_ticket < tickets {
+            assert!(
+                Instant::now() < deadline,
+                "no request drew ticket {tickets}"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Acquire `width` cores on a thread of its own, hold them until
+    /// `release` says so, and report `tag` on `granted` once they are
+    /// granted.
+    fn holder(
+        budget: &'static CoreBudget,
+        width: usize,
+        tag: &'static str,
+        granted: mpsc::Sender<&'static str>,
+        release: mpsc::Receiver<()>,
+    ) -> std::thread::JoinHandle<()> {
+        std::thread::spawn(move || {
+            let _lease = budget.acquire(width);
+            granted.send(tag).unwrap();
+            let _ = release.recv();
+        })
+    }
+
+    #[test]
+    fn two_narrow_leases_share_a_budget_of_two() {
+        let budget = budget(2);
+        let (granted, grants) = mpsc::channel();
+        let (release_a, hold_a) = mpsc::channel();
+        let (release_b, hold_b) = mpsc::channel();
+        let a = holder(budget, 1, "a", granted.clone(), hold_a);
+        let b = holder(budget, 1, "b", granted, hold_b);
+        let within = Duration::from_secs(10);
+        let mut got = [grants.recv_timeout(within), grants.recv_timeout(within)]
+            .map(|g| g.expect("both width-1 leases granted while the other holds"));
+        got.sort();
+        assert_eq!(got, ["a", "b"]);
+        assert_eq!(budget.books().in_use, 2);
+        release_a.send(()).unwrap();
+        release_b.send(()).unwrap();
+        a.join().unwrap();
+        b.join().unwrap();
+        assert_eq!(budget.books().in_use, 0);
+    }
+
+    #[test]
+    fn a_wide_request_is_granted_before_narrow_ones_that_came_after_it() {
+        let budget = budget(2);
+        let (granted, grants) = mpsc::channel();
+        let (release_first, hold_first) = mpsc::channel();
+        let first = holder(budget, 1, "first", granted.clone(), hold_first);
+        assert_eq!(grants.recv().unwrap(), "first");
+
+        // A width-2 request queues behind the width-1 holder...
+        let (release_wide, hold_wide) = mpsc::channel();
+        let wide = holder(budget, 2, "wide", granted.clone(), hold_wide);
+        await_tickets(budget, 2);
+        // ...and a width-1 request after it waits too, although one
+        // core is free.
+        let (release_narrow, hold_narrow) = mpsc::channel();
+        let narrow = holder(budget, 1, "narrow", granted, hold_narrow);
+        await_tickets(budget, 3);
+        assert_eq!(
+            grants.recv_timeout(Duration::from_millis(50)).ok(),
+            None,
+            "a request was granted past the queued wide one"
+        );
+
+        release_first.send(()).unwrap();
+        first.join().unwrap();
+        assert_eq!(grants.recv().unwrap(), "wide");
+        assert_eq!(grants.recv_timeout(Duration::from_millis(50)).ok(), None);
+        release_wide.send(()).unwrap();
+        wide.join().unwrap();
+        assert_eq!(grants.recv().unwrap(), "narrow");
+        release_narrow.send(()).unwrap();
+        narrow.join().unwrap();
+    }
+
+    #[test]
+    fn a_panic_under_a_lease_returns_its_cores() {
+        let budget = budget(2);
+        let panicked = std::thread::spawn(move || {
+            let _lease = budget.acquire(2);
+            panic!("a slice panics mid-step");
+        })
+        .join();
+        assert!(panicked.is_err());
+        let (granted, grants) = mpsc::channel();
+        let (release, hold) = mpsc::channel();
+        let full = holder(budget, 2, "full", granted, hold);
+        assert_eq!(
+            grants.recv_timeout(Duration::from_secs(10)),
+            Ok("full"),
+            "the full budget is free again after the panic"
+        );
+        release.send(()).unwrap();
+        full.join().unwrap();
+    }
+
+    #[test]
+    fn small_jobs_step_on_one_core_and_larger_ones_on_all() {
+        for cells in 1..=NARROW_MAX_CELLS {
+            assert_eq!(step_width(cells), 1);
+        }
+        assert_eq!(step_width(NARROW_MAX_CELLS + 1), HOST_CORES.total);
+        assert_eq!(HOST_CORES.total, rayon::current_num_threads());
+    }
 
     #[test]
     fn pump_drains_the_newest_events_after_overflow() {

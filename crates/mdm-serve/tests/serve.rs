@@ -1,9 +1,10 @@
 //! End-to-end server tests: the daemon binary under a real SIGKILL,
 //! back-pressure at the admission bound, live watch streams (the stream
 //! equal to the trace file; a stalled watcher stalling nothing), a
-//! mini-soak with mixed priorities, and one board carrying its machine
-//! from job to job.
+//! mini-soak with mixed priorities, one board carrying its machine
+//! from job to job, and two boards sharing the host's cores.
 
+use mdm_core::checkpoint::Checkpoint;
 use mdm_core::integrate::Simulation;
 use mdm_core::lattice::{rocksalt_nacl, NACL_LATTICE_A};
 use mdm_core::velocities::maxwell_boltzmann;
@@ -724,6 +725,75 @@ fn mini_soak_mixed_priorities_all_jobs_finish_clean() {
     assert_eq!(records.len(), 8);
     assert!(records.iter().all(|r| r.tool == "mdm-serve" && r.violations == 0));
     server.stop();
+    let _ = std::fs::remove_dir_all(&spool);
+}
+
+/// Two boards share the host's cores: `cells 2` jobs step on one core
+/// each, side by side, and `cells 4` jobs on all of them, alone. Each
+/// job's final checkpoint must be the one a direct run of its spec at
+/// this process's full thread count writes, byte for byte.
+#[test]
+fn mixed_sizes_on_two_boards_end_at_their_direct_runs_checkpoints() {
+    let spool = temp_spool("mixed");
+    let mut cfg = ServerConfig::new(&spool);
+    cfg.slice_steps = 2;
+    cfg.boards = 2;
+    let server = Server::start(cfg).unwrap();
+    let mut client = Client::connect(&server.local_addr().to_string()).unwrap();
+    let job = |name: &str, cells: u32, seed: u64, potential_interval: u64| JobSpec {
+        name: name.into(),
+        cells,
+        steps: 4,
+        dt: 2.0,
+        temperature: 1200.0,
+        seed,
+        potential_interval,
+        ..JobSpec::default()
+    };
+    let specs = [
+        job("m-small-0", 2, 21, 1),
+        job("m-large-0", 4, 22, 1),
+        job("m-small-1", 2, 23, 3),
+        job("m-small-2", 2, 24, 1),
+        job("m-large-1", 4, 25, 3),
+        job("m-small-3", 2, 26, 1),
+    ];
+    for spec in &specs {
+        assert!(matches!(
+            client.submit(spec).unwrap(),
+            SubmitOutcome::Accepted { .. }
+        ));
+    }
+    for spec in &specs {
+        let report = client.wait(&spec.name, Duration::from_secs(300)).unwrap();
+        assert_eq!(
+            report.state,
+            JobState::Done,
+            "{}: {:?}",
+            spec.name,
+            report.detail
+        );
+    }
+    server.stop();
+    for spec in &specs {
+        let mut system = rocksalt_nacl(spec.cells as usize, NACL_LATTICE_A);
+        maxwell_boltzmann(&mut system, spec.temperature, spec.seed);
+        let mut ff = MdmForceField::nacl_default(system.simbox().l()).expect("tables");
+        ff.set_potential_interval(spec.potential_interval);
+        let mut sim = Simulation::new(system, ff, spec.dt);
+        sim.run(spec.steps as usize);
+        let mut direct = Checkpoint::capture(&sim, &spec.name, spec.seed);
+        if let Some(carry) = sim.force_field().potential_carry() {
+            carry.to_extras(&mut direct.extras);
+        }
+        let served = Checkpoint::load(&spool.join(format!("{}.ckpt", spec.name))).unwrap();
+        assert_eq!(served.step, spec.steps, "{}", spec.name);
+        assert!(
+            served.to_line() == direct.to_line(),
+            "{}: served checkpoint differs from the direct run's",
+            spec.name
+        );
+    }
     let _ = std::fs::remove_dir_all(&spool);
 }
 
