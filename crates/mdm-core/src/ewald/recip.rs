@@ -11,6 +11,12 @@
 //!    `aₙ' = e^(−π²n²/α²)/n²`.
 //!
 //! The energy is `E = C/(πL) Σₙ aₙ'·(Cₙ² + Sₙ²)` over the half space.
+//!
+//! [`structure_factors`] is phase 1 and [`synthesise`] phase 2 with the
+//! energy and virial; [`recip_space`] runs one after the other. A
+//! caller that splits the particles into blocks sums the blocks'
+//! structure factors between the two, as the §4 program's wavenumber
+//! ranks do (`mdm-host::parallel`).
 
 use crate::boxsim::SimBox;
 use crate::kvectors::KVector;
@@ -33,13 +39,14 @@ pub struct RecipResult {
     pub structure_factors: Vec<(f64, f64)>,
 }
 
-/// Lightweight result of the scratch-reusing path: no structure-factor
-/// handoff, so the buffers stay inside [`RecipScratch`] across steps.
+/// Result of [`synthesise`] and of the scratch-reusing path: no
+/// structure-factor handoff, so the buffers stay inside
+/// [`RecipScratch`] across steps.
 #[derive(Clone, Debug)]
 pub struct RecipEval {
     /// Reciprocal-space energy (eV).
     pub energy: f64,
-    /// Per-particle forces (eV/Å).
+    /// Forces on the synthesised block's particles (eV/Å).
     pub forces: Vec<Vec3>,
     /// Reciprocal-space virial (eV).
     pub virial: f64,
@@ -155,9 +162,41 @@ pub fn recip_space_cached(
     let _span = mdm_profile::span("ewald_recip");
     fill_fractional(simbox, positions, &mut scratch.fractional);
     fill_structure_factors(&scratch.fractional, charges, waves, &mut scratch.sf);
+    synthesise_scratch(scratch, simbox.l(), charges, alpha, waves)
+}
 
+/// The synthesis half of the evaluation, from structure factors `sf`
+/// summed over the whole system: its energy and virial, and the IDFT
+/// forces (eq. 11) on the block of particles given by `positions` and
+/// `charges`. The block may be the whole system ([`recip_space`] is
+/// [`structure_factors`] then this) or one rank's share of it, with
+/// `sf` the sum of every block's [`structure_factors`].
+pub fn synthesise(
+    simbox: SimBox,
+    positions: &[Vec3],
+    charges: &[f64],
+    alpha: f64,
+    waves: &[KVector],
+    sf: &[(f64, f64)],
+) -> RecipEval {
+    let mut scratch = RecipScratch {
+        sf: sf.to_vec(),
+        ..RecipScratch::default()
+    };
+    fill_fractional(simbox, positions, &mut scratch.fractional);
+    synthesise_scratch(&mut scratch, simbox.l(), charges, alpha, waves)
+}
+
+/// [`synthesise`] over `scratch`'s fractional coordinates and structure
+/// factors, reusing its coefficient buffer.
+fn synthesise_scratch(
+    scratch: &mut RecipScratch,
+    l: f64,
+    charges: &[f64],
+    alpha: f64,
+    waves: &[KVector],
+) -> RecipEval {
     let pi = std::f64::consts::PI;
-    let l = simbox.l();
 
     // Energy and virial from the structure factors.
     let mut energy = 0.0;
@@ -204,7 +243,7 @@ pub fn recip_space_cached(
 
     let forces: Vec<Vec3> = {
         let _span = mdm_profile::span("idft");
-        (0..positions.len()).into_par_iter().map(idft).collect()
+        (0..fractional.len()).into_par_iter().map(idft).collect()
     };
 
     RecipEval {
@@ -269,6 +308,25 @@ mod tests {
         assert_eq!(one.forces, four.forces);
         assert_eq!(one.energy.to_bits(), four.energy.to_bits());
         assert_eq!(one.virial.to_bits(), four.virial.to_bits());
+    }
+
+    #[test]
+    fn block_synthesis_is_bitwise_the_whole_evaluation() {
+        let (b, pos, q) = random_charged(37, 11.0, 33);
+        let waves = half_space_vectors(6.0);
+        let whole = recip_space(b, &pos, &q, 6.0, &waves);
+        let sf = structure_factors(b, &pos, &q, &waves);
+        let split = 15;
+        let head = synthesise(b, &pos[..split], &q[..split], 6.0, &waves, &sf);
+        let tail = synthesise(b, &pos[split..], &q[split..], 6.0, &waves, &sf);
+        let forces: Vec<Vec3> = head.forces.into_iter().chain(tail.forces).collect();
+        assert_eq!(forces, whole.forces);
+        for block in [head.energy, tail.energy] {
+            assert_eq!(block.to_bits(), whole.energy.to_bits());
+        }
+        for block in [head.virial, tail.virial] {
+            assert_eq!(block.to_bits(), whole.virial.to_bits());
+        }
     }
 
     #[test]

@@ -27,11 +27,6 @@ impl CartesianDecomposition {
         Self { simbox, dims }
     }
 
-    /// The paper's 16-domain layout (4 nodes × 4 processes → 4×2×2).
-    pub fn paper_16(simbox: SimBox) -> Self {
-        Self::new(simbox, [4, 2, 2])
-    }
-
     /// Number of domains.
     pub fn len(&self) -> usize {
         self.dims[0] * self.dims[1] * self.dims[2]
@@ -143,7 +138,8 @@ mod tests {
 
     #[test]
     fn paper_layout_is_16_domains() {
-        let d = CartesianDecomposition::paper_16(SimBox::cubic(100.0));
+        let dims = crate::parallel::ParallelConfig::paper().real_dims;
+        let d = CartesianDecomposition::new(SimBox::cubic(100.0), dims);
         assert_eq!(d.len(), 16);
     }
 

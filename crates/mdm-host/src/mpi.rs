@@ -4,9 +4,11 @@
 //! Interface (MPI)" over Myrinet (§4). Here the processes are threads
 //! and the interconnect is crossbeam channels, but the programming
 //! model is the same: ranks, point-to-point send/recv with tags,
-//! barrier, all-reduce and gather. The [`parallel`](crate::parallel)
-//! module writes against this exactly as the paper's code wrote against
-//! MPI.
+//! barrier, and all-reduce and gather over a rank group — a contiguous
+//! `Range` of ranks whose first is the root, `0..size()` for the whole
+//! world, standing in for an MPI sub-communicator. The
+//! [`parallel`](crate::parallel) module writes against this exactly as
+//! the paper's code wrote against MPI.
 //!
 //! **Tracing**: every rank thread records into its caller's profile
 //! scope and runs inside an [`mdm_profile::rank_scope`], so the spans
@@ -20,6 +22,7 @@
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::collections::HashMap;
 use std::collections::VecDeque;
+use std::ops::Range;
 
 /// A tagged message.
 struct Message {
@@ -133,39 +136,45 @@ impl Comm {
         }
     }
 
-    /// Element-wise sum across all ranks; every rank gets the result
-    /// (reduce-to-root + broadcast).
-    pub fn allreduce_sum(&mut self, tag: u64, data: &[f64]) -> Vec<f64> {
-        if self.rank == 0 {
+    /// Element-wise sum across the ranks of `group`; every member gets
+    /// the result (reduce to the root `group.start`, then broadcast).
+    /// `0..size()` is the whole world. Only members call it; ranks
+    /// outside `group` are never waited on.
+    pub fn allreduce_sum(&mut self, group: Range<usize>, tag: u64, data: &[f64]) -> Vec<f64> {
+        assert!(group.contains(&self.rank), "rank outside its group");
+        let root = group.start;
+        if self.rank == root {
             let mut acc = data.to_vec();
-            for from in 1..self.size {
+            for from in group.clone().skip(1) {
                 let part = self.recv(from, tag);
                 assert_eq!(part.len(), acc.len(), "allreduce length mismatch");
                 for (a, p) in acc.iter_mut().zip(&part) {
                     *a += p;
                 }
             }
-            for to in 1..self.size {
+            for to in group.skip(1) {
                 self.send(to, tag, &acc);
             }
             acc
         } else {
-            self.send(0, tag, data);
-            self.recv(0, tag)
+            self.send(root, tag, data);
+            self.recv(root, tag)
         }
     }
 
-    /// Gather variable-length contributions to rank 0 (others get an
-    /// empty vec). Contributions are concatenated in rank order.
-    pub fn gather_to_root(&mut self, tag: u64, data: &[f64]) -> Vec<f64> {
-        if self.rank == 0 {
+    /// Gather variable-length contributions of the ranks of `group` to
+    /// its root `group.start`, concatenated in rank order; the other
+    /// members get an empty vec. `0..size()` is the whole world.
+    pub fn gather_to_root(&mut self, group: Range<usize>, tag: u64, data: &[f64]) -> Vec<f64> {
+        assert!(group.contains(&self.rank), "rank outside its group");
+        if self.rank == group.start {
             let mut all = data.to_vec();
-            for from in 1..self.size {
+            for from in group.skip(1) {
                 all.extend(self.recv(from, tag));
             }
             all
         } else {
-            self.send(0, tag, data);
+            self.send(group.start, tag, data);
             Vec::new()
         }
     }
@@ -293,21 +302,55 @@ mod tests {
     fn allreduce_sums_everywhere() {
         let out = run_world(5, |mut comm| {
             let mine = vec![comm.rank() as f64, 1.0];
-            comm.allreduce_sum(7, &mine)
+            comm.allreduce_sum(0..comm.size(), 7, &mine)
         });
         for r in out {
             assert_eq!(r, vec![10.0, 5.0]);
         }
+        // The group 1..3 of a 4-rank world; ranks 0 and 3 stay out
+        // and trade a message of the same tag meanwhile.
+        let out = in_group_1_to_3(|comm| comm.allreduce_sum(1..3, 7, &[comm.rank() as f64, 1.0]));
+        assert_eq!(
+            out,
+            vec![None, Some(vec![3.0, 2.0]), Some(vec![3.0, 2.0]), None]
+        );
+    }
+
+    /// Run `collective` on ranks 1 and 2 of a 4-rank world while ranks 0
+    /// and 3, outside the group, exchange a tag-7 and a tag-9 message
+    /// with each other; fails, rather than hangs, if a group member
+    /// waits on an outsider or an outsider is held up.
+    fn in_group_1_to_3(collective: fn(&mut Comm) -> Vec<f64>) -> Vec<Option<Vec<f64>>> {
+        expect_completes_within(std::time::Duration::from_secs(30), move || {
+            run_world(4, |mut comm| match comm.rank() {
+                1 | 2 => Some(collective(&mut comm)),
+                outsider => {
+                    let other = 3 - outsider;
+                    for tag in [7, 9] {
+                        comm.send(other, tag, &[outsider as f64]);
+                        assert_eq!(comm.recv(other, tag), vec![other as f64]);
+                    }
+                    None
+                }
+            })
+        })
     }
 
     #[test]
     fn gather_concatenates_in_rank_order() {
         let out = run_world(3, |mut comm| {
             let mine: Vec<f64> = (0..=comm.rank()).map(|i| i as f64).collect();
-            comm.gather_to_root(9, &mine)
+            comm.gather_to_root(0..comm.size(), 9, &mine)
         });
         assert_eq!(out[0], vec![0.0, 0.0, 1.0, 0.0, 1.0, 2.0]);
         assert!(out[1].is_empty());
+        // The group 1..3 of a 4-rank world gathers to rank 1.
+        let out = in_group_1_to_3(|comm| {
+            let mine: Vec<f64> = (0..=comm.rank()).map(|i| i as f64).collect();
+            comm.gather_to_root(1..3, 9, &mine)
+        });
+        let root = vec![0.0, 1.0, 0.0, 1.0, 2.0];
+        assert_eq!(out, vec![None, Some(root), Some(vec![]), None]);
     }
 
     #[test]
@@ -347,7 +390,7 @@ mod tests {
             let _ = tx.send(f());
         });
         rx.recv_timeout(timeout)
-            .expect("run_world hung instead of failing fast after a rank panic")
+            .expect("run_world hung: a rank waited on a message that never came")
     }
 
     /// The distributed-tracing contract: under a recording timeline, a
@@ -449,7 +492,7 @@ mod tests {
                         panic!("rank 3 died before the barrier");
                     }
                     comm.barrier(11);
-                    comm.allreduce_sum(12, &[1.0])
+                    comm.allreduce_sum(0..4, 12, &[1.0])
                 })
             })
         });

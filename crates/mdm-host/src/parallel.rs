@@ -10,33 +10,35 @@
 //!   particles;
 //! * ranks `R..R+W` — wavenumber processes. Each holds an `N/W` block
 //!   of particles ("each of them has about N/8 particle positions"),
-//!   computes partial structure factors, **all-reduces** them across
-//!   the wave group ("the library routine for force calculation is
-//!   already parallelized with MPI"), and synthesises the wavenumber
-//!   forces for its own block;
-//! * rank 0 gathers everything and assembles the [`ForceResult`].
+//!   runs the library DFT ([`recip::structure_factors`]) on it,
+//!   **all-reduces** the structure factors across the wave group ("the
+//!   library routine for force calculation is already parallelized
+//!   with MPI"), and runs the library synthesis ([`recip::synthesise`])
+//!   for the energy, the virial and its own block's IDFT forces;
+//! * every rank ends the same way: one gather over the whole world
+//!   sends its particles' indices and forces and its
+//!   `[coulomb, short, virial]` terms to rank 0, which adds them up in
+//!   rank order into the [`ForceResult`].
 //!
-//! The point of this module is bit-level agreement with the serial
-//! reference (up to floating-point reassociation), verified in tests.
+//! The point of this module is agreement with the serial reference up
+//! to floating-point reassociation, verified in tests.
 
 use crate::domain::CartesianDecomposition;
 use crate::mpi::{run_world, Comm};
 use mdm_core::ewald::real::{particle_sum, ShortRange};
-use mdm_core::ewald::recip::spectral_coefficient;
+use mdm_core::ewald::recip;
 use mdm_core::ewald::{self_energy, EwaldParams};
 use mdm_core::forcefield::ForceResult;
 use mdm_core::kvectors::half_space_vectors;
 use mdm_core::potentials::TosiFumi;
 use mdm_core::system::System;
-use mdm_core::units::COULOMB_EV_A;
 use mdm_core::vec3::Vec3;
 
 /// Message tags.
 mod tag {
-    pub const SC_ALLREDUCE: u64 = 1;
+    pub const SF_ALLREDUCE: u64 = 1;
     pub const FORCE_GATHER: u64 = 2;
-    pub const INDEX_GATHER: u64 = 3;
-    pub const ENERGY: u64 = 4;
+    pub const TERM_GATHER: u64 = 3;
 }
 
 /// Configuration of the parallel run.
@@ -49,8 +51,8 @@ pub struct ParallelConfig {
 }
 
 impl ParallelConfig {
-    /// The paper's configuration: 16 real-space + 8 wavenumber
-    /// processes.
+    /// The paper's configuration: 16 real-space processes on a 4×2×2
+    /// domain grid (4 nodes × 4 processes) + 8 wavenumber processes.
     pub fn paper() -> Self {
         Self {
             real_dims: [4, 2, 2],
@@ -94,7 +96,7 @@ pub fn parallel_forces(
 
     let outputs: Vec<Option<ForceResult>> = run_world(world, |mut comm: Comm| {
         let rank = comm.rank();
-        if rank < n_real {
+        let (rows, terms) = if rank < n_real {
             // ---- real-space process ----
             let mine = &owned[rank];
             let halo = {
@@ -116,115 +118,61 @@ pub fn parallel_forces(
             let n_own = mine.len();
             // Ordered pairs (i owned, any j), half-weighted energy. An
             // all-pairs scan over owned+halo is exact; domains are small.
-            let real_span = mdm_profile::span(mdm_profile::phase::REAL);
+            let _real = mdm_profile::span(mdm_profile::phase::REAL);
             let local_short = ShortRange {
                 potential: &short,
                 types: &local_t,
             };
             let mut forces = Vec::with_capacity(n_own);
-            let (mut e_real, mut e_short, mut virial) = (0.0, 0.0, 0.0);
+            let mut terms = [0.0; 3];
             for a in 0..n_own {
                 let candidates = (0..local_pos.len())
                     .filter(|&b| b != a)
                     .map(|b| (b, simbox.min_image(local_pos[a], local_pos[b])));
                 let sum = particle_sum(kappa, r_cut, a, &local_q, Some(local_short), candidates);
                 forces.push(sum.force);
-                e_real += sum.coulomb;
-                e_short += sum.short;
-                virial += sum.virial;
+                terms[0] += sum.coulomb;
+                terms[1] += sum.short;
+                terms[2] += sum.virial;
             }
-            drop(real_span);
-            // Gather to rank 0 — within the real-space sub-group only
-            // (rank 0 must not wait on the wave ranks for these tags).
-            let _comm = mdm_profile::span(mdm_profile::phase::COMM);
-            let _gather = mdm_profile::span("gather");
-            let idx: Vec<f64> = mine.iter().map(|&i| i as f64).collect();
-            let flat: Vec<f64> = forces
-                .iter()
-                .flat_map(|f| [f.x, f.y, f.z])
-                .collect();
-            let all_idx = real_group_gather(&mut comm, n_real, tag::INDEX_GATHER, &idx);
-            let all_forces = real_group_gather(&mut comm, n_real, tag::FORCE_GATHER, &flat);
-            let energies =
-                real_group_gather(&mut comm, n_real, tag::ENERGY, &[e_real, e_short, virial]);
-            if rank == 0 {
-                Some(assemble(
-                    n, &mut comm, all_idx, all_forces, energies, n_real, n_wave, kappa, charges,
-                ))
-            } else {
-                None
-            }
+            (force_rows(mine.iter().map(|&i| i as usize), &forces), terms)
         } else {
             // ---- wavenumber process ----
             let w = rank - n_real;
             let block = n.div_ceil(n_wave);
             let lo = (w * block).min(n);
             let hi = ((w + 1) * block).min(n);
-            let tau = std::f64::consts::TAU;
-            let frac: Vec<Vec3> = positions[lo..hi]
-                .iter()
-                .map(|&r| simbox.fractional(r))
-                .collect();
-            // Partial DFT over my block, for every wave.
-            let dft_span = mdm_profile::span(mdm_profile::phase::WAVE);
-            let mut partial = Vec::with_capacity(waves.len() * 2);
-            for k in &waves {
-                let (mut s_sum, mut c_sum) = (0.0f64, 0.0f64);
-                for (f, &q) in frac.iter().zip(&charges[lo..hi]) {
-                    let theta =
-                        tau * (k.n[0] as f64 * f.x + k.n[1] as f64 * f.y + k.n[2] as f64 * f.z);
-                    let (s, c) = theta.sin_cos();
-                    s_sum += q * s;
-                    c_sum += q * c;
-                }
-                partial.push(s_sum);
-                partial.push(c_sum);
-            }
-            drop(dft_span);
-            // All-reduce within the wave group: emulate a
-            // sub-communicator by staging through the wave-root
-            // (rank n_real), then forwarding.
-            let sc = {
+            let (pos, q) = (&positions[lo..hi], &charges[lo..hi]);
+            let partial = {
+                let _wave = mdm_profile::span(mdm_profile::phase::WAVE);
+                recip::structure_factors(simbox, pos, q, &waves)
+            };
+            let flat: Vec<f64> = partial.iter().flat_map(|&(s, c)| [s, c]).collect();
+            let summed = {
                 let _comm = mdm_profile::span(mdm_profile::phase::COMM);
                 let _allreduce = mdm_profile::span("allreduce");
-                wave_group_allreduce(&mut comm, n_real, n_wave, &partial)
+                comm.allreduce_sum(n_real..world, tag::SF_ALLREDUCE, &flat)
             };
-            // Energy (computed redundantly on every wave rank; the
-            // wave-root reports it).
-            let l = simbox.l();
-            let mut e_recip = 0.0;
-            for (k, sc_pair) in waves.iter().zip(sc.chunks_exact(2)) {
-                let a = spectral_coefficient(params.alpha, k.n_sq as f64);
-                e_recip += COULOMB_EV_A / (std::f64::consts::PI * l) * a
-                    * (sc_pair[0] * sc_pair[0] + sc_pair[1] * sc_pair[1]);
-            }
-            // IDFT for my block.
-            let idft_span = mdm_profile::span(mdm_profile::phase::WAVE);
-            let prefactor = 4.0 * COULOMB_EV_A / (l * l);
-            let mut flat = Vec::with_capacity((hi - lo) * 3);
-            for (f, &q) in frac.iter().zip(&charges[lo..hi]) {
-                let mut force = Vec3::ZERO;
-                for (k, sc_pair) in waves.iter().zip(sc.chunks_exact(2)) {
-                    let a = spectral_coefficient(params.alpha, k.n_sq as f64);
-                    let theta =
-                        tau * (k.n[0] as f64 * f.x + k.n[1] as f64 * f.y + k.n[2] as f64 * f.z);
-                    let (s, c) = theta.sin_cos();
-                    let nvec = Vec3::new(k.n[0] as f64, k.n[1] as f64, k.n[2] as f64);
-                    force += nvec * (a * (sc_pair[1] * s - sc_pair[0] * c));
-                }
-                force *= prefactor * q;
-                flat.extend([force.x, force.y, force.z]);
-            }
-            drop(idft_span);
-            // Ship block forces (+ energy from the wave-root) to rank 0.
-            let _comm = mdm_profile::span(mdm_profile::phase::COMM);
-            let _gather = mdm_profile::span("gather");
-            comm.send(0, tag::FORCE_GATHER + 100 + w as u64, &flat);
-            if w == 0 {
-                comm.send(0, tag::ENERGY + 100, &[e_recip]);
-            }
-            None
-        }
+            let sf: Vec<(f64, f64)> = summed.chunks_exact(2).map(|p| (p[0], p[1])).collect();
+            let eval = {
+                let _wave = mdm_profile::span(mdm_profile::phase::WAVE);
+                recip::synthesise(simbox, pos, q, params.alpha, &waves, &sf)
+            };
+            // Every wave rank holds the whole energy and virial; the
+            // wave-root reports them.
+            let terms = if w == 0 {
+                [eval.energy, 0.0, eval.virial]
+            } else {
+                [0.0; 3]
+            };
+            (force_rows(lo..hi, &eval.forces), terms)
+        };
+        // ---- every rank: one gather to rank 0 ----
+        let _comm = mdm_profile::span(mdm_profile::phase::COMM);
+        let _gather = mdm_profile::span("gather");
+        let rows = comm.gather_to_root(0..world, tag::FORCE_GATHER, &rows);
+        let terms = comm.gather_to_root(0..world, tag::TERM_GATHER, &terms);
+        (rank == 0).then(|| assemble(n, &rows, &terms, kappa, charges))
     });
 
     outputs
@@ -234,85 +182,35 @@ pub fn parallel_forces(
         .expect("rank 0 produces the result")
 }
 
-/// Gather within the real-space sub-group `[0, n_real)`: rank 0 gets
-/// the concatenation in rank order, others their own data back.
-fn real_group_gather(comm: &mut Comm, n_real: usize, tag: u64, data: &[f64]) -> Vec<f64> {
-    if comm.rank() == 0 {
-        let mut all = data.to_vec();
-        for from in 1..n_real {
-            all.extend(comm.recv(from, tag));
-        }
-        all
-    } else {
-        comm.send(0, tag, data);
-        Vec::new()
-    }
+/// One `[index, fx, fy, fz]` row per particle: what a rank gathers to
+/// rank 0 beside its `[coulomb, short, virial]` terms.
+fn force_rows(indices: impl Iterator<Item = usize>, forces: &[Vec3]) -> Vec<f64> {
+    indices
+        .zip(forces)
+        .flat_map(|(i, f)| [i as f64, f.x, f.y, f.z])
+        .collect()
 }
 
-/// All-reduce within the wave sub-group `[n_real, n_real + n_wave)`.
-fn wave_group_allreduce(comm: &mut Comm, n_real: usize, n_wave: usize, data: &[f64]) -> Vec<f64> {
-    let root = n_real;
-    if comm.rank() == root {
-        let mut acc = data.to_vec();
-        for peer in 1..n_wave {
-            let part = comm.recv(root + peer, tag::SC_ALLREDUCE);
-            for (a, p) in acc.iter_mut().zip(&part) {
-                *a += p;
-            }
-        }
-        for peer in 1..n_wave {
-            comm.send(root + peer, tag::SC_ALLREDUCE, &acc);
-        }
-        acc
-    } else {
-        comm.send(root, tag::SC_ALLREDUCE, data);
-        comm.recv(root, tag::SC_ALLREDUCE)
-    }
-}
-
-/// Rank-0 assembly: scatter gathered real forces back to original
-/// indices, add the wave blocks, total the energies.
-#[allow(clippy::too_many_arguments)]
-fn assemble(
-    n: usize,
-    comm: &mut Comm,
-    all_idx: Vec<f64>,
-    all_forces: Vec<f64>,
-    energies: Vec<f64>,
-    n_real: usize,
-    n_wave: usize,
-    kappa: f64,
-    charges: &[f64],
-) -> ForceResult {
+/// Rank-0 assembly: add every gathered `[index, fx, fy, fz]` row into
+/// its particle's force and every rank's `[coulomb, short, virial]`
+/// into the totals, in rank order.
+fn assemble(n: usize, rows: &[f64], terms: &[f64], kappa: f64, charges: &[f64]) -> ForceResult {
     let mut forces = vec![Vec3::ZERO; n];
-    for (k, &idx) in all_idx.iter().enumerate() {
-        forces[idx as usize] = Vec3::new(
-            all_forces[3 * k],
-            all_forces[3 * k + 1],
-            all_forces[3 * k + 2],
-        );
+    for row in rows.chunks_exact(4) {
+        forces[row[0] as usize] += Vec3::new(row[1], row[2], row[3]);
     }
-    let (mut e_real, mut e_short, mut virial) = (0.0, 0.0, 0.0);
-    for chunk in energies.chunks_exact(3) {
-        e_real += chunk[0];
-        e_short += chunk[1];
-        virial += chunk[2];
-    }
-    // Wave blocks arrive tagged per wave rank.
-    let block = n.div_ceil(n_wave);
-    for w in 0..n_wave {
-        let lo = (w * block).min(n);
-        let flat = comm.recv(n_real + w, tag::FORCE_GATHER + 100 + w as u64);
-        for (k, f) in flat.chunks_exact(3).enumerate() {
-            forces[lo + k] += Vec3::new(f[0], f[1], f[2]);
+    let mut sum = [0.0; 3];
+    for rank_terms in terms.chunks_exact(3) {
+        for (total, term) in sum.iter_mut().zip(rank_terms) {
+            *total += term;
         }
     }
-    let e_recip = comm.recv(n_real, tag::ENERGY + 100)[0];
-    let coulomb = e_real + e_recip + self_energy(kappa, charges);
+    let [e_coulomb, short_range, virial] = sum;
+    let coulomb = e_coulomb + self_energy(kappa, charges);
     ForceResult {
-        potential: coulomb + e_short,
+        potential: coulomb + short_range,
         coulomb,
-        short_range: e_short,
+        short_range,
         forces,
         virial,
     }
@@ -336,29 +234,42 @@ mod tests {
         EwaldParams::from_alpha_accuracy(7.0, 3.2, 3.2, l)
     }
 
+    /// `|a − b| / |b|`.
+    fn relative(a: f64, b: f64) -> f64 {
+        ((a - b) / b).abs()
+    }
+
     #[test]
     fn matches_serial_reference() {
         let s = perturbed();
         let params = params_for(s.simbox().l());
-        let parallel = parallel_forces(&s, &params, ParallelConfig::small());
         let mut serial = EwaldTosiFumi::new(params, TosiFumi::nacl());
         let reference = serial.compute(&s);
-        assert!(
-            ((parallel.potential - reference.potential) / reference.potential).abs() < 1e-10,
-            "{} vs {}",
-            parallel.potential,
-            reference.potential
-        );
         let scale = reference
             .forces
             .iter()
             .map(|f| f.norm())
             .fold(0.0f64, f64::max);
-        for (i, (p, r)) in parallel.forces.iter().zip(&reference.forces).enumerate() {
+        for config in [ParallelConfig::small(), ParallelConfig::paper()] {
+            let parallel = parallel_forces(&s, &params, config);
             assert!(
-                (*p - *r).norm() / scale < 1e-10,
-                "particle {i}: {p:?} vs {r:?}"
+                relative(parallel.potential, reference.potential) < 1e-10,
+                "{config:?}: potential {} vs {}",
+                parallel.potential,
+                reference.potential
             );
+            assert!(
+                relative(parallel.virial, reference.virial) < 1e-9,
+                "{config:?}: virial {} vs {}",
+                parallel.virial,
+                reference.virial
+            );
+            for (i, (p, r)) in parallel.forces.iter().zip(&reference.forces).enumerate() {
+                assert!(
+                    (*p - *r).norm() / scale < 1e-10,
+                    "{config:?}: particle {i}: {p:?} vs {r:?}"
+                );
+            }
         }
     }
 
@@ -379,6 +290,8 @@ mod tests {
             assert!((*fa - *fb).norm() < 1e-9);
         }
         assert!((a.potential - b.potential).abs() < 1e-9);
+        let (va, vb) = (a.virial, b.virial);
+        assert!(relative(va, vb) < 1e-9, "virial {va} vs {vb}");
     }
 
     #[test]

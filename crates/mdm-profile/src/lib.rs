@@ -166,20 +166,6 @@ impl Profile {
             .map_or(0.0, |stat| stat.total.as_secs_f64())
     }
 
-    /// Seconds under `path` plus every nested `path.…` descendant that
-    /// ran *outside* it (on another thread, e.g. simulated-MPI ranks).
-    /// Descendant time recorded on the same thread is already inside
-    /// the parent's own clock, so plain [`Profile::seconds`] is right
-    /// for single-threaded phases; this sums the whole subtree instead.
-    pub fn subtree_seconds(&self, path: &str) -> f64 {
-        let prefix = format!("{path}.");
-        self.spans
-            .iter()
-            .filter(|(key, _)| *key == path || key.starts_with(&prefix))
-            .map(|(_, stat)| stat.total.as_secs_f64())
-            .sum()
-    }
-
     /// The top-level spans (paths with no dot) and their seconds: the
     /// *phases* of a step event and of a run's ledger row.
     pub fn phases(&self) -> impl Iterator<Item = (&str, f64)> {
@@ -840,35 +826,6 @@ mod tests {
         let profile = snapshot();
         // Worker threads have empty stacks: top-level path, 4 calls.
         assert_eq!(profile.spans["t4_rank"].calls, 4);
-    }
-
-    #[test]
-    fn subtree_seconds_sums_descendants() {
-        let mut profile = Profile::default();
-        profile.spans.insert(
-            "t5".into(),
-            SpanStat {
-                calls: 1,
-                total: Duration::from_secs(1),
-            },
-        );
-        profile.spans.insert(
-            "t5.child".into(),
-            SpanStat {
-                calls: 1,
-                total: Duration::from_secs(2),
-            },
-        );
-        profile.spans.insert(
-            "t5other".into(),
-            SpanStat {
-                calls: 1,
-                total: Duration::from_secs(4),
-            },
-        );
-        assert_eq!(profile.subtree_seconds("t5"), 3.0);
-        assert_eq!(profile.seconds("t5"), 1.0);
-        assert_eq!(profile.seconds("missing"), 0.0);
     }
 
     #[test]

@@ -835,7 +835,7 @@ fn finalize(inner: &Arc<Inner>, job: &str, slot: &JobSlot, suffix: &str) {
             ..RecordedRun::default()
         };
         let mut record = totals.reduce("mdm-serve", job, slot.spec.n_particles());
-        record.threads = inner.cfg.boards.max(1) as u64;
+        record.threads = step_width(slot.spec.cells) as u64;
         record.gauges.insert(
             "jstore_upload_bytes_per_step".to_string(),
             slot.upload_bytes as f64 / slot.spec.steps.max(1) as f64,
@@ -920,7 +920,9 @@ fn run_slice(
         .append(true)
         .open(&trace_path)
         .map_err(|e| format!("trace open: {e}"))?;
-    let manifest = mdm_manifest(job, "mdm-serve", &sim, spec.seed);
+    let mut manifest = mdm_manifest(job, "mdm-serve", &sim, spec.seed);
+    // The job's steps run `width` threads wide, not the daemon's pool.
+    manifest.threads = width as u64;
     bus.publish_manifest(&manifest);
     let mut recorder =
         FlightRecorder::new(BufWriter::new(file), &manifest).map_err(|e| format!("trace: {e}"))?;

@@ -731,13 +731,16 @@ fn mini_soak_mixed_priorities_all_jobs_finish_clean() {
 /// Two boards share the host's cores: `cells 2` jobs step on one core
 /// each, side by side, and `cells 4` jobs on all of them, alone. Each
 /// job's final checkpoint must be the one a direct run of its spec at
-/// this process's full thread count writes, byte for byte.
+/// this process's full thread count writes, byte for byte, and each
+/// slice's manifest and each job's ledger row must record that width.
 #[test]
 fn mixed_sizes_on_two_boards_end_at_their_direct_runs_checkpoints() {
     let spool = temp_spool("mixed");
+    let ledger = spool.join("ledger.jsonl");
     let mut cfg = ServerConfig::new(&spool);
     cfg.slice_steps = 2;
     cfg.boards = 2;
+    cfg.ledger = Some(ledger.clone());
     let server = Server::start(cfg).unwrap();
     let mut client = Client::connect(&server.local_addr().to_string()).unwrap();
     let job = |name: &str, cells: u32, seed: u64, potential_interval: u64| JobSpec {
@@ -775,6 +778,24 @@ fn mixed_sizes_on_two_boards_end_at_their_direct_runs_checkpoints() {
         );
     }
     server.stop();
+    let width = |cells: u32| match cells {
+        2 => 1,
+        _ => rayon::current_num_threads() as u64,
+    };
+    let (rows, bad) = mdm_profile::ledger::read_ledger(&ledger).expect("ledger written");
+    assert_eq!((rows.len(), bad), (specs.len(), 0));
+    for spec in &specs {
+        let trace =
+            std::fs::read_to_string(spool.join(format!("{}.trace.jsonl", spec.name))).unwrap();
+        let runs = mdm_profile::events::parse_jsonl_multi(&trace).unwrap();
+        assert_eq!(runs.len(), 2, "{}: one manifest per slice", spec.name);
+        for (manifest, _) in &runs {
+            assert_eq!(manifest.threads, width(spec.cells), "{}", spec.name);
+        }
+        let row = rows.iter().find(|r| r.label == spec.name);
+        let row = row.expect("a ledger row per job");
+        assert_eq!(row.threads, width(spec.cells), "{}'s ledger row", spec.name);
+    }
     for spec in &specs {
         let mut system = rocksalt_nacl(spec.cells as usize, NACL_LATTICE_A);
         maxwell_boltzmann(&mut system, spec.temperature, spec.seed);

@@ -1,6 +1,6 @@
 //! The §4 parallel program: 16 real-space processes + 8 wavenumber
 //! processes over the simulated MPI fabric, force-for-force identical
-//! to the serial reference.
+//! to the serial reference, potential and virial included.
 //!
 //! Run with: `cargo run --release --example parallel_md [cells]`
 
@@ -64,6 +64,8 @@ fn main() {
     println!("\nresults:");
     println!("  potential (parallel): {:.10} eV", par.potential);
     println!("  potential (serial)  : {:.10} eV", ser.potential);
+    println!("  virial (parallel)   : {:.10} eV", par.virial);
+    println!("  virial (serial)     : {:.10} eV", ser.virial);
     println!("  max force deviation : {:.2e} of the force scale", max_dev / scale);
     println!(
         "  wall time           : {:.1} ms parallel ({} threads) vs {:.1} ms serial",
@@ -72,5 +74,14 @@ fn main() {
         t_ser.as_secs_f64() * 1e3
     );
     assert!(max_dev / scale < 1e-9, "parallel and serial must agree");
+    let relative = |a: f64, b: f64| ((a - b) / b).abs();
+    assert!(
+        relative(par.potential, ser.potential) < 1e-10,
+        "parallel and serial potentials must agree"
+    );
+    assert!(
+        relative(par.virial, ser.virial) < 1e-9,
+        "parallel and serial virials must agree"
+    );
     println!("\nparallel == serial: the Section 4 decomposition is exact.");
 }
