@@ -246,7 +246,7 @@ impl CellList {
     }
 
     /// Cell `c`'s `(ix, iy, iz)`.
-    fn coordinates(&self, c: usize) -> [usize; 3] {
+    pub fn coordinates(&self, c: usize) -> [usize; 3] {
         [c % self.m, (c / self.m) % self.m, c / (self.m * self.m)]
     }
 

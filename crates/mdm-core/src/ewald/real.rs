@@ -7,13 +7,14 @@
 //!
 //! One pass, [`real_space`]: a Rayon map over particles, collected and
 //! reduced in index order, so the result is bitwise the same at every
-//! thread count. Each particle's share is [`particle_sum`] over its
+//! thread count. Each particle's share is `particle_sum` over its
 //! candidate list — the 27-cell block on a grid of at least 3 cells per
 //! side, every minimum-image `j` on a coarser one — with ordered pairs
 //! (like the hardware dataflow), half-weighted energy and virial, and
 //! cutoff skipping (software can afford the branch). Given a short-range
 //! potential, the same pass adds the Tosi–Fumi terms (they share `r_cut`
-//! in the paper too).
+//! in the paper too). [`real_space_of`] runs the same shares over a
+//! subset of the particles — one domain of the §4 parallel program.
 
 use crate::boxsim::SimBox;
 use crate::celllist::CellList;
@@ -54,18 +55,18 @@ pub struct ShortRange<'a> {
 
 /// One particle's half-weighted share of the real-space sum.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct ParticleSum {
+struct ParticleSum {
     /// Force on the particle (eV/Å).
-    pub force: Vec3,
+    force: Vec3,
     /// Half the Ewald-real Coulomb energy of its pairs (eV).
-    pub coulomb: f64,
+    coulomb: f64,
     /// Half the short-range energy of its pairs (eV; zero without a
     /// short-range potential).
-    pub short: f64,
+    short: f64,
     /// Half the pair virial `Σ f⃗·r⃗` (eV).
-    pub virial: f64,
+    virial: f64,
     /// Ordered pairs within the cutoff.
-    pub pairs: u64,
+    pairs: u64,
 }
 
 /// Output of one [`real_space`] pass.
@@ -79,14 +80,15 @@ pub struct RealSpace {
     pub short: f64,
     /// Pair virial `Σ f⃗·r⃗` (eV).
     pub virial: f64,
-    /// Unique pairs within the cutoff (the paper's `N·N_int`).
+    /// Pairs within the cutoff: unique ones (the paper's `N·N_int`)
+    /// from [`real_space`], ordered ones from [`real_space_of`].
     pub pairs: u64,
 }
 
 /// Particle `i`'s share: every candidate `(j, r⃗ᵢ − r⃗ⱼ)` (the image of
 /// `j` already chosen) within `r_cut`, Coulomb from `charges` and, with
 /// `short`, the short-range terms.
-pub fn particle_sum(
+fn particle_sum(
     kappa: f64,
     r_cut: f64,
     i: usize,
@@ -133,33 +135,35 @@ pub fn real_space(
     let _span = mdm_profile::span("ewald_real");
     let r_cut = r_cut.min(simbox.max_cutoff());
     let cl = CellList::build(simbox, positions, r_cut);
-    let block = cl.supports_cutoff(r_cut);
-    let per_particle: Vec<ParticleSum> = (0..positions.len())
-        .into_par_iter()
-        .map(|i| {
-            let ri = positions[i];
-            if block {
-                let neighbors = cl.neighbors27(cl.cell_of(i));
-                let candidates = neighbors.into_iter().flat_map(|(c, shift)| {
-                    cl.particles_in(c).iter().filter_map(move |&j| {
-                        let j = j as usize;
-                        let image = ri - (positions[j] + shift);
-                        (j != i || shift != Vec3::ZERO).then_some((j, image))
-                    })
-                });
-                particle_sum(kappa, r_cut, i, charges, short, candidates)
-            } else {
-                let candidates = positions
-                    .iter()
-                    .enumerate()
-                    .filter(|&(j, _)| j != i)
-                    .map(|(j, &rj)| (j, simbox.min_image(ri, rj)));
-                particle_sum(kappa, r_cut, i, charges, short, candidates)
-            }
-        })
+    let everyone: Vec<u32> = (0..positions.len() as u32).collect();
+    let mut out = real_space_of(&cl, positions, charges, kappa, r_cut, short, &everyone);
+    // Every pair was visited from both ends.
+    out.pairs /= 2;
+    out
+}
+
+/// The same pass over the `targets` only, on a cell list `cl` built
+/// over all of `positions` at `r_cut` (already at most `L/2`): their
+/// forces in target order, the half-weighted energies and virial of
+/// their pairs, and their **ordered** pair count. Over a partition of
+/// the particles the forces are [`real_space`]'s bit for bit and the
+/// sums add up to its sums.
+pub fn real_space_of(
+    cl: &CellList,
+    positions: &[Vec3],
+    charges: &[f64],
+    kappa: f64,
+    r_cut: f64,
+    short: Option<ShortRange>,
+    targets: &[u32],
+) -> RealSpace {
+    let per_particle: Vec<ParticleSum> = targets
+        .par_iter()
+        .map(|&i| share(cl, positions, charges, kappa, r_cut, short, i as usize))
         .collect();
+    // Add the shares up in order.
     let mut out = RealSpace {
-        forces: Vec::with_capacity(positions.len()),
+        forces: Vec::with_capacity(per_particle.len()),
         coulomb: 0.0,
         short: 0.0,
         virial: 0.0,
@@ -172,9 +176,41 @@ pub fn real_space(
         out.virial += p.virial;
         out.pairs += p.pairs;
     }
-    // Every pair was visited from both ends.
-    out.pairs /= 2;
     out
+}
+
+/// Particle `i`'s candidates, then its [`particle_sum`]: the 27-cell
+/// block when the grid supports `r_cut`, every minimum-image `j`
+/// otherwise.
+fn share(
+    cl: &CellList,
+    positions: &[Vec3],
+    charges: &[f64],
+    kappa: f64,
+    r_cut: f64,
+    short: Option<ShortRange>,
+    i: usize,
+) -> ParticleSum {
+    let ri = positions[i];
+    if cl.supports_cutoff(r_cut) {
+        let neighbors = cl.neighbors27(cl.cell_of(i));
+        let candidates = neighbors.into_iter().flat_map(|(c, shift)| {
+            cl.particles_in(c).iter().filter_map(move |&j| {
+                let j = j as usize;
+                let image = ri - (positions[j] + shift);
+                (j != i || shift != Vec3::ZERO).then_some((j, image))
+            })
+        });
+        particle_sum(kappa, r_cut, i, charges, short, candidates)
+    } else {
+        let simbox = cl.simbox();
+        let candidates = positions
+            .iter()
+            .enumerate()
+            .filter(|&(j, _)| j != i)
+            .map(|(j, &rj)| (j, simbox.min_image(ri, rj)));
+        particle_sum(kappa, r_cut, i, charges, short, candidates)
+    }
 }
 
 #[cfg(test)]
@@ -305,6 +341,41 @@ mod tests {
             for (i, (a, w)) in got.forces.iter().zip(&forces).enumerate() {
                 assert!((*a - *w).norm() / scale < 1e-10, "r_cut {nominal}, particle {i}");
             }
+        }
+    }
+
+    /// Over a partition of the particles (strided, so each part spans
+    /// the box), `real_space_of` scatters back to `real_space`'s forces
+    /// bit for bit, and its sums add up to `real_space`'s: on the 27-cell
+    /// block (four cells per side) and on the minimum-image fallback
+    /// (two).
+    #[test]
+    fn a_partition_of_targets_is_the_whole_pass() {
+        let l = 16.0;
+        let (b, pos, q) = random_charged(160, l, 25);
+        let kappa = 0.4;
+        for (r_cut, block) in [(4.0, true), (l / 2.0, false)] {
+            let whole = real_space(b, &pos, &q, kappa, r_cut, None);
+            let cl = CellList::build(b, &pos, r_cut);
+            assert_eq!(cl.supports_cutoff(r_cut), block);
+            let mut forces = vec![Vec3::ZERO; pos.len()];
+            let (mut coulomb, mut virial, mut pairs) = (0.0, 0.0, 0);
+            for part in 0..3u32 {
+                let targets: Vec<u32> = (part..pos.len() as u32).step_by(3).collect();
+                let got = real_space_of(&cl, &pos, &q, kappa, r_cut, None, &targets);
+                assert_eq!(got.forces.len(), targets.len());
+                for (&i, &f) in targets.iter().zip(&got.forces) {
+                    forces[i as usize] = f;
+                }
+                coulomb += got.coulomb;
+                virial += got.virial;
+                pairs += got.pairs;
+            }
+            assert_eq!(forces, whole.forces, "r_cut {r_cut}");
+            assert_eq!(pairs, 2 * whole.pairs, "r_cut {r_cut}");
+            let relative = |a: f64, w: f64| ((a - w) / w).abs();
+            assert!(relative(coulomb, whole.coulomb) < 1e-12, "r_cut {r_cut}");
+            assert!(relative(virial, whole.virial) < 1e-12, "r_cut {r_cut}");
         }
     }
 

@@ -15,16 +15,16 @@
 //!   wavenumber part plus host-side self-energy;
 //! * [`mpi`] — the simulated message-passing fabric (crossbeam
 //!   channels) standing in for MPI over Myrinet;
-//! * [`domain`] — the 16-domain decomposition of §4 with halo exchange;
-//! * [`parallel`] — the §4 parallel program: 16 real-space processes +
-//!   8 wavenumber processes as threads over [`mpi`];
+//! * [`parallel`] — the §4 parallel program as threads over [`mpi`]:
+//!   16 real-space processes, each running the library real-space pass
+//!   on one cell-block domain, + 8 wavenumber processes running the
+//!   library DFT/IDFT;
 //! * [`telemetry`] — the instrumented run loop: per-step flight
 //!   recording (JSONL), physics watchdogs, run manifests;
 //! * [`perfmodel`] — the analytic performance model that regenerates
 //!   Tables 4 and 5 (α optimisation, flop accounting, component times,
 //!   calculation vs *effective* speed).
 
-pub mod domain;
 pub mod driver;
 pub mod machines;
 pub mod mpi;

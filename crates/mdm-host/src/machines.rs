@@ -10,6 +10,8 @@
 //! calibrated model compares against the paper's own (self-described
 //! "roughly estimated") future-machine projections.
 
+use crate::topology::MdmTopology;
+
 /// How real-space work is executed: on MDGRAPE-2 pipelines (counting
 /// `N_int_g` ordered block pairs) or on a general-purpose CPU (counting
 /// `N_int` unique pairs with Newton's third law).
@@ -50,20 +52,22 @@ pub struct MachineModel {
 }
 
 impl MachineModel {
-    /// The MDM as measured in the paper (July 2000): 2,240 WINE-2 chips,
-    /// 64 MDGRAPE-2 chips. Duty factors calibrated so the model's
+    /// The MDM as measured in the paper (July 2000): the chips and nodes
+    /// of [`MdmTopology::CURRENT`] (2,240 WINE-2 chips, 64 MDGRAPE-2
+    /// chips, 4 nodes). Duty factors calibrated so the model's
     /// step time at the paper's (N, α) equals the measured 43.8 s
     /// (see `perfmodel::tests::calibration_reproduces_measured_step_time`).
     pub fn mdm_current() -> Self {
+        let machine = MdmTopology::CURRENT;
         Self {
             name: "MDM current",
-            wine_chips: 2240,
-            mdg_chips: 64,
+            wine_chips: machine.wine_chips(),
+            mdg_chips: machine.mdg_chips(),
             wine_duty: 0.42,
             mdg_duty: 0.42,
             pci_bytes_per_s: 132e6,
             network_bytes_per_s: 160e6,
-            nodes: 4,
+            nodes: machine.nodes,
             host_flops: 2.4e9,
             cpu_flops: 2.4e9,
             real_engine: RealSpaceEngine::Mdgrape2,

@@ -3,8 +3,8 @@
 //! The paper's MD program "is parallelized with Message Passing
 //! Interface (MPI)" over Myrinet (§4). Here the processes are threads
 //! and the interconnect is crossbeam channels, but the programming
-//! model is the same: ranks, point-to-point send/recv with tags,
-//! barrier, and all-reduce and gather over a rank group — a contiguous
+//! model is the same: ranks, point-to-point send/recv with tags, and
+//! all-reduce and gather over a rank group — a contiguous
 //! `Range` of ranks whose first is the root, `0..size()` for the whole
 //! world, standing in for an MPI sub-communicator. The
 //! [`parallel`](crate::parallel) module writes against this exactly as
@@ -118,21 +118,6 @@ impl Comm {
                 .entry((msg.from, msg.tag))
                 .or_default()
                 .push_back((msg.data, msg.flow));
-        }
-    }
-
-    /// Synchronise all ranks (central-coordinator algorithm).
-    pub fn barrier(&mut self, tag: u64) {
-        if self.rank == 0 {
-            for from in 1..self.size {
-                let _ = self.recv(from, tag);
-            }
-            for to in 1..self.size {
-                self.send(to, tag, &[]);
-            }
-        } else {
-            self.send(0, tag, &[]);
-            let _ = self.recv(0, tag);
         }
     }
 
@@ -370,15 +355,6 @@ mod tests {
         assert_eq!(out[1], 12.0);
     }
 
-    #[test]
-    fn barrier_completes() {
-        let out = run_world(6, |mut comm| {
-            comm.barrier(42);
-            comm.rank()
-        });
-        assert_eq!(out.len(), 6);
-    }
-
     /// Run `f` on a watchdog thread; panics if it is still running
     /// after `timeout` (a deadlocked world used to hang forever here).
     fn expect_completes_within<R: Send + 'static>(
@@ -489,9 +465,8 @@ mod tests {
             std::panic::catch_unwind(|| {
                 run_world(4, |mut comm| {
                     if comm.rank() == 3 {
-                        panic!("rank 3 died before the barrier");
+                        panic!("rank 3 died before the all-reduce");
                     }
-                    comm.barrier(11);
                     comm.allreduce_sum(0..4, 12, &[1.0])
                 })
             })

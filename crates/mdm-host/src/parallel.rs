@@ -3,11 +3,14 @@
 //!
 //! Rank layout in one world of `R + W` ranks:
 //!
-//! * ranks `0..R` — real-space processes. Each owns a spatial domain,
-//!   receives its halo (here read directly from the shared snapshot —
-//!   the communication pattern is exercised by the force gather), and
-//!   computes the real-space Coulomb + Tosi–Fumi forces for its
-//!   particles;
+//! * ranks `0..R` — real-space processes. One [`CellList`] of the
+//!   snapshot at `r_cut` is dealt out in cell blocks: cell `(x, y, z)`
+//!   of the `m³` grid goes to domain `(x·dx/m, y·dy/m, z·dz/m)` of the
+//!   `dx×dy×dz` grid, so each rank owns its particles in cell order.
+//!   Each runs the library real-space pass ([`real::real_space_of`],
+//!   Coulomb + Tosi–Fumi) on its own particles; their partners are
+//!   read from the shared snapshot, and the halo is the 27-cell
+//!   neighbourhood of the rank's cells — one cell layer;
 //! * ranks `R..R+W` — wavenumber processes. Each holds an `N/W` block
 //!   of particles ("each of them has about N/8 particle positions"),
 //!   runs the library DFT ([`recip::structure_factors`]) on it,
@@ -23,9 +26,9 @@
 //! The point of this module is agreement with the serial reference up
 //! to floating-point reassociation, verified in tests.
 
-use crate::domain::CartesianDecomposition;
 use crate::mpi::{run_world, Comm};
-use mdm_core::ewald::real::{particle_sum, ShortRange};
+use mdm_core::celllist::CellList;
+use mdm_core::ewald::real::{self, ShortRange};
 use mdm_core::ewald::recip;
 use mdm_core::ewald::{self_energy, EwaldParams};
 use mdm_core::forcefield::ForceResult;
@@ -59,14 +62,6 @@ impl ParallelConfig {
             wave_processes: 8,
         }
     }
-
-    /// A small configuration for tests.
-    pub fn small() -> Self {
-        Self {
-            real_dims: [2, 1, 1],
-            wave_processes: 3,
-        }
-    }
 }
 
 /// Compute the full NaCl force field (software kernels) with the
@@ -85,57 +80,29 @@ pub fn parallel_forces(
     let simbox = system.simbox();
     let positions = system.positions();
     let charges = system.charges();
-    let types = system.types();
     let n = system.len();
-    let decomp = CartesianDecomposition::new(simbox, config.real_dims);
-    let owned = decomp.assign(positions);
     let waves = half_space_vectors(params.n_max);
-    let short = TosiFumi::nacl();
+    let tosi_fumi = TosiFumi::nacl();
+    let short = ShortRange {
+        potential: &tosi_fumi,
+        types: system.types(),
+    };
     let r_cut = params.r_cut.min(simbox.max_cutoff());
     let kappa = params.kappa(simbox.l());
+    let cells = CellList::build(simbox, positions, r_cut);
+    let owned = domains(&cells, config.real_dims);
 
     let outputs: Vec<Option<ForceResult>> = run_world(world, |mut comm: Comm| {
         let rank = comm.rank();
         let (rows, terms) = if rank < n_real {
             // ---- real-space process ----
             let mine = &owned[rank];
-            let halo = {
-                let _comm = mdm_profile::span(mdm_profile::phase::COMM);
-                let _halo = mdm_profile::span("halo");
-                decomp.halo(rank, positions, r_cut)
+            let sum = {
+                let _real = mdm_profile::span(mdm_profile::phase::REAL);
+                real::real_space_of(&cells, positions, charges, kappa, r_cut, Some(short), mine)
             };
-            // Local index space: owned then halo (canonical positions;
-            // image resolution happens per pair via minimum image).
-            let mut local_pos: Vec<Vec3> =
-                mine.iter().map(|&i| positions[i as usize]).collect();
-            let mut local_q: Vec<f64> = mine.iter().map(|&i| charges[i as usize]).collect();
-            let mut local_t: Vec<u8> = mine.iter().map(|&i| types[i as usize]).collect();
-            for (j, wrapped) in &halo {
-                local_pos.push(*wrapped);
-                local_q.push(charges[*j as usize]);
-                local_t.push(types[*j as usize]);
-            }
-            let n_own = mine.len();
-            // Ordered pairs (i owned, any j), half-weighted energy. An
-            // all-pairs scan over owned+halo is exact; domains are small.
-            let _real = mdm_profile::span(mdm_profile::phase::REAL);
-            let local_short = ShortRange {
-                potential: &short,
-                types: &local_t,
-            };
-            let mut forces = Vec::with_capacity(n_own);
-            let mut terms = [0.0; 3];
-            for a in 0..n_own {
-                let candidates = (0..local_pos.len())
-                    .filter(|&b| b != a)
-                    .map(|b| (b, simbox.min_image(local_pos[a], local_pos[b])));
-                let sum = particle_sum(kappa, r_cut, a, &local_q, Some(local_short), candidates);
-                forces.push(sum.force);
-                terms[0] += sum.coulomb;
-                terms[1] += sum.short;
-                terms[2] += sum.virial;
-            }
-            (force_rows(mine.iter().map(|&i| i as usize), &forces), terms)
+            let rows = force_rows(mine.iter().map(|&i| i as usize), &sum.forces);
+            (rows, [sum.coulomb, sum.short, sum.virial])
         } else {
             // ---- wavenumber process ----
             let w = rank - n_real;
@@ -182,6 +149,21 @@ pub fn parallel_forces(
         .expect("rank 0 produces the result")
 }
 
+/// The real-space domains of a `dims` grid: cell `(x, y, z)` of the
+/// list's `m³` grid goes to domain `(x·dx/m, y·dy/m, z·dz/m)`, numbered
+/// `x` fastest, and each domain lists its particles in cell order.
+fn domains(cells: &CellList, dims: [usize; 3]) -> Vec<Vec<u32>> {
+    let m = cells.cells_per_side();
+    let [dx, dy, dz] = dims;
+    let mut owned = vec![Vec::new(); dx * dy * dz];
+    for c in 0..cells.n_cells() {
+        let [x, y, z] = cells.coordinates(c);
+        let d = ((z * dz / m) * dy + y * dy / m) * dx + x * dx / m;
+        owned[d].extend_from_slice(cells.particles_in(c));
+    }
+    owned
+}
+
 /// One `[index, fx, fy, fz]` row per particle: what a rank gathers to
 /// rank 0 beside its `[coulomb, short, virial]` terms.
 fn force_rows(indices: impl Iterator<Item = usize>, forces: &[Vec3]) -> Vec<f64> {
@@ -222,6 +204,16 @@ mod tests {
     use mdm_core::forcefield::{EwaldTosiFumi, ForceField};
     use mdm_core::lattice::{rocksalt_nacl, NACL_LATTICE_A};
 
+    impl ParallelConfig {
+        /// A small configuration: 2 real-space + 3 wavenumber ranks.
+        fn small() -> Self {
+            Self {
+                real_dims: [2, 1, 1],
+                wave_processes: 3,
+            }
+        }
+    }
+
     fn perturbed() -> System {
         let mut s = rocksalt_nacl(2, NACL_LATTICE_A);
         s.displace(0, Vec3::new(0.3, -0.2, 0.1));
@@ -234,43 +226,89 @@ mod tests {
         EwaldParams::from_alpha_accuracy(7.0, 3.2, 3.2, l)
     }
 
+    /// A 4-cell box (N = 512) whose `r_cut` leaves 3 cells per side, so
+    /// the real ranks take the 27-cell path, not the coarse fallback.
+    fn on_the_cell_path() -> (System, EwaldParams) {
+        let mut s = rocksalt_nacl(4, NACL_LATTICE_A);
+        s.displace(0, Vec3::new(0.3, -0.2, 0.1));
+        s.displace(77, Vec3::new(-0.1, 0.15, 0.25));
+        let l = s.simbox().l();
+        let params = EwaldParams::from_alpha_accuracy(3.0 * 3.2 * 1.02, 3.2, 3.2, l);
+        (s, params)
+    }
+
     /// `|a − b| / |b|`.
     fn relative(a: f64, b: f64) -> f64 {
         ((a - b) / b).abs()
     }
 
+    /// The 2-cell box (2 cells per side, the fallback path) and the
+    /// 4-cell one (3 per side, the 27-cell path), each on the small and
+    /// the paper layout.
     #[test]
     fn matches_serial_reference() {
-        let s = perturbed();
-        let params = params_for(s.simbox().l());
-        let mut serial = EwaldTosiFumi::new(params, TosiFumi::nacl());
-        let reference = serial.compute(&s);
-        let scale = reference
-            .forces
-            .iter()
-            .map(|f| f.norm())
-            .fold(0.0f64, f64::max);
-        for config in [ParallelConfig::small(), ParallelConfig::paper()] {
-            let parallel = parallel_forces(&s, &params, config);
-            assert!(
-                relative(parallel.potential, reference.potential) < 1e-10,
-                "{config:?}: potential {} vs {}",
-                parallel.potential,
-                reference.potential
-            );
-            assert!(
-                relative(parallel.virial, reference.virial) < 1e-9,
-                "{config:?}: virial {} vs {}",
-                parallel.virial,
-                reference.virial
-            );
-            for (i, (p, r)) in parallel.forces.iter().zip(&reference.forces).enumerate() {
+        let (cell_path, cell_params) = on_the_cell_path();
+        let cl = CellList::build(cell_path.simbox(), cell_path.positions(), cell_params.r_cut);
+        assert!(cl.supports_cutoff(cell_params.r_cut));
+        let coarse = perturbed();
+        let coarse_params = params_for(coarse.simbox().l());
+        for (s, params) in [(coarse, coarse_params), (cell_path, cell_params)] {
+            let mut serial = EwaldTosiFumi::new(params, TosiFumi::nacl());
+            let reference = serial.compute(&s);
+            let scale = reference
+                .forces
+                .iter()
+                .map(|f| f.norm())
+                .fold(0.0f64, f64::max);
+            let n = s.len();
+            for config in [ParallelConfig::small(), ParallelConfig::paper()] {
+                let parallel = parallel_forces(&s, &params, config);
                 assert!(
-                    (*p - *r).norm() / scale < 1e-10,
-                    "{config:?}: particle {i}: {p:?} vs {r:?}"
+                    relative(parallel.potential, reference.potential) < 1e-10,
+                    "N = {n}, {config:?}: potential {} vs {}",
+                    parallel.potential,
+                    reference.potential
                 );
+                assert!(
+                    relative(parallel.virial, reference.virial) < 1e-9,
+                    "N = {n}, {config:?}: virial {} vs {}",
+                    parallel.virial,
+                    reference.virial
+                );
+                for (i, (p, r)) in parallel.forces.iter().zip(&reference.forces).enumerate() {
+                    assert!(
+                        (*p - *r).norm() / scale < 1e-10,
+                        "N = {n}, {config:?}: particle {i}: {p:?} vs {r:?}"
+                    );
+                }
             }
         }
+    }
+
+    /// Every particle is owned once, the paper's grid gives 16 domains,
+    /// and a domain's particles sit in its block of cells.
+    #[test]
+    fn domains_partition_the_particles() {
+        let (s, params) = on_the_cell_path();
+        let cells = CellList::build(s.simbox(), s.positions(), params.r_cut);
+        let m = cells.cells_per_side();
+        for dims in [ParallelConfig::paper().real_dims, [2, 1, 1], [3, 2, 1]] {
+            let owned = domains(&cells, dims);
+            assert_eq!(owned.len(), dims.iter().product::<usize>());
+            let mut seen = vec![0; s.len()];
+            for (d, list) in owned.iter().enumerate() {
+                let block = [d % dims[0], (d / dims[0]) % dims[1], d / (dims[0] * dims[1])];
+                for &i in list {
+                    seen[i as usize] += 1;
+                    let at = cells.coordinates(cells.cell_of(i as usize));
+                    for axis in 0..3 {
+                        assert_eq!(at[axis] * dims[axis] / m, block[axis], "{dims:?}: particle {i}");
+                    }
+                }
+            }
+            assert!(seen.iter().all(|&k| k == 1), "{dims:?}: not a partition");
+        }
+        assert_eq!(domains(&cells, ParallelConfig::paper().real_dims).len(), 16);
     }
 
     #[test]
@@ -306,10 +344,11 @@ mod tests {
         // Every rank recorded into the scope of the thread that called
         // `run_world`, twice: the 16 real-space ranks open `real` once
         // per evaluation, the 8 wavenumber ranks `wave` twice (DFT,
-        // IDFT), and all 24 open two `comm` sections, the last a gather.
+        // IDFT), all 24 open a `comm` section for the gather, and the 8
+        // wavenumber ranks one more for their all-reduce.
         let profile = mdm_profile::take();
         let calls = |path: &str| profile.spans[path].calls;
         assert_eq!((calls("real"), calls("wave")), (2 * 16, 2 * 2 * 8));
-        assert_eq!((calls("comm"), calls("comm.gather")), (2 * 2 * 24, 2 * 24));
+        assert_eq!((calls("comm"), calls("comm.gather")), (2 * (24 + 8), 2 * 24));
     }
 }

@@ -215,6 +215,10 @@ mod tests {
         assert_eq!(t.mdg_clusters(), 16);
         assert_eq!(t.mdg_boards(), 32);
         assert_eq!(t.mdg_chips(), 64); // paper: 64 chips
+
+        // The emulators' default machines are this one.
+        assert_eq!(wine2::Wine2Config::default().clusters, t.wine_clusters());
+        assert_eq!(mdgrape2::Mdgrape2Config::default().clusters, t.mdg_clusters());
     }
 
     #[test]

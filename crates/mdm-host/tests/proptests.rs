@@ -1,69 +1,11 @@
-//! Property tests on the host-side infrastructure: domain
-//! decomposition invariants and performance-model algebra.
+//! Property tests on the host-side performance-model algebra.
 
-use mdm_core::boxsim::SimBox;
-use mdm_core::vec3::Vec3;
-use mdm_host::domain::CartesianDecomposition;
 use mdm_host::machines::MachineModel;
 use mdm_host::perfmodel::{AlphaStrategy, PerformanceModel, SystemSpec};
 use proptest::prelude::*;
 
-fn positions(seed: u64, n: usize, l: f64) -> Vec<Vec3> {
-    use rand::{Rng, SeedableRng};
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-    (0..n)
-        .map(|_| Vec3::new(rng.gen::<f64>() * l, rng.gen::<f64>() * l, rng.gen::<f64>() * l))
-        .collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Domain assignment is a partition for any grid shape.
-    #[test]
-    fn assignment_is_partition(
-        seed in 0u64..1000,
-        dx in 1usize..5,
-        dy in 1usize..5,
-        dz in 1usize..5,
-    ) {
-        let l = 17.0;
-        let sb = SimBox::cubic(l);
-        let d = CartesianDecomposition::new(sb, [dx, dy, dz]);
-        let pos = positions(seed, 150, l);
-        let owned = d.assign(&pos);
-        prop_assert_eq!(owned.len(), dx * dy * dz);
-        let total: usize = owned.iter().map(Vec::len).sum();
-        prop_assert_eq!(total, 150);
-    }
-
-    /// Halo completeness: every cross-domain pair within r_cut is
-    /// covered, for any grid shape.
-    #[test]
-    fn halo_complete(seed in 0u64..200, dx in 1usize..4, dy in 1usize..4) {
-        let l = 14.0;
-        let sb = SimBox::cubic(l);
-        let d = CartesianDecomposition::new(sb, [dx, dy, 2]);
-        let pos = positions(seed, 80, l);
-        let r_cut = 3.0;
-        let owned = d.assign(&pos);
-        for (dom, own) in owned.iter().enumerate() {
-            let halo: std::collections::HashSet<u32> = d
-                .halo(dom, &pos, r_cut)
-                .into_iter()
-                .map(|(i, _)| i)
-                .collect();
-            for &i in own {
-                for (j, &rj) in pos.iter().enumerate() {
-                    if d.domain_of(rj) != dom
-                        && sb.dist_sq(pos[i as usize], rj) <= r_cut * r_cut
-                    {
-                        prop_assert!(halo.contains(&(j as u32)), "({i},{j}) uncovered");
-                    }
-                }
-            }
-        }
-    }
 
     /// The flop-balance α satisfies its defining equation, and the
     /// evaluated column is self-consistent, for any system size.

@@ -9,7 +9,6 @@ use mdm::core::forcefield::{EwaldTosiFumi, ForceField};
 use mdm::core::lattice::{rocksalt_nacl, NACL_LATTICE_A};
 use mdm::core::potentials::TosiFumi;
 use mdm::core::vec3::Vec3;
-use mdm::host::domain::CartesianDecomposition;
 use mdm::host::parallel::{parallel_forces, ParallelConfig};
 
 fn main() {
@@ -28,21 +27,9 @@ fn main() {
     let config = ParallelConfig::paper();
     let n_real: usize = config.real_dims.iter().product();
     println!(
-        "{} real-space processes ({}x{}x{} domains) + {} wavenumber processes",
+        "{} real-space processes ({}x{}x{} cell-block domains) + {} wavenumber processes",
         n_real, config.real_dims[0], config.real_dims[1], config.real_dims[2], config.wave_processes
     );
-
-    let decomp = CartesianDecomposition::new(system.simbox(), config.real_dims);
-    let owned = decomp.assign(system.positions());
-    println!("\nper-domain load (N = {}):", system.len());
-    for (d, list) in owned.iter().enumerate() {
-        let halo = decomp.halo(d, system.positions(), params.r_cut.min(l / 2.0));
-        println!(
-            "  domain {d:>2}: {:>5} owned, {:>5} halo particles",
-            list.len(),
-            halo.len()
-        );
-    }
 
     let t0 = std::time::Instant::now();
     let par = parallel_forces(&system, &params, config);
@@ -61,7 +48,7 @@ fn main() {
         .map(|(a, b)| (*a - *b).norm())
         .fold(0.0f64, f64::max);
 
-    println!("\nresults:");
+    println!("\nresults (N = {}):", system.len());
     println!("  potential (parallel): {:.10} eV", par.potential);
     println!("  potential (serial)  : {:.10} eV", ser.potential);
     println!("  virial (parallel)   : {:.10} eV", par.virial);
