@@ -30,8 +30,9 @@ use crate::jstore::JStore;
 use crate::pipeline::PipelineMode;
 use crate::plan::TilePlan;
 use crate::sweep::Kernel;
-use crate::timing::{bill, board_chunk, BoardBill, MdgCounters};
+use crate::timing::{bill, BoardBill, MdgCounters};
 use mdm_core::boxsim::SimBox;
+use mdm_core::deal;
 use mdm_core::vec3::Vec3;
 use mdm_funceval::FunctionEvaluator;
 use rayon::prelude::*;
@@ -345,7 +346,7 @@ impl Machine {
     ) -> Result<MdgPassResult, MdgBoardError> {
         let (n_cells, n_boards) = (jstore.n_cells(), self.config.boards());
         let ranges: Vec<std::ops::Range<usize>> =
-            (0..n_boards).map(|b| board_chunk(n_cells, n_boards, b)).collect();
+            (0..n_boards).map(|b| deal::contiguous(n_cells, n_boards, b)).collect();
         // An idle board is not built, so not sent the store.
         let mut boards: Vec<Option<(MdgBoard, Vec<[f64; 3]>)>> = ranges
             .iter()
@@ -622,7 +623,7 @@ mod tests {
             let js = JStore::build(sb, &pos, &ty, min_cell);
             for clusters in [1usize, 2, 3] {
                 if (n, clusters) == (10, 3) {
-                    assert!(board_chunk(n, Mdgrape2Config { clusters }.boards(), 5).is_empty(), "no board is idle");
+                    assert!(deal::contiguous(n, Mdgrape2Config { clusters }.boards(), 5).is_empty(), "no board is idle");
                 }
                 for mode in [PipelineMode::Force, PipelineMode::Potential] {
                     let what = format!("N {n} clusters {clusters}");

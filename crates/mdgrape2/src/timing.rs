@@ -7,7 +7,7 @@ use crate::board::{MdgBoardError, PARTICLE_CAPACITY, PIPELINES_PER_BOARD};
 use crate::cluster::BOARDS_PER_CLUSTER;
 use crate::jstore::JStore;
 use crate::plan::TilePlan;
-use std::ops::Range;
+use mdm_core::deal;
 
 /// Pipeline clock (§3.5.3: 100 MHz).
 pub const CLOCK_HZ: f64 = 100.0e6;
@@ -121,15 +121,6 @@ pub struct BoardBill {
     pub bus_bytes: u64,
 }
 
-/// The contiguous run of `n` items dealt to board `b` of `boards`:
-/// `⌈n/boards⌉` each in order, the last ones short or empty. A
-/// hardware-faithful pass deals the i-particles in original index
-/// order; the Newton's-third-law mode deals home cells.
-pub(crate) fn board_chunk(n: usize, boards: usize, b: usize) -> Range<usize> {
-    let per = n.div_ceil(boards).max(1);
-    (b * per).min(n)..((b + 1) * per).min(n)
-}
-
 /// A board accepting `jstore` into its 8 MB SSRAM: the upload's bus
 /// bytes, or the overflow that refuses it.
 pub(crate) fn upload(jstore: &JStore) -> Result<u64, MdgBoardError> {
@@ -143,15 +134,17 @@ pub(crate) fn upload(jstore: &JStore) -> Result<u64, MdgBoardError> {
 }
 
 /// Board `b`'s bill for one hardware-faithful pass over `jstore`'s
-/// particles on `clusters` clusters: each i-particle of its chunk at its
-/// home cell's 27-cell block minus the self pair (the block lengths of
-/// `plan`, which must be up to date with `jstore`), the store's upload
-/// and the read-back — what [`MdgBoard::calc_block2`] meters on that
-/// chunk. An idle board is not sent the store and bills nothing.
+/// particles on `clusters` clusters, which deals the i-particles to the
+/// boards in original index order ([`deal::contiguous`]): each
+/// i-particle of its chunk at its home cell's 27-cell block minus the
+/// self pair (the block lengths of `plan`, which must be up to date with
+/// `jstore`), the store's upload and the read-back — what
+/// [`MdgBoard::calc_block2`] meters on that chunk. An idle board is not
+/// sent the store and bills nothing.
 ///
 /// [`MdgBoard::calc_block2`]: crate::board::MdgBoard::calc_block2
 pub fn board_bill(clusters: usize, jstore: &JStore, plan: &TilePlan, b: usize) -> BoardBill {
-    let chunk = board_chunk(jstore.len(), clusters * BOARDS_PER_CLUSTER, b);
+    let chunk = deal::contiguous(jstore.len(), clusters * BOARDS_PER_CLUSTER, b);
     if chunk.is_empty() {
         return BoardBill::default();
     }

@@ -270,7 +270,7 @@ fn main() {
                     .expect("--world needs R,W, e.g. --world 2,2");
                 assert!(r >= 1 && w >= 1, "--world needs at least one rank per part");
                 world = Some(ParallelConfig {
-                    real_dims: [r, 1, 1],
+                    real_processes: r,
                     wave_processes: w,
                 });
             }

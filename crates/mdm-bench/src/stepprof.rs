@@ -189,8 +189,7 @@ pub fn profile_world(cells: usize, steps: u64, config: ParallelConfig) -> (RunRe
     let l = system.simbox().l();
     maxwell_boltzmann(&mut system, T_MELT, 2000 + cells as u64);
     let params = balanced_params(l, n);
-    let n_real: usize = config.real_dims.iter().product();
-    let label = format!("nacl-{n}-world-{n_real}x{}", config.wave_processes);
+    let label = format!("nacl-{n}-world-{}x{}", config.real_processes, config.wave_processes);
 
     // Warmup once (thread spawn paths, allocator), then measure.
     parallel_forces(&system, &params, config);
@@ -335,7 +334,7 @@ mod tests {
     #[test]
     fn the_parallel_program_reduces_to_a_phases_only_row() {
         let config = ParallelConfig {
-            real_dims: [2, 1, 1],
+            real_processes: 2,
             wave_processes: 2,
         };
         let (row, profile) = profile_world(3, 1, config);

@@ -246,7 +246,7 @@ impl CellList {
     }
 
     /// Cell `c`'s `(ix, iy, iz)`.
-    pub fn coordinates(&self, c: usize) -> [usize; 3] {
+    fn coordinates(&self, c: usize) -> [usize; 3] {
         [c % self.m, (c / self.m) % self.m, c / (self.m * self.m)]
     }
 

@@ -14,6 +14,8 @@
 //!   MDGRAPE-2 runs (no Newton's third law, no cutoff skipping), and the
 //!   same scan with cutoff skipping in the one software real-space pass
 //!   ([`ewald::real::real_space`]);
+//! * the one **dealing** of particles to parts ([`deal`]), shared by
+//!   the emulators' boards and the §4 program's processes;
 //! * velocity-Verlet **integration**, velocity-scaling **NVT** and plain
 //!   **NVE** (the paper's 2,000-step NVT + 1,000-step NVE protocol);
 //! * **observables**: temperature, pressure, energies, RDF, MSD,
@@ -27,6 +29,7 @@ pub mod accuracy;
 pub mod boxsim;
 pub mod celllist;
 pub mod checkpoint;
+pub mod deal;
 pub mod direct;
 pub mod ewald;
 pub mod flops;

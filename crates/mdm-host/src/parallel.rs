@@ -4,17 +4,19 @@
 //! Rank layout in one world of `R + W` ranks:
 //!
 //! * ranks `0..R` — real-space processes. One [`CellList`] of the
-//!   snapshot at `r_cut` is dealt out in cell blocks: cell `(x, y, z)`
-//!   of the `m³` grid goes to domain `(x·dx/m, y·dy/m, z·dz/m)` of the
-//!   `dx×dy×dz` grid, so each rank owns its particles in cell order.
+//!   snapshot at `r_cut` is cut into `R` runs of whole cells in the
+//!   list's own cell order ([`deal::cell_runs`]: each cut where the
+//!   particle count reaches a multiple of `N/R`), so each rank owns one
+//!   slice of the sorted order, at most `N/R` particles plus one cell's.
 //!   Each runs the library real-space pass ([`real::real_space_of`],
 //!   Coulomb + Tosi–Fumi) on its own particles; their partners are
 //!   read from the shared snapshot, and the halo is the 27-cell
 //!   neighbourhood of the rank's cells — one cell layer;
-//! * ranks `R..R+W` — wavenumber processes. Each holds an `N/W` block
-//!   of particles ("each of them has about N/8 particle positions"),
-//!   runs the library DFT ([`recip::structure_factors`]) on it,
-//!   **all-reduces** the structure factors across the wave group ("the
+//! * ranks `R..R+W` — wavenumber processes. Each holds a contiguous
+//!   `⌈N/W⌉` block of particles ([`deal::contiguous`]: "each of them
+//!   has about N/8 particle positions"), runs the library DFT
+//!   ([`recip::structure_factors`]) on it, **all-reduces** the
+//!   structure factors across the wave group ("the
 //!   library routine for force calculation is already parallelized
 //!   with MPI"), and runs the library synthesis ([`recip::synthesise`])
 //!   for the energy, the virial and its own block's IDFT forces;
@@ -28,6 +30,7 @@
 
 use crate::mpi::{run_world, Comm};
 use mdm_core::celllist::CellList;
+use mdm_core::deal;
 use mdm_core::ewald::real::{self, ShortRange};
 use mdm_core::ewald::recip;
 use mdm_core::ewald::{self_energy, EwaldParams};
@@ -47,18 +50,18 @@ mod tag {
 /// Configuration of the parallel run.
 #[derive(Clone, Copy, Debug)]
 pub struct ParallelConfig {
-    /// Real-space domain grid (product = number of real processes).
-    pub real_dims: [usize; 3],
+    /// Real-space processes, each owning one run of whole cells.
+    pub real_processes: usize,
     /// Wavenumber processes.
     pub wave_processes: usize,
 }
 
 impl ParallelConfig {
-    /// The paper's configuration: 16 real-space processes on a 4×2×2
-    /// domain grid (4 nodes × 4 processes) + 8 wavenumber processes.
+    /// The paper's configuration: 16 real-space processes (4 nodes × 4
+    /// processes) + 8 wavenumber processes.
     pub fn paper() -> Self {
         Self {
-            real_dims: [4, 2, 2],
+            real_processes: 16,
             wave_processes: 8,
         }
     }
@@ -72,7 +75,7 @@ pub fn parallel_forces(
     params: &EwaldParams,
     config: ParallelConfig,
 ) -> ForceResult {
-    let n_real = config.real_dims.iter().product::<usize>();
+    let n_real = config.real_processes;
     let n_wave = config.wave_processes;
     assert!(n_real >= 1 && n_wave >= 1);
     let world = n_real + n_wave;
@@ -90,13 +93,13 @@ pub fn parallel_forces(
     let r_cut = params.r_cut.min(simbox.max_cutoff());
     let kappa = params.kappa(simbox.l());
     let cells = CellList::build(simbox, positions, r_cut);
-    let owned = domains(&cells, config.real_dims);
+    let runs = deal::cell_runs(&cells, n_real);
 
     let outputs: Vec<Option<ForceResult>> = run_world(world, |mut comm: Comm| {
         let rank = comm.rank();
         let (rows, terms) = if rank < n_real {
             // ---- real-space process ----
-            let mine = &owned[rank];
+            let mine = &cells.sorted_order()[runs[rank].clone()];
             let sum = {
                 let _real = mdm_profile::span(mdm_profile::phase::REAL);
                 real::real_space_of(&cells, positions, charges, kappa, r_cut, Some(short), mine)
@@ -106,10 +109,8 @@ pub fn parallel_forces(
         } else {
             // ---- wavenumber process ----
             let w = rank - n_real;
-            let block = n.div_ceil(n_wave);
-            let lo = (w * block).min(n);
-            let hi = ((w + 1) * block).min(n);
-            let (pos, q) = (&positions[lo..hi], &charges[lo..hi]);
+            let block = deal::contiguous(n, n_wave, w);
+            let (pos, q) = (&positions[block.clone()], &charges[block.clone()]);
             let partial = {
                 let _wave = mdm_profile::span(mdm_profile::phase::WAVE);
                 recip::structure_factors(simbox, pos, q, &waves)
@@ -132,7 +133,7 @@ pub fn parallel_forces(
             } else {
                 [0.0; 3]
             };
-            (force_rows(lo..hi, &eval.forces), terms)
+            (force_rows(block, &eval.forces), terms)
         };
         // ---- every rank: one gather to rank 0 ----
         let _comm = mdm_profile::span(mdm_profile::phase::COMM);
@@ -147,21 +148,6 @@ pub fn parallel_forces(
         .flatten()
         .next()
         .expect("rank 0 produces the result")
-}
-
-/// The real-space domains of a `dims` grid: cell `(x, y, z)` of the
-/// list's `m³` grid goes to domain `(x·dx/m, y·dy/m, z·dz/m)`, numbered
-/// `x` fastest, and each domain lists its particles in cell order.
-fn domains(cells: &CellList, dims: [usize; 3]) -> Vec<Vec<u32>> {
-    let m = cells.cells_per_side();
-    let [dx, dy, dz] = dims;
-    let mut owned = vec![Vec::new(); dx * dy * dz];
-    for c in 0..cells.n_cells() {
-        let [x, y, z] = cells.coordinates(c);
-        let d = ((z * dz / m) * dy + y * dy / m) * dx + x * dx / m;
-        owned[d].extend_from_slice(cells.particles_in(c));
-    }
-    owned
 }
 
 /// One `[index, fx, fy, fz]` row per particle: what a rank gathers to
@@ -208,7 +194,7 @@ mod tests {
         /// A small configuration: 2 real-space + 3 wavenumber ranks.
         fn small() -> Self {
             Self {
-                real_dims: [2, 1, 1],
+                real_processes: 2,
                 wave_processes: 3,
             }
         }
@@ -285,30 +271,25 @@ mod tests {
         }
     }
 
-    /// Every particle is owned once, the paper's grid gives 16 domains,
-    /// and a domain's particles sit in its block of cells.
+    /// On the 4-cell box (27 cells, N = 512) the paper's 16 real ranks
+    /// each own a particle, none more than N/16 plus the largest cell's
+    /// occupancy, and every particle is owned exactly once.
     #[test]
-    fn domains_partition_the_particles() {
+    fn real_ranks_share_the_particles_fairly() {
         let (s, params) = on_the_cell_path();
         let cells = CellList::build(s.simbox(), s.positions(), params.r_cut);
-        let m = cells.cells_per_side();
-        for dims in [ParallelConfig::paper().real_dims, [2, 1, 1], [3, 2, 1]] {
-            let owned = domains(&cells, dims);
-            assert_eq!(owned.len(), dims.iter().product::<usize>());
-            let mut seen = vec![0; s.len()];
-            for (d, list) in owned.iter().enumerate() {
-                let block = [d % dims[0], (d / dims[0]) % dims[1], d / (dims[0] * dims[1])];
-                for &i in list {
-                    seen[i as usize] += 1;
-                    let at = cells.coordinates(cells.cell_of(i as usize));
-                    for axis in 0..3 {
-                        assert_eq!(at[axis] * dims[axis] / m, block[axis], "{dims:?}: particle {i}");
-                    }
-                }
+        let (n, ranks) = (s.len(), ParallelConfig::paper().real_processes);
+        let largest = (0..cells.n_cells()).map(|c| cells.particles_in(c).len()).max().unwrap();
+        let mut seen = vec![0; n];
+        for (rank, run) in deal::cell_runs(&cells, ranks).into_iter().enumerate() {
+            let mine = &cells.sorted_order()[run];
+            assert!(!mine.is_empty(), "rank {rank} owns no particle");
+            assert!(mine.len() * ranks <= n + largest * ranks, "rank {rank} owns {}", mine.len());
+            for &i in mine {
+                seen[i as usize] += 1;
             }
-            assert!(seen.iter().all(|&k| k == 1), "{dims:?}: not a partition");
         }
-        assert_eq!(domains(&cells, ParallelConfig::paper().real_dims).len(), 16);
+        assert!(seen.iter().all(|&k| k == 1), "not a partition");
     }
 
     #[test]
@@ -320,7 +301,7 @@ mod tests {
             &s,
             &params,
             ParallelConfig {
-                real_dims: [2, 2, 1],
+                real_processes: 4,
                 wave_processes: 5,
             },
         );

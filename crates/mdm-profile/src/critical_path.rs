@@ -43,7 +43,7 @@ pub struct ChainSegment {
 
 impl ChainSegment {
     /// `rank{r}/{path}` (or bare `path` when unranked) — the label the
-    /// ledger's `critical_path` column and the report lines use.
+    /// report lines use.
     pub fn label(&self) -> String {
         match self.rank {
             Some(r) => format!("rank{r}/{}", self.path),

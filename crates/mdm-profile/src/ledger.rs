@@ -24,7 +24,7 @@ use std::path::Path;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 /// Format version stamped on every ledger line.
-pub const LEDGER_VERSION: u64 = 1;
+pub const LEDGER_VERSION: u64 = 2;
 
 /// Where the run came from: git SHA, hostname, and core count.
 ///
@@ -157,12 +157,6 @@ pub struct RunRecord {
     /// (0 when the run streamed to nobody — see [`crate::bus`]). A
     /// nonzero trend here means live consumers are losing data.
     pub bus_dropped_events: u64,
-    /// Label of the critical-path bottleneck segment
-    /// (`rank1/real`-style, from [`crate::critical_path`]), when the
-    /// writer analyzed one. No writer in this workspace sets it (the
-    /// serve daemon runs no timeline); it stays in the format so rows
-    /// that carry it still parse.
-    pub critical_path: Option<String>,
     /// Phase name → modeled seconds per step on the real hardware,
     /// from the emulators' cycle counters. Written only when non-empty
     /// (rows from runs with no cycle counters, and every row written
@@ -223,16 +217,9 @@ impl RunRecord {
             ("pressure_supported", Value::Bool(self.pressure_supported)),
             ("gauges", Value::from_f64_map(&self.gauges)),
             ("bus_dropped_events", Value::from_u64(self.bus_dropped_events)),
-            (
-                "critical_path",
-                self.critical_path
-                    .as_ref()
-                    .map_or(Value::Null, |s| Value::Str(s.clone())),
-            ),
         ]);
         if !self.modeled.is_empty() {
-            // Like `StepEvent.gauges`: only pay the key when non-empty,
-            // so rows without a model are byte-identical to version 1's.
+            // Like `StepEvent.gauges`: only pay the key when non-empty.
             if let Value::Obj(map) = &mut value {
                 map.insert("modeled".into(), Value::from_f64_map(&self.modeled));
             }
@@ -267,7 +254,6 @@ impl RunRecord {
             pressure_supported: value.opt_bool("pressure_supported").unwrap_or(false),
             gauges: value.f64_map("gauges")?,
             bus_dropped_events: value.opt_u64("bus_dropped_events").unwrap_or(0),
-            critical_path: value.opt_str("critical_path").map(str::to_string),
             modeled: value.f64_map("modeled")?,
         })
     }
@@ -348,7 +334,6 @@ mod tests {
             pressure_supported: false,
             gauges: [("mdg.occupancy".to_string(), 0.83)].into_iter().collect(),
             bus_dropped_events: 3,
-            critical_path: Some("rank1/real".into()),
             modeled: BTreeMap::new(),
         }
     }
@@ -407,8 +392,22 @@ mod tests {
         assert_eq!(r.threads, 0);
         assert!(!r.pressure_supported);
         assert_eq!(r.bus_dropped_events, 0);
-        assert_eq!(r.critical_path, None);
         assert!(r.raw_tflops.is_none());
+    }
+
+    /// A version-1 row still carries the `critical_path` column no
+    /// writer set; it parses, and the column is dropped on write.
+    #[test]
+    fn a_version_1_row_with_a_critical_path_still_parses() {
+        let mut line = sample_record("nacl-4096", 0.886).to_json();
+        if let Value::Obj(map) = &mut line {
+            map.insert("version".into(), Value::from_u64(1));
+            map.insert("critical_path".into(), Value::Str("rank1/real".into()));
+        }
+        let (records, skipped) = parse_ledger(&line.to_compact());
+        assert_eq!((records.len(), skipped), (1, 0));
+        assert_eq!(records[0], sample_record("nacl-4096", 0.886));
+        assert!(!records[0].to_json().to_compact().contains("critical_path"));
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub fn device_track(path: &str) -> (u64, &'static str) {
     match top {
         t if t == phase::REAL => (1, "MDGRAPE-2 (real-space)"),
         t if t == phase::WAVE => (2, "WINE-2 (wavenumber)"),
-        t if t == phase::COMM => (3, "comm (bus/halo)"),
+        t if t == phase::COMM => (3, "comm"),
         _ => (4, "host"),
     }
 }
@@ -48,7 +48,7 @@ pub fn device_track(path: &str) -> (u64, &'static str) {
 /// The process track a *counter* (gauge) belongs on, keyed by the
 /// gauge's dotted prefix: `mdg.occupancy` curves under the MDGRAPE-2
 /// track, `wine.occupancy` under WINE-2, `comm.jstore_upload_mbps`
-/// under the bus track, and everything else (`host.rayon_util`, …)
+/// under the comm track, and everything else (`host.rayon_util`, …)
 /// under the host — the same four tracks [`device_track`] routes the
 /// span events to, so each device shows its spans *and* its
 /// utilization curve together.
@@ -57,7 +57,7 @@ pub fn counter_track(name: &str) -> (u64, &'static str) {
     match top {
         "mdg" => (1, "MDGRAPE-2 (real-space)"),
         "wine" => (2, "WINE-2 (wavenumber)"),
-        "comm" | "jstore" => (3, "comm (bus/halo)"),
+        "comm" | "jstore" => (3, "comm"),
         _ => (4, "host"),
     }
 }
@@ -504,7 +504,7 @@ mod tests {
             vec![
                 (1, "MDGRAPE-2 (real-space)"),
                 (2, "WINE-2 (wavenumber)"),
-                (3, "comm (bus/halo)"),
+                (3, "comm"),
                 (4, "host"),
             ]
         );

@@ -6,6 +6,7 @@
 use crate::board::{BoardError, BYTES_PER_PARTICLE, PARTICLE_CAPACITY, WAVES_PER_BOARD};
 use crate::chip::{pass_cycles, WAVES_PER_CHIP};
 use crate::cluster::BOARDS_PER_CLUSTER;
+use mdm_core::deal;
 
 /// Pipeline clock (§3.4.3: 66.6 MHz).
 pub const CLOCK_HZ: f64 = 66.6e6;
@@ -116,21 +117,15 @@ impl BoardBill {
     }
 }
 
-/// The length of chunk `i` when `n` items are dealt to `parts` in
-/// contiguous chunks of `⌈n/parts⌉`, the last ones short or empty: how
-/// the host deals the particles to the clusters, and a cluster its
-/// chunk to the boards.
-fn chunk(n: usize, parts: usize, i: usize) -> usize {
-    let per = n.div_ceil(parts).max(1);
-    n.saturating_sub(i * per).min(per)
-}
-
 /// Board `board`'s bill, boards numbered cluster by cluster, for one
 /// evaluation of `particles` particles and `waves` waves on `clusters`
-/// clusters (see [`bill`]).
+/// clusters (see [`bill`]): the host deals the particles to the
+/// clusters, and a cluster its chunk to the boards, by
+/// [`deal::contiguous`].
 pub(crate) fn board_bill(particles: usize, waves: usize, clusters: usize, board: usize) -> BoardBill {
-    let cluster = chunk(particles, clusters, board / BOARDS_PER_CLUSTER);
-    BoardBill::new(chunk(cluster, BOARDS_PER_CLUSTER, board % BOARDS_PER_CLUSTER), waves)
+    let cluster = deal::contiguous(particles, clusters, board / BOARDS_PER_CLUSTER).len();
+    let chunk = deal::contiguous(cluster, BOARDS_PER_CLUSTER, board % BOARDS_PER_CLUSTER);
+    BoardBill::new(chunk.len(), waves)
 }
 
 /// The counters of one evaluation, billed by arithmetic: `particles`

@@ -4,6 +4,8 @@
 //!
 //! Run with: `cargo run --release --example parallel_md [cells]`
 
+use mdm::core::celllist::CellList;
+use mdm::core::deal;
 use mdm::core::ewald::EwaldParams;
 use mdm::core::forcefield::{EwaldTosiFumi, ForceField};
 use mdm::core::lattice::{rocksalt_nacl, NACL_LATTICE_A};
@@ -25,10 +27,19 @@ fn main() {
 
     println!("== the paper's Section 4 parallel layout ==");
     let config = ParallelConfig::paper();
-    let n_real: usize = config.real_dims.iter().product();
+    // The real ranks' dealing, at the cell list `parallel_forces` builds.
+    let r_cut = params.r_cut.min(system.simbox().max_cutoff());
+    let cells = CellList::build(system.simbox(), system.positions(), r_cut);
+    let shares: Vec<usize> = deal::cell_runs(&cells, config.real_processes)
+        .into_iter()
+        .map(|run| run.len())
+        .collect();
     println!(
-        "{} real-space processes ({}x{}x{} cell-block domains) + {} wavenumber processes",
-        n_real, config.real_dims[0], config.real_dims[1], config.real_dims[2], config.wave_processes
+        "{} real-space processes (cell runs, {}-{} particles each) + {} wavenumber processes",
+        config.real_processes,
+        shares.iter().min().unwrap(),
+        shares.iter().max().unwrap(),
+        config.wave_processes
     );
 
     let t0 = std::time::Instant::now();
@@ -57,7 +68,7 @@ fn main() {
     println!(
         "  wall time           : {:.1} ms parallel ({} threads) vs {:.1} ms serial",
         t_par.as_secs_f64() * 1e3,
-        n_real + config.wave_processes,
+        config.real_processes + config.wave_processes,
         t_ser.as_secs_f64() * 1e3
     );
     assert!(max_dev / scale < 1e-9, "parallel and serial must agree");

@@ -1,9 +1,10 @@
 //! The record family's bytes: one manifest, step, run and checkpoint
 //! line pinned at exactly what the parent of the one-codec change
-//! wrote (`fixtures/record_lines.jsonl`), and the old spellings every
-//! reader must keep accepting. `FLIGHT_RECORDER_VERSION`,
-//! `LEDGER_VERSION` and `CHECKPOINT_VERSION` stay 1 only while these
-//! hold.
+//! wrote (`fixtures/record_lines.jsonl`; the run line as ledger
+//! version 2 writes it, without the `critical_path` column version 1
+//! carried), and the old spellings every reader must keep accepting.
+//! `FLIGHT_RECORDER_VERSION` and `CHECKPOINT_VERSION` stay 1, and
+//! `LEDGER_VERSION` 2, only while these hold.
 
 use mdm::core::checkpoint::Checkpoint;
 use mdm::core::system::Species;
@@ -81,7 +82,6 @@ fn run() -> RunRecord {
         pressure_supported: true,
         gauges: map(&[("mdg.occupancy", 0.83)]),
         bus_dropped_events: 3,
-        critical_path: Some("rank1/real".into()),
         ..RunRecord::default()
     }
 }
@@ -151,6 +151,11 @@ fn older_spellings_still_read() {
     assert!(!old.pressure_supported);
     assert_eq!((old.label.as_str(), old.seed), ("nacl-512", u64::MAX - 1));
 
+    // The run line as ledger version 1 wrote it, with the
+    // `critical_path` column no writer set.
+    let v1 = r#"{"bus_dropped_events":3,"critical_path":"rank1/real","effective_tflops":null,"gauges":{"mdg.occupancy":0.83},"gflops":{"real":1.9},"git_sha":"8868e36aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa","hostname":"ci-runner-7","label":"nacl-4096","n_particles":4096,"nproc":4,"phases":{"real":0.7,"wave":0.1},"pressure_supported":true,"raw_tflops":15.4,"steps":10,"threads":2,"timestamp_s":1754600000,"tool":"profile_step","type":"run","version":1,"violations":3,"wall_seconds_per_step":0.886,"worst_force_error":"inf"}"#;
+    assert_eq!(RunRecord::from_json(&Value::parse(v1).unwrap()).unwrap(), run());
+
     // A ledger row with only the required keys.
     let minimal = "{\"type\":\"run\",\"tool\":\"t\",\"label\":\"l\",\"wall_seconds_per_step\":0.07}";
     let (rows, skipped) = parse_ledger(minimal);
@@ -169,14 +174,20 @@ fn older_spellings_still_read() {
 /// Three rows of the `results/ledger.jsonl` this repository tracked
 /// until ISSUE 22 — a `profile_step` size, a `--world` run and an
 /// `accuracy_report` backend — must keep parsing to the values they
-/// were written with: writing a parsed row back gives the line.
+/// were written with: writing a parsed row back gives the line as
+/// ledger version 2 writes it, without version 1's `critical_path`.
 #[test]
 fn once_tracked_rows_parse_to_what_was_written() {
     let text = include_str!("fixtures/tracked_ledger.jsonl");
     let (rows, skipped) = parse_ledger(text);
     assert_eq!((rows.len(), skipped), (3, 0));
     for (row, line) in rows.iter().zip(text.lines()) {
-        assert_eq!(row.to_json().to_compact(), line);
+        let mut want = Value::parse(line).unwrap();
+        if let Value::Obj(fields) = &mut want {
+            assert!(fields.remove("critical_path").is_some());
+            fields.insert("version".into(), Value::from_u64(2));
+        }
+        assert_eq!(row.to_json().to_compact(), want.to_compact());
         assert!(row.modeled.is_empty());
     }
     let (size, world, accuracy) = (&rows[0], &rows[1], &rows[2]);
@@ -187,7 +198,6 @@ fn once_tracked_rows_parse_to_what_was_written() {
     // below: same flops, same host, the two pre-PR-22 definitions.
     assert_eq!(size.gflops["real"], 3.1316897856479406);
     assert_eq!(world.label, "nacl-4096-world-2x2");
-    assert_eq!(world.critical_path.as_deref(), Some("rank0/real"));
     assert_eq!((world.phases["host"], world.gflops.len(), world.steps), (0.0, 0, 4));
     assert_eq!(accuracy.tool, "accuracy_report");
     assert_eq!(accuracy.worst_force_error, Some(0.00011744381767115052));
