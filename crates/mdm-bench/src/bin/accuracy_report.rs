@@ -155,7 +155,6 @@ fn run_backend(
             watchdogs: Some(&mut dogs),
             probe: Some(&probe),
             meter: Some(&meter),
-            ..Instruments::default()
         },
     )
     .expect("in-memory recorder");

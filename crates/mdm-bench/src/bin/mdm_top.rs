@@ -5,8 +5,9 @@
 //! manifest line and then one JSONL step event per completed step,
 //! ending with a `done` trailer) and renders a refreshing dashboard:
 //! step rate, per-device occupancy gauges, the worst probed force
-//! error, watchdog status, and the bus drop counter (how many events
-//! slow viewers — including this one — have cost so far).
+//! error and watchdog status. The daemon reads the stream from the
+//! job's trace file, so a slow viewer loses nothing and stalls no one
+//! but itself.
 //!
 //! ```text
 //! cargo run --release -p mdm-serve --bin mdm_serve -- --spool /tmp/spool &

@@ -103,10 +103,6 @@ impl View {
             Some(err) => out.push_str(&format!("worst probed force error: {err:.2e}\n")),
             None => out.push_str("worst probed force error: (no probe reading yet)\n"),
         }
-        out.push_str(&format!(
-            "bus dropped events: {}\n",
-            event.counters.get("bus_dropped_events").copied().unwrap_or(0)
-        ));
         if !event.gauges.is_empty() {
             out.push_str("gauges:\n");
             for (name, value) in &event.gauges {

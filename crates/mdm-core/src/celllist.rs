@@ -67,40 +67,19 @@ impl CellList {
     /// Panics if `min_cell` is not positive.
     pub fn build(simbox: SimBox, positions: &[Vec3], min_cell: f64) -> Self {
         assert!(min_cell > 0.0, "min_cell must be positive");
-        let _span = mdm_profile::span("celllist_build");
         let l = simbox.l();
         let m = ((l / min_cell).floor() as usize).max(1);
-        let cell_size = l / m as f64;
-        let n_cells = m * m * m;
-
-        let mut cell_of_particle = Vec::with_capacity(positions.len());
-        let mut counts = vec![0u32; n_cells + 1];
-        for &r in positions {
-            let c = Self::cell_index_of(simbox, m, cell_size, r);
-            cell_of_particle.push(c as u32);
-            counts[c + 1] += 1;
-        }
-        // Prefix sums → cell_start.
-        for i in 1..counts.len() {
-            counts[i] += counts[i - 1];
-        }
-        let cell_start = counts.clone();
-        // Scatter into buckets.
-        let mut cursor = cell_start.clone();
-        let mut order = vec![0u32; positions.len()];
-        for (i, &c) in cell_of_particle.iter().enumerate() {
-            let slot = cursor[c as usize];
-            order[slot as usize] = i as u32;
-            cursor[c as usize] += 1;
-        }
-        Self {
+        // An empty list over the grid; `rebuild` sorts the particles in.
+        let mut cells = Self {
             m,
-            cell_size,
+            cell_size: l / m as f64,
             simbox,
-            order,
-            cell_start,
-            cell_of_particle,
-        }
+            order: Vec::new(),
+            cell_start: vec![0; m * m * m + 1],
+            cell_of_particle: Vec::new(),
+        };
+        cells.rebuild(positions);
+        cells
     }
 
     fn cell_index_of(simbox: SimBox, m: usize, cell_size: f64, r: Vec3) -> usize {

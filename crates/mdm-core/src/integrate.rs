@@ -154,11 +154,6 @@ impl<F: ForceField> Simulation<F> {
         &self.system
     }
 
-    /// Mutable system access (e.g. for re-initialising velocities).
-    pub fn system_mut(&mut self) -> &mut System {
-        &mut self.system
-    }
-
     /// The force field.
     pub fn force_field(&self) -> &F {
         &self.ff
@@ -206,7 +201,7 @@ impl<F: ForceField> Simulation<F> {
             .integrator
             .step(&mut self.system, &mut self.ff, &self.current);
         self.current = next;
-        if let Some(t) = &mut self.thermostat {
+        if let Some(t) = &self.thermostat {
             t.apply(&mut self.system);
         }
         self.step_count += 1;

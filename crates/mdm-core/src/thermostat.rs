@@ -2,122 +2,28 @@
 //!
 //! The paper's NVT phase is plain velocity scaling ("NVT constant
 //! ensemble by scaling the velocity", §5) — every step, all velocities
-//! are rescaled so the instantaneous temperature equals the target. We
-//! also provide Berendsen weak coupling (degenerates to velocity
-//! scaling as τ → Δt) and a Nosé–Hoover chain-of-one thermostat for
-//! users who need the true canonical ensemble rather than the paper's
-//! isokinetic approximation.
+//! are rescaled so the instantaneous temperature equals the target.
 
 use crate::system::System;
-use crate::units::KB_EV_K;
-use crate::velocities::{kinetic_energy, rescale_to_temperature, temperature};
+use crate::velocities::rescale_to_temperature;
 
-/// A thermostat policy applied after each integration step.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum ThermostatKind {
-    /// Hard rescale to the target every step (the paper's choice).
-    VelocityScaling,
-    /// Berendsen weak coupling with time constant `tau` (fs): the
-    /// kinetic energy relaxes toward the target as `dT/dt = (T₀−T)/τ`.
-    Berendsen {
-        /// Relaxation time constant, fs.
-        tau: f64,
-        /// Integrator time step, fs (needed for the per-step factor).
-        dt: f64,
-    },
-    /// Nosé–Hoover: a single heat-bath degree of freedom `ξ` with
-    /// relaxation time `tau`, integrated alongside the system
-    /// (`dξ/dt = (T/T₀ − 1)/τ²`, velocities damped by `e^(−ξ·dt)`).
-    /// Samples the canonical ensemble for ergodic systems.
-    NoseHoover {
-        /// Bath relaxation time, fs.
-        tau: f64,
-        /// Integrator time step, fs.
-        dt: f64,
-    },
-}
-
-/// A configured thermostat. `NoseHoover` carries mutable bath state, so
-/// the struct is `Clone` but applying it mutates `self`.
+/// The paper's velocity-scaling thermostat, applied after each
+/// integration step.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Thermostat {
     target: f64,
-    kind: ThermostatKind,
-    /// Nosé–Hoover friction coefficient ξ (1/fs); unused otherwise.
-    xi: f64,
 }
 
 impl Thermostat {
     /// The paper's velocity-scaling thermostat at `target` K.
     pub fn velocity_scaling(target: f64) -> Self {
         assert!(target >= 0.0);
-        Self {
-            target,
-            kind: ThermostatKind::VelocityScaling,
-            xi: 0.0,
-        }
+        Self { target }
     }
 
-    /// Berendsen weak coupling at `target` K with time constant `tau` fs.
-    pub fn berendsen(target: f64, tau: f64, dt: f64) -> Self {
-        assert!(target >= 0.0 && tau > 0.0 && dt > 0.0 && tau >= dt);
-        Self {
-            target,
-            kind: ThermostatKind::Berendsen { tau, dt },
-            xi: 0.0,
-        }
-    }
-
-    /// Nosé–Hoover at `target` K with bath time constant `tau` fs.
-    pub fn nose_hoover(target: f64, tau: f64, dt: f64) -> Self {
-        assert!(target > 0.0 && tau > 0.0 && dt > 0.0 && tau >= dt);
-        Self {
-            target,
-            kind: ThermostatKind::NoseHoover { tau, dt },
-            xi: 0.0,
-        }
-    }
-
-    /// Target temperature (K).
-    pub fn target(&self) -> f64 {
-        self.target
-    }
-
-    /// The Nosé–Hoover friction coefficient (diagnostics).
-    pub fn friction(&self) -> f64 {
-        self.xi
-    }
-
-    /// Apply to the system's velocities.
-    pub fn apply(&mut self, system: &mut System) {
-        match self.kind {
-            ThermostatKind::VelocityScaling => rescale_to_temperature(system, self.target),
-            ThermostatKind::Berendsen { tau, dt } => {
-                let t = temperature(system);
-                if t > 0.0 {
-                    let lambda = (1.0 + dt / tau * (self.target / t - 1.0)).max(0.0).sqrt();
-                    for v in system.velocities_mut() {
-                        *v *= lambda;
-                    }
-                }
-            }
-            ThermostatKind::NoseHoover { tau, dt } => {
-                if kinetic_energy(system) <= 0.0 {
-                    return;
-                }
-                // Half-step ξ update, full velocity damp, half-step ξ:
-                // the standard splitting for a chain of one.
-                let n_dof = 3.0 * system.len() as f64;
-                let target_ke = 0.5 * n_dof * KB_EV_K * self.target;
-                let g = |ke: f64| (ke / target_ke - 1.0) / (tau * tau);
-                self.xi += 0.5 * dt * g(kinetic_energy(system));
-                let damp = (-self.xi * dt).exp();
-                for v in system.velocities_mut() {
-                    *v *= damp;
-                }
-                self.xi += 0.5 * dt * g(kinetic_energy(system));
-            }
-        }
+    /// Rescale the system's velocities to the target temperature.
+    pub fn apply(&self, system: &mut System) {
+        rescale_to_temperature(system, self.target);
     }
 }
 
@@ -125,91 +31,22 @@ impl Thermostat {
 mod tests {
     use super::*;
     use crate::lattice::{rocksalt_nacl, NACL_LATTICE_A};
-    use crate::velocities::maxwell_boltzmann;
+    use crate::velocities::{maxwell_boltzmann, temperature};
 
     #[test]
     fn velocity_scaling_is_exact() {
         let mut s = rocksalt_nacl(2, NACL_LATTICE_A);
         maxwell_boltzmann(&mut s, 400.0, 1);
-        let mut th = Thermostat::velocity_scaling(1200.0);
+        let th = Thermostat::velocity_scaling(1200.0);
         th.apply(&mut s);
         assert!((temperature(&s) - 1200.0).abs() < 1e-9);
     }
 
     #[test]
-    fn berendsen_moves_toward_target() {
-        let mut s = rocksalt_nacl(2, NACL_LATTICE_A);
-        maxwell_boltzmann(&mut s, 400.0, 2);
-        let mut th = Thermostat::berendsen(1200.0, 100.0, 1.0);
-        let before = temperature(&s);
-        th.apply(&mut s);
-        let after = temperature(&s);
-        assert!(after > before);
-        assert!(after < 1200.0);
-        // Expected single-step move: ΔT = dt/τ·(T₀−T) = 8 K.
-        assert!((after - (before + (1200.0 - before) / 100.0)).abs() < 0.5);
-    }
-
-    #[test]
-    fn berendsen_converges_under_iteration() {
-        let mut s = rocksalt_nacl(1, NACL_LATTICE_A);
-        maxwell_boltzmann(&mut s, 300.0, 3);
-        let mut th = Thermostat::berendsen(900.0, 10.0, 1.0);
-        for _ in 0..200 {
-            th.apply(&mut s);
-        }
-        assert!((temperature(&s) - 900.0).abs() < 1.0);
-    }
-
-    #[test]
     fn zero_velocity_system_is_untouched() {
         let mut s = rocksalt_nacl(1, NACL_LATTICE_A);
-        let mut a = Thermostat::velocity_scaling(500.0);
+        let a = Thermostat::velocity_scaling(500.0);
         a.apply(&mut s);
         assert_eq!(temperature(&s), 0.0);
-        let mut b = Thermostat::berendsen(500.0, 10.0, 1.0);
-        b.apply(&mut s);
-        assert_eq!(temperature(&s), 0.0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn berendsen_tau_shorter_than_dt_rejected() {
-        Thermostat::berendsen(300.0, 0.5, 1.0);
-    }
-
-    #[test]
-    fn nose_hoover_regulates_temperature_in_md() {
-        // Without the MD's own energy exchange the bath is an undamped
-        // oscillator, so the meaningful test is the coupled one: the
-        // *time-averaged* temperature of a thermostatted run sits at the
-        // target.
-        use crate::forcefield::EwaldTosiFumi;
-        use crate::integrate::Simulation;
-        let mut s = rocksalt_nacl(2, NACL_LATTICE_A);
-        maxwell_boltzmann(&mut s, 300.0, 9);
-        let ff = EwaldTosiFumi::nacl_default(s.simbox().l());
-        let mut sim = Simulation::new(s, ff, 1.0);
-        sim.set_thermostat(Some(Thermostat::nose_hoover(900.0, 25.0, 1.0)));
-        sim.run(150); // bath equilibration
-        let records = sim.run(150);
-        let mean: f64 =
-            records.iter().map(|r| r.temperature).sum::<f64>() / records.len() as f64;
-        assert!((mean - 900.0).abs() < 150.0, "mean T = {mean}");
-    }
-
-    #[test]
-    fn nose_hoover_friction_sign_follows_temperature_error() {
-        let mut s = rocksalt_nacl(2, NACL_LATTICE_A);
-        maxwell_boltzmann(&mut s, 2000.0, 10);
-        let mut th = Thermostat::nose_hoover(500.0, 50.0, 1.0);
-        th.apply(&mut s);
-        // Too hot: friction grows positive (damping).
-        assert!(th.friction() > 0.0);
-        let mut cold = rocksalt_nacl(2, NACL_LATTICE_A);
-        maxwell_boltzmann(&mut cold, 100.0, 11);
-        let mut th2 = Thermostat::nose_hoover(500.0, 50.0, 1.0);
-        th2.apply(&mut cold);
-        assert!(th2.friction() < 0.0);
     }
 }

@@ -3,13 +3,13 @@
 //!
 //! Rank layout in one world of `R + W` ranks:
 //!
-//! * ranks `0..R` — real-space processes. One [`CellList`] of the
-//!   snapshot at `r_cut` is cut into `R` runs of whole cells in the
-//!   list's own cell order ([`deal::cell_runs`]: each cut where the
-//!   particle count reaches a multiple of `N/R`), so each rank owns one
-//!   slice of the sorted order, at most `N/R` particles plus one cell's.
-//!   Each runs the library real-space pass ([`real::real_space_of`],
-//!   Coulomb + Tosi–Fumi) on its own particles; their partners are
+//! * ranks `0..R` — real-space processes. The sorted order of one
+//!   [`CellList`] of the snapshot at `r_cut` is dealt to them in runs
+//!   of `⌈N/R⌉` particles ([`deal::contiguous`]), so each rank owns
+//!   whole cells but for the two its run cuts, and every rank works
+//!   whenever `N ≥ R`, however few cells the box holds. Each runs
+//!   the library real-space pass ([`real::real_space_of`], Coulomb +
+//!   Tosi–Fumi) on its own particles; their partners are
 //!   read from the shared snapshot, and the halo is the 27-cell
 //!   neighbourhood of the rank's cells — one cell layer;
 //! * ranks `R..R+W` — wavenumber processes. Each holds a contiguous
@@ -67,6 +67,12 @@ impl ParallelConfig {
     }
 }
 
+/// Real rank `rank`'s particles out of `n_real`: its `⌈N/R⌉` run of
+/// the cell list's sorted order.
+fn owned(cells: &CellList, n_real: usize, rank: usize) -> &[u32] {
+    &cells.sorted_order()[deal::contiguous(cells.len(), n_real, rank)]
+}
+
 /// Compute the full NaCl force field (software kernels) with the
 /// paper's process layout. Returns the same quantities as the serial
 /// [`mdm_core::forcefield::EwaldTosiFumi`].
@@ -93,13 +99,12 @@ pub fn parallel_forces(
     let r_cut = params.r_cut.min(simbox.max_cutoff());
     let kappa = params.kappa(simbox.l());
     let cells = CellList::build(simbox, positions, r_cut);
-    let runs = deal::cell_runs(&cells, n_real);
 
     let outputs: Vec<Option<ForceResult>> = run_world(world, |mut comm: Comm| {
         let rank = comm.rank();
         let (rows, terms) = if rank < n_real {
             // ---- real-space process ----
-            let mine = &cells.sorted_order()[runs[rank].clone()];
+            let mine = owned(&cells, n_real, rank);
             let sum = {
                 let _real = mdm_profile::span(mdm_profile::phase::REAL);
                 real::real_space_of(&cells, positions, charges, kappa, r_cut, Some(short), mine)
@@ -271,25 +276,33 @@ mod tests {
         }
     }
 
-    /// On the 4-cell box (27 cells, N = 512) the paper's 16 real ranks
-    /// each own a particle, none more than N/16 plus the largest cell's
-    /// occupancy, and every particle is owned exactly once.
+    /// On the 2-cell box (N = 64), the 4-cell box (N = 512) and
+    /// `parallel_md`'s N = 216, each of the paper layout's 16 real ranks
+    /// owns at least one particle and at most ⌈N/16⌉, and every particle
+    /// is owned exactly once.
     #[test]
     fn real_ranks_share_the_particles_fairly() {
-        let (s, params) = on_the_cell_path();
-        let cells = CellList::build(s.simbox(), s.positions(), params.r_cut);
-        let (n, ranks) = (s.len(), ParallelConfig::paper().real_processes);
-        let largest = (0..cells.n_cells()).map(|c| cells.particles_in(c).len()).max().unwrap();
-        let mut seen = vec![0; n];
-        for (rank, run) in deal::cell_runs(&cells, ranks).into_iter().enumerate() {
-            let mine = &cells.sorted_order()[run];
-            assert!(!mine.is_empty(), "rank {rank} owns no particle");
-            assert!(mine.len() * ranks <= n + largest * ranks, "rank {rank} owns {}", mine.len());
-            for &i in mine {
-                seen[i as usize] += 1;
+        let coarse = perturbed();
+        let coarse_params = params_for(coarse.simbox().l());
+        let md = rocksalt_nacl(3, NACL_LATTICE_A);
+        let md_params = EwaldParams::from_alpha_accuracy(7.0, 3.2, 3.2, md.simbox().l());
+        let ranks = ParallelConfig::paper().real_processes;
+        for (s, params) in [(coarse, coarse_params), on_the_cell_path(), (md, md_params)] {
+            // The cell list `parallel_forces` builds.
+            let r_cut = params.r_cut.min(s.simbox().max_cutoff());
+            let cells = CellList::build(s.simbox(), s.positions(), r_cut);
+            let n = s.len();
+            let mut seen = vec![0; n];
+            for rank in 0..ranks {
+                let mine = owned(&cells, ranks, rank);
+                let fair = 1..=n.div_ceil(ranks);
+                assert!(fair.contains(&mine.len()), "N = {n}: rank {rank} owns {}", mine.len());
+                for &i in mine {
+                    seen[i as usize] += 1;
+                }
             }
+            assert!(seen.iter().all(|&k| k == 1), "N = {n}: not a partition");
         }
-        assert!(seen.iter().all(|&k| k == 1), "not a partition");
     }
 
     #[test]

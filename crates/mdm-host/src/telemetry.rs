@@ -33,7 +33,6 @@ use mdm_core::integrate::{Simulation, StepRecord};
 use mdm_core::observables::PhysicsWatchdogs;
 use mdm_core::special::erfc;
 use mdm_profile::accuracy::{ForceErrorSample, SpeedSample};
-use mdm_profile::bus::Bus;
 use mdm_profile::events::{FlightRecorder, RunManifest, StepEvent};
 use mdm_profile::ledger::{EnvStamp, RunRecord};
 use mdm_profile::phase;
@@ -258,13 +257,6 @@ pub struct Instruments<'a> {
     /// Live flop meter; emits `raw_tflops` / `effective_tflops`
     /// observables from the step's drained interaction counters.
     pub meter: Option<&'a SpeedMeter>,
-    /// Live telemetry bus: each step's event is published *after* it
-    /// lands in the flight recorder (so the stream and the JSONL file
-    /// agree line for line), with the cumulative
-    /// [`Bus::dropped_events`] count stamped on the event as the
-    /// `bus_dropped_events` counter. Publishing never blocks — a slow
-    /// subscriber loses its oldest queued events, never the step loop.
-    pub bus: Option<&'a Bus>,
 }
 
 /// What an instrumented run leaves behind in memory (the JSONL stream
@@ -299,9 +291,6 @@ pub struct RecordedRun {
     /// over the step events (device occupancy from the drained profile
     /// plus the derived wall-fraction gauges).
     pub gauges: BTreeMap<String, (f64, u64)>,
-    /// Final [`Bus::dropped_events`] reading — total events lost to
-    /// slow subscribers across the run (0 without a bus).
-    pub bus_dropped_events: u64,
 }
 
 impl RecordedRun {
@@ -355,7 +344,6 @@ impl RecordedRun {
                 .iter()
                 .map(|(name, (sum, count))| (name.clone(), sum / *count as f64))
                 .collect(),
-            bus_dropped_events: self.bus_dropped_events,
             ..RunRecord::default()
         };
         record.stamp_now();
@@ -366,7 +354,7 @@ impl RecordedRun {
 
 /// Advance `steps` steps, writing one flight-recorder line per step,
 /// with the instrument rack of [`Instruments`] (watchdogs, force-error
-/// probe, live speed meter, bus — each optional).
+/// probe, live speed meter — each optional).
 ///
 /// The run records into an [`mdm_profile::scope`] of its own, drained
 /// (`take`) once per step: the phase durations and counters on each
@@ -491,18 +479,7 @@ pub fn run_instrumented<F: ForceField, W: Write>(
             }
             violations += event.violations.len() as u64;
         }
-        if let Some(bus) = inst.bus {
-            // Cumulative drop count *before* this publish, so the
-            // stamped value is exact for every event a subscriber
-            // actually receives.
-            event
-                .counters
-                .insert("bus_dropped_events".to_string(), bus.dropped_events());
-        }
         recorder.record(&event)?;
-        if let Some(bus) = inst.bus {
-            bus.publish_step(event);
-        }
 
         merged.merge(&profile);
         records.push(record);
@@ -516,7 +493,6 @@ pub fn run_instrumented<F: ForceField, W: Write>(
         steps: steps as u64,
         wall_seconds: wall_total,
         gauges,
-        bus_dropped_events: inst.bus.map_or(0, Bus::dropped_events),
     })
 }
 
@@ -560,7 +536,6 @@ mod tests {
     use mdm_core::forcefield::EwaldTosiFumi;
     use mdm_core::lattice::{rocksalt_nacl, NACL_LATTICE_A};
     use mdm_core::velocities::maxwell_boltzmann;
-    use mdm_profile::bus::BusEvent;
     use mdm_profile::events::parse_jsonl;
     use std::collections::BTreeMap;
 
@@ -715,7 +690,6 @@ mod tests {
                 watchdogs: Some(&mut dogs),
                 probe: Some(&probe),
                 meter: Some(&meter),
-                ..Instruments::default()
             },
         )
         .unwrap();
@@ -1035,45 +1009,5 @@ mod tests {
         assert!(row.threads >= 1);
         assert_eq!(row.git_sha, manifest.git_sha);
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn instrumented_run_publishes_every_step_on_the_bus() {
-        let mut sim = software_sim(1.0);
-        let manifest = software_manifest(&sim);
-        let mut recorder = FlightRecorder::new(Vec::new(), &manifest).unwrap();
-        let bus = Bus::with_topic("t");
-        let sub = bus.subscribe(64);
-        let run = run_instrumented(
-            &mut sim,
-            3,
-            &mut recorder,
-            Instruments {
-                bus: Some(&bus),
-                ..Instruments::default()
-            },
-        )
-        .unwrap();
-        bus.close();
-        assert_eq!(run.bus_dropped_events, 0);
-
-        // The live stream carries exactly the recorded events: same
-        // steps, same observables, and the drop counter stamped on
-        // each (zero for an unconstrained subscriber).
-        let mut live = Vec::new();
-        while let Some(event) = sub.recv() {
-            match event {
-                BusEvent::Step(step) => live.push(step),
-                BusEvent::Manifest(_) => panic!("run loop never publishes the manifest"),
-            }
-        }
-        assert_eq!(live.len(), 3);
-        let text = String::from_utf8(recorder.into_inner()).unwrap();
-        let (_, recorded) = parse_jsonl(&text).unwrap();
-        for (streamed, written) in live.iter().zip(&recorded) {
-            assert_eq!(streamed.as_ref(), written);
-            assert_eq!(streamed.counters["bus_dropped_events"], 0);
-            assert!(streamed.observables.contains_key("total_ev"));
-        }
     }
 }

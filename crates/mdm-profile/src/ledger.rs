@@ -24,7 +24,7 @@ use std::path::Path;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 /// Format version stamped on every ledger line.
-pub const LEDGER_VERSION: u64 = 2;
+pub const LEDGER_VERSION: u64 = 3;
 
 /// Where the run came from: git SHA, hostname, and core count.
 ///
@@ -153,10 +153,6 @@ pub struct RunRecord {
     pub pressure_supported: bool,
     /// Gauge name → mean over steps of each step event's gauge.
     pub gauges: BTreeMap<String, f64>,
-    /// Telemetry-bus events evicted by slow subscribers during the run
-    /// (0 when the run streamed to nobody — see [`crate::bus`]). A
-    /// nonzero trend here means live consumers are losing data.
-    pub bus_dropped_events: u64,
     /// Phase name → modeled seconds per step on the real hardware,
     /// from the emulators' cycle counters. Written only when non-empty
     /// (rows from runs with no cycle counters, and every row written
@@ -216,7 +212,6 @@ impl RunRecord {
             ("violations", Value::from_u64(self.violations)),
             ("pressure_supported", Value::Bool(self.pressure_supported)),
             ("gauges", Value::from_f64_map(&self.gauges)),
-            ("bus_dropped_events", Value::from_u64(self.bus_dropped_events)),
         ]);
         if !self.modeled.is_empty() {
             // Like `StepEvent.gauges`: only pay the key when non-empty.
@@ -253,7 +248,6 @@ impl RunRecord {
             violations: value.opt_u64("violations").unwrap_or(0),
             pressure_supported: value.opt_bool("pressure_supported").unwrap_or(false),
             gauges: value.f64_map("gauges")?,
-            bus_dropped_events: value.opt_u64("bus_dropped_events").unwrap_or(0),
             modeled: value.f64_map("modeled")?,
         })
     }
@@ -333,7 +327,6 @@ mod tests {
             violations: 0,
             pressure_supported: false,
             gauges: [("mdg.occupancy".to_string(), 0.83)].into_iter().collect(),
-            bus_dropped_events: 3,
             modeled: BTreeMap::new(),
         }
     }
@@ -391,7 +384,6 @@ mod tests {
         assert_eq!(r.git_sha, "unknown");
         assert_eq!(r.threads, 0);
         assert!(!r.pressure_supported);
-        assert_eq!(r.bus_dropped_events, 0);
         assert!(r.raw_tflops.is_none());
     }
 

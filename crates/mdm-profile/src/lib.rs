@@ -29,8 +29,9 @@
 //!   placement, feeding the Chrome-trace exporter in [`trace`].
 //!
 //! The run-telemetry layer builds on these primitives: [`events`] is
-//! the per-step JSONL flight recorder, [`bus`] its live fan-out,
-//! [`watchdog`] holds the generic threshold monitors, [`ledger`] is
+//! the per-step JSONL flight recorder (flushed line by line, so a
+//! reader following the file — the serve daemon's `watch` — sees each
+//! step as it lands), [`watchdog`] holds the generic threshold monitors, [`ledger`] is
 //! the append-only run history the serve daemon writes (one
 //! [`ledger::RunRecord`] per run — the only run summary), and
 //! [`critical_path`] names the span chain that bounds a timeline; all
@@ -47,7 +48,6 @@
 //! scopes (per step), not per-pair inner loops.
 
 pub mod accuracy;
-pub mod bus;
 pub mod critical_path;
 pub mod events;
 pub mod histogram;

@@ -6,7 +6,7 @@
 //! submissions over line-delimited JSON, multiplexes them over a pool
 //! of emulated board sets (time-sliced, metered by the j-store upload
 //! counters), streams each job's flight-recorder JSONL live to
-//! watching clients, and checkpoints every run so a crash or drain
+//! watching clients from the job's trace file, and checkpoints every run so a crash or drain
 //! loses at most one scheduling slice.
 //!
 //! Three layers:
@@ -16,8 +16,8 @@
 //!   [`mdm_profile::json`] layer the flight recorder uses);
 //! * [`server`] — the daemon: bounded priority queue with
 //!   reject-with-retry back-pressure, board-pool arbitration,
-//!   per-job [`mdm_profile::bus::Bus`] topics, checkpoint spool,
-//!   restart-from-spool recovery;
+//!   checkpoint spool, restart-from-spool recovery, and `watch`
+//!   streams that follow each job's `<job>.trace.jsonl`;
 //! * [`client`] — a small blocking client used by `mdm_submit`, the
 //!   soak driver, and the integration tests.
 //!

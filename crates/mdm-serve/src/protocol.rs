@@ -4,10 +4,11 @@
 //! line; the server answers each with one JSON line (every response
 //! has an `ok` field). The exception is `watch`, which turns the rest
 //! of the connection into a one-way stream: an `ok` line, then the
-//! job's flight-recorder JSONL (manifest + step events: from the watch
-//! on, the lines its `<job>.trace.jsonl` gets, and what `mdm_top JOB`
-//! renders), then one `{"type":"done",...}` trailer when the job
-//! finishes.
+//! job's flight-recorder JSONL, read from its `<job>.trace.jsonl` (the
+//! file's last manifest line at the watch, then every line the file
+//! gets after it; what `mdm_top JOB` renders), then one
+//! `{"type":"done",...}` trailer when the job finishes or the daemon
+//! stops (its `state` is the job's state then).
 //!
 //! Grammar (one object per line):
 //!
@@ -34,8 +35,8 @@ use mdm_profile::json::{obj, Value};
 /// the exact same run.
 #[derive(Clone, Debug, PartialEq)]
 pub struct JobSpec {
-    /// Unique job name; doubles as the spool file stem and the bus
-    /// topic, so it is restricted to `[A-Za-z0-9._-]`.
+    /// Unique job name; doubles as the spool file stem and the watch
+    /// stream's `topic`, so it is restricted to `[A-Za-z0-9._-]`.
     pub name: String,
     /// Rock-salt unit cells per box side (N = 8·cells³).
     pub cells: u32,

@@ -37,7 +37,7 @@
 //! | `<job>.job` | submitted spec (JSON line) — present while live |
 //! | `<job>.ckpt` | latest checkpoint, replaced each slice by remove + rename of `<job>.tmp` |
 //! | `<job>.tmp` | the next checkpoint while it is written; the latest one if the daemon died between that remove and rename |
-//! | `<job>.trace.jsonl` | flight-recorder stream, appended per slice |
+//! | `<job>.trace.jsonl` | flight-recorder stream, appended and flushed per step; `watch` follows it |
 //! | `<job>.done` | spec, moved here on completion |
 //! | `<job>.failed` | spec + error line, moved here on failure |
 //!
@@ -57,7 +57,6 @@ use mdm_core::thermostat::Thermostat;
 use mdm_core::velocities::maxwell_boltzmann;
 use mdm_host::driver::{MdmForceField, MdmTables, PotentialCarry};
 use mdm_host::telemetry::{mdm_manifest, run_instrumented, Instruments, RecordedRun};
-use mdm_profile::bus::{Bus, Subscription};
 use mdm_profile::events::FlightRecorder;
 use mdm_profile::json::{obj, Value};
 use mdm_profile::ledger::append_record;
@@ -228,7 +227,6 @@ struct JobSlot {
     upload_bytes: u64,
     wall_seconds: f64,
     detail: Option<String>,
-    bus: Bus,
 }
 
 impl JobSlot {
@@ -426,7 +424,6 @@ fn recover_spool(inner: &Arc<Inner>) -> io::Result<()> {
         let detail = lines.next().map(str::to_string);
         let mut st = inner.lock();
         let slot = JobSlot {
-            bus: Bus::with_topic(&job),
             state: match suffix.as_str() {
                 "done" => JobState::Done,
                 "failed" => JobState::Failed,
@@ -446,8 +443,6 @@ fn recover_spool(inner: &Arc<Inner>) -> io::Result<()> {
             // Recovery bypasses the admission bound (these jobs were
             // admitted by a previous server and are durable already).
             inner.state_queue_requeue(&mut st, &slot, &job);
-        } else {
-            slot.bus.close();
         }
         st.jobs.insert(job, slot);
     }
@@ -605,7 +600,6 @@ fn submit(inner: &Arc<Inner>, spec: JobSpec) -> Value {
             st.jobs.insert(
                 job.clone(),
                 JobSlot {
-                    bus: Bus::with_topic(&job),
                     state: JobState::Queued,
                     step: 0,
                     violations: 0,
@@ -676,68 +670,110 @@ fn stats(inner: &Arc<Inner>) -> Value {
     ])
 }
 
-/// Turn the connection into the job's live stream: manifest + step
-/// events as they publish, then a `done` trailer.
-fn watch(inner: &Arc<Inner>, mut writer: TcpStream, job: &str) -> io::Result<()> {
-    let st = inner.lock();
-    let Some(slot) = st.jobs.get(job) else {
-        drop(st);
-        writeln!(
-            writer,
-            "{}",
-            error_line(format!("unknown job {job:?}")).to_compact()
-        )?;
-        return Ok(());
-    };
-    let bus = slot.bus.clone();
-    drop(st);
-    // Subscribe before the header, so a client holding the header sees
-    // every event published after it; and before looking at the
-    // manifest: a close that lands in between makes recv return None
-    // immediately, never hangs.
-    let sub = bus.subscribe(1024);
+/// How long a watcher that has read its job's trace file to the end
+/// waits before it reads again.
+const WATCH_POLL: Duration = Duration::from_millis(5);
+
+/// Turn the connection into the job's live stream, read from the job's
+/// trace file: the file's last manifest line at attach time, every line
+/// appended after it, then a `done` trailer once the job is terminal or
+/// the daemon stops. The file is the watcher's buffer, so a slow
+/// watcher stalls only its own socket and loses nothing.
+fn watch(inner: &Arc<Inner>, writer: TcpStream, job: &str) -> io::Result<()> {
+    let mut out = BufWriter::new(writer);
+    let job_state = || inner.lock().jobs.get(job).map(|slot| slot.state);
+    if job_state().is_none() {
+        writeln!(out, "{}", error_line(format!("unknown job {job:?}")).to_compact())?;
+        return out.flush();
+    }
+    let (mut tail, manifest) = TraceTail::attach(inner.spool_file(job, "trace.jsonl"))?;
     let header = obj([
         ("ok", Value::Bool(true)),
         ("job", Value::Str(job.to_string())),
-        ("topic", Value::Str(bus.topic().to_string())),
+        ("topic", Value::Str(job.to_string())),
         ("streaming", Value::Bool(true)),
     ]);
-    writeln!(writer, "{}", header.to_compact())?;
-    writer.flush()?;
-    if let Some(manifest) = bus.latest_manifest() {
-        writeln!(writer, "{}", manifest.to_json().to_compact())?;
-        writer.flush()?;
-    }
-    pump_subscription(&sub, &mut writer)?;
-    let st = inner.lock();
-    let state = st
-        .jobs
-        .get(job)
-        .map(|s| s.state)
-        .unwrap_or(JobState::Failed);
-    drop(st);
+    writeln!(out, "{}", header.to_compact())?;
+    out.write_all(&manifest.unwrap_or_default())?;
+    let state = tail.follow(&mut out, || {
+        let state = job_state().unwrap_or(JobState::Failed);
+        (state.is_terminal() || inner.stop.load(Ordering::SeqCst)).then_some(state)
+    })?;
     let trailer = obj([
         ("type", Value::Str("done".into())),
         ("job", Value::Str(job.to_string())),
         ("state", Value::Str(state.as_str().into())),
     ]);
-    writeln!(writer, "{}", trailer.to_compact())?;
-    writer.flush()
+    writeln!(out, "{}", trailer.to_compact())?;
+    out.flush()
 }
 
-/// Pump a bus subscription into a writer as JSONL, one line per event,
-/// flushed per line so a live viewer sees each step as it happens.
-/// Returns the number of events written; ends when the bus closes (all
-/// queued events are drained first) or the writer errors.
-fn pump_subscription<W: Write>(sub: &Subscription, mut writer: W) -> io::Result<u64> {
-    let mut written = 0u64;
-    while let Some(event) = sub.recv() {
-        writer.write_all(event.to_jsonl().as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
-        written += 1;
+/// A job's trace file read from one point on, whole lines only: a line
+/// still being written waits in `partial` until its newline lands.
+struct TraceTail {
+    path: PathBuf,
+    /// `None` until the job's first slice creates the file.
+    file: Option<BufReader<fs::File>>,
+    partial: Vec<u8>,
+}
+
+impl TraceTail {
+    /// Read the file's complete lines as they stand and keep the last
+    /// manifest line among them; the tail then starts after them.
+    fn attach(path: PathBuf) -> io::Result<(TraceTail, Option<Vec<u8>>)> {
+        let mut tail = TraceTail {
+            path,
+            file: None,
+            partial: Vec::new(),
+        };
+        // Quotes inside a JSON string are escaped, so these bytes are a
+        // `type` key, and only a line's top level has one: no parse.
+        const MANIFEST: &[u8] = br#""type":"manifest""#;
+        let mut manifest = None;
+        while let Some(line) = tail.next_line()? {
+            if line.windows(MANIFEST.len()).any(|w| w == MANIFEST) {
+                manifest = Some(line);
+            }
+        }
+        Ok((tail, manifest))
     }
-    Ok(written)
+
+    /// The next complete line, newline included, if one has landed.
+    fn next_line(&mut self) -> io::Result<Option<Vec<u8>>> {
+        if self.file.is_none() {
+            match fs::File::open(&self.path) {
+                Ok(file) => self.file = Some(BufReader::new(file)),
+                Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
+                Err(e) => return Err(e),
+            }
+        }
+        let file = self.file.as_mut().expect("opened above");
+        file.read_until(b'\n', &mut self.partial)?;
+        Ok((self.partial.last() == Some(&b'\n')).then(|| std::mem::take(&mut self.partial)))
+    }
+
+    /// Copy each line to `out` as it lands, polling every
+    /// [`WATCH_POLL`] at the end of the file, until `ended` names the
+    /// state to end on. The file is read once more after that: the
+    /// worker marks a job terminal only after its slice has written its
+    /// last line, so that read catches every line.
+    fn follow<W: Write>(
+        &mut self,
+        mut out: W,
+        mut ended: impl FnMut() -> Option<JobState>,
+    ) -> io::Result<JobState> {
+        loop {
+            let end = ended();
+            while let Some(line) = self.next_line()? {
+                out.write_all(&line)?;
+            }
+            out.flush()?;
+            if let Some(state) = end {
+                return Ok(state);
+            }
+            std::thread::sleep(WATCH_POLL);
+        }
+    }
 }
 
 fn worker_loop(inner: Arc<Inner>) {
@@ -789,7 +825,6 @@ fn worker_loop(inner: Arc<Inner>) {
                 slot.wall_seconds += out.wall_seconds;
                 if out.done {
                     slot.state = JobState::Done;
-                    slot.bus.close();
                     finalize(&inner, &job, slot, "done");
                 } else {
                     slot.state = JobState::Queued;
@@ -807,7 +842,6 @@ fn worker_loop(inner: Arc<Inner>) {
             Err(message) => {
                 slot.state = JobState::Failed;
                 slot.detail = Some(message);
-                slot.bus.close();
                 finalize(&inner, &job, slot, "failed");
             }
         }
@@ -831,7 +865,6 @@ fn finalize(inner: &Arc<Inner>, job: &str, slot: &JobSlot, suffix: &str) {
             steps: slot.spec.steps,
             wall_seconds: slot.wall_seconds,
             violations: slot.violations,
-            bus_dropped_events: slot.bus.dropped_events(),
             ..RecordedRun::default()
         };
         let mut record = totals.reduce("mdm-serve", job, slot.spec.n_particles());
@@ -865,10 +898,10 @@ fn run_slice(
     job: &str,
     board: &mut Option<MdmForceField>,
 ) -> Result<SliceOutcome, String> {
-    let (spec, bus) = {
+    let spec = {
         let st = inner.lock();
         let slot = st.jobs.get(job).ok_or("job vanished from the registry")?;
-        (slot.spec.clone(), slot.bus.clone())
+        slot.spec.clone()
     };
     let ckpt_path = inner.spool_file(job, "ckpt");
     let trace_path = inner.spool_file(job, "trace.jsonl");
@@ -923,7 +956,6 @@ fn run_slice(
     let mut manifest = mdm_manifest(job, "mdm-serve", &sim, spec.seed);
     // The job's steps run `width` threads wide, not the daemon's pool.
     manifest.threads = width as u64;
-    bus.publish_manifest(&manifest);
     let mut recorder =
         FlightRecorder::new(BufWriter::new(file), &manifest).map_err(|e| format!("trace: {e}"))?;
     // NVE slices watch per-slice energy drift; thermostatted ones pin
@@ -943,7 +975,6 @@ fn run_slice(
                 &mut recorder,
                 Instruments {
                     watchdogs: Some(&mut dogs),
-                    bus: Some(&bus),
                     ..Instruments::default()
                 },
             )
@@ -978,8 +1009,6 @@ fn run_slice(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mdm_profile::bus::BusEvent;
-    use mdm_profile::events::{parse_jsonl, RunManifest, StepEvent};
     use std::sync::mpsc;
 
     /// A budget the test's threads can borrow for as long as they run.
@@ -1101,34 +1130,91 @@ mod tests {
         assert_eq!(HOST_CORES.total, rayon::current_num_threads());
     }
 
-    #[test]
-    fn pump_drains_the_newest_events_after_overflow() {
-        // Deterministic drop-oldest at the pump level: nobody reads
-        // while 100 events hit a 4-deep queue, so exactly the newest 4
-        // survive and are pumped out in order after close.
-        let bus = Bus::with_topic("t");
-        let sub = bus.subscribe(4);
-        let manifest = RunManifest::default();
-        for step in 0..100u64 {
-            bus.publish_step(StepEvent::from_profile(
-                step,
-                1e-3,
-                &mdm_profile::Profile::default(),
-            ));
+    /// A `Write` that hands each write to a channel.
+    struct Sent(mpsc::Sender<Vec<u8>>);
+
+    impl Write for Sent {
+        fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+            let _ = self.0.send(bytes.to_vec());
+            Ok(bytes.len())
         }
-        bus.close();
-        let mut sink = Vec::new();
-        let written = pump_subscription(&sub, &mut sink).unwrap();
-        assert_eq!(written, 4);
-        assert_eq!(sub.dropped(), 96);
-        assert_eq!(bus.dropped_events(), 96);
-        let text = format!(
-            "{}\n{}",
-            BusEvent::Manifest(Arc::new(manifest)).to_jsonl(),
-            String::from_utf8(sink).unwrap()
-        );
-        let (_, steps) = parse_jsonl(&text).unwrap();
-        let got: Vec<u64> = steps.iter().map(|e| e.step).collect();
-        assert_eq!(got, vec![96, 97, 98, 99]);
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Follow `tail` on a thread of its own until `end` is set; its
+    /// writes arrive on the returned receiver.
+    fn follow_until(
+        mut tail: TraceTail,
+        end: &'static AtomicBool,
+    ) -> (mpsc::Receiver<Vec<u8>>, JoinHandle<io::Result<JobState>>) {
+        let (sent, lines) = mpsc::channel();
+        let follower = std::thread::spawn(move || {
+            tail.follow(Sent(sent), || end.load(Ordering::SeqCst).then_some(JobState::Done))
+        });
+        (lines, follower)
+    }
+
+    fn trace_path(tag: &str) -> PathBuf {
+        let path = std::env::temp_dir().join(format!("mdm-serve-tail-{tag}-{}.jsonl", std::process::id()));
+        let _ = fs::remove_file(&path);
+        path
+    }
+
+    fn append(path: &Path, bytes: &str) {
+        let mut file = fs::OpenOptions::new().create(true).append(true).open(path).unwrap();
+        file.write_all(bytes.as_bytes()).unwrap();
+    }
+
+    const WITHIN: Duration = Duration::from_secs(10);
+
+    /// A watcher forwards whole lines only: of a file holding one whole
+    /// line and half of the next, only the first, and the second once
+    /// its newline lands.
+    #[test]
+    fn a_watcher_forwards_only_whole_lines() {
+        static END: AtomicBool = AtomicBool::new(false);
+        let path = trace_path("torn");
+        let (tail, manifest) = TraceTail::attach(path.clone()).unwrap();
+        assert_eq!(manifest, None, "no file yet");
+        let (lines, follower) = follow_until(tail, &END);
+        append(&path, "{\"type\":\"step\",\"step\":1}\n{\"type\":\"st");
+        assert_eq!(lines.recv_timeout(WITHIN).unwrap(), b"{\"type\":\"step\",\"step\":1}\n");
+        let torn = lines.recv_timeout(20 * WATCH_POLL);
+        assert!(torn.is_err(), "a torn line was forwarded: {torn:?}");
+        append(&path, "ep\",\"step\":2}\n");
+        assert_eq!(lines.recv_timeout(WITHIN).unwrap(), b"{\"type\":\"step\",\"step\":2}\n");
+        END.store(true, Ordering::SeqCst);
+        assert_eq!(follower.join().unwrap().unwrap(), JobState::Done);
+        assert!(lines.try_recv().is_err());
+        let _ = fs::remove_file(&path);
+    }
+
+    /// A watcher that attaches after the first slice gets the file's
+    /// latest manifest, then only the lines appended after it attached
+    /// (a line half written at the attach among them).
+    #[test]
+    fn a_late_watcher_gets_the_latest_manifest_then_only_new_lines() {
+        static END: AtomicBool = AtomicBool::new(false);
+        let path = trace_path("late");
+        let line = |kind: &str, n: u64| format!("{{\"step\":{n},\"type\":\"{kind}\"}}\n");
+        let before = [line("manifest", 0), line("step", 1), line("manifest", 1), line("step", 2)];
+        append(&path, &before.concat());
+        let third = line("step", 3);
+        append(&path, &third[..5]);
+        let (tail, manifest) = TraceTail::attach(path.clone()).unwrap();
+        assert_eq!(manifest.as_deref(), Some(before[2].as_bytes()));
+        let (lines, follower) = follow_until(tail, &END);
+        append(&path, &third[5..]);
+        let fourth = line("step", 4);
+        append(&path, &fourth);
+        assert_eq!(lines.recv_timeout(WITHIN).unwrap(), third.as_bytes());
+        assert_eq!(lines.recv_timeout(WITHIN).unwrap(), fourth.as_bytes());
+        END.store(true, Ordering::SeqCst);
+        assert_eq!(follower.join().unwrap().unwrap(), JobState::Done);
+        assert!(lines.try_recv().is_err());
+        let _ = fs::remove_file(&path);
     }
 }

@@ -4,7 +4,6 @@
 //!
 //! Run with: `cargo run --release --example parallel_md [cells]`
 
-use mdm::core::celllist::CellList;
 use mdm::core::deal;
 use mdm::core::ewald::EwaldParams;
 use mdm::core::forcefield::{EwaldTosiFumi, ForceField};
@@ -27,15 +26,12 @@ fn main() {
 
     println!("== the paper's Section 4 parallel layout ==");
     let config = ParallelConfig::paper();
-    // The real ranks' dealing, at the cell list `parallel_forces` builds.
-    let r_cut = params.r_cut.min(system.simbox().max_cutoff());
-    let cells = CellList::build(system.simbox(), system.positions(), r_cut);
-    let shares: Vec<usize> = deal::cell_runs(&cells, config.real_processes)
-        .into_iter()
-        .map(|run| run.len())
+    // The real ranks' dealing: runs of the cell list's sorted order.
+    let shares: Vec<usize> = (0..config.real_processes)
+        .map(|rank| deal::contiguous(system.len(), config.real_processes, rank).len())
         .collect();
     println!(
-        "{} real-space processes (cell runs, {}-{} particles each) + {} wavenumber processes",
+        "{} real-space processes (runs of the cell order, {}-{} particles each) + {} wavenumber processes",
         config.real_processes,
         shares.iter().min().unwrap(),
         shares.iter().max().unwrap(),

@@ -1,10 +1,11 @@
 //! The record family's bytes: one manifest, step, run and checkpoint
 //! line pinned at exactly what the parent of the one-codec change
 //! wrote (`fixtures/record_lines.jsonl`; the run line as ledger
-//! version 2 writes it, without the `critical_path` column version 1
-//! carried), and the old spellings every reader must keep accepting.
+//! version 3 writes it, without the `critical_path` column version 1
+//! carried and the `bus_dropped_events` column version 2 carried), and
+//! the old spellings every reader must keep accepting.
 //! `FLIGHT_RECORDER_VERSION` and `CHECKPOINT_VERSION` stay 1, and
-//! `LEDGER_VERSION` 2, only while these hold.
+//! `LEDGER_VERSION` 3, only while these hold.
 
 use mdm::core::checkpoint::Checkpoint;
 use mdm::core::system::Species;
@@ -81,7 +82,6 @@ fn run() -> RunRecord {
         violations: 3,
         pressure_supported: true,
         gauges: map(&[("mdg.occupancy", 0.83)]),
-        bus_dropped_events: 3,
         ..RunRecord::default()
     }
 }
@@ -155,6 +155,10 @@ fn older_spellings_still_read() {
     // `critical_path` column no writer set.
     let v1 = r#"{"bus_dropped_events":3,"critical_path":"rank1/real","effective_tflops":null,"gauges":{"mdg.occupancy":0.83},"gflops":{"real":1.9},"git_sha":"8868e36aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa","hostname":"ci-runner-7","label":"nacl-4096","n_particles":4096,"nproc":4,"phases":{"real":0.7,"wave":0.1},"pressure_supported":true,"raw_tflops":15.4,"steps":10,"threads":2,"timestamp_s":1754600000,"tool":"profile_step","type":"run","version":1,"violations":3,"wall_seconds_per_step":0.886,"worst_force_error":"inf"}"#;
     assert_eq!(RunRecord::from_json(&Value::parse(v1).unwrap()).unwrap(), run());
+    // … and as version 2 wrote it, with the `bus_dropped_events` column
+    // of the retired live-telemetry bus.
+    let v2 = r#"{"bus_dropped_events":3,"effective_tflops":null,"gauges":{"mdg.occupancy":0.83},"gflops":{"real":1.9},"git_sha":"8868e36aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa","hostname":"ci-runner-7","label":"nacl-4096","n_particles":4096,"nproc":4,"phases":{"real":0.7,"wave":0.1},"pressure_supported":true,"raw_tflops":15.4,"steps":10,"threads":2,"timestamp_s":1754600000,"tool":"profile_step","type":"run","version":2,"violations":3,"wall_seconds_per_step":0.886,"worst_force_error":"inf"}"#;
+    assert_eq!(RunRecord::from_json(&Value::parse(v2).unwrap()).unwrap(), run());
 
     // A ledger row with only the required keys.
     let minimal = "{\"type\":\"run\",\"tool\":\"t\",\"label\":\"l\",\"wall_seconds_per_step\":0.07}";
@@ -175,7 +179,8 @@ fn older_spellings_still_read() {
 /// until ISSUE 22 — a `profile_step` size, a `--world` run and an
 /// `accuracy_report` backend — must keep parsing to the values they
 /// were written with: writing a parsed row back gives the line as
-/// ledger version 2 writes it, without version 1's `critical_path`.
+/// ledger version 3 writes it, without version 1's `critical_path` and
+/// version 2's `bus_dropped_events`.
 #[test]
 fn once_tracked_rows_parse_to_what_was_written() {
     let text = include_str!("fixtures/tracked_ledger.jsonl");
@@ -185,7 +190,8 @@ fn once_tracked_rows_parse_to_what_was_written() {
         let mut want = Value::parse(line).unwrap();
         if let Value::Obj(fields) = &mut want {
             assert!(fields.remove("critical_path").is_some());
-            fields.insert("version".into(), Value::from_u64(2));
+            assert!(fields.remove("bus_dropped_events").is_some());
+            fields.insert("version".into(), Value::from_u64(3));
         }
         assert_eq!(row.to_json().to_compact(), want.to_compact());
         assert!(row.modeled.is_empty());
