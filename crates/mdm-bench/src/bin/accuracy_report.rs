@@ -7,9 +7,11 @@
 //! for the *measured* accuracy over the same wall-clock — the
 //! 1.34-from-15.4 re-costing), and the relative RMS force error from
 //! the on-line probe (Figure 5's y-axis). The footer puts them beside
-//! the paper's Table 4 / Figure 5 values and summarises the precision
-//! seams (WINE-2 fixed-point quantization, MDGRAPE-2 table-fit
-//! residuals) as histogram percentiles.
+//! the paper's Table 4 / Figure 5 values and reports each precision
+//! seam per backend through the counter that carries its fault:
+//! `wine_q30_saturations` (a WINE-2 Q30 register misses its half-LSB
+//! bound only by saturating) and `funceval_fit_residual_p12_max` (the
+//! worst MDGRAPE-2 table-fit residual, units of 10⁻¹²).
 //!
 //! With `--longrange all` the same run repeats for every backend
 //! (`wine2`, `ewald`, `pme`, `pswf`) and the footer becomes the
@@ -55,6 +57,9 @@ use mdm_profile::ledger::RunRecord;
 /// parameters, ≈ 10⁻⁴·⁵.
 const PAPER_FIGURE5_ERROR: f64 = 3.2e-5;
 
+/// The counters that carry the precision seams' faults, in footer order.
+const SEAM_COUNTERS: [&str; 2] = ["wine_q30_saturations", "funceval_fit_residual_p12_max"];
+
 /// Everything one backend's run leaves for the shootout footer.
 struct BackendRun {
     name: String,
@@ -70,8 +75,8 @@ struct BackendRun {
     virial_rel: f64,
     /// Pressure from the backend virial (GPa).
     pressure_gpa: f64,
-    /// Run + table-generation profile (for the seam histograms).
-    profile: mdm_profile::Profile,
+    /// [`SEAM_COUNTERS`] over table generation and the run.
+    seams: [u64; 2],
 }
 
 fn run_backend(
@@ -144,9 +149,9 @@ fn run_backend(
     let mut recorder = FlightRecorder::new(Vec::new(), &manifest).expect("in-memory recorder");
 
     // Drain whatever build_sim accumulated — notably the funceval
-    // table-fit residual histograms, recorded at generation time —
-    // for the seam summary below; the recorded steps never see it.
-    let generation_profile = mdm_profile::take();
+    // table-fit residual counter, recorded at generation time — for
+    // the seam summary below; the recorded steps never see it.
+    let mut profile = mdm_profile::take();
     let run = run_instrumented(
         &mut sim,
         steps,
@@ -191,9 +196,8 @@ fn run_backend(
     }
     println!();
 
-    let mut profile = mdm_profile::Profile::default();
-    profile.merge(&generation_profile);
     profile.merge(&run.profile);
+    let seams = SEAM_COUNTERS.map(|name| profile.counters.get(name).copied().unwrap_or(0));
     BackendRun {
         name: backend.to_string(),
         describe,
@@ -202,7 +206,7 @@ fn run_backend(
         virial: measured_virial,
         virial_rel,
         pressure_gpa: pressure,
-        profile,
+        seams,
     }
 }
 
@@ -324,25 +328,15 @@ fn main() {
     );
     println!();
 
-    // Precision-seam histograms accumulated over the runs plus table
-    // generation (which happened inside build_sim, before the steps).
-    let mut merged = mdm_profile::Profile::default();
+    // Each seam's fault counter over table generation (inside
+    // build_sim, before the steps) and the run.
+    println!("precision seams (the counter that carries each seam's fault):");
     for run in &runs {
-        merged.merge(&run.profile);
-    }
-    println!("precision seams (error-attribution histograms):");
-    for name in ["wine_fx_quant_residual", "funceval_fit_residual"] {
-        match merged.histograms.get(name) {
-            Some(h) if !h.is_empty() => println!(
-                "  {:<24} {:>10} samples   p50 {:>10} p99 {:>10} max {:>10}",
-                name,
-                h.count(),
-                mdm_bench::sci(h.p50().unwrap_or(0.0)),
-                mdm_bench::sci(h.p99().unwrap_or(0.0)),
-                mdm_bench::sci(h.max().unwrap_or(0.0)),
-            ),
-            _ => println!("  {name:<24} (no samples)"),
-        }
+        let [saturations, fit_p12] = run.seams;
+        println!(
+            "  seams[{}]: {} {saturations}, {} {fit_p12}",
+            run.name, SEAM_COUNTERS[0], SEAM_COUNTERS[1]
+        );
     }
 
     if let Some(path) = &record_path {

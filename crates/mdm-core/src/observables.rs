@@ -262,8 +262,8 @@ impl Msd {
 }
 
 /// The standard NVE health monitors, composed for the flight recorder:
-/// total-energy drift against step 0, net-momentum magnitude, and the
-/// rolling-mean temperature band. Feed every [`StepRecord`] through
+/// total-energy drift against step 0 and net-momentum magnitude, plus an
+/// optional force-error band. Feed every [`StepRecord`] through
 /// [`PhysicsWatchdogs::check`]; the returned [`Violation`]s go onto the
 /// step's flight-recorder event (see `mdm-host::telemetry`) instead of
 /// the run failing silently.
@@ -274,16 +274,13 @@ impl Msd {
 pub struct PhysicsWatchdogs {
     energy: mdm_profile::watchdog::DriftMonitor,
     momentum: mdm_profile::watchdog::BoundMonitor,
-    temperature: Option<mdm_profile::watchdog::RollingMeanMonitor>,
     force_error: Option<mdm_profile::watchdog::BoundMonitor>,
 }
 
 impl PhysicsWatchdogs {
     /// NVE monitors: energy drift beyond `energy_rel_tol` (relative to
     /// the first checked step), net momentum magnitude beyond
-    /// `momentum_tol` (amu·Å/fs; Verlet conserves it to rounding), and
-    /// no temperature band (attach one with
-    /// [`PhysicsWatchdogs::with_temperature_band`]).
+    /// `momentum_tol` (amu·Å/fs; Verlet conserves it to rounding).
     ///
     /// The paper's own NVE criterion (§5: total energy conserved to
     /// < 5×10⁻⁵ % over 1,000 steps) corresponds to
@@ -296,18 +293,8 @@ impl PhysicsWatchdogs {
                 0.0,
                 momentum_tol,
             ),
-            temperature: None,
             force_error: None,
         }
-    }
-
-    /// Add a temperature watchdog: the rolling mean over `window` steps
-    /// must stay within `[t_lo, t_hi]` kelvin.
-    pub fn with_temperature_band(mut self, window: usize, t_lo: f64, t_hi: f64) -> Self {
-        self.temperature = Some(mdm_profile::watchdog::RollingMeanMonitor::new(
-            "temperature", window, t_lo, t_hi,
-        ));
-        self
     }
 
     /// Add a force-error watchdog: the relative RMS force error from
@@ -337,9 +324,6 @@ impl PhysicsWatchdogs {
             self.momentum
                 .check(record.step, system.total_momentum().norm()),
         );
-        if let Some(t) = &mut self.temperature {
-            violations.extend(t.check(record.step, record.temperature));
-        }
         violations
     }
 
@@ -520,9 +504,8 @@ mod tests {
     fn healthy_nve_run_triggers_no_watchdogs() {
         let mut sim = watchdog_sim(300.0, 1.0);
         // Loose-but-physical thresholds: 1e-3 relative energy, tiny
-        // momentum, a generous temperature band around equipartition
-        // (half the initial T after the crystal absorbs kinetic energy).
-        let mut dogs = PhysicsWatchdogs::nve(1e-3, 1e-6).with_temperature_band(5, 50.0, 400.0);
+        // momentum.
+        let mut dogs = PhysicsWatchdogs::nve(1e-3, 1e-6);
         for _ in 0..20 {
             let record = sim.step();
             let violations = dogs.check(sim.system(), &record);
@@ -570,21 +553,5 @@ mod tests {
         // Without a configured band, nothing ever fires.
         let mut plain = PhysicsWatchdogs::nve(1e30, 1e30);
         assert!(plain.check_force_error(0, 1.0).is_none());
-    }
-
-    #[test]
-    fn runaway_temperature_fires_rolling_band_watchdog() {
-        let mut sim = watchdog_sim(300.0, 40.0);
-        // Energy/momentum effectively disabled; band far below the
-        // heating the unstable timestep produces (T reaches ~1e4 K by
-        // step 3 and keeps climbing).
-        let mut dogs = PhysicsWatchdogs::nve(1e30, 1e30).with_temperature_band(3, 0.0, 2_000.0);
-        let fired = (0..30).any(|_| {
-            let record = sim.step();
-            dogs.check(sim.system(), &record)
-                .iter()
-                .any(|v| v.monitor == "temperature")
-        });
-        assert!(fired, "temperature watchdog never fired");
     }
 }

@@ -389,6 +389,12 @@ mod tests {
             let got = Q30::quantize(v);
             let want = (Q30::from_f64_saturating(v), Q30::saturates(v));
             assert_eq!(got, want, "{v:e} ({:016x})", v.to_bits());
+            // Unsaturated, the register is within half an LSB (2⁻³¹):
+            // a saturation is the only way quantisation misses it.
+            if !got.1 {
+                let residual = (v - got.0.to_f64()).abs();
+                assert!(residual <= 2f64.powi(-31), "{v:e}: residual {residual:e}");
+            }
         }
         // 3 M values: random bit patterns (every exponent, NaNs and
         // infinities included) and random values in and around the range.

@@ -139,6 +139,39 @@ mod tests {
     }
 
     #[test]
+    fn from_turns_lands_within_half_a_step() {
+        // The wrapped residual against the input's fractional part is at
+        // most half of the 2⁻³² turn step, 2⁻³³, including the inputs
+        // that round up to a full turn, i.e. to phase 0.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let check = |turns: f64| {
+            let d = (turns.rem_euclid(1.0) - Phase32::from_turns(turns).to_turns()).abs();
+            let residual = d.min(1.0 - d);
+            assert!(residual <= 2f64.powi(-33), "{turns:e}: residual {residual:e}");
+        };
+        for _ in 0..1_000_000 {
+            let unit = (next() >> 11) as f64 / (1u64 << 53) as f64;
+            check(unit);
+            check(16.0 * unit - 8.0);
+            check((unit - 0.5) * 2f64.powi((next() % 80) as i32 - 60));
+        }
+        let step = 2f64.powi(-32);
+        let (half, full) = (1i64 << 31, 1i64 << 32);
+        for k in (0..4096).chain(half - 4096..half + 4096).chain(full - 4096..full) {
+            let tie = (k as f64 + 0.5) * step;
+            for t in [tie, tie.next_up(), tie.next_down()] {
+                check(t);
+            }
+        }
+    }
+
+    #[test]
     fn radians_round_trip() {
         let p = Phase32::from_radians(1.0);
         assert!((p.to_radians() - 1.0).abs() < 1e-8);

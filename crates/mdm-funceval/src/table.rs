@@ -74,10 +74,7 @@ impl FunctionTable {
     /// compared against `g`; the worst residual (relative to the
     /// segment's own value scale) is kept on the table and published to
     /// the telemetry registry as the `funceval_fit_residual_p12_max`
-    /// counter (units of 10⁻¹²). The full per-midpoint residual
-    /// distribution lands in the `funceval_fit_residual` histogram, so
-    /// the accuracy report can show *where* the table-fit error mass
-    /// sits, not just its worst case. A quietly mis-segmented or
+    /// counter (units of 10⁻¹²). A quietly mis-segmented or
     /// under-resolved kernel shows up there instead of only in force
     /// errors downstream.
     pub fn generate<F>(name: &str, seg: Segmentation, g: F) -> Result<Self, TableBuildError>
@@ -88,10 +85,6 @@ impl FunctionTable {
         let count = seg.segment_count();
         let mut coeffs = Vec::with_capacity(count);
         let mut fit_residual_max = 0.0f64;
-        // Local accumulation, merged into the registry once at the end —
-        // generation probes 4 midpoints per segment across hundreds of
-        // segments and must not take the registry lock per sample.
-        let mut residual_hist = mdm_profile::histogram::LogHistogram::error_default();
         for index in 0..count {
             let lo = seg.segment_lo(index);
             let hi = seg.segment_hi(index);
@@ -132,7 +125,6 @@ impl FunctionTable {
                     let horner =
                         ((((row[4] * t32) + row[3]) * t32 + row[2]) * t32 + row[1]) * t32 + row[0];
                     let residual = (horner as f64 - y).abs() / scale;
-                    residual_hist.record(residual);
                     fit_residual_max = fit_residual_max.max(residual);
                 }
             }
@@ -140,7 +132,6 @@ impl FunctionTable {
         }
         let residual_p12 = (fit_residual_max * 1e12).round().min(u64::MAX as f64) as u64;
         mdm_profile::counter_max("funceval_fit_residual_p12_max", residual_p12);
-        mdm_profile::histogram_merge("funceval_fit_residual", &residual_hist);
         Ok(Self {
             seg,
             coeffs: coeffs.into(),
@@ -260,15 +251,9 @@ mod tests {
             rough.fit_residual_max(),
             line.fit_residual_max()
         );
-        // And it lands in the telemetry registry as a `_max` counter
-        // plus the full residual distribution.
+        // And it lands in the telemetry registry as a `_max` counter.
         let profile = mdm_profile::take();
         assert!(profile.counters.contains_key("funceval_fit_residual_p12_max"));
-        let hist = &profile.histograms["funceval_fit_residual"];
-        // 4 midpoints per segment: 32 segments for the line table,
-        // 12 for the rough one.
-        assert_eq!(hist.count(), 4 * (32 + 12));
-        assert!(hist.p99().is_some());
     }
 
     #[test]

@@ -98,11 +98,6 @@ impl Wine2Backend {
     pub fn last_wine_counters(&self) -> WineCounters {
         self.last
     }
-
-    /// The emulated board.
-    pub fn wine(&self) -> &Wine2System {
-        &self.wine
-    }
 }
 
 impl LongRangeBackend for Wine2Backend {

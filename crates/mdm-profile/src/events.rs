@@ -16,8 +16,7 @@
 //! were appended to (one run per size in `profile_step --record`),
 //! splitting on the manifest lines.
 
-use crate::histogram::LogHistogram;
-use crate::json::{malformed, obj, Value};
+use crate::json::{obj, Value};
 use crate::watchdog::Violation;
 use crate::Profile;
 use std::collections::BTreeMap;
@@ -154,11 +153,6 @@ pub struct StepEvent {
     /// one step (once per force pass), this is the step's mean.
     /// Absent from recordings made before this field existed.
     pub gauges: BTreeMap<String, f64>,
-    /// Histogram name → error-attribution distribution from the
-    /// precision seams (Q30 quantization residuals, table-fit
-    /// residuals). Absent from recordings made before this field
-    /// existed; old readers ignore the key.
-    pub histograms: BTreeMap<String, LogHistogram>,
 }
 
 impl StepEvent {
@@ -170,11 +164,6 @@ impl StepEvent {
             .counters
             .iter()
             .map(|(name, value)| (name.clone(), *value))
-            .collect();
-        let histograms = profile
-            .histograms
-            .iter()
-            .map(|(name, hist)| (name.clone(), hist.clone()))
             .collect();
         let gauges = profile
             .gauges
@@ -189,7 +178,6 @@ impl StepEvent {
             observables: BTreeMap::new(),
             violations: Vec::new(),
             gauges,
-            histograms,
         }
     }
 
@@ -208,34 +196,23 @@ impl StepEvent {
             ("observables", Value::from_f64_map(&self.observables)),
             ("violations", violations),
         ]);
-        // Only pay these keys when there is something to say; readers
-        // treat a missing key as "no gauges" / "no histograms".
+        // Only pay the key when there is something to say; readers
+        // treat a missing key as "no gauges".
         if let Value::Obj(map) = &mut value {
             if !self.gauges.is_empty() {
                 map.insert("gauges".into(), Value::from_f64_map(&self.gauges));
-            }
-            if !self.histograms.is_empty() {
-                let histograms = self.histograms.iter().map(|(k, h)| (k.clone(), h.to_json()));
-                map.insert("histograms".into(), Value::Obj(histograms.collect()));
             }
         }
         value
     }
 
-    /// Parse a step line written by [`StepEvent::to_json`].
+    /// Parse a step line written by [`StepEvent::to_json`]. A
+    /// `histograms` member, which older recordings carry, is ignored.
     pub fn from_json(value: &Value) -> Result<Self, String> {
         if value.opt_str("type") != Some("step") {
             return Err("not a step line".into());
         }
         let violations = value.arr("violations")?.iter().map(Violation::from_json);
-        let histograms = match value.get("histograms") {
-            Some(Value::Obj(map)) => map
-                .iter()
-                .map(|(k, v)| Ok((k.clone(), LogHistogram::from_json(v)?)))
-                .collect::<Result<_, String>>()?,
-            None => BTreeMap::new(),
-            _ => return Err(malformed("histograms")),
-        };
         Ok(Self {
             step: value.req_u64("step")?,
             wall_seconds: value.req_f64("wall_seconds")?,
@@ -244,7 +221,6 @@ impl StepEvent {
             observables: value.f64_map("observables")?,
             violations: violations.collect::<Result<_, _>>()?,
             gauges: value.f64_map("gauges")?,
-            histograms,
         })
     }
 }
@@ -408,7 +384,6 @@ mod tests {
             ]
             .into_iter()
             .collect(),
-            histograms: BTreeMap::new(),
         }
     }
 
@@ -455,45 +430,6 @@ mod tests {
         assert_eq!(event.phases.len(), 2, "nested spans are not phases");
         assert!((event.phases["real"] - 0.031).abs() < 1e-12);
         assert_eq!(event.counters["mdg_pair_ops"], 99);
-    }
-
-    #[test]
-    fn histograms_round_trip_through_recorder() {
-        let mut quant = LogHistogram::error_default();
-        for &v in &[5e-10, 4e-10, 3e-10, 1e-9] {
-            quant.record(v);
-        }
-        let mut event = sample_event(0);
-        event.histograms.insert("wine_fx_quant_residual".into(), quant);
-        // An *empty* histogram must also survive (a seam that recorded
-        // nothing this step still documents its geometry).
-        event
-            .histograms
-            .insert("funceval_fit_residual".into(), LogHistogram::error_default());
-
-        let mut recorder = FlightRecorder::new(Vec::new(), &sample_manifest()).unwrap();
-        recorder.record(&event).unwrap();
-        // A histogram-less event stays free of the key entirely.
-        recorder.record(&sample_event(1)).unwrap();
-        let text = String::from_utf8(recorder.into_inner()).unwrap();
-        assert!(text.lines().nth(2).is_some_and(|l| !l.contains("histograms")));
-
-        let (_, steps) = parse_jsonl(&text).unwrap();
-        assert_eq!(steps[0], event);
-        let back = &steps[0].histograms["wine_fx_quant_residual"];
-        assert_eq!(back.count(), 4);
-        assert!(steps[0].histograms["funceval_fit_residual"].is_empty());
-        assert!(steps[1].histograms.is_empty());
-    }
-
-    #[test]
-    fn from_profile_copies_histograms() {
-        let mut profile = Profile::default();
-        let mut h = LogHistogram::error_default();
-        h.record(2e-7);
-        profile.histograms.insert("t_seam".into(), h);
-        let event = StepEvent::from_profile(0, 0.1, &profile);
-        assert_eq!(event.histograms["t_seam"].count(), 1);
     }
 
     #[test]

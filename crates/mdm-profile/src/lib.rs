@@ -36,11 +36,10 @@
 //! [`ledger::RunRecord`] per run — the only run summary), and
 //! [`critical_path`] names the span chain that bounds a timeline; all
 //! of them encode and decode through the typed field readers of
-//! [`json`]. The accuracy-telemetry layer adds
-//! [`histogram`] (log-bucketed distributions — [`histogram_record`] /
-//! [`histogram_merge`] put them in the registry next to counters) and
-//! [`accuracy`] (RMS-force-error and effective-speed report types,
-//! paper §5 / Table 4 / Figure 5).
+//! [`json`]. The accuracy-telemetry layer is [`accuracy`]
+//! (RMS-force-error and effective-speed report types, paper §5 /
+//! Table 4 / Figure 5); each precision seam reports its fault through a
+//! counter (`wine_q30_saturations`, `funceval_fit_residual_p12_max`).
 //!
 //! Everything is `std`-only: monotonic [`Instant`] clocks, no external
 //! dependencies, no feature gates. Overhead is one `Instant::now` pair
@@ -50,13 +49,10 @@
 pub mod accuracy;
 pub mod critical_path;
 pub mod events;
-pub mod histogram;
 pub mod json;
 pub mod ledger;
 pub mod trace;
 pub mod watchdog;
-
-use histogram::LogHistogram;
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -153,9 +149,6 @@ pub struct Profile {
     /// Gauge name → sampled-level summary (device utilization,
     /// bandwidths — written via [`gauge`]).
     pub gauges: HashMap<String, GaugeStat>,
-    /// Histogram name → log-bucketed distribution (error-attribution
-    /// telemetry from the precision seams).
-    pub histograms: HashMap<String, LogHistogram>,
 }
 
 impl Profile {
@@ -203,14 +196,6 @@ impl Profile {
                 Some(mine) => mine.merge(stat),
                 None => {
                     self.gauges.insert(name.clone(), *stat);
-                }
-            }
-        }
-        for (name, hist) in &other.histograms {
-            match self.histograms.get_mut(name) {
-                Some(mine) => mine.merge(hist),
-                None => {
-                    self.histograms.insert(name.clone(), hist.clone());
                 }
             }
         }
@@ -434,36 +419,6 @@ pub fn timeline_counter(name: &str, value: f64) {
     if TIMELINE_ENABLED.load(Ordering::Relaxed) {
         record_timeline_counter(name, value);
     }
-}
-
-/// Record one sample into the named registry histogram, creating it
-/// with [`LogHistogram::error_default`] geometry on first use.
-///
-/// This takes the registry mutex per call — fine at probe or
-/// once-per-step cadence, wrong inside a per-particle loop. Hot paths
-/// should accumulate into a local [`LogHistogram`] and publish once
-/// via [`histogram_merge`].
-pub fn histogram_record(name: &'static str, value: f64) {
-    with_registry(|profile| {
-        profile
-            .histograms
-            .entry(name.to_string())
-            .or_insert_with(LogHistogram::error_default)
-            .record(value);
-    });
-}
-
-/// Merge a locally accumulated histogram into the named registry
-/// histogram (one lock for the whole batch). The registry entry is
-/// created with `hist`'s geometry on first use; later merges must
-/// match it.
-pub fn histogram_merge(name: &'static str, hist: &LogHistogram) {
-    with_registry(|profile| match profile.histograms.get_mut(name) {
-        Some(mine) => mine.merge(hist),
-        None => {
-            profile.histograms.insert(name.to_string(), hist.clone());
-        }
-    });
 }
 
 /// Drain the current sink (innermost open [`scope`], else process-wide):
@@ -906,7 +861,6 @@ mod tests {
             drop(span("t17_span"));
             counter("t17_inside", 5);
             gauge("t17_gauge", 0.5);
-            histogram_record("t17_hist", 1e-6);
             // Nothing another test put in the process-wide sink, nothing
             // recorded before the scope opened.
             let mine = take();
@@ -914,7 +868,6 @@ mod tests {
             assert_eq!(mine.spans["t17_span"].calls, 1);
             assert_eq!(mine.counters, HashMap::from([("t17_inside".to_string(), 5)]));
             assert_eq!(mine.gauges["t17_gauge"].count, 1);
-            assert_eq!(mine.histograms["t17_hist"].count(), 1);
             counter("t17_inside", 1);
             reset();
             assert_eq!(take(), Profile::default());
@@ -1106,32 +1059,6 @@ mod tests {
             assert_eq!(current_rank(), Some(1));
         }
         assert_eq!(current_rank(), None);
-    }
-
-    #[test]
-    fn registry_histograms_record_and_merge() {
-        histogram_record("t12_residual", 1e-6);
-        histogram_record("t12_residual", 1e-6);
-        let mut local = LogHistogram::error_default();
-        local.record(3e-2);
-        histogram_merge("t12_residual", &local);
-        let profile = snapshot();
-        let hist = &profile.histograms["t12_residual"];
-        assert_eq!(hist.count(), 3);
-        assert!(hist.max().unwrap() >= 3e-2);
-
-        // Profile::merge folds histograms too (same name merges, new
-        // name copies).
-        let mut a = Profile::default();
-        let mut b = Profile::default();
-        let mut h = LogHistogram::error_default();
-        h.record(1e-4);
-        a.histograms.insert("t12_m".into(), h.clone());
-        b.histograms.insert("t12_m".into(), h.clone());
-        b.histograms.insert("t12_only_b".into(), h);
-        a.merge(&b);
-        assert_eq!(a.histograms["t12_m"].count(), 2);
-        assert_eq!(a.histograms["t12_only_b"].count(), 1);
     }
 
     #[test]

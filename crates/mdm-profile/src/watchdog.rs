@@ -23,7 +23,7 @@ pub struct Violation {
     /// Step index the offending sample belongs to.
     pub step: u64,
     /// The offending value (in the monitor's own units — a relative
-    /// drift, a momentum magnitude, a rolling-mean temperature).
+    /// drift, a momentum magnitude, a force error).
     pub value: f64,
     /// The threshold that was crossed.
     pub threshold: f64,
@@ -181,66 +181,6 @@ impl BoundMonitor {
     }
 }
 
-/// A band check on a rolling mean: individual samples may fluctuate
-/// (instantaneous temperature does, by design), so the monitor only
-/// fires once a full window's average leaves `[lo, hi]`.
-#[derive(Clone, Debug)]
-pub struct RollingMeanMonitor {
-    name: String,
-    window: usize,
-    lo: f64,
-    hi: f64,
-    samples: std::collections::VecDeque<f64>,
-    sum: f64,
-}
-
-impl RollingMeanMonitor {
-    /// A monitor over a rolling window of `window` samples.
-    pub fn new(name: impl Into<String>, window: usize, lo: f64, hi: f64) -> Self {
-        assert!(window > 0);
-        assert!(lo <= hi);
-        Self {
-            name: name.into(),
-            window,
-            lo,
-            hi,
-            samples: std::collections::VecDeque::with_capacity(window),
-            sum: 0.0,
-        }
-    }
-
-    /// The current rolling mean (None until the window fills).
-    pub fn mean(&self) -> Option<f64> {
-        (self.samples.len() == self.window).then(|| self.sum / self.window as f64)
-    }
-
-    /// Feed one sample; returns the violation if the (full) window's
-    /// mean is out of band.
-    pub fn check(&mut self, step: u64, value: f64) -> Option<Violation> {
-        self.samples.push_back(value);
-        self.sum += value;
-        if self.samples.len() > self.window {
-            self.sum -= self.samples.pop_front().expect("non-empty window");
-        }
-        let mean = self.mean()?;
-        if mean >= self.lo && mean <= self.hi {
-            return None;
-        }
-        let threshold = if mean < self.lo { self.lo } else { self.hi };
-        Some(Violation {
-            monitor: self.name.clone(),
-            step,
-            value: mean,
-            threshold,
-            message: format!(
-                "{}: rolling mean {:.6e} over {} samples outside [{:.6e}, {:.6e}]",
-                self.name, mean, self.window, self.lo, self.hi
-            ),
-            rank: crate::current_rank(),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,22 +222,6 @@ mod tests {
         let violation = monitor.check(3, 2e-8).unwrap();
         assert_eq!(violation.threshold, 1e-8);
         assert!(BoundMonitor::new("x", -1.0, 1.0).check(0, -2.0).is_some());
-    }
-
-    #[test]
-    fn rolling_mean_waits_for_full_window() {
-        let mut monitor = RollingMeanMonitor::new("temperature", 3, 900.0, 1200.0);
-        // Out-of-band samples do not fire until the window fills.
-        assert!(monitor.check(0, 2000.0).is_none());
-        assert!(monitor.check(1, 2000.0).is_none());
-        let violation = monitor.check(2, 2000.0).expect("full window out of band");
-        assert_eq!(violation.value, 2000.0);
-        // A recovering mean stops firing.
-        assert!(monitor.check(3, 100.0).is_none_or(|v| v.value < 2000.0));
-        let mut ok = RollingMeanMonitor::new("temperature", 2, 900.0, 1200.0);
-        assert!(ok.check(0, 1000.0).is_none());
-        assert!(ok.check(1, 1100.0).is_none());
-        assert_eq!(ok.mean(), Some(1050.0));
     }
 
     #[test]

@@ -60,9 +60,10 @@ use mdm_host::telemetry::{mdm_manifest, run_instrumented, Instruments, RecordedR
 use mdm_profile::events::FlightRecorder;
 use mdm_profile::json::{obj, Value};
 use mdm_profile::ledger::append_record;
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::fs;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -676,10 +677,19 @@ const WATCH_POLL: Duration = Duration::from_millis(5);
 
 /// Turn the connection into the job's live stream, read from the job's
 /// trace file: the file's last manifest line at attach time, every line
-/// appended after it, then a `done` trailer once the job is terminal or
-/// the daemon stops. The file is the watcher's buffer, so a slow
-/// watcher stalls only its own socket and loses nothing.
+/// appended after it, then a `done` trailer once the job is terminal,
+/// the daemon stops or the client closes. The file is the watcher's
+/// buffer, so a slow watcher stalls only its own socket and loses
+/// nothing.
 fn watch(inner: &Arc<Inner>, writer: TcpStream, job: &str) -> io::Result<()> {
+    use io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
+    // The request line is a watcher's last, so the connection reads end
+    // of stream once the client has closed. That read, under a timeout
+    // of `WATCH_POLL`, is the idle wait; stray bytes are dropped. Only
+    // reads time out: writes still block on a stalled watcher.
+    let client = writer.try_clone()?;
+    client.set_read_timeout(Some(WATCH_POLL))?;
+    let closed = Cell::new(false);
     let mut out = BufWriter::new(writer);
     let job_state = || inner.lock().jobs.get(job).map(|slot| slot.state);
     if job_state().is_none() {
@@ -695,10 +705,20 @@ fn watch(inner: &Arc<Inner>, writer: TcpStream, job: &str) -> io::Result<()> {
     ]);
     writeln!(out, "{}", header.to_compact())?;
     out.write_all(&manifest.unwrap_or_default())?;
-    let state = tail.follow(&mut out, || {
+    let ended = || {
         let state = job_state().unwrap_or(JobState::Failed);
-        (state.is_terminal() || inner.stop.load(Ordering::SeqCst)).then_some(state)
-    })?;
+        let over = state.is_terminal() || inner.stop.load(Ordering::SeqCst) || closed.get();
+        over.then_some(state)
+    };
+    let idle = || {
+        match (&client).read(&mut [0; 64]) {
+            Ok(n) => closed.set(n == 0),
+            Err(e) if matches!(e.kind(), WouldBlock | TimedOut | Interrupted) => {}
+            Err(e) => return Err(e),
+        }
+        Ok(())
+    };
+    let state = tail.follow(&mut out, ended, idle)?;
     let trailer = obj([
         ("type", Value::Str("done".into())),
         ("job", Value::Str(job.to_string())),
@@ -752,15 +772,16 @@ impl TraceTail {
         Ok((self.partial.last() == Some(&b'\n')).then(|| std::mem::take(&mut self.partial)))
     }
 
-    /// Copy each line to `out` as it lands, polling every
-    /// [`WATCH_POLL`] at the end of the file, until `ended` names the
-    /// state to end on. The file is read once more after that: the
-    /// worker marks a job terminal only after its slice has written its
-    /// last line, so that read catches every line.
+    /// Copy each line to `out` as it lands, waiting on `idle` at the
+    /// end of the file, until `ended` names the state to end on. The
+    /// file is read once more after that: the worker marks a job
+    /// terminal only after its slice has written its last line, so that
+    /// read catches every line.
     fn follow<W: Write>(
         &mut self,
         mut out: W,
         mut ended: impl FnMut() -> Option<JobState>,
+        mut idle: impl FnMut() -> io::Result<()>,
     ) -> io::Result<JobState> {
         loop {
             let end = ended();
@@ -771,7 +792,7 @@ impl TraceTail {
             if let Some(state) = end {
                 return Ok(state);
             }
-            std::thread::sleep(WATCH_POLL);
+            idle()?;
         }
     }
 }
@@ -1152,7 +1173,12 @@ mod tests {
     ) -> (mpsc::Receiver<Vec<u8>>, JoinHandle<io::Result<JobState>>) {
         let (sent, lines) = mpsc::channel();
         let follower = std::thread::spawn(move || {
-            tail.follow(Sent(sent), || end.load(Ordering::SeqCst).then_some(JobState::Done))
+            let ended = || end.load(Ordering::SeqCst).then_some(JobState::Done);
+            let idle = || {
+                std::thread::sleep(WATCH_POLL);
+                Ok(())
+            };
+            tail.follow(Sent(sent), ended, idle)
         });
         (lines, follower)
     }

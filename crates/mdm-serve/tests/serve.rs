@@ -1,7 +1,7 @@
 //! End-to-end server tests: the daemon binary under a real SIGKILL,
 //! back-pressure at the admission bound, live watch streams (the stream
 //! equal to the trace file; a stalled watcher stalling nothing; a
-//! watcher ending when the daemon stops), a
+//! watcher ending when the daemon stops or its client closes), a
 //! mini-soak with mixed priorities, one board carrying its machine
 //! from job to job, and two boards sharing the host's cores.
 
@@ -15,7 +15,7 @@ use mdm_profile::json::Value;
 use mdm_serve::protocol::{JobSpec, JobState, SubmitOutcome};
 use mdm_serve::server::{Server, ServerConfig};
 use mdm_serve::Client;
-use std::io::BufRead;
+use std::io::{BufRead, Read, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
@@ -714,6 +714,46 @@ fn a_watcher_of_a_stopped_daemon_ends_with_a_trailer() {
         trailer.contains("\"state\":\"queued\"") || trailer.contains("\"state\":\"running\""),
         "{trailer}"
     );
+    let _ = std::fs::remove_dir_all(&spool);
+}
+
+/// A watch of a job that no board will run ends once its client closes
+/// its side: the daemon sends a trailer naming the job's state and
+/// closes the connection, instead of polling for the job until it ends.
+#[test]
+fn a_watch_ends_when_its_client_closes() {
+    let spool = temp_spool("closed-watch");
+    let mut cfg = ServerConfig::new(&spool);
+    cfg.boards = 0; // accept, never run: the job stays queued
+    let server = Server::start(cfg).unwrap();
+    let addr = server.local_addr().to_string();
+    let spec = JobSpec {
+        name: "parked".into(),
+        ..JobSpec::default()
+    };
+    Client::connect(&addr).unwrap().submit(&spec).unwrap();
+
+    let mut socket = std::net::TcpStream::connect(&addr).unwrap();
+    // A daemon that misses the close fails the read, not the test run.
+    socket.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    writeln!(socket, "{{\"op\":\"watch\",\"job\":\"parked\"}}").unwrap();
+    let mut reader = std::io::BufReader::new(socket.try_clone().unwrap());
+    let mut header = String::new();
+    reader.read_line(&mut header).unwrap();
+    assert!(header.contains("\"streaming\":true"), "{header}");
+    socket.shutdown(std::net::Shutdown::Write).unwrap();
+    let closed = std::time::Instant::now();
+    let mut rest = String::new();
+    reader
+        .read_to_string(&mut rest)
+        .expect("the daemon closes the watch once its client has");
+    let waited = closed.elapsed();
+    assert!(waited < Duration::from_secs(2), "end of stream after {waited:?}");
+    assert_eq!(
+        rest.lines().collect::<Vec<_>>(),
+        ["{\"job\":\"parked\",\"state\":\"queued\",\"type\":\"done\"}"]
+    );
+    server.stop();
     let _ = std::fs::remove_dir_all(&spool);
 }
 

@@ -241,23 +241,10 @@ impl Wine2System {
         // --- Host: quantise particles into the fixed-point format. ---
         let quantize_span = mdm_profile::span("quantize");
         let q_scale = charges.iter().fold(0.0f64, |m, q| m.max(q.abs())).max(1e-300);
-        // Error attribution for the precision seam: every quantization
-        // residual (charge and phase here, IDFT coefficients below)
-        // goes into one local histogram, merged into the registry once
-        // per call — never a lock per particle.
-        let mut quant_hist = mdm_profile::histogram::LogHistogram::error_default();
         self.quantized.clear();
         self.quantized.extend(positions.iter().zip(charges).map(|(&r, &q)| {
             let f = simbox.fractional(r);
-            let p = WineParticle::quantize([f.x, f.y, f.z], q / q_scale);
-            quant_hist.record(q / q_scale - p.q.to_f64());
-            for (frac, phase) in [f.x, f.y, f.z].into_iter().zip(p.s) {
-                // Phase residual in turns, wrapped to the nearest
-                // representative.
-                let d = (frac - phase.to_turns()).rem_euclid(1.0);
-                quant_hist.record(d.min(1.0 - d));
-            }
-            p
+            WineParticle::quantize([f.x, f.y, f.z], q / q_scale)
         }));
         self.load();
         self.prepare(alpha, waves);
@@ -290,12 +277,13 @@ impl Wine2System {
         }
         c_scale = c_scale.max(1e-300);
 
-        // --- Host: each IDFT coefficient formed and quantised once. ---
+        // --- Host: each IDFT coefficient formed and quantised once. A
+        // saturation is the only way a Q30 register misses its half-LSB
+        // bound, so the counter is the seam's whole fault report. ---
         let mut coeff_saturations = 0u64;
         let mut register = |x: f64| {
             let (reg, saturated) = Q30::quantize(x);
             coeff_saturations += u64::from(saturated);
-            quant_hist.record(x - reg.to_f64());
             reg.raw()
         };
         self.uv.clear();
@@ -306,7 +294,6 @@ impl Wine2System {
         if coeff_saturations > 0 {
             mdm_profile::counter("wine_q30_saturations", coeff_saturations);
         }
-        mdm_profile::histogram_merge("wine_fx_quant_residual", &quant_hist);
 
         // --- IDFT phase: per-particle registers. ---
         let idft_span = mdm_profile::span("idft");
@@ -754,23 +741,12 @@ mod tests {
     }
 
     #[test]
-    fn quantization_residuals_land_in_seam_histogram() {
-        // Every charge, phase, and IDFT-coefficient quantization
-        // residual goes into the `wine_fx_quant_residual` histogram.
+    fn a_normalised_wavepart_call_never_saturates_q30() {
         let _scope = mdm_profile::scope();
         let s = perturbed_crystal();
-        let n = s.len() as u64;
         let mut wine = Wine2System::new(Wine2Config { clusters: 2 });
-        let hw = wine
-            .compute_wavepart(s.simbox(), s.positions(), s.charges(), 7.0, 8.0)
-            .unwrap();
+        wine.compute_wavepart(s.simbox(), s.positions(), s.charges(), 7.0, 8.0).unwrap();
         let profile = mdm_profile::take();
-        // 4 residuals per particle (charge + 3 phases) + 2 per wave.
-        let hist = &profile.histograms["wine_fx_quant_residual"];
-        assert_eq!(hist.count(), 4 * n + 2 * hw.counters.waves);
-        // Q30 resolution is 2⁻³¹ ≈ 4.7e-10; Phase32 is finer still.
-        let min = hist.min().expect("non-empty");
-        assert!(min < 1e-8, "smallest residual suspiciously large: {min}");
         // The host normalises charges by `q_scale = max|q|` and
         // coefficients by `c_scale`, so a standard NaCl evaluation must
         // never saturate the Q30 datapath inputs.

@@ -23,8 +23,8 @@
 //! * [`host`] (`mdm-host`) — machine topology, the assembled
 //!   [`host::MdmForceField`], the simulated-MPI parallel program of §4,
 //!   and the performance model that regenerates Tables 4–5;
-//! * [`profile`] (`mdm-profile`) — spans, counters, log-bucketed
-//!   histograms, the JSONL flight recorder, and the accuracy /
+//! * [`profile`] (`mdm-profile`) — spans, counters, gauges, the JSONL
+//!   flight recorder, and the accuracy /
 //!   effective-speed sample types behind `accuracy_report`.
 //!
 //! ## Quickstart

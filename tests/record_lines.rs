@@ -2,8 +2,9 @@
 //! line pinned at exactly what the parent of the one-codec change
 //! wrote (`fixtures/record_lines.jsonl`; the run line as ledger
 //! version 3 writes it, without the `critical_path` column version 1
-//! carried and the `bus_dropped_events` column version 2 carried), and
-//! the old spellings every reader must keep accepting.
+//! carried and the `bus_dropped_events` column version 2 carried; the
+//! step line with the seam `histograms` member step lines no longer
+//! write), and the old spellings every reader must keep accepting.
 //! `FLIGHT_RECORDER_VERSION` and `CHECKPOINT_VERSION` stay 1, and
 //! `LEDGER_VERSION` 3, only while these hold.
 
@@ -11,7 +12,6 @@ use mdm::core::checkpoint::Checkpoint;
 use mdm::core::system::Species;
 use mdm::core::Vec3;
 use mdm::profile::events::{parse_jsonl, RunManifest, StepEvent};
-use mdm::profile::histogram::LogHistogram;
 use mdm::profile::json::Value;
 use mdm::profile::ledger::{parse_ledger, RunRecord};
 use mdm::profile::watchdog::Violation;
@@ -39,10 +39,6 @@ fn manifest() -> RunManifest {
 }
 
 fn step() -> StepEvent {
-    let mut residual = LogHistogram::new(-12, -6, 2);
-    for v in [5e-10, 4e-10, 1e-9, 3e-13, 1.0] {
-        residual.record(v);
-    }
     StepEvent {
         step: 7,
         wall_seconds: 0.0513,
@@ -58,7 +54,6 @@ fn step() -> StepEvent {
             rank: Some(2),
         }],
         gauges: map(&[("mdg.occupancy", 0.83), ("wine.util_wall", 0.25)]),
-        histograms: [("wine_fx_quant_residual".to_string(), residual)].into(),
     }
 }
 
@@ -121,6 +116,14 @@ fn record_lines_keep_the_parents_bytes() {
     ];
     let golden: Vec<&str> = include_str!("fixtures/record_lines.jsonl").lines().collect();
     assert_eq!(golden.len(), written.len());
+    // The fixture's step line carries the `histograms` member; it is
+    // compared without it (`older_spellings_still_read` reads it whole).
+    let mut golden_step = Value::parse(golden[1]).unwrap();
+    if let Value::Obj(fields) = &mut golden_step {
+        assert!(fields.remove("histograms").is_some());
+    }
+    let golden_step = golden_step.to_compact();
+    let golden = [golden[0], golden_step.as_str(), golden[2], golden[3]];
     for (written, golden) in written.iter().zip(golden) {
         assert_eq!(written, golden);
     }
@@ -150,6 +153,16 @@ fn older_spellings_still_read() {
     assert_eq!(stamps, ("unknown", "unknown", 0, 0));
     assert!(!old.pressure_supported);
     assert_eq!((old.label.as_str(), old.seed), ("nacl-512", u64::MAX - 1));
+
+    // The step line as written while each step carried the precision
+    // seams' residual histograms: the member is ignored.
+    let fixture = include_str!("fixtures/record_lines.jsonl");
+    let old_step = fixture.lines().nth(1).unwrap();
+    assert!(old_step.contains("\"histograms\""));
+    let back = StepEvent::from_json(&Value::parse(old_step).unwrap()).unwrap();
+    let mut want = step();
+    want.violations[0].value = back.violations[0].value;
+    assert_eq!(format!("{back:?}"), format!("{want:?}"));
 
     // The run line as ledger version 1 wrote it, with the
     // `critical_path` column no writer set.
