@@ -178,6 +178,27 @@ mod tests {
     }
 
     #[test]
+    fn a_coarse_table_reads_far_above_the_production_tables() {
+        // The fit residual is relative to the table's largest |g|: every
+        // production table reads at f32 coefficient rounding, and the
+        // Coulomb force kernel fitted at one segment per octave instead
+        // of sixteen reads at least 100x more.
+        let production = ALL
+            .iter()
+            .map(|g| g.build_table().unwrap().fit_residual_max())
+            .fold(0.0, f64::max);
+        assert!(production < 1e-6, "production tables read {production}");
+        let g = GFunction::CoulombRealForce;
+        let coarse =
+            FunctionTable::generate("coarse", Segmentation::new(-24, 24, 0), |x| g.eval(x)).unwrap();
+        assert!(
+            coarse.fit_residual_max() >= 100.0 * production,
+            "coarse {} vs production {production}",
+            coarse.fit_residual_max()
+        );
+    }
+
+    #[test]
     fn coulomb_force_kernel_identity() {
         // b·g(κ²r²)·r with b = C·q²·κ³ must equal the Ewald real-space
         // force magnitude C·q²·[erfc(κr)/r + 2κ/√π·e^(−κ²r²)]/r².

@@ -40,14 +40,13 @@
 //! * `--world R,W` — profile the §4 simulated-MPI parallel program
 //!   instead of the emulated single-host step: `R` real-space ranks ×
 //!   `W` wavenumber ranks per force evaluation, `--steps` evaluations.
-//!   Spans land on per-rank tracks in `--trace` output;
-//! * `--critical-path` — analyze each size's span timeline and print
-//!   the chain of spans (by rank, linked through message flows) that
-//!   bounds the wall-clock and the rank/phase that bottlenecks it.
+//!   Spans land on per-rank tracks in `--trace` output, and the step is
+//!   printed as Table 4 reads it, `t_step = max(t_real, t_wave) +
+//!   t_comm` from the busiest rank of each group, ending with the
+//!   phase and the rank that bound it (`bound: wave (rank 3)`).
 
-use mdm_bench::stepprof::{cells_for_particles, profile_size, profile_world};
+use mdm_bench::stepprof::{cells_for_particles, profile_size, profile_world, WorldStep};
 use mdm_host::parallel::ParallelConfig;
-use mdm_profile::critical_path::{critical_path, CriticalPathReport};
 use mdm_profile::ledger::RunRecord;
 use mdm_profile::{phase, Profile, Timeline};
 use std::io::Write;
@@ -64,8 +63,14 @@ fn slowdown(ratio: f64) -> String {
 
 /// The measured / modeled / slowdown table of one size, read from its
 /// ledger row (the counters line from the profile the row reduced), and
-/// what the set-up's energy step spent on top of a force-only step.
-fn print_report(row: &RunRecord, profile: &Profile, energy_step: &Profile) {
+/// what the set-up's energy step spent on top of a force-only step; a
+/// `--world` size ends with its [`WorldStep`] decomposition instead.
+fn print_report(
+    row: &RunRecord,
+    profile: &Profile,
+    energy_step: &Profile,
+    world: Option<&WorldStep>,
+) {
     println!(
         "== {} (N = {}, {} step{} averaged) ==",
         row.label,
@@ -95,13 +100,15 @@ fn print_report(row: &RunRecord, profile: &Profile, energy_step: &Profile) {
             ratio
         );
     }
-    let phase_sum: f64 = table4.into_iter().map(measured).sum();
-    println!(
-        "  {:<12} {:>18}   (coverage {:.1}% of wall step)",
-        "sum(phases)",
-        mdm_bench::sci(phase_sum),
-        100.0 * phase_sum / row.wall_seconds_per_step
-    );
+    if world.is_none() {
+        let phase_sum: f64 = table4.into_iter().map(measured).sum();
+        println!(
+            "  {:<12} {:>18}   (coverage {:.1}% of wall step)",
+            "sum(phases)",
+            mdm_bench::sci(phase_sum),
+            100.0 * phase_sum / row.wall_seconds_per_step
+        );
+    }
     let (modeled, ratio) = versus(row.wall_seconds_per_step, row.modeled_step_seconds());
     println!(
         "  {:<12} {:>18} {:>18} {:>12}   [t = max(wave, real) + comm + host]",
@@ -110,8 +117,9 @@ fn print_report(row: &RunRecord, profile: &Profile, energy_step: &Profile) {
         modeled,
         ratio
     );
-    if !profile.counters.is_empty() {
-        let c = |k: &str| profile.counters.get(k).copied().unwrap_or(0);
+    let c = |k: &str| profile.counters.get(k).copied().unwrap_or(0);
+    let counted = ["mdg_pair_ops", "wine_dft_ops", "wine_idft_ops", "mdg_cycles", "wine_cycles"];
+    if counted.into_iter().any(|k| c(k) > 0) {
         println!(
             "  counters: {} pair ops, {} DFT + {} IDFT ops, {} MDG / {} WINE cycles",
             c("mdg_pair_ops"),
@@ -145,6 +153,18 @@ fn print_report(row: &RunRecord, profile: &Profile, energy_step: &Profile) {
             "  an energy step adds [s, from the set-up pass]: {}",
             parts.join(", ")
         );
+    }
+    if let Some(step) = world {
+        let sci = mdm_bench::sci;
+        let (bound, rank) = step.bound();
+        println!(
+            "  t_step = max(t_real, t_wave) + t_comm = max({}, {}) + {} = {} [s/step]",
+            sci(step.real.0),
+            sci(step.wave.0),
+            sci(step.comm),
+            sci(step.real.0.max(step.wave.0) + step.comm)
+        );
+        println!("  bound: {bound} (rank {rank})");
     }
     println!();
 }
@@ -185,29 +205,6 @@ fn merge_timelines(timelines: Vec<Timeline>) -> Timeline {
     merged
 }
 
-/// Run one measurement inside its own timeline session (when wanted),
-/// banking the timeline and optionally its critical-path analysis.
-fn with_timeline<R, F: FnOnce() -> R>(
-    want_timeline: bool,
-    want_critical_path: bool,
-    timelines: &mut Vec<Timeline>,
-    measure: F,
-) -> (R, Option<CriticalPathReport>) {
-    if want_timeline {
-        mdm_profile::timeline_start();
-    }
-    let report = measure();
-    let mut analysis = None;
-    if want_timeline {
-        let timeline = mdm_profile::timeline_stop();
-        if want_critical_path {
-            analysis = Some(critical_path(&timeline));
-        }
-        timelines.push(timeline);
-    }
-    (report, analysis)
-}
-
 fn main() {
     let mut steps: u64 = 2;
     let mut cells: Vec<usize> = vec![4, 8, 16];
@@ -215,7 +212,6 @@ fn main() {
     let mut trace_path: Option<String> = None;
     let mut record_path: Option<String> = None;
     let mut world: Option<ParallelConfig> = None;
-    let mut want_critical_path = false;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -274,9 +270,8 @@ fn main() {
                     wave_processes: w,
                 });
             }
-            "--critical-path" => want_critical_path = true,
             other => panic!(
-                "unknown option {other:?} (try --steps, --cells, --sizes, --longrange, --trace, --record, --world, --critical-path)"
+                "unknown option {other:?} (try --steps, --cells, --sizes, --longrange, --trace, --record, --world)"
             ),
         }
     }
@@ -295,7 +290,9 @@ fn main() {
         );
     }
 
-    let want_timeline = trace_path.is_some() || want_critical_path;
+    // One timeline session per size: a `--world` run always records
+    // its own (its step is read from the ranks' spans), the emulated
+    // step only for `--trace`.
     let mut timelines: Vec<Timeline> = Vec::new();
     let mut results = Vec::new();
     for &c in &cells {
@@ -303,24 +300,28 @@ fn main() {
             "profiling {} particles ({c} cells per side, longrange={longrange})...",
             8 * c * c * c
         );
-        results.push(with_timeline(
-            want_timeline,
-            want_critical_path,
-            &mut timelines,
-            || match world {
-                Some(config) => {
-                    let (row, profile) = profile_world(c, steps, config);
-                    (row, profile, Profile::default())
+        results.push(match world {
+            Some(config) => {
+                let (row, profile, step, timeline) = profile_world(c, steps, config);
+                timelines.push(timeline);
+                (row, profile, Profile::default(), Some(step))
+            }
+            None => {
+                if trace_path.is_some() {
+                    mdm_profile::timeline_start();
                 }
-                None => {
-                    let sink: Box<dyn Write> = match recorder_sink.as_mut() {
-                        Some(file) => Box::new(file),
-                        None => Box::new(std::io::sink()),
-                    };
-                    profile_size(c, steps, &longrange, sink).expect("write flight recording")
+                let sink: Box<dyn Write> = match recorder_sink.as_mut() {
+                    Some(file) => Box::new(file),
+                    None => Box::new(std::io::sink()),
+                };
+                let (row, profile, energy_step) =
+                    profile_size(c, steps, &longrange, sink).expect("write flight recording");
+                if trace_path.is_some() {
+                    timelines.push(mdm_profile::timeline_stop());
                 }
-            },
-        ));
+                (row, profile, energy_step, None)
+            }
+        });
     }
 
     if let Some(path) = &trace_path {
@@ -340,13 +341,7 @@ fn main() {
     println!("MDM emulated step: measured wall-clock vs modeled hardware time");
     println!("(Table 4 decomposition; the slowdown column is the emulation cost)");
     println!();
-    for ((row, profile, energy_step), analysis) in results {
-        print_report(&row, &profile, &energy_step);
-        if let Some(analysis) = analysis {
-            for line in analysis.to_lines() {
-                println!("  {line}");
-            }
-            println!();
-        }
+    for (row, profile, energy_step, step) in results {
+        print_report(&row, &profile, &energy_step, step.as_ref());
     }
 }

@@ -189,8 +189,11 @@ fn main() {
     };
 
     // Monitor: count completions, fire the kill once, declare victory
-    // when everything the submitter sent in is terminal.
+    // when everything the submitter sent in is terminal. The first
+    // daemon's back-pressure rejects die with it: keep the last count
+    // read from it.
     let mut killed = false;
+    let mut rejected_before_kill = 0u64;
     let mut restarts = 0u32;
     let deadline = Instant::now() + Duration::from_secs(3600);
     let (done, failed) = loop {
@@ -210,6 +213,9 @@ fn main() {
                 .unwrap_or(0) as usize
         };
         let (done, failed) = (count("done"), count("failed"));
+        if !killed {
+            rejected_before_kill = count("rejected_submits") as u64;
+        }
         if !killed && done >= kill_after {
             eprintln!("serve_soak: {done} done — SIGKILLing the server mid-soak");
             child.kill().expect("kill server");
@@ -252,10 +258,11 @@ fn main() {
         }
     }
     let stats = client.stats().expect("final stats");
-    let rejected = stats
+    let rejected_after_restart = stats
         .get("rejected_submits")
         .and_then(mdm_profile::json::Value::as_u64)
         .unwrap_or(0);
+    let rejected = rejected_before_kill + rejected_after_restart;
     let ledger_path = opt.spool.join("ledger.jsonl");
     let ledger_rows = mdm_profile::ledger::read_ledger(&ledger_path)
         .map(|(rows, _)| rows.len())
@@ -272,7 +279,8 @@ fn main() {
 
     eprintln!(
         "serve_soak: {submitted} submitted, {done} done, {failed} failed, \
-         {violations} watchdog violations, {rejected} back-pressure rejects, \
+         {violations} watchdog violations, {rejected} back-pressure rejects \
+         ({rejected_before_kill} before the kill, {rejected_after_restart} after the restart), \
          {restarts} restart(s), {ledger_rows} ledger rows, {:.1} s",
         started.elapsed().as_secs_f64()
     );

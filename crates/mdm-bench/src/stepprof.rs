@@ -1,7 +1,8 @@
 //! Shared machinery for the step-profiling binaries (`profile_step`,
 //! `accuracy_report`): building the emulated-MDM simulation at a given
 //! size and running the profiled window that is reduced to its ledger
-//! row ([`RunRecord`]).
+//! row ([`RunRecord`]), and reading the §4 program's step from its
+//! ranks' spans ([`WorldStep`]).
 
 use mdm_core::ewald::EwaldParams;
 use mdm_core::integrate::Simulation;
@@ -16,7 +17,7 @@ use mdm_host::telemetry::{
 };
 use mdm_profile::events::FlightRecorder;
 use mdm_profile::ledger::RunRecord;
-use mdm_profile::{phase, Profile};
+use mdm_profile::{phase, Profile, Timeline};
 use std::collections::BTreeMap;
 use std::io::{self, Write};
 use std::time::Instant;
@@ -173,17 +174,71 @@ pub fn profile_size<W: Write>(
     Ok((row, run.profile, energy_step))
 }
 
+/// The §4 program's step read the way Table 4 reads the machine:
+/// `t_step = max(t_real, t_wave) + t_comm`. Its shape is fixed — real
+/// ranks run `real`; wave ranks run `wave`, the all-reduce, `wave`;
+/// every rank joins one gather — so the step is bound by the busiest
+/// rank of one group, and everything else is the collectives and the
+/// waits on them. A wait is never compute time.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct WorldStep {
+    /// The busiest rank's summed `real` seconds per step, and that rank.
+    pub real: (f64, u64),
+    /// The busiest rank's summed `wave` seconds per step, and that rank.
+    pub wave: (f64, u64),
+    /// The wall step less `max(real, wave)`, so the three terms add up
+    /// to the wall step.
+    pub comm: f64,
+}
+
+impl WorldStep {
+    /// Read the step from the ranked top-level spans of `timeline`
+    /// that start at or after `from_us` (earlier ones are the warm-up),
+    /// over `steps` steps of `wall_seconds_per_step` each.
+    pub fn read(timeline: &Timeline, from_us: f64, steps: u64, wall_seconds_per_step: f64) -> Self {
+        let busiest = |path: &str| {
+            let mut per_rank = BTreeMap::<u64, f64>::new();
+            for e in &timeline.events {
+                match e.rank {
+                    Some(rank) if e.path == path && e.start_us >= from_us => {
+                        *per_rank.entry(rank).or_default() += e.dur_us * 1e-6 / steps as f64;
+                    }
+                    _ => {}
+                }
+            }
+            per_rank
+                .into_iter()
+                .fold((0.0, 0), |best, (rank, s)| if s > best.0 { (s, rank) } else { best })
+        };
+        let (real, wave) = (busiest(phase::REAL), busiest(phase::WAVE));
+        let comm = (wall_seconds_per_step - real.0.max(wave.0)).max(0.0);
+        Self { real, wave, comm }
+    }
+
+    /// The phase and the rank that bound the step.
+    pub fn bound(&self) -> (&'static str, u64) {
+        if self.wave.0 > self.real.0 {
+            (phase::WAVE, self.wave.1)
+        } else {
+            (phase::REAL, self.real.1)
+        }
+    }
+}
+
 /// Profile the §4 simulated-MPI parallel program: `steps` repetitions
 /// of [`parallel_forces`] at `cells` rocksalt cells per side under the
-/// given process layout. Every rank's spans land in this run's own
-/// scope (and, when a timeline session is open, on the timeline
-/// stamped with that rank plus the send/recv flow endpoints), so the
-/// row's phase decomposition is the *sum over ranks* — pair it with
-/// `--critical-path` to see which rank chain actually bounds the step.
-/// What `profile_step --world R,W` runs; labeled
-/// `nacl-{n}-world-{R}x{W}`. The software kernels it runs count no
-/// cycles and meter no flops, so the row has phases only.
-pub fn profile_world(cells: usize, steps: u64, config: ParallelConfig) -> (RunRecord, Profile) {
+/// given process layout, after one warm-up call. Both run inside one
+/// timeline session (returned for `--trace`: a process group per rank
+/// plus the send/recv flows), and the row's phases are the
+/// [`WorldStep`] read from the measured window's rank spans. What
+/// `profile_step --world R,W` runs; labeled `nacl-{n}-world-{R}x{W}`.
+/// The software kernels it runs count no cycles and meter no flops, so
+/// the row has phases only.
+pub fn profile_world(
+    cells: usize,
+    steps: u64,
+    config: ParallelConfig,
+) -> (RunRecord, Profile, WorldStep, Timeline) {
     let mut system = rocksalt_nacl_at_density(cells, PAPER_DENSITY);
     let n = system.len();
     let l = system.simbox().l();
@@ -192,19 +247,29 @@ pub fn profile_world(cells: usize, steps: u64, config: ParallelConfig) -> (RunRe
     let label = format!("nacl-{n}-world-{}x{}", config.real_processes, config.wave_processes);
 
     // Warmup once (thread spawn paths, allocator), then measure.
+    mdm_profile::timeline_start();
     parallel_forces(&system, &params, config);
     let _scope = mdm_profile::scope();
+    let from_us = mdm_profile::timeline_now_us().unwrap_or(0.0);
     let t0 = Instant::now();
     for _ in 0..steps {
         parallel_forces(&system, &params, config);
     }
+    let wall_seconds = t0.elapsed().as_secs_f64();
+    let timeline = mdm_profile::timeline_stop();
     let run = RecordedRun {
         steps,
-        wall_seconds: t0.elapsed().as_secs_f64(),
+        wall_seconds,
         profile: mdm_profile::take(),
         ..RecordedRun::default()
     };
-    (run.reduce("profile_step", &label, n as u64), run.profile)
+    let mut row = run.reduce("profile_step", &label, n as u64);
+    let step = WorldStep::read(&timeline, from_us, steps, row.wall_seconds_per_step);
+    row.phases = [(phase::REAL, step.real.0), (phase::WAVE, step.wave.0), (phase::COMM, step.comm)]
+        .into_iter()
+        .map(|(name, seconds)| (name.to_string(), seconds))
+        .collect();
+    (row, run.profile, step, timeline)
 }
 
 #[cfg(test)]
@@ -337,11 +402,98 @@ mod tests {
             real_processes: 2,
             wave_processes: 2,
         };
-        let (row, profile) = profile_world(3, 1, config);
+        let (row, profile, step, timeline) = profile_world(3, 1, config);
         assert_eq!(row.label, "nacl-216-world-2x2");
         assert!(row.phases["real"] > 0.0 && row.phases["wave"] > 0.0);
         assert!(profile.spans.contains_key("real"));
         assert!(row.gflops.is_empty() && row.modeled.is_empty() && row.gauges.is_empty());
         assert_eq!((row.raw_tflops, row.modeled_step_seconds()), (None, None));
+        // The row reads the busiest rank of each group, not the sum over
+        // ranks: max(real, wave) + comm is the wall step, and no phase
+        // exceeds it.
+        let wall = row.wall_seconds_per_step;
+        let t_step = row.phases["real"].max(row.phases["wave"]) + row.phases["comm"];
+        assert!((t_step - wall).abs() <= 1e-12 * wall, "{t_step} vs {wall}");
+        assert!(row.phases.values().all(|&s| s <= wall), "{:?} vs {wall}", row.phases);
+        let phases = (row.phases["real"], row.phases["wave"], row.phases["comm"]);
+        assert_eq!((step.real.0, step.wave.0, step.comm), phases);
+        // The timeline holds the warm-up call and the measured one.
+        let rank3_waves = timeline.events.iter().filter(|e| e.rank == Some(3) && e.path == "wave");
+        assert_eq!(rank3_waves.count(), 4);
+    }
+
+    /// A synthetic ranked span, µs.
+    fn span(rank: u64, path: &str, start_us: f64, end_us: f64) -> mdm_profile::TimelineEvent {
+        mdm_profile::TimelineEvent {
+            path: path.to_string(),
+            start_us,
+            dur_us: end_us - start_us,
+            thread: rank,
+            rank: Some(rank),
+        }
+    }
+
+    /// One 100 µs step of a 2 + 2 world whose rank 1 runs `real` for
+    /// `real_us` and whose rank 3 runs two `wave` halves of `wave_us`
+    /// together; rank 0 sits in the gather from its `real` to the end.
+    fn world_step(real_us: f64, wave_us: f64) -> Timeline {
+        let half = wave_us / 2.0;
+        Timeline {
+            events: vec![
+                span(0, "real", 0.0, 10.0),
+                span(0, "comm", 10.0, 100.0),
+                span(0, "comm.gather", 10.0, 100.0),
+                span(1, "real", 0.0, real_us),
+                span(1, "comm", real_us, 100.0),
+                span(2, "wave", 0.0, 5.0),
+                span(2, "comm", 5.0, 100.0),
+                span(3, "wave", 0.0, half),
+                span(3, "wave.dft", 0.0, half),
+                span(3, "comm", half, half + 10.0),
+                span(3, "wave", half + 10.0, wave_us + 10.0),
+                span(3, "comm", wave_us + 10.0, 100.0),
+                // An unranked span (the main thread) is no rank's work.
+                mdm_profile::TimelineEvent {
+                    rank: None,
+                    ..span(0, "real", 0.0, 100.0)
+                },
+            ],
+            ..Timeline::default()
+        }
+    }
+
+    #[test]
+    fn a_late_wave_rank_bounds_the_step_not_the_waiting_root() {
+        // Rank 0 spends 90 of the 100 µs blocked in the gather; the
+        // step is bound by rank 3's 80 µs of `wave`.
+        let step = WorldStep::read(&world_step(30.0, 80.0), 0.0, 1, 100e-6);
+        assert_eq!(step.bound(), ("wave", 3));
+        assert!((step.real.0 - 30e-6).abs() < 1e-18 && step.real.1 == 1);
+        assert!((step.wave.0 - 80e-6).abs() < 1e-18);
+        assert!((step.comm - 20e-6).abs() < 1e-18, "{}", step.comm);
+    }
+
+    #[test]
+    fn a_long_real_rank_bounds_the_step() {
+        let step = WorldStep::read(&world_step(85.0, 40.0), 0.0, 1, 100e-6);
+        assert_eq!(step.bound(), ("real", 1));
+        assert!((step.real.0.max(step.wave.0) + step.comm - 100e-6).abs() < 1e-18);
+    }
+
+    #[test]
+    fn comm_is_never_negative() {
+        for (real_us, wave_us) in [(100.0, 10.0), (10.0, 90.0), (0.0, 0.0), (99.9, 89.9)] {
+            let timeline = world_step(real_us, wave_us);
+            for wall in [100e-6, 50e-6, 0.0] {
+                let step = WorldStep::read(&timeline, 0.0, 1, wall);
+                assert!(step.comm >= 0.0, "{real_us} {wave_us} {wall}: {}", step.comm);
+            }
+        }
+        // Spans before the window (the warm-up) are not read, and
+        // `steps` divides what is.
+        let step = WorldStep::read(&world_step(30.0, 80.0), 50.0, 2, 25e-6);
+        assert_eq!(step.real, (0.0, 0));
+        assert!((step.wave.0 - 20e-6).abs() < 1e-18 && step.wave.1 == 3);
+        assert!(step.comm >= 0.0);
     }
 }

@@ -60,8 +60,8 @@ pub struct FunctionTable {
     coeffs: Arc<[[f32; POLY_COEFFS]]>,
     /// Human-readable label (shows up in diagnostics / topology dumps).
     name: Arc<str>,
-    /// Worst per-segment fit residual observed at generation time (see
-    /// [`FunctionTable::fit_residual_max`]).
+    /// Worst fit residual observed at generation time, relative to the
+    /// table's largest |g| (see [`FunctionTable::fit_residual_max`]).
     fit_residual_max: f64,
 }
 
@@ -71,12 +71,14 @@ impl FunctionTable {
     ///
     /// As a numeric-health check, each segment's stored (f32) quartic
     /// is re-evaluated at the midpoints between the fit nodes and
-    /// compared against `g`; the worst residual (relative to the
-    /// segment's own value scale) is kept on the table and published to
-    /// the telemetry registry as the `funceval_fit_residual_p12_max`
-    /// counter (units of 10⁻¹²). A quietly mis-segmented or
-    /// under-resolved kernel shows up there instead of only in force
-    /// errors downstream.
+    /// compared against `g`; the worst absolute residual, relative to
+    /// the largest |g| of the whole table, is kept on the table and
+    /// published to the telemetry registry as the
+    /// `funceval_fit_residual_p12_max` counter (units of 10⁻¹²). A
+    /// quietly mis-segmented or under-resolved kernel shows up there
+    /// instead of only in force errors downstream. (Scaled by each
+    /// segment's own |g| instead, the segments far past the cutoff,
+    /// where g is ~10⁻²⁹ of its peak, would swamp it.)
     pub fn generate<F>(name: &str, seg: Segmentation, g: F) -> Result<Self, TableBuildError>
     where
         F: Fn(f64) -> f64,
@@ -84,7 +86,7 @@ impl FunctionTable {
         let nodes = chebyshev_nodes5();
         let count = seg.segment_count();
         let mut coeffs = Vec::with_capacity(count);
-        let mut fit_residual_max = 0.0f64;
+        let (mut residual_max, mut g_max) = (0.0f64, 0.0f64);
         for index in 0..count {
             let lo = seg.segment_lo(index);
             let hi = seg.segment_hi(index);
@@ -109,8 +111,10 @@ impl FunctionTable {
             }
             // Residual probe between the fit nodes, evaluated with the
             // stored f32 row exactly as the hardware Horner datapath
-            // will, scaled by the segment's own value magnitude.
+            // will; a segment whose nodes all read 0 fits 0 and is not
+            // probed.
             let scale = values.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+            g_max = g_max.max(scale);
             if scale > 0.0 {
                 for k in 0..4 {
                     let t = 0.5 * (nodes[k] + nodes[k + 1]);
@@ -124,12 +128,12 @@ impl FunctionTable {
                     let t32 = t as f32;
                     let horner =
                         ((((row[4] * t32) + row[3]) * t32 + row[2]) * t32 + row[1]) * t32 + row[0];
-                    let residual = (horner as f64 - y).abs() / scale;
-                    fit_residual_max = fit_residual_max.max(residual);
+                    residual_max = residual_max.max((horner as f64 - y).abs());
                 }
             }
             coeffs.push(row);
         }
+        let fit_residual_max = if g_max > 0.0 { residual_max / g_max } else { 0.0 };
         let residual_p12 = (fit_residual_max * 1e12).round().min(u64::MAX as f64) as u64;
         mdm_profile::counter_max("funceval_fit_residual_p12_max", residual_p12);
         Ok(Self {
@@ -140,10 +144,10 @@ impl FunctionTable {
         })
     }
 
-    /// The worst fit residual measured at generation time: max over
-    /// segments of `|quartic(t) − g(x)| / max_segment|g|`, probed at
-    /// the midpoints between the Chebyshev fit nodes with the f32
-    /// coefficient row the hardware actually stores.
+    /// The worst fit residual measured at generation time:
+    /// `max |quartic(t) − g(x)| / max_table|g|`, probed at the midpoints
+    /// between the Chebyshev fit nodes with the f32 coefficient row the
+    /// hardware actually stores.
     pub fn fit_residual_max(&self) -> f64 {
         self.fit_residual_max
     }

@@ -33,10 +33,8 @@
 //! reader following the file — the serve daemon's `watch` — sees each
 //! step as it lands), [`watchdog`] holds the generic threshold monitors, [`ledger`] is
 //! the append-only run history the serve daemon writes (one
-//! [`ledger::RunRecord`] per run — the only run summary), and
-//! [`critical_path`] names the span chain that bounds a timeline; all
-//! of them encode and decode through the typed field readers of
-//! [`json`]. The accuracy-telemetry layer is [`accuracy`]
+//! [`ledger::RunRecord`] per run — the only run summary); all of them
+//! encode and decode through the typed field readers of [`json`]. The accuracy-telemetry layer is [`accuracy`]
 //! (RMS-force-error and effective-speed report types, paper §5 /
 //! Table 4 / Figure 5); each precision seam reports its fault through a
 //! counter (`wine_q30_saturations`, `funceval_fit_residual_p12_max`).
@@ -47,7 +45,6 @@
 //! scopes (per step), not per-pair inner loops.
 
 pub mod accuracy;
-pub mod critical_path;
 pub mod events;
 pub mod json;
 pub mod ledger;
@@ -630,6 +627,15 @@ pub fn timeline_stop() -> Timeline {
         },
         None => Timeline::default(),
     }
+}
+
+/// Microseconds from the recording timeline's [`timeline_start`] to now
+/// — the clock of [`TimelineEvent::start_us`] — or `None` when none is
+/// recording: the mark that splits a session into a warm-up and a
+/// measured window.
+pub fn timeline_now_us() -> Option<f64> {
+    let guard = TIMELINE.lock().unwrap_or_else(|p| p.into_inner());
+    guard.as_ref().map(|state| state.epoch.elapsed().as_secs_f64() * 1e6)
 }
 
 fn record_timeline_event(path: &str, start: Instant, elapsed: Duration) {
