@@ -293,7 +293,7 @@ mod tests {
         let mut ff = EwaldTosiFumi::nacl_default(l);
         let out = ff.compute(&s);
         let probe = ForceErrorProbe::converged_for(
-            ff.ewald().params(),
+            ff.params(),
             l,
             Some(TosiFumi::nacl()),
             10,
@@ -316,7 +316,7 @@ mod tests {
         let s = small_system();
         let l = s.simbox().l();
         let good = EwaldTosiFumi::nacl_default(l);
-        let alpha = good.ewald().params().alpha;
+        let alpha = good.params().alpha;
         // Same α, slashed cutoffs: erfc(1.2) ≈ 0.09 truncation.
         let mut bad = EwaldTosiFumi::new(
             EwaldParams::from_alpha_accuracy(alpha, 1.2, 1.2, l),
@@ -324,7 +324,7 @@ mod tests {
         );
         let out = bad.compute(&s);
         let probe =
-            ForceErrorProbe::converged_for(bad.ewald().params(), l, Some(TosiFumi::nacl()), 10, 16);
+            ForceErrorProbe::converged_for(bad.params(), l, Some(TosiFumi::nacl()), 10, 16);
         let sample = probe.measure(0, &s, &out.forces);
         assert!(
             sample.relative() > 1e-3,

@@ -106,7 +106,8 @@ pub fn direct_coulomb_forces(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ewald::{EwaldParams, EwaldSum};
+    use crate::ewald::EwaldParams;
+    use crate::forcefield::{EwaldTosiFumi, ForceField};
     use crate::lattice::{rocksalt_nacl, NACL_LATTICE_A};
 
     #[test]
@@ -128,8 +129,8 @@ mod tests {
         s.displace(0, Vec3::new(0.4, -0.25, 0.1));
         s.displace(3, Vec3::new(-0.2, 0.3, 0.2));
         let l = s.simbox().l();
-        let sum = EwaldSum::new(EwaldParams::from_alpha_accuracy(7.5, 3.4, 3.4, l));
-        let ewald = sum.compute(s.simbox(), s.positions(), s.charges());
+        let ewald =
+            EwaldTosiFumi::coulomb(EwaldParams::from_alpha_accuracy(7.5, 3.4, 3.4, l)).compute(&s);
         // Cube sums converge ~1/shells² to the (dipole-corrected) Ewald
         // limit; 16 shells reaches ~1% of the force scale.
         let mut direct = direct_coulomb_forces(s.simbox(), s.positions(), s.charges(), 16);

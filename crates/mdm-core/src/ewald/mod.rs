@@ -10,6 +10,8 @@
 //! * the self-energy `−C·κ/√π·Σqᵢ²` that removes each charge's
 //!   interaction with its own screening cloud.
 //!
+//! The three are added up once, by [`crate::forcefield::ForceAssembly`].
+//!
 //! Dimensionless knobs, exactly as in the paper: the splitting parameter
 //! `α` (so `κ = α/L` is the Gaussian width), the real cutoff `r_cut`,
 //! and the wave cutoff `n_max = L·k_cut`. The three rows of Table 4 are
@@ -20,11 +22,8 @@
 pub mod real;
 pub mod recip;
 
-use crate::boxsim::SimBox;
-use crate::kvectors::{half_space_vectors, KVector};
 use crate::special::erfc;
 use crate::units::COULOMB_EV_A;
-use crate::vec3::Vec3;
 
 /// Ewald parameters in the paper's convention.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -88,110 +87,28 @@ pub fn self_energy(kappa: f64, charges: &[f64]) -> f64 {
     -COULOMB_EV_A * kappa / std::f64::consts::PI.sqrt() * q_sq
 }
 
-/// Energy breakdown and forces from a full Ewald evaluation.
-#[derive(Clone, Debug)]
-pub struct EwaldResult {
-    /// Real-space Coulomb energy (eV).
-    pub energy_real: f64,
-    /// Wavenumber-space Coulomb energy (eV).
-    pub energy_recip: f64,
-    /// Self-energy correction (eV, negative).
-    pub energy_self: f64,
-    /// Neutralising-background correction for net-charged cells (eV,
-    /// zero for neutral systems).
-    pub energy_background: f64,
-    /// Per-particle Coulomb forces (eV/Å).
-    pub forces: Vec<Vec3>,
-    /// Pair virial `Σ f⃗·r⃗` of the real part plus the reciprocal-space
-    /// virial (for the pressure).
-    pub virial: f64,
-    /// Number of real-space pair interactions actually evaluated
-    /// (unique pairs — the paper's `N·N_int`).
-    pub real_pairs: u64,
-    /// Number of wave vectors used (the paper's `N_wv`).
-    pub n_waves: u64,
-}
-
-impl EwaldResult {
-    /// Total Coulomb energy (eV).
-    pub fn energy(&self) -> f64 {
-        self.energy_real + self.energy_recip + self.energy_self + self.energy_background
-    }
-}
-
-/// A configured Ewald summation: parameters plus the precomputed wave
-/// table (shared across steps; the k-vectors depend only on `n_max`).
-#[derive(Clone, Debug)]
-pub struct EwaldSum {
-    params: EwaldParams,
-    waves: Vec<KVector>,
-}
-
-impl EwaldSum {
-    /// Precompute the wave table for `params`.
-    pub fn new(params: EwaldParams) -> Self {
-        let waves = half_space_vectors(params.n_max);
-        Self { params, waves }
-    }
-
-    /// The parameters.
-    pub fn params(&self) -> &EwaldParams {
-        &self.params
-    }
-
-    /// The half-space wave table (paper's `N_wv` entries).
-    pub fn waves(&self) -> &[KVector] {
-        &self.waves
-    }
-
-    /// Full Ewald evaluation: the real-space pass, the wavenumber sum and
-    /// the self and background terms.
-    pub fn compute(&self, simbox: SimBox, positions: &[Vec3], charges: &[f64]) -> EwaldResult {
-        assert_eq!(positions.len(), charges.len());
-        let kappa = self.params.kappa(simbox.l());
-        let real = real::real_space(simbox, positions, charges, kappa, self.params.r_cut, None);
-        let recip_out =
-            recip::recip_space(simbox, positions, charges, self.params.alpha, &self.waves);
-        let mut forces = real.forces;
-        for (f, df) in forces.iter_mut().zip(&recip_out.forces) {
-            *f += *df;
-        }
-
-        // Neutralising background for net charge: −C·π/(2κ²V)·(Σq)².
-        let q_tot: f64 = charges.iter().sum();
-        let energy_background =
-            -COULOMB_EV_A * std::f64::consts::PI / (2.0 * kappa * kappa * simbox.volume())
-                * q_tot
-                * q_tot;
-
-        EwaldResult {
-            energy_real: real.coulomb,
-            energy_recip: recip_out.energy,
-            energy_self: self_energy(kappa, charges),
-            energy_background,
-            forces,
-            virial: real.virial + recip_out.virial,
-            real_pairs: real.pairs,
-            n_waves: self.waves.len() as u64,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::boxsim::SimBox;
+    use crate::forcefield::{host_sum, EwaldTosiFumi, ForceField, ForceResult};
     use crate::lattice::{rocksalt_nacl, NACL_LATTICE_A};
+    use crate::system::System;
+    use crate::vec3::Vec3;
+
+    /// The bare Ewald Coulomb sum of `s` at `params`.
+    fn coulomb(s: &System, params: EwaldParams) -> ForceResult {
+        EwaldTosiFumi::coulomb(params).compute(s)
+    }
 
     /// High-accuracy Ewald on a rock-salt crystal: s_r = s_k = 4.2 keeps
     /// both truncation errors ~1e-8 (α must exceed 2·4.2 = 8.4 so that
     /// r_cut = s·L/α stays below L/2).
-    fn nacl_ewald(cells: usize, alpha: f64) -> (crate::system::System, EwaldResult) {
+    fn nacl_ewald(cells: usize, alpha: f64) -> (System, ForceResult) {
         assert!(alpha > 8.4);
         let s = rocksalt_nacl(cells, NACL_LATTICE_A);
         let l = s.simbox().l();
-        let params = EwaldParams::from_alpha_accuracy(alpha, 4.2, 4.2, l);
-        let sum = EwaldSum::new(params);
-        let r = sum.compute(s.simbox(), s.positions(), s.charges());
+        let r = coulomb(&s, EwaldParams::from_alpha_accuracy(alpha, 4.2, 4.2, l));
         (s, r)
     }
 
@@ -203,11 +120,10 @@ mod tests {
         let s = rocksalt_nacl(2, NACL_LATTICE_A);
         let l = s.simbox().l();
         // High-accuracy parameters: s_r = s_k = 3.6 → truncation ~4e-7.
-        let sum = EwaldSum::new(EwaldParams::from_alpha_accuracy(8.0, 3.6, 3.6, l));
-        let r = sum.compute(s.simbox(), s.positions(), s.charges());
+        let r = coulomb(&s, EwaldParams::from_alpha_accuracy(8.0, 3.6, 3.6, l));
         let pairs = s.len() as f64 / 2.0;
         let a0 = NACL_LATTICE_A / 2.0;
-        let per_pair = r.energy() / pairs;
+        let per_pair = r.coulomb / pairs;
         let madelung = -per_pair * a0 / COULOMB_EV_A;
         assert!(
             (madelung - 1.747_564_594_633_182_2).abs() < 1e-6,
@@ -219,12 +135,18 @@ mod tests {
     fn energy_is_alpha_invariant() {
         // The physical energy must not depend on the splitting parameter.
         // Both α keep r_cut = s·L/α below L/2 (α > 2s).
-        let (_, r1) = nacl_ewald(2, 8.6);
+        let (s, r1) = nacl_ewald(2, 8.6);
         let (_, r2) = nacl_ewald(2, 10.5);
-        let rel = ((r1.energy() - r2.energy()) / r1.energy()).abs();
+        let rel = ((r1.coulomb - r2.coulomb) / r1.coulomb).abs();
         assert!(rel < 1e-7, "alpha dependence: {rel}");
         // ... but the split itself moves between the parts.
-        assert!((r1.energy_real - r2.energy_real).abs() > 1e-3);
+        let l = s.simbox().l();
+        let real = |alpha| {
+            let p = EwaldParams::from_alpha_accuracy(alpha, 4.2, 4.2, l);
+            real::real_space(s.simbox(), s.positions(), s.charges(), p.kappa(l), p.r_cut, None)
+                .coulomb
+        };
+        assert!((real(8.6) - real(10.5)).abs() > 1e-3);
     }
 
     #[test]
@@ -242,10 +164,7 @@ mod tests {
         s.displace(0, Vec3::new(0.3, -0.2, 0.15));
         s.displace(5, Vec3::new(-0.1, 0.4, 0.05));
         let l = s.simbox().l();
-        let f = |alpha: f64| {
-            let sum = EwaldSum::new(EwaldParams::from_alpha_accuracy(alpha, 4.2, 4.2, l));
-            sum.compute(s.simbox(), s.positions(), s.charges()).forces
-        };
+        let f = |alpha| coulomb(&s, EwaldParams::from_alpha_accuracy(alpha, 4.2, 4.2, l)).forces;
         let f1 = f(8.6);
         let f2 = f(10.5);
         let scale = f1[0].norm().max(1e-12);
@@ -259,8 +178,7 @@ mod tests {
         let mut s = rocksalt_nacl(2, NACL_LATTICE_A);
         s.displace(3, Vec3::new(0.4, 0.1, -0.3));
         let l = s.simbox().l();
-        let sum = EwaldSum::new(EwaldParams::from_alpha_accuracy(7.0, 3.2, 3.2, l));
-        let r = sum.compute(s.simbox(), s.positions(), s.charges());
+        let r = coulomb(&s, EwaldParams::from_alpha_accuracy(7.0, 3.2, 3.2, l));
         let total: Vec3 = r.forces.iter().copied().sum();
         assert!(total.norm() < 1e-9, "net force {total:?}");
     }
@@ -270,27 +188,31 @@ mod tests {
         let mut s = rocksalt_nacl(2, NACL_LATTICE_A);
         s.displace(0, Vec3::new(0.25, 0.0, -0.1));
         let l = s.simbox().l();
-        let sum = EwaldSum::new(EwaldParams::from_alpha_accuracy(7.0, 3.2, 3.2, l));
-        let run = |threads| {
-            rayon::with_num_threads(threads, || {
-                sum.compute(s.simbox(), s.positions(), s.charges())
-            })
-        };
+        let params = EwaldParams::from_alpha_accuracy(7.0, 3.2, 3.2, l);
+        let run = |threads| rayon::with_num_threads(threads, || coulomb(&s, params));
         let (a, b) = (run(1), run(4));
-        assert_eq!(a.energy().to_bits(), b.energy().to_bits());
+        assert_eq!(a.coulomb.to_bits(), b.coulomb.to_bits());
         assert_eq!(a.virial.to_bits(), b.virial.to_bits());
         assert_eq!(a.forces, b.forces);
     }
 
+    /// The host's sum adds `−0.0` for a neutral system: its Coulomb
+    /// energy is `(real + wave) + self` bit for bit.
     #[test]
     fn background_term_zero_for_neutral() {
-        let (_, r) = nacl_ewald(1, 9.0);
-        assert_eq!(r.energy_background, 0.0);
+        let s = rocksalt_nacl(1, NACL_LATTICE_A);
+        let params = EwaldParams::from_alpha_accuracy(9.0, 4.2, 4.2, s.simbox().l());
+        let kappa = params.kappa(s.simbox().l());
+        for real_and_wave in [-12.375, 0.0, -0.0] {
+            let r = host_sum(&s, &params, Vec::new(), [real_and_wave, 0.0, 0.0]);
+            let bare = real_and_wave + self_energy(kappa, s.charges());
+            assert_eq!(r.coulomb.to_bits(), bare.to_bits());
+        }
     }
 
     #[test]
     fn charged_system_gets_background_correction() {
-        use crate::system::{Species, System};
+        use crate::system::Species;
         let mut s = System::new(
             SimBox::cubic(10.0),
             vec![Species {
@@ -301,9 +223,10 @@ mod tests {
         );
         s.push_particle(0, Vec3::new(1.0, 1.0, 1.0));
         s.push_particle(0, Vec3::new(6.0, 6.0, 6.0));
-        let sum = EwaldSum::new(EwaldParams::from_alpha_accuracy(6.0, 3.2, 3.2, 10.0));
-        let r = sum.compute(s.simbox(), s.positions(), s.charges());
-        assert!(r.energy_background < 0.0);
+        let params = EwaldParams::from_alpha_accuracy(6.0, 3.2, 3.2, 10.0);
+        let r = host_sum(&s, &params, Vec::new(), [0.0; 3]);
+        let background = r.coulomb - self_energy(params.kappa(10.0), s.charges());
+        assert!(background < 0.0);
     }
 
     #[test]

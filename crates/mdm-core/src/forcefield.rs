@@ -1,19 +1,22 @@
-//! The force-provider abstraction and the software reference force
-//! field.
+//! The force-provider abstraction and the one Ewald force field.
 //!
 //! [`ForceField`] is the seam between the MD integrator and whatever
-//! computes forces — the pure-software reference here, or the emulated
-//! MDM machine in the `mdm-host` crate. The paper's architecture is the
-//! same seam: "The difference of the program when we use MDM is that we
-//! call library routines to calculate real-space and wavenumber-space
-//! forces instead of calling internal force subroutines" (§4).
+//! computes forces, as in the paper: "we call library routines to
+//! calculate real-space and wavenumber-space forces instead of calling
+//! internal force subroutines" (§4). Behind it, [`ForceAssembly`] is the
+//! MDM's three parts (§2, Fig. 1) — a [`RealSpaceEngine`], a
+//! [`LongRangeBackend`] and the host that adds their results — written
+//! once: [`EwaldTosiFumi`] over the software engine, and
+//! `mdm_host::MdmForceField` over the emulated MDGRAPE-2.
 
-use crate::ewald::real::{real_space, ShortRange};
-use crate::ewald::{self_energy, EwaldParams, EwaldSum};
-use crate::longrange::{ExactEwald, LongRangeBackend};
+use crate::ewald::real::{real_space, RealSpace, ShortRange};
+use crate::ewald::{self_energy, EwaldParams};
+use crate::longrange::{ExactEwald, LongRangeBackend, LongRangeCounters};
 use crate::potentials::TosiFumi;
 use crate::system::System;
+use crate::units::COULOMB_EV_A;
 use crate::vec3::Vec3;
+use std::f64::consts::PI;
 
 /// Everything one force evaluation produces.
 #[derive(Clone, Debug)]
@@ -41,73 +44,189 @@ pub trait ForceField {
     }
 }
 
-/// The software reference implementation of the paper's NaCl physics:
-/// Ewald Coulomb (real + wavenumber + self) plus the Tosi–Fumi
-/// short-range terms, all in `f64`.
-///
-/// The real-space Coulomb and the short-range terms share one pass,
-/// [`real_space`] (they share `r_cut` in the paper too). The wavenumber phase is
-/// a pluggable [`LongRangeBackend`] — exact Ewald by default, swappable
-/// for PME or PSWF fast Ewald at construction time.
-pub struct EwaldTosiFumi {
-    ewald: EwaldSum,
-    short: TosiFumi,
-    longrange: Box<dyn LongRangeBackend>,
+/// The real half of the Ewald sum: the real-space Coulomb terms (eq. 2)
+/// and the short-range terms that share their cutoff.
+pub trait RealSpaceEngine {
+    /// The real-space forces, energies and virial of `system` at
+    /// `params` (`pairs` is the engine's own pair count).
+    fn compute(&mut self, system: &System, params: &EwaldParams) -> RealSpace;
+
+    /// Take note of this step's wavenumber counters, once the backend
+    /// has run (an engine that meters the whole machine keeps them).
+    fn note_wave(&mut self, _system: &System, _counters: &LongRangeCounters) {}
+
+    /// The force field's description, given its parameters and backend.
+    fn describe(&self, params: &EwaldParams, longrange: &dyn LongRangeBackend) -> String;
 }
 
-impl EwaldTosiFumi {
-    /// Build with explicit Ewald parameters and the exact-Ewald
-    /// wavenumber backend (bitwise the historical behaviour).
-    pub fn new(params: EwaldParams, short: TosiFumi) -> Self {
-        let ewald = EwaldSum::new(params);
-        let longrange = Box::new(ExactEwald::with_waves(
-            params.alpha,
-            ewald.waves().to_vec(),
-        ));
-        Self {
-            ewald,
-            short,
-            longrange,
-        }
-    }
+/// The Ewald force field: a real-space engine and a wavenumber backend
+/// that split at the same α. Per evaluation, the engine's real terms;
+/// the backend under the `wave` span, its forces added to the real
+/// ones; then [`host_sum`] under the `host` span.
+pub struct ForceAssembly<R> {
+    real: R,
+    longrange: Box<dyn LongRangeBackend>,
+    params: EwaldParams,
+}
 
-    /// Build with an explicit wavenumber backend. The backend's α must
-    /// match `params.alpha` — the real-space pass and self-energy use
+impl<R: RealSpaceEngine> ForceAssembly<R> {
+    /// Assemble `real` and `longrange` at `params`. The backend's α must
+    /// be `params.alpha`: the real part and the self energy split at
     /// `params`, and the Ewald identity only holds if both phases split
     /// at the same κ.
-    pub fn with_longrange(
-        params: EwaldParams,
-        short: TosiFumi,
-        longrange: Box<dyn LongRangeBackend>,
-    ) -> Self {
-        assert!(
-            (longrange.alpha() - params.alpha).abs() < 1e-12,
-            "backend alpha {} != params alpha {}",
-            longrange.alpha(),
-            params.alpha
-        );
-        Self {
-            ewald: EwaldSum::new(params),
-            short,
-            longrange,
-        }
+    pub fn from_parts(real: R, longrange: Box<dyn LongRangeBackend>, params: EwaldParams) -> Self {
+        check_alpha(&params, longrange.as_ref());
+        Self { real, longrange, params }
     }
 
     /// Swap the wavenumber backend (same α contract as
-    /// [`Self::with_longrange`]).
+    /// [`Self::from_parts`]).
     pub fn set_longrange(&mut self, longrange: Box<dyn LongRangeBackend>) {
-        assert!(
-            (longrange.alpha() - self.ewald.params().alpha).abs() < 1e-12,
-            "backend alpha {} != params alpha {}",
-            longrange.alpha(),
-            self.ewald.params().alpha
-        );
+        check_alpha(&self.params, longrange.as_ref());
         self.longrange = longrange;
     }
 
     /// The active wavenumber backend.
     pub fn longrange(&self) -> &dyn LongRangeBackend {
         self.longrange.as_ref()
+    }
+
+    /// The Ewald parameters.
+    pub fn params(&self) -> &EwaldParams {
+        &self.params
+    }
+
+    /// The real-space engine.
+    pub fn real(&self) -> &R {
+        &self.real
+    }
+
+    /// The real-space engine, mutably.
+    pub fn real_mut(&mut self) -> &mut R {
+        &mut self.real
+    }
+}
+
+/// The α contract: `longrange` splits at `params.alpha`.
+fn check_alpha(params: &EwaldParams, longrange: &dyn LongRangeBackend) {
+    assert!(
+        (longrange.alpha() - params.alpha).abs() < 1e-12,
+        "backend alpha {} != params alpha {}",
+        longrange.alpha(),
+        params.alpha
+    );
+}
+
+/// The host's step, the last of every Ewald evaluation: from the summed
+/// forces and the `[real + wave Coulomb, short-range, virial]` terms,
+/// `coulomb = (real + wave) + self + background` and
+/// `potential = coulomb + short`. The neutralising background
+/// `−C·π/(2κ²V)·(Σq)²` is `−0.0` for a neutral system: no bit moves.
+pub fn host_sum(
+    system: &System,
+    params: &EwaldParams,
+    forces: Vec<Vec3>,
+    [real_and_wave, short, virial]: [f64; 3],
+) -> ForceResult {
+    let (simbox, charges) = (system.simbox(), system.charges());
+    let kappa = params.kappa(simbox.l());
+    let q_tot: f64 = charges.iter().sum();
+    let background = -COULOMB_EV_A * PI / (2.0 * kappa * kappa * simbox.volume()) * q_tot * q_tot;
+    let coulomb = real_and_wave + self_energy(kappa, charges) + background;
+    ForceResult {
+        forces,
+        potential: coulomb + short,
+        coulomb,
+        short_range: short,
+        virial,
+    }
+}
+
+impl<R: RealSpaceEngine> ForceField for ForceAssembly<R> {
+    fn compute(&mut self, system: &System) -> ForceResult {
+        let real = self.real.compute(system, &self.params);
+        let wave = {
+            let _wave = mdm_profile::span(mdm_profile::phase::WAVE);
+            self.longrange
+                .compute(system.simbox(), system.positions(), system.charges())
+        };
+        self.real.note_wave(system, &wave.counters);
+        let mut forces = real.forces;
+        for (f, df) in forces.iter_mut().zip(&wave.forces) {
+            *f += *df;
+        }
+        let _host = mdm_profile::span(mdm_profile::phase::HOST);
+        host_sum(
+            system,
+            &self.params,
+            forces,
+            [real.coulomb + wave.energy, real.short, real.virial + wave.virial],
+        )
+    }
+
+    fn describe(&self) -> String {
+        self.real.describe(&self.params, self.longrange.as_ref())
+    }
+}
+
+/// The software real-space engine: [`real_space`] in `f64` under the
+/// `real` span, the Coulomb terms plus the short-range potential it
+/// holds, if any.
+pub struct SoftwareReal {
+    /// The short-range potential; `None` sums the Coulomb terms alone.
+    short: Option<TosiFumi>,
+}
+
+impl RealSpaceEngine for SoftwareReal {
+    fn compute(&mut self, system: &System, params: &EwaldParams) -> RealSpace {
+        let _real = mdm_profile::span(mdm_profile::phase::REAL);
+        let (simbox, types) = (system.simbox(), system.types());
+        let short = self.short.as_ref().map(|potential| ShortRange { potential, types });
+        let kappa = params.kappa(simbox.l());
+        real_space(simbox, system.positions(), system.charges(), kappa, params.r_cut, short)
+    }
+
+    fn describe(&self, params: &EwaldParams, longrange: &dyn LongRangeBackend) -> String {
+        format!(
+            "software Ewald+TosiFumi (alpha={}, r_cut={} A, n_max={}, longrange={})",
+            params.alpha,
+            params.r_cut,
+            params.n_max,
+            longrange.name()
+        )
+    }
+}
+
+/// The software reference implementation of the paper's NaCl physics:
+/// Ewald Coulomb (real + wavenumber + self) plus the Tosi–Fumi
+/// short-range terms, all in `f64` — the "conventional computer" of
+/// Table 4. The wavenumber part is exact Ewald by default, swappable
+/// for any [`LongRangeBackend`].
+pub type EwaldTosiFumi = ForceAssembly<SoftwareReal>;
+
+impl EwaldTosiFumi {
+    /// Build with explicit Ewald parameters and the exact-Ewald
+    /// wavenumber backend.
+    pub fn new(params: EwaldParams, short: TosiFumi) -> Self {
+        Self::with_longrange(params, short, Box::new(ExactEwald::new(params.alpha, params.n_max)))
+    }
+
+    /// Build with an explicit wavenumber backend (α contract of
+    /// [`ForceAssembly::from_parts`]).
+    pub fn with_longrange(
+        params: EwaldParams,
+        short: TosiFumi,
+        longrange: Box<dyn LongRangeBackend>,
+    ) -> Self {
+        Self::from_parts(SoftwareReal { short: Some(short) }, longrange, params)
+    }
+
+    /// The bare Ewald Coulomb sum — real, exact wavenumber, self and
+    /// background terms, no short-range potential: what the Madelung
+    /// constant and the direct image sum check.
+    pub fn coulomb(params: EwaldParams) -> Self {
+        let exact = ExactEwald::new(params.alpha, params.n_max);
+        Self::from_parts(SoftwareReal { short: None }, Box::new(exact), params)
     }
 
     /// The NaCl default for a given box side: `α` chosen so the
@@ -139,58 +258,6 @@ impl EwaldTosiFumi {
         Self::new(
             EwaldParams::from_alpha_accuracy(alpha, s, s, l),
             TosiFumi::nacl(),
-        )
-    }
-
-    /// Access the Ewald configuration.
-    pub fn ewald(&self) -> &EwaldSum {
-        &self.ewald
-    }
-
-    /// Access the short-range potential.
-    pub fn short_range(&self) -> &TosiFumi {
-        &self.short
-    }
-}
-
-impl ForceField for EwaldTosiFumi {
-    fn compute(&mut self, system: &System) -> ForceResult {
-        let simbox = system.simbox();
-        let positions = system.positions();
-        let charges = system.charges();
-        let params = *self.ewald.params();
-        let kappa = params.kappa(simbox.l());
-
-        let short = ShortRange {
-            potential: &self.short,
-            types: system.types(),
-        };
-        let real = real_space(simbox, positions, charges, kappa, params.r_cut, Some(short));
-
-        let recip_out = self.longrange.compute(simbox, positions, charges);
-        let mut forces = real.forces;
-        for (f, df) in forces.iter_mut().zip(&recip_out.forces) {
-            *f += *df;
-        }
-
-        let coulomb = real.coulomb + recip_out.energy + self_energy(kappa, charges);
-        ForceResult {
-            forces,
-            potential: coulomb + real.short,
-            coulomb,
-            short_range: real.short,
-            virial: real.virial + recip_out.virial,
-        }
-    }
-
-    fn describe(&self) -> String {
-        let p = self.ewald.params();
-        format!(
-            "software Ewald+TosiFumi (alpha={}, r_cut={} A, n_max={}, longrange={})",
-            p.alpha,
-            p.r_cut,
-            p.n_max,
-            self.longrange.name()
         )
     }
 }

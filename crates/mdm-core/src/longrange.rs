@@ -22,7 +22,7 @@
 //! * Charge neutrality is **not** required — the reciprocal sum
 //!   excludes m = 0, so a net charge simply means the caller must add
 //!   the usual uniform-background correction (as
-//!   [`crate::ewald::EwaldSum`] does); the backend itself stays finite.
+//!   [`crate::forcefield::host_sum`] does); the backend itself stays finite.
 //! * Backends own their scratch (grids, tables, structure-factor
 //!   buffers) and reuse it across steps; each steady-state call bumps
 //!   the `longrange_scratch_reuses` profile counter, and every call
@@ -106,7 +106,7 @@ pub trait LongRangeBackend: Send + Sync {
 
 /// Bump the steady-state scratch-reuse counter (first call is the
 /// warm-up that allocates; every later call proves the reuse).
-fn note_scratch_reuse(warm: &mut bool) {
+pub fn note_scratch_reuse(warm: &mut bool) {
     if *warm {
         mdm_profile::counter("longrange_scratch_reuses", 1);
     } else {
@@ -128,23 +128,12 @@ impl ExactEwald {
     /// Build with the half-space wave table for `n_max` (same
     /// truncation sphere as [`EwaldParams`]).
     pub fn new(alpha: f64, n_max: f64) -> Self {
-        Self::with_waves(alpha, half_space_vectors(n_max))
-    }
-
-    /// Build with an explicit wave table (empty is allowed: the sum is
-    /// then identically zero — useful for contract tests).
-    pub fn with_waves(alpha: f64, waves: Vec<KVector>) -> Self {
         Self {
             alpha,
-            waves,
+            waves: half_space_vectors(n_max),
             scratch: RecipScratch::default(),
             warm: false,
         }
-    }
-
-    /// The active wave table.
-    pub fn waves(&self) -> &[KVector] {
-        &self.waves
     }
 }
 
@@ -457,16 +446,5 @@ mod tests {
                 out.forces[0]
             );
         }
-    }
-
-    #[test]
-    fn empty_wave_table_yields_zero_sum() {
-        let s = perturbed();
-        let mut backend = ExactEwald::with_waves(7.0, Vec::new());
-        let out = backend.compute(s.simbox(), s.positions(), s.charges());
-        assert_eq!(out.energy, 0.0);
-        assert_eq!(out.virial, 0.0);
-        assert!(out.forces.iter().all(|f| f.norm() == 0.0));
-        assert_eq!(out.counters.dft_ops, 0);
     }
 }

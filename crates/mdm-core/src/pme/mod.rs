@@ -168,7 +168,7 @@ mod tests {
     /// with SPME for the wavenumber part, on a mesh of ⌈2α⌉ rounded up
     /// to a power of two (at least 16), order 6.
     fn pme_field(l: f64, n: usize) -> EwaldTosiFumi {
-        let params = *EwaldTosiFumi::nacl_balanced(l, n).ewald().params();
+        let params = *EwaldTosiFumi::nacl_balanced(l, n).params();
         let mesh = ((2.0 * params.alpha).ceil() as usize)
             .next_power_of_two()
             .max(16);
@@ -182,7 +182,7 @@ mod tests {
         s.displace(3, Vec3::new(0.1, 0.3, -0.2));
         let l = s.simbox().l();
         let mut pme = pme_field(l, s.len());
-        let mut exact = EwaldTosiFumi::new(*pme.ewald().params(), TosiFumi::nacl());
+        let mut exact = EwaldTosiFumi::new(*pme.params(), TosiFumi::nacl());
         let rp = pme.compute(&s);
         let re = exact.compute(&s);
         assert!(

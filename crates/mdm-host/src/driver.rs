@@ -3,8 +3,9 @@
 //! "The difference of the program when we use MDM is that we call
 //! library routines to calculate real-space and wavenumber-space forces
 //! instead of calling internal force subroutines." This module is that
-//! program: a [`mdm_core::ForceField`] whose `compute` drives the
-//! emulated WINE-2 (Table 2 routines) and MDGRAPE-2 (Table 3 routines).
+//! program: [`MdmForceField`], the [`ForceAssembly`] over the emulated
+//! MDGRAPE-2 (Table 3 routines), with the emulated WINE-2 (Table 2
+//! routines) as its default wavenumber backend.
 //!
 //! Per step:
 //!
@@ -16,13 +17,13 @@
 //!    set they share (bit-identical per pass; see
 //!    `Mdgrape2System::calc_passes_with_jstore`) while the modeled
 //!    machine is billed four passes, as the real one ran them;
-//! 3. one WINE-2 evaluation (`calculate_force_and_pot_wavepart_nooffset`)
+//! 3. every `potential_interval` steps (the paper used 100), the
+//!    energy-mode passes re-evaluate the potential and the host the
+//!    real-space virial; between those steps the last known values are
+//!    carried (exactly the staleness the real runs had);
+//! 4. one WINE-2 evaluation (`calculate_force_and_pot_wavepart_nooffset`)
 //!    for the wavenumber part;
-//! 4. host adds the Ewald self-energy;
-//! 5. every `potential_interval` steps (the paper used 100), the
-//!    energy-mode passes re-evaluate the potential; between those steps
-//!    the last known potential is carried (exactly the staleness the
-//!    real runs had).
+//! 5. the assembly's host sum adds the Ewald self-energy.
 
 use crate::virial::PairTerms;
 use mdgrape2::chip::AtomCoefficients;
@@ -32,10 +33,13 @@ use mdgrape2::system::{MdgPassResult, Mdgrape2Config, Mdgrape2System, TablePass}
 use mdgrape2::tables::GFunction;
 use mdgrape2::timing::MdgCounters;
 use mdm_core::boxsim::SimBox;
-use mdm_core::ewald::{self_energy, EwaldParams};
-use mdm_core::forcefield::{ForceField, ForceResult};
+use mdm_core::ewald::real::RealSpace;
+use mdm_core::ewald::EwaldParams;
+use mdm_core::forcefield::{ForceAssembly, ForceField, ForceResult, RealSpaceEngine};
 use mdm_core::kvectors::{half_space_vectors, KVector};
-use mdm_core::longrange::{LongRangeBackend, LongRangeCounters, LongRangeResult};
+use mdm_core::longrange::{
+    note_scratch_reuse, LongRangeBackend, LongRangeCounters, LongRangeResult,
+};
 use mdm_core::potentials::TosiFumi;
 use mdm_core::system::System;
 use mdm_core::units::COULOMB_EV_A;
@@ -53,14 +57,6 @@ pub struct StepCounters {
     pub wine: WineCounters,
     /// MDGRAPE-2 counters merged over all passes.
     pub mdg: MdgCounters,
-}
-
-impl StepCounters {
-    /// Total Ewald-credited flops (the paper's `59·N·N_int_g + 64·N·N_wv`
-    /// when only the Coulomb passes are credited).
-    pub fn credited_flops(&self) -> f64 {
-        self.wine.credited_flops() + self.mdg.credited_flops()
-    }
 }
 
 /// The WINE-2 board emulator behind the [`LongRangeBackend`] interface
@@ -118,11 +114,7 @@ impl LongRangeBackend for Wine2Backend {
         // The board emulator owns its scratch (`Wine2System`: row plan,
         // particle columns, coefficient and result registers) and a
         // warm call reuses all of it for this fixed table and α.
-        if self.warm {
-            mdm_profile::counter("longrange_scratch_reuses", 1);
-        } else {
-            self.warm = true;
-        }
+        note_scratch_reuse(&mut self.warm);
         let waves = self.waves.get_or_init(|| half_space_vectors(self.n_max));
         let out = self
             .wine
@@ -284,19 +276,19 @@ impl MdmTables {
     }
 }
 
-/// Force field evaluated on the emulated MDM.
-pub struct MdmForceField {
-    longrange: Box<dyn LongRangeBackend>,
+/// The emulated MDGRAPE-2 as the real-space engine of the MDM's
+/// [`ForceAssembly`]: the four §4 passes over one j-store, the
+/// potential cadence with its carry, the host virial and the machine's
+/// counters and gauges.
+struct Mdgrape2Real {
     mdg: Mdgrape2System,
-    params: EwaldParams,
     short: TosiFumi,
     /// Prebuilt function-table images (the §4 utility program output).
     force_tables: [FunctionEvaluator; 4],
     energy_tables: [FunctionEvaluator; 4],
     potential_interval: u64,
-    steps_since_potential: u64,
-    /// `(e_real, e_short, virial_real)` of the last energy passes.
-    last_potential: Option<(f64, f64, f64)>,
+    /// What the last energy passes left; `None` before the first.
+    carry: Option<PotentialCarry>,
     last_counters: StepCounters,
     /// Only credit the Coulomb passes in the flop counters (the paper
     /// excludes "the force calculation other than the Coulomb").
@@ -313,160 +305,7 @@ pub struct MdmForceField {
     virial_terms: Option<PairTerms>,
 }
 
-impl MdmForceField {
-    /// Assemble the machine for an NaCl system with the given Ewald
-    /// parameters. `wine_clusters`/`mdg_clusters` size the emulated
-    /// hardware (use small numbers for tests — results are identical,
-    /// only the concurrency accounting changes).
-    pub fn new(
-        params: EwaldParams,
-        wine_clusters: usize,
-        mdg_clusters: usize,
-    ) -> Result<Self, mdm_funceval::TableBuildError> {
-        Ok(Self::with_tables(
-            params,
-            wine_clusters,
-            mdg_clusters,
-            MdmTables::build()?,
-        ))
-    }
-
-    /// Like [`Self::new`] with prebuilt function tables. The tables
-    /// are parameter-independent (they fit the dimensionless g(x)
-    /// kernels, not any particular α or box), so a multi-run host — the
-    /// serve layer time-slicing hundreds of jobs — builds them once
-    /// and clones them per job instead of re-running the table fits.
-    pub fn with_tables(
-        params: EwaldParams,
-        wine_clusters: usize,
-        mdg_clusters: usize,
-        tables: MdmTables,
-    ) -> Self {
-        let MdmTables {
-            force_tables,
-            energy_tables,
-        } = tables;
-        Self {
-            longrange: Box::new(Wine2Backend::new(&params, wine_clusters)),
-            mdg: Mdgrape2System::new(
-                Mdgrape2Config {
-                    clusters: mdg_clusters,
-                },
-                force_tables[0].clone(),
-                AtomCoefficients::uniform(1.0, 0.0),
-            ),
-            params,
-            short: TosiFumi::nacl(),
-            force_tables,
-            energy_tables,
-            potential_interval: 1,
-            steps_since_potential: 0,
-            last_potential: None,
-            last_counters: StepCounters::default(),
-            coulomb_pass_ops: 0,
-            mdg_seconds: 0.0,
-            jstore: None,
-            virial_terms: None,
-        }
-    }
-
-    /// A convenient NaCl configuration for a box of side `l`: α chosen
-    /// so `r_cut ≈ L/3` (three cells per side, the hardware minimum),
-    /// accuracy `s ≈ 3.2`.
-    pub fn nacl_default(l: f64) -> Result<Self, mdm_funceval::TableBuildError> {
-        Ok(Self::nacl_default_with_tables(l, MdmTables::build()?))
-    }
-
-    /// [`Self::nacl_default`] with prebuilt tables (see
-    /// [`Self::with_tables`]) — the per-job constructor the run server
-    /// uses so a hundred small jobs don't re-run a hundred table fits.
-    pub fn nacl_default_with_tables(l: f64, tables: MdmTables) -> Self {
-        Self::with_tables(Self::nacl_default_params(l), 2, 2, tables)
-    }
-
-    /// The Ewald parameters [`Self::nacl_default`] picks for a box of
-    /// side `l`.
-    pub fn nacl_default_params(l: f64) -> EwaldParams {
-        let s = 3.2;
-        let alpha = 3.0 * s * 1.02; // r_cut = s·L/α ≈ L/3.06
-        EwaldParams::from_alpha_accuracy(alpha, s, s, l)
-    }
-
-    /// Make the machine ready for another job with the same parameters,
-    /// as a host reloads hardware that persists between runs: forget the
-    /// previous job's potential carry, cadence, counters and j-store.
-    /// What stays is what a fresh machine would rebuild the same — the
-    /// function tables, both emulators with their row plan, tile plan
-    /// and scratch, the wave table and the virial's fitted pair terms
-    /// (refitted if the next job's κ, `r_cut` or species charges differ)
-    /// — so the next job computes every bit, counter included, as it
-    /// would on a new machine.
-    pub fn forget_job(&mut self) {
-        self.potential_interval = 1;
-        self.steps_since_potential = 0;
-        self.last_potential = None;
-        self.last_counters = StepCounters::default();
-        self.coulomb_pass_ops = 0;
-        self.jstore = None;
-    }
-
-    /// Evaluate the potential every `interval` steps (paper: 100) and
-    /// carry the stale value in between; `1` = every step.
-    pub fn set_potential_interval(&mut self, interval: u64) {
-        assert!(interval >= 1);
-        self.potential_interval = interval;
-    }
-
-    /// The Ewald parameters.
-    pub fn params(&self) -> &EwaldParams {
-        &self.params
-    }
-
-    /// Swap the wavenumber backend — `wine2` (the default), `ewald`,
-    /// `pme`, `pswf`, … The backend's α must match the driver's
-    /// parameters, same contract as
-    /// [`mdm_core::forcefield::EwaldTosiFumi::with_longrange`].
-    pub fn set_longrange(&mut self, longrange: Box<dyn LongRangeBackend>) {
-        assert!(
-            (longrange.alpha() - self.params.alpha).abs() < 1e-12,
-            "backend alpha {} != params alpha {}",
-            longrange.alpha(),
-            self.params.alpha
-        );
-        self.longrange = longrange;
-    }
-
-    /// The active wavenumber backend.
-    pub fn longrange(&self) -> &dyn LongRangeBackend {
-        self.longrange.as_ref()
-    }
-
-    /// Hardware counters of the last `compute` call.
-    pub fn last_counters(&self) -> StepCounters {
-        self.last_counters
-    }
-
-    /// Export the stale-carried potential state for a checkpoint, or
-    /// `None` before the first evaluation.
-    pub fn potential_carry(&self) -> Option<PotentialCarry> {
-        self.last_potential
-            .map(|(e_real, e_short, virial_real)| PotentialCarry {
-                e_real,
-                e_short,
-                virial_real,
-                steps_since: self.steps_since_potential,
-            })
-    }
-
-    /// Restore a [`PotentialCarry`] from a checkpoint: the next
-    /// `compute` re-runs the energy passes at exactly the step the
-    /// uninterrupted run would have, carrying the stale values until
-    /// then.
-    pub fn restore_potential_carry(&mut self, carry: PotentialCarry) {
-        self.last_potential = Some((carry.e_real, carry.e_short, carry.virial_real));
-        self.steps_since_potential = carry.steps_since;
-    }
-
+impl Mdgrape2Real {
     /// Host-side real-space virial `Σ f⃗·d⃗` over the unordered pairs of
     /// the hardware's block-pair set within `r_cut`, in f64 (see
     /// [`crate::virial`]). The MDGRAPE-2 pipelines accumulate forces
@@ -478,10 +317,9 @@ impl MdmForceField {
     /// the walk's grid, and `JStore::build` has already refused fewer
     /// than 3 cells per side, so the half shell never meets an aliased
     /// neighbour cell.
-    fn real_virial(&mut self, system: &System, jstore: &JStore, kappa: f64) -> f64 {
+    fn real_virial(&mut self, system: &System, jstore: &JStore, kappa: f64, r_cut: f64) -> f64 {
         let _host = mdm_profile::span(mdm_profile::phase::HOST);
         let _virial = mdm_profile::span("virial");
-        let r_cut = self.params.r_cut;
         let terms = match self.virial_terms.take() {
             Some(terms) if terms.fits(kappa, r_cut, system.species()) => terms,
             _ => {
@@ -494,66 +332,33 @@ impl MdmForceField {
         virial
     }
 
-    /// Real-space pair interactions of the last Coulomb force pass —
-    /// the count the paper's `59 flops/pair` credit applies to
-    /// (passes 2–4 recompute the same pairs for the short-range terms
-    /// and are excluded, like the paper excludes "the force
-    /// calculation other than the Coulomb").
-    pub fn coulomb_pair_ops(&self) -> u64 {
-        self.coulomb_pass_ops
-    }
-
     /// The per-pass `(aᵢⱼ, bᵢⱼ)` coefficient matrices for the NaCl
     /// species table — force kernels, or their energy counterparts.
     /// `kappa = α/L`.
     fn coefficients(&self, system: &System, kappa: f64, energy: bool) -> [AtomCoefficients; 4] {
         let species = system.species();
-        let nt = species.len();
-        let rho = self.short.rho();
-        let mut coulomb_a = vec![vec![0.0; nt]; nt];
-        let mut coulomb_b = vec![vec![0.0; nt]; nt];
-        let mut bm_a = vec![vec![0.0; nt]; nt];
-        let mut bm_b = vec![vec![0.0; nt]; nt];
-        let mut d6_a = vec![vec![0.0; nt]; nt];
-        let mut d6_b = vec![vec![0.0; nt]; nt];
-        let mut d8_a = vec![vec![0.0; nt]; nt];
-        let mut d8_b = vec![vec![0.0; nt]; nt];
-        for i in 0..nt {
-            for j in 0..nt {
-                let qq = species[i].charge * species[j].charge;
-                coulomb_a[i][j] = kappa * kappa;
-                coulomb_b[i][j] = if energy {
-                    COULOMB_EV_A * qq * kappa
-                } else {
-                    COULOMB_EV_A * qq * kappa.powi(3)
-                };
-                bm_a[i][j] = 1.0 / (rho * rho);
-                let prefactor = self.short.born_mayer_prefactor(i, j);
-                bm_b[i][j] = if energy {
-                    prefactor
-                } else {
-                    prefactor / (rho * rho)
-                };
-                d6_a[i][j] = 1.0;
-                d6_b[i][j] = if energy {
-                    -self.short.c6(i, j)
-                } else {
-                    -6.0 * self.short.c6(i, j)
-                };
-                d8_a[i][j] = 1.0;
-                d8_b[i][j] = if energy {
-                    -self.short.d8(i, j)
-                } else {
-                    -8.0 * self.short.d8(i, j)
-                };
+        let (short, rho_sq) = (&self.short, self.short.rho() * self.short.rho());
+        let pair = |pass: usize, i: usize, j: usize| -> [f64; 2] {
+            let qq = species[i].charge * species[j].charge;
+            let prefactor = short.born_mayer_prefactor(i, j);
+            match (pass, energy) {
+                (0, true) => [kappa * kappa, COULOMB_EV_A * qq * kappa],
+                (0, false) => [kappa * kappa, COULOMB_EV_A * qq * kappa.powi(3)],
+                (1, true) => [1.0 / rho_sq, prefactor],
+                (1, false) => [1.0 / rho_sq, prefactor / rho_sq],
+                (2, true) => [1.0, -short.c6(i, j)],
+                (2, false) => [1.0, -6.0 * short.c6(i, j)],
+                (_, true) => [1.0, -short.d8(i, j)],
+                (_, false) => [1.0, -8.0 * short.d8(i, j)],
             }
-        }
-        [
-            AtomCoefficients::new(&coulomb_a, &coulomb_b),
-            AtomCoefficients::new(&bm_a, &bm_b),
-            AtomCoefficients::new(&d6_a, &d6_b),
-            AtomCoefficients::new(&d8_a, &d8_b),
-        ]
+        };
+        std::array::from_fn(|pass| {
+            let matrix = |k: usize| -> Vec<Vec<f64>> {
+                let row = |i| (0..species.len()).map(|j| pair(pass, i, j)[k]).collect();
+                (0..species.len()).map(row).collect()
+            };
+            AtomCoefficients::new(&matrix(0), &matrix(1))
+        })
     }
 
     /// The four §4 passes (Ewald-real, Born–Mayer, `r⁻⁶`, `r⁻⁸`) in
@@ -603,25 +408,13 @@ impl MdmForceField {
         }
         results
     }
-
-    /// Run the four energy-mode passes; returns (coulomb_real, short).
-    fn potential_passes(&mut self, system: &System, jstore: &JStore, kappa: f64) -> (f64, f64) {
-        // Ordered pairs double-count: halve.
-        let [e_real, bm, d6, d8] = self
-            .real_space_passes(PipelineMode::Potential, system, jstore, kappa)
-            .map(|pass| 0.5 * pass.values.iter().map(|v| v[0]).sum::<f64>());
-        (e_real, bm + d6 + d8)
-    }
 }
 
-impl ForceField for MdmForceField {
-    fn compute(&mut self, system: &System) -> ForceResult {
+impl RealSpaceEngine for Mdgrape2Real {
+    fn compute(&mut self, system: &System, params: &EwaldParams) -> RealSpace {
         let simbox = system.simbox();
-        let l = simbox.l();
-        let kappa = self.params.kappa(l);
-        let n = system.len();
+        let kappa = params.kappa(simbox.l());
         self.last_counters = StepCounters::default();
-        self.coulomb_pass_ops = 0;
         self.mdg_seconds = 0.0;
 
         // j-store shared by all MDGRAPE-2 passes this step: refreshed in
@@ -631,16 +424,16 @@ impl ForceField for MdmForceField {
             let _host = mdm_profile::span(mdm_profile::phase::HOST);
             match self.jstore.take() {
                 Some(mut js) => {
-                    js.refresh(simbox, system.positions(), system.types(), self.params.r_cut);
+                    js.refresh(simbox, system.positions(), system.types(), params.r_cut);
                     js
                 }
-                None => JStore::build(simbox, system.positions(), system.types(), self.params.r_cut),
+                None => JStore::build(simbox, system.positions(), system.types(), params.r_cut),
             }
         };
 
-        // --- MDGRAPE-2: four force passes. ---
+        // --- Four force passes. ---
         let passes = self.real_space_passes(PipelineMode::Force, system, &jstore, kappa);
-        let mut forces = vec![Vec3::ZERO; n];
+        let mut forces = vec![Vec3::ZERO; system.len()];
         for pass in &passes {
             for (f, v) in forces.iter_mut().zip(&pass.values) {
                 *f += Vec3::new(v[0], v[1], v[2]);
@@ -648,45 +441,26 @@ impl ForceField for MdmForceField {
         }
         self.coulomb_pass_ops = passes[0].counters.pair_ops;
 
-        // --- Wavenumber part (WINE-2 by default, any backend by name). ---
-        let wave = {
-            let _wave = mdm_profile::span(mdm_profile::phase::WAVE);
-            self.longrange
-                .compute(simbox, system.positions(), system.charges())
-        };
-        for (f, df) in forces.iter_mut().zip(&wave.forces) {
-            *f += *df;
-        }
-        self.last_counters.wine = WineCounters {
-            dft_ops: wave.counters.dft_ops,
-            idft_ops: wave.counters.idft_ops,
-            cycles: wave.counters.cycles,
-            bus_bytes_per_cluster: wave.counters.bus_bytes,
-            waves: wave.counters.waves,
-            // Mesh backends report zero ops — then nothing ran on the
-            // emulated board this step.
-            particles: if wave.counters.dft_ops > 0 { n as u64 } else { 0 },
-        };
-
-        // --- Host: self-energy. ---
-        let e_self = {
-            let _host = mdm_profile::span(mdm_profile::phase::HOST);
-            self_energy(kappa, system.charges())
-        };
-
         // --- Potential (every `potential_interval` steps). ---
-        let need_potential =
-            self.last_potential.is_none() || self.steps_since_potential + 1 >= self.potential_interval;
-        if need_potential {
-            let (e_real, e_short) = self.potential_passes(system, &jstore, kappa);
-            let virial_real = self.real_virial(system, &jstore, kappa);
-            self.last_potential = Some((e_real, e_short, virial_real));
-            self.steps_since_potential = 0;
-        } else {
-            self.steps_since_potential += 1;
-        }
-        let (e_real, e_short, virial_real) =
-            self.last_potential.expect("potential computed at least once");
+        let carry = match self.carry {
+            Some(mut carry) if carry.steps_since + 1 < self.potential_interval => {
+                carry.steps_since += 1;
+                carry
+            }
+            _ => {
+                // Ordered pairs double-count: halve.
+                let [e_real, bm, d6, d8] = self
+                    .real_space_passes(PipelineMode::Potential, system, &jstore, kappa)
+                    .map(|pass| 0.5 * pass.values.iter().map(|v| v[0]).sum::<f64>());
+                PotentialCarry {
+                    e_real,
+                    e_short: bm + d6 + d8,
+                    virial_real: self.real_virial(system, &jstore, kappa, params.r_cut),
+                    steps_since: 0,
+                }
+            }
+        };
+        self.carry = Some(carry);
 
         // Per-device utilization gauges (sampled once per step, so the
         // trace exporter can draw them as counter tracks and the run
@@ -708,9 +482,6 @@ impl ForceField for MdmForceField {
 
         // Engine counters beside the wall-clock spans — the modeled leg
         // of the measured-vs-modeled comparison.
-        mdm_profile::counter("wine_dft_ops", self.last_counters.wine.dft_ops);
-        mdm_profile::counter("wine_idft_ops", self.last_counters.wine.idft_ops);
-        mdm_profile::counter("wine_cycles", self.last_counters.wine.cycles);
         mdm_profile::counter("mdg_pair_ops", self.last_counters.mdg.pair_ops);
         mdm_profile::counter("mdg_cycles", self.last_counters.mdg.cycles);
         // Coulomb pass only: the paper's 59-flop pair credit excludes
@@ -719,35 +490,212 @@ impl ForceField for MdmForceField {
         mdm_profile::counter("mdg_coulomb_pair_ops", self.coulomb_pass_ops);
 
         self.jstore = Some(jstore);
-
-        let coulomb = e_real + wave.energy + e_self;
-        ForceResult {
+        // Real-space energies and virial at the potential cadence.
+        RealSpace {
             forces,
-            potential: coulomb + e_short,
-            coulomb,
-            short_range: e_short,
-            // Real-space part reduced host-side at the potential
-            // cadence; wavenumber part fresh every step from the
-            // backend's structure factors.
-            virial: virial_real + wave.virial,
+            coulomb: carry.e_real,
+            short: carry.e_short,
+            virial: carry.virial_real,
+            pairs: self.coulomb_pass_ops,
         }
     }
 
-    fn describe(&self) -> String {
+    fn note_wave(&mut self, system: &System, wave: &LongRangeCounters) {
+        self.last_counters.wine = WineCounters {
+            dft_ops: wave.dft_ops,
+            idft_ops: wave.idft_ops,
+            cycles: wave.cycles,
+            bus_bytes_per_cluster: wave.bus_bytes,
+            waves: wave.waves,
+            // Mesh backends report zero ops — then nothing ran on the
+            // emulated board this step.
+            particles: if wave.dft_ops > 0 { system.len() as u64 } else { 0 },
+        };
+        mdm_profile::counter("wine_dft_ops", wave.dft_ops);
+        mdm_profile::counter("wine_idft_ops", wave.idft_ops);
+        mdm_profile::counter("wine_cycles", wave.cycles);
+    }
+
+    fn describe(&self, params: &EwaldParams, longrange: &dyn LongRangeBackend) -> String {
         format!(
             "MDM machine (wave: {}, MDGRAPE-2 {} clusters, alpha={}, r_cut={:.2} A, n_max={:.1})",
-            self.longrange.describe(),
+            longrange.describe(),
             self.mdg.config().clusters,
-            self.params.alpha,
-            self.params.r_cut,
-            self.params.n_max,
+            params.alpha,
+            params.r_cut,
+            params.n_max,
         )
+    }
+}
+
+/// Force field evaluated on the emulated MDM: the [`ForceAssembly`]
+/// over the emulated MDGRAPE-2, with WINE-2 as its default wavenumber
+/// backend. A wrapper, not an alias, so that the machine's constructors
+/// and controls can be its own methods.
+pub struct MdmForceField(ForceAssembly<Mdgrape2Real>);
+
+impl MdmForceField {
+    /// Assemble the machine for an NaCl system with the given Ewald
+    /// parameters. `wine_clusters`/`mdg_clusters` size the emulated
+    /// hardware (use small numbers for tests — results are identical,
+    /// only the concurrency accounting changes).
+    pub fn new(
+        params: EwaldParams,
+        wine_clusters: usize,
+        mdg_clusters: usize,
+    ) -> Result<Self, mdm_funceval::TableBuildError> {
+        Ok(Self::with_tables(
+            params,
+            wine_clusters,
+            mdg_clusters,
+            MdmTables::build()?,
+        ))
+    }
+
+    /// Like [`Self::new`] with prebuilt function tables. The tables
+    /// are parameter-independent (they fit the dimensionless g(x)
+    /// kernels, not any particular α or box), so a multi-run host — the
+    /// serve layer time-slicing hundreds of jobs — builds them once
+    /// and clones them per job instead of re-running the table fits.
+    pub fn with_tables(
+        params: EwaldParams,
+        wine_clusters: usize,
+        mdg_clusters: usize,
+        tables: MdmTables,
+    ) -> Self {
+        let MdmTables {
+            force_tables,
+            energy_tables,
+        } = tables;
+        let real = Mdgrape2Real {
+            mdg: Mdgrape2System::new(
+                Mdgrape2Config {
+                    clusters: mdg_clusters,
+                },
+                force_tables[0].clone(),
+                AtomCoefficients::uniform(1.0, 0.0),
+            ),
+            short: TosiFumi::nacl(),
+            force_tables,
+            energy_tables,
+            potential_interval: 1,
+            carry: None,
+            last_counters: StepCounters::default(),
+            coulomb_pass_ops: 0,
+            mdg_seconds: 0.0,
+            jstore: None,
+            virial_terms: None,
+        };
+        let wine = Box::new(Wine2Backend::new(&params, wine_clusters));
+        Self(ForceAssembly::from_parts(real, wine, params))
+    }
+
+    /// A convenient NaCl configuration for a box of side `l`: α chosen
+    /// so `r_cut ≈ L/3` (three cells per side, the hardware minimum),
+    /// accuracy `s ≈ 3.2`.
+    pub fn nacl_default(l: f64) -> Result<Self, mdm_funceval::TableBuildError> {
+        Ok(Self::nacl_default_with_tables(l, MdmTables::build()?))
+    }
+
+    /// [`Self::nacl_default`] with prebuilt tables (see
+    /// [`Self::with_tables`]) — the per-job constructor the run server
+    /// uses so a hundred small jobs don't re-run a hundred table fits.
+    pub fn nacl_default_with_tables(l: f64, tables: MdmTables) -> Self {
+        Self::with_tables(Self::nacl_default_params(l), 2, 2, tables)
+    }
+
+    /// The Ewald parameters [`Self::nacl_default`] picks for a box of
+    /// side `l`.
+    pub fn nacl_default_params(l: f64) -> EwaldParams {
+        let s = 3.2;
+        let alpha = 3.0 * s * 1.02; // r_cut = s·L/α ≈ L/3.06
+        EwaldParams::from_alpha_accuracy(alpha, s, s, l)
+    }
+
+    /// Make the machine ready for another job with the same parameters,
+    /// as a host reloads hardware that persists between runs: forget the
+    /// previous job's potential carry, cadence, counters and j-store.
+    /// What stays is what a fresh machine would rebuild the same — the
+    /// function tables, both emulators with their row plan, tile plan
+    /// and scratch, the wave table and the virial's fitted pair terms
+    /// (refitted if the next job's κ, `r_cut` or species charges differ)
+    /// — so the next job computes every bit, counter included, as it
+    /// would on a new machine.
+    pub fn forget_job(&mut self) {
+        let real = self.0.real_mut();
+        real.potential_interval = 1;
+        real.carry = None;
+        real.last_counters = StepCounters::default();
+        real.coulomb_pass_ops = 0;
+        real.jstore = None;
+    }
+
+    /// Evaluate the potential every `interval` steps (paper: 100) and
+    /// carry the stale value in between; `1` = every step.
+    pub fn set_potential_interval(&mut self, interval: u64) {
+        assert!(interval >= 1);
+        self.0.real_mut().potential_interval = interval;
+    }
+
+    /// The Ewald parameters.
+    pub fn params(&self) -> &EwaldParams {
+        self.0.params()
+    }
+
+    /// Swap the wavenumber backend — `wine2` (the default), `ewald`,
+    /// `pme`, `pswf`, … (α contract of [`ForceAssembly::from_parts`]).
+    pub fn set_longrange(&mut self, longrange: Box<dyn LongRangeBackend>) {
+        self.0.set_longrange(longrange);
+    }
+
+    /// The active wavenumber backend.
+    pub fn longrange(&self) -> &dyn LongRangeBackend {
+        self.0.longrange()
+    }
+
+    /// Hardware counters of the last `compute` call.
+    pub fn last_counters(&self) -> StepCounters {
+        self.0.real().last_counters
+    }
+
+    /// Export the stale-carried potential state for a checkpoint, or
+    /// `None` before the first evaluation.
+    pub fn potential_carry(&self) -> Option<PotentialCarry> {
+        self.0.real().carry
+    }
+
+    /// Restore a [`PotentialCarry`] from a checkpoint: the next
+    /// `compute` re-runs the energy passes at exactly the step the
+    /// uninterrupted run would have, carrying the stale values until
+    /// then.
+    pub fn restore_potential_carry(&mut self, carry: PotentialCarry) {
+        self.0.real_mut().carry = Some(carry);
+    }
+
+    /// Real-space pair interactions of the last Coulomb force pass —
+    /// the count the paper's `59 flops/pair` credit applies to
+    /// (passes 2–4 recompute the same pairs for the short-range terms
+    /// and are excluded, like the paper excludes "the force
+    /// calculation other than the Coulomb").
+    pub fn coulomb_pair_ops(&self) -> u64 {
+        self.0.real().coulomb_pass_ops
+    }
+}
+
+impl ForceField for MdmForceField {
+    fn compute(&mut self, system: &System) -> ForceResult {
+        self.0.compute(system)
+    }
+
+    fn describe(&self) -> String {
+        self.0.describe()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mdm_core::ewald::self_energy;
     use mdm_core::forcefield::EwaldTosiFumi;
     use mdm_core::lattice::{rocksalt_nacl, NACL_LATTICE_A};
 
@@ -885,8 +833,8 @@ mod tests {
     /// sum — the formula the new sum must equal to reassociation.
     fn ordered_pair_virial(ff: &MdmForceField, system: &System) -> f64 {
         use mdm_core::potentials::ShortRangePotential;
-        let kappa = ff.params.kappa(system.simbox().l());
-        let r_cut = ff.params.r_cut.min(system.simbox().max_cutoff());
+        let kappa = ff.params().kappa(system.simbox().l());
+        let r_cut = ff.params().r_cut.min(system.simbox().max_cutoff());
         let r_cut_sq = r_cut * r_cut;
         let cl =
             mdm_core::celllist::CellList::build(system.simbox(), system.positions(), r_cut);
@@ -901,6 +849,8 @@ mod tests {
             let (_e, f_over_r) = mdm_core::ewald::real::real_kernel(kappa, r_sq);
             let qq = COULOMB_EV_A * charges[i] * charges[j];
             let fs = ff
+                .0
+                .real()
                 .short
                 .force_over_r(types[i] as usize, types[j] as usize, r);
             virial += 0.5 * (qq * f_over_r + fs) * r_sq;
@@ -915,10 +865,10 @@ mod tests {
             system.simbox(),
             system.positions(),
             system.types(),
-            ff.params.r_cut,
+            ff.params().r_cut,
         );
-        let kappa = ff.params.kappa(system.simbox().l());
-        let terms = PairTerms::fit(kappa, ff.params.r_cut, system.species(), &ff.short);
+        let kappa = ff.params().kappa(system.simbox().l());
+        let terms = PairTerms::fit(kappa, ff.params().r_cut, system.species(), &ff.0.real().short);
         crate::virial::real_virial(jstore.cells(), system, &terms)
     }
 
@@ -1021,7 +971,7 @@ mod tests {
     impl ForceField for OrderedPairVirial {
         fn compute(&mut self, system: &System) -> ForceResult {
             let mut result = self.0.compute(system);
-            let (_, _, half_shell) = self.0.last_potential.expect("energy pass every step");
+            let half_shell = self.0.potential_carry().expect("energy pass every step").virial_real;
             let wave = result.virial - half_shell;
             result.virial = ordered_pair_virial(&self.0, system) + wave;
             result
@@ -1125,7 +1075,7 @@ mod tests {
         for (seed, interval, steps) in [(1, 1, 3), (2, 3, 5), (3, 2, 4)] {
             warm = run_job(warm, seed, interval, steps).2;
         }
-        assert!(warm.jstore.is_some() && warm.last_potential.is_some());
+        assert!(warm.0.real().jstore.is_some() && warm.potential_carry().is_some());
         warm.forget_job();
         assert_eq!(*warm.params(), MdmForceField::nacl_default_params(l));
         // Job D, on the warm machine and on a new one.
@@ -1161,7 +1111,7 @@ mod tests {
         // MDGRAPE: 4 force passes over the same block pairs (+1 set of
         // energy passes on the first step).
         assert!(c.mdg.pair_ops > 0);
-        assert_eq!(c.mdg.pair_ops % hw.coulomb_pass_ops, 0);
+        assert_eq!(c.mdg.pair_ops % hw.coulomb_pair_ops(), 0);
     }
 
     #[test]

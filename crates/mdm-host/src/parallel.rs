@@ -23,7 +23,9 @@
 //! * every rank ends the same way: one gather over the whole world
 //!   sends its particles' indices and forces and its
 //!   `[coulomb, short, virial]` terms to rank 0, which adds them up in
-//!   rank order into the [`ForceResult`].
+//!   rank order and finishes with the serial field's host step
+//!   ([`host_sum`]: self and background energy) into the
+//!   [`ForceResult`].
 //!
 //! The point of this module is agreement with the serial reference up
 //! to floating-point reassociation, verified in tests.
@@ -33,8 +35,8 @@ use mdm_core::celllist::CellList;
 use mdm_core::deal;
 use mdm_core::ewald::real::{self, ShortRange};
 use mdm_core::ewald::recip;
-use mdm_core::ewald::{self_energy, EwaldParams};
-use mdm_core::forcefield::ForceResult;
+use mdm_core::ewald::EwaldParams;
+use mdm_core::forcefield::{host_sum, ForceResult};
 use mdm_core::kvectors::half_space_vectors;
 use mdm_core::potentials::TosiFumi;
 use mdm_core::system::System;
@@ -145,7 +147,7 @@ pub fn parallel_forces(
         let _gather = mdm_profile::span("gather");
         let rows = comm.gather_to_root(0..world, tag::FORCE_GATHER, &rows);
         let terms = comm.gather_to_root(0..world, tag::TERM_GATHER, &terms);
-        (rank == 0).then(|| assemble(n, &rows, &terms, kappa, charges))
+        (rank == 0).then(|| assemble(system, params, &rows, &terms))
     });
 
     outputs
@@ -166,9 +168,9 @@ fn force_rows(indices: impl Iterator<Item = usize>, forces: &[Vec3]) -> Vec<f64>
 
 /// Rank-0 assembly: add every gathered `[index, fx, fy, fz]` row into
 /// its particle's force and every rank's `[coulomb, short, virial]`
-/// into the totals, in rank order.
-fn assemble(n: usize, rows: &[f64], terms: &[f64], kappa: f64, charges: &[f64]) -> ForceResult {
-    let mut forces = vec![Vec3::ZERO; n];
+/// into the totals, in rank order, and finish with the host's sum.
+fn assemble(system: &System, params: &EwaldParams, rows: &[f64], terms: &[f64]) -> ForceResult {
+    let mut forces = vec![Vec3::ZERO; system.len()];
     for row in rows.chunks_exact(4) {
         forces[row[0] as usize] += Vec3::new(row[1], row[2], row[3]);
     }
@@ -178,15 +180,7 @@ fn assemble(n: usize, rows: &[f64], terms: &[f64], kappa: f64, charges: &[f64]) 
             *total += term;
         }
     }
-    let [e_coulomb, short_range, virial] = sum;
-    let coulomb = e_coulomb + self_energy(kappa, charges);
-    ForceResult {
-        potential: coulomb + short_range,
-        coulomb,
-        short_range,
-        forces,
-        virial,
-    }
+    host_sum(system, params, forces, sum)
 }
 
 #[cfg(test)]

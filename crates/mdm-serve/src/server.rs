@@ -40,12 +40,20 @@
 //! | `<job>.trace.jsonl` | flight-recorder stream, appended and flushed per step; `watch` follows it |
 //! | `<job>.done` | spec, moved here on completion |
 //! | `<job>.failed` | spec + error line, moved here on failure |
+//! | `<job>.job.part` (`.done.part`, …) | a spec file while it is written; renamed once whole |
 //!
-//! A restarted server scans the spool: `.done`/`.failed` register as
-//! terminal, `.job` re-enters the queue, resuming from the checkpoint
+//! A restarted server scans the spool: a `.part` is a write that never
+//! finished and is removed, `.done`/`.failed` register as terminal,
+//! `.job` re-enters the queue, resuming from the checkpoint
 //! [`Checkpoint::load_latest`] finds (`.ckpt`, else a complete `.tmp`)
 //! or from step 0. Nothing is synced: a SIGKILL loses at most the slice
 //! that was running, a power loss may lose more.
+//!
+//! A slice that fails — an error, or a panic the board catches — fails
+//! its job with a `.failed` entry that says why and leaves the board
+//! empty; the board goes on with the next job. The accept loop blocks in
+//! `accept`; a stop wakes it with one connection to the daemon's own
+//! address (a `shutdown` request only once its reply is flushed).
 
 use crate::protocol::{error_line, JobReport, JobSpec, JobState, Request};
 use crate::queue::{Entry, JobQueue};
@@ -65,6 +73,7 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, LazyLock, Mutex, MutexGuard};
@@ -253,6 +262,8 @@ struct State {
 
 struct Inner {
     cfg: ServerConfig,
+    /// Where a stop connects to wake the accept loop out of `accept`.
+    wake: SocketAddr,
     tables: MdmTables,
     state: Mutex<State>,
     work: Condvar,
@@ -280,6 +291,12 @@ impl Inner {
     fn spool_file(&self, job: &str, suffix: &str) -> PathBuf {
         self.cfg.spool.join(format!("{job}.{suffix}"))
     }
+
+    /// Wake the accept loop, blocked in `accept`, to see the stop flag.
+    /// The connect is bounded, so a stop never hangs on it.
+    fn wake_accept(&self) {
+        let _ = TcpStream::connect_timeout(&self.wake, Duration::from_secs(1));
+    }
 }
 
 /// What one slice left behind.
@@ -300,13 +317,15 @@ pub struct Server {
 }
 
 impl Server {
-    /// Build the tables, recover the spool, bind, and spawn the accept
+    /// Build the tables, bind, recover the spool, and spawn the accept
     /// loop plus `boards` workers.
     pub fn start(cfg: ServerConfig) -> io::Result<Server> {
         fs::create_dir_all(&cfg.spool)?;
         let tables = MdmTables::build()
             .map_err(|e| io::Error::other(format!("function-table build: {e:?}")))?;
         let boards = cfg.boards;
+        let listener = TcpListener::bind(&cfg.addr)?;
+        let local_addr = listener.local_addr()?;
         let inner = Arc::new(Inner {
             state: Mutex::new(State {
                 queue: JobQueue::new(cfg.queue_capacity),
@@ -319,13 +338,11 @@ impl Server {
             rejected_submits: AtomicU64::new(0),
             slice_ms: AtomicU64::new(200),
             cfg,
+            wake: local_addr,
             tables,
         });
         recover_spool(&inner)?;
 
-        let listener = TcpListener::bind(&inner.cfg.addr)?;
-        let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let accept = {
             let inner = Arc::clone(&inner);
             std::thread::spawn(move || accept_loop(inner, listener))
@@ -382,6 +399,7 @@ impl Server {
         self.inner.stop.store(true, Ordering::SeqCst);
         self.inner.work.notify_all();
         if let Some(accept) = self.accept.take() {
+            self.inner.wake_accept();
             let _ = accept.join();
         }
         for w in self.workers.drain(..) {
@@ -401,6 +419,11 @@ fn recover_spool(inner: &Arc<Inner>) -> io::Result<()> {
     let mut names: Vec<(String, String)> = Vec::new(); // (job, suffix)
     for entry in fs::read_dir(&inner.cfg.spool)? {
         let name = entry?.file_name().to_string_lossy().into_owned();
+        if name.ends_with(".part") {
+            // A spec write killed before its rename (`write_spec`).
+            fs::remove_file(inner.cfg.spool.join(&name))?;
+            continue;
+        }
         for suffix in ["job", "done", "failed"] {
             if let Some(stem) = name.strip_suffix(&format!(".{suffix}")) {
                 names.push((stem.to_string(), suffix.to_string()));
@@ -469,17 +492,18 @@ fn checkpointed_step(inner: &Arc<Inner>, job: &str) -> u64 {
 }
 
 fn accept_loop(inner: Arc<Inner>, listener: TcpListener) {
-    while !inner.stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
+    for accepted in listener.incoming() {
+        if inner.stop.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
+            Ok(stream) => {
                 let inner = Arc::clone(&inner);
                 std::thread::spawn(move || {
                     let _ = handle_client(inner, stream);
                 });
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
+            // Out of descriptors, say: let some close.
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
     }
@@ -563,6 +587,9 @@ fn handle_client(inner: Arc<Inner>, stream: TcpStream) -> io::Result<()> {
                 inner.work.notify_all();
                 let response = obj([("ok", Value::Bool(true)), ("stopping", Value::Bool(true))]);
                 writeln!(writer, "{}", response.to_compact())?;
+                writer.flush()?;
+                // Only now: a woken loop ends the daemon, reply or not.
+                inner.wake_accept();
                 return Ok(());
             }
         }
@@ -636,6 +663,9 @@ fn submit(inner: &Arc<Inner>, spec: JobSpec) -> Value {
     }
 }
 
+/// Write a spec file whole or not at all: into `<path>.part`, renamed
+/// onto the free name `path`. A kill leaves only the `.part`, which
+/// [`recover_spool`] removes.
 fn write_spec(path: &Path, spec: &JobSpec, detail: Option<&str>) -> io::Result<()> {
     let mut text = spec.to_json().to_compact();
     text.push('\n');
@@ -643,7 +673,10 @@ fn write_spec(path: &Path, spec: &JobSpec, detail: Option<&str>) -> io::Result<(
         text.push_str(&detail.replace('\n', " "));
         text.push('\n');
     }
-    fs::write(path, text)
+    let mut part = path.as_os_str().to_owned();
+    part.push(".part");
+    fs::write(&part, text)?;
+    fs::rename(&part, path)
 }
 
 fn stats(inner: &Arc<Inner>) -> Value {
@@ -827,7 +860,14 @@ fn worker_loop(inner: Arc<Inner>) {
             }
         }
         let started = Instant::now();
-        let outcome = run_slice(&inner, &job, &mut board);
+        let outcome = panic::catch_unwind(AssertUnwindSafe(|| run_slice(&inner, &job, &mut board)))
+            .unwrap_or_else(|payload| {
+                // Drop the machine, as after any failed slice; keep the board.
+                board = None;
+                let message = payload.downcast_ref::<&str>().map(|s| s.to_string());
+                let message = message.or_else(|| payload.downcast_ref::<String>().cloned());
+                Err(format!("slice panicked: {}", message.unwrap_or_default()))
+            });
         let ms = started.elapsed().as_millis() as u64;
         let ema = inner.slice_ms.load(Ordering::Relaxed);
         inner

@@ -975,3 +975,106 @@ fn twenty_list_round_trips_take_under_200_ms() {
     server.stop();
     let _ = std::fs::remove_dir_all(&spool);
 }
+
+/// A new connection is accepted at once: the accept loop blocks in
+/// `accept` rather than polling every 10 ms, which held each
+/// connect-and-ask to ≈ 10 ms (2.0 s for 200) and capped a soak that
+/// connects once per job at ≈ 99 submits/s.
+#[test]
+fn two_hundred_connect_and_stats_round_trips_take_under_a_second() {
+    let spool = temp_spool("accept");
+    let mut cfg = ServerConfig::new(&spool);
+    cfg.boards = 0;
+    let server = Server::start(cfg).unwrap();
+    let addr = server.local_addr().to_string();
+    let start = std::time::Instant::now();
+    for _ in 0..200 {
+        let stats = Client::connect(&addr).unwrap().stats().unwrap();
+        assert_eq!(stats.get("ok"), Some(&Value::Bool(true)));
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "200 connect + stats round trips took {elapsed:?}"
+    );
+    server.stop();
+    let _ = std::fs::remove_dir_all(&spool);
+}
+
+/// A spec write killed before its rename leaves only `<job>.job.part`:
+/// the daemon starts on that spool, knows no such job and removes the
+/// part file.
+#[test]
+fn a_stale_spec_part_file_is_removed_at_start() {
+    let spool = temp_spool("part");
+    let part = spool.join("x.job.part");
+    std::fs::write(&part, "").unwrap();
+    let server = Server::start(ServerConfig::new(&spool)).unwrap();
+    let mut client = Client::connect(&server.local_addr().to_string()).unwrap();
+    assert!(client.status("x").is_err(), "a part file registered a job");
+    assert!(client.list().unwrap().is_empty());
+    assert!(!part.exists(), "the stale part file is still there");
+    server.stop();
+    let _ = std::fs::remove_dir_all(&spool);
+}
+
+/// A checkpoint whose species table gains a third entry panics the
+/// step (the Tosi–Fumi tables know two species). The panic fails that
+/// job, with its message in the detail line, and the one board goes on
+/// to run the next job.
+#[test]
+fn a_panicking_slice_fails_its_job_not_its_board() {
+    let spool = temp_spool("panic");
+    let mut cfg = ServerConfig::new(&spool);
+    cfg.slice_steps = 2;
+    let job = |name: &str, steps: u64| JobSpec {
+        name: name.into(),
+        cells: 2,
+        steps,
+        dt: 2.0,
+        temperature: 1200.0,
+        seed: 23,
+        ..JobSpec::default()
+    };
+
+    let server = Server::start(cfg.clone()).unwrap();
+    let mut client = Client::connect(&server.local_addr().to_string()).unwrap();
+    assert!(matches!(
+        client.submit(&job("victim", 1_000_000)).unwrap(),
+        SubmitOutcome::Accepted { .. }
+    ));
+    let deadline = std::time::Instant::now() + Duration::from_secs(120);
+    while client.status("victim").unwrap().step < 2 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "no checkpoint after 120 s"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    server.stop();
+
+    let ckpt = spool.join("victim.ckpt");
+    let mut cp = Checkpoint::load(&ckpt).unwrap();
+    cp.species.push(mdm_core::system::Species {
+        name: "X".into(),
+        mass: 1.0,
+        charge: 0.0,
+    });
+    cp.write(&ckpt).unwrap();
+
+    let server = Server::start(cfg).unwrap();
+    let mut client = Client::connect(&server.local_addr().to_string()).unwrap();
+    let report = client.wait("victim", Duration::from_secs(120)).unwrap();
+    assert_eq!(report.state, JobState::Failed, "{:?}", report.detail);
+    let detail = report.detail.unwrap_or_default();
+    assert!(detail.contains("slice panicked"), "{detail}");
+    assert!(spool.join("victim.failed").exists());
+    assert!(matches!(
+        client.submit(&job("after", 4)).unwrap(),
+        SubmitOutcome::Accepted { .. }
+    ));
+    let report = client.wait("after", Duration::from_secs(120)).unwrap();
+    assert_eq!(report.state, JobState::Done, "{:?}", report.detail);
+    server.stop();
+    let _ = std::fs::remove_dir_all(&spool);
+}

@@ -11,7 +11,8 @@
 
 use mdm::core::direct::{direct_coulomb_forces, madelung_rocksalt, tin_foil_force_correction};
 use mdm::core::ewald::recip::recip_space;
-use mdm::core::ewald::{EwaldParams, EwaldSum};
+use mdm::core::ewald::EwaldParams;
+use mdm::core::forcefield::{EwaldTosiFumi, ForceField};
 use mdm::core::kvectors::half_space_vectors;
 use mdm::core::lattice::{rocksalt_nacl, NACL_LATTICE_A};
 use mdm::core::units::COULOMB_EV_A;
@@ -26,10 +27,9 @@ fn main() {
     // --- 1. Madelung constant: Ewald vs analytic vs Evjen sum. ---
     let s = rocksalt_nacl(2, NACL_LATTICE_A);
     let l = s.simbox().l();
-    let sum = EwaldSum::new(EwaldParams::from_alpha_accuracy(9.0, 3.8, 3.8, l));
-    let e = sum.compute(s.simbox(), s.positions(), s.charges());
+    let e = EwaldTosiFumi::coulomb(EwaldParams::from_alpha_accuracy(9.0, 3.8, 3.8, l)).compute(&s);
     let a0 = NACL_LATTICE_A / 2.0;
-    let m_ewald = -e.energy() / (s.len() as f64 / 2.0) * a0 / COULOMB_EV_A;
+    let m_ewald = -e.coulomb / (s.len() as f64 / 2.0) * a0 / COULOMB_EV_A;
     let m_exact = 1.747_564_594_633_182_2;
     let m_evjen = madelung_rocksalt(12);
     println!("rock-salt Madelung constant:");
@@ -41,8 +41,8 @@ fn main() {
     let mut p = rocksalt_nacl(1, NACL_LATTICE_A);
     p.displace(0, Vec3::new(0.4, -0.25, 0.1));
     p.displace(3, Vec3::new(-0.2, 0.3, 0.2));
-    let sum_p = EwaldSum::new(EwaldParams::from_alpha_accuracy(8.0, 3.6, 3.6, p.simbox().l()));
-    let ew = sum_p.compute(p.simbox(), p.positions(), p.charges());
+    let ew = EwaldTosiFumi::coulomb(EwaldParams::from_alpha_accuracy(8.0, 3.6, 3.6, p.simbox().l()))
+        .compute(&p);
     let mut direct = direct_coulomb_forces(p.simbox(), p.positions(), p.charges(), 16);
     let corr = tin_foil_force_correction(p.simbox(), p.positions(), p.charges());
     for (f, c) in direct.iter_mut().zip(&corr) {
