@@ -21,9 +21,7 @@
 //! * `--steps K` — steps averaged per size (default 2), after one
 //!   untimed warm-up step;
 //! * `--cells A,B,C` — rocksalt cells per side (default `4,8,16` →
-//!   N = 512, 4,096, 32,768);
-//! * `--sizes N1,N2` — same ladder given as particle counts
-//!   (`512,4096,32768`; each must be a rocksalt count `8·c³`);
+//!   N = 512, 4,096, 32,768; N = 8·c³);
 //! * `--longrange B` — wavenumber backend for the profiled steps:
 //!   `wine2` (default, the emulated board), `ewald`, `pme`, or `pswf`.
 //!   Non-default backends append `-lr-B` to the report labels;
@@ -45,7 +43,7 @@
 //!   t_comm` from the busiest rank of each group, ending with the
 //!   phase and the rank that bound it (`bound: wave (rank 3)`).
 
-use mdm_bench::stepprof::{cells_for_particles, profile_size, profile_world, WorldStep};
+use mdm_bench::stepprof::{profile_size, profile_world, WorldStep};
 use mdm_host::parallel::ParallelConfig;
 use mdm_profile::ledger::RunRecord;
 use mdm_profile::{phase, Profile, Timeline};
@@ -169,9 +167,9 @@ fn print_report(
     println!();
 }
 
-/// Concatenate per-size timeline sessions into one trace, each size
-/// shifted past the previous one with a 1 ms gap so the sessions stay
-/// visually distinct in Perfetto.
+/// Concatenate per-size timelines into one trace, each size shifted
+/// past the previous one with a 1 ms gap so the sizes stay visually
+/// distinct in Perfetto.
 fn merge_timelines(timelines: Vec<Timeline>) -> Timeline {
     let mut merged = Timeline::default();
     let mut offset = 0.0f64;
@@ -231,19 +229,6 @@ fn main() {
                     .map(|v| v.parse().expect("cells must be integers"))
                     .collect();
             }
-            "--sizes" => {
-                cells = args
-                    .next()
-                    .expect("--sizes needs a comma-separated list of particle counts")
-                    .split(',')
-                    .map(|v| {
-                        let n: u64 = v.parse().expect("sizes must be integers");
-                        cells_for_particles(n).unwrap_or_else(|| {
-                            panic!("{n} is not a rocksalt particle count (need N = 8c^3, e.g. 512, 4096, 32768)")
-                        })
-                    })
-                    .collect();
-            }
             "--longrange" => {
                 longrange = args.next().expect("--longrange needs a backend name");
                 assert!(
@@ -271,7 +256,7 @@ fn main() {
                 });
             }
             other => panic!(
-                "unknown option {other:?} (try --steps, --cells, --sizes, --longrange, --trace, --record, --world)"
+                "unknown option {other:?} (try --steps, --cells, --longrange, --trace, --record, --world)"
             ),
         }
     }
@@ -290,7 +275,7 @@ fn main() {
         );
     }
 
-    // One timeline session per size: a `--world` run always records
+    // One timeline per size: a `--world` run always records
     // its own (its step is read from the ranks' spans), the emulated
     // step only for `--trace`.
     let mut timelines: Vec<Timeline> = Vec::new();

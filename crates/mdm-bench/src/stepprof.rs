@@ -50,13 +50,6 @@ pub fn balanced_params(l: f64, n: usize) -> EwaldParams {
     EwaldParams::from_alpha_accuracy(alpha, s, s, l)
 }
 
-/// Cells per side for a rocksalt particle count `n = 8·c³`; `None` when
-/// `n` is not a valid rocksalt size.
-pub fn cells_for_particles(n: u64) -> Option<usize> {
-    let cells = ((n as f64 / 8.0).cbrt()).round() as usize;
-    (cells >= 1 && (8 * cells * cells * cells) as u64 == n).then_some(cells)
-}
-
 /// Build the warm emulated-MDM simulation profiled by [`profile_size`]:
 /// `cells` rocksalt cells per side at the paper's density, molten-salt
 /// velocities, energy passes pushed out of the window, real-space
@@ -227,10 +220,10 @@ impl WorldStep {
 
 /// Profile the §4 simulated-MPI parallel program: `steps` repetitions
 /// of [`parallel_forces`] at `cells` rocksalt cells per side under the
-/// given process layout, after one warm-up call. Both run inside one
-/// timeline session (returned for `--trace`: a process group per rank
-/// plus the send/recv flows), and the row's phases are the
-/// [`WorldStep`] read from the measured window's rank spans. What
+/// given process layout, after one warm-up call. Both are traced on
+/// one timeline (returned for `--trace`: a process group per rank plus
+/// the send/recv flows), and the row's phases are the [`WorldStep`]
+/// read from the measured window's rank spans. What
 /// `profile_step --world R,W` runs; labeled `nacl-{n}-world-{R}x{W}`.
 /// The software kernels it runs count no cycles and meter no flops, so
 /// the row has phases only.
@@ -246,10 +239,12 @@ pub fn profile_world(
     let params = balanced_params(l, n);
     let label = format!("nacl-{n}-world-{}x{}", config.real_processes, config.wave_processes);
 
-    // Warmup once (thread spawn paths, allocator), then measure.
+    // Warmup once (thread spawn paths, allocator), then measure; the
+    // run's profile keeps the measured window only.
+    let _scope = mdm_profile::scope();
     mdm_profile::timeline_start();
     parallel_forces(&system, &params, config);
-    let _scope = mdm_profile::scope();
+    mdm_profile::reset();
     let from_us = mdm_profile::timeline_now_us().unwrap_or(0.0);
     let t0 = Instant::now();
     for _ in 0..steps {
@@ -275,17 +270,6 @@ pub fn profile_world(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn cells_round_trip_particle_counts() {
-        assert_eq!(cells_for_particles(512), Some(4));
-        assert_eq!(cells_for_particles(4096), Some(8));
-        assert_eq!(cells_for_particles(32768), Some(16));
-        assert_eq!(cells_for_particles(1000), Some(5));
-        assert_eq!(cells_for_particles(1001), None);
-        assert_eq!(cells_for_particles(100), None);
-        assert_eq!(cells_for_particles(0), None);
-    }
 
     #[test]
     fn recorded_profile_matches_plain_profile_shape() {

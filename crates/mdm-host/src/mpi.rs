@@ -10,14 +10,16 @@
 //! [`parallel`](crate::parallel) module writes against this exactly as
 //! the paper's code wrote against MPI.
 //!
-//! **Tracing**: every rank thread records into its caller's profile
-//! scope and runs inside an [`mdm_profile::rank_scope`], so the spans
-//! and watchdog violations it records carry the rank, and
+//! **Tracing**: every rank thread adopts its caller's profile context
+//! with its rank set ([`mdm_profile::Context::with_rank`]), so it
+//! records into the caller's scope and timeline, and the spans and
+//! watchdog violations it records — and those of every pool worker
+//! helping with its parallel regions — carry the rank.
 //! [`Comm::send`] / [`Comm::recv`] mark each message's endpoints as
 //! timeline flows ([`mdm_profile::timeline_flow_send`]) — in a `--trace`
 //! run the merged Perfetto trace shows one process-track family per
 //! rank with send→recv arrows between them. The timeline part is a
-//! no-op (one relaxed atomic load) when no timeline is recording.
+//! no-op when the caller traces nothing.
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::collections::HashMap;
@@ -216,8 +218,7 @@ where
                     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         // Everything the rank records — spans, flows,
                         // watchdog violations — carries its identity.
-                        let _context = mdm_profile::adopt_context(parent);
-                        let _identity = mdm_profile::rank_scope(rank as u64);
+                        let _context = mdm_profile::adopt_context(&parent.with_rank(rank as u64));
                         f(comm)
                     })) {
                         Ok(result) => Ok(result),
@@ -372,9 +373,7 @@ mod tests {
     /// The distributed-tracing contract: under a recording timeline, a
     /// ring of sends produces rank-stamped spans and one send/recv
     /// flow pair per message, with send-side and recv-side ranks both
-    /// attributed. (The only test in this binary using the process
-    /// global timeline — concurrent tests can only add events, which
-    /// the name filters ignore.)
+    /// attributed.
     #[test]
     fn run_world_records_rank_spans_and_message_flows() {
         use mdm_profile::FlowKind;
@@ -392,7 +391,6 @@ mod tests {
         let ranks: std::collections::BTreeSet<Option<u64>> = timeline
             .events
             .iter()
-            .filter(|e| e.path == "mpi_trace_test")
             .map(|e| e.rank)
             .collect();
         assert_eq!(
@@ -406,12 +404,12 @@ mod tests {
         let sends: Vec<_> = timeline
             .flows
             .iter()
-            .filter(|f| f.tag == 77 && f.kind == FlowKind::Send)
+            .filter(|f| f.kind == FlowKind::Send)
             .collect();
         let recvs: Vec<_> = timeline
             .flows
             .iter()
-            .filter(|f| f.tag == 77 && f.kind == FlowKind::Recv)
+            .filter(|f| f.kind == FlowKind::Recv)
             .collect();
         assert_eq!(sends.len(), 3, "flows: {:?}", timeline.flows);
         assert_eq!(recvs.len(), 3);
@@ -428,6 +426,48 @@ mod tests {
                 "send {send:?} paired with recv {recv:?}"
             );
         }
+    }
+
+    /// A pool worker that helps with a rank's parallel region records
+    /// as that rank: the rank rides in the context the region hands out.
+    #[test]
+    fn pool_workers_stamp_the_rank_whose_region_they_help() {
+        use rayon::prelude::*;
+        const ITEMS: [&str; 3] = ["mpi_item_0", "mpi_item_1", "mpi_item_2"];
+        mdm_profile::timeline_start();
+        run_world(3, |comm| {
+            let item = ITEMS[comm.rank()];
+            let _body = mdm_profile::span("mpi_rank_body");
+            rayon::with_num_threads(4, || {
+                (0..32usize).into_par_iter().for_each(|_| {
+                    let _item = mdm_profile::span(item);
+                    std::thread::sleep(std::time::Duration::from_micros(500));
+                })
+            });
+        });
+        let timeline = mdm_profile::timeline_stop();
+        let rank_threads: Vec<u64> = timeline
+            .events
+            .iter()
+            .filter(|e| e.path == "mpi_rank_body")
+            .map(|e| e.thread)
+            .collect();
+        assert_eq!(rank_threads.len(), 3, "events: {:?}", timeline.events);
+        let mut workers = std::collections::BTreeSet::new();
+        for (rank, item) in ITEMS.iter().enumerate() {
+            let path = format!("mpi_rank_body.{item}");
+            let items: Vec<_> = timeline.events.iter().filter(|e| e.path == path).collect();
+            assert_eq!(items.len(), 32, "events: {:?}", timeline.events);
+            for e in items {
+                assert_eq!(e.rank, Some(rank as u64), "{e:?}");
+                if !rank_threads.contains(&e.thread) {
+                    workers.insert(e.thread);
+                }
+            }
+        }
+        // Pool workers took part: some items were closed by a thread
+        // that is no rank thread.
+        assert!(!workers.is_empty(), "events: {:?}", timeline.events);
     }
 
     #[test]

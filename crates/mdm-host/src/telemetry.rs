@@ -517,9 +517,8 @@ fn stamp_wall_fraction_gauges(event: &mut StepEvent, profile: &mdm_profile::Prof
             }
         }
     }
-    // Capacity-weighted rayon utilization over the whole step: the
-    // per-region gauge mean over-weights short regions; busy/capacity
-    // from the summed counters does not.
+    // Rayon utilization over the whole step, capacity-weighted: the
+    // busy and capacity counters every region of the step added to.
     let counter = |name: &str| profile.counters.get(name).copied().unwrap_or(0);
     let (busy, capacity) = (counter("rayon_busy_ns"), counter("rayon_capacity_ns"));
     if capacity > 0 {
@@ -945,6 +944,27 @@ mod tests {
             assert!(occupancy > 0.0 && occupancy <= 1.0);
             // Wall fractions are fractions of the measured step.
             assert!(event.gauges["mdg.util_wall"] <= 1.0 + 1e-9);
+        }
+    }
+
+    #[test]
+    fn rayon_utilization_is_the_steps_busy_over_capacity() {
+        let mut sim = mdm_sim();
+        let manifest = mdm_manifest("rayon-util", "cargo test", &sim, 11);
+        let mut recorder = FlightRecorder::new(Vec::new(), &manifest).unwrap();
+        let run = rayon::with_num_threads(2, || {
+            run_instrumented(&mut sim, 2, &mut recorder, Instruments::default()).unwrap()
+        });
+        // The drained step profiles hold the counters, not a gauge.
+        assert!(run.profile.counters["rayon_capacity_ns"] > 0);
+        assert!(!run.profile.gauges.contains_key("host.rayon_util"));
+        let text = String::from_utf8(recorder.into_inner()).unwrap();
+        let (_, steps) = parse_jsonl(&text).unwrap();
+        assert_eq!(steps.len(), 2);
+        for event in &steps {
+            let busy = event.counters["rayon_busy_ns"] as f64;
+            let capacity = event.counters["rayon_capacity_ns"] as f64;
+            assert_eq!(event.gauges["host.rayon_util"], busy / capacity);
         }
     }
 

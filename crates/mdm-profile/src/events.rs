@@ -231,7 +231,6 @@ impl StepEvent {
 /// readable (truncated) recording behind.
 pub struct FlightRecorder<W: Write> {
     sink: W,
-    steps_recorded: u64,
 }
 
 impl<W: Write> FlightRecorder<W> {
@@ -239,23 +238,13 @@ impl<W: Write> FlightRecorder<W> {
     pub fn new(mut sink: W, manifest: &RunManifest) -> io::Result<Self> {
         writeln!(sink, "{}", manifest.to_json().to_compact())?;
         sink.flush()?;
-        Ok(Self {
-            sink,
-            steps_recorded: 0,
-        })
+        Ok(Self { sink })
     }
 
     /// Append one step line.
     pub fn record(&mut self, event: &StepEvent) -> io::Result<()> {
         writeln!(self.sink, "{}", event.to_json().to_compact())?;
-        self.sink.flush()?;
-        self.steps_recorded += 1;
-        Ok(())
-    }
-
-    /// Step lines written so far.
-    pub fn steps_recorded(&self) -> u64 {
-        self.steps_recorded
+        self.sink.flush()
     }
 
     /// Unwrap the sink (for in-memory recordings in tests).
@@ -393,7 +382,6 @@ mod tests {
         let mut recorder = FlightRecorder::new(Vec::new(), &manifest).unwrap();
         recorder.record(&sample_event(0)).unwrap();
         recorder.record(&sample_event(1)).unwrap();
-        assert_eq!(recorder.steps_recorded(), 2);
         let text = String::from_utf8(recorder.into_inner()).unwrap();
         assert_eq!(text.lines().count(), 3, "manifest + 2 steps:\n{text}");
 

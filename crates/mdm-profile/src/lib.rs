@@ -18,6 +18,8 @@
 //!   [`context_snapshot`] / [`adopt_context`] — else to one
 //!   process-wide sink; either is a `Mutex` touched once per span
 //!   *end*, not per sample. Concurrent runs never see each other.
+//!   The thread's one [`Context`] holds its span stack, that sink, its
+//!   timeline and its simulated-MPI rank, and a worker adopts all four.
 //! * [`counter`] accumulates named integer totals (pairs visited, waves
 //!   processed, …) next to the timings; [`counter_max`] keeps a running
 //!   maximum instead (names ending in `_max` merge by maximum too, so
@@ -26,7 +28,9 @@
 //!   run's merged profile is reduced once, to a [`ledger::RunRecord`].
 //! * An optional **timeline** ([`timeline_start`]/[`timeline_stop`])
 //!   additionally records every span occurrence with its wall-clock
-//!   placement, feeding the Chrome-trace exporter in [`trace`].
+//!   placement, feeding the Chrome-trace exporter in [`trace`]. It
+//!   belongs to the context that started it: it holds what that thread
+//!   and every thread adopting its context record, and nothing else.
 //!
 //! The run-telemetry layer builds on these primitives: [`events`] is
 //! the per-step JSONL flight recorder (flushed line by line, so a
@@ -53,7 +57,8 @@ pub mod watchdog;
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
 /// Canonical top-level phase names, mirroring the paper's Table 4
@@ -163,13 +168,6 @@ impl Profile {
         top_level.map(|(path, stat)| (path.as_str(), stat.total.as_secs_f64()))
     }
 
-    /// Span paths, sorted for stable output.
-    pub fn sorted_paths(&self) -> Vec<&str> {
-        let mut paths: Vec<&str> = self.spans.keys().map(String::as_str).collect();
-        paths.sort_unstable();
-        paths
-    }
-
     /// Merge another profile into this one. Span stats and ordinary
     /// counters sum; counters named `…_max` (high-water marks written
     /// via [`counter_max`]) merge by maximum instead, so e.g. a peak
@@ -205,51 +203,93 @@ type Sink = Mutex<Option<Profile>>;
 /// The process-wide sink: where a thread with no [`scope`] records.
 static REGISTRY: Sink = Mutex::new(None);
 
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    // A panic inside a short record section cannot leave the data
+    // half-updated in a way we care about; keep profiling.
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// A thread's recording context: its open span names, outermost first
-/// (for path nesting), and the innermost [`scope`] it records into.
+/// (for path nesting), the innermost [`scope`] it records into, the
+/// timeline it traces into ([`timeline_start`]) and the simulated-MPI
+/// rank it runs as ([`Context::with_rank`]). A worker that adopts the
+/// context ([`adopt_context`]) takes all four for as long as it helps.
 #[derive(Clone)]
 pub struct Context {
     stack: Vec<&'static str>,
     sink: Option<Arc<Sink>>,
+    timeline: Option<Arc<Recording>>,
+    rank: Option<u64>,
+}
+
+impl Context {
+    const EMPTY: Context = Context {
+        stack: Vec::new(),
+        sink: None,
+        timeline: None,
+        rank: None,
+    };
+
+    /// Run `f` on this context's sink (innermost [`scope`], else the
+    /// process-wide one).
+    fn record<R>(&self, f: impl FnOnce(&mut Profile) -> R) -> R {
+        let sink = self.sink.as_deref().unwrap_or(&REGISTRY);
+        f(lock(sink).get_or_insert_with(Profile::default))
+    }
+
+    /// This context, run as simulated-MPI rank `rank`: what
+    /// `mpi::run_world` hands each rank thread to adopt. Spans, flows
+    /// and watchdog violations recorded under it — on the rank thread
+    /// and on every pool worker helping with its regions — carry the
+    /// rank.
+    pub fn with_rank(&self, rank: u64) -> Context {
+        Context {
+            rank: Some(rank),
+            ..self.clone()
+        }
+    }
 }
 
 thread_local! {
-    static CONTEXT: RefCell<Context> = const {
-        RefCell::new(Context { stack: Vec::new(), sink: None })
-    };
+    static CONTEXT: RefCell<Context> = const { RefCell::new(Context::EMPTY) };
 }
 
 fn with_registry<R>(f: impl FnOnce(&mut Profile) -> R) -> R {
+    CONTEXT.with(|context| context.borrow().record(f))
+}
+
+/// Run `f` on the caller's recording timeline with the caller's rank;
+/// `None` when the caller traces nothing or its timeline has stopped.
+fn with_timeline<R>(f: impl FnOnce(&mut Log, Option<u64>) -> R) -> Option<R> {
     CONTEXT.with(|context| {
         let context = context.borrow();
-        let sink = context.sink.as_deref().unwrap_or(&REGISTRY);
-        let mut guard = sink.lock().unwrap_or_else(|poisoned| {
-            // A panic inside the short record section cannot leave the map
-            // half-updated in a way we care about; keep profiling.
-            poisoned.into_inner()
-        });
-        f(guard.get_or_insert_with(Profile::default))
+        context.timeline.as_deref()?.with_log(|log| f(log, context.rank))
     })
 }
 
 /// Guard returned by [`scope`] and [`adopt_context`]: on drop (also on
-/// unwind) the thread's span stack and recording target are what they
-/// were before; what nobody drained from a scope is discarded with it.
+/// unwind) the thread's span stack, recording target, timeline and rank
+/// are what they were before; what nobody drained from a scope is
+/// discarded with it.
 #[must_use = "the scope lasts until the guard is dropped"]
 pub struct Scope {
-    /// Stack depth and sink of this thread before the guard.
+    /// Stack depth of this thread before the guard.
     depth: usize,
-    outer: Option<Arc<Sink>>,
+    /// The thread's context before the guard, its stack left out.
+    outer: Context,
     /// The context is thread-local: drop on the thread that opened it.
     _not_send: std::marker::PhantomData<*const ()>,
 }
 
 impl Drop for Scope {
     fn drop(&mut self) {
+        let outer = std::mem::replace(&mut self.outer, Context::EMPTY);
         CONTEXT.with(|context| {
             let mut context = context.borrow_mut();
             context.stack.truncate(self.depth);
-            context.sink = self.outer.take();
+            context.sink = outer.sink;
+            context.timeline = outer.timeline;
+            context.rank = outer.rank;
         });
     }
 }
@@ -257,11 +297,13 @@ impl Drop for Scope {
 /// Open a run-scoped recording target: until the guard drops, records
 /// made on this thread — and on every worker that adopts its context —
 /// accumulate in a fresh sink, and [`take`]/[`reset`] drain that sink
-/// only. Scopes nest; `run_instrumented` opens one per call.
+/// only. The thread's timeline and rank carry on into the scope. Scopes
+/// nest; `run_instrumented` opens one per call.
 pub fn scope() -> Scope {
     adopt_context(&Context {
         stack: Vec::new(),
         sink: Some(Arc::new(Mutex::new(None))),
+        ..context_snapshot()
     })
 }
 
@@ -286,17 +328,29 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         let elapsed = self.start.elapsed();
         CONTEXT.with(|context| {
+            let mut context = context.borrow_mut();
             // Truncate, don't pop: rebalances even when inner guards
             // were leaked or the stack was disturbed by a panic.
-            context.borrow_mut().stack.truncate(self.depth);
-        });
-        if TIMELINE_ENABLED.load(Ordering::Relaxed) {
-            record_timeline_event(&self.path, self.start, elapsed);
-        }
-        with_registry(|profile| {
-            let stat = profile.spans.entry(std::mem::take(&mut self.path)).or_default();
-            stat.calls += 1;
-            stat.total += elapsed;
+            context.stack.truncate(self.depth);
+            if let Some(recording) = &context.timeline {
+                recording.with_log(|log| {
+                    let thread = log.thread_ordinal();
+                    log.timeline.events.push(TimelineEvent {
+                        path: self.path.clone(),
+                        // Spans opened before the timeline started
+                        // clamp to start at 0.
+                        start_us: micros(self.start.saturating_duration_since(log.epoch)),
+                        dur_us: micros(elapsed),
+                        thread,
+                        rank: context.rank,
+                    });
+                });
+            }
+            context.record(|profile| {
+                let stat = profile.spans.entry(std::mem::take(&mut self.path)).or_default();
+                stat.calls += 1;
+                stat.total += elapsed;
+            });
         });
     }
 }
@@ -335,30 +389,36 @@ pub fn span(name: &'static str) -> SpanGuard {
 
 /// Snapshot of the current thread's recording context. Hand it to
 /// another thread (via [`adopt_context`]) so spans it opens nest under
-/// the phase that handed it work, in that run's [`scope`]. The vendored
-/// rayon backend takes one per parallel region, for the pool workers
-/// that help with it; `mpi::run_world` one per world, for its rank
-/// threads.
+/// the phase that handed it work, in that run's [`scope`], timeline and
+/// rank. The vendored rayon backend takes one per parallel region, for
+/// the pool workers that help with it; `mpi::run_world` one per world,
+/// for its rank threads.
 pub fn context_snapshot() -> Context {
     CONTEXT.with(|context| context.borrow().clone())
 }
 
 /// Adopt `context` (a [`context_snapshot`] from the thread handing out
-/// work) until the guard drops: this thread records into its scope,
-/// under its span names, and afterwards records where it did before. A
-/// long-lived thread can therefore serve many runs in turn — a rayon
-/// pool worker adopts the caller's context for one region and drops it
-/// before taking the next. The adopted names themselves are *context
-/// only* — no time accumulates under them from this thread; the handing
-/// thread's own guards measure the phase.
+/// work) until the guard drops: this thread records into its scope and
+/// timeline, under its span names and rank, and afterwards records
+/// where it did before. A long-lived thread can therefore serve many
+/// runs in turn — a rayon pool worker adopts the caller's context for
+/// one region and drops it before taking the next. The adopted names
+/// themselves are *context only* — no time accumulates under them from
+/// this thread; the handing thread's own guards measure the phase.
 pub fn adopt_context(context: &Context) -> Scope {
     CONTEXT.with(|mine| {
         let mut mine = mine.borrow_mut();
         let depth = mine.stack.len();
         mine.stack.extend_from_slice(&context.stack);
+        let outer = Context {
+            sink: std::mem::replace(&mut mine.sink, context.sink.clone()),
+            timeline: std::mem::replace(&mut mine.timeline, context.timeline.clone()),
+            rank: std::mem::replace(&mut mine.rank, context.rank),
+            ..Context::EMPTY
+        };
         Scope {
             depth,
-            outer: std::mem::replace(&mut mine.sink, context.sink.clone()),
+            outer,
             _not_send: std::marker::PhantomData,
         }
     })
@@ -387,15 +447,13 @@ pub fn counter_max(name: &'static str, value: u64) {
 
 /// Sample the named gauge: a *level* (utilization fraction, achieved
 /// bandwidth) rather than an event count. The registry keeps a
-/// [`GaugeStat`] summary; when a timeline is recording, the sample
+/// [`GaugeStat`] summary; when the caller is tracing, the sample
 /// additionally becomes a Perfetto counter-track point (see
 /// [`trace::chrome_trace`]), so utilization renders as a curve beside
 /// the span tracks. One registry lock per call — per-phase/per-step
 /// cadence, not inner loops.
 pub fn gauge(name: &'static str, value: f64) {
-    if TIMELINE_ENABLED.load(Ordering::Relaxed) {
-        record_timeline_counter(name, value);
-    }
+    timeline_counter(name, value);
     with_registry(|profile| match profile.gauges.get_mut(name) {
         Some(stat) => stat.record(value),
         None => {
@@ -406,16 +464,21 @@ pub fn gauge(name: &'static str, value: f64) {
     });
 }
 
-/// Record a counter-track point on the timeline *only* — no registry
-/// entry. For gauges derived from an already-drained [`Profile`]
-/// (e.g. the per-step wall-clock fractions `run_instrumented` computes
-/// after [`take`]): writing those back through [`gauge`] would leak
-/// them into the *next* step's drain, so they go straight to the
-/// timeline. A no-op unless a timeline is recording.
+/// Record a counter-track point on the caller's timeline *only* — no
+/// registry entry. For gauges derived from an already-drained
+/// [`Profile`] (e.g. the per-step wall-clock fractions
+/// `run_instrumented` computes after [`take`]): writing those back
+/// through [`gauge`] would leak them into the *next* step's drain, so
+/// they go straight to the timeline. A no-op unless the caller traces.
 pub fn timeline_counter(name: &str, value: f64) {
-    if TIMELINE_ENABLED.load(Ordering::Relaxed) {
-        record_timeline_counter(name, value);
-    }
+    with_timeline(|log, _| {
+        let ts_us = log.now_us();
+        log.timeline.counters.push(TimelineCounter {
+            name: name.to_string(),
+            ts_us,
+            value,
+        });
+    });
 }
 
 /// Drain the current sink (innermost open [`scope`], else process-wide):
@@ -429,55 +492,19 @@ pub fn reset() {
     let _ = take();
 }
 
-// ---------------------------------------------------------------------
-// Rank context: per-thread recorder identity for distributed runs.
-// ---------------------------------------------------------------------
-
-thread_local! {
-    /// The simulated-MPI rank this thread is executing as, if any.
-    static CURRENT_RANK: std::cell::Cell<Option<u64>> = const { std::cell::Cell::new(None) };
-}
-
-/// The rank identity of the current thread ([`rank_scope`]), or `None`
-/// outside any rank context (single-process runs, the main thread).
-/// Timeline events and watchdog [`watchdog::Violation`]s stamp this at
-/// creation, which is what turns one shared profile into a
-/// *distributed* trace: same span paths, per-rank attribution.
+/// The simulated-MPI rank the current thread records as
+/// ([`Context::with_rank`]), or `None` outside any rank context
+/// (single-process runs, the main thread). Timeline events and watchdog
+/// [`watchdog::Violation`]s stamp this at creation, which is what turns
+/// one shared profile into a *distributed* trace: same span paths,
+/// per-rank attribution.
 pub fn current_rank() -> Option<u64> {
-    CURRENT_RANK.with(|cell| cell.get())
-}
-
-/// RAII guard restoring the previous rank context on drop.
-#[must_use = "the rank context lasts until the guard is dropped"]
-pub struct RankGuard {
-    prev: Option<u64>,
-    /// The context is thread-local; the guard must drop on the thread
-    /// that opened it.
-    _not_send: std::marker::PhantomData<*const ()>,
-}
-
-impl Drop for RankGuard {
-    fn drop(&mut self) {
-        CURRENT_RANK.with(|cell| cell.set(self.prev));
-    }
-}
-
-/// Declare that this thread is executing as simulated-MPI rank `rank`
-/// until the returned guard drops. `mpi::run_world` opens one per rank
-/// thread; nesting restores the outer rank on drop.
-pub fn rank_scope(rank: u64) -> RankGuard {
-    let prev = CURRENT_RANK.with(|cell| cell.replace(Some(rank)));
-    RankGuard {
-        prev,
-        _not_send: std::marker::PhantomData,
-    }
+    CONTEXT.with(|context| context.borrow().rank)
 }
 
 // ---------------------------------------------------------------------
 // Timeline: optional per-occurrence span recording for trace export.
 // ---------------------------------------------------------------------
-
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// One completed span occurrence, placed on the wall clock relative to
 /// the [`timeline_start`] call that enabled recording.
@@ -489,10 +516,11 @@ pub struct TimelineEvent {
     pub start_us: f64,
     /// Span duration in microseconds.
     pub dur_us: f64,
-    /// Small per-process ordinal of the recording thread (0, 1, …).
+    /// Small per-timeline ordinal of the recording thread (0, 1, …).
     pub thread: u64,
-    /// Simulated-MPI rank the span ran under ([`rank_scope`]), if any.
-    /// Drives per-rank process tracks in the Chrome-trace export.
+    /// Simulated-MPI rank the span ran under ([`Context::with_rank`]),
+    /// if any. Drives per-rank process tracks in the Chrome-trace
+    /// export.
     pub rank: Option<u64>,
 }
 
@@ -510,7 +538,7 @@ pub enum FlowKind {
 /// communication causality visible across the per-rank tracks.
 #[derive(Clone, Debug, PartialEq)]
 pub struct TimelineFlow {
-    /// Ties the send to its recv; unique per message, process-wide.
+    /// Ties the send to its recv; unique per message within a timeline.
     pub id: u64,
     /// Send or recv side.
     pub kind: FlowKind,
@@ -521,7 +549,7 @@ pub struct TimelineFlow {
     /// Thread ordinal of the endpoint (same space as
     /// [`TimelineEvent::thread`]).
     pub thread: u64,
-    /// Rank of the endpoint, if inside a [`rank_scope`].
+    /// Rank of the endpoint, if recorded under one.
     pub rank: Option<u64>,
 }
 
@@ -550,164 +578,114 @@ pub struct Timeline {
     pub flows: Vec<TimelineFlow>,
 }
 
-struct TimelineState {
+/// A timeline being recorded: what its threads have recorded, until
+/// [`timeline_stop`] takes it.
+struct Recording(Mutex<Option<Log>>);
+
+impl Recording {
+    /// Run `f` on the log; `None`, recording nothing, once stopped.
+    fn with_log<R>(&self, f: impl FnOnce(&mut Log) -> R) -> Option<R> {
+        lock(&self.0).as_mut().map(f)
+    }
+}
+
+struct Log {
+    /// The timeline's clock zero.
     epoch: Instant,
-    events: Vec<TimelineEvent>,
-    counters: Vec<TimelineCounter>,
-    flows: Vec<TimelineFlow>,
+    timeline: Timeline,
+    /// Each recording thread's ordinal, in first-record order.
+    threads: HashMap<ThreadId, u64>,
+    /// The last flow id handed out.
+    last_flow: u64,
 }
 
-/// Cheap gate checked on every span drop; the mutex is only touched
-/// while a timeline is actually recording.
-static TIMELINE_ENABLED: AtomicBool = AtomicBool::new(false);
-static TIMELINE: Mutex<Option<TimelineState>> = Mutex::new(None);
-/// Current timeline session (bumped by every [`timeline_start`], so it
-/// starts at 1 once any session exists). Thread ordinals are assigned
-/// *per session*: a thread's cached ordinal from an earlier session is
-/// stale and gets replaced, so a second trace in the same process
-/// starts its tids at 0 again instead of continuing where the first
-/// left off.
-static TIMELINE_SESSION: AtomicU64 = AtomicU64::new(0);
-static NEXT_THREAD_ORDINAL: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    /// `(session, ordinal)` naming this thread in timeline events; the
-    /// ordinal is only valid while the session matches.
-    static THREAD_ORDINAL: std::cell::Cell<(u64, u64)> =
-        const { std::cell::Cell::new((0, 0)) };
-}
-
-/// This thread's small tid for the current session, assigned in
-/// first-use order. Caller must hold the [`TIMELINE`] lock so the
-/// session read and counter bump cannot interleave with
-/// [`timeline_start`]'s reset.
-fn thread_ordinal_locked() -> u64 {
-    let session = TIMELINE_SESSION.load(Ordering::Relaxed);
-    THREAD_ORDINAL.with(|cell| {
-        let (cached_session, ordinal) = cell.get();
-        if cached_session == session {
-            ordinal
-        } else {
-            let ordinal = NEXT_THREAD_ORDINAL.fetch_add(1, Ordering::Relaxed);
-            cell.set((session, ordinal));
-            ordinal
-        }
-    })
-}
-
-/// Begin recording a timeline: every span that *ends* from now on is
-/// captured with its wall-clock placement. Any previous unfinished
-/// timeline is discarded, and thread-ordinal assignment restarts at 0
-/// for the new session. Recording costs one mutex lock per span end,
-/// so keep it off (the default) outside trace-export runs.
-pub fn timeline_start() {
-    let mut guard = TIMELINE.lock().unwrap_or_else(|p| p.into_inner());
-    TIMELINE_SESSION.fetch_add(1, Ordering::Relaxed);
-    NEXT_THREAD_ORDINAL.store(0, Ordering::Relaxed);
-    *guard = Some(TimelineState {
-        epoch: Instant::now(),
-        events: Vec::new(),
-        counters: Vec::new(),
-        flows: Vec::new(),
-    });
-    drop(guard);
-    TIMELINE_ENABLED.store(true, Ordering::Relaxed);
-}
-
-/// Stop recording and return the captured [`Timeline`] (empty if
-/// [`timeline_start`] was never called).
-pub fn timeline_stop() -> Timeline {
-    TIMELINE_ENABLED.store(false, Ordering::Relaxed);
-    let mut guard = TIMELINE.lock().unwrap_or_else(|p| p.into_inner());
-    match guard.take() {
-        Some(state) => Timeline {
-            events: state.events,
-            counters: state.counters,
-            flows: state.flows,
-        },
-        None => Timeline::default(),
+impl Log {
+    fn thread_ordinal(&mut self) -> u64 {
+        let next = self.threads.len() as u64;
+        *self.threads.entry(std::thread::current().id()).or_insert(next)
     }
-}
 
-/// Microseconds from the recording timeline's [`timeline_start`] to now
-/// — the clock of [`TimelineEvent::start_us`] — or `None` when none is
-/// recording: the mark that splits a session into a warm-up and a
-/// measured window.
-pub fn timeline_now_us() -> Option<f64> {
-    let guard = TIMELINE.lock().unwrap_or_else(|p| p.into_inner());
-    guard.as_ref().map(|state| state.epoch.elapsed().as_secs_f64() * 1e6)
-}
-
-fn record_timeline_event(path: &str, start: Instant, elapsed: Duration) {
-    let mut guard = TIMELINE.lock().unwrap_or_else(|p| p.into_inner());
-    let thread = thread_ordinal_locked();
-    if let Some(state) = guard.as_mut() {
-        // `saturating_duration_since` guards spans opened before the
-        // timeline was enabled (they clamp to start at 0).
-        let start_us = start.saturating_duration_since(state.epoch).as_secs_f64() * 1e6;
-        state.events.push(TimelineEvent {
-            path: path.to_string(),
-            start_us,
-            dur_us: elapsed.as_secs_f64() * 1e6,
-            thread,
-            rank: current_rank(),
-        });
+    fn now_us(&self) -> f64 {
+        micros(self.epoch.elapsed())
     }
-}
 
-/// Process-wide flow-id source; ids tie a send endpoint to its recv
-/// across threads, so they must never repeat within a process.
-static NEXT_FLOW_ID: AtomicU64 = AtomicU64::new(1);
-
-/// Record the *send* side of a message and return the flow id the
-/// matching [`timeline_flow_recv`] must quote. Returns `None` (and
-/// records nothing) when no timeline is recording — callers thread the
-/// id through the message payload, so a recv on a timeline started
-/// mid-flight simply has no send to pair with, which the exporter
-/// tolerates.
-pub fn timeline_flow_send(tag: u64) -> Option<u64> {
-    if !TIMELINE_ENABLED.load(Ordering::Relaxed) {
-        return None;
-    }
-    let id = NEXT_FLOW_ID.fetch_add(1, Ordering::Relaxed);
-    record_timeline_flow(id, FlowKind::Send, tag);
-    Some(id)
-}
-
-/// Record the *recv* side of a message whose send returned `id`. A
-/// no-op when no timeline is recording.
-pub fn timeline_flow_recv(id: u64, tag: u64) {
-    if TIMELINE_ENABLED.load(Ordering::Relaxed) {
-        record_timeline_flow(id, FlowKind::Recv, tag);
-    }
-}
-
-fn record_timeline_flow(id: u64, kind: FlowKind, tag: u64) {
-    let mut guard = TIMELINE.lock().unwrap_or_else(|p| p.into_inner());
-    let thread = thread_ordinal_locked();
-    if let Some(state) = guard.as_mut() {
-        let ts_us = state.epoch.elapsed().as_secs_f64() * 1e6;
-        state.flows.push(TimelineFlow {
+    fn push_flow(&mut self, id: u64, kind: FlowKind, tag: u64, rank: Option<u64>) {
+        let (ts_us, thread) = (self.now_us(), self.thread_ordinal());
+        self.timeline.flows.push(TimelineFlow {
             id,
             kind,
             tag,
             ts_us,
             thread,
-            rank: current_rank(),
+            rank,
         });
     }
 }
 
-fn record_timeline_counter(name: &str, value: f64) {
-    let mut guard = TIMELINE.lock().unwrap_or_else(|p| p.into_inner());
-    if let Some(state) = guard.as_mut() {
-        let ts_us = state.epoch.elapsed().as_secs_f64() * 1e6;
-        state.counters.push(TimelineCounter {
-            name: name.to_string(),
-            ts_us,
-            value,
-        });
-    }
+fn micros(duration: Duration) -> f64 {
+    duration.as_secs_f64() * 1e6
+}
+
+/// Begin recording a timeline in the caller's context: every span that
+/// *ends* from now on — on this thread, and on every thread that adopts
+/// its context — is captured with its wall-clock placement. Thread
+/// ordinals and flow ids start afresh; a timeline this context was
+/// already recording is discarded. Call [`timeline_stop`] at the same
+/// [`scope`] level: a scope opened after the start carries the
+/// timeline, and one closed before the stop takes it away. Recording
+/// costs one more mutex lock per span end, so keep it off (the default)
+/// outside trace-export runs.
+pub fn timeline_start() {
+    let recording = Arc::new(Recording(Mutex::new(Some(Log {
+        epoch: Instant::now(),
+        timeline: Timeline::default(),
+        threads: HashMap::new(),
+        last_flow: 0,
+    }))));
+    finish(CONTEXT.with(|context| context.borrow_mut().timeline.replace(recording)));
+}
+
+/// Stop `recording`, if any, and return what it captured.
+fn finish(recording: Option<Arc<Recording>>) -> Timeline {
+    recording
+        .and_then(|recording| lock(&recording.0).take())
+        .map_or_else(Timeline::default, |log| log.timeline)
+}
+
+/// Stop the caller's timeline and return what it captured (empty if
+/// [`timeline_start`] was never called in this context). From here on
+/// no thread records into it.
+pub fn timeline_stop() -> Timeline {
+    finish(CONTEXT.with(|context| context.borrow_mut().timeline.take()))
+}
+
+/// Microseconds from the caller's [`timeline_start`] to now — the clock
+/// of [`TimelineEvent::start_us`] — or `None` when the caller traces
+/// nothing: the mark that splits a timeline into a warm-up and a
+/// measured window.
+pub fn timeline_now_us() -> Option<f64> {
+    with_timeline(|log, _| log.now_us())
+}
+
+/// Record the *send* side of a message and return the flow id the
+/// matching [`timeline_flow_recv`] must quote. Returns `None` (and
+/// records nothing) when the caller traces nothing — callers thread the
+/// id through the message payload, so a recv on a timeline started
+/// mid-flight simply has no send to pair with, which the exporter
+/// tolerates.
+pub fn timeline_flow_send(tag: u64) -> Option<u64> {
+    with_timeline(|log, rank| {
+        log.last_flow += 1;
+        let id = log.last_flow;
+        log.push_flow(id, FlowKind::Send, tag, rank);
+        id
+    })
+}
+
+/// Record the *recv* side of a message whose send returned `id`. A
+/// no-op when the caller traces nothing.
+pub fn timeline_flow_recv(id: u64, tag: u64) {
+    with_timeline(|log, rank| log.push_flow(id, FlowKind::Recv, tag, rank));
 }
 
 #[cfg(test)]
@@ -807,7 +785,7 @@ mod tests {
         assert!(
             !profile.spans.keys().any(|k| k.contains("t7_outer.t7_after")),
             "stale stack entries leaked into later paths: {:?}",
-            profile.sorted_paths()
+            profile.spans.keys()
         );
     }
 
@@ -826,7 +804,7 @@ mod tests {
         assert!(
             !profile.spans.keys().any(|k| k.starts_with("t8_outer.t8_leaked.")),
             "leaked guard polluted later paths: {:?}",
-            profile.sorted_paths()
+            profile.spans.keys()
         );
     }
 
@@ -851,7 +829,7 @@ mod tests {
         assert_eq!(
             profile.spans["t15_phase.t15_leaf"].calls, 4,
             "worker spans mis-attributed: {:?}",
-            profile.sorted_paths()
+            profile.spans.keys()
         );
         assert!(!profile.spans.contains_key("t15_leaf"));
         // Adoption is context only: the phase accumulated exactly its
@@ -988,9 +966,7 @@ mod tests {
 
     #[test]
     fn timeline_records_span_occurrences() {
-        // Single test exercising the global timeline (other timeline
-        // users build `Timeline` values directly), so concurrent tests
-        // can only *add* events, which the filter below ignores.
+        let _scope = scope();
         timeline_start();
         {
             let _outer = span("t11_outer");
@@ -1002,7 +978,7 @@ mod tests {
         timeline_counter("t11_derived", 0.9);
         // Rank context and a message flow, recorded on this thread.
         let flow_id = {
-            let _rank = rank_scope(3);
+            let _rank = adopt_context(&context_snapshot().with_rank(3));
             let _ranked = span("t11_ranked");
             timeline_flow_send(7).expect("timeline is recording")
         };
@@ -1010,56 +986,160 @@ mod tests {
         let timeline = timeline_stop();
         // Both the registry gauge and the timeline-only counter landed
         // as counter samples; only the former entered the registry.
-        let counters: Vec<&TimelineCounter> = timeline
-            .counters
-            .iter()
-            .filter(|c| c.name.starts_with("t11_"))
-            .collect();
-        assert_eq!(counters.len(), 2, "counters: {:?}", timeline.counters);
-        assert!(counters.iter().all(|c| c.ts_us >= 0.0));
-        assert!(snapshot().gauges.contains_key("t11_gauge"));
-        assert!(!snapshot().gauges.contains_key("t11_derived"));
-        let mine: Vec<&TimelineEvent> = timeline
-            .events
-            .iter()
-            .filter(|e| e.path.starts_with("t11_"))
-            .collect();
-        assert_eq!(mine.len(), 3, "events: {:?}", timeline.events);
-        // Rank stamping: only the span closed inside the rank scope is
-        // attributed; the send was in-scope, the recv was not.
-        let ranked = mine.iter().find(|e| e.path == "t11_ranked").unwrap();
-        assert_eq!(ranked.rank, Some(3));
-        assert!(mine.iter().filter(|e| e.path != "t11_ranked").all(|e| e.rank.is_none()));
-        assert_eq!(current_rank(), None, "rank guard failed to restore");
-        let flows: Vec<&TimelineFlow> =
-            timeline.flows.iter().filter(|f| f.id == flow_id).collect();
-        assert_eq!(flows.len(), 2, "flows: {:?}", timeline.flows);
-        assert_eq!(flows[0].kind, FlowKind::Send);
-        assert_eq!(flows[0].rank, Some(3));
-        assert_eq!(flows[1].kind, FlowKind::Recv);
-        assert_eq!(flows[1].rank, None);
+        let counters: Vec<&str> = timeline.counters.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(counters, ["t11_gauge", "t11_derived"]);
+        assert!(timeline.counters.iter().all(|c| c.ts_us >= 0.0));
+        let profile = take();
+        assert!(profile.gauges.contains_key("t11_gauge"));
+        assert!(!profile.gauges.contains_key("t11_derived"));
+        let paths: Vec<&str> = timeline.events.iter().map(|e| e.path.as_str()).collect();
+        assert_eq!(paths, ["t11_outer.t11_inner", "t11_outer", "t11_ranked"]);
+        // Rank stamping: only the span closed inside the rank context is
+        // attributed; the send was in it, the recv was not.
+        let ranks: Vec<Option<u64>> = timeline.events.iter().map(|e| e.rank).collect();
+        assert_eq!(ranks, [None, None, Some(3)]);
+        assert_eq!(current_rank(), None, "rank context failed to restore");
+        let flows = &timeline.flows;
+        assert_eq!(flows.len(), 2, "flows: {flows:?}");
+        assert!(flows.iter().all(|f| f.id == flow_id && f.tag == 7));
+        assert_eq!((flows[0].kind, flows[0].rank), (FlowKind::Send, Some(3)));
+        assert_eq!((flows[1].kind, flows[1].rank), (FlowKind::Recv, None));
         assert!(flows[1].ts_us >= flows[0].ts_us);
-        let inner = mine.iter().find(|e| e.path == "t11_outer.t11_inner").unwrap();
-        let outer = mine.iter().find(|e| e.path == "t11_outer").unwrap();
+        let (inner, outer) = (&timeline.events[0], &timeline.events[1]);
         // Inner nests within outer on the wall clock.
         assert!(inner.start_us >= outer.start_us);
         assert!(inner.dur_us <= outer.dur_us);
         assert!(outer.dur_us >= 2_000.0, "outer dur {}", outer.dur_us);
-        // Disabled again: later spans are not recorded.
+        // Stopped: later spans are not recorded, and nothing traces.
         {
             let _late = span("t11_late");
         }
+        assert_eq!(timeline_now_us(), None);
+        assert_eq!(timeline_flow_send(7), None);
         assert!(timeline_stop().events.is_empty());
     }
 
+    /// Record three spans and gauge samples named `name` and one flow
+    /// on this thread under a timeline of its own, started and stopped
+    /// outside `barrier`'s two waits so that every thread's trace spans
+    /// every other's records. Nothing between the waits may panic: a
+    /// thread that died there would leave the others waiting.
+    fn trace_beside_others(barrier: &std::sync::Barrier, name: &'static str) -> Timeline {
+        timeline_start();
+        barrier.wait();
+        for _ in 0..3 {
+            let _span = span(name);
+            gauge(name, 1.0);
+        }
+        if let Some(flow) = timeline_flow_send(1) {
+            timeline_flow_recv(flow, 1);
+        }
+        barrier.wait();
+        timeline_stop()
+    }
+
     #[test]
-    fn rank_scope_nests_and_restores() {
+    fn two_threads_tracing_at_once_each_get_only_their_own_events() {
+        let barrier = std::sync::Barrier::new(2);
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(|| trace_beside_others(&barrier, "t19_a"));
+            let b = s.spawn(|| trace_beside_others(&barrier, "t19_b"));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        for (timeline, name) in [(a, "t19_a"), (b, "t19_b")] {
+            assert_eq!(timeline.events.len(), 3, "{name}: {:?}", timeline.events);
+            assert!(timeline.events.iter().all(|e| e.path == name && e.thread == 0));
+            assert_eq!(timeline.counters.len(), 3, "{name}: {:?}", timeline.counters);
+            assert!(timeline.counters.iter().all(|c| c.name == name));
+            // Flow ids are numbered per timeline.
+            let ids: Vec<u64> = timeline.flows.iter().map(|f| f.id).collect();
+            assert_eq!(ids, [1, 1], "{name}: {:?}", timeline.flows);
+        }
+    }
+
+    #[test]
+    fn an_untraced_threads_spans_never_reach_a_concurrent_trace() {
+        let barrier = std::sync::Barrier::new(2);
+        let (traced, untraced) = std::thread::scope(|s| {
+            let traced = s.spawn(|| trace_beside_others(&barrier, "t20_traced"));
+            let untraced = s.spawn(|| {
+                barrier.wait();
+                for _ in 0..3 {
+                    let _span = span("t20_untraced");
+                    gauge("t20_untraced", 1.0);
+                    timeline_counter("t20_untraced", 1.0);
+                }
+                let seen = (timeline_flow_send(2), timeline_now_us());
+                timeline_flow_recv(1, 2);
+                barrier.wait();
+                seen
+            });
+            (traced.join().unwrap(), untraced.join().unwrap())
+        });
+        assert_eq!(untraced, (None, None), "the untraced thread saw a timeline");
+        assert!(traced.events.iter().all(|e| e.path == "t20_traced"), "{:?}", traced.events);
+        assert_eq!(traced.events.len(), 3);
+        assert!(traced.counters.iter().all(|c| c.name == "t20_traced"), "{:?}", traced.counters);
+        assert!(traced.flows.iter().all(|f| f.tag == 1), "{:?}", traced.flows);
+    }
+
+    /// Trace one span on this thread and one on each of `workers`
+    /// threads that adopt this thread's context.
+    fn record_on_workers(workers: usize) -> Timeline {
+        timeline_start();
+        {
+            let _main = span("t21_main");
+            let context = context_snapshot();
+            std::thread::scope(|scope| {
+                for _ in 0..workers {
+                    scope.spawn(|| {
+                        let _adopted = adopt_context(&context);
+                        let _worker = span("t21_worker");
+                        std::thread::sleep(Duration::from_millis(1));
+                    });
+                }
+            });
+        }
+        timeline_stop()
+    }
+
+    #[test]
+    fn thread_ordinals_are_numbered_per_timeline() {
+        let _scope = scope();
+        let tids = |timeline: &Timeline| {
+            let mut tids: Vec<u64> = timeline.events.iter().map(|e| e.thread).collect();
+            tids.sort_unstable();
+            tids
+        };
+        let main_tid = |timeline: &Timeline| {
+            let main = timeline.events.iter().find(|e| e.path == "t21_main");
+            main.expect("main span recorded").thread
+        };
+        // This thread and three adopting workers: ordinals 0..=3, in
+        // first-record order, so the main span (closed last) has 3.
+        let first = record_on_workers(3);
+        assert_eq!(tids(&first), [0, 1, 2, 3], "{:?}", first.events);
+        assert_eq!(main_tid(&first), 3);
+        // A second timeline numbers afresh: the first one's ordinals
+        // are not burned.
+        let second = record_on_workers(1);
+        assert_eq!(tids(&second), [0, 1], "{:?}", second.events);
+        let third = record_on_workers(0);
+        assert_eq!(tids(&third), [0]);
+        assert_eq!(main_tid(&third), 0);
+    }
+
+    #[test]
+    fn a_rank_context_nests_and_restores() {
         assert_eq!(current_rank(), None);
         {
-            let _outer = rank_scope(1);
+            let _outer = adopt_context(&context_snapshot().with_rank(1));
             assert_eq!(current_rank(), Some(1));
             {
-                let _inner = rank_scope(2);
+                let _inner = adopt_context(&context_snapshot().with_rank(2));
+                assert_eq!(current_rank(), Some(2));
+                // A scope keeps the rank it was opened under.
+                let _scope = scope();
                 assert_eq!(current_rank(), Some(2));
             }
             assert_eq!(current_rank(), Some(1));

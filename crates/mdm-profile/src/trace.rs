@@ -12,14 +12,15 @@
 //! The routing key is the top-level segment of the span path, i.e. the
 //! [`crate::phase`] constants the driver already uses.
 //!
-//! Gauge samples recorded during the timeline session become counter
+//! Gauge samples recorded while the timeline records become counter
 //! events (`"ph": "C"`) on the same device tracks, so each device
 //! shows its utilization curve (pipeline occupancy, bus bandwidth,
 //! worker utilization) directly beneath its span rows.
 //!
-//! **Distributed runs**: spans recorded inside a [`crate::rank_scope`]
-//! (every `mpi::run_world` rank thread) carry their rank, and the
-//! exporter gives each rank its *own family of process tracks*
+//! **Distributed runs**: spans recorded under a rank context
+//! ([`crate::Context::with_rank`] — every `mpi::run_world` rank thread
+//! and every pool worker helping with its regions) carry their rank,
+//! and the exporter gives each rank its *own family of process tracks*
 //! ([`rank_track`]) — the merged trace shows rank 0's MDGRAPE-2 beside
 //! rank 1's, the paper's 16-host picture in miniature. Message
 //! send/recv pairs ([`crate::timeline_flow_send`] /

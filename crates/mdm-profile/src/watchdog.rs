@@ -247,10 +247,10 @@ mod tests {
         assert_eq!(bare.rank, None);
         assert!(!bare.to_json().to_compact().contains("\"rank\""));
         assert_eq!(bare.display_message(), bare.message);
-        // Inside a rank scope (what every run_world rank thread is):
-        // the violation names the rank, in JSON and in display.
+        // Under a rank context (what every run_world rank thread
+        // adopts): the violation names the rank, in JSON and in display.
         let ranked = {
-            let _rank = crate::rank_scope(5);
+            let _rank = crate::adopt_context(&crate::context_snapshot().with_rank(5));
             monitor.check(2, 1.0).unwrap()
         };
         assert_eq!(ranked.rank, Some(5));

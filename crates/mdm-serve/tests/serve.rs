@@ -1078,3 +1078,44 @@ fn a_panicking_slice_fails_its_job_not_its_board() {
     server.stop();
     let _ = std::fs::remove_dir_all(&spool);
 }
+
+/// A spec that validates but cannot be integrated: `dt = 1e300` fs
+/// throws every particle out of the box on the first step. The job
+/// must end — `failed`, or `done` with its watchdogs firing — without a
+/// panic, and the board must go on to run the next job.
+#[test]
+fn a_dt_of_1e300_ends_its_job_without_a_panic() {
+    let spool = temp_spool("hugedt");
+    let mut cfg = ServerConfig::new(&spool);
+    cfg.slice_steps = 5;
+    let job = |name: &str, dt: f64| JobSpec {
+        name: name.into(),
+        cells: 2,
+        steps: 10,
+        dt,
+        seed: 29,
+        ..JobSpec::default()
+    };
+    let server = Server::start(cfg).unwrap();
+    let mut client = Client::connect(&server.local_addr().to_string()).unwrap();
+    assert!(matches!(
+        client.submit(&job("hostile", 1e300)).unwrap(),
+        SubmitOutcome::Accepted { .. }
+    ));
+    let report = client.wait("hostile", Duration::from_secs(30)).unwrap();
+    let detail = report.detail.clone().unwrap_or_default();
+    assert!(!detail.contains("panicked"), "{detail}");
+    match report.state {
+        JobState::Failed => assert!(spool.join("hostile.failed").exists()),
+        JobState::Done => assert!(report.violations > 0, "{report:?}"),
+        other => panic!("job still {other:?} after 30 s: {report:?}"),
+    }
+    assert!(matches!(
+        client.submit(&job("after-hostile", 2.0)).unwrap(),
+        SubmitOutcome::Accepted { .. }
+    ));
+    let report = client.wait("after-hostile", Duration::from_secs(120)).unwrap();
+    assert_eq!(report.state, JobState::Done, "{:?}", report.detail);
+    server.stop();
+    let _ = std::fs::remove_dir_all(&spool);
+}
